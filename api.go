@@ -161,19 +161,12 @@ type Progress = core.Progress
 // result along with an error wrapping ErrCanceled; an uncanceled run is
 // bit-identical to one with context.Background().
 //
-// RunConfig.Cfg.Boards selects the device topology: 0 or 1 runs the classic
-// single-board engine; N > 1 runs an N-board SSD array, each board owning a
+// RunConfig.Cfg.Boards selects the device topology: 0 or 1 simulates the
+// paper's single board; N > 1 an N-board SSD array, each board owning a
 // shard of the graph partitions, connected by a modeled inter-board fabric.
 // Walk outcomes are identical across board counts (per-walk RNG streams);
 // only the simulated timeline changes.
 func Simulate(ctx context.Context, g *Graph, rc RunConfig) (*Result, error) {
-	if rc.Cfg.Boards > 1 {
-		a, err := core.NewArray(g, rc)
-		if err != nil {
-			return nil, err
-		}
-		return a.RunContext(ctx)
-	}
 	e, err := core.NewEngine(g, rc)
 	if err != nil {
 		return nil, err

@@ -283,7 +283,7 @@ func runFSWith(b *testing.B, mutate func(rc *core.RunConfig)) *core.Result {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := e.Run()
+	res, err := e.RunContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func BenchmarkBatchSecondOrder(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		res, err := e.Run()
+		res, err := e.RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -433,7 +433,7 @@ func BenchmarkAblationBiasedSampler(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := e.Run()
+				res, err := e.RunContext(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -141,7 +141,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	res, err := runSim(ctx, g, rc)
+	var res *core.Result
+	e, err := core.NewEngine(g, rc)
+	if err == nil {
+		res, err = e.RunContext(ctx)
+	}
 	if res != nil {
 		if err != nil {
 			fmt.Println("run canceled; partial result:")
@@ -158,23 +162,6 @@ func main() {
 		}
 		fail(err)
 	}
-}
-
-// runSim dispatches to the single-board engine or the multi-board array,
-// mirroring the flashwalker.Simulate facade.
-func runSim(ctx context.Context, g *graph.Graph, rc core.RunConfig) (*core.Result, error) {
-	if rc.Cfg.Boards > 1 {
-		a, err := core.NewArray(g, rc)
-		if err != nil {
-			return nil, err
-		}
-		return a.RunContext(ctx)
-	}
-	e, err := core.NewEngine(g, rc)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunContext(ctx)
 }
 
 // loadMutations reads a mutation stream from a JSON file: an array of

@@ -369,11 +369,12 @@ func TestCrashRecoveryMutations(t *testing.T) {
 }
 
 // TestCrashRecoveryMultiBoard is the array variant of TestCrashRecovery: a
-// two-board job on the multi-shard dataset is SIGKILLed mid-run (with its
-// fleet-wide array snapshot on disk) and must recover to the same result an
-// uninterrupted run produces. This exercises the flashwalker-core-array
-// snapshot kind end to end, including any walks that were in flight on the
-// inter-board fabric when the image was taken.
+// two-board job on the multi-shard dataset checkpoints through the same
+// full+delta snapshot chain as a single-board job — the test watches a
+// delta container land and the next full cut retire it — is SIGKILLed
+// mid-run, and must recover to the same result an uninterrupted run
+// produces, including any walks that were in flight on the inter-board
+// fabric when the image was taken.
 func TestCrashRecoveryMultiBoard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the daemon binary")
@@ -397,27 +398,38 @@ func TestCrashRecoveryMultiBoard(t *testing.T) {
 		t.Fatalf("reference result unusable: %+v", ref.Result)
 	}
 
+	// One delta between full cuts: the chain cycles full, d1, full, ...
+	chainFlags := []string{"-snap-deltas", "1"}
 	stateDir := t.TempDir()
-	d1 := startDaemon(t, bin, stateDir, freePort(t))
+	d1 := startDaemon(t, bin, stateDir, freePort(t), chainFlags...)
 	job := d1.submit(spec)
 	snapPath := filepath.Join(stateDir, "snapshots", job.ID+".snap")
+	deltaPath := filepath.Join(stateDir, "snapshots", job.ID+".d1.snap")
 	deadline := time.Now().Add(2 * time.Minute)
+	sawDelta := false
 	for {
-		if fi, err := os.Stat(snapPath); err == nil && fi.Size() > 0 {
+		// The delta is checked before the full image: completion deletes
+		// the full image first, so "delta gone, full present" can only be
+		// the next full cut retiring the delta.
+		_, derr := os.Stat(deltaPath)
+		_, ferr := os.Stat(snapPath)
+		if derr == nil {
+			sawDelta = true
+		} else if sawDelta && ferr == nil {
 			break
 		}
 		if time.Now().After(deadline) {
 			d1.kill()
-			t.Fatal("running array job never wrote a snapshot")
+			t.Fatalf("array job never wrote and retired a delta snapshot (delta seen: %v)", sawDelta)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
 	}
 	if jv := d1.get(job.ID); jv.State == client.StateDone {
 		t.Fatal("job finished before the crash; nothing to recover")
 	}
 	d1.kill()
 
-	d2 := startDaemon(t, bin, stateDir, freePort(t))
+	d2 := startDaemon(t, bin, stateDir, freePort(t), chainFlags...)
 	defer d2.kill()
 	got := d2.waitDone(job.ID, 4*time.Minute)
 	if got.Result == nil {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 	ws := walk.NewWalks(spec, starts, len(starts)*walksPerVertex)
 
 	corpus := make([][]graph.VertexID, 0, len(ws))
-	st, err := walk.Run(g, spec, ws, 99, func(i int, path []graph.VertexID) {
+	st, err := walk.RunContext(context.Background(), g, spec, ws, 99, func(i int, path []graph.VertexID) {
 		cp := append([]graph.VertexID(nil), path...)
 		corpus = append(corpus, cp)
 	})
@@ -58,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := eng.Run()
+	res, err := eng.RunContext(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 
 	// Reference execution: verify the weight bias empirically on the
 	// heaviest vertex.
-	st, err := walk.Run(g, spec, ws, 17, nil)
+	st, err := walk.RunContext(context.Background(), g, spec, ws, 17, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := eng.Run()
+	res, err := eng.RunContext(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2, err := eng2.Run()
+	res2, err := eng2.RunContext(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -29,7 +30,7 @@ func main() {
 	spec := walk.Spec{Kind: walk.Restart, Length: 64, StopProb: alpha}
 	ws := walk.NewWalks(spec, []graph.VertexID{seedVertex}, numWalks)
 
-	st, err := walk.Run(g, spec, ws, 7, nil)
+	st, err := walk.RunContext(context.Background(), g, spec, ws, 7, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := eng.Run()
+	res, err := eng.RunContext(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

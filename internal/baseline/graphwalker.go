@@ -348,14 +348,6 @@ func (e *Engine) writePages(pages int) sim.Time {
 	return end - start
 }
 
-// Run executes the simulation and returns the result.
-//
-// Deprecated: use RunContext, which supports cancellation and live
-// progress. Run is RunContext with a background context.
-func (e *Engine) Run() (*Result, error) {
-	return e.RunContext(context.Background())
-}
-
 // progress snapshots the engine's headline counters; only called from the
 // simulation goroutine at event boundaries.
 func (e *Engine) progress() Progress {
@@ -373,7 +365,8 @@ func (e *Engine) progress() Progress {
 
 // RunContext executes the simulation until every walk finishes or ctx is
 // canceled. As with core.Engine.RunContext, cancellation is cooperative and
-// checked only between events, so uncanceled runs are bit-identical to Run.
+// checked only between events, so uncanceled runs are bit-identical
+// whatever the context.
 // On cancellation the partial Result is returned with an error satisfying
 // errors.Is(err, errs.ErrCanceled).
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {

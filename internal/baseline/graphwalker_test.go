@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"flashwalker/internal/flash"
@@ -35,9 +36,9 @@ func run(t *testing.T, g *graph.Graph, cfg Config, spec walk.Spec, n int) *Resul
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res, err := e.Run()
+	res, err := e.RunContext(context.Background())
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunContext: %v", err)
 	}
 	return res
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"flashwalker/internal/graph"
@@ -16,13 +17,14 @@ import (
 // record it touches is pooled.
 func TestSteadyStateHopAllocFree(t *testing.T) {
 	g := testGraph(t)
-	e, err := NewEngine(g, goldenConfig())
+	x, err := NewEngine(g, goldenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err != nil {
+	if _, err := x.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	e := x.boards[0]
 
 	// A live walk at a vertex with outgoing edges, far from termination.
 	var v graph.VertexID
@@ -32,7 +34,7 @@ func TestSteadyStateHopAllocFree(t *testing.T) {
 		}
 	}
 	st := wstate{w: walk.Walk{Cur: v, Hop: 1 << 20}, denseBlock: -1, rangeTag: -1, prev: noPrev,
-		rng: *e.rootRNG.Derive(1)}
+		rng: *x.rootRNG.Derive(1)}
 
 	allocs := testing.AllocsPerRun(1000, func() {
 		ref, n := e.newNode()

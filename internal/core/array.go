@@ -12,9 +12,12 @@ import (
 	"flashwalker/internal/walk"
 )
 
-// This file is the multi-board SSD array: N board engines, each owning a
-// round-robin shard of the graph partitions (partition.ShardMap), sharing
-// one event kernel and connected by a modeled inter-board fabric.
+// This file is the run driver: N board engines (Config.Boards, N >= 1),
+// each owning a round-robin shard of the graph partitions
+// (partition.ShardMap), sharing one event kernel and connected by a
+// modeled inter-board fabric. The paper's single FlashWalker board is the
+// N = 1 case of the same loop: the one board owns every partition and the
+// fabric never carries a walk.
 //
 // The fabric is one more sim resource alongside channels, chips and DRAM:
 // each board has a FIFO egress link (sim.Queue) with FabricBytesPerSec
@@ -32,7 +35,7 @@ import (
 // finish, never where they go. TestArrayOutcomeEquality and the kill tests
 // lean on exactly this.
 
-// Array event kinds (private to Array.HandleEvent).
+// Driver event kinds (private to Engine.HandleEvent).
 const (
 	evFabricArrive uint16 = iota // a fabric batch reached its destination; A = batch ref
 	evBoardKill                  // whole-device fail-stop; B = board index
@@ -61,16 +64,15 @@ type fabricBatch struct {
 	free  int32
 }
 
-// Array is an N-board FlashWalker simulation instance. Construction mirrors
-// Engine (NewArray/RunContext); Boards=1 arrays are valid and reproduce the
-// single-board engine's timeline event for event.
-type Array struct {
+// Engine is one FlashWalker simulation instance over Config.Boards boards
+// (0 and 1 both mean the single board of the paper).
+type Engine struct {
 	eng    *sim.Engine
 	cfg    Config
 	g      *graph.Graph
 	part   *partition.Partitioned
 	shard  *partition.ShardMap
-	boards []*Engine
+	boards []*boardEngine
 	dead   []bool
 
 	fabric   []*sim.Queue // per-board egress link
@@ -95,14 +97,19 @@ type Array struct {
 	maxSimTime sim.Time
 	rootRNG    *rng.RNG
 
-	// Mutation stream state: the array applies the stream fleet-wide
-	// (mutate.go) and mirrors its cursor onto every board.
-	muts      graph.MutationStream
-	mutCursor int
+	// Mutation stream state (mutate.go): muts is the full stream, mutCursor
+	// the next unapplied index (the At == 0 prefix applies at construction).
+	// initVertices/initEdges are the graph's pre-mutation counts — the
+	// identity a snapshot records, since a resumed run rebuilds from the
+	// initial graph and replays.
+	muts         graph.MutationStream
+	mutCursor    int
+	initVertices uint64
+	initEdges    uint64
 
 	onProgress func(Progress)
 	checkEvery uint64
-	onSnapshot func(*ArraySnapshot)
+	onSnapshot func(*Snapshot)
 	snapEvery  uint64
 	lastSnap   uint64
 
@@ -114,45 +121,36 @@ type Array struct {
 	finSeq    uint64
 }
 
-// NewArray builds an N-board array over the graph and seeds the workload.
-// Walk i draws its private RNG stream from the run seed by its global index,
-// exactly as the single-board engine does, so trajectories — and therefore
-// walk outcomes — are identical across board counts.
-func NewArray(g *graph.Graph, rc RunConfig) (*Array, error) {
-	a, err := newArray(g, rc)
+// NewEngine builds a FlashWalker instance over the graph and seeds the
+// workload: NumWalks walks at rc.Starts (cycled) or, without Starts, at
+// uniformly random vertices drawn from StartSeed.
+func NewEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
+	e, err := newEngine(g, rc)
 	if err != nil {
 		return nil, err
 	}
 	starts := rc.Starts
-	if len(starts) > 0 {
-		for _, v := range starts {
-			if v >= g.NumVertices() {
-				return nil, fmt.Errorf("core: start vertex %d out of range: %w", v, errs.ErrInvalidConfig)
-			}
-		}
-	} else {
+	if len(starts) == 0 {
 		starts = walk.UniformStarts(g, rc.NumWalks, rc.StartSeed)
 	}
-	a.seedWalks(starts, rc.NumWalks)
-	return a, nil
+	e.seedWalks(starts, rc.NumWalks)
+	return e, nil
 }
 
-// newArray builds the array skeleton — shared kernel, board engines, shard
-// map, fabric — without seeding walks (ResumeArray overlays a snapshot).
-func newArray(g *graph.Graph, rc RunConfig) (*Array, error) {
-	if err := rc.Cfg.Validate(); err != nil {
+// NewArray is NewEngine; it exists because the benchmark harness calls it.
+func NewArray(g *graph.Graph, rc RunConfig) (*Engine, error) { return NewEngine(g, rc) }
+
+// newEngine builds the skeleton — shared kernel, board engines, shard map,
+// fabric — without seeding walks (ResumeEngine overlays a snapshot). A
+// mutation stream is validated here, the graph is cloned (callers keep
+// their Graph pristine), and the At == 0 prefix is applied before the
+// boards are built so hot-subgraph selection sees the patched degree sums.
+func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
+	if err := rc.validate(g); err != nil {
 		return nil, err
 	}
-	nb := rc.Cfg.Boards
-	if nb < 1 {
-		nb = 1
-	}
-	if rc.ProgressBin > 0 {
-		return nil, fmt.Errorf("core: progress time series are per-board; not supported on arrays: %w", errs.ErrInvalidConfig)
-	}
-	if rc.Tracer != nil {
-		return nil, fmt.Errorf("core: tracing is not supported on arrays: %w", errs.ErrInvalidConfig)
-	}
+	nb := max(rc.Cfg.Boards, 1)
+	initVertices, initEdges := g.NumVertices(), g.NumEdges()
 	g, err := cloneForMutations(g, rc)
 	if err != nil {
 		return nil, err
@@ -170,200 +168,195 @@ func newArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 		return nil, err
 	}
 	eng := sim.New()
-	a := &Array{
-		eng:        eng,
-		cfg:        rc.Cfg,
-		g:          g,
-		part:       part,
-		shard:      shard,
-		muts:       rc.Mutations,
-		mutCursor:  prefix,
-		dead:       make([]bool, nb),
-		fabric:     make([]*sim.Queue, nb),
-		egress:     make([][]egressBuf, nb),
-		freeFB:     -1,
-		audit:      rc.Audit,
-		maxSimTime: rc.MaxSimTime,
-		rootRNG:    rng.New(rc.Cfg.Seed),
-		onProgress: rc.OnProgress,
-		checkEvery: rc.CheckpointEvery,
-		snapEvery:  rc.SnapshotEvery,
-		onWalks:    rc.OnWalks,
-		emitEvery:  rc.EmitEvery,
+	e := &Engine{
+		eng:          eng,
+		cfg:          rc.Cfg,
+		g:            g,
+		part:         part,
+		shard:        shard,
+		muts:         rc.Mutations,
+		mutCursor:    prefix,
+		initVertices: initVertices,
+		initEdges:    initEdges,
+		dead:         make([]bool, nb),
+		fabric:       make([]*sim.Queue, nb),
+		egress:       make([][]egressBuf, nb),
+		freeFB:       -1,
+		audit:        rc.Audit,
+		maxSimTime:   rc.MaxSimTime,
+		rootRNG:      rng.New(rc.Cfg.Seed),
+		onProgress:   rc.OnProgress,
+		checkEvery:   rc.CheckpointEvery,
+		onSnapshot:   rc.OnSnapshot,
+		snapEvery:    rc.SnapshotEvery,
+		onWalks:      rc.OnWalks,
+		emitEvery:    rc.EmitEvery,
 	}
-	if a.checkEvery == 0 {
-		a.checkEvery = DefaultCheckpointEvery
+	if e.checkEvery == 0 {
+		e.checkEvery = DefaultCheckpointEvery
 	}
-	if a.emitEvery == 0 {
-		a.emitEvery = DefaultEmitEvery
+	if e.emitEvery == 0 {
+		e.emitEvery = DefaultEmitEvery
 	}
 	// Board engines share the kernel and the partitioning but own their
-	// devices and accelerator tiers; per-board hooks stay unset (the array
-	// drives progress, snapshots, and the walk export fleet-wide).
-	brc := rc
-	brc.OnProgress = nil
-	brc.OnSnapshot = nil
-	brc.OnWalks = nil
+	// devices and accelerator tiers.
 	for b := 0; b < nb; b++ {
-		e, err := newEngineOn(eng, g, brc, part, prefix)
+		be, err := newBoardEngine(e, b, rc, prefix)
 		if err != nil {
 			return nil, err
 		}
-		e.arr = a
-		e.boardID = b
-		a.boards = append(a.boards, e)
-		a.fabric[b] = sim.NewQueue(eng)
-		a.egress[b] = make([]egressBuf, nb)
+		e.boards = append(e.boards, be)
+		e.fabric[b] = sim.NewQueue(eng)
+		e.egress[b] = make([]egressBuf, nb)
 	}
 	// Attribute the construction-time prefix to the owning boards (the
 	// per-board res is overlaid on resume, so this only matters for fresh
 	// runs).
-	for _, m := range a.muts[:prefix] {
-		owner := a.shard.BoardOf(a.boards[0].homePartition(m.Src))
-		a.boards[owner].res.MutationsApplied++
+	for _, m := range e.muts[:prefix] {
+		e.ownerOf(m.Src).res.MutationsApplied++
 	}
-	return a, nil
+	return e, nil
 }
 
-// seedWalks bins the workload onto the owning boards. Walk RNG streams are
-// derived by global walk index from the array's root RNG, never a board's,
-// keeping trajectories invariant under the board count.
-func (a *Array) seedWalks(starts []graph.VertexID, n int) {
-	ws := walk.NewWalks(a.boards[0].spec, starts, n)
-	a.numStarted = len(ws)
-	a.remaining = len(ws)
+// seedWalks bins the workload onto the owning boards (walk initialization
+// is host-side preprocessing, not charged to the simulated clock, matching
+// the paper's exclusion of preprocessing). Walk i draws its private RNG
+// stream from the run's root RNG by its global index, never from a board's,
+// so its trajectory is independent of the board count, of scheduling, and
+// of injected faults (see wstate.rng).
+func (e *Engine) seedWalks(starts []graph.VertexID, n int) {
+	ws := walk.NewWalks(e.boards[0].spec, starts, n)
+	e.numStarted = len(ws)
+	e.remaining = len(ws)
 	for i := range ws {
 		st := wstate{w: ws[i], denseBlock: -1, rangeTag: -1, prev: noPrev,
-			rng: *a.rootRNG.Derive(uint64(i))}
-		p := a.boards[0].homePartition(st.w.Cur)
-		e := a.boards[a.shard.BoardOf(p)]
-		if e.res.Visits != nil {
-			e.res.Visits[st.w.Cur]++
+			rng: *e.rootRNG.Derive(uint64(i))}
+		p := e.boards[0].homePartition(st.w.Cur)
+		be := e.boards[e.shard.BoardOf(p)]
+		if be.res.Visits != nil {
+			be.res.Visits[st.w.Cur]++
 		}
-		e.pendingMem[p] = append(e.pendingMem[p], st)
-		e.remaining++
-		e.res.Started++
+		be.pendingMem[p] = append(be.pendingMem[p], st)
+		be.res.Started++
 	}
-	for _, e := range a.boards {
-		for p := range e.pendingMem {
-			e.flushMark[p] = len(e.pendingMem[p])
+	for _, be := range e.boards {
+		for p := range be.pendingMem {
+			be.flushMark[p] = len(be.pendingMem[p])
 		}
 	}
 }
 
-// NumBoards reports the array's board count.
-func (a *Array) NumBoards() int { return len(a.boards) }
-
-// SetSnapshotHook registers a fleet-wide snapshot hook before Run. The
-// single-board RunConfig.OnSnapshot hook carries a per-engine Snapshot and
-// therefore does not apply to arrays; this is the array-shaped equivalent.
-func (a *Array) SetSnapshotHook(fn func(*ArraySnapshot), every uint64) {
-	a.onSnapshot = fn
-	a.snapEvery = every
+// ownerOf reports the board owning vertex v's home partition.
+func (e *Engine) ownerOf(v graph.VertexID) *boardEngine {
+	return e.boards[e.shard.BoardOf(e.boards[0].homePartition(v))]
 }
 
-// Run executes the array to completion (RunContext with a background
-// context).
-func (a *Array) Run() (*Result, error) { return a.RunContext(context.Background()) }
-
-// RunContext executes the array until every walk finishes or ctx is
-// canceled, with the same checkpoint semantics as Engine.RunContext: the
-// hook runs strictly between events, so an uncanceled run's timeline is
-// bit-identical with or without it.
-func (a *Array) RunContext(ctx context.Context) (*Result, error) {
+// RunContext executes the simulation until every walk finishes or ctx is
+// canceled. Cancellation is cooperative: the event kernel checks ctx at
+// checkpoint boundaries (every CheckpointEvery events, never mid-event), so
+// the simulated timeline of an uncanceled run is bit-identical whatever the
+// context. On cancellation it returns the partial Result accumulated so far
+// together with an error satisfying errors.Is(err, errs.ErrCanceled); the
+// Result's counters are a consistent snapshot at the halting event
+// boundary.
+func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if ctx.Done() != nil || a.onProgress != nil || a.onSnapshot != nil {
-		a.eng.SetCheckpoint(a.checkEvery, func() bool {
-			if a.onProgress != nil {
-				a.onProgress(a.progress())
+	if ctx.Done() != nil || e.onProgress != nil || e.onSnapshot != nil {
+		e.eng.SetCheckpoint(e.checkEvery, func() bool {
+			if e.onProgress != nil {
+				e.onProgress(e.progress())
 			}
-			if a.onSnapshot != nil && a.eng.Processed()-a.lastSnap >= a.snapEvery {
+			if e.onSnapshot != nil && e.eng.Processed()-e.lastSnap >= e.snapEvery {
 				// Flush exported walks first so a consumer persisting both
 				// never sees a snapshot ahead of its walk records.
-				a.flushWalks()
-				if snap, err := a.buildSnapshot(); err == nil {
-					a.lastSnap = a.eng.Processed()
-					a.onSnapshot(snap)
+				e.flushWalks()
+				// Snapshots are pure reads of engine state between events;
+				// a build error means setup closures are still draining, so
+				// just try again at a later checkpoint.
+				if snap, err := e.buildSnapshot(); err == nil {
+					e.lastSnap = e.eng.Processed()
+					e.onSnapshot(snap)
 				}
 			}
 			return ctx.Err() == nil
 		})
-		defer a.eng.ClearCheckpoint()
+		defer e.eng.ClearCheckpoint()
 	}
-	if a.onWalks != nil {
-		a.eng.SetEmitter(a.emitEvery, a.flushWalks)
-		defer a.eng.ClearEmitter()
+	if e.onWalks != nil {
+		e.eng.SetEmitter(e.emitEvery, e.flushWalks)
+		defer e.eng.ClearEmitter()
 	}
-	if a.mutCursor < len(a.muts) {
-		a.eng.SetApplier(a.applyMutations)
-		defer a.eng.ClearApplier()
+	if e.mutCursor < len(e.muts) {
+		e.eng.SetApplier(e.applyMutations)
+		defer e.eng.ClearApplier()
 	}
-	if !a.launched {
-		a.launched = true
-		for _, e := range a.boards {
-			e.launch()
+	if !e.launched {
+		e.launched = true
+		for _, be := range e.boards {
+			be.launch()
 		}
-		if a.cfg.Faults.KillBoardAt > 0 {
-			a.eng.Schedule(a.cfg.Faults.KillBoardAt,
-				sim.Event{Target: a, Kind: evBoardKill, B: int32(a.cfg.Faults.KillBoard)})
+		if e.cfg.Faults.KillBoardAt > 0 {
+			e.eng.Schedule(e.cfg.Faults.KillBoardAt,
+				sim.Event{Target: e, Kind: evBoardKill, B: int32(e.cfg.Faults.KillBoard)})
 		}
-		if a.remaining == 0 {
-			a.finishAll()
+		if e.remaining == 0 {
+			e.finishAll()
 		}
 	}
-	if a.maxSimTime > 0 {
-		a.eng.RunUntil(a.maxSimTime)
+	if e.maxSimTime > 0 {
+		e.eng.RunUntil(e.maxSimTime)
 	} else {
-		a.eng.Run()
+		e.eng.Run()
 	}
-	a.flushWalks()
-	if a.failure != nil {
-		return nil, a.failure
+	e.flushWalks()
+	if e.failure != nil {
+		return nil, e.failure
 	}
-	res := a.aggregate()
-	if a.onProgress != nil {
-		a.onProgress(a.progress())
+	res := e.aggregate()
+	if e.onProgress != nil {
+		e.onProgress(e.progress())
 	}
-	if a.eng.Halted() {
-		return res, fmt.Errorf("core: array run canceled at %v: %w", res.Time, &errs.Canceled{
+	if e.eng.Halted() {
+		return res, fmt.Errorf("core: run canceled at %v: %w", res.Time, &errs.Canceled{
 			Op: "core", Finished: res.WalksFinished(), Total: res.Started, Cause: ctx.Err(),
 		})
 	}
-	if a.remaining != 0 {
-		if a.maxSimTime > 0 {
-			return nil, fmt.Errorf("core: MaxSimTime %v exceeded with %d walks unfinished", a.maxSimTime, a.remaining)
+	if e.remaining != 0 {
+		if e.maxSimTime > 0 {
+			return nil, fmt.Errorf("core: MaxSimTime %v exceeded with %d walks unfinished", e.maxSimTime, e.remaining)
 		}
-		return nil, fmt.Errorf("core: array drained with %d walks unfinished (%d in fabric)",
-			a.remaining, a.inFabric)
+		return nil, fmt.Errorf("core: simulation drained with %d walks unfinished (%d in fabric)",
+			e.remaining, e.inFabric)
 	}
 	return res, nil
 }
 
-// progress snapshots the fleet-wide headline counters at an event boundary.
-func (a *Array) progress() Progress {
-	pr := Progress{Now: a.eng.Now(), Events: a.eng.Processed()}
-	for _, e := range a.boards {
-		pr.Started += e.res.Started
-		pr.Completed += e.res.Completed
-		pr.DeadEnded += e.res.DeadEnded
-		pr.Hops += e.res.Hops
-		pr.PartitionSwitches += e.res.PartitionSwitches
+// progress snapshots the fleet-wide headline counters. Only called from the
+// simulation goroutine at event boundaries, so the reads are consistent.
+func (e *Engine) progress() Progress {
+	pr := Progress{Now: e.eng.Now(), Events: e.eng.Processed()}
+	for _, be := range e.boards {
+		pr.Started += be.res.Started
+		pr.Completed += be.res.Completed
+		pr.DeadEnded += be.res.DeadEnded
+		pr.Hops += be.res.Hops
+		pr.PartitionSwitches += be.res.PartitionSwitches
 	}
 	return pr
 }
 
-// HandleEvent dispatches the array's fabric and fault events. It is
+// HandleEvent dispatches the driver's fabric and fault events. It is
 // exported only to satisfy sim.Handler.
-func (a *Array) HandleEvent(ev sim.Event) {
+func (e *Engine) HandleEvent(ev sim.Event) {
 	switch ev.Kind {
 	case evFabricArrive:
-		a.arrive(ev.A)
+		e.arrive(ev.A)
 	case evBoardKill:
-		a.killBoard(int(ev.B))
+		e.killBoard(int(ev.B))
 	default:
-		panic("core: unknown array event kind")
+		panic("core: unknown driver event kind")
 	}
 }
 
@@ -372,97 +365,95 @@ func (a *Array) HandleEvent(ev sim.Event) {
 // sendForeigner hands a walk bound for partition p (owned by another board)
 // to the fabric: it joins the source board's egress batch toward the owner
 // and ships when the batch fills (or when the source drains).
-func (a *Array) sendForeigner(src *Engine, p int, st wstate) {
-	dst := a.shard.BoardOf(p)
-	eb := &a.egress[src.boardID][dst]
+func (e *Engine) sendForeigner(src *boardEngine, p int, st wstate) {
+	dst := e.shard.BoardOf(p)
+	eb := &e.egress[src.boardID][dst]
 	if eb.walks == nil {
-		eb.walks = a.getFW()
+		eb.walks = e.getFW()
 	}
 	eb.walks = append(eb.walks, fabricWalk{st: st, p: int32(p)})
 	eb.bytes += walk.StateBytes
-	src.remaining--
-	a.inFabric++
-	a.fabricWalks++
-	if eb.bytes >= a.cfg.FabricBatchBytes {
-		a.flushEgress(src.boardID, dst)
+	e.inFabric++
+	e.fabricWalks++
+	if eb.bytes >= e.cfg.FabricBatchBytes {
+		e.flushEgress(src.boardID, dst)
 	}
 }
 
 // flushEgress ships one (source, destination) egress batch: the transfer
 // serializes on the source's fabric link, then pays the switch latency, and
 // the arrival event delivers the walks.
-func (a *Array) flushEgress(src, dst int) {
-	eb := &a.egress[src][dst]
+func (e *Engine) flushEgress(src, dst int) {
+	eb := &e.egress[src][dst]
 	if len(eb.walks) == 0 {
 		return
 	}
-	ref := a.newFBatch(eb.walks, dst)
+	ref := e.newFBatch(eb.walks, dst)
 	bytes := eb.bytes
 	eb.walks = nil
 	eb.bytes = 0
-	a.fabricBatchCnt++
-	a.fabricBytes += bytes
-	end := a.fabric[src].AcquireEvent(sim.TransferTime(bytes, a.cfg.FabricBytesPerSec), sim.Event{})
-	a.eng.Schedule(end+a.cfg.FabricLatency, sim.Event{Target: a, Kind: evFabricArrive, A: ref})
+	e.fabricBatchCnt++
+	e.fabricBytes += bytes
+	end := e.fabric[src].AcquireEvent(sim.TransferTime(bytes, e.cfg.FabricBytesPerSec), sim.Event{})
+	e.eng.Schedule(end+e.cfg.FabricLatency, sim.Event{Target: e, Kind: evFabricArrive, A: ref})
 }
 
 // flushEgressFrom ships every batched walk a board still holds; called when
 // the board drains so no walk waits forever on the batch threshold.
-func (a *Array) flushEgressFrom(src int) {
-	for dst := range a.egress[src] {
-		a.flushEgress(src, dst)
+func (e *Engine) flushEgressFrom(src int) {
+	for dst := range e.egress[src] {
+		e.flushEgress(src, dst)
 	}
 }
 
 // arrive lands a fabric batch: walks join the destination board's foreigner
 // buffer (waking it if idle); walks whose owner changed in flight — the
 // destination died while they were on the wire — bounce to the new owner.
-func (a *Array) arrive(ref int32) {
-	walks, dst := a.takeFBatch(ref)
-	e := a.boards[dst]
+func (e *Engine) arrive(ref int32) {
+	walks, dst := e.takeFBatch(ref)
+	be := e.boards[dst]
 	var bounce []fabricWalk
 	delivered := 0
 	for i := range walks {
 		p := int(walks[i].p)
-		if a.shard.BoardOf(p) != dst {
+		if e.shard.BoardOf(p) != dst {
 			bounce = append(bounce, walks[i])
 			continue
 		}
-		if e.pendingMem[p] == nil {
-			e.pendingMem[p] = e.getWalkBuf()
+		if be.pendingMem[p] == nil {
+			be.pendingMem[p] = be.getWalkBuf()
 		}
-		e.pendingMem[p] = append(e.pendingMem[p], walks[i].st)
-		e.foreignerBufBytes += walk.StateBytes
-		if e.foreignerBufBytes >= e.cfg.ForeignerBufBytes {
-			e.flushForeigners()
+		be.pendingMem[p] = append(be.pendingMem[p], walks[i].st)
+		be.foreignerBufBytes += walk.StateBytes
+		if be.foreignerBufBytes >= be.cfg.ForeignerBufBytes {
+			be.flushForeigners()
 		}
-		e.remaining++
-		a.inFabric--
+		e.inFabric--
 		delivered++
 	}
-	a.putFW(walks)
-	if delivered > 0 && e.activeCur == 0 && !e.finished {
+	e.putFW(walks)
+	if delivered > 0 && be.activeCur == 0 && !be.finished {
 		// The board was idle; hand it the partition the arrivals landed in.
-		e.advancePartition()
+		be.advancePartition()
 	}
 	if len(bounce) > 0 {
-		a.reforward(bounce)
+		e.reforward(bounce)
 	}
 }
 
 // reforward bounces mid-flight walks to their post-failover owners: the
 // switch re-routes each group as a fresh transfer (buffered at the switch —
 // the original sender may be dead, so no egress link is charged).
-func (a *Array) reforward(walks []fabricWalk) {
-	for b := range a.boards {
+func (e *Engine) reforward(walks []fabricWalk) {
+	for b := range e.boards {
 		var grp []fabricWalk
 		var bytes int64
 		for _, fw := range walks {
-			if a.shard.BoardOf(int(fw.p)) != b {
+			if e.shard.BoardOf(int(fw.p)) != b {
 				continue
 			}
 			if grp == nil {
-				grp = a.getFW()
+				grp = e.getFW()
 			}
 			grp = append(grp, fw)
 			bytes += walk.StateBytes
@@ -470,11 +461,11 @@ func (a *Array) reforward(walks []fabricWalk) {
 		if grp == nil {
 			continue
 		}
-		ref := a.newFBatch(grp, b)
-		a.fabricBatchCnt++
-		a.fabricBytes += bytes
-		a.eng.ScheduleAfter(a.cfg.FabricLatency+sim.TransferTime(bytes, a.cfg.FabricBytesPerSec),
-			sim.Event{Target: a, Kind: evFabricArrive, A: ref})
+		ref := e.newFBatch(grp, b)
+		e.fabricBatchCnt++
+		e.fabricBytes += bytes
+		e.eng.ScheduleAfter(e.cfg.FabricLatency+sim.TransferTime(bytes, e.cfg.FabricBytesPerSec),
+			sim.Event{Target: e, Kind: evFabricArrive, A: ref})
 	}
 }
 
@@ -485,58 +476,58 @@ func (a *Array) reforward(walks []fabricWalk) {
 // evacuated over the fabric to the new owners, and the walks active in its
 // current partition drain to completion (fail-stop after command
 // completion). In-flight batches addressed to it bounce in arrive.
-func (a *Array) killBoard(b int) {
-	if a.failure != nil || a.dead[b] {
+func (e *Engine) killBoard(b int) {
+	if e.failure != nil || e.dead[b] {
 		return
 	}
 	var alive []int
-	for i := range a.boards {
-		if i != b && !a.dead[i] {
+	for i := range e.boards {
+		if i != b && !e.dead[i] {
 			alive = append(alive, i)
 		}
 	}
 	if len(alive) == 0 {
-		a.fail(fmt.Errorf("core: board %d killed with no survivors", b))
+		e.fail(fmt.Errorf("core: board %d killed with no survivors", b))
 		return
 	}
-	a.dead[b] = true
-	a.kills++
-	if _, err := a.shard.Reassign(b, alive); err != nil {
-		a.fail(fmt.Errorf("core: kill board %d: %w", b, err))
+	e.dead[b] = true
+	e.kills++
+	if _, err := e.shard.Reassign(b, alive); err != nil {
+		e.fail(fmt.Errorf("core: kill board %d: %w", b, err))
 		return
 	}
-	e := a.boards[b]
-	for p := range e.pendingMem {
-		mem := e.pendingMem[p]
-		e.pendingMem[p] = nil
-		fl := e.pendingFlash[p]
-		e.pendingFlash[p] = nil
-		e.pendingFlashBytes[p] = 0
-		e.flushMark[p] = 0
+	be := e.boards[b]
+	for p := range be.pendingMem {
+		mem := be.pendingMem[p]
+		be.pendingMem[p] = nil
+		fl := be.pendingFlash[p]
+		be.pendingFlash[p] = nil
+		be.pendingFlashBytes[p] = 0
+		be.flushMark[p] = 0
 		for i := range mem {
-			a.evacuate(e, p, mem[i])
+			e.evacuate(be, p, mem[i])
 		}
 		for i := range fl {
-			a.evacuate(e, p, fl[i])
+			e.evacuate(be, p, fl[i])
 		}
-		e.putWalkBuf(mem)
-		e.putWalkBuf(fl)
+		be.putWalkBuf(mem)
+		be.putWalkBuf(fl)
 	}
-	e.foreignerBufBytes = 0
-	a.flushEgressFrom(b)
-	if e.activeCur == 0 {
+	be.foreignerBufBytes = 0
+	e.flushEgressFrom(b)
+	if be.activeCur == 0 {
 		// Nothing left to drain: the board is done for good (arrivals are
 		// re-forwarded, so nothing can wake it).
-		e.finished = true
+		be.finished = true
 	}
 }
 
 // evacuate moves one parked walk off a killed board over the fabric. The
 // recovery path replays the board's walk log from the host side, so the
 // transfer is charged to the fabric only.
-func (a *Array) evacuate(src *Engine, p int, st wstate) {
-	a.evacuated++
-	a.sendForeigner(src, p, st)
+func (e *Engine) evacuate(src *boardEngine, p int, st wstate) {
+	e.evacuated++
+	e.sendForeigner(src, p, st)
 }
 
 // --- Termination / accounting. ---
@@ -544,101 +535,102 @@ func (a *Array) evacuate(src *Engine, p int, st wstate) {
 // walkFinished tracks the fleet-wide walk count; when it hits zero every
 // board is finished and the periodic ticks stop rescheduling, so the shared
 // kernel drains.
-func (a *Array) walkFinished() {
-	a.remaining--
-	if a.remaining == 0 {
-		a.finishAll()
+func (e *Engine) walkFinished() {
+	e.remaining--
+	if e.remaining == 0 {
+		e.finishAll()
 	}
 }
 
 // checkStalled fails the run when every board idles with walks still
-// unaccounted for — the array analogue of the single-board "no partitions
-// left but walks remain" lost-walk guard. An idle fleet with an empty
-// fabric can never make progress again, so failing beats spinning on
-// channel ticks forever. Called whenever a board goes idle.
-func (a *Array) checkStalled() {
-	if a.remaining == 0 || a.inFabric > 0 || a.failure != nil {
+// unaccounted for — the lost-walk guard. An idle fleet with an empty fabric
+// can never make progress again, so failing beats spinning on channel
+// ticks forever. Called whenever a board goes idle.
+func (e *Engine) checkStalled() {
+	if e.remaining == 0 || e.inFabric > 0 || e.failure != nil {
 		return
 	}
-	for _, e := range a.boards {
-		if e.activeCur > 0 || e.storedWalks() > 0 {
+	for _, be := range e.boards {
+		if be.activeCur > 0 || be.storedWalks() > 0 {
 			return
 		}
 	}
-	a.fail(fmt.Errorf("core: array stalled with %d walks unaccounted for", a.remaining))
+	e.fail(fmt.Errorf("core: simulation stalled with %d walks unaccounted for", e.remaining))
 }
 
-func (a *Array) finishAll() {
-	for _, e := range a.boards {
-		e.finished = true
+func (e *Engine) finishAll() {
+	for _, be := range e.boards {
+		be.finished = true
 	}
 }
 
-// fail aborts the array run; every board is marked failed so per-board
-// guards (snapshot, audit) hold.
-func (a *Array) fail(err error) {
-	if a.failure == nil {
-		a.failure = err
+// fail aborts the run: one inconsistent device invalidates the whole run,
+// so every board stops and the kernel drains.
+func (e *Engine) fail(err error) {
+	if e.failure == nil {
+		e.failure = err
 	}
-	for _, e := range a.boards {
-		if e.failure == nil {
-			e.failure = err
-		}
-		e.finished = true
-	}
+	e.finishAll()
 }
 
-// auditConservation is the fleet-wide walk-conservation check: walks parked
-// on boards, active in current partitions (minus the store double-count),
-// in the fabric, or finished must sum to the seeded count. Exact at any
-// event boundary; invoked at every board's partition switch.
-func (a *Array) auditConservation(where string) {
-	if !a.audit || a.failure != nil {
+// auditConservation is the walk-conservation check: walks parked on boards,
+// active in current partitions (minus the store double-count), in the
+// fabric, or finished must sum to the seeded count. Exact at any event
+// boundary; invoked at every board's partition switch.
+func (e *Engine) auditConservation(where string) {
+	if !e.audit || e.failure != nil {
 		return
 	}
 	stored, active, overlap, finished := 0, 0, 0, 0
-	for _, e := range a.boards {
-		stored += e.storedWalks()
-		active += e.activeCur
-		overlap += e.activeCurStoredOverlap()
-		finished += e.res.Completed + e.res.DeadEnded
+	for _, be := range e.boards {
+		stored += be.storedWalks()
+		active += be.activeCur
+		overlap += be.activeCurStoredOverlap()
+		finished += be.res.Completed + be.res.DeadEnded
 	}
-	if got := stored + active - overlap + a.inFabric + finished; got != a.numStarted {
-		a.fail(fmt.Errorf("core: array audit(%s): %d stored + %d active - %d overlap + %d fabric + %d finished != %d started",
-			where, stored, active, overlap, a.inFabric, finished, a.numStarted))
+	if got := stored + active - overlap + e.inFabric + finished; got != e.numStarted {
+		e.fail(fmt.Errorf("core: audit(%s): %d stored + %d active - %d overlap + %d fabric + %d finished != %d started",
+			where, stored, active, overlap, e.inFabric, finished, e.numStarted))
 	}
 }
 
 // aggregate folds the per-board results and the fabric counters into one
-// fleet-wide Result.
-func (a *Array) aggregate() *Result {
+// Result.
+func (e *Engine) aggregate() *Result {
+	b0 := &e.boards[0].res
 	res := &Result{
-		Time:           a.eng.Now(),
-		Boards:         len(a.boards),
-		FabricWalks:    a.fabricWalks,
-		FabricBatches:  a.fabricBatchCnt,
-		FabricBytes:    a.fabricBytes,
-		EvacuatedWalks: a.evacuated,
-		BoardKills:     a.kills,
+		Time:           e.eng.Now(),
+		Boards:         len(e.boards),
+		FabricWalks:    e.fabricWalks,
+		FabricBatches:  e.fabricBatchCnt,
+		FabricBytes:    e.fabricBytes,
+		EvacuatedWalks: e.evacuated,
+		BoardKills:     e.kills,
+		// Time series are single-board only (RunConfig.validate), so board
+		// 0's are the run's.
+		ReadTS:     b0.ReadTS,
+		WriteTS:    b0.WriteTS,
+		ChannelTS:  b0.ChannelTS,
+		ProgressTS: b0.ProgressTS,
 	}
 	var chipU, chipMax, chanU, boardU, busMax, dramU float64
-	for _, e := range a.boards {
-		e.collectTierStats()
-		r := &e.res
+	for _, be := range e.boards {
+		be.collectTierStats()
+		r := &be.res
 		res.Started += r.Started
 		res.Completed += r.Completed
 		res.DeadEnded += r.DeadEnded
 		res.Hops += r.Hops
 
-		res.Flash.ReadPages += e.ssd.Counters.ReadPages
-		res.Flash.ProgramPages += e.ssd.Counters.ProgramPages
-		res.Flash.ErasedBlocks += e.ssd.Counters.ErasedBlocks
-		res.Flash.ReadBytes += e.ssd.Counters.ReadBytes
-		res.Flash.WriteBytes += e.ssd.Counters.WriteBytes
-		res.Flash.ChannelBytes += e.ssd.Counters.ChannelBytes
-		res.Flash.HostBytes += e.ssd.Counters.HostBytes
-		res.DRAMReadBytes += e.dr.ReadBytes
-		res.DRAMWriteBytes += e.dr.WriteBytes
+		res.Flash.ReadPages += be.ssd.Counters.ReadPages
+		res.Flash.ProgramPages += be.ssd.Counters.ProgramPages
+		res.Flash.ErasedBlocks += be.ssd.Counters.ErasedBlocks
+		res.Flash.ReadBytes += be.ssd.Counters.ReadBytes
+		res.Flash.WriteBytes += be.ssd.Counters.WriteBytes
+		res.Flash.ChannelBytes += be.ssd.Counters.ChannelBytes
+		res.Flash.HostBytes += be.ssd.Counters.HostBytes
+		res.DRAMReadBytes += be.dr.ReadBytes
+		res.DRAMWriteBytes += be.dr.WriteBytes
 
 		res.RovingTransfers += r.RovingTransfers
 		res.RovingWalks += r.RovingWalks
@@ -661,14 +653,14 @@ func (a *Array) aggregate() *Result {
 		res.PartitionSwitches += r.PartitionSwitches
 		res.MutationsApplied += r.MutationsApplied
 
-		if e.inj != nil {
-			res.Faults.ReadErrors += e.inj.Counters.ReadErrors
-			res.Faults.Retries += e.inj.Counters.Retries
-			res.Faults.RetriesExhausted += e.inj.Counters.RetriesExhausted
-			res.Faults.PlaneBusyStalls += e.inj.Counters.PlaneBusyStalls
-			res.Faults.StallTime += e.inj.Counters.StallTime
-			res.Faults.BackoffTime += e.inj.Counters.BackoffTime
-			res.Faults.DegradedChips += e.inj.Counters.DegradedChips
+		if be.inj != nil {
+			res.Faults.ReadErrors += be.inj.Counters.ReadErrors
+			res.Faults.Retries += be.inj.Counters.Retries
+			res.Faults.RetriesExhausted += be.inj.Counters.RetriesExhausted
+			res.Faults.PlaneBusyStalls += be.inj.Counters.PlaneBusyStalls
+			res.Faults.StallTime += be.inj.Counters.StallTime
+			res.Faults.BackoffTime += be.inj.Counters.BackoffTime
+			res.Faults.DegradedChips += be.inj.Counters.DegradedChips
 		}
 		res.FaultReroutes += r.FaultReroutes
 		res.FailoverBlocks += r.FailoverBlocks
@@ -682,7 +674,7 @@ func (a *Array) aggregate() *Result {
 		if r.ChannelBusUtilMax > busMax {
 			busMax = r.ChannelBusUtilMax
 		}
-		dramU += e.dr.Utilization()
+		dramU += be.dr.Utilization()
 
 		if r.Visits != nil {
 			if res.Visits == nil {
@@ -693,7 +685,7 @@ func (a *Array) aggregate() *Result {
 			}
 		}
 	}
-	nb := float64(len(a.boards))
+	nb := float64(len(e.boards))
 	res.ChipUpdaterUtil = chipU / nb
 	res.ChipUpdaterUtilMax = chipMax
 	res.ChannelGuiderUtil = chanU / nb
@@ -706,42 +698,42 @@ func (a *Array) aggregate() *Result {
 // --- Pools. ---
 
 // getFW hands out a recycled fabric-walk buffer (len 0).
-func (a *Array) getFW() []fabricWalk {
-	if n := len(a.fwbufs); n > 0 {
-		b := a.fwbufs[n-1]
-		a.fwbufs[n-1] = nil
-		a.fwbufs = a.fwbufs[:n-1]
+func (e *Engine) getFW() []fabricWalk {
+	if n := len(e.fwbufs); n > 0 {
+		b := e.fwbufs[n-1]
+		e.fwbufs[n-1] = nil
+		e.fwbufs = e.fwbufs[:n-1]
 		return b
 	}
 	return make([]fabricWalk, 0, 16)
 }
 
 // putFW recycles a fabric-walk buffer once its walks were handed on.
-func (a *Array) putFW(b []fabricWalk) {
+func (e *Engine) putFW(b []fabricWalk) {
 	if b == nil {
 		return
 	}
-	a.fwbufs = append(a.fwbufs, b[:0])
+	e.fwbufs = append(e.fwbufs, b[:0])
 }
 
 // newFBatch parks an in-flight fabric transfer in a pooled record.
-func (a *Array) newFBatch(walks []fabricWalk, dst int) int32 {
+func (e *Engine) newFBatch(walks []fabricWalk, dst int) int32 {
 	var ref int32
-	if a.freeFB >= 0 {
-		ref = a.freeFB
-		a.freeFB = a.fbatches[ref].free
+	if e.freeFB >= 0 {
+		ref = e.freeFB
+		e.freeFB = e.fbatches[ref].free
 	} else {
-		a.fbatches = append(a.fbatches, fabricBatch{})
-		ref = int32(len(a.fbatches) - 1)
+		e.fbatches = append(e.fbatches, fabricBatch{})
+		ref = int32(len(e.fbatches) - 1)
 	}
-	a.fbatches[ref] = fabricBatch{walks: walks, dst: int32(dst), free: -1}
+	e.fbatches[ref] = fabricBatch{walks: walks, dst: int32(dst), free: -1}
 	return ref
 }
 
 // takeFBatch releases a batch record, returning its walks and destination.
-func (a *Array) takeFBatch(ref int32) ([]fabricWalk, int) {
-	fb := a.fbatches[ref]
-	a.fbatches[ref] = fabricBatch{free: a.freeFB}
-	a.freeFB = ref
+func (e *Engine) takeFBatch(ref int32) ([]fabricWalk, int) {
+	fb := e.fbatches[ref]
+	e.fbatches[ref] = fabricBatch{free: e.freeFB}
+	e.freeFB = ref
 	return fb.walks, int(fb.dst)
 }

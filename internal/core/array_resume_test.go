@@ -8,50 +8,7 @@ import (
 	"flashwalker/internal/errs"
 	"flashwalker/internal/graph"
 	"flashwalker/internal/sim"
-	"flashwalker/internal/snapshot"
 )
-
-// interruptArray runs rc until a snapshot satisfying want is captured (the
-// snapshotAt-th one), cancels the run at that exact checkpoint, and returns
-// the snapshot after round-tripping it through the on-disk codec. want ==
-// nil accepts every snapshot.
-func interruptArray(t *testing.T, g *graph.Graph, rc RunConfig, snapshotAt int, want func(*ArraySnapshot) bool) *ArraySnapshot {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var captured *ArraySnapshot
-	count := 0
-	rc.CheckpointEvery = 64
-	a, err := NewArray(g, rc)
-	if err != nil {
-		t.Fatalf("NewArray: %v", err)
-	}
-	a.SetSnapshotHook(func(s *ArraySnapshot) {
-		if want != nil && !want(s) {
-			return
-		}
-		count++
-		if count == snapshotAt {
-			captured = s
-			cancel()
-		}
-	}, 1)
-	if _, err := a.RunContext(ctx); err == nil {
-		t.Fatalf("run finished after only %d matching snapshots; interrupt never landed", count)
-	}
-	if captured == nil {
-		t.Fatalf("run ended with %d matching snapshots, wanted %d", count, snapshotAt)
-	}
-	data, err := snapshot.Encode("core-array", captured)
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	back := new(ArraySnapshot)
-	if err := snapshot.Decode(data, "core-array", back); err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	return back
-}
 
 // TestArrayResumeMetamorphic extends the PR-5 resume invariant to arrays:
 // a 2-board run interrupted at a snapshot that has walks IN FLIGHT on the
@@ -62,15 +19,15 @@ func TestArrayResumeMetamorphic(t *testing.T) {
 	g := testGraph(t)
 	rc := arrayConfig(2)
 	rc.TrackVisits = true
-	clean := runArray(t, g, rc)
+	clean := runEngine(t, g, rc)
 
-	snap := interruptArray(t, g, rc, 1, func(s *ArraySnapshot) bool { return s.InFabric > 0 })
+	snap := interruptWhen(t, g, rc, 1, func(s *Snapshot) bool { return s.InFabric > 0 })
 	if snap.InFabric == 0 {
 		t.Fatal("captured snapshot has no in-flight fabric walks")
 	}
-	res, err := ResumeArrayContext(context.Background(), g, snap, ArrayResumeOptions{})
+	res, err := resumeContext(context.Background(), g, snap, ResumeOptions{})
 	if err != nil {
-		t.Fatalf("ResumeArrayContext: %v", err)
+		t.Fatalf("resume: %v", err)
 	}
 	if got, want := digestResult(res), digestResult(clean); got != want {
 		t.Fatalf("resumed array diverged from uninterrupted run:\n got %s\nwant %s", got, want)
@@ -88,23 +45,44 @@ func TestArrayResumeMetamorphic(t *testing.T) {
 	}
 }
 
+// TestArrayResumeDeltaChain is the delta-chain leg of the array resume
+// invariant: a 2-board run cut as full -> 2 non-vacuous deltas, whose last
+// cut has walks in flight on the fabric, reconstructs through an object
+// store and resumes digest- and visit-identical to the uninterrupted run.
+func TestArrayResumeDeltaChain(t *testing.T) {
+	g := testGraph(t)
+	rc := arrayConfig(2)
+	rc.TrackVisits = true
+	clean := runEngine(t, g, rc)
+
+	res := resumeFromDeltaChain(t, g, rc, 3, func(s *Snapshot) bool { return s.InFabric > 0 })
+	if got, want := digestResult(res), digestResult(clean); got != want {
+		t.Fatalf("delta-chain resume diverged from uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+	if res.FabricWalks != clean.FabricWalks || res.FabricBytes != clean.FabricBytes {
+		t.Fatalf("fabric counters diverged: resumed %d/%d, clean %d/%d",
+			res.FabricWalks, res.FabricBytes, clean.FabricWalks, clean.FabricBytes)
+	}
+	assertSameVisits(t, res.Visits, clean.Visits)
+}
+
 // TestArrayResumeChained proves array snapshots compose, interrupting the
 // resumed leg again deeper into the run.
 func TestArrayResumeChained(t *testing.T) {
 	g := testGraph(t)
 	rc := arrayConfig(2)
-	clean := runArray(t, g, rc)
+	clean := runEngine(t, g, rc)
 
-	first := interruptArray(t, g, rc, 2, nil)
+	first := interruptWhen(t, g, rc, 2, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var second *ArraySnapshot
+	var second *Snapshot
 	count := 0
-	a, err := ResumeArray(g, first, ArrayResumeOptions{
+	a, err := ResumeEngine(g, first, ResumeOptions{
 		CheckpointEvery: 64,
 		SnapshotEvery:   1,
-		OnSnapshot: func(s *ArraySnapshot) {
+		OnSnapshot: func(s *Snapshot) {
 			count++
 			if count == 2 {
 				second = s
@@ -113,7 +91,7 @@ func TestArrayResumeChained(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("ResumeArray: %v", err)
+		t.Fatalf("ResumeEngine: %v", err)
 	}
 	if _, err := a.RunContext(ctx); err == nil {
 		t.Fatalf("second leg finished after %d snapshots; interrupt never landed", count)
@@ -122,9 +100,9 @@ func TestArrayResumeChained(t *testing.T) {
 		t.Fatalf("second leg took %d snapshots, wanted 2", count)
 	}
 
-	res, err := ResumeArrayContext(context.Background(), g, second, ArrayResumeOptions{})
+	res, err := resumeContext(context.Background(), g, second, ResumeOptions{})
 	if err != nil {
-		t.Fatalf("final ResumeArrayContext: %v", err)
+		t.Fatalf("final resume: %v", err)
 	}
 	if got, want := digestResult(res), digestResult(clean); got != want {
 		t.Fatalf("twice-resumed array diverged:\n got %s\nwant %s", got, want)
@@ -134,16 +112,16 @@ func TestArrayResumeChained(t *testing.T) {
 // TestArrayResumeRejectsBadSnapshot guards the array resume validations.
 func TestArrayResumeRejectsBadSnapshot(t *testing.T) {
 	g := testGraph(t)
-	snap := interruptArray(t, g, arrayConfig(2), 1, nil)
+	snap := interruptWhen(t, g, arrayConfig(2), 1, nil)
 
-	if _, err := ResumeArray(g, nil, ArrayResumeOptions{}); !errors.Is(err, errs.ErrInvalidConfig) {
+	if _, err := ResumeEngine(g, nil, ResumeOptions{}); !errors.Is(err, errs.ErrInvalidConfig) {
 		t.Fatalf("nil snapshot: %v, want ErrInvalidConfig", err)
 	}
 	other, err := graph.RMAT(graph.DefaultRMAT(1024, 8192, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeArray(other, snap, ArrayResumeOptions{}); !errors.Is(err, errs.ErrInvalidConfig) {
+	if _, err := ResumeEngine(other, snap, ResumeOptions{}); !errors.Is(err, errs.ErrInvalidConfig) {
 		t.Fatalf("wrong-graph resume: %v, want ErrInvalidConfig", err)
 	}
 }
@@ -171,11 +149,11 @@ func killConfig(nb, board int, killAt sim.Time) RunConfig {
 func TestArrayBoardKillOutcomeEquality(t *testing.T) {
 	g := testGraph(t)
 	cleanRC := killConfig(3, 0, 0) // killAt 0 = kill disabled, same workload
-	cleanV := runArray(t, g, cleanRC)
+	cleanV := runEngine(t, g, cleanRC)
 
 	// Kill board 1 midway through the clean run's ~970 us timeline.
 	rc := killConfig(3, 1, 200*sim.Microsecond)
-	res := runArray(t, g, rc)
+	res := runEngine(t, g, rc)
 	if res.BoardKills != 1 {
 		t.Fatalf("BoardKills = %d, want 1", res.BoardKills)
 	}
@@ -199,7 +177,7 @@ func TestArrayBoardKillOutcomeEquality(t *testing.T) {
 		t.Fatal("kill at 200us evacuated nothing")
 	}
 	// Determinism: the same kill twice lands on the same digest.
-	if a, b := digestResult(res), digestResult(runArray(t, g, rc)); a != b {
+	if a, b := digestResult(res), digestResult(runEngine(t, g, rc)); a != b {
 		t.Fatalf("kill run not deterministic:\n a %s\n b %s", a, b)
 	}
 }
@@ -211,11 +189,11 @@ func TestArrayBoardKillTimingSweep(t *testing.T) {
 	g := testGraph(t)
 	cleanRC := killConfig(3, 0, 0)
 	cleanRC.TrackVisits = false
-	clean := runArray(t, g, cleanRC)
+	clean := runEngine(t, g, cleanRC)
 	for _, at := range []sim.Time{1 * sim.Microsecond, 150 * sim.Microsecond, 700 * sim.Microsecond} {
 		rc := killConfig(3, 2, at)
 		rc.TrackVisits = false
-		res := runArray(t, g, rc)
+		res := runEngine(t, g, rc)
 		if res.WalksFinished() != res.Started {
 			t.Fatalf("kill at %v: finished %d of %d", at, res.WalksFinished(), res.Started)
 		}
@@ -234,12 +212,12 @@ func TestArrayBoardKillTimingSweep(t *testing.T) {
 func TestArrayKillThenResume(t *testing.T) {
 	g := testGraph(t)
 	rc := killConfig(2, 1, 200*sim.Microsecond)
-	clean := runArray(t, g, rc)
+	clean := runEngine(t, g, rc)
 
-	snap := interruptArray(t, g, rc, 2, nil)
-	res, err := ResumeArrayContext(context.Background(), g, snap, ArrayResumeOptions{})
+	snap := interruptWhen(t, g, rc, 2, nil)
+	res, err := resumeContext(context.Background(), g, snap, ResumeOptions{})
 	if err != nil {
-		t.Fatalf("ResumeArrayContext: %v", err)
+		t.Fatalf("resume: %v", err)
 	}
 	if res.BoardKills != 1 {
 		t.Fatalf("resumed run recorded %d kills, want 1", res.BoardKills)

@@ -35,7 +35,7 @@ import (
 // query-cache LRU and pre-walk draws, route.go) are never batch-reordered.
 
 // batchSorter sorts a permutation of batch indices by walk locality. It is
-// an Engine field (not a local) so the sort.Interface conversion in
+// a boardEngine field (not a local) so the sort.Interface conversion in
 // sort.Sort(&e.bsort) does not allocate — the steady-state hop path must
 // stay allocation-free (alloc_test.go).
 type batchSorter struct {
@@ -69,7 +69,7 @@ const insertionSortMax = 48
 // sortedPerm returns the indices of walks ordered by current vertex (and
 // previous vertex first when byPrev is set). The permutation slice is
 // engine-owned scratch, valid until the next call.
-func (e *Engine) sortedPerm(walks []wstate, byPrev bool) []int32 {
+func (e *boardEngine) sortedPerm(walks []wstate, byPrev bool) []int32 {
 	n := len(walks)
 	if cap(e.bsort.perm) < n {
 		e.bsort.perm = make([]int32, n)
@@ -101,7 +101,7 @@ func (e *Engine) sortedPerm(walks []wstate, byPrev bool) []int32 {
 // Outcomes land at each walk's ORIGINAL index so the caller dispatches them
 // in arrival order; the returned slice is engine-owned scratch, valid until
 // the next call.
-func (e *Engine) decideBatch(walks []wstate) []hopOutcome {
+func (e *boardEngine) decideBatch(walks []wstate) []hopOutcome {
 	n := len(walks)
 	if cap(e.batchOuts) < n {
 		e.batchOuts = make([]hopOutcome, n)

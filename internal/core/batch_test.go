@@ -47,9 +47,6 @@ func TestBatchKernelEquivalence(t *testing.T) {
 					run := func(disable bool) *Result {
 						rc := rc
 						rc.Cfg.DisableBatchKernel = disable
-						if boards > 1 {
-							return runArray(t, k.g, rc)
-						}
 						return runEngine(t, k.g, rc)
 					}
 					batched := run(false)
@@ -93,7 +90,7 @@ func TestSortedPermOrders(t *testing.T) {
 				walks[i].w.Cur = graph.VertexID(i*2654435761) % nv
 				walks[i].prev = graph.VertexID(i*40503+7) % nv
 			}
-			perm := e.sortedPerm(walks, byPrev)
+			perm := e.boards[0].sortedPerm(walks, byPrev)
 			if len(perm) != n {
 				t.Fatalf("n=%d byPrev=%v: perm length %d", n, byPrev, len(perm))
 			}

@@ -10,7 +10,7 @@ import (
 // dense-vertex pre-walking, updates walks in its hot subgraphs (the shared
 // tierCommon pipeline), manages the partition walk buffer / foreigner /
 // completed buffers, and hosts the subgraph scheduler (implemented in
-// Engine.insertPWB / chipAccel.scheduleSlot). The classification itself
+// boardEngine.insertPWB / chipAccel.scheduleSlot). The classification itself
 // lives in route.go.
 type boardAccel struct {
 	tierCommon

@@ -120,9 +120,9 @@ type Config struct {
 
 	// --- Multi-board SSD array. ---
 	// Boards is the number of shard-owning boards in the simulated array.
-	// 0 or 1 runs the classic single-board engine; N > 1 runs N boards,
-	// each owning a round-robin shard of the graph partitions, connected
-	// by a modeled inter-board fabric (see internal/core's array layer).
+	// 0 or 1 simulates the paper's single board; N > 1 runs N boards, each
+	// owning a round-robin shard of the graph partitions, connected by a
+	// modeled inter-board fabric (array.go). One driver runs every count.
 	Boards int
 	// FabricLatency is the fixed per-message latency of the inter-board
 	// fabric (PCIe-switch/NVMe-oF hop), charged on top of the serialized

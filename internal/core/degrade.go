@@ -13,7 +13,7 @@ import "sort"
 // chipDegraded is the injector's OnDegrade hook. It fires at most once per
 // chip, in deterministic simulated-event order, so the failover (and its
 // rescue traffic) replays identically for a given fault seed.
-func (e *Engine) chipDegraded(chip int) {
+func (e *boardEngine) chipDegraded(chip int) {
 	e.degraded[chip] = true
 	ca := e.chans[chip/e.ssd.Cfg.ChipsPerChannel]
 
@@ -69,7 +69,7 @@ func (e *Engine) chipDegraded(chip int) {
 // block to the channel-level accelerator instead of the chip. It reports
 // false (walk untouched) when the destination chip is healthy, the block
 // was not failed over, or the channel's hot-update queue is full.
-func (e *Engine) rerouteDegraded(blockID int, st wstate) bool {
+func (e *boardEngine) rerouteDegraded(blockID int, st wstate) bool {
 	if e.degraded == nil {
 		return false
 	}

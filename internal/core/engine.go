@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"flashwalker/internal/bloom"
@@ -20,11 +19,16 @@ import (
 
 // The engine implementation is split across focused files:
 //
-//	engine.go    — Engine struct, construction, Run loop, failure handling
+//	array.go     — Engine, the run driver: N >= 1 boards on one event
+//	               kernel, the inter-board fabric, device kills, the
+//	               conservation audit
+//	engine.go    — boardEngine, one board's devices and tiers; RunConfig
+//	snapshot.go  — Snapshot, checkpoint/restore for any board count
+//	delta.go     — delta snapshots over every board's walk stores
 //	tier.go      — the tierAccel interface and the shared tier machinery
 //	wiring.go    — accelerator tier construction and hot-subgraph preload
-//	lifecycle.go — walk seeding, retirement, partition advance
-//	routing.go   — foreigner demotion/flush and the conservation audit
+//	lifecycle.go — walk retirement, partition advance
+//	routing.go   — foreigner demotion/flush and the per-board store counts
 //	scheduler.go — Eq. 1 scores and the partition walk buffer (PWB)
 //	route.go     — board-level routing decisions (classify/search)
 //	chip.go, channel.go, board.go — the three tier implementations
@@ -83,7 +87,8 @@ type RunConfig struct {
 	// when NumWalks exceeds its length) instead of uniform random draws —
 	// e.g. PPR runs every walk from one source.
 	Starts []graph.VertexID
-	// ProgressBin, when non-zero, enables the Figure-8 time series.
+	// ProgressBin, when non-zero, enables the Figure-8 time series
+	// (single-board runs only).
 	ProgressBin sim.Time
 	// MaxSimTime aborts runs exceeding this simulated time (0 = unlimited).
 	MaxSimTime sim.Time
@@ -91,10 +96,11 @@ type RunConfig struct {
 	// (validation and analytics; costs one counter array).
 	TrackVisits bool
 	// Tracer, when non-nil, receives structured simulation events
-	// (subgraph loads, roving batches, flushes, partition switches).
+	// (subgraph loads, roving batches, flushes, partition switches);
+	// single-board runs only.
 	Tracer trace.Tracer
-	// Audit enables walk-conservation checks at every partition switch
-	// and at completion: the walks in all stores plus the finished count
+	// Audit enables walk-conservation checks at every partition switch:
+	// the walks in all stores and in the fabric plus the finished count
 	// must equal the started count. Costs a scan per switch.
 	Audit bool
 	// UseAliasSampling makes biased walks sample with precomputed alias
@@ -126,12 +132,12 @@ type RunConfig struct {
 	// timeline.
 	CheckpointEvery uint64
 	// OnSnapshot, when non-nil, receives durable engine snapshots taken at
-	// checkpoint boundaries (see Engine.Snapshot). A snapshot captures the
+	// checkpoint boundaries (see snapshot.go). A snapshot captures the
 	// full mid-run state — walk stores, accelerator queues, device
-	// bookings, the pending event heap — and ResumeEngine replays the run
-	// from it bit-identically. Snapshots that cannot be taken yet (setup
-	// closures still draining) are skipped silently; the callback must not
-	// call back into the engine.
+	// bookings, the fabric, the pending event heap — and ResumeEngine
+	// replays the run from it bit-identically. Snapshots that cannot be
+	// taken yet (setup closures still draining) are skipped silently; the
+	// callback must not call back into the engine.
 	OnSnapshot func(*Snapshot)
 	// SnapshotEvery is the minimum number of processed events between
 	// OnSnapshot deliveries; snapshots are only attempted at checkpoint
@@ -148,6 +154,36 @@ type RunConfig struct {
 	// EmitEvery is the event interval between OnWalks deliveries; 0 uses
 	// DefaultEmitEvery.
 	EmitEvery uint64
+}
+
+// validate checks the run-wide inputs once, before any board is built.
+// Progress time series and tracers observe one board's devices, so they
+// are rules of single-board runs.
+func (rc *RunConfig) validate(g *graph.Graph) error {
+	if err := rc.Cfg.Validate(); err != nil {
+		return err
+	}
+	if err := rc.Spec.Validate(g); err != nil {
+		return err
+	}
+	if rc.NumWalks <= 0 {
+		return fmt.Errorf("core: NumWalks %d <= 0: %w", rc.NumWalks, errs.ErrInvalidConfig)
+	}
+	if rc.Cfg.Boards > 1 && rc.ProgressBin > 0 {
+		return fmt.Errorf("core: progress time series are per-board; not supported with Boards > 1: %w", errs.ErrInvalidConfig)
+	}
+	if rc.Cfg.Boards > 1 && rc.Tracer != nil {
+		return fmt.Errorf("core: tracing is not supported with Boards > 1: %w", errs.ErrInvalidConfig)
+	}
+	if rc.UseAliasSampling && rc.Spec.Kind != walk.Biased {
+		return fmt.Errorf("core: alias sampling only applies to biased walks: %w", errs.ErrInvalidConfig)
+	}
+	for _, v := range rc.Starts {
+		if v >= g.NumVertices() {
+			return fmt.Errorf("core: start vertex %d out of range: %w", v, errs.ErrInvalidConfig)
+		}
+	}
+	return nil
 }
 
 // DefaultCheckpointEvery is the default event interval between cooperative
@@ -174,8 +210,11 @@ type Progress struct {
 // WalksFinished reports completed + dead-ended walks at the snapshot.
 func (p Progress) WalksFinished() int { return p.Completed + p.DeadEnded }
 
-// Engine is one FlashWalker simulation instance.
-type Engine struct {
+// boardEngine is one FlashWalker board: its flash and DRAM devices, its
+// accelerator tiers and walk stores. It shares the driver's event kernel and
+// partitioning, owns only its shard's partitions, and hands foreigners
+// bound for other shards to the driver's fabric.
+type boardEngine struct {
 	eng   *sim.Engine
 	cfg   Config
 	ssd   *flash.SSD
@@ -184,6 +223,10 @@ type Engine struct {
 	part  *partition.Partitioned
 	place *partition.Placement
 	spec  walk.Spec
+
+	// drv is the run driver; boardID indexes this board in drv.boards.
+	drv     *Engine
+	boardID int
 
 	chips []*chipAccel
 	chans []*channelAccel
@@ -250,10 +293,7 @@ type Engine struct {
 
 	curPart   int
 	activeCur int // walks of the current partition inside the system
-	remaining int // walks not yet finished anywhere
 	finished  bool
-	failure   error
-	audit     bool
 
 	res Result
 
@@ -263,53 +303,13 @@ type Engine struct {
 
 	flushChipRR int // round-robin chip cursor for board-side flushes
 
-	maxSimTime sim.Time
-	tracer     trace.Tracer
-
-	onProgress func(Progress)
-	checkEvery uint64
-
-	onSnapshot func(*Snapshot)
-	snapEvery  uint64
-	lastSnap   uint64
-
-	// Completed-walk export (export.go); unused in array boards, which
-	// export through the shared Array instead.
-	onWalks   func([]WalkDone)
-	emitEvery uint64
-	exportBuf []WalkDone
-
-	// started flips when RunContext performs the one-time launch work
-	// (hot-subgraph preload, channel ticks, first partition). A resumed
-	// engine starts with it set: the launch events are already in the
-	// restored heap.
-	started bool
-
-	rootRNG *rng.RNG
+	tracer trace.Tracer
 
 	// inj is the fault injector (nil unless Cfg.Faults.Enabled); degraded
 	// mirrors the injector's sticky per-chip flags for the router's fast
 	// path, and is nil when injection is off.
 	inj      *fault.Injector
 	degraded []bool
-
-	// arr/boardID tie a board engine into a multi-board array (nil/0 in
-	// single-board runs, the unchanged classic path). An array board shares
-	// the array's sim.Engine, owns only its shard's partitions, and hands
-	// foreigners bound for other shards to the array's fabric.
-	arr     *Array
-	boardID int
-
-	// Mutation stream state (mutate.go). muts is the full stream;
-	// mutCursor is the next unapplied index (At == 0 prefix already applied
-	// at construction). In arrays the Array drives application fleet-wide
-	// and mirrors its cursor onto every board. initVertices/initEdges are
-	// the graph's pre-mutation counts — the identity a snapshot records,
-	// since a resumed run rebuilds from the initial graph and replays.
-	muts         graph.MutationStream
-	mutCursor    int
-	initVertices uint64
-	initEdges    uint64
 }
 
 // edgeProber is the membership-probe interface shared by the static and
@@ -319,99 +319,26 @@ type edgeProber interface {
 	Contains(key uint64) bool
 }
 
-// progress snapshots the engine's headline counters. Only called from the
-// simulation goroutine at event boundaries, so the reads are consistent.
-func (e *Engine) progress() Progress {
-	return Progress{
-		Now:               e.eng.Now(),
-		Events:            e.eng.Processed(),
-		Started:           e.res.Started,
-		Completed:         e.res.Completed,
-		DeadEnded:         e.res.DeadEnded,
-		Hops:              e.res.Hops,
-		PartitionSwitches: e.res.PartitionSwitches,
-	}
-}
-
 // emit sends a trace event if tracing is enabled.
-func (e *Engine) emit(kind trace.Kind, a, b int64) {
+func (e *boardEngine) emit(kind trace.Kind, a, b int64) {
 	if e.tracer != nil {
 		e.tracer.Emit(trace.Event{At: e.eng.Now(), Kind: kind, A: a, B: b})
 	}
 }
 
-// NewEngine builds a FlashWalker instance over the graph. The walks start
-// at numWalks uniformly random vertices drawn from startSeed.
-func NewEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
-	if rc.Cfg.Boards > 1 {
-		return nil, fmt.Errorf("core: Boards=%d needs the array engine (NewArray): %w", rc.Cfg.Boards, errs.ErrInvalidConfig)
-	}
-	e, err := newEngine(g, rc)
+// newBoardEngine builds board id of drv over the driver's kernel, graph and
+// partitioning, without seeding walks. mutCursor is the already-applied
+// prefix of rc.Mutations — the driver has patched the graph and partition
+// stats up to it, and derived indexes built here (edge filter, alias
+// tables) are built over the patched graph, which is bit-identical to
+// building them initial-then-incrementally.
+func newBoardEngine(drv *Engine, id int, rc RunConfig, mutCursor int) (*boardEngine, error) {
+	g, part := drv.g, drv.part
+	ssd, err := flash.New(drv.eng, rc.FlashCfg)
 	if err != nil {
 		return nil, err
 	}
-	if len(rc.Starts) > 0 {
-		for _, v := range rc.Starts {
-			if v >= g.NumVertices() {
-				return nil, fmt.Errorf("core: start vertex %d out of range: %w", v, errs.ErrInvalidConfig)
-			}
-		}
-		e.seedWalksFrom(rc.Starts, rc.NumWalks)
-	} else {
-		e.seedWalksFrom(walk.UniformStarts(e.g, rc.NumWalks, rc.StartSeed), rc.NumWalks)
-	}
-	return e, nil
-}
-
-// newEngine builds the engine skeleton — devices, accelerators, pools —
-// without seeding any walks. NewEngine seeds a fresh workload on top;
-// ResumeEngine overlays a snapshot's state instead. A mutation stream is
-// validated here, the graph is cloned (callers keep their Graph pristine),
-// and the At == 0 prefix is applied before the accelerators are built so
-// hot-subgraph selection sees the patched degree sums.
-func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
-	g, err := cloneForMutations(g, rc)
-	if err != nil {
-		return nil, err
-	}
-	part, err := partition.Partition(g, rc.PartCfg)
-	if err != nil {
-		return nil, err
-	}
-	prefix, err := applyMutationPrefix(g, part, rc.Mutations)
-	if err != nil {
-		return nil, err
-	}
-	e, err := newEngineOn(sim.New(), g, rc, part, prefix)
-	if err != nil {
-		return nil, err
-	}
-	e.res.MutationsApplied = uint64(prefix)
-	return e, nil
-}
-
-// newEngineOn is newEngine over a caller-supplied event kernel and
-// partitioning: the array layer builds N board engines on one shared
-// sim.Engine so the whole fleet drains a single timeline. mutCursor is the
-// already-applied prefix of rc.Mutations — the caller (newEngine, newArray)
-// has patched g and part up to it, and derived indexes built here (edge
-// filter, alias tables) are built over the patched graph, which is
-// bit-identical to building them initial-then-incrementally.
-func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.Partitioned, mutCursor int) (*Engine, error) {
-	if err := rc.Cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := rc.Spec.Validate(g); err != nil {
-		return nil, err
-	}
-	if rc.NumWalks <= 0 {
-		return nil, fmt.Errorf("core: NumWalks %d <= 0: %w", rc.NumWalks, errs.ErrInvalidConfig)
-	}
-	ssd, err := flash.New(eng, rc.FlashCfg)
-	if err != nil {
-		return nil, err
-	}
-	dr, err := dram.New(eng, rc.DRAMCfg)
+	dr, err := dram.New(drv.eng, rc.DRAMCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -419,15 +346,17 @@ func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		eng:   eng,
-		cfg:   rc.Cfg,
-		ssd:   ssd,
-		dr:    dr,
-		g:     g,
-		part:  part,
-		place: place,
-		spec:  rc.Spec,
+	e := &boardEngine{
+		eng:     drv.eng,
+		cfg:     rc.Cfg,
+		ssd:     ssd,
+		dr:      dr,
+		g:       g,
+		part:    part,
+		place:   place,
+		spec:    rc.Spec,
+		drv:     drv,
+		boardID: id,
 
 		pwb:       make([][]wstate, part.NumBlocks()),
 		pwbBytes:  make([]int64, part.NumBlocks()),
@@ -442,31 +371,10 @@ func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.
 		pendingFlashBytes: make([]int64, part.NumPartitions),
 		flushMark:         make([]int, part.NumPartitions),
 
-		freeNode:   -1,
-		freeBatch:  -1,
-		curPart:    -1,
-		maxSimTime: rc.MaxSimTime,
-		tracer:     rc.Tracer,
-		audit:      rc.Audit,
-		onProgress: rc.OnProgress,
-		checkEvery: rc.CheckpointEvery,
-		onSnapshot: rc.OnSnapshot,
-		snapEvery:  rc.SnapshotEvery,
-		onWalks:    rc.OnWalks,
-		emitEvery:  rc.EmitEvery,
-		rootRNG:    rng.New(rc.Cfg.Seed),
-
-		muts:         rc.Mutations,
-		mutCursor:    mutCursor,
-		initVertices: g.NumVertices(),
-		initEdges: uint64(int64(g.NumEdges()) -
-			(rc.Mutations.NetEdges(0) - rc.Mutations.NetEdges(mutCursor))),
-	}
-	if e.checkEvery == 0 {
-		e.checkEvery = DefaultCheckpointEvery
-	}
-	if e.emitEvery == 0 {
-		e.emitEvery = DefaultEmitEvery
+		freeNode:  -1,
+		freeBatch: -1,
+		curPart:   -1,
+		tracer:    rc.Tracer,
 	}
 	if rc.Cfg.Faults.Enabled {
 		e.inj = fault.NewInjector(rc.Cfg.Faults, ssd.NumChips())
@@ -508,9 +416,6 @@ func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.
 		}
 	}
 	if rc.UseAliasSampling {
-		if rc.Spec.Kind != walk.Biased {
-			return nil, fmt.Errorf("core: alias sampling only applies to biased walks: %w", errs.ErrInvalidConfig)
-		}
 		ga, err := walk.NewGraphAlias(g)
 		if err != nil {
 			return nil, err
@@ -531,94 +436,9 @@ func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.
 	return e, nil
 }
 
-// Run executes the simulation to completion and returns the result.
-//
-// Deprecated: use RunContext, which supports cancellation and live
-// progress. Run is RunContext with a background context.
-func (e *Engine) Run() (*Result, error) {
-	return e.RunContext(context.Background())
-}
-
-// RunContext executes the simulation until every walk finishes or ctx is
-// canceled. Cancellation is cooperative: the event kernel checks ctx at
-// checkpoint boundaries (every CheckpointEvery events, never mid-event), so
-// the simulated timeline of an uncanceled run is bit-identical to Run. On
-// cancellation it returns the partial Result accumulated so far together
-// with an error satisfying errors.Is(err, errs.ErrCanceled); the Result's
-// counters are a consistent snapshot at the halting event boundary.
-func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if ctx.Done() != nil || e.onProgress != nil || e.onSnapshot != nil {
-		e.eng.SetCheckpoint(e.checkEvery, func() bool {
-			if e.onProgress != nil {
-				e.onProgress(e.progress())
-			}
-			if e.onSnapshot != nil && e.eng.Processed()-e.lastSnap >= e.snapEvery {
-				// Flush exported walks first so a consumer persisting both
-				// never sees a snapshot ahead of its walk records.
-				e.flushWalks()
-				// Snapshots are pure reads of engine state between events;
-				// a build error means setup closures are still draining, so
-				// just try again at a later checkpoint.
-				if snap, err := e.buildSnapshot(); err == nil {
-					e.lastSnap = e.eng.Processed()
-					e.onSnapshot(snap)
-				}
-			}
-			return ctx.Err() == nil
-		})
-		defer e.eng.ClearCheckpoint()
-	}
-	if e.onWalks != nil {
-		e.eng.SetEmitter(e.emitEvery, e.flushWalks)
-		defer e.eng.ClearEmitter()
-	}
-	if e.mutCursor < len(e.muts) {
-		e.eng.SetApplier(e.applyMutations)
-		defer e.eng.ClearApplier()
-	}
-	e.launch()
-	if e.maxSimTime > 0 {
-		e.eng.RunUntil(e.maxSimTime)
-	} else {
-		e.eng.Run()
-	}
-	e.flushWalks()
-	if e.failure != nil {
-		return nil, e.failure
-	}
-	e.res.Time = e.eng.Now()
-	e.res.Flash = e.ssd.Counters
-	e.res.DRAMReadBytes = e.dr.ReadBytes
-	e.res.DRAMWriteBytes = e.dr.WriteBytes
-	e.res.DRAMPortUtil = e.dr.Utilization()
-	if e.inj != nil {
-		e.res.Faults = e.inj.Counters
-	}
-	e.collectTierStats()
-	if e.onProgress != nil {
-		e.onProgress(e.progress())
-	}
-	if e.eng.Halted() {
-		return &e.res, fmt.Errorf("core: run canceled at %v: %w", e.res.Time, &errs.Canceled{
-			Op: "core", Finished: e.res.WalksFinished(), Total: e.res.Started, Cause: ctx.Err(),
-		})
-	}
-	if e.remaining != 0 {
-		if e.maxSimTime > 0 {
-			return nil, fmt.Errorf("core: MaxSimTime %v exceeded with %d walks unfinished", e.maxSimTime, e.remaining)
-		}
-		return nil, fmt.Errorf("core: simulation drained with %d walks unfinished (activeCur=%d, partition=%d)",
-			e.remaining, e.activeCur, e.curPart)
-	}
-	return &e.res, nil
-}
-
 // collectTierStats folds every tier's utilization snapshot into the result
 // (averages and maxima per level) plus the channel-bus peak.
-func (e *Engine) collectTierStats() {
+func (e *boardEngine) collectTierStats() {
 	var chipU, chipMax, chanGU float64
 	var nChip, nChan int
 	for _, t := range e.tiers {
@@ -655,31 +475,15 @@ func (e *Engine) collectTierStats() {
 
 // launch performs the one-time start-of-run work: the hot-subgraph preload,
 // the periodic channel roving ticks, and the first partition dispatch. A
-// board engine inside an array may legitimately start with no local walks —
-// it idles (unfinished, ticks running) until the fabric delivers some.
-func (e *Engine) launch() {
-	if e.started {
-		return
-	}
-	e.started = true
+// board may legitimately start with no local walks — it idles (unfinished,
+// ticks running) until the fabric delivers some.
+func (e *boardEngine) launch() {
 	e.preloadHotSubgraphs()
 	for _, ca := range e.chans {
 		ca.scheduleTick()
 	}
-	if !e.advancePartition() && e.arr == nil {
-		e.finished = true
-	}
+	e.advancePartition()
 }
 
-// fail aborts the simulation with an error. A board engine inside an array
-// fails the whole array: one inconsistent device invalidates the fleet run.
-func (e *Engine) fail(err error) {
-	if e.arr != nil {
-		e.arr.fail(err)
-		return
-	}
-	if e.failure == nil {
-		e.failure = err
-	}
-	e.finished = true
-}
+// fail aborts the run: one inconsistent device invalidates the whole run.
+func (e *boardEngine) fail(err error) { e.drv.fail(err) }

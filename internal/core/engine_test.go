@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"flashwalker/internal/dram"
@@ -46,9 +47,9 @@ func runEngine(t *testing.T, g *graph.Graph, rc RunConfig) *Result {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	res, err := e.Run()
+	res, err := e.RunContext(context.Background())
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunContext: %v", err)
 	}
 	return res
 }
@@ -343,7 +344,7 @@ func TestMaxSimTimeAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err == nil {
+	if _, err := e.RunContext(context.Background()); err == nil {
 		t.Fatal("run exceeding MaxSimTime did not error")
 	}
 }

@@ -4,7 +4,7 @@ import "flashwalker/internal/sim"
 
 // This file is the engine's typed-event layer. Every steady-state
 // continuation the accelerator tiers used to express as a captured closure
-// is now a sim.Event targeting the Engine, dispatched through the jump
+// is now a sim.Event targeting the board engine, dispatched through the jump
 // table in HandleEvent. The walk being carried across the event boundary
 // lives in a pooled wnode addressed by the event's A payload, so the hop
 // path performs no allocation once the pools are warm.
@@ -15,7 +15,7 @@ import "flashwalker/internal/sim"
 // node is always freed inside the handler that consumes it — before any
 // re-routing that might claim a fresh node.
 
-// Core event kinds (private to Engine.HandleEvent; the sim and flash
+// Core event kinds (private to boardEngine.HandleEvent; the sim and flash
 // layers each have their own kind space behind their own Handlers).
 const (
 	evChipRoute      uint16 = iota // chip guider done (or stall retry): route walk at chip
@@ -46,7 +46,7 @@ type wnode struct {
 }
 
 // newNode claims a pooled node.
-func (e *Engine) newNode() (int32, *wnode) {
+func (e *boardEngine) newNode() (int32, *wnode) {
 	var ref int32
 	if e.freeNode >= 0 {
 		ref = e.freeNode
@@ -62,16 +62,16 @@ func (e *Engine) newNode() (int32, *wnode) {
 
 // node resolves a reference. The pointer is only valid until the next
 // newNode call (the backing array may grow).
-func (e *Engine) node(ref int32) *wnode { return &e.nodes[ref] }
+func (e *boardEngine) node(ref int32) *wnode { return &e.nodes[ref] }
 
 // freeNodeRef recycles a node.
-func (e *Engine) freeNodeRef(ref int32) {
+func (e *boardEngine) freeNodeRef(ref int32) {
 	e.nodes[ref] = wnode{free: e.freeNode}
 	e.freeNode = ref
 }
 
 // getWalkBuf hands out a recycled walk batch buffer (len 0).
-func (e *Engine) getWalkBuf() []wstate {
+func (e *boardEngine) getWalkBuf() []wstate {
 	if n := len(e.wbufs); n > 0 {
 		b := e.wbufs[n-1]
 		e.wbufs[n-1] = nil
@@ -82,7 +82,7 @@ func (e *Engine) getWalkBuf() []wstate {
 }
 
 // putWalkBuf recycles a batch buffer once its walks have been handed on.
-func (e *Engine) putWalkBuf(b []wstate) {
+func (e *boardEngine) putWalkBuf(b []wstate) {
 	if b == nil {
 		return
 	}
@@ -96,7 +96,7 @@ type walkBatch struct {
 }
 
 // newBatch parks a roving batch for the duration of its bus transfer.
-func (e *Engine) newBatch(walks []wstate) int32 {
+func (e *boardEngine) newBatch(walks []wstate) int32 {
 	var ref int32
 	if e.freeBatch >= 0 {
 		ref = e.freeBatch
@@ -110,7 +110,7 @@ func (e *Engine) newBatch(walks []wstate) int32 {
 }
 
 // takeBatch releases a batch record, returning its walks.
-func (e *Engine) takeBatch(ref int32) []wstate {
+func (e *boardEngine) takeBatch(ref int32) []wstate {
 	walks := e.batches[ref].walks
 	e.batches[ref] = walkBatch{free: e.freeBatch}
 	e.freeBatch = ref
@@ -120,7 +120,7 @@ func (e *Engine) takeBatch(ref int32) []wstate {
 // HandleEvent is the engine's event jump table. A carries a wnode or batch
 // reference, B an accelerator index, C a slot index — per kind. It is
 // exported only to satisfy sim.Handler.
-func (e *Engine) HandleEvent(ev sim.Event) {
+func (e *boardEngine) HandleEvent(ev sim.Event) {
 	switch ev.Kind {
 	case evChipRoute:
 		c := e.chips[ev.B]
@@ -214,7 +214,7 @@ func (e *Engine) HandleEvent(ev sim.Event) {
 }
 
 // routeBoardNode applies a board classification parked in a node.
-func (e *Engine) routeBoardNode(ref int32) {
+func (e *boardEngine) routeBoardNode(ref int32) {
 	n := e.node(ref)
 	d := routeDecision{st: n.st, blockID: int(n.block), foreignPart: int(n.foreign)}
 	e.freeNodeRef(ref)

@@ -21,9 +21,8 @@ import (
 // Records carry a walk sequence number assigned in finish order. Finish
 // order is a pure function of the simulated timeline, which is
 // deterministic, so sequence numbers are stable across runs; and because
-// snapshots capture the finished-walk counters (single engine) or the
-// per-board counters (array), a resumed run continues the numbering
-// exactly where the snapshot cut it. Flushing the export buffer before
+// snapshots capture every board's finished-walk counters, a resumed run
+// continues the numbering exactly where the snapshot cut it. Flushing the export buffer before
 // every snapshot delivery means a consumer that persists both sees every
 // record below a snapshot's finished count before it sees the snapshot —
 // a crash-recovered consumer never has a gap.
@@ -48,18 +47,19 @@ type WalkDone struct {
 // DefaultEmitEvery is the default event interval between OnWalks deliveries.
 const DefaultEmitEvery = 1024
 
-// exportWalk appends the just-retired walk to the single-engine export
-// buffer. Called from finishWalk after the result counters were bumped, so
-// the finish-order sequence number is counters-1.
-func (e *Engine) exportWalk(st *wstate, completed bool) {
+// exportWalk appends the just-retired walk to the export buffer. Boards
+// share one fleet-wide finish sequence, so the stream a consumer sees is a
+// single total order at any board count.
+func (e *Engine) exportWalk(be *boardEngine, st *wstate, completed bool) {
 	e.exportBuf = append(e.exportBuf, WalkDone{
-		Seq:     uint64(e.res.Completed+e.res.DeadEnded) - 1,
+		Seq:     e.finSeq,
 		Src:     st.w.Src,
 		End:     st.w.Cur,
-		Hops:    e.spec.Length - st.w.Hop,
+		Hops:    be.spec.Length - st.w.Hop,
 		DeadEnd: !completed,
 		At:      e.eng.Now(),
 	})
+	e.finSeq++
 }
 
 // flushWalks delivers the buffered records to the OnWalks callback and
@@ -71,28 +71,4 @@ func (e *Engine) flushWalks() {
 	}
 	e.onWalks(e.exportBuf)
 	e.exportBuf = e.exportBuf[:0]
-}
-
-// exportWalk is the array-side twin: boards share one fleet-wide finish
-// sequence so the stream a consumer sees is a single total order, exactly
-// like the single-engine one.
-func (a *Array) exportWalk(e *Engine, st *wstate, completed bool) {
-	a.exportBuf = append(a.exportBuf, WalkDone{
-		Seq:     a.finSeq,
-		Src:     st.w.Src,
-		End:     st.w.Cur,
-		Hops:    e.spec.Length - st.w.Hop,
-		DeadEnd: !completed,
-		At:      a.eng.Now(),
-	})
-	a.finSeq++
-}
-
-// flushWalks delivers the array's buffered records (see Engine.flushWalks).
-func (a *Array) flushWalks() {
-	if a.onWalks == nil || len(a.exportBuf) == 0 {
-		return
-	}
-	a.onWalks(a.exportBuf)
-	a.exportBuf = a.exportBuf[:0]
 }

@@ -87,17 +87,17 @@ func TestWalkExportResumeContinuity(t *testing.T) {
 	snap := interruptCore(t, g, rc, 3)
 
 	var phase2 []WalkDone
-	res, err := ResumeContext(context.Background(), g, snap, ResumeOptions{
+	res, err := resumeContext(context.Background(), g, snap, ResumeOptions{
 		OnWalks: collectWalks(&phase2), EmitEvery: 64,
 	})
 	if err != nil {
-		t.Fatalf("ResumeContext: %v", err)
+		t.Fatalf("resume: %v", err)
 	}
 	if got := digestResult(res); got != digestResult(refRes) {
 		t.Fatalf("resumed digest diverged:\n got %s\nwant %s", got, digestResult(refRes))
 	}
 
-	cut := uint64(snap.Res.Completed + snap.Res.DeadEnded)
+	cut := uint64(snap.WalksFinished())
 	if len(phase1) < int(cut) {
 		t.Fatalf("interrupted run exported %d records, snapshot finished count is %d: flush-before-snapshot broken", len(phase1), cut)
 	}
@@ -124,7 +124,7 @@ func TestWalkExportResumeContinuity(t *testing.T) {
 }
 
 // TestWalkExportArray checks the fleet-wide export: a 1-board array
-// reproduces the single-engine export record for record, and a 2-board
+// reproduces the golden run's export record for record, and a 2-board
 // array exports a gapless fleet-wide finish sequence whose walk outcomes
 // (keyed by start vertex multiset) match the aggregate result.
 func TestWalkExportArray(t *testing.T) {
@@ -138,7 +138,7 @@ func TestWalkExportArray(t *testing.T) {
 	rc1 := arrayConfig(1)
 	var got1 []WalkDone
 	rc1.OnWalks = collectWalks(&got1)
-	res1 := runArray(t, g, rc1)
+	res1 := runEngine(t, g, rc1)
 	checkExport(t, got1, res1, rc1.Spec)
 	if len(got1) != len(want) {
 		t.Fatalf("1-board array exported %d records, single engine %d", len(got1), len(want))
@@ -152,7 +152,7 @@ func TestWalkExportArray(t *testing.T) {
 	rc2 := arrayConfig(2)
 	var got2 []WalkDone
 	rc2.OnWalks = collectWalks(&got2)
-	res2 := runArray(t, g, rc2)
+	res2 := runEngine(t, g, rc2)
 	checkExport(t, got2, res2, rc2.Spec)
 }
 
@@ -165,25 +165,22 @@ func TestWalkExportArrayResumeContinuity(t *testing.T) {
 	ref := arrayConfig(2)
 	var want []WalkDone
 	ref.OnWalks = collectWalks(&want)
-	refRes := runArray(t, g, ref)
+	refRes := runEngine(t, g, ref)
 	checkExport(t, want, refRes, ref.Spec)
 
 	rc := arrayConfig(2)
 	var phase1 []WalkDone
 	rc.OnWalks = collectWalks(&phase1)
 	rc.EmitEvery = 64
-	snap := interruptArray(t, g, rc, 2, func(s *ArraySnapshot) bool { return s.InFabric > 0 })
+	snap := interruptWhen(t, g, rc, 2, func(s *Snapshot) bool { return s.InFabric > 0 })
 
-	cut := uint64(0)
-	for _, b := range snap.Boards {
-		cut += uint64(b.Res.Completed + b.Res.DeadEnded)
-	}
+	cut := uint64(snap.WalksFinished())
 	var phase2 []WalkDone
-	res, err := ResumeArrayContext(context.Background(), g, snap, ArrayResumeOptions{
+	res, err := resumeContext(context.Background(), g, snap, ResumeOptions{
 		OnWalks: collectWalks(&phase2), EmitEvery: 64,
 	})
 	if err != nil {
-		t.Fatalf("ResumeArrayContext: %v", err)
+		t.Fatalf("resume: %v", err)
 	}
 	if got := digestResult(res); got != digestResult(refRes) {
 		t.Fatalf("resumed array digest diverged:\n got %s\nwant %s", got, digestResult(refRes))

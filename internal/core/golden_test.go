@@ -58,11 +58,17 @@ func digestResult(res *Result) string {
 }
 
 // TestGoldenSeedDigest pins the full simulated timeline of one fixed run.
+// The run goes through the same driver as multi-board arrays, on one board
+// that never touches the fabric: the array layer added no events, changed
+// no ordering, and moved no RNG draw of the single-board timeline.
 func TestGoldenSeedDigest(t *testing.T) {
 	g := testGraph(t)
 	res := runEngine(t, g, goldenConfig())
 	if got := digestResult(res); got != goldenDigest {
 		t.Fatalf("golden digest changed:\n got %s\nwant %s", got, goldenDigest)
+	}
+	if res.Boards != 1 || res.FabricWalks != 0 || res.FabricBytes != 0 {
+		t.Fatalf("single-board run used the fabric: %+v", res)
 	}
 }
 

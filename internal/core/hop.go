@@ -28,7 +28,7 @@ type hopOutcome struct {
 // because every draw comes from the walk's private RNG stream (wstate.rng),
 // making the trajectory independent of which tier updates the walk and of
 // any fault-induced timing shifts.
-func (e *Engine) decideHop(st wstate) hopOutcome {
+func (e *boardEngine) decideHop(st wstate) hopOutcome {
 	deg := e.g.OutDegree(st.w.Cur)
 	if deg == 0 {
 		return hopOutcome{next: st, terminal: true, deadEnd: true}
@@ -65,7 +65,7 @@ func (e *Engine) decideHop(st wstate) hopOutcome {
 // a dense vertex can also sit inside a non-dense block's vertex range, and
 // whether such a walk is pre-walked or updated in place is timing-dependent,
 // so both paths must make identical draws.
-func (e *Engine) chooseNextEdge(r *rng.RNG, st wstate, deg uint64) (idx uint64, extra, probes int) {
+func (e *boardEngine) chooseNextEdge(r *rng.RNG, st wstate, deg uint64) (idx uint64, extra, probes int) {
 	switch {
 	case e.spec.Kind == walk.SecondOrder && st.prev != noPrev:
 		// Dynamic (node2vec) sampling: rejection with the DRAM-resident
@@ -91,7 +91,7 @@ func (e *Engine) chooseNextEdge(r *rng.RNG, st wstate, deg uint64) (idx uint64, 
 
 // chargeFilterProbes accounts the DRAM accesses (and, for chip-level
 // updaters, the channel-bus round trips) of a hop's edge-filter queries.
-func (e *Engine) chargeFilterProbes(h hopOutcome, chip *chipAccel) {
+func (e *boardEngine) chargeFilterProbes(h hopOutcome, chip *chipAccel) {
 	if h.filterProbes == 0 {
 		return
 	}
@@ -106,6 +106,6 @@ func (e *Engine) chargeFilterProbes(h hopOutcome, chip *chipAccel) {
 
 // updateService converts a hop decision into an updater service time at the
 // given cycle length.
-func (e *Engine) updateService(cycle sim.Time, h hopOutcome) sim.Time {
+func (e *boardEngine) updateService(cycle sim.Time, h hopOutcome) sim.Time {
 	return sim.Time(e.cfg.OpsPerUpdate+h.extraOps) * cycle
 }

@@ -9,36 +9,12 @@ import (
 	"flashwalker/internal/walk"
 )
 
-// This file is the walk lifecycle: seeding the workload, retiring finished
-// walks, and advancing through graph partitions as each drains.
-
-// seedWalksFrom creates the workload from the given start vertices and
-// sorts walks into per-partition pending lists (walk initialization is
-// host-side preprocessing; it is not charged to the simulated clock,
-// matching the paper's exclusion of preprocessing).
-func (e *Engine) seedWalksFrom(starts []graph.VertexID, n int) {
-	ws := walk.NewWalks(e.spec, starts, n)
-	e.remaining = len(ws)
-	e.res.Started = len(ws)
-	for i := range ws {
-		// Each walk gets its own derived RNG stream so its trajectory is
-		// independent of scheduling and of injected faults (see wstate.rng).
-		st := wstate{w: ws[i], denseBlock: -1, rangeTag: -1, prev: noPrev,
-			rng: *e.rootRNG.Derive(uint64(i))}
-		if e.res.Visits != nil {
-			e.res.Visits[st.w.Cur]++
-		}
-		p := e.homePartition(st.w.Cur)
-		e.pendingMem[p] = append(e.pendingMem[p], st)
-	}
-	for p := range e.pendingMem {
-		e.flushMark[p] = len(e.pendingMem[p])
-	}
-}
+// This file is a board's walk lifecycle: retiring finished walks and
+// advancing through the board's partitions as each drains.
 
 // homePartition reports which partition a vertex's subgraph belongs to
 // (dense vertices use their first block).
-func (e *Engine) homePartition(v graph.VertexID) int {
+func (e *boardEngine) homePartition(v graph.VertexID) int {
 	if m, ok := e.part.Dense.Lookup(v); ok {
 		return e.part.PartitionOf(m.FirstBlockID)
 	}
@@ -51,7 +27,7 @@ func (e *Engine) homePartition(v graph.VertexID) int {
 
 // finishWalk retires a walk (completed or dead-ended). st is the walk's
 // final state, read only for the completed-walk export (export.go).
-func (e *Engine) finishWalk(st *wstate, completed bool) {
+func (e *boardEngine) finishWalk(st *wstate, completed bool) {
 	if completed {
 		e.res.Completed++
 		e.emit(trace.WalkDone, 1, 0)
@@ -62,22 +38,17 @@ func (e *Engine) finishWalk(st *wstate, completed bool) {
 	if e.res.ProgressTS != nil {
 		e.res.ProgressTS.Add(e.eng.Now(), 1)
 	}
-	e.remaining--
-	if e.arr != nil {
-		if e.arr.onWalks != nil {
-			e.arr.exportWalk(e, st, completed)
-		}
-		e.arr.walkFinished()
-	} else if e.onWalks != nil {
-		e.exportWalk(st, completed)
+	if e.drv.onWalks != nil {
+		e.drv.exportWalk(e, st, completed)
 	}
+	e.drv.walkFinished()
 	e.activeCur--
 	e.checkPartitionDone()
 }
 
 // checkPartitionDone advances to the next partition once the current one is
 // fully drained.
-func (e *Engine) checkPartitionDone() {
+func (e *boardEngine) checkPartitionDone() {
 	if e.finished || e.activeCur > 0 {
 		return
 	}
@@ -85,34 +56,26 @@ func (e *Engine) checkPartitionDone() {
 		e.fail(fmt.Errorf("core: activeCur went negative"))
 		return
 	}
-	if e.arr != nil {
-		// The board just drained: ship every batched foreigner now so no
-		// walk waits on an egress threshold that will never be reached.
-		e.arr.flushEgressFrom(e.boardID)
-	}
+	// The board just drained: ship every batched foreigner now so no walk
+	// waits on an egress threshold that will never be reached.
+	e.drv.flushEgressFrom(e.boardID)
 	if !e.advancePartition() {
-		if e.arr != nil {
-			// An idle array board is not done — fabric deliveries can wake
-			// it — unless it is dead, in which case nothing ever will (its
-			// shard was re-placed and arrivals are re-forwarded).
-			if e.arr.dead[e.boardID] {
-				e.finished = true
-			} else {
-				e.arr.checkStalled()
-			}
-			return
-		}
-		e.finished = true
-		if e.remaining != 0 {
-			e.fail(fmt.Errorf("core: no partitions left but %d walks remain", e.remaining))
+		// An idle board is not done — fabric deliveries can wake it —
+		// unless it is dead, in which case nothing ever will (its shard was
+		// re-placed and arrivals are re-forwarded).
+		if e.drv.dead[e.boardID] {
+			e.finished = true
+		} else {
+			e.drv.checkStalled()
 		}
 	}
 }
 
-// advancePartition selects the next partition holding walks and dispatches
-// its pending set. It reports false when no walks remain anywhere.
-func (e *Engine) advancePartition() bool {
-	e.auditConservation("partition-switch")
+// advancePartition selects the next partition of this board's shard holding
+// walks and dispatches its pending set. It reports false when the board has
+// none.
+func (e *boardEngine) advancePartition() bool {
+	e.drv.auditConservation("partition-switch")
 	np := e.part.NumPartitions
 	for step := 1; step <= np; step++ {
 		p := (e.curPart + step) % np
@@ -122,7 +85,7 @@ func (e *Engine) advancePartition() bool {
 		if len(e.pendingMem[p]) == 0 && len(e.pendingFlash[p]) == 0 {
 			continue
 		}
-		if e.arr != nil && e.arr.shard.BoardOf(p) != e.boardID {
+		if e.drv.shard.BoardOf(p) != e.boardID {
 			// Not this board's shard (possible only transiently around a
 			// device kill, while evacuated walks are still in flight).
 			continue
@@ -137,7 +100,7 @@ func (e *Engine) advancePartition() bool {
 // caches (their entries map the old partition's table), refreshes each
 // chip's candidate block list, reads back flushed foreigner walks, and
 // routes every pending walk through the board guider.
-func (e *Engine) startPartition(p int) {
+func (e *boardEngine) startPartition(p int) {
 	e.curPart = p
 	e.res.PartitionSwitches++
 	e.emit(trace.PartitionSwitch, int64(p),

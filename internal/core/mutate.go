@@ -35,17 +35,10 @@ import (
 // rebuilt mutated graph with no stream.
 
 // ValidateMutations checks a stream against the initial graph with the
-// partitioning's dense-vertex threshold as the degree cap. The service
-// layer's normalize calls it at submission so a bad stream is a 400, never
-// an async worker failure.
+// partitioning's dense-vertex threshold as the degree cap. The engine runs
+// it at construction, and the service layer's normalize at submission so a
+// bad stream is a 400, never an async worker failure.
 func ValidateMutations(g *graph.Graph, pc partition.Config, ms graph.MutationStream) error {
-	return validateMutations(g, pc, ms)
-}
-
-// validateMutations checks a stream against the initial graph with the
-// partitioning's dense-vertex threshold as the degree cap. Shared by the
-// engine, the array, and the service layer's normalize.
-func validateMutations(g *graph.Graph, pc partition.Config, ms graph.MutationStream) error {
 	if len(ms) == 0 {
 		return nil
 	}
@@ -66,7 +59,7 @@ func cloneForMutations(g *graph.Graph, rc RunConfig) (*graph.Graph, error) {
 	if len(rc.Mutations) == 0 {
 		return g, nil
 	}
-	if err := validateMutations(g, rc.PartCfg, rc.Mutations); err != nil {
+	if err := ValidateMutations(g, rc.PartCfg, rc.Mutations); err != nil {
 		return nil, err
 	}
 	return g.Clone(), nil
@@ -99,11 +92,11 @@ func applyShared(g *graph.Graph, part *partition.Partitioned, m graph.Mutation) 
 	return g.ApplyMutation(m)
 }
 
-// applyIndexes patches this engine's private derived indexes after the
+// applyIndexes patches this board's private derived indexes after the
 // shared graph was mutated: the counting edge filter and the mutated
-// vertex's alias table. In arrays every board applies this for every
-// mutation — each board owns its own filter and tables.
-func (e *Engine) applyIndexes(m graph.Mutation) error {
+// vertex's alias table. Every board applies this for every mutation — each
+// board owns its own filter and tables.
+func (e *boardEngine) applyIndexes(m graph.Mutation) error {
 	if e.edgeFilterC != nil {
 		key := partition.EdgeKey(m.Src, m.Dst)
 		if m.Op == graph.OpInsertEdge {
@@ -118,21 +111,26 @@ func (e *Engine) applyIndexes(m graph.Mutation) error {
 	return nil
 }
 
-// applyMutation applies one mutation end to end on a single-board engine.
+// applyMutation applies one mutation to the whole run: the shared graph and
+// partition stats once, then every board's private indexes. The board
+// owning the mutated vertex's home partition gets the attribution count —
+// a sharded mutation lands on its owning board.
 func (e *Engine) applyMutation(m graph.Mutation) error {
 	if err := applyShared(e.g, e.part, m); err != nil {
 		return err
 	}
-	if err := e.applyIndexes(m); err != nil {
-		return err
+	for _, be := range e.boards {
+		if err := be.applyIndexes(m); err != nil {
+			return err
+		}
 	}
-	e.res.MutationsApplied++
+	e.ownerOf(m.Src).res.MutationsApplied++
 	return nil
 }
 
-// applyMutations is the single-board applier hook: it applies every
-// not-yet-applied mutation stamped at or before the next event's time. An
-// apply failure (block overflow) fails the run.
+// applyMutations is the applier hook: it applies every not-yet-applied
+// mutation stamped at or before the next event's time. An apply failure
+// (block overflow) fails the run.
 func (e *Engine) applyMutations(next sim.Time) {
 	for e.mutCursor < len(e.muts) && sim.Time(e.muts[e.mutCursor].At) <= next {
 		if err := e.applyMutation(e.muts[e.mutCursor]); err != nil {
@@ -141,40 +139,5 @@ func (e *Engine) applyMutations(next sim.Time) {
 			return
 		}
 		e.mutCursor++
-	}
-}
-
-// applyMutation applies one mutation fleet-wide: the shared graph and
-// partition stats once, then every board's private indexes. The board
-// owning the mutated vertex's home partition gets the attribution count —
-// a sharded mutation lands on its owning board.
-func (a *Array) applyMutation(m graph.Mutation) error {
-	if err := applyShared(a.g, a.part, m); err != nil {
-		return err
-	}
-	for _, e := range a.boards {
-		if err := e.applyIndexes(m); err != nil {
-			return err
-		}
-	}
-	owner := a.shard.BoardOf(a.boards[0].homePartition(m.Src))
-	a.boards[owner].res.MutationsApplied++
-	return nil
-}
-
-// applyMutations is the array's applier hook; the array drives the stream
-// for the whole fleet and mirrors its cursor onto every board so per-board
-// snapshots record the true applied count.
-func (a *Array) applyMutations(next sim.Time) {
-	for a.mutCursor < len(a.muts) && sim.Time(a.muts[a.mutCursor].At) <= next {
-		if err := a.applyMutation(a.muts[a.mutCursor]); err != nil {
-			a.fail(fmt.Errorf("core: mutation %d: %w", a.mutCursor, err))
-			a.eng.ClearApplier()
-			return
-		}
-		a.mutCursor++
-		for _, e := range a.boards {
-			e.mutCursor = a.mutCursor
-		}
 	}
 }

@@ -169,16 +169,12 @@ func timedStream(ms graph.MutationStream, times []int64) graph.MutationStream {
 // uniform on small workloads (half the timeline can pass in the first few
 // dozen events), so mid-run mutation timestamps are placed against these
 // observed clocks, not against fractions of the end time.
-func probeClocks(t *testing.T, g *graph.Graph, rc RunConfig, array bool) []sim.Time {
+func probeClocks(t *testing.T, g *graph.Graph, rc RunConfig) []sim.Time {
 	t.Helper()
 	rc.CheckpointEvery = 64
 	var clocks []sim.Time
 	rc.OnProgress = func(p Progress) { clocks = append(clocks, p.Now) }
-	if array {
-		runArray(t, g, rc)
-	} else {
-		runEngine(t, g, rc)
-	}
+	runEngine(t, g, rc)
 	return clocks
 }
 
@@ -307,10 +303,7 @@ func TestMutationMetamorphic(t *testing.T) {
 			assertSkeletonStable(t, rc.PartCfg, g, mg)
 
 			run := func(g *graph.Graph, rc RunConfig) *Result {
-				if tc.boards > 1 {
-					rc.Cfg.Boards = tc.boards
-					return runArray(t, g, rc)
-				}
+				rc.Cfg.Boards = tc.boards
 				return runEngine(t, g, rc)
 			}
 			rebuilt := run(mg, rc)
@@ -369,41 +362,6 @@ func interruptMidStream(t *testing.T, g *graph.Graph, rc RunConfig, nmuts int) *
 	return back
 }
 
-// interruptArrayMidStream is interruptMidStream for arrays; board 0's
-// identity body carries the fleet's mutation cursor.
-func interruptArrayMidStream(t *testing.T, g *graph.Graph, rc RunConfig, nmuts int) *ArraySnapshot {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var captured *ArraySnapshot
-	rc.CheckpointEvery = 64
-	a, err := NewArray(g, rc)
-	if err != nil {
-		t.Fatalf("NewArray: %v", err)
-	}
-	a.SetSnapshotHook(func(s *ArraySnapshot) {
-		if captured == nil && s.Boards[0].MutApplied > 0 && s.Boards[0].MutApplied < nmuts {
-			captured = s
-			cancel()
-		}
-	}, 1)
-	if _, err := a.RunContext(ctx); err == nil {
-		t.Fatal("array run finished without a strictly mid-stream snapshot")
-	}
-	if captured == nil {
-		t.Fatal("no array snapshot landed strictly mid-stream")
-	}
-	data, err := snapshot.Encode("core-array", captured)
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	back := new(ArraySnapshot)
-	if err := snapshot.Decode(data, "core-array", back); err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	return back
-}
-
 // TestMutationMetamorphicResume extends the equivalence across a
 // snapshot -> kill -> resume cut taken strictly mid-stream: the snapshot
 // records a partially applied stream, the resumed engine rebuilds from the
@@ -427,7 +385,7 @@ func TestMutationMetamorphicResume(t *testing.T) {
 			rc.Spec = tc.spec
 			rc.UseAliasSampling = tc.alias
 
-			clocks := probeClocks(t, g, rc, false) // mutation-free run scales the timestamps
+			clocks := probeClocks(t, g, rc) // mutation-free run scales the timestamps
 			ms0 := mutStream(edges, tc.weighted)
 			ms := timedStream(ms0, midStreamTimes(t, len(ms0), clocks))
 			rc.Mutations = ms
@@ -441,9 +399,9 @@ func TestMutationMetamorphicResume(t *testing.T) {
 			if snap.MutApplied <= 0 || snap.MutApplied >= len(ms) {
 				t.Fatalf("snapshot cursor %d not strictly inside the %d-mutation stream", snap.MutApplied, len(ms))
 			}
-			res, err := ResumeContext(context.Background(), g, snap, ResumeOptions{})
+			res, err := resumeContext(context.Background(), g, snap, ResumeOptions{})
 			if err != nil {
-				t.Fatalf("ResumeContext: %v", err)
+				t.Fatalf("resume: %v", err)
 			}
 			if res.MutationsApplied != uint64(len(ms)) {
 				t.Fatalf("resumed run applied %d of %d mutations", res.MutationsApplied, len(ms))
@@ -473,7 +431,7 @@ func TestArrayMutationOutcomeEquality(t *testing.T) {
 	for _, nb := range []int{1, 2, 4} {
 		rcN := rc
 		rcN.Cfg.Boards = nb
-		res := runArray(t, g, rcN)
+		res := runEngine(t, g, rcN)
 		if res.MutationsApplied != uint64(len(ms)) {
 			t.Fatalf("%d boards applied %d of %d mutations", nb, res.MutationsApplied, len(ms))
 		}
@@ -502,12 +460,12 @@ func TestArrayMutationKillOutcomeEquality(t *testing.T) {
 	rc := mutConfig(false)
 	rc.Cfg.Boards = 3
 	rc.Mutations = ms
-	clean := runArray(t, g, rc)
+	clean := runEngine(t, g, rc)
 
 	kill := rc
 	kill.Cfg.Faults.KillBoard = 1
 	kill.Cfg.Faults.KillBoardAt = clean.Time / 2
-	res := runArray(t, g, kill)
+	res := runEngine(t, g, kill)
 	if res.BoardKills != 1 {
 		t.Fatalf("BoardKills = %d, want 1", res.BoardKills)
 	}
@@ -534,7 +492,7 @@ func TestArrayMutationKillThenResume(t *testing.T) {
 	rc := mutConfig(false)
 	rc.Cfg.Boards = 2
 
-	clocks := probeClocks(t, g, rc, true)
+	clocks := probeClocks(t, g, rc)
 	ms0 := mutStream(edges, false)
 	times := midStreamTimes(t, len(ms0), clocks)
 	rc.Mutations = timedStream(ms0, times)
@@ -543,7 +501,7 @@ func TestArrayMutationKillThenResume(t *testing.T) {
 	// Kill in the middle of the timed span, between the stream's stamps.
 	rc.Cfg.Faults.KillBoardAt = sim.Time((times[2] + times[len(times)-1]) / 2)
 
-	clean := runArray(t, g, rc)
+	clean := runEngine(t, g, rc)
 	if clean.BoardKills != 1 {
 		t.Fatalf("straight run recorded %d kills, want 1", clean.BoardKills)
 	}
@@ -551,10 +509,10 @@ func TestArrayMutationKillThenResume(t *testing.T) {
 		t.Fatalf("straight run applied %d of %d mutations", clean.MutationsApplied, len(ms))
 	}
 
-	snap := interruptArrayMidStream(t, g, rc, len(ms))
-	res, err := ResumeArrayContext(context.Background(), g, snap, ArrayResumeOptions{})
+	snap := interruptMidStream(t, g, rc, len(ms))
+	res, err := resumeContext(context.Background(), g, snap, ResumeOptions{})
 	if err != nil {
-		t.Fatalf("ResumeArrayContext: %v", err)
+		t.Fatalf("resume: %v", err)
 	}
 	if res.BoardKills != 1 {
 		t.Fatalf("resumed run recorded %d kills, want 1", res.BoardKills)

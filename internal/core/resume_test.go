@@ -36,6 +36,13 @@ func resumeFaultConfig() fault.Config {
 // whole state image survives serialization, not just in-process copying).
 func interruptCore(t *testing.T, g *graph.Graph, rc RunConfig, snapshotAt int) *Snapshot {
 	t.Helper()
+	return interruptWhen(t, g, rc, snapshotAt, nil)
+}
+
+// interruptWhen is interruptCore counting only the snapshots satisfying
+// want (nil accepts every snapshot).
+func interruptWhen(t *testing.T, g *graph.Graph, rc RunConfig, snapshotAt int, want func(*Snapshot) bool) *Snapshot {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var captured *Snapshot
@@ -43,6 +50,9 @@ func interruptCore(t *testing.T, g *graph.Graph, rc RunConfig, snapshotAt int) *
 	rc.CheckpointEvery = 64
 	rc.SnapshotEvery = 1
 	rc.OnSnapshot = func(s *Snapshot) {
+		if want != nil && !want(s) {
+			return
+		}
 		count++
 		if count == snapshotAt {
 			captured = s
@@ -54,10 +64,10 @@ func interruptCore(t *testing.T, g *graph.Graph, rc RunConfig, snapshotAt int) *
 		t.Fatalf("NewEngine: %v", err)
 	}
 	if _, err := e.RunContext(ctx); err == nil {
-		t.Fatalf("run finished after only %d snapshots; interrupt never landed", count)
+		t.Fatalf("run finished after only %d matching snapshots; interrupt never landed", count)
 	}
 	if captured == nil {
-		t.Fatalf("run ended with %d snapshots, wanted %d", count, snapshotAt)
+		t.Fatalf("run ended with %d matching snapshots, wanted %d", count, snapshotAt)
 	}
 	data, err := snapshot.Encode("core-engine", captured)
 	if err != nil {
@@ -70,20 +80,35 @@ func interruptCore(t *testing.T, g *graph.Graph, rc RunConfig, snapshotAt int) *
 	return back
 }
 
-// interruptCoreChain is interruptCore's multi-cut sibling: it runs rc,
-// retains the first `cuts` consecutive snapshots, and cancels the run at
-// the last one. The raw snapshots come back un-serialized — the delta
-// chain tests round-trip them through containers themselves.
-func interruptCoreChain(t *testing.T, g *graph.Graph, rc RunConfig, cuts int) []*Snapshot {
+// resumeContext is ResumeEngine followed by RunContext.
+func resumeContext(ctx context.Context, g *graph.Graph, snap *Snapshot, opts ResumeOptions) (*Result, error) {
+	e, err := ResumeEngine(g, snap, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.RunContext(ctx)
+}
+
+// interruptCoreChain is interruptCore's multi-cut sibling: it runs rc and
+// cancels at the first cut, at least `cuts` deep, that satisfies last (nil
+// accepts any), returning the final `cuts` consecutive snapshots. The raw
+// snapshots come back un-serialized — the delta chain tests round-trip
+// them through containers themselves.
+func interruptCoreChain(t *testing.T, g *graph.Graph, rc RunConfig, cuts int, last func(*Snapshot) bool) []*Snapshot {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var snaps []*Snapshot
+	done := false
 	rc.CheckpointEvery = 64
 	rc.SnapshotEvery = 1
 	rc.OnSnapshot = func(s *Snapshot) {
+		if done {
+			return
+		}
 		snaps = append(snaps, s)
-		if len(snaps) == cuts {
+		if len(snaps) >= cuts && (last == nil || last(s)) {
+			done = true
 			cancel()
 		}
 	}
@@ -92,12 +117,21 @@ func interruptCoreChain(t *testing.T, g *graph.Graph, rc RunConfig, cuts int) []
 		t.Fatalf("NewEngine: %v", err)
 	}
 	if _, err := e.RunContext(ctx); err == nil {
-		t.Fatalf("run finished after only %d snapshots; interrupt never landed", len(snaps))
+		t.Fatalf("run finished after %d snapshots; interrupt never landed", len(snaps))
 	}
-	if len(snaps) < cuts {
-		t.Fatalf("run ended with %d snapshots, wanted %d", len(snaps), cuts)
+	if !done {
+		t.Fatalf("run ended with %d snapshots and no qualifying cut", len(snaps))
 	}
-	return snaps[:cuts]
+	return snaps[len(snaps)-cuts:]
+}
+
+// dirtyStores counts the store entries a delta carries, across boards.
+func dirtyStores(d *SnapshotDelta) int {
+	n := 0
+	for _, sd := range d.Stores {
+		n += len(sd.Blocks) + len(sd.Parts)
+	}
+	return n
 }
 
 // resumeFromDeltaChain is the storage-layer delta path end to end: take
@@ -106,9 +140,9 @@ func interruptCoreChain(t *testing.T, g *graph.Graph, rc RunConfig, cuts int) []
 // seal, push the whole chain through an HTTP object store (the package's
 // own httptest-served Handler), read it back verifying every link, apply
 // the deltas, and resume from the reconstructed image.
-func resumeFromDeltaChain(t *testing.T, g *graph.Graph, rc RunConfig, cuts int) *Result {
+func resumeFromDeltaChain(t *testing.T, g *graph.Graph, rc RunConfig, cuts int, last func(*Snapshot) bool) *Result {
 	t.Helper()
-	snaps := interruptCoreChain(t, g, rc, cuts)
+	snaps := interruptCoreChain(t, g, rc, cuts, last)
 
 	ts := httptest.NewServer(blob.Handler(blob.NewMem()))
 	defer ts.Close()
@@ -136,7 +170,7 @@ func resumeFromDeltaChain(t *testing.T, g *graph.Graph, rc RunConfig, cuts int) 
 	}
 	for i := 1; i < len(snaps); i++ {
 		d := DiffSnapshot(snaps[i-1], snaps[i], sha, i)
-		if len(d.Blocks) == 0 && len(d.Parts) == 0 {
+		if dirtyStores(d) == 0 {
 			t.Fatalf("cut %d dirtied no stores; the chain test is vacuous", i)
 		}
 		dd, err := snapshot.Encode("core-delta", d)
@@ -182,9 +216,9 @@ func resumeFromDeltaChain(t *testing.T, g *graph.Graph, rc RunConfig, cuts int) 
 			t.Fatal(err)
 		}
 	}
-	res, err := ResumeContext(context.Background(), g, cur, ResumeOptions{})
+	res, err := resumeContext(context.Background(), g, cur, ResumeOptions{})
 	if err != nil {
-		t.Fatalf("ResumeContext from delta chain: %v", err)
+		t.Fatalf("resume from delta chain: %v", err)
 	}
 	return res
 }
@@ -216,9 +250,9 @@ func TestResumeMetamorphic(t *testing.T) {
 			clean := runEngine(t, g, rc)
 
 			snap := interruptCore(t, g, rc, 3)
-			res, err := ResumeContext(context.Background(), g, snap, ResumeOptions{})
+			res, err := resumeContext(context.Background(), g, snap, ResumeOptions{})
 			if err != nil {
-				t.Fatalf("ResumeContext: %v", err)
+				t.Fatalf("resume: %v", err)
 			}
 			if got, want := digestResult(res), digestResult(clean); got != want {
 				t.Fatalf("resumed run diverged from uninterrupted run:\n got %s\nwant %s", got, want)
@@ -232,7 +266,7 @@ func TestResumeMetamorphic(t *testing.T) {
 				}
 			}
 
-			chainRes := resumeFromDeltaChain(t, g, rc, 4)
+			chainRes := resumeFromDeltaChain(t, g, rc, 4, nil)
 			if got, want := digestResult(chainRes), digestResult(clean); got != want {
 				t.Fatalf("delta-chain resume diverged from uninterrupted run:\n got %s\nwant %s", got, want)
 			}
@@ -281,9 +315,9 @@ func TestResumeChained(t *testing.T) {
 		t.Fatalf("second leg took %d snapshots, wanted 2", count)
 	}
 
-	res, err := ResumeContext(context.Background(), g, second, ResumeOptions{})
+	res, err := resumeContext(context.Background(), g, second, ResumeOptions{})
 	if err != nil {
-		t.Fatalf("final ResumeContext: %v", err)
+		t.Fatalf("final resume: %v", err)
 	}
 	if got, want := digestResult(res), digestResult(clean); got != want {
 		t.Fatalf("twice-resumed run diverged:\n got %s\nwant %s", got, want)

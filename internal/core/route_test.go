@@ -15,12 +15,13 @@ import (
 
 // newRouteEngine builds an engine and pretends partition 0 is active, the
 // state classify sees mid-run.
-func newRouteEngine(t *testing.T, g *graph.Graph, rc RunConfig) *Engine {
+func newRouteEngine(t *testing.T, g *graph.Graph, rc RunConfig) *boardEngine {
 	t.Helper()
-	e, err := NewEngine(g, rc)
+	x, err := NewEngine(g, rc)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
+	e := x.boards[0]
 	e.curPart = 0
 	return e
 }
@@ -35,7 +36,7 @@ func routeWalk(v graph.VertexID) wstate {
 
 // firstNonDense returns the first non-dense block of partition p and a
 // vertex stored in it.
-func firstNonDense(t *testing.T, e *Engine, p int) (blockID int, v graph.VertexID) {
+func firstNonDense(t *testing.T, e *boardEngine, p int) (blockID int, v graph.VertexID) {
 	t.Helper()
 	first, last := e.part.PartitionSpan(p)
 	for b := first; b <= last; b++ {
@@ -56,17 +57,17 @@ func TestClassifyDecisions(t *testing.T) {
 		name string
 		opts Options
 		// prep returns the walk to classify, possibly after warming caches.
-		prep  func(t *testing.T, e *Engine) wstate
-		check func(t *testing.T, e *Engine, d routeDecision)
+		prep  func(t *testing.T, e *boardEngine) wstate
+		check func(t *testing.T, e *boardEngine, d routeDecision)
 	}{
 		{
 			name: "binary search without walk query",
 			opts: Options{},
-			prep: func(t *testing.T, e *Engine) wstate {
+			prep: func(t *testing.T, e *boardEngine) wstate {
 				_, v := firstNonDense(t, e, 0)
 				return routeWalk(v)
 			},
-			check: func(t *testing.T, e *Engine, d routeDecision) {
+			check: func(t *testing.T, e *boardEngine, d routeDecision) {
 				blk, _ := firstNonDense(t, e, 0)
 				if d.blockID != blk {
 					t.Fatalf("blockID = %d, want %d", d.blockID, blk)
@@ -85,11 +86,11 @@ func TestClassifyDecisions(t *testing.T) {
 		{
 			name: "query cache miss falls back to search",
 			opts: Options{WalkQuery: true},
-			prep: func(t *testing.T, e *Engine) wstate {
+			prep: func(t *testing.T, e *boardEngine) wstate {
 				_, v := firstNonDense(t, e, 0)
 				return routeWalk(v)
 			},
-			check: func(t *testing.T, e *Engine, d routeDecision) {
+			check: func(t *testing.T, e *boardEngine, d routeDecision) {
 				if e.res.QueryCacheMisses != 1 || e.res.QueryCacheHits != 0 {
 					t.Fatalf("hits=%d misses=%d, want cold miss", e.res.QueryCacheHits, e.res.QueryCacheMisses)
 				}
@@ -104,7 +105,7 @@ func TestClassifyDecisions(t *testing.T) {
 		{
 			name: "query cache hit skips the table",
 			opts: Options{WalkQuery: true},
-			prep: func(t *testing.T, e *Engine) wstate {
+			prep: func(t *testing.T, e *boardEngine) wstate {
 				_, v := firstNonDense(t, e, 0)
 				// The board rotates round-robin over its caches; one miss per
 				// cache fills them all, so the next classify must hit.
@@ -113,7 +114,7 @@ func TestClassifyDecisions(t *testing.T) {
 				}
 				return routeWalk(v)
 			},
-			check: func(t *testing.T, e *Engine, d routeDecision) {
+			check: func(t *testing.T, e *boardEngine, d routeDecision) {
 				if e.res.QueryCacheHits != 1 {
 					t.Fatalf("hits = %d after warming every cache", e.res.QueryCacheHits)
 				}
@@ -128,14 +129,14 @@ func TestClassifyDecisions(t *testing.T) {
 		{
 			name: "foreigner resolves its destination partition",
 			opts: Options{},
-			prep: func(t *testing.T, e *Engine) wstate {
+			prep: func(t *testing.T, e *boardEngine) wstate {
 				if e.part.NumPartitions < 2 {
 					t.Skip("graph fits one partition")
 				}
 				_, v := firstNonDense(t, e, 1)
 				return routeWalk(v)
 			},
-			check: func(t *testing.T, e *Engine, d routeDecision) {
+			check: func(t *testing.T, e *boardEngine, d routeDecision) {
 				if d.blockID != -1 {
 					t.Fatalf("foreigner got local block %d", d.blockID)
 				}
@@ -147,7 +148,7 @@ func TestClassifyDecisions(t *testing.T) {
 		{
 			name: "range tag restricts the search to the right block",
 			opts: Options{},
-			prep: func(t *testing.T, e *Engine) wstate {
+			prep: func(t *testing.T, e *boardEngine) wstate {
 				blk, v := firstNonDense(t, e, 0)
 				st := routeWalk(v)
 				for _, r := range e.part.Ranges {
@@ -161,7 +162,7 @@ func TestClassifyDecisions(t *testing.T) {
 				}
 				return st
 			},
-			check: func(t *testing.T, e *Engine, d routeDecision) {
+			check: func(t *testing.T, e *boardEngine, d routeDecision) {
 				if blk, _ := firstNonDense(t, e, 0); d.blockID != blk {
 					t.Fatalf("tagged search found block %d, want %d", d.blockID, blk)
 				}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"flashwalker/internal/flash"
 	"flashwalker/internal/trace"
 	"flashwalker/internal/walk"
@@ -10,38 +8,32 @@ import (
 
 // This file is the engine-side walk routing support shared by the tiers —
 // the foreigner path (demotion, buffer flush, read-back debt) — and the
-// walk-conservation audit that proves no walk is lost or duplicated while
-// moving between stores.
+// per-board store counts the driver's walk-conservation audit sums.
 
 // demoteWalk moves a foreigner out of the current partition: the walk
 // lands in the board's foreigner buffer (tracked as the tail of
 // pendingMem[p]); if the buffer fills, every buffered foreigner is flushed
-// to flash (§III-C/D).
-func (e *Engine) demoteWalk(p int, st wstate) {
+// to flash (§III-C/D). A destination partition on another board's shard is
+// serialized over the inter-board fabric instead.
+func (e *boardEngine) demoteWalk(p int, st wstate) {
 	// Only the range tag is partition-relative; the dense pre-walk decision
 	// (denseBlock/denseEdge) is globally valid and already consumed a draw
 	// from the walk's RNG stream, so it must survive demotion — clearing it
 	// would make the walk re-draw when its partition starts, desyncing the
 	// stream between runs whose demotion timing differs.
 	st.rangeTag = -1
-	if e.arr != nil && e.arr.shard.BoardOf(p) != e.boardID {
-		// The destination partition lives on another board's shard: the
-		// walk is serialized over the inter-board fabric instead of parked
-		// in the local foreigner buffer.
-		e.res.ForeignerWalks++
-		e.arr.sendForeigner(e, p, st)
-		e.activeCur--
-		e.checkPartitionDone()
-		return
-	}
-	if e.pendingMem[p] == nil {
-		e.pendingMem[p] = e.getWalkBuf()
-	}
-	e.pendingMem[p] = append(e.pendingMem[p], st)
-	e.foreignerBufBytes += walk.StateBytes
 	e.res.ForeignerWalks++
-	if e.foreignerBufBytes >= e.cfg.ForeignerBufBytes {
-		e.flushForeigners()
+	if e.drv.shard.BoardOf(p) != e.boardID {
+		e.drv.sendForeigner(e, p, st)
+	} else {
+		if e.pendingMem[p] == nil {
+			e.pendingMem[p] = e.getWalkBuf()
+		}
+		e.pendingMem[p] = append(e.pendingMem[p], st)
+		e.foreignerBufBytes += walk.StateBytes
+		if e.foreignerBufBytes >= e.cfg.ForeignerBufBytes {
+			e.flushForeigners()
+		}
 	}
 	e.activeCur--
 	e.checkPartitionDone()
@@ -49,7 +41,7 @@ func (e *Engine) demoteWalk(p int, st wstate) {
 
 // flushForeigners writes every foreigner-buffer resident to flash and
 // records the read-back debt per destination partition.
-func (e *Engine) flushForeigners() {
+func (e *boardEngine) flushForeigners() {
 	var totalBytes int64
 	for p := range e.pendingMem {
 		tail := e.pendingMem[p][e.flushMark[p]:]
@@ -74,7 +66,7 @@ func (e *Engine) flushForeigners() {
 }
 
 // flushChip picks the next chip for board-side flash writes (round-robin).
-func (e *Engine) flushChip() *flash.Chip {
+func (e *boardEngine) flushChip() *flash.Chip {
 	c := e.ssd.Chip(e.flushChipRR)
 	e.flushChipRR = (e.flushChipRR + 1) % e.ssd.NumChips()
 	return c
@@ -82,34 +74,13 @@ func (e *Engine) flushChip() *flash.Chip {
 
 // inCurrentPartition reports whether block b belongs to the active
 // partition.
-func (e *Engine) inCurrentPartition(b int) bool {
+func (e *boardEngine) inCurrentPartition(b int) bool {
 	return e.part.PartitionOf(b) == e.curPart
 }
 
-// auditConservation verifies that every started walk is accounted for:
-// finished + in pending stores + active in the current partition. Called
-// between partitions (activeCur == 0, so nothing is in flight).
-func (e *Engine) auditConservation(where string) {
-	if !e.audit || e.failure != nil {
-		return
-	}
-	if e.arr != nil {
-		// Per-board conservation does not hold once walks migrate; the
-		// array audits the fleet-wide sum (boards + fabric) instead.
-		e.arr.auditConservation(where)
-		return
-	}
-	stored := e.storedWalks()
-	finished := e.res.Completed + e.res.DeadEnded
-	if got := stored + finished + e.activeCur - e.activeCurStoredOverlap(); got != e.res.Started {
-		e.fail(fmt.Errorf("core: audit(%s): %d stored + %d finished + %d active != %d started",
-			where, stored, finished, e.activeCur, e.res.Started))
-	}
-}
-
 // storedWalks counts every walk parked in this board's stores (pending
-// lists plus per-block buffers); the array's fleet-wide audit sums it.
-func (e *Engine) storedWalks() int {
+// lists plus per-block buffers).
+func (e *boardEngine) storedWalks() int {
 	stored := 0
 	for p := range e.pendingMem {
 		stored += len(e.pendingMem[p]) + len(e.pendingFlash[p])
@@ -123,7 +94,7 @@ func (e *Engine) storedWalks() int {
 // activeCurStoredOverlap counts walks that are both active and sitting in
 // a per-block store of the current partition (pwb/fls double-count
 // against activeCur in the audit sum).
-func (e *Engine) activeCurStoredOverlap() int {
+func (e *boardEngine) activeCurStoredOverlap() int {
 	if e.curPart < 0 {
 		return 0
 	}

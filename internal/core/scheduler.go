@@ -10,7 +10,7 @@ import "flashwalker/internal/trace"
 // blockScore computes the Eq. 1 critical degree for block b. With
 // SmartSchedule disabled it degrades to the walk count (GraphWalker-style
 // most-walks-first).
-func (e *Engine) blockScore(b int) float64 {
+func (e *boardEngine) blockScore(b int) float64 {
 	pwb := float64(len(e.pwb[b]))
 	fl := float64(len(e.fls[b]))
 	if !e.cfg.Opts.SmartSchedule {
@@ -24,7 +24,7 @@ func (e *Engine) blockScore(b int) float64 {
 }
 
 // refreshScore recomputes block b's cached score.
-func (e *Engine) refreshScore(b int) {
+func (e *boardEngine) refreshScore(b int) {
 	e.score[b] = e.blockScore(b)
 	e.scorePend[b] = 0
 }
@@ -32,7 +32,7 @@ func (e *Engine) refreshScore(b int) {
 // insertPWB places a walk into the partition walk buffer entry of block b,
 // overflowing the entry to flash when it fills (§III-D). The record is
 // written through the DRAM port.
-func (e *Engine) insertPWB(b int, st wstate) {
+func (e *boardEngine) insertPWB(b int, st wstate) {
 	sz := st.sizeBytes()
 	e.dr.Write(sz, nil)
 	e.pwb[b] = append(e.pwb[b], st)
@@ -51,7 +51,7 @@ func (e *Engine) insertPWB(b int, st wstate) {
 }
 
 // overflowPWB flushes block b's walk buffer entry to flash.
-func (e *Engine) overflowPWB(b int) {
+func (e *boardEngine) overflowPWB(b int) {
 	walks := e.pwb[b]
 	bytes := e.pwbBytes[b]
 	e.pwbBytes[b] = 0

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"flashwalker/internal/dram"
@@ -16,15 +15,17 @@ import (
 
 // This file is the engine's durable checkpoint/restore layer. A Snapshot is
 // a pure-data image of a paused engine taken strictly between simulated
-// events: every walk (with its private RNG stream), every buffer and queue
-// booking, the pooled node/batch/op records the pending events reference,
-// the fault injector's stream position, and the event heap itself.
-// ResumeEngine rebuilds the engine skeleton from the snapshot's identity
-// section (the original RunConfig inputs) and overlays the captured state;
-// because the walk trajectories are timing-independent (per-walk RNG
-// streams) AND the heap restore preserves exact (time, seq) event order,
-// a resumed run's Result is bit-identical to the uninterrupted run — the
-// invariant TestResumeMetamorphic proves against the golden digest.
+// events, for any board count: the run's identity once, the shared event
+// kernel, one body per board — every walk (with its private RNG stream),
+// every buffer and queue booking, the pooled node/batch/op records the
+// pending events reference, the fault injector's stream position — and the
+// inter-board fabric (link bookings, egress batches, in-flight transfers).
+// ResumeEngine rebuilds the engine skeleton from the identity section (the
+// original RunConfig inputs) and overlays the captured state; because the
+// walk trajectories are timing-independent (per-walk RNG streams) AND the
+// kernel restore preserves exact (time, seq) event order, a resumed run's
+// Result is bit-identical to the uninterrupted run — the invariant
+// TestResumeMetamorphic proves against the golden digest.
 //
 // What is NOT captured: closures. Pending sim closure events (At/After) and
 // flash ops with func() completions make the export fail; they only exist
@@ -33,12 +34,13 @@ import (
 // reached. Progress time series and tracers are also not captured — attach
 // neither when snapshotting.
 
-// Event-target IDs for the sim/flash export mapping. Steady-state events
-// target exactly two handlers: the core engine's jump table and the SSD's.
-const (
-	targetEngine int32 = 0
-	targetSSD    int32 = 1
-)
+// Event-target IDs for the kernel and flash export: the driver is 0 (its
+// fabric arrivals and kill events), and board b's engine and SSD are 1+2b
+// and 2+2b.
+const targetDriver int32 = 0
+
+func targetBoard(b int) int32 { return int32(1 + 2*b) }
+func targetSSD(b int) int32   { return int32(2 + 2*b) }
 
 // WalkState is a wstate in serializable form.
 type WalkState struct {
@@ -133,39 +135,12 @@ type BoardState struct {
 	CompletedBytes int64
 }
 
-// Snapshot is the complete serializable state of a paused Engine.
-type Snapshot struct {
-	// Identity: the construction inputs. ResumeEngine rebuilds the engine
-	// skeleton from these and validates the graph against the counts.
-	Cfg              Config
-	FlashCfg         flash.Config
-	DRAMCfg          dram.Config
-	PartCfg          partition.Config
-	Spec             walk.Spec
-	NumWalks         int
-	MaxSimTime       sim.Time
-	TrackVisits      bool
-	Audit            bool
-	UseAliasSampling bool
-	// GraphVertices/GraphEdges are the INITIAL graph's counts (before any
-	// mutations): a resumed run is handed the initial graph and replays
-	// the stream's applied prefix itself.
-	GraphVertices uint64
-	GraphEdges    uint64
-	// Mutations is the run's full mutation stream; MutApplied is how many
-	// of them had been applied when the snapshot was taken. ResumeEngine
-	// re-applies mutations [0, MutApplied) to the initial graph before
-	// overlaying state, and the applier hook resumes from the cursor.
-	Mutations  graph.MutationStream
-	MutApplied int
-
-	// Kernel and device state.
-	Sim      sim.EngineState
+// BoardImage is one board's share of a Snapshot: its devices, walk stores,
+// pooled event records and accelerator tiers.
+type BoardImage struct {
 	Flash    flash.State
 	DRAM     dram.State
 	Injector *fault.State
-
-	RootRNG [4]uint64
 
 	// Per-block walk stores and scheduler state.
 	PWB       [][]WalkState
@@ -194,16 +169,96 @@ type Snapshot struct {
 
 	CurPart   int
 	ActiveCur int
-	Remaining int
 	Finished  bool
 
 	FlushChipRR int
 
 	Chips []ChipState
 	Chans []ChanState
-	Board BoardState
+	Board BoardState // the board-level accelerator
 
 	Res Result
+}
+
+// FabricWalkState is one in-flight fabric walk in serializable form.
+type FabricWalkState struct {
+	St WalkState
+	P  int32
+}
+
+// EgressState is one (source, destination) egress batch being accumulated.
+type EgressState struct {
+	Walks []FabricWalkState
+	Bytes int64
+}
+
+// FabricBatchState is one pooled fabric transfer record (live or free).
+type FabricBatchState struct {
+	Walks []FabricWalkState
+	Dst   int32
+	Free  int32
+}
+
+// Snapshot is the complete serializable state of a paused Engine.
+type Snapshot struct {
+	// Identity: the construction inputs. ResumeEngine rebuilds the engine
+	// skeleton from these and validates the graph against the counts.
+	Cfg              Config
+	FlashCfg         flash.Config
+	DRAMCfg          dram.Config
+	PartCfg          partition.Config
+	Spec             walk.Spec
+	NumWalks         int
+	MaxSimTime       sim.Time
+	TrackVisits      bool
+	Audit            bool
+	UseAliasSampling bool
+	// GraphVertices/GraphEdges are the INITIAL graph's counts (before any
+	// mutations): a resumed run is handed the initial graph and replays
+	// the stream's applied prefix itself.
+	GraphVertices uint64
+	GraphEdges    uint64
+	// Mutations is the run's full mutation stream; MutApplied is how many
+	// of them had been applied when the snapshot was taken. ResumeEngine
+	// re-applies mutations [0, MutApplied) to the initial graph before
+	// overlaying state, and the applier hook resumes from the cursor.
+	Mutations  graph.MutationStream
+	MutApplied int
+
+	// Sim is the shared event kernel; RootRNG the run seed's stream, from
+	// which every walk's private stream was derived.
+	Sim     sim.EngineState
+	RootRNG [4]uint64
+
+	// Boards holds one body per board, indexed by board.
+	Boards []BoardImage
+
+	// Fabric state: shard ownership, device liveness, per-link bookings,
+	// egress batches, the pooled in-flight transfers pending events
+	// reference by index, and the run-wide walk counts.
+	Owners    []int32
+	Dead      []bool
+	FabricQ   []sim.QueueState
+	Egress    [][]EgressState
+	FBatches  []FabricBatchState
+	FreeFB    int32
+	InFabric  int
+	Remaining int
+
+	FabricWalks   uint64
+	FabricBatches uint64
+	FabricBytes   int64
+	Evacuated     uint64
+	Kills         uint64
+}
+
+// WalksFinished reports the walks finished on every board at the cut.
+func (s *Snapshot) WalksFinished() int {
+	n := 0
+	for i := range s.Boards {
+		n += s.Boards[i].Res.WalksFinished()
+	}
+	return n
 }
 
 // --- Conversions. ---
@@ -238,6 +293,28 @@ func walksIn(ws []WalkState) []wstate {
 	out := make([]wstate, len(ws))
 	for i := range ws {
 		out[i] = wsIn(ws[i])
+	}
+	return out
+}
+
+func fwOut(ws []fabricWalk) []FabricWalkState {
+	if ws == nil {
+		return nil
+	}
+	out := make([]FabricWalkState, len(ws))
+	for i := range ws {
+		out[i] = FabricWalkState{St: wsOut(&ws[i].st), P: ws[i].p}
+	}
+	return out
+}
+
+func fwIn(ws []FabricWalkState) []fabricWalk {
+	if len(ws) == 0 {
+		return nil
+	}
+	out := make([]fabricWalk, len(ws))
+	for i := range ws {
+		out[i] = fabricWalk{st: wsIn(ws[i].St), p: ws[i].P}
 	}
 	return out
 }
@@ -292,30 +369,79 @@ func tierIn(t *tierCommon, st TierState, what string) error {
 
 // --- Export. ---
 
-// Snapshot captures the engine's complete state. It is safe to call
-// strictly between simulated events: from the RunConfig.OnSnapshot hook,
-// before RunContext, or after a halted (canceled) RunContext. It fails
-// while setup closures are still draining (the time-0 hot-subgraph
-// preload), when a tracer or progress time series is attached, or after a
+// buildSnapshot captures the engine's complete state. It is safe only
+// strictly between simulated events (the checkpoint hook), and fails while
+// setup closures are still draining (the time-0 hot-subgraph preload),
+// when a tracer or progress time series is attached, or after a
 // simulation failure.
-func (e *Engine) Snapshot() (*Snapshot, error) {
-	return e.buildSnapshot()
-}
-
 func (e *Engine) buildSnapshot() (*Snapshot, error) {
+	if e.failure != nil {
+		return nil, fmt.Errorf("core: cannot snapshot a failed run: %w", e.failure)
+	}
 	targetID := func(h sim.Handler) (int32, error) {
-		switch h {
-		case sim.Handler(e):
-			return targetEngine, nil
-		case sim.Handler(e.ssd):
-			return targetSSD, nil
+		if h == sim.Handler(e) {
+			return targetDriver, nil
+		}
+		for b, be := range e.boards {
+			switch h {
+			case sim.Handler(be):
+				return targetBoard(b), nil
+			case sim.Handler(be.ssd):
+				return targetSSD(b), nil
+			}
 		}
 		return 0, fmt.Errorf("unknown event target %T", h)
 	}
-	s, err := e.buildSnapshotBody(targetID)
-	if err != nil {
-		return nil, err
+	b0 := e.boards[0]
+	s := &Snapshot{
+		Cfg:              e.cfg,
+		FlashCfg:         b0.ssd.Cfg,
+		DRAMCfg:          b0.dr.Cfg,
+		PartCfg:          e.part.Cfg,
+		Spec:             b0.spec,
+		NumWalks:         e.numStarted,
+		MaxSimTime:       e.maxSimTime,
+		TrackVisits:      b0.res.Visits != nil,
+		Audit:            e.audit,
+		UseAliasSampling: b0.alias != nil,
+		GraphVertices:    e.initVertices,
+		GraphEdges:       e.initEdges,
+		Mutations:        e.muts,
+		MutApplied:       e.mutCursor,
+
+		RootRNG: e.rootRNG.State(),
+		Boards:  make([]BoardImage, len(e.boards)),
+
+		Owners:    e.shard.Owners(),
+		Dead:      append([]bool(nil), e.dead...),
+		FreeFB:    e.freeFB,
+		InFabric:  e.inFabric,
+		Remaining: e.remaining,
+
+		FabricWalks:   e.fabricWalks,
+		FabricBatches: e.fabricBatchCnt,
+		FabricBytes:   e.fabricBytes,
+		Evacuated:     e.evacuated,
+		Kills:         e.kills,
 	}
+	for b, be := range e.boards {
+		if err := be.image(&s.Boards[b], targetID); err != nil {
+			return nil, fmt.Errorf("core: snapshot board %d: %w", b, err)
+		}
+		s.FabricQ = append(s.FabricQ, e.fabric[b].State())
+		row := make([]EgressState, len(e.egress[b]))
+		for dst, eb := range e.egress[b] {
+			row[dst] = EgressState{Walks: fwOut(eb.walks), Bytes: eb.bytes}
+		}
+		s.Egress = append(s.Egress, row)
+	}
+	s.FBatches = make([]FabricBatchState, len(e.fbatches))
+	for i, fb := range e.fbatches {
+		s.FBatches[i] = FabricBatchState{Walks: fwOut(fb.walks), Dst: fb.dst, Free: fb.free}
+	}
+	// The kernel export goes last: it fails while setup closures (the
+	// hot-subgraph preloads) are still pending, which is also the signal
+	// the checkpoint hook uses to retry later.
 	simState, err := e.eng.ExportState(targetID)
 	if err != nil {
 		return nil, err
@@ -324,46 +450,24 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 	return s, nil
 }
 
-// buildSnapshotBody captures everything except the event kernel, whose
-// export the caller owns: the single-board path exports it with the
-// two-target mapping above, while the array exports the shared kernel once
-// for all boards with a fleet-wide mapping. targetID is also used for the
-// flash export (typed op completions reference engine/SSD targets).
-func (e *Engine) buildSnapshotBody(targetID func(sim.Handler) (int32, error)) (*Snapshot, error) {
-	if e.failure != nil {
-		return nil, fmt.Errorf("core: cannot snapshot a failed run: %w", e.failure)
-	}
+// image captures one board's body into s; the caller exports the shared
+// kernel. targetID also maps flash op completions, which reference engine
+// and SSD targets.
+func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, error)) error {
 	if e.tracer != nil {
-		return nil, fmt.Errorf("core: cannot snapshot with a tracer attached")
+		return fmt.Errorf("core: cannot snapshot with a tracer attached")
 	}
 	if e.res.ProgressTS != nil || e.ssd.ReadTS != nil {
-		return nil, fmt.Errorf("core: cannot snapshot with progress time series attached")
+		return fmt.Errorf("core: cannot snapshot with progress time series attached")
 	}
 	flashState, err := e.ssd.ExportState(targetID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	s := &Snapshot{
-		Cfg:              e.cfg,
-		FlashCfg:         e.ssd.Cfg,
-		DRAMCfg:          e.dr.Cfg,
-		PartCfg:          e.part.Cfg,
-		Spec:             e.spec,
-		NumWalks:         e.res.Started,
-		MaxSimTime:       e.maxSimTime,
-		TrackVisits:      e.res.Visits != nil,
-		Audit:            e.audit,
-		UseAliasSampling: e.alias != nil,
-		GraphVertices:    e.initVertices,
-		GraphEdges:       e.initEdges,
-		Mutations:        e.muts,
-		MutApplied:       e.mutCursor,
-
+	*s = BoardImage{
 		Flash: flashState,
 		DRAM:  e.dr.State(),
-
-		RootRNG: e.rootRNG.State(),
 
 		PWBBytes:  append([]int64(nil), e.pwbBytes...),
 		FLSPages:  append([]int(nil), e.flsPages...),
@@ -382,7 +486,6 @@ func (e *Engine) buildSnapshotBody(targetID func(sim.Handler) (int32, error)) (*
 
 		CurPart:   e.curPart,
 		ActiveCur: e.activeCur,
-		Remaining: e.remaining,
 		Finished:  e.finished,
 
 		FlushChipRR: e.flushChipRR,
@@ -469,7 +572,7 @@ func (e *Engine) buildSnapshotBody(targetID func(sim.Handler) (int32, error)) (*
 		bs.Caches[i] = c
 	}
 	s.Board = bs
-	return s, nil
+	return nil
 }
 
 // --- Restore. ---
@@ -494,8 +597,9 @@ type ResumeOptions struct {
 
 // ResumeEngine rebuilds an engine from a snapshot over the same graph. The
 // resumed engine continues the interrupted run exactly: same clock, same
-// pending events, same walk and fault RNG positions, so its final Result is
-// bit-identical to the run the snapshot was taken from.
+// pending events (fabric transfers and a scheduled kill included), same
+// walk and fault RNG positions, so its final Result is bit-identical to the
+// run the snapshot was taken from.
 func ResumeEngine(g *graph.Graph, snap *Snapshot, opts ResumeOptions) (*Engine, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: nil snapshot: %w", errs.ErrInvalidConfig)
@@ -524,28 +628,29 @@ func ResumeEngine(g *graph.Graph, snap *Snapshot, opts ResumeOptions) (*Engine, 
 	return e, nil
 }
 
-// ResumeContext is ResumeEngine followed by RunContext: it resumes the
-// snapshotted run and drives it to completion (or cancellation).
-func ResumeContext(ctx context.Context, g *graph.Graph, snap *Snapshot, opts ResumeOptions) (*Result, error) {
-	e, err := ResumeEngine(g, snap, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunContext(ctx)
-}
-
 // restore overlays the snapshot's state onto a freshly built skeleton.
 func (e *Engine) restore(snap *Snapshot) error {
-	// Kernel: pending events reference node/batch/op records by index, so
+	nb := len(e.boards)
+	switch {
+	case len(snap.Boards) != nb:
+		return fmt.Errorf("core: resume: snapshot has %d boards, config has %d", len(snap.Boards), nb)
+	case len(snap.FabricQ) != nb, len(snap.Egress) != nb, len(snap.Dead) != nb:
+		return fmt.Errorf("core: resume: snapshot fabric state sized for %d boards, config has %d", len(snap.FabricQ), nb)
+	}
+	// Pending events reference node/batch/op/fabric records by index, so
 	// the pools restored below must land in the exact same layout.
 	target := func(id int32) (sim.Handler, error) {
-		switch id {
-		case targetEngine:
+		if id == targetDriver {
 			return e, nil
-		case targetSSD:
-			return e.ssd, nil
 		}
-		return nil, fmt.Errorf("unknown target id %d", id)
+		b := int(id-1) / 2
+		if id < 0 || b >= nb {
+			return nil, fmt.Errorf("unknown target id %d", id)
+		}
+		if (id-1)%2 == 0 {
+			return e.boards[b], nil
+		}
+		return e.boards[b].ssd, nil
 	}
 	if err := e.eng.ImportState(snap.Sim, target); err != nil {
 		return err
@@ -553,8 +658,8 @@ func (e *Engine) restore(snap *Snapshot) error {
 	// Replay the mutations the original run had applied beyond the At == 0
 	// prefix (which construction already applied). Incremental apply is
 	// rebuild-equivalent, so the graph and every derived index land in the
-	// exact state the snapshot saw. Runs before the res overlay below, so
-	// attribution counters come from the snapshot, not the replay.
+	// exact state the snapshot saw. Runs before the per-board res overlay,
+	// so attribution counters come from the snapshot, not the replay.
 	if snap.MutApplied < e.mutCursor || snap.MutApplied > len(e.muts) {
 		return fmt.Errorf("core: resume: snapshot applied %d of %d mutations (prefix %d)",
 			snap.MutApplied, len(e.muts), e.mutCursor)
@@ -565,13 +670,51 @@ func (e *Engine) restore(snap *Snapshot) error {
 		}
 		e.mutCursor++
 	}
-	return e.restoreBody(snap, target)
+	for b, be := range e.boards {
+		if err := be.restore(&snap.Boards[b], target); err != nil {
+			return fmt.Errorf("core: resume board %d: %w", b, err)
+		}
+		e.fabric[b].Restore(snap.FabricQ[b])
+		if len(snap.Egress[b]) != nb {
+			return fmt.Errorf("core: resume: egress row %d has %d entries, want %d", b, len(snap.Egress[b]), nb)
+		}
+		for dst, es := range snap.Egress[b] {
+			e.egress[b][dst] = egressBuf{walks: fwIn(es.Walks), bytes: es.Bytes}
+		}
+	}
+	if err := e.shard.SetOwners(snap.Owners); err != nil {
+		return fmt.Errorf("core: resume: %w", err)
+	}
+	copy(e.dead, snap.Dead)
+	e.fbatches = make([]fabricBatch, len(snap.FBatches))
+	for i, fb := range snap.FBatches {
+		e.fbatches[i] = fabricBatch{walks: fwIn(fb.Walks), dst: fb.Dst, free: fb.Free}
+	}
+	e.freeFB = snap.FreeFB
+	e.inFabric = snap.InFabric
+	e.remaining = snap.Remaining
+	e.numStarted = snap.NumWalks
+	e.rootRNG.SetState(snap.RootRNG)
+	e.fabricWalks = snap.FabricWalks
+	e.fabricBatchCnt = snap.FabricBatches
+	e.fabricBytes = snap.FabricBytes
+	e.evacuated = snap.Evacuated
+	e.kills = snap.Kills
+	// The launch work (preload, ticks, first partitions, a scheduled kill)
+	// already happened in the original run; its events are in the restored
+	// heap.
+	e.launched = true
+	e.lastSnap = e.eng.Processed()
+	// The finish sequence continues from the restored finished counts: the
+	// export flushed every record below that total before the snapshot was
+	// delivered.
+	e.finSeq = uint64(snap.WalksFinished())
+	return nil
 }
 
-// restoreBody overlays everything except the event kernel, whose import the
-// caller owns (the array imports the shared kernel once, then restores each
-// board's body). target resolves flash op completion targets.
-func (e *Engine) restoreBody(snap *Snapshot, target func(int32) (sim.Handler, error)) error {
+// restore overlays one board's body; the caller imported the kernel.
+// target resolves flash op completion targets.
+func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler, error)) error {
 	nb := e.part.NumBlocks()
 	np := e.part.NumPartitions
 	switch {
@@ -603,7 +746,6 @@ func (e *Engine) restoreBody(snap *Snapshot, target func(int32) (sim.Handler, er
 		e.inj.Restore(*snap.Injector)
 		copy(e.degraded, snap.Injector.Degraded)
 	}
-	e.rootRNG.SetState(snap.RootRNG)
 
 	for b := 0; b < nb; b++ {
 		e.pwb[b] = walksIn(snap.PWB[b])
@@ -643,7 +785,6 @@ func (e *Engine) restoreBody(snap *Snapshot, target func(int32) (sim.Handler, er
 
 	e.curPart = snap.CurPart
 	e.activeCur = snap.ActiveCur
-	e.remaining = snap.Remaining
 	e.finished = snap.Finished
 	e.flushChipRR = snap.FlushChipRR
 
@@ -721,10 +862,5 @@ func (e *Engine) restoreBody(snap *Snapshot, target func(int32) (sim.Handler, er
 
 	e.res = snap.Res
 	e.res.Visits = append([]uint64(nil), snap.Res.Visits...)
-
-	// The launch work (preload, ticks, first partition) already happened in
-	// the original run; its events are in the restored heap.
-	e.started = true
-	e.lastSnap = e.eng.Processed()
 	return nil
 }

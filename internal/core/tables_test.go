@@ -122,7 +122,7 @@ func TestHotIndexFind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot := e.board.hot
+	hot := e.boards[0].board.hot
 	if hot == nil || len(hot.entries) == 0 {
 		t.Skip("no hot blocks selected")
 	}

@@ -59,7 +59,7 @@ type TierStats struct {
 // own stream (wstate.rng), so outcomes do not depend on which tier runs
 // the update.
 type tierCommon struct {
-	e       *Engine
+	e       *boardEngine
 	updater *unitPool
 	guider  *unitPool
 

@@ -7,6 +7,7 @@ package core
 // invariants.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestEngineMatchesReferenceHopCounts(t *testing.T) {
 
 	spec := rc.Spec
 	ws := walk.NewWalks(spec, walk.UniformStarts(g, 400, rc.StartSeed), 400)
-	ref, err := walk.Run(g, spec, ws, 1, nil)
+	ref, err := walk.RunContext(context.Background(), g, spec, ws, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestEngineDeadEndRateMatchesReference(t *testing.T) {
 
 	spec := rc.Spec
 	ws := walk.NewWalks(spec, walk.UniformStarts(g, n, rc.StartSeed), n)
-	ref, err := walk.Run(g, spec, ws, 99, nil)
+	ref, err := walk.RunContext(context.Background(), g, spec, ws, 99, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestEngineMatchesBaselineOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := e.Run()
+	gw, err := e.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"flashwalker/internal/graph"
@@ -53,7 +54,7 @@ func TestVisitDistributionMatchesReference(t *testing.T) {
 
 	spec := rc.Spec
 	ws := walk.NewWalks(spec, walk.UniformStarts(g, n, rc.StartSeed), n)
-	ref, err := walk.Run(g, spec, ws, 12345, nil)
+	ref, err := walk.RunContext(context.Background(), g, spec, ws, 12345, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestVisitSkewOnPowerLaw(t *testing.T) {
 
 	spec := rc.Spec
 	ws := walk.NewWalks(spec, walk.UniformStarts(g, n, rc.StartSeed), n)
-	ref, err := walk.Run(g, spec, ws, 777, nil)
+	ref, err := walk.RunContext(context.Background(), g, spec, ws, 777, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import "flashwalker/internal/sim"
 // and the board-level accelerator, all registered in e.tiers behind the
 // shared tierAccel interface. A fourth tier would be constructed and
 // appended here.
-func (e *Engine) buildAccelerators() {
+func (e *boardEngine) buildAccelerators() {
 	numChips := e.ssd.NumChips()
 	for i := 0; i < numChips; i++ {
 		c := &chipAccel{
@@ -79,7 +79,7 @@ func (e *Engine) buildAccelerators() {
 // selectHotSubgraphs picks the top in-degree non-dense blocks for the board
 // and for each channel (paper §III-C: channels keep the top-K among blocks
 // on their own chips).
-func (e *Engine) selectHotSubgraphs() {
+func (e *boardEngine) selectHotSubgraphs() {
 	if !e.cfg.Opts.HotSubgraphs {
 		return
 	}
@@ -100,7 +100,7 @@ func (e *Engine) selectHotSubgraphs() {
 // by the initial hot-subgraph selection and the degraded-chip failover
 // (degrade.go). Selection sort: candidate lists are small (blocks per
 // channel).
-func (e *Engine) pickHotBlocks(sums []uint64, candidates []int, budget int64, used map[int]bool) []int {
+func (e *boardEngine) pickHotBlocks(sums []uint64, candidates []int, budget int64, used map[int]bool) []int {
 	chosen := []int{}
 	for {
 		best, bestSum := -1, uint64(0)
@@ -125,7 +125,7 @@ func (e *Engine) pickHotBlocks(sums []uint64, candidates []int, budget int64, us
 
 // preloadHotSubgraphs reads hot blocks into the channel and board buffers
 // at time zero, paying the flash and bus traffic.
-func (e *Engine) preloadHotSubgraphs() {
+func (e *boardEngine) preloadHotSubgraphs() {
 	if !e.cfg.Opts.HotSubgraphs {
 		e.board.hotReady = true
 		for _, ca := range e.chans {

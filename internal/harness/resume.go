@@ -28,8 +28,8 @@ const resumeSnapshotAt = 3
 type ResumeRow struct {
 	Dataset     string
 	Walks       int
-	DoneAtSnap  int   // walks finished when the snapshot was cut
-	SnapBytes   int   // encoded snapshot container size
+	DoneAtSnap  int // walks finished when the snapshot was cut
+	SnapBytes   int // encoded snapshot container size
 	CleanTime   sim.Time
 	ResumedTime sim.Time
 }
@@ -94,7 +94,11 @@ func ExtResume(ctx context.Context, scale float64, seed uint64, workers int) ([]
 		if err := snapshot.Decode(data, "core-engine", back); err != nil {
 			return err
 		}
-		resumed, err := core.ResumeContext(ctx, g, back, core.ResumeOptions{})
+		e, err = core.ResumeEngine(g, back, core.ResumeOptions{})
+		if err != nil {
+			return err
+		}
+		resumed, err := e.RunContext(ctx)
 		if err != nil {
 			return err
 		}
@@ -107,7 +111,7 @@ func ExtResume(ctx context.Context, scale float64, seed uint64, workers int) ([]
 		}
 		rows[i] = ResumeRow{
 			Dataset: d.Name, Walks: walks,
-			DoneAtSnap: snap.Res.Completed + snap.Res.DeadEnded,
+			DoneAtSnap: snap.WalksFinished(),
 			SnapBytes:  len(data),
 			CleanTime:  clean.Time, ResumedTime: resumed.Time,
 		}

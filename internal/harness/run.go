@@ -97,8 +97,8 @@ func GraphWalkerConfig(d Dataset, memBytes int64, seed uint64) baseline.Config {
 	}
 }
 
-// RunFlashWalker executes FlashWalker on the dataset. Canceling ctx halts
-// the simulation at the next event boundary (see core.Engine.RunContext).
+// RunFlashWalker executes FlashWalker on the dataset on one board.
+// Canceling ctx halts the simulation at the next event boundary.
 func RunFlashWalker(ctx context.Context, d Dataset, opts core.Options, numWalks int, seed uint64, progressBin sim.Time) (*core.Result, error) {
 	g, err := d.Graph()
 	if err != nil {
@@ -106,17 +106,11 @@ func RunFlashWalker(ctx context.Context, d Dataset, opts core.Options, numWalks 
 	}
 	rc := FlashWalkerConfig(d, opts, numWalks, seed)
 	rc.ProgressBin = progressBin
-	e, err := core.NewEngine(g, rc)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunContext(ctx)
+	return runTo(ctx, g, rc)
 }
 
 // RunFlashWalkerBoards executes FlashWalker on an nb-board SSD array over
-// the dataset. nb <= 1 is the classic single-board engine; time series are
-// per-board and therefore unavailable on arrays (progressBin is ignored
-// when nb > 1).
+// the dataset (nb <= 1: one board).
 func RunFlashWalkerBoards(ctx context.Context, d Dataset, opts core.Options, numWalks, nb int, seed uint64) (*core.Result, error) {
 	g, err := d.Graph()
 	if err != nil {
@@ -124,18 +118,7 @@ func RunFlashWalkerBoards(ctx context.Context, d Dataset, opts core.Options, num
 	}
 	rc := FlashWalkerConfig(d, opts, numWalks, seed)
 	rc.Cfg.Boards = nb
-	if nb > 1 {
-		a, err := core.NewArray(g, rc)
-		if err != nil {
-			return nil, err
-		}
-		return a.RunContext(ctx)
-	}
-	e, err := core.NewEngine(g, rc)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunContext(ctx)
+	return runTo(ctx, g, rc)
 }
 
 // RunFlashWalkerFaults is RunFlashWalker under a fault-injection profile:
@@ -148,11 +131,7 @@ func RunFlashWalkerFaults(ctx context.Context, d Dataset, opts core.Options, num
 	}
 	rc := FlashWalkerConfig(d, opts, numWalks, seed)
 	rc.Cfg.Faults = fc
-	e, err := core.NewEngine(g, rc)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunContext(ctx)
+	return runTo(ctx, g, rc)
 }
 
 // RunGraphWalker executes the baseline on the dataset with the given

@@ -404,10 +404,10 @@ type Config struct {
 	// StateDir when both are set. Nil with an empty StateDir keeps the
 	// manager fully in-memory.
 	Store blob.Store
-	// SnapshotDeltas is the checkpoint chain length for single-board
-	// FlashWalker jobs: after each full snapshot container, up to this
-	// many delta containers (each carrying only the walk stores dirtied
-	// since the previous cut) before the next full cut. 0 uses the default
+	// SnapshotDeltas is the checkpoint chain length for FlashWalker jobs:
+	// after each full snapshot container, up to this many delta containers
+	// (each carrying only the walk stores dirtied since the previous cut)
+	// before the next full cut. 0 uses the default
 	// (4); negative disables deltas — every cut writes a full snapshot.
 	SnapshotDeltas int
 	// RetainJobs keeps at most this many terminal jobs' durable state
@@ -473,9 +473,9 @@ type Manager struct {
 	tenantBurst      float64
 	streamRing       int
 
-	mu    sync.Mutex
-	cond  *sync.Cond // signals workers when fq or runningBy changes
-	fq    *fairQueue
+	mu   sync.Mutex
+	cond *sync.Cond // signals workers when fq or runningBy changes
+	fq   *fairQueue
 	// runningBy counts each tenant's currently running jobs (for
 	// TenantMaxRunning); buckets hold each tenant's submission tokens.
 	runningBy map[string]int
@@ -1065,31 +1065,33 @@ func (m *Manager) runFlashWalker(ctx context.Context, j *Job, g *graph.Graph, ds
 		// simulated timeline.
 		rc.OnWalks = func(recs []core.WalkDone) { st.publish(coreWalkRecords(recs)) }
 	}
-	if j.Spec.Boards > 1 {
-		return m.runFlashWalkerArray(ctx, j, g, rc)
-	}
 	if m.store != nil {
 		// Snapshots piggyback on the checkpoint observer every
 		// snapshotCheckpointRatio checkpoints; the chain writer throttles
-		// serialization and alternates full and delta containers.
+		// serialization and alternates full and delta containers, for any
+		// board count.
 		every := j.Spec.CheckpointEvery
 		if every == 0 {
 			every = core.DefaultCheckpointEvery
 		}
 		w := &coreSnapWriter{m: m, j: j, maxDeltas: m.snapshotDeltas}
 		// A recovered job picks up from its last consistent chain image; a
-		// fresh job (or one whose snapshot is unreadable) runs from the
-		// start and begins writing snapshots at the checkpoint cadence.
+		// fresh job (or one whose snapshot is unreadable, or was written by
+		// an older container version) runs from the start and begins
+		// writing snapshots at the checkpoint cadence.
 		if snap, sha, chain, ok := m.loadCoreSnap(j.ID); ok {
 			// The writer continues the stored chain exactly where the image
 			// came from, so the next cut extends (or overwrites the invalid
 			// suffix of) what is already in the store.
 			w.base, w.baseSHA, w.deltas = snap, sha, chain
-			r, err := core.ResumeContext(ctx, g, snap, core.ResumeOptions{
+			e, err := core.ResumeEngine(g, snap, core.ResumeOptions{
 				OnProgress: rc.OnProgress, OnSnapshot: w.write, OnWalks: rc.OnWalks,
 				SnapshotEvery: every * snapshotCheckpointRatio, CheckpointEvery: j.Spec.CheckpointEvery,
 			})
-			return coreJobResult(r, err)
+			if err != nil {
+				return nil, err
+			}
+			return coreJobResult(e.RunContext(ctx))
 		}
 		rc.OnSnapshot = w.write
 		rc.SnapshotEvery = every * snapshotCheckpointRatio
@@ -1098,53 +1100,7 @@ func (m *Manager) runFlashWalker(ctx context.Context, j *Job, g *graph.Graph, ds
 	if err != nil {
 		return nil, err
 	}
-	r, err := e.RunContext(ctx)
-	return coreJobResult(r, err)
-}
-
-// runFlashWalkerArray is the multi-board leg of runFlashWalker: the same
-// durability contract (snapshot at the checkpoint cadence, resume a
-// recovered job from its last image), with the array's fleet-wide snapshot
-// under its own kind tag.
-func (m *Manager) runFlashWalkerArray(ctx context.Context, j *Job, g *graph.Graph, rc core.RunConfig) (*JobResult, error) {
-	if m.store != nil {
-		every := j.Spec.CheckpointEvery
-		if every == 0 {
-			every = core.DefaultCheckpointEvery
-		}
-		// Array jobs keep full-image snapshots: the fleet-wide image spans
-		// every board's stores, so the single-board delta chain does not
-		// apply (a scope bound documented in DESIGN.md §15).
-		var lastWrite time.Time
-		onSnap := func(s *core.ArraySnapshot) {
-			if time.Since(lastWrite) < snapshotMinInterval {
-				return
-			}
-			lastWrite = time.Now()
-			m.putSnap(j, snapshotKey(j.ID), snapKindArray, s)
-		}
-		var snap core.ArraySnapshot
-		if _, err := m.getSnap(snapshotKey(j.ID), snapKindArray, &snap); err == nil {
-			r, err := core.ResumeArrayContext(ctx, g, &snap, core.ArrayResumeOptions{
-				OnProgress: rc.OnProgress, OnSnapshot: onSnap, OnWalks: rc.OnWalks,
-				SnapshotEvery: every * snapshotCheckpointRatio, CheckpointEvery: j.Spec.CheckpointEvery,
-			})
-			return coreJobResult(r, err)
-		}
-		a, err := core.NewArray(g, rc)
-		if err != nil {
-			return nil, err
-		}
-		a.SetSnapshotHook(onSnap, every*snapshotCheckpointRatio)
-		r, err := a.RunContext(ctx)
-		return coreJobResult(r, err)
-	}
-	a, err := core.NewArray(g, rc)
-	if err != nil {
-		return nil, err
-	}
-	r, err := a.RunContext(ctx)
-	return coreJobResult(r, err)
+	return coreJobResult(e.RunContext(ctx))
 }
 
 // coreJobResult converts a core result (possibly partial) to the API shape.

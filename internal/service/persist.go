@@ -24,10 +24,9 @@ import (
 //	snapshots/<id>.snap    the job's latest FULL engine snapshot
 //	                       (codec container), removed at finish
 //	snapshots/<id>.dN.snap delta containers chained to the full snapshot
-//	                       (single-board FlashWalker jobs only), each
-//	                       naming its base by the preceding container's
-//	                       SHA-256 seal; removed at the next full cut and
-//	                       at finish
+//	                       (FlashWalker jobs), each naming its base by the
+//	                       preceding container's SHA-256 seal; removed at
+//	                       the next full cut and at finish
 //	streams/<id>.ndjson    the completed-walk stream spool
 //
 // On startup the manager replays the journal: terminal jobs come back as
@@ -44,7 +43,6 @@ import (
 const (
 	snapKindCore     = "flashwalker-core-engine"
 	snapKindDelta    = "flashwalker-core-delta"
-	snapKindArray    = "flashwalker-core-array"
 	snapKindBaseline = "flashwalker-baseline-engine"
 )
 
@@ -198,7 +196,7 @@ func (m *Manager) getSnap(key, kind string, v any) ([32]byte, error) {
 	return seal, nil
 }
 
-// coreSnapWriter drives a single-board FlashWalker job's checkpoint chain:
+// coreSnapWriter drives a FlashWalker job's checkpoint chain:
 // a full snapshot container, then up to maxDeltas delta containers each
 // chaining to its predecessor by seal, then a fresh full cut (which
 // retires the superseded chain). A failed write never advances the chain

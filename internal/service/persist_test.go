@@ -1,11 +1,19 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"flashwalker/internal/blob"
+	"flashwalker/internal/core"
+	"flashwalker/internal/snapshot"
 )
 
 // TestManagerCloseDrainsQueue is the regression test for the lifecycle bug
@@ -233,4 +241,89 @@ func TestManagerRecoveryHistoryAndSeq(t *testing.T) {
 		t.Errorf("post-recovery ID %s, want job-8", jn.ID)
 	}
 	waitTerminal(t, jn)
+}
+
+// legacyContainer is a snapshot container as a version-1 daemon wrote it:
+// a sealed gob payload under kind, with the version field set to 1.
+func legacyContainer(t *testing.T, kind string) []byte {
+	t.Helper()
+	data, err := snapshot.Encode(kind, struct{ NumBoards int }{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(data[8:12], 1)
+	sum := sha256.Sum256(data[:len(data)-sha256.Size])
+	copy(data[len(data)-sha256.Size:], sum[:])
+	return data
+}
+
+// TestManagerRecoveryRejectsPreBumpSnapshots: images written before the
+// one-snapshot-kind version bump — a version-1 single-board engine image
+// and a version-1 image of the old multi-board array kind, each left at
+// snapshots/<id>.snap by a crashed daemon — are refused with ErrVersion on
+// recovery, and each job re-runs from scratch to the result a clean run
+// produces.
+func TestManagerRecoveryRejectsPreBumpSnapshots(t *testing.T) {
+	cases := []struct {
+		kind string
+		spec JobSpec
+	}{
+		{"flashwalker-core-engine", JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 3, CheckpointEvery: 64}},
+		{"flashwalker-core-array", JobSpec{Graph: "MB-S", NumWalks: 2000, Seed: 3, CheckpointEvery: 64, Boards: 2}},
+	}
+
+	mr := newTestManager(t, Config{Workers: 1})
+	var refs []*JobResult
+	for _, c := range cases {
+		j, err := mr.Submit(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, j)
+		if st := j.Status(); st.State != StateDone || st.Result == nil {
+			t.Fatalf("reference run: %+v", st)
+		}
+		refs = append(refs, j.Status().Result)
+	}
+	mr.Close()
+
+	// Forge the crash: journals say running, old images on the store.
+	store := blob.NewMem()
+	for i, c := range cases {
+		id := fmt.Sprintf("job-%d", i+1)
+		old := legacyContainer(t, c.kind)
+		if err := snapshot.Decode(old, snapKindCore, new(core.Snapshot)); !errors.Is(err, snapshot.ErrVersion) {
+			t.Fatalf("%s image decodes with %v, want ErrVersion", c.kind, err)
+		}
+		rec, err := json.Marshal(jobRecord{ID: id, Spec: c.spec, State: StateRunning, Submitted: time.Now()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(jobKey(id), rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(snapshotKey(id), old); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m := newTestManager(t, Config{Workers: 1, Store: store})
+	defer m.Close()
+	for i, c := range cases {
+		j, err := m.Get(fmt.Sprintf("job-%d", i+1))
+		if err != nil {
+			t.Fatalf("recovered manager lost the %s job: %v", c.kind, err)
+		}
+		waitTerminal(t, j)
+		st := j.Status()
+		if st.State != StateDone {
+			t.Fatalf("%s job: state %q, error %q", c.kind, st.State, st.Error)
+		}
+		if st.Result == nil || *st.Result != *refs[i] {
+			t.Fatalf("%s job re-run diverged:\n got %+v\nwant %+v", c.kind, st.Result, refs[i])
+		}
+		if _, err := store.Get(snapshotKey(j.ID)); !errors.Is(err, blob.ErrNotFound) {
+			t.Errorf("%s job: snapshot survived completion (err %v)", c.kind, err)
+		}
+	}
 }

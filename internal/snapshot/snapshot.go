@@ -31,9 +31,11 @@ import (
 	"path/filepath"
 )
 
-// Version is the current container version. Decode rejects anything newer;
-// older versions may be migrated here once they exist.
-const Version = 1
+// Version is the current container version; Decode rejects every other
+// one. Version 2 made the core engine's snapshot one type for any board
+// count; a version-1 image fails with ErrVersion, and its job re-runs from
+// the start (result-identical, the engines being deterministic).
+const Version = 2
 
 var magic = [8]byte{'F', 'W', 'S', 'N', 'A', 'P', '1', '\n'}
 

@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -31,7 +32,7 @@ func PPREstimate(g *graph.Graph, source graph.VertexID, numWalks int, alpha floa
 	}
 	spec := Spec{Kind: Restart, Length: 1 << 14, StopProb: alpha}
 	ws := NewWalks(spec, []graph.VertexID{source}, numWalks)
-	st, err := Run(g, spec, ws, seed, nil)
+	st, err := RunContext(context.Background(), g, spec, ws, seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +124,7 @@ func DeepWalkCorpus(g *graph.Graph, walksPerVertex int, length uint32, seed uint
 	starts := AllStarts(g)
 	ws := NewWalks(spec, starts, len(starts)*walksPerVertex)
 	corpus := make([][]graph.VertexID, 0, len(ws))
-	_, err := Run(g, spec, ws, seed, func(i int, path []graph.VertexID) {
+	_, err := RunContext(context.Background(), g, spec, ws, seed, func(i int, path []graph.VertexID) {
 		corpus = append(corpus, append([]graph.VertexID(nil), path...))
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package walk_test
 
 import (
+	"context"
 	"fmt"
 
 	"flashwalker/internal/graph"
@@ -9,11 +10,11 @@ import (
 
 // Run fixed-length unbiased walks on a ring: the trajectory is forced, so
 // the output is exact.
-func ExampleRun() {
+func ExampleRunContext() {
 	g := graph.Ring(8)
 	spec := walk.Spec{Kind: walk.Unbiased, Length: 3}
 	ws := walk.NewWalks(spec, []graph.VertexID{2}, 1)
-	st, _ := walk.Run(g, spec, ws, 1, func(i int, path []graph.VertexID) {
+	st, _ := walk.RunContext(context.Background(), g, spec, ws, 1, func(i int, path []graph.VertexID) {
 		fmt.Println("path:", path)
 	})
 	fmt.Println("hops:", st.TotalHops)

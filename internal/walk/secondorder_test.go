@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"context"
 	"testing"
 
 	"flashwalker/internal/graph"
@@ -118,7 +119,7 @@ func TestRunSecondOrderCompletes(t *testing.T) {
 	g := backtrackGraph()
 	spec := Spec{Kind: SecondOrder, Length: 8, P: 0.5, Q: 2}
 	ws := NewWalks(spec, UniformStarts(g, 300, 1), 300)
-	st, err := Run(g, spec, ws, 3, nil)
+	st, err := RunContext(context.Background(), g, spec, ws, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestRunSecondOrderPathsAreEdges(t *testing.T) {
 	g := backtrackGraph()
 	spec := Spec{Kind: SecondOrder, Length: 6, P: 2, Q: 0.5}
 	ws := NewWalks(spec, UniformStarts(g, 50, 2), 50)
-	_, err := Run(g, spec, ws, 4, func(i int, path []graph.VertexID) {
+	_, err := RunContext(context.Background(), g, spec, ws, 4, func(i int, path []graph.VertexID) {
 		for j := 1; j < len(path); j++ {
 			if !containsSorted(g.OutEdges(path[j-1]), path[j]) {
 				t.Fatalf("walk %d: %d->%d is not an edge", i, path[j-1], path[j])
@@ -152,7 +153,7 @@ func TestRunSecondOrderReturnRateRespondsToP(t *testing.T) {
 		spec := Spec{Kind: SecondOrder, Length: 10, P: p, Q: 1}
 		ws := NewWalks(spec, UniformStarts(g, 200, 5), 200)
 		n := 0
-		_, err := Run(g, spec, ws, 6, func(i int, path []graph.VertexID) {
+		_, err := RunContext(context.Background(), g, spec, ws, 6, func(i int, path []graph.VertexID) {
 			for j := 2; j < len(path); j++ {
 				if path[j] == path[j-2] {
 					n++

@@ -277,27 +277,20 @@ func (st *Stats) RecordVisit(v graph.VertexID) {
 	}
 }
 
-// Run executes walks directly on the graph (no hardware simulation). It is
-// the reference implementation the simulated engines are validated against,
-// and the workhorse behind the example applications. Per-walk RNG streams
-// are derived from seed, so results are independent of execution order.
-// If trace is non-nil, it receives each walk's full vertex path.
-//
-// Deprecated: use RunContext, which supports cancellation. Run is
-// RunContext with a background context.
-func Run(g *graph.Graph, spec Spec, walks []Walk, seed uint64, trace func(i int, path []graph.VertexID)) (*Stats, error) {
-	return RunContext(context.Background(), g, spec, walks, seed, trace)
-}
-
 // cancelCheckEvery is the walk interval between ctx checks in RunContext.
 const cancelCheckEvery = 256
 
-// RunContext is Run with cooperative cancellation: ctx is checked between
-// walks (every cancelCheckEvery of them), and on cancellation the partial
-// Stats accumulated so far are returned with an error satisfying
+// RunContext executes walks directly on the graph (no hardware
+// simulation). It is the reference implementation the simulated engines
+// are validated against, and the workhorse behind the example
+// applications. If trace is non-nil, it receives each walk's full vertex
+// path. Cancellation is cooperative: ctx is checked between walks (every
+// cancelCheckEvery of them), and on cancellation the partial Stats
+// accumulated so far are returned with an error satisfying
 // errors.Is(err, errs.ErrCanceled). Per-walk RNG streams are derived from
-// (seed, walk index), so the walks that did complete are identical to the
-// same walks of an uncanceled run.
+// (seed, walk index), so results are independent of execution order and
+// the walks that did complete are identical to the same walks of an
+// uncanceled run.
 func RunContext(ctx context.Context, g *graph.Graph, spec Spec, walks []Walk, seed uint64, trace func(i int, path []graph.VertexID)) (*Stats, error) {
 	if err := spec.Validate(g); err != nil {
 		return nil, err

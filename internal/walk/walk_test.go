@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -205,7 +206,7 @@ func TestRunOnRingIsDeterministicPath(t *testing.T) {
 	spec := Spec{Kind: Unbiased, Length: 6}
 	ws := NewWalks(spec, []graph.VertexID{0}, 1)
 	var gotPath []graph.VertexID
-	st, err := Run(g, spec, ws, 1, func(i int, path []graph.VertexID) {
+	st, err := RunContext(context.Background(), g, spec, ws, 1, func(i int, path []graph.VertexID) {
 		gotPath = append(gotPath, path...)
 	})
 	if err != nil {
@@ -239,7 +240,7 @@ func TestRunDeadEnd(t *testing.T) {
 	b.AddEdge(1, 2) // 2 is a sink
 	g, _ := b.Build()
 	spec := Spec{Kind: Unbiased, Length: 10}
-	st, err := Run(g, spec, NewWalks(spec, []graph.VertexID{0}, 1), 1, nil)
+	st, err := RunContext(context.Background(), g, spec, NewWalks(spec, []graph.VertexID{0}, 1), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestRunHopConservation(t *testing.T) {
 	spec := Spec{Kind: Unbiased, Length: 6}
 	const n = 500
 	ws := NewWalks(spec, UniformStarts(g2, n, 3), n)
-	st, err := Run(g2, spec, ws, 9, nil)
+	st, err := RunContext(context.Background(), g2, spec, ws, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,14 +288,14 @@ func TestRunDeterministic(t *testing.T) {
 	g, _ := graph.RMAT(graph.DefaultRMAT(512, 4096, 1))
 	spec := Spec{Kind: Unbiased, Length: 6}
 	ws := NewWalks(spec, UniformStarts(g, 200, 5), 200)
-	a, _ := Run(g, spec, ws, 11, nil)
-	b, _ := Run(g, spec, ws, 11, nil)
+	a, _ := RunContext(context.Background(), g, spec, ws, 11, nil)
+	b, _ := RunContext(context.Background(), g, spec, ws, 11, nil)
 	for v := range a.Visits {
 		if a.Visits[v] != b.Visits[v] {
 			t.Fatal("Run not deterministic")
 		}
 	}
-	c, _ := Run(g, spec, ws, 12, nil)
+	c, _ := RunContext(context.Background(), g, spec, ws, 12, nil)
 	diff := false
 	for v := range a.Visits {
 		if a.Visits[v] != c.Visits[v] {
@@ -312,7 +313,7 @@ func TestRunRestartLengths(t *testing.T) {
 	spec := Spec{Kind: Restart, Length: 1000, StopProb: 0.2}
 	const n = 2000
 	ws := NewWalks(spec, UniformStarts(g, n, 2), n)
-	st, err := Run(g, spec, ws, 3, nil)
+	st, err := RunContext(context.Background(), g, spec, ws, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestRunBiasedPrefersHeavyEdges(t *testing.T) {
 	spec := Spec{Kind: Biased, Length: 2}
 	const n = 20000
 	ws := NewWalks(spec, []graph.VertexID{0}, n)
-	st, err := Run(g, spec, ws, 4, nil)
+	st, err := RunContext(context.Background(), g, spec, ws, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +350,7 @@ func TestRunBiasedPrefersHeavyEdges(t *testing.T) {
 
 func TestRunRejectsInvalidSpec(t *testing.T) {
 	g := graph.Ring(4)
-	if _, err := Run(g, Spec{Kind: Biased, Length: 6}, nil, 1, nil); err == nil {
+	if _, err := RunContext(context.Background(), g, Spec{Kind: Biased, Length: 6}, nil, 1, nil); err == nil {
 		t.Fatal("biased on unweighted accepted")
 	}
 }
