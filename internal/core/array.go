@@ -104,6 +104,7 @@ type Engine struct {
 	// initial graph and replays.
 	muts         graph.MutationStream
 	mutCursor    int
+	mutSrcs      []graph.VertexID // applyBatch's distinct-source scratch
 	initVertices uint64
 	initEdges    uint64
 
@@ -159,10 +160,6 @@ func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	prefix, err := applyMutationPrefix(g, part, rc.Mutations)
-	if err != nil {
-		return nil, err
-	}
 	shard, err := partition.NewShardMap(part.NumPartitions, nb)
 	if err != nil {
 		return nil, err
@@ -175,7 +172,6 @@ func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 		part:         part,
 		shard:        shard,
 		muts:         rc.Mutations,
-		mutCursor:    prefix,
 		initVertices: initVertices,
 		initEdges:    initEdges,
 		dead:         make([]bool, nb),
@@ -198,10 +194,22 @@ func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 	if e.emitEvery == 0 {
 		e.emitEvery = DefaultEmitEvery
 	}
+	for e.mutCursor < len(e.muts) && e.muts[e.mutCursor].At == 0 {
+		e.mutCursor++
+	}
+	if _, err := e.applyBatch(e.muts[:e.mutCursor]); err != nil {
+		return nil, err
+	}
+	// Hot-subgraph selection ranks blocks by in-degree over the patched
+	// graph; every board reads the same sums, so compute them once.
+	var inDeg []uint64
+	if rc.Cfg.Opts.HotSubgraphs {
+		inDeg = part.InDegreeSums()
+	}
 	// Board engines share the kernel and the partitioning but own their
 	// devices and accelerator tiers.
 	for b := 0; b < nb; b++ {
-		be, err := newBoardEngine(e, b, rc, prefix)
+		be, err := newBoardEngine(e, b, rc, inDeg)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +220,7 @@ func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 	// Attribute the construction-time prefix to the owning boards (the
 	// per-board res is overlaid on resume, so this only matters for fresh
 	// runs).
-	for _, m := range e.muts[:prefix] {
+	for _, m := range e.muts[:e.mutCursor] {
 		e.ownerOf(m.Src).res.MutationsApplied++
 	}
 	return e, nil

@@ -327,12 +327,13 @@ func (e *boardEngine) emit(kind trace.Kind, a, b int64) {
 }
 
 // newBoardEngine builds board id of drv over the driver's kernel, graph and
-// partitioning, without seeding walks. mutCursor is the already-applied
-// prefix of rc.Mutations — the driver has patched the graph and partition
-// stats up to it, and derived indexes built here (edge filter, alias
-// tables) are built over the patched graph, which is bit-identical to
-// building them initial-then-incrementally.
-func newBoardEngine(drv *Engine, id int, rc RunConfig, mutCursor int) (*boardEngine, error) {
+// partitioning, without seeding walks. The driver has already applied the
+// stream up to its cursor to the graph and partition stats, and derived
+// indexes built here (edge filter, alias tables) are built over the
+// patched graph, which is bit-identical to building them
+// initial-then-incrementally. inDeg is the partitioning's per-block
+// in-degree sums over that graph (nil without hot subgraphs).
+func newBoardEngine(drv *Engine, id int, rc RunConfig, inDeg []uint64) (*boardEngine, error) {
 	g, part := drv.g, drv.part
 	ssd, err := flash.New(drv.eng, rc.FlashCfg)
 	if err != nil {
@@ -408,7 +409,7 @@ func newBoardEngine(drv *Engine, id int, rc RunConfig, mutCursor int) (*boardEng
 			// geometry to the plain filter a run over the fully mutated
 			// graph would build, so probe answers — and trajectories —
 			// match the rebuild leg of the metamorphic tests.
-			final := int(int64(g.NumEdges())+rc.Mutations.NetEdges(mutCursor)) + 1
+			final := int(int64(g.NumEdges())+rc.Mutations.NetEdges(drv.mutCursor)) + 1
 			e.edgeFilterC = partition.EdgeFilterCounting(g, 0.01, final)
 			e.edgeFilter = e.edgeFilterC
 		} else {
@@ -432,7 +433,7 @@ func newBoardEngine(drv *Engine, id int, rc RunConfig, mutCursor int) (*boardEng
 		e.res.ProgressTS = metrics.NewTimeSeries(rc.ProgressBin)
 	}
 
-	e.buildAccelerators()
+	e.buildAccelerators(inDeg)
 	return e, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"flashwalker/internal/errs"
 	"flashwalker/internal/graph"
@@ -16,11 +17,20 @@ import (
 // everything earlier. The At == 0 prefix applies at construction, before
 // hot-subgraph selection and walk seeding.
 //
+// Every caller applies the largest batch it has through applyBatch: the
+// applier hook drains every mutation due before the next event, the
+// constructor the whole At == 0 prefix, and resume the whole replayed
+// prefix. Nothing observes the graph between the mutations of one batch,
+// so applying it at once is indistinguishable from applying it one
+// mutation at a time — and the CSR splice then costs the touched sources'
+// degrees instead of one edge-array shift per mutation.
+//
 // Every derived structure is maintained incrementally and provably matches
 // a from-scratch rebuild over the mutated graph:
 //
-//   - the CSR arrays (graph.ApplyMutation — splice-equals-rebuild, proven
-//     in internal/graph),
+//   - the CSR arrays (graph.ApplyMutations — one splice per batch,
+//     equal to the per-mutation splice and to a rebuild, proven in
+//     internal/graph),
 //   - per-block degree tables and byte sizes (Partitioned.ApplyEdgeDelta;
 //     the block skeleton itself is frozen — stream validation caps every
 //     touched vertex below the dense threshold, and overflowing a block
@@ -28,7 +38,8 @@ import (
 //   - the second-order edge Bloom filter (bloom.Counting — counts are
 //     additive over the edge multiset, proven in internal/bloom),
 //   - per-vertex alias tables (GraphAlias.RebuildVertex — a table is a
-//     pure function of one vertex's weight vector).
+//     pure function of one vertex's weight vector, so one rebuild per
+//     touched source and batch suffices).
 //
 // TestMutationMetamorphic in this package closes the loop end to end:
 // running with an At == 0 stream is bit-identical to running over the
@@ -65,79 +76,91 @@ func cloneForMutations(g *graph.Graph, rc RunConfig) (*graph.Graph, error) {
 	return g.Clone(), nil
 }
 
-// applyMutationPrefix applies the stream's At == 0 prefix to the graph and
-// partition stats, returning the applied count. These mutations are
-// "before the run": later construction steps (hot-subgraph selection, edge
-// filter, alias tables, walk seeding) all see the patched graph.
-func applyMutationPrefix(g *graph.Graph, part *partition.Partitioned, ms graph.MutationStream) (int, error) {
+// applyBatch applies ms, consecutive entries of the stream, to the whole
+// run in three steps: the per-block stats one mutation at a time in stream
+// order, the shared CSR in one splice, then every board's private
+// indexes. It reports how many of ms it applied: when a block overflows at
+// ms[n], ms[:n] are applied in full and the overflow is returned, exactly
+// as if the batch had been applied one mutation at a time. At
+// construction there are no boards yet; they build their indexes over the
+// patched graph.
+func (e *Engine) applyBatch(ms []graph.Mutation) (int, error) {
 	n := 0
-	for ; n < len(ms) && ms[n].At == 0; n++ {
-		if err := applyShared(g, part, ms[n]); err != nil {
-			return n, err
+	var err error
+	for ; n < len(ms); n++ {
+		delta := int64(1)
+		if ms[n].Op == graph.OpDeleteEdge {
+			delta = -1
+		}
+		if err = e.part.ApplyEdgeDelta(ms[n].Src, delta); err != nil {
+			break
 		}
 	}
-	return n, nil
-}
-
-// applyShared patches the structures every board shares: the CSR arrays
-// and the per-block degree/byte stats.
-func applyShared(g *graph.Graph, part *partition.Partitioned, m graph.Mutation) error {
-	delta := int64(1)
-	if m.Op == graph.OpDeleteEdge {
-		delta = -1
+	ms = ms[:n]
+	if gerr := e.g.ApplyMutations(ms); gerr != nil {
+		return 0, gerr
 	}
-	if err := part.ApplyEdgeDelta(m.Src, delta); err != nil {
-		return err
+	e.mutSrcs = e.mutSrcs[:0]
+	for _, m := range ms {
+		e.mutSrcs = append(e.mutSrcs, m.Src)
 	}
-	return g.ApplyMutation(m)
+	slices.Sort(e.mutSrcs)
+	e.mutSrcs = slices.Compact(e.mutSrcs)
+	for _, be := range e.boards {
+		if ierr := be.applyIndexes(ms, e.mutSrcs); ierr != nil {
+			return 0, ierr
+		}
+	}
+	if len(e.boards) > 0 {
+		// The board owning a mutated vertex's home partition gets the
+		// attribution count: a sharded mutation lands on its owning board.
+		for _, m := range ms {
+			e.ownerOf(m.Src).res.MutationsApplied++
+		}
+	}
+	return n, err
 }
 
 // applyIndexes patches this board's private derived indexes after the
-// shared graph was mutated: the counting edge filter and the mutated
-// vertex's alias table. Every board applies this for every mutation — each
-// board owns its own filter and tables.
-func (e *boardEngine) applyIndexes(m graph.Mutation) error {
+// shared graph took a batch: the counting edge filter per mutation, and the
+// alias table of each distinct mutated source (srcs) once. Every board
+// applies every batch — each board owns its own filter and tables.
+func (e *boardEngine) applyIndexes(ms []graph.Mutation, srcs []graph.VertexID) error {
 	if e.edgeFilterC != nil {
-		key := partition.EdgeKey(m.Src, m.Dst)
-		if m.Op == graph.OpInsertEdge {
-			e.edgeFilterC.Add(key)
-		} else {
-			e.edgeFilterC.Remove(key)
+		for _, m := range ms {
+			key := partition.EdgeKey(m.Src, m.Dst)
+			if m.Op == graph.OpInsertEdge {
+				e.edgeFilterC.Add(key)
+			} else {
+				e.edgeFilterC.Remove(key)
+			}
 		}
 	}
 	if e.alias != nil {
-		return e.alias.RebuildVertex(e.g, m.Src)
-	}
-	return nil
-}
-
-// applyMutation applies one mutation to the whole run: the shared graph and
-// partition stats once, then every board's private indexes. The board
-// owning the mutated vertex's home partition gets the attribution count —
-// a sharded mutation lands on its owning board.
-func (e *Engine) applyMutation(m graph.Mutation) error {
-	if err := applyShared(e.g, e.part, m); err != nil {
-		return err
-	}
-	for _, be := range e.boards {
-		if err := be.applyIndexes(m); err != nil {
-			return err
+		for _, v := range srcs {
+			if err := e.alias.RebuildVertex(e.g, v); err != nil {
+				return err
+			}
 		}
 	}
-	e.ownerOf(m.Src).res.MutationsApplied++
 	return nil
 }
 
 // applyMutations is the applier hook: it applies every not-yet-applied
-// mutation stamped at or before the next event's time. An apply failure
-// (block overflow) fails the run.
+// mutation stamped at or before the next event's time as one batch. An
+// apply failure (block overflow) fails the run.
 func (e *Engine) applyMutations(next sim.Time) {
-	for e.mutCursor < len(e.muts) && sim.Time(e.muts[e.mutCursor].At) <= next {
-		if err := e.applyMutation(e.muts[e.mutCursor]); err != nil {
-			e.fail(fmt.Errorf("core: mutation %d: %w", e.mutCursor, err))
-			e.eng.ClearApplier()
-			return
-		}
-		e.mutCursor++
+	end := e.mutCursor
+	for end < len(e.muts) && sim.Time(e.muts[end].At) <= next {
+		end++
+	}
+	if end == e.mutCursor {
+		return
+	}
+	n, err := e.applyBatch(e.muts[e.mutCursor:end])
+	e.mutCursor += n
+	if err != nil {
+		e.fail(fmt.Errorf("core: mutation %d: %w", e.mutCursor, err))
+		e.eng.ClearApplier()
 	}
 }

@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"flashwalker/internal/errs"
@@ -658,5 +661,142 @@ func TestMutationEmptyStreamKeepsGoldenDigest(t *testing.T) {
 	}
 	if res.MutationsApplied != 0 {
 		t.Fatalf("empty stream applied %d mutations", res.MutationsApplied)
+	}
+}
+
+// TestMutationBatchAtOneInstant drives the applier's batching: one
+// mid-run instant carries mutations on three sources with mixed-sign net
+// deltas — +2 on a low vertex, a degree-neutral rewire in the middle, −1
+// on a high vertex — so the one CSR splice moves segments both ways, and a
+// later single insert shifts the tail again. No event may see the instant
+// partly applied. After the run the engine's private graph must equal a
+// Builder rebuild of the final edge list, every block's SumOutDeg its
+// vertices' out-degree sum, and every board's counting edge filter a fresh
+// one over that graph; permuting the instant's mutations of different
+// sources must leave the run unchanged.
+func TestMutationBatchAtOneInstant(t *testing.T) {
+	g, edges := mutTestGraph(t, false)
+	for _, tc := range []struct {
+		name   string
+		spec   walk.Spec
+		boards int
+	}{
+		{name: "unbiased", spec: walk.Spec{Kind: walk.Unbiased, Length: 6}},
+		{name: "unbiased-2boards", spec: walk.Spec{Kind: walk.Unbiased, Length: 6}, boards: 2},
+		{name: "secondorder", spec: walk.Spec{Kind: walk.SecondOrder, Length: 6, P: 0.5, Q: 2}},
+		{name: "secondorder-2boards", spec: walk.Spec{Kind: walk.SecondOrder, Length: 6, P: 0.5, Q: 2}, boards: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rc := mutConfig(false)
+			rc.Spec = tc.spec
+			rc.Cfg.Boards = tc.boards
+			base := runEngine(t, g, rc)
+			at, later := int64(base.Time)/4, int64(base.Time)/2
+			ins3a := graph.Mutation{At: at, Op: graph.OpInsertEdge, Src: 3, Dst: 9}
+			ins3b := graph.Mutation{At: at, Op: graph.OpInsertEdge, Src: 3, Dst: 200}
+			del100 := graph.Mutation{At: at, Op: graph.OpDeleteEdge, Src: 100, Dst: mutDst(100, 3)}
+			ins100 := graph.Mutation{At: at, Op: graph.OpInsertEdge, Src: 100, Dst: 5}
+			del200 := graph.Mutation{At: at, Op: graph.OpDeleteEdge, Src: 200, Dst: mutDst(200, 7)}
+			tail := graph.Mutation{At: later, Op: graph.OpInsertEdge, Src: 250, Dst: 0}
+
+			run := func(ms graph.MutationStream) (*Result, *Engine) {
+				rc := rc
+				rc.Mutations = ms
+				var e *Engine
+				rc.CheckpointEvery = 1
+				rc.OnProgress = func(p Progress) {
+					if c := e.mutCursor; c > 0 && c < 5 {
+						t.Fatalf("event at %d saw %d of the instant's 5 mutations", p.Now, c)
+					}
+				}
+				e, err := NewEngine(g, rc)
+				if err != nil {
+					t.Fatalf("NewEngine: %v", err)
+				}
+				res, err := e.RunContext(context.Background())
+				if err != nil {
+					t.Fatalf("RunContext: %v", err)
+				}
+				if res.MutationsApplied != uint64(len(ms)) {
+					t.Fatalf("applied %d of %d mutations", res.MutationsApplied, len(ms))
+				}
+				return res, e
+			}
+			ms := graph.MutationStream{ins3a, del100, del200, ins3b, ins100, tail}
+			res, e := run(ms)
+
+			want := buildMutGraph(t, applyStreamToEdges(t, edges, ms), false)
+			if !slices.Equal(e.g.Offsets, want.Offsets) || !slices.Equal(e.g.Edges, want.Edges) {
+				t.Fatal("engine graph after the run differs from a Builder rebuild of the final edge list")
+			}
+			for i, b := range e.part.Blocks {
+				if b.Dense {
+					continue
+				}
+				var deg uint64
+				for v := b.LowVertex; v <= b.HighVertex; v++ {
+					deg += want.OutDegree(v)
+				}
+				if b.SumOutDeg != deg {
+					t.Fatalf("block %d SumOutDeg %d, want %d", i, b.SumOutDeg, deg)
+				}
+			}
+			if tc.spec.Kind == walk.SecondOrder {
+				fresh := partition.EdgeFilterCounting(want, 0.01, int(want.NumEdges())+1)
+				for b, be := range e.boards {
+					if !reflect.DeepEqual(be.edgeFilterC, fresh) {
+						t.Fatalf("board %d counting edge filter differs from a fresh one over the rebuilt graph", b)
+					}
+				}
+			}
+
+			perm, _ := run(graph.MutationStream{del200, del100, ins3a, ins100, ins3b, tail})
+			if got, want := digestResult(perm), digestResult(res); got != want {
+				t.Fatalf("permuting one instant's mutations across sources moved the run:\n got %s\nwant %s", got, want)
+			}
+			assertSameVisits(t, perm.Visits, res.Visits)
+			if digestResult(res) == digestResult(base) {
+				t.Fatal("the mid-run batch left the run unchanged; pick busier vertices")
+			}
+		})
+	}
+}
+
+// TestMutationBatchOverflowFailsAtIndex pins the failure contract of a
+// batched instant: a block overflow at one mutation fails the run naming
+// that mutation's stream index, with every earlier mutation of the batch
+// applied in full (graph and attribution) and none after it — as if the
+// batch had been applied one mutation at a time.
+func TestMutationBatchOverflowFailsAtIndex(t *testing.T) {
+	g, edges := mutTestGraph(t, false)
+	rc := mutConfig(false)
+	at := int64(runEngine(t, g, rc).Time) / 4
+	// Block 0 (vertices 0..4) has slack for three inserts; the fourth on
+	// vertex 3, stream index 4, overflows it.
+	rc.Mutations = graph.MutationStream{
+		{At: at, Op: graph.OpInsertEdge, Src: 100, Dst: 1},
+		{At: at, Op: graph.OpInsertEdge, Src: 3, Dst: 20},
+		{At: at, Op: graph.OpInsertEdge, Src: 3, Dst: 21},
+		{At: at, Op: graph.OpInsertEdge, Src: 3, Dst: 22},
+		{At: at, Op: graph.OpInsertEdge, Src: 3, Dst: 23},
+		{At: at, Op: graph.OpInsertEdge, Src: 200, Dst: 2},
+	}
+	e, err := NewEngine(g, rc)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	if _, err := e.RunContext(context.Background()); err == nil || !strings.Contains(err.Error(), "core: mutation 4: ") {
+		t.Fatalf("RunContext: %v, want a block overflow at mutation 4", err)
+	}
+	want := buildMutGraph(t, applyStreamToEdges(t, edges, rc.Mutations[:4]), false)
+	if !slices.Equal(e.g.Offsets, want.Offsets) || !slices.Equal(e.g.Edges, want.Edges) {
+		t.Fatal("failed batch did not leave exactly its first four mutations applied")
+	}
+	var applied uint64
+	for _, be := range e.boards {
+		applied += be.res.MutationsApplied
+	}
+	if applied != 4 {
+		t.Fatalf("failed run counted %d applied mutations, want 4", applied)
 	}
 }

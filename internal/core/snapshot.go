@@ -655,20 +655,20 @@ func (e *Engine) restore(snap *Snapshot) error {
 	if err := e.eng.ImportState(snap.Sim, target); err != nil {
 		return err
 	}
-	// Replay the mutations the original run had applied beyond the At == 0
-	// prefix (which construction already applied). Incremental apply is
-	// rebuild-equivalent, so the graph and every derived index land in the
-	// exact state the snapshot saw. Runs before the per-board res overlay,
-	// so attribution counters come from the snapshot, not the replay.
+	// Replay, as one batch, the mutations the original run had applied
+	// beyond the At == 0 prefix (which construction already applied).
+	// Incremental apply is rebuild-equivalent, so the graph and every
+	// derived index land in the exact state the snapshot saw. Runs before
+	// the per-board res overlay, so attribution counters come from the
+	// snapshot, not the replay.
 	if snap.MutApplied < e.mutCursor || snap.MutApplied > len(e.muts) {
 		return fmt.Errorf("core: resume: snapshot applied %d of %d mutations (prefix %d)",
 			snap.MutApplied, len(e.muts), e.mutCursor)
 	}
-	for e.mutCursor < snap.MutApplied {
-		if err := e.applyMutation(e.muts[e.mutCursor]); err != nil {
-			return fmt.Errorf("core: resume: replay mutation %d: %w", e.mutCursor, err)
-		}
-		e.mutCursor++
+	n, err := e.applyBatch(e.muts[e.mutCursor:snap.MutApplied])
+	e.mutCursor += n
+	if err != nil {
+		return fmt.Errorf("core: resume: replay mutation %d: %w", e.mutCursor, err)
 	}
 	for b, be := range e.boards {
 		if err := be.restore(&snap.Boards[b], target); err != nil {

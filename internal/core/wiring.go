@@ -6,8 +6,8 @@ import "flashwalker/internal/sim"
 // accelerator per flash chip, one channel-level accelerator per channel,
 // and the board-level accelerator, all registered in e.tiers behind the
 // shared tierAccel interface. A fourth tier would be constructed and
-// appended here.
-func (e *boardEngine) buildAccelerators() {
+// appended here. inDeg ranks the hot-subgraph candidates.
+func (e *boardEngine) buildAccelerators(inDeg []uint64) {
 	numChips := e.ssd.NumChips()
 	for i := 0; i < numChips; i++ {
 		c := &chipAccel{
@@ -73,17 +73,17 @@ func (e *boardEngine) buildAccelerators() {
 	}
 	e.board = b
 	e.tiers = append(e.tiers, b)
-	e.selectHotSubgraphs()
+	e.selectHotSubgraphs(inDeg)
 }
 
 // selectHotSubgraphs picks the top in-degree non-dense blocks for the board
 // and for each channel (paper §III-C: channels keep the top-K among blocks
-// on their own chips).
-func (e *boardEngine) selectHotSubgraphs() {
+// on their own chips). sums is Partitioned.InDegreeSums over the graph at
+// construction, computed once for all boards.
+func (e *boardEngine) selectHotSubgraphs(sums []uint64) {
 	if !e.cfg.Opts.HotSubgraphs {
 		return
 	}
-	sums := e.part.InDegreeSums()
 	all := make([]int, e.part.NumBlocks())
 	for i := range all {
 		all[i] = i

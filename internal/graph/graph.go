@@ -36,6 +36,8 @@ type Graph struct {
 	// graphs; it is the pre-computed cumulative-distribution list CL that
 	// inverse transform sampling binary-searches (paper §III-B).
 	CumWeights []float32
+
+	mut *mutScratch // ApplyMutations' reusable scratch
 }
 
 // NumVertices reports the number of vertices.

@@ -1,10 +1,12 @@
 package graph
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -207,73 +209,193 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// ApplyMutation applies one validated mutation in place, keeping every CSR
-// invariant: the adjacency stays sorted, Offsets stay monotone, and the
-// source vertex's cumulative-weight run is recomputed left to right in
-// Builder order. Callers own the graph exclusively (see Clone).
-func (g *Graph) ApplyMutation(m Mutation) error {
+// ApplyMutation applies one mutation in place; see ApplyMutations.
+func (g *Graph) ApplyMutation(m Mutation) error { return g.ApplyMutations([]Mutation{m}) }
+
+// ApplyMutations applies ms in place with exactly the result of applying
+// them one at a time in stream order, keeping every CSR invariant: each
+// adjacency run stays sorted, Offsets stay monotone, and every touched
+// source's cumulative-weight run is recomputed left to right in Builder
+// order. Callers own the graph exclusively (see Clone).
+//
+// The whole batch is checked before anything is written — endpoint
+// ranges, ops, insert weight kinds, and delete-must-exist against the
+// running edge multiset — so a rejected batch leaves the graph untouched
+// and its error names the offending mutation's index. Each touched
+// source's new run is built in scratch; every untouched segment between
+// touched sources then moves once, by the cumulative degree delta of the
+// runs before it, and Offsets change only where that delta is non-zero.
+// A degree-neutral batch, such as a rewire's delete+insert, therefore
+// costs its sources' degrees rather than a shift of the edge array.
+func (g *Graph) ApplyMutations(ms []Mutation) error {
+	if len(ms) == 0 {
+		return nil
+	}
 	n := g.NumVertices()
-	if m.Src >= n || m.Dst >= n {
-		return fmt.Errorf("graph: mutation edge (%d,%d) outside %d vertices", m.Src, m.Dst, n)
-	}
-	switch m.Op {
-	case OpInsertEdge:
-		if g.Weighted() == (m.Weight == 0) {
-			return fmt.Errorf("graph: insert weight %v does not match weighted=%v", m.Weight, g.Weighted())
+	for i, m := range ms {
+		if m.Src >= n || m.Dst >= n {
+			return fmt.Errorf("graph: mutation %d edge (%d,%d) outside %d vertices", i, m.Src, m.Dst, n)
 		}
-		adj := g.OutEdges(m.Src)
-		// Upper bound of the equal-dst run: where Builder's sort would
-		// place a fresh duplicate.
-		at := g.Offsets[m.Src] + uint64(sort.Search(len(adj), func(i int) bool { return adj[i] > m.Dst }))
-		g.Edges = spliceIn(g.Edges, at, m.Dst)
-		if g.Weighted() {
-			g.Weights = spliceIn(g.Weights, at, m.Weight)
-			g.CumWeights = spliceIn(g.CumWeights, at, 0)
-		}
-		for v := m.Src + 1; v <= n; v++ {
-			g.Offsets[v]++
-		}
-	case OpDeleteEdge:
-		adj := g.OutEdges(m.Src)
-		hi := sort.Search(len(adj), func(i int) bool { return adj[i] > m.Dst })
-		if hi == 0 || adj[hi-1] != m.Dst {
-			return fmt.Errorf("graph: delete of missing edge (%d,%d)", m.Src, m.Dst)
-		}
-		at := g.Offsets[m.Src] + uint64(hi-1)
-		g.Edges = spliceOut(g.Edges, at)
-		if g.Weighted() {
-			g.Weights = spliceOut(g.Weights, at)
-			g.CumWeights = spliceOut(g.CumWeights, at)
-		}
-		for v := m.Src + 1; v <= n; v++ {
-			g.Offsets[v]--
-		}
-	default:
-		return fmt.Errorf("graph: unknown mutation op %q", m.Op)
-	}
-	if g.Weighted() {
-		// Recompute the touched vertex's cumulative run in the exact
-		// float32 accumulation order Builder.Build uses.
-		var acc float32
-		for i := g.Offsets[m.Src]; i < g.Offsets[m.Src+1]; i++ {
-			acc += g.Weights[i]
-			g.CumWeights[i] = acc
+		switch m.Op {
+		case OpInsertEdge:
+			if g.Weighted() == (m.Weight == 0) {
+				return fmt.Errorf("graph: mutation %d insert weight %v does not match weighted=%v", i, m.Weight, g.Weighted())
+			}
+		case OpDeleteEdge:
+		default:
+			return fmt.Errorf("graph: mutation %d has unknown op %q", i, m.Op)
 		}
 	}
+	if g.mut == nil {
+		g.mut = new(mutScratch)
+	}
+	sc := g.mut
+	sc.order = sc.order[:0]
+	for i := range ms {
+		sc.order = append(sc.order, i)
+	}
+	slices.SortStableFunc(sc.order, func(a, b int) int { return cmp.Compare(ms[a].Src, ms[b].Src) })
+	sc.runs, sc.edges, sc.weights, sc.cum = sc.runs[:0], sc.edges[:0], sc.weights[:0], sc.cum[:0]
+	bad := -1
+	for k := 0; k < len(sc.order); {
+		end := k + 1
+		for end < len(sc.order) && ms[sc.order[end]].Src == ms[sc.order[k]].Src {
+			end++
+		}
+		if i := sc.rebuildRun(g, ms, sc.order[k:end]); i >= 0 && (bad < 0 || i < bad) {
+			bad = i
+		}
+		k = end
+	}
+	if bad >= 0 {
+		return fmt.Errorf("graph: mutation %d deletes missing edge (%d,%d)", bad, ms[bad].Src, ms[bad].Dst)
+	}
+	g.splice(sc)
 	return nil
 }
 
-// spliceIn inserts v at index at, shifting the tail right.
-func spliceIn[T any](s []T, at uint64, v T) []T {
-	var zero T
-	s = append(s, zero)
-	copy(s[at+1:], s[at:])
-	s[at] = v
-	return s
+// mutScratch is ApplyMutations' working space, kept on the graph so
+// successive batches reuse it.
+type mutScratch struct {
+	order        []int        // batch indices grouped by source, stream order within a source
+	runs         []touchedRun // one per touched source, ascending
+	edges        []VertexID   // the touched sources' new runs, back to back
+	weights, cum []float32    // parallel to edges on weighted graphs
 }
 
-// spliceOut removes the element at index at, shifting the tail left.
-func spliceOut[T any](s []T, at uint64) []T {
-	copy(s[at:], s[at+1:])
-	return s[:len(s)-1]
+// touchedRun locates one touched source's new run in the scratch arrays.
+type touchedRun struct {
+	src   VertexID
+	from  int   // start in the scratch arrays
+	deg   int   // new out-degree
+	shift int64 // cumulative degree delta of this and every earlier touched source
+}
+
+// rebuildRun appends the new run of one source — its current run with
+// idx's mutations (all on that source, in stream order) applied — and
+// reports the first mutation deleting an edge the run lacks, or -1. An
+// insert lands at the upper bound of its destination's run, where
+// Builder's sort would place a fresh duplicate; a delete removes the last
+// parallel edge of its pair.
+func (sc *mutScratch) rebuildRun(g *Graph, ms []Mutation, idx []int) int {
+	src := ms[idx[0]].Src
+	from := len(sc.edges)
+	sc.edges = append(sc.edges, g.OutEdges(src)...)
+	w := g.Weighted()
+	if w {
+		sc.weights = append(sc.weights, g.OutWeights(src)...)
+	}
+	for _, i := range idx {
+		m := ms[i]
+		run := sc.edges[from:]
+		at := from + sort.Search(len(run), func(j int) bool { return run[j] > m.Dst })
+		if m.Op == OpInsertEdge {
+			sc.edges = slices.Insert(sc.edges, at, m.Dst)
+			if w {
+				sc.weights = slices.Insert(sc.weights, at, m.Weight)
+			}
+			continue
+		}
+		if at == from || sc.edges[at-1] != m.Dst {
+			return i
+		}
+		sc.edges = slices.Delete(sc.edges, at-1, at)
+		if w {
+			sc.weights = slices.Delete(sc.weights, at-1, at)
+		}
+	}
+	if w {
+		var acc float32
+		for _, x := range sc.weights[from:] {
+			acc += x
+			sc.cum = append(sc.cum, acc)
+		}
+	}
+	deg := len(sc.edges) - from
+	shift := int64(deg) - int64(g.OutDegree(src))
+	if len(sc.runs) > 0 {
+		shift += sc.runs[len(sc.runs)-1].shift
+	}
+	sc.runs = append(sc.runs, touchedRun{src: src, from: from, deg: deg, shift: shift})
+	return -1
+}
+
+// splice lays the scratch runs into the CSR arrays — each array through
+// the same spliceRuns, so every move carries Edges, Weights and
+// CumWeights alike — then shifts Offsets where the cumulative delta is
+// non-zero.
+func (g *Graph) splice(sc *mutScratch) {
+	g.Edges = spliceRuns(g.Edges, sc.edges, g.Offsets, sc.runs)
+	if g.Weighted() {
+		g.Weights = spliceRuns(g.Weights, sc.weights, g.Offsets, sc.runs)
+		g.CumWeights = spliceRuns(g.CumWeights, sc.cum, g.Offsets, sc.runs)
+	}
+	for i, r := range sc.runs {
+		if r.shift == 0 {
+			continue
+		}
+		end := g.NumVertices()
+		if i+1 < len(sc.runs) {
+			end = sc.runs[i+1].src
+		}
+		for v := r.src + 1; v <= end; v++ {
+			g.Offsets[v] = uint64(int64(g.Offsets[v]) + r.shift)
+		}
+	}
+}
+
+// spliceRuns returns s (a CSR array laid out by the old offsets) with each
+// touched run replaced by its new run from scratch. The untouched segment
+// after run i moves by runs[i].shift: left-moving segments move left to
+// right and right-moving ones right to left, so no segment is overwritten
+// before it has moved, and each moves once.
+func spliceRuns[T any](s, scratch []T, offsets []uint64, runs []touchedRun) []T {
+	oldLen := uint64(len(s))
+	total := runs[len(runs)-1].shift
+	if total > 0 {
+		s = slices.Grow(s, int(total))[:int64(oldLen)+total]
+	}
+	move := func(i int) {
+		lo, hi := offsets[runs[i].src+1], oldLen
+		if i+1 < len(runs) {
+			hi = offsets[runs[i+1].src]
+		}
+		copy(s[int64(lo)+runs[i].shift:], s[lo:hi])
+	}
+	for i := range runs {
+		if runs[i].shift < 0 {
+			move(i)
+		}
+	}
+	for i := len(runs) - 1; i >= 0; i-- {
+		if runs[i].shift > 0 {
+			move(i)
+		}
+	}
+	var before int64 // cumulative delta of the touched runs left of r
+	for _, r := range runs {
+		copy(s[int64(offsets[r.src])+before:], scratch[r.from:r.from+r.deg])
+		before = r.shift
+	}
+	return s[:int64(oldLen)+total]
 }

@@ -1,8 +1,89 @@
 package graph
 
 import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 )
+
+// refApplyMutation is the per-mutation tail splice ApplyMutations
+// replaced, kept as the reference it must match: every mutation shifts
+// the whole edge-array tail and every later Offsets entry.
+func refApplyMutation(g *Graph, m Mutation) error {
+	n := g.NumVertices()
+	if m.Src >= n || m.Dst >= n {
+		return fmt.Errorf("graph: mutation edge (%d,%d) outside %d vertices", m.Src, m.Dst, n)
+	}
+	switch m.Op {
+	case OpInsertEdge:
+		if g.Weighted() == (m.Weight == 0) {
+			return fmt.Errorf("graph: insert weight %v does not match weighted=%v", m.Weight, g.Weighted())
+		}
+		adj := g.OutEdges(m.Src)
+		at := g.Offsets[m.Src] + uint64(sort.Search(len(adj), func(i int) bool { return adj[i] > m.Dst }))
+		g.Edges = spliceIn(g.Edges, at, m.Dst)
+		if g.Weighted() {
+			g.Weights = spliceIn(g.Weights, at, m.Weight)
+			g.CumWeights = spliceIn(g.CumWeights, at, 0)
+		}
+		for v := m.Src + 1; v <= n; v++ {
+			g.Offsets[v]++
+		}
+	case OpDeleteEdge:
+		adj := g.OutEdges(m.Src)
+		hi := sort.Search(len(adj), func(i int) bool { return adj[i] > m.Dst })
+		if hi == 0 || adj[hi-1] != m.Dst {
+			return fmt.Errorf("graph: delete of missing edge (%d,%d)", m.Src, m.Dst)
+		}
+		at := g.Offsets[m.Src] + uint64(hi-1)
+		g.Edges = spliceOut(g.Edges, at)
+		if g.Weighted() {
+			g.Weights = spliceOut(g.Weights, at)
+			g.CumWeights = spliceOut(g.CumWeights, at)
+		}
+		for v := m.Src + 1; v <= n; v++ {
+			g.Offsets[v]--
+		}
+	default:
+		return fmt.Errorf("graph: unknown mutation op %q", m.Op)
+	}
+	if g.Weighted() {
+		var acc float32
+		for i := g.Offsets[m.Src]; i < g.Offsets[m.Src+1]; i++ {
+			acc += g.Weights[i]
+			g.CumWeights[i] = acc
+		}
+	}
+	return nil
+}
+
+func spliceIn[T any](s []T, at uint64, v T) []T {
+	var zero T
+	s = append(s, zero)
+	copy(s[at+1:], s[at:])
+	s[at] = v
+	return s
+}
+
+func spliceOut[T any](s []T, at uint64) []T {
+	copy(s[at:], s[at+1:])
+	return s[:len(s)-1]
+}
+
+// sameBits reports whether two graphs hold byte-identical CSR arrays
+// (float32s compared by bit pattern).
+func sameBits(a, b *Graph) bool {
+	f32 := func(x, y []float32) bool {
+		return (x == nil) == (y == nil) && slices.EqualFunc(x, y, func(p, q float32) bool {
+			return math.Float32bits(p) == math.Float32bits(q)
+		})
+	}
+	return slices.Equal(a.Offsets, b.Offsets) && slices.Equal(a.Edges, b.Edges) &&
+		f32(a.Weights, b.Weights) && f32(a.CumWeights, b.CumWeights)
+}
 
 // mutatedRebuild applies ms to a fresh Builder edge list (the "full
 // rebuild" leg the incremental path must match bit for bit).
@@ -241,4 +322,267 @@ func TestNetEdges(t *testing.T) {
 	if got := ms.NetEdges(2); got != -1 {
 		t.Fatalf("NetEdges(2) = %d, want -1", got)
 	}
+}
+
+// TestApplyMutationsBatchMatchesPerMutation applies a batch that touches
+// several sources with mixed-sign net deltas — so untouched segments move
+// both left and right — on a weighted graph, and checks it against the
+// per-mutation reference and the Builder rebuild. A rejected batch must
+// leave the graph byte-identical.
+func TestApplyMutationsBatchMatchesPerMutation(t *testing.T) {
+	nv := uint64(8)
+	edges := []Edge{
+		{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 0.5}, {Src: 1, Dst: 5, Weight: 2},
+		{Src: 2, Dst: 2, Weight: 1.5}, {Src: 3, Dst: 0, Weight: 1}, {Src: 4, Dst: 6, Weight: 3},
+		{Src: 5, Dst: 7, Weight: 0.25}, {Src: 6, Dst: 1, Weight: 1}, {Src: 7, Dst: 4, Weight: 2},
+	}
+	b := NewBuilder(nv)
+	for _, e := range edges {
+		b.AddWeightedEdge(e.Src, e.Dst, e.Weight)
+	}
+	base, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := MutationStream{
+		{Op: OpInsertEdge, Src: 6, Dst: 3, Weight: 2.5}, // +2 on 6: right move
+		{Op: OpDeleteEdge, Src: 1, Dst: 5},              // -2 on 1: left move
+		{Op: OpInsertEdge, Src: 6, Dst: 0, Weight: 0.75},
+		{Op: OpDeleteEdge, Src: 1, Dst: 2},
+		{Op: OpInsertEdge, Src: 4, Dst: 4, Weight: 1}, // rewire on 4
+		{Op: OpDeleteEdge, Src: 4, Dst: 6},
+		{Op: OpInsertEdge, Src: 7, Dst: 7, Weight: 4}, // insert-then-delete on 7
+		{Op: OpDeleteEdge, Src: 7, Dst: 7},
+	}
+	ref := base.Clone()
+	for _, m := range ms {
+		if err := refApplyMutation(ref, m); err != nil {
+			t.Fatalf("reference %+v: %v", m, err)
+		}
+	}
+	got := base.Clone()
+	if err := got.ApplyMutations(ms); err != nil {
+		t.Fatalf("ApplyMutations: %v", err)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("batched graph invalid: %v", err)
+	}
+	if !sameBits(got, ref) {
+		t.Fatalf("batch diverged from the per-mutation reference:\n got %+v\nwant %+v", got, ref)
+	}
+	graphsEqual(t, got, mutatedRebuild(t, nv, edges, ms, true))
+
+	bad := append(MutationStream{}, ms...)
+	bad[5] = Mutation{Op: OpDeleteEdge, Src: 4, Dst: 2}
+	rej := base.Clone()
+	if err := rej.ApplyMutations(bad); err == nil || !strings.Contains(err.Error(), "mutation 5 ") {
+		t.Fatalf("ApplyMutations with a missing delete at index 5: %v", err)
+	}
+	if !sameBits(rej, base) {
+		t.Fatal("a rejected batch wrote the graph")
+	}
+}
+
+// decodeMutationCase turns fuzz bytes into a graph of at most 16 vertices
+// (weighted or not; parallel edges and self-loops allowed), its edge list,
+// and a batch. Byte 0 picks the vertex count (low nibble) and weights (high
+// bit); byte 1 the edge count; then 3 bytes per edge (src, dst, weight)
+// and 3 per mutation (op, a, b). The op byte's low two bits choose an
+// insert (0, 1), a delete of (a, b) that may be missing or out of range
+// (2), or a delete of initial edge a, which an earlier delete may already
+// have taken (3); its high bits pick the insert weight, including the
+// invalid zero on weighted graphs and a non-zero one on unweighted graphs.
+func decodeMutationCase(data []byte) (nv uint64, weighted bool, edges []Edge, ms MutationStream) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	h := next()
+	nv, weighted = 1+uint64(h&15), h&0x80 != 0
+	for ne := int(next() % 48); ne > 0 && len(data) > 0; ne-- {
+		e := Edge{Src: uint64(next()) % nv, Dst: uint64(next()) % nv, Weight: 1}
+		if wb := next(); weighted {
+			e.Weight = 0.5 * float32(1+wb%4)
+		}
+		edges = append(edges, e)
+	}
+	for len(data) > 0 && len(ms) < 32 {
+		op, a, b := next(), uint64(next()), uint64(next())
+		switch op & 3 {
+		case 0, 1:
+			m := Mutation{Op: OpInsertEdge, Src: a % nv, Dst: b % nv}
+			if weighted {
+				m.Weight = 0.5 * float32((op>>2)%5)
+			} else if op>>2 == 63 {
+				m.Weight = 1
+			}
+			ms = append(ms, m)
+		case 2:
+			ms = append(ms, Mutation{Op: OpDeleteEdge, Src: a % (nv + 1), Dst: b % nv})
+		case 3:
+			m := Mutation{Op: OpDeleteEdge}
+			if len(edges) > 0 {
+				e := edges[a%uint64(len(edges))]
+				m.Src, m.Dst = e.Src, e.Dst
+			}
+			ms = append(ms, m)
+		}
+	}
+	return nv, weighted, edges, ms
+}
+
+// distinctWeightParallels reports whether a weighted edge list plus a
+// batch's inserts ever hold two (src, dst) edges of different weights —
+// the one case where Builder's unstable sort leaves the order unspecified.
+func distinctWeightParallels(edges []Edge, ms MutationStream) bool {
+	seen := map[[2]VertexID]float32{}
+	check := func(s, d VertexID, w float32) bool {
+		k := [2]VertexID{s, d}
+		if old, ok := seen[k]; ok && old != w {
+			return true
+		}
+		seen[k] = w
+		return false
+	}
+	for _, e := range edges {
+		if check(e.Src, e.Dst, e.Weight) {
+			return true
+		}
+	}
+	for _, m := range ms {
+		if m.Op == OpInsertEdge && check(m.Src, m.Dst, m.Weight) {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzApplyMutations checks the batched splice against the per-mutation
+// reference on arbitrary small graphs and batches: the same acceptance,
+// byte-identical arrays on success (also when the batch is split in two,
+// which reuses the scratch), an untouched graph on rejection, a graph that
+// passes Validate, and — where the order is defined — the Builder
+// rebuild of the mutated edge list. Seeds live in
+// testdata/fuzz/FuzzApplyMutations.
+func FuzzApplyMutations(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nv, weighted, edges, ms := decodeMutationCase(data)
+		b := NewBuilder(nv)
+		for _, e := range edges {
+			if weighted {
+				b.AddWeightedEdge(e.Src, e.Dst, e.Weight)
+			} else {
+				b.AddEdge(e.Src, e.Dst)
+			}
+		}
+		base, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if weighted && base.Weights == nil {
+			return // no edges: the Builder yields an unweighted graph
+		}
+		ref := base.Clone()
+		var refErr error
+		for _, m := range ms {
+			if refErr = refApplyMutation(ref, m); refErr != nil {
+				break
+			}
+		}
+		got := base.Clone()
+		err = got.ApplyMutations(ms)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("batch error %v, per-mutation reference error %v", err, refErr)
+		}
+		if err != nil {
+			if !sameBits(got, base) {
+				t.Fatalf("rejected batch (%v) wrote the graph", err)
+			}
+			return
+		}
+		if verr := got.Validate(); verr != nil {
+			t.Fatalf("batched graph invalid: %v", verr)
+		}
+		if !sameBits(got, ref) {
+			t.Fatalf("batch diverged from the per-mutation reference:\n got %+v\nwant %+v", got, ref)
+		}
+		split := base.Clone()
+		half := len(ms) / 2
+		if err := split.ApplyMutations(ms[:half]); err != nil {
+			t.Fatalf("first half: %v", err)
+		}
+		if err := split.ApplyMutations(ms[half:]); err != nil {
+			t.Fatalf("second half: %v", err)
+		}
+		if !sameBits(split, ref) {
+			t.Fatal("two half batches diverged from the per-mutation reference")
+		}
+		// A rebuild of an emptied weighted graph comes out unweighted.
+		if !weighted || (got.NumEdges() > 0 && !distinctWeightParallels(edges, ms)) {
+			graphsEqual(t, got, mutatedRebuild(t, nv, edges, ms, weighted))
+		}
+	})
+}
+
+// benchCSR builds an MB-S-sized CSR directly — 65,536 vertices of
+// out-degree 32, about 2M edges — rather than through the RMAT generator.
+func benchCSR() *Graph {
+	const nv, deg = 1 << 16, 32
+	g := &Graph{Offsets: make([]uint64, nv+1), Edges: make([]VertexID, 0, nv*deg)}
+	for v := uint64(0); v < nv; v++ {
+		from := len(g.Edges)
+		for i := uint64(0); i < deg; i++ {
+			g.Edges = append(g.Edges, (v*2654435761+i*40503)%nv)
+		}
+		slices.Sort(g.Edges[from:])
+		g.Offsets[v+1] = uint64(len(g.Edges))
+	}
+	return g
+}
+
+// BenchmarkApplyMutations times the graph layer of a mid-run rewire on an
+// MB-S-sized CSR: a delete+insert on one source applied as two calls (each
+// shifts the edge-array tail) or as one degree-neutral batch (touches only
+// the source's run), and a net +1 batch, which shifts the tail once.
+func BenchmarkApplyMutations(b *testing.B) {
+	g := benchCSR()
+	nv := g.NumVertices()
+	rewire := func(i int) (del, ins Mutation) {
+		src := VertexID(i) * 40503 % nv
+		del = Mutation{Op: OpDeleteEdge, Src: src, Dst: g.OutEdges(src)[0]}
+		ins = Mutation{Op: OpInsertEdge, Src: src, Dst: VertexID(i) % nv}
+		return del, ins
+	}
+	b.Run("rewire/per-call", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			del, ins := rewire(i)
+			if err := g.ApplyMutation(del); err != nil {
+				b.Fatal(err)
+			}
+			if err := g.ApplyMutation(ins); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("rewire/batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			del, ins := rewire(i)
+			if err := g.ApplyMutations([]Mutation{del, ins}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("insert/batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			del, ins := rewire(i)
+			grow := Mutation{Op: OpInsertEdge, Src: (del.Src + nv/2) % nv, Dst: del.Src}
+			if err := g.ApplyMutations([]Mutation{del, ins, grow}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -934,13 +934,11 @@ func (m *Manager) runDeepWalk(ctx context.Context, j *Job, g *graph.Graph) (*Job
 	m.metrics.corpusEngineRuns.Add(1)
 	if len(j.Spec.Mutations) > 0 {
 		// Corpus generation runs on the host with no simulated clock, so
-		// the whole stream applies up front — on a private clone; the
-		// registry's graph is shared and immutable.
+		// the whole stream applies up front as one batch — on a private
+		// clone; the registry's graph is shared and immutable.
 		mg := g.Clone()
-		for _, mut := range j.Spec.Mutations {
-			if err := mg.ApplyMutation(mut); err != nil {
-				return nil, fmt.Errorf("service: mutations: %v: %w", err, errs.ErrInvalidConfig)
-			}
+		if err := mg.ApplyMutations(j.Spec.Mutations); err != nil {
+			return nil, fmt.Errorf("service: mutations: %v: %w", err, errs.ErrInvalidConfig)
 		}
 		g = mg
 	}
