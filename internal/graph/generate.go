@@ -3,6 +3,9 @@ package graph
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"flashwalker/internal/errs"
 	"flashwalker/internal/rng"
@@ -38,6 +41,11 @@ func DefaultRMAT(v, e uint64, seed uint64) RMATConfig {
 }
 
 // RMAT generates a directed graph with the recursive-matrix model.
+//
+// Unweighted graphs are generated on runtime.GOMAXPROCS(0) goroutines, the
+// way PaRMAT generates in parallel; the result is the same graph, byte for
+// byte, at any setting (see parallel). Weighted graphs are generated on the
+// calling goroutine (see sequential).
 func RMAT(cfg RMATConfig) (*Graph, error) {
 	if cfg.NumVertices == 0 {
 		return nil, fmt.Errorf("graph: RMAT with zero vertices: %w", errs.ErrInvalidConfig)
@@ -46,65 +54,267 @@ func RMAT(cfg RMATConfig) (*Graph, error) {
 	if sum < 0.99 || sum > 1.01 {
 		return nil, fmt.Errorf("graph: RMAT probabilities sum to %v, want 1: %w", sum, errs.ErrInvalidConfig)
 	}
-	levels := 0
-	pow := uint64(1)
-	for pow < cfg.NumVertices {
-		pow <<= 1
-		levels++
+	p := &rmat{
+		cfg:         cfg,
+		maxAttempts: cfg.NumEdges*20 + 1000,
+		divFree:     cfg.Noise < 1 && cfg.A >= 0 && cfg.B >= 0 && cfg.C >= 0 && cfg.D >= 0,
 	}
-	r := rng.New(cfg.Seed)
-	b := NewBuilder(cfg.NumVertices)
-	seen := map[uint64]struct{}{}
-	attempts := uint64(0)
-	maxAttempts := cfg.NumEdges*20 + 1000
-	for uint64(b.NumEdges()) < cfg.NumEdges {
-		attempts++
-		if attempts > maxAttempts {
-			// Dense duplicate-heavy corner: give up removing duplicates and
-			// accept what we have rather than loop forever.
-			break
+	for pow := uint64(1); pow < cfg.NumVertices; pow <<= 1 {
+		p.levels++
+	}
+	// Dedup accepts at most NumVertices² distinct edges.
+	size := cfg.NumEdges
+	if cfg.RemoveDuplicates {
+		if cfg.NumVertices < 1<<32 {
+			size = min(size, cfg.NumVertices*cfg.NumVertices)
 		}
-		var src, dst uint64
-		for l := 0; l < levels; l++ {
-			a, bb, c := cfg.A, cfg.B, cfg.C
-			if cfg.Noise > 0 {
-				// Symmetric per-level perturbation, renormalized.
-				na := a * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-				nb := bb * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-				nc := c * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-				nd := cfg.D * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-				tot := na + nb + nc + nd
-				a, bb, c = na/tot, nb/tot, nc/tot
-			}
-			u := r.Float64()
-			switch {
-			case u < a:
-				// top-left: no bits set
-			case u < a+bb:
-				dst |= 1 << l
-			case u < a+bb+c:
-				src |= 1 << l
-			default:
-				src |= 1 << l
-				dst |= 1 << l
-			}
-		}
-		src %= cfg.NumVertices
-		dst %= cfg.NumVertices
-		if cfg.RemoveDuplicates {
-			key := src*cfg.NumVertices + dst
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-		}
-		if cfg.Weighted {
-			b.AddWeightedEdge(src, dst, float32(r.Float64())+1e-6)
-		} else {
-			b.AddEdge(src, dst)
-		}
+		p.seen = newKeySet(size)
+	}
+	b := &Builder{numVertices: cfg.NumVertices, edges: make([]Edge, 0, size)}
+	if cfg.Weighted {
+		p.sequential(b)
+	} else {
+		p.parallel(b)
 	}
 	return b.Build()
+}
+
+// rmat is one RMAT call's generator: the descent, quadrant choice and
+// accept step both of its paths share.
+type rmat struct {
+	cfg    RMATConfig
+	levels int // log2 of NumVertices rounded up to a power of two
+	// maxAttempts bounds the attempts: in a dense, duplicate-heavy corner
+	// RMAT keeps what it has rather than loop forever.
+	maxAttempts uint64
+	// divFree lets quadrant decide without dividing. It holds when every
+	// probability is ≥ 0 and Noise < 1, so every perturbed weight is ≥ 0
+	// and their total positive and finite (the bound in quadrant needs
+	// both; Noise ≥ 1 can make a weight negative and the total ≤ 0).
+	divFree bool
+	seen    *keySet // accepted src·NumVertices+dst keys; nil without dedup
+}
+
+// descend draws one attempt's endpoints from r, consuming levels × 5
+// values with noise and levels without, and folds them into
+// [0, NumVertices).
+func (p *rmat) descend(r *rng.RNG) (src, dst uint64) {
+	cfg := &p.cfg
+	for l := 0; l < p.levels; l++ {
+		var q uint64 // quadrant: bit 1 sets src's bit l, bit 0 sets dst's
+		if cfg.Noise > 0 {
+			// Symmetric per-level perturbation, renormalized.
+			na := cfg.A * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
+			nb := cfg.B * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
+			nc := cfg.C * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
+			nd := cfg.D * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
+			q = quadrant(na, nb, nc, nd, r.Float64(), p.divFree)
+		} else {
+			switch u := r.Float64(); {
+			case u < cfg.A:
+			case u < cfg.A+cfg.B:
+				q = 1
+			case u < cfg.A+cfg.B+cfg.C:
+				q = 2
+			default:
+				q = 3
+			}
+		}
+		src |= (q >> 1) << l
+		dst |= (q & 1) << l
+	}
+	return src % cfg.NumVertices, dst % cfg.NumVertices
+}
+
+// quadrant picks the quadrant for perturbed weights na..nd and a uniform u
+// exactly as comparing u in turn with the renormalized cumulative
+// probabilities na/tot, na/tot+nb/tot and na/tot+nb/tot+nc/tot does.
+//
+// With divFree it compares x = u·tot with t1 = na, t2 = na+nb and t3 =
+// na+nb+nc instead, and needs no division. Every weight being ≥ 0 and tot
+// > 0, each quotient-side threshold times tot lies within 6ε·tot of its
+// t (ε = 2^-53: a few roundings of terms no larger than tot), x lies
+// within ε·tot of u·tot, and x−t is formed to within ε|x−t|. So when x is
+// farther than m = 1e-9·tot from all three, u falls on the same side of
+// each quotient as x of its t, and as the thresholds ascend the quadrant
+// is how many lie below x — counted without branches, since which quadrant
+// comes up is random. Only inside the margin are the quotients formed.
+func quadrant(na, nb, nc, nd, u float64, divFree bool) uint64 {
+	t2 := na + nb
+	t3 := t2 + nc
+	tot := t3 + nd
+	if divFree {
+		x, m := u*tot, 1e-9*tot
+		if math.Abs(x-na) > m && math.Abs(x-t2) > m && math.Abs(x-t3) > m {
+			var q uint64
+			if x > na {
+				q++
+			}
+			if x > t2 {
+				q++
+			}
+			if x > t3 {
+				q++
+			}
+			return q
+		}
+	}
+	a, bb, c := na/tot, nb/tot, nc/tot
+	switch {
+	case u < a:
+		return 0
+	case u < a+bb:
+		return 1
+	case u < a+bb+c:
+		return 2
+	}
+	return 3
+}
+
+// accept reports whether an attempt's edge is kept: always without dedup,
+// otherwise only on the first occurrence of its (src, dst).
+func (p *rmat) accept(src, dst uint64) bool {
+	return p.seen == nil || p.seen.insert(src*p.cfg.NumVertices+dst)
+}
+
+// sequential generates a weighted graph on the calling goroutine. A weight
+// draw follows only an accepted edge, so where an attempt's draws start in
+// the stream depends on every earlier dedup outcome, and the attempts
+// cannot be split up the way parallel splits them.
+func (p *rmat) sequential(b *Builder) {
+	r := rng.New(p.cfg.Seed)
+	for attempts := uint64(0); uint64(len(b.edges)) < p.cfg.NumEdges && attempts < p.maxAttempts; attempts++ {
+		if src, dst := p.descend(r); p.accept(src, dst) {
+			b.AddWeightedEdge(src, dst, float32(r.Float64())+1e-6)
+		}
+	}
+}
+
+// rmatChunk is one run of consecutive attempts a worker descends.
+type rmatChunk struct {
+	first uint64        // index of the chunk's first attempt
+	pairs [][2]VertexID // each attempt's (src, dst)
+	done  chan struct{} // capacity 1: pairs is filled
+}
+
+// parallel generates an unweighted graph. Every attempt consumes exactly
+// draws values, so attempt i's draws start draws·i into the seed's stream,
+// and a worker can descend any chunk of attempts from a copy of the seed
+// state advanced by one rng Jump. This goroutine hands out chunks
+// in attempt order and takes their results back in the same order; it
+// alone does everything order-dependent — the attempt budget, dedup, the
+// append and the stop at NumEdges — so the graph is the sequential one.
+func (p *rmat) parallel(b *Builder) {
+	// Attempts per chunk: enough that a chunk's Jump and hand-off vanish
+	// beside its descents, few enough that a small graph still spreads
+	// over the workers and little is thrown away at the stop.
+	k := min(max(p.cfg.NumEdges/8, 256), 8192)
+	workers := runtime.GOMAXPROCS(0)
+	// The chunks in flight, oldest at head: two per worker, so a worker
+	// finds its next chunk queued while this goroutine drains the last.
+	ring := make([]rmatChunk, 2*workers)
+	jobs := make(chan *rmatChunk, len(ring))
+	seed := rng.New(p.cfg.Seed).State()
+	draws := uint64(p.levels)
+	if p.cfg.Noise > 0 {
+		draws *= 5
+	}
+	var stop atomic.Bool // set once the graph is done: skip queued chunks
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := range jobs {
+				if !stop.Load() {
+					r := rng.FromState(seed)
+					r.Jump(c.first * draws)
+					for i := range c.pairs {
+						c.pairs[i][0], c.pairs[i][1] = p.descend(r)
+					}
+				}
+				c.done <- struct{}{}
+			}
+		}()
+	}
+	defer func() {
+		stop.Store(true)
+		close(jobs)
+		wg.Wait()
+	}()
+
+	var dispatched, consumed uint64 // attempts handed out, and taken back
+	head, queued := 0, 0
+	for {
+		need := p.cfg.NumEdges - uint64(len(b.edges))
+		// Each attempt adds at most one edge, so at least need more are
+		// coming; dispatching only while fewer than that are in flight
+		// keeps at most one chunk beyond them.
+		for queued < len(ring) && dispatched < p.maxAttempts && dispatched-consumed < need {
+			c := &ring[(head+queued)%len(ring)]
+			if c.done == nil {
+				c.pairs, c.done = make([][2]VertexID, k), make(chan struct{}, 1)
+			}
+			c.first = dispatched
+			c.pairs = c.pairs[:min(k, p.maxAttempts-dispatched)]
+			jobs <- c
+			dispatched += uint64(len(c.pairs))
+			queued++
+		}
+		if queued == 0 {
+			return // attempt budget spent (or nothing needed): keep what we have
+		}
+		c := &ring[head]
+		<-c.done
+		head, queued = (head+1)%len(ring), queued-1
+		consumed += uint64(len(c.pairs))
+		for _, e := range c.pairs {
+			if p.accept(e[0], e[1]) {
+				b.AddEdge(e[0], e[1])
+				if uint64(len(b.edges)) == p.cfg.NumEdges {
+					return
+				}
+			}
+		}
+	}
+}
+
+// keySet is an insert-only set of uint64 keys: open addressing with linear
+// probing over a power-of-two table kept at most half full, multiplicative
+// hashing. A slot holds key+1, so 0 marks it empty; the one key whose
+// successor wraps to 0 is tracked apart.
+type keySet struct {
+	slots  []uint64
+	shift  uint // 64 - log2(len(slots))
+	hasMax bool // holds math.MaxUint64
+}
+
+// newKeySet returns a set sized for n keys.
+func newKeySet(n uint64) *keySet {
+	lg := 1
+	for uint64(1)<<lg < 2*n {
+		lg++
+	}
+	return &keySet{slots: make([]uint64, 1<<lg), shift: uint(64 - lg)}
+}
+
+// insert adds k and reports whether it was absent.
+func (s *keySet) insert(k uint64) bool {
+	if k == math.MaxUint64 {
+		added := !s.hasMax
+		s.hasMax = true
+		return added
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := (k * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k + 1
+			return true
+		case k + 1:
+			return false
+		}
+	}
 }
 
 // PowerLawConfig parameterizes a Chung-Lu style power-law generator: vertex

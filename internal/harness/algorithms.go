@@ -25,20 +25,21 @@ type AlgorithmRow struct {
 	Probes  uint64  // edge-filter probes (second-order only)
 }
 
+// fsWeightedRMAT is the graph ExtAlgorithms walks: FS-S's shape with
+// weights (biased walks need them; the unweighted kinds ignore them).
+var fsWeightedRMAT = graph.RMATConfig{
+	NumVertices: 16_016, NumEdges: 881_000,
+	A: 0.48, B: 0.22, C: 0.22, D: 0.08,
+	Noise: 0.05, RemoveDuplicates: true, Weighted: true, Seed: 42,
+}
+
 // ExtAlgorithms runs unbiased, biased (ITS), restart (PPR), and
 // second-order (node2vec) walks through FlashWalker on a weighted
 // Friendster-shaped graph and reports the relative cost of each sampling
 // scheme. The graph is generated once up front; the four algorithm runs
 // then sweep as independent grid points on workers goroutines.
 func ExtAlgorithms(ctx context.Context, scale float64, seed uint64, workers int) ([]AlgorithmRow, error) {
-	// A weighted FS-S-shaped graph (biased walks need weights; the
-	// unweighted kinds ignore them).
-	cfg := graph.RMATConfig{
-		NumVertices: 16_016, NumEdges: 881_000,
-		A: 0.48, B: 0.22, C: 0.22, D: 0.08,
-		Noise: 0.05, RemoveDuplicates: true, Weighted: true, Seed: 42,
-	}
-	g, err := graph.RMAT(cfg)
+	g, err := graph.RMAT(fsWeightedRMAT)
 	if err != nil {
 		return nil, err
 	}

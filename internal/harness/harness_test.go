@@ -2,6 +2,9 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -94,6 +97,54 @@ func TestDatasetShapes(t *testing.T) {
 	avg := float64(g.NumEdges()) / float64(g.NumVertices())
 	if avg < 1.3 || avg > 2.1 {
 		t.Errorf("CW-S average degree %v, want ~1.66", avg)
+	}
+}
+
+// csrDigest is the first 16 hex digits of the SHA-256 of g's Offsets,
+// Edges and Weights, little-endian.
+func csrDigest(t *testing.T, g *graph.Graph) string {
+	t.Helper()
+	h := sha256.New()
+	for _, a := range []any{g.Offsets, g.Edges, g.Weights} {
+		if err := binary.Write(h, binary.LittleEndian, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestDatasetGraphDigests pins every preset's generated graph, and the
+// weighted graph of the algorithms extension, bit for bit.
+func TestDatasetGraphDigests(t *testing.T) {
+	want := map[string]string{
+		"TT-S":          "47fae1860e5e1b15",
+		"FS-S":          "90d64c8e21302298",
+		"CW-S":          "3ce08b0240f50eac",
+		"R2B-S":         "c6818ad50e6a3cb4",
+		"R8B-S":         "5a5e6ccfdb51951b",
+		"MB-S":          "92fb085e525bff20",
+		"FS-S-weighted": "272040fdf15c0f53",
+	}
+	got := map[string]string{}
+	for _, d := range append(Datasets(), ExtraDatasets()...) {
+		g, err := d.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[d.Name] = csrDigest(t, g)
+	}
+	g, err := graph.RMAT(fsWeightedRMAT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["FS-S-weighted"] = csrDigest(t, g)
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s graph digest %s, want %s", name, got[name], w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("digests for %d graphs, want %d", len(got), len(want))
 	}
 }
 
