@@ -175,7 +175,17 @@ type walkState struct {
 	hasPrev bool
 }
 
-// Engine is one GraphWalker simulation.
+// movedWalk is a walk that left the resident set during a batch, bound for
+// block b once the batch's CPU time has elapsed.
+type movedWalk struct {
+	st walkState
+	b  int
+}
+
+// Engine is one GraphWalker simulation. Its scheduling loop is a chain of
+// typed events on the engine itself (block pages loaded -> spilled walks
+// loaded -> batch updated -> next round); the state each link hands to the
+// next lives in the fields below.
 type Engine struct {
 	eng  *sim.Engine
 	cfg  Config
@@ -188,10 +198,24 @@ type Engine struct {
 
 	pools      []pool
 	inMem      map[int]bool
-	loading    map[int][]func() // in-flight loads and their waiters
-	lru        []int            // block IDs, least-recent first
+	lru        []int // block IDs, least-recent first
 	memUsed    int64
 	walkMemUse int64
+
+	// Per-block graph loads in flight: pages still to arrive (> 0 while
+	// loading) and the load's start time. waitBlock is the block the
+	// scheduler waits on (-1 none); prefetches have no waiter.
+	loadLeft  []int
+	loadStart []sim.Time
+	waitBlock int
+
+	// The scheduler's spilled-walk read-back in flight (one at a time).
+	walkLoadLeft  int
+	walkLoadStart sim.Time
+
+	// moved holds the current batch's walks that left the resident set,
+	// routed when the batch's CPU time has elapsed.
+	moved []movedWalk
 
 	remaining int
 	chipRR    int
@@ -242,17 +266,19 @@ func NewWithSSD(g *graph.Graph, cfg Config, ssdCfg flash.Config, spec walk.Spec,
 		ssd.AttachFaults(inj)
 	}
 	e := &Engine{
-		eng:     eng,
-		cfg:     cfg,
-		ssd:     ssd,
-		g:       g,
-		part:    part,
-		spec:    spec,
-		rng:     rng.New(cfg.Seed),
-		inj:     inj,
-		pools:   make([]pool, part.NumBlocks()),
-		inMem:   map[int]bool{},
-		loading: map[int][]func(){},
+		eng:       eng,
+		cfg:       cfg,
+		ssd:       ssd,
+		g:         g,
+		part:      part,
+		spec:      spec,
+		rng:       rng.New(cfg.Seed),
+		inj:       inj,
+		pools:     make([]pool, part.NumBlocks()),
+		inMem:     map[int]bool{},
+		loadLeft:  make([]int, part.NumBlocks()),
+		loadStart: make([]sim.Time, part.NumBlocks()),
+		waitBlock: -1,
 	}
 	e.res.Breakdown = metrics.NewBreakdown()
 	e.numWalks = numWalks
@@ -338,11 +364,11 @@ func (e *Engine) writePages(pages int) sim.Time {
 	start := e.eng.Now()
 	var end sim.Time
 	bytes := int64(pages) * e.ssd.Cfg.PageBytes
-	e.ssd.TransferHost(bytes, nil)
+	e.ssd.TransferHost(bytes, sim.Event{})
 	for i := 0; i < pages; i++ {
 		chip := e.ssd.Chip(e.chipRR)
 		e.chipRR = (e.chipRR + 1) % e.ssd.NumChips()
-		e.ssd.ProgramPagesFromBoard(chip, 1, nil)
+		e.ssd.ProgramPagesFromBoard(chip, 1, sim.Event{})
 	}
 	end = start + sim.TransferTime(bytes, e.ssd.Cfg.PCIeBytesPerSec)
 	return end - start
@@ -386,7 +412,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 		})
 		defer e.eng.ClearCheckpoint()
 	}
-	e.eng.After(0, e.iterate)
+	e.eng.ScheduleAfter(0, sim.Event{Target: e, Kind: evNextRound})
 	e.eng.Run()
 	e.res.Time = e.eng.Now()
 	e.res.Flash = e.ssd.Counters
@@ -427,7 +453,7 @@ func (e *Engine) pickAbsentBlock() int {
 		if e.inMem[i] {
 			continue
 		}
-		if _, busy := e.loading[i]; busy {
+		if e.loadLeft[i] > 0 {
 			continue
 		}
 		if n := e.pools[i].total(); n > bestN {
@@ -435,6 +461,45 @@ func (e *Engine) pickAbsentBlock() int {
 		}
 	}
 	return best
+}
+
+// Scheduler event kinds (private to Engine.HandleEvent).
+const (
+	evNextRound uint16 = iota // route the last batch's moved walks, then iterate
+	evBlockPage               // one page of block A reached host memory
+	evWalkPage                // one page of spilled walks for block A read back
+)
+
+// HandleEvent advances the scheduling loop. It is exported only to satisfy
+// sim.Handler.
+func (e *Engine) HandleEvent(ev sim.Event) {
+	b := int(ev.A)
+	switch ev.Kind {
+	case evNextRound:
+		for i := range e.moved {
+			e.routeTo(e.moved[i].st, e.moved[i].b)
+		}
+		e.moved = e.moved[:0]
+		e.iterate()
+	case evBlockPage:
+		e.loadLeft[b]--
+		if e.loadLeft[b] > 0 {
+			return
+		}
+		e.res.Breakdown.Add("load graph", e.eng.Now()-e.loadStart[b])
+		if e.waitBlock == b {
+			e.waitBlock = -1
+			e.loadWalks(b)
+		}
+	case evWalkPage:
+		e.walkLoadLeft--
+		if e.walkLoadLeft == 0 {
+			e.res.Breakdown.Add("walk I/O", e.eng.Now()-e.walkLoadStart)
+			e.updateBatch(b)
+		}
+	default:
+		panic(fmt.Sprintf("baseline: unknown event kind %d", ev.Kind))
+	}
 }
 
 // iterate is one scheduling round: choose the fullest block, make it
@@ -446,25 +511,25 @@ func (e *Engine) iterate() {
 		return // all walks finished
 	}
 	e.res.Iterations++
-	e.ensureLoaded(b, func() {
-		e.loadWalks(b, func() {
-			e.updateBatch(b)
-		})
-	})
+	if e.ensureLoaded(b) {
+		e.loadWalks(b)
+	} else {
+		e.waitBlock = b
+	}
 }
 
 // ensureLoaded makes block b memory-resident, evicting LRU blocks as
-// needed, and calls done when its bytes have crossed PCIe. Concurrent
-// requests for the same block (scheduler + prefetcher) share one load.
-func (e *Engine) ensureLoaded(b int, done func()) {
-	if waiters, inFlight := e.loading[b]; inFlight {
-		e.loading[b] = append(waiters, done)
-		return
+// needed. It reports true when b is resident already; otherwise b's bytes
+// are crossing PCIe, and its last page's evBlockPage finishes the load.
+// Concurrent requests for the same block (scheduler + prefetcher) share one
+// load.
+func (e *Engine) ensureLoaded(b int) bool {
+	if e.loadLeft[b] > 0 {
+		return false
 	}
 	if e.inMem[b] {
 		e.touch(b)
-		done()
-		return
+		return true
 	}
 	blk := &e.part.Blocks[b]
 	size := blk.Bytes
@@ -473,7 +538,7 @@ func (e *Engine) ensureLoaded(b int, done func()) {
 	}
 	for i := 0; e.memUsed+size > e.cfg.MemoryBytes && i < len(e.lru); {
 		victim := e.lru[i]
-		if _, busy := e.loading[victim]; busy {
+		if e.loadLeft[victim] > 0 {
 			i++ // never evict a block still arriving
 			continue
 		}
@@ -492,27 +557,16 @@ func (e *Engine) ensureLoaded(b int, done func()) {
 	e.res.BlockLoads++
 	e.res.BlockBytes += int64(pages) * e.ssd.Cfg.PageBytes
 	if pages == 0 {
-		done()
-		return
+		return true
 	}
-	e.loading[b] = []func(){done}
-	start := e.eng.Now()
-	left := pages
+	e.loadLeft[b] = pages
+	e.loadStart[b] = e.eng.Now()
 	for i := 0; i < pages; i++ {
 		chip := e.ssd.Chip(e.chipRR)
 		e.chipRR = (e.chipRR + 1) % e.ssd.NumChips()
-		e.ssd.ReadPagesToHost(chip, 1, func() {
-			left--
-			if left == 0 {
-				e.res.Breakdown.Add("load graph", e.eng.Now()-start)
-				waiters := e.loading[b]
-				delete(e.loading, b)
-				for _, w := range waiters {
-					w()
-				}
-			}
-		})
+		e.ssd.ReadPagesToHost(chip, 1, sim.Event{Target: e, Kind: evBlockPage, A: int32(b)})
 	}
+	return false
 }
 
 // touch refreshes b's LRU position.
@@ -526,11 +580,13 @@ func (e *Engine) touch(b int) {
 	}
 }
 
-// loadWalks reads block b's spilled walk pages back from disk.
-func (e *Engine) loadWalks(b int, done func()) {
+// loadWalks reads block b's spilled walk pages back from disk, then
+// updates b's batch: at once when nothing was spilled, otherwise when the
+// last page's evWalkPage arrives.
+func (e *Engine) loadWalks(b int) {
 	p := &e.pools[b]
 	if len(p.disk) == 0 {
-		done()
+		e.updateBatch(b)
 		return
 	}
 	bytes := p.diskBytes
@@ -540,21 +596,15 @@ func (e *Engine) loadWalks(b int, done func()) {
 	e.walkMemUse += bytes
 	p.disk = nil
 	p.diskBytes = 0
-	start := e.eng.Now()
-	left := pages
+	e.walkLoadStart = e.eng.Now()
+	e.walkLoadLeft = pages
 	for i := 0; i < pages; i++ {
 		chip := e.ssd.Chip(e.chipRR)
 		e.chipRR = (e.chipRR + 1) % e.ssd.NumChips()
-		e.ssd.ReadPagesToHost(chip, 1, func() {
-			left--
-			if left == 0 {
-				e.res.Breakdown.Add("walk I/O", e.eng.Now()-start)
-				done()
-			}
-		})
+		e.ssd.ReadPagesToHost(chip, 1, sim.Event{Target: e, Kind: evWalkPage, A: int32(b)})
 	}
 	if pages == 0 {
-		done()
+		e.updateBatch(b)
 	}
 }
 
@@ -568,11 +618,6 @@ func (e *Engine) updateBatch(b int) {
 		e.walkMemUse = 0
 	}
 	var hops uint64
-	type movedWalk struct {
-		st walkState
-		b  int
-	}
-	var moved []movedWalk
 	for i := range batch {
 		st := batch[i]
 		for {
@@ -603,7 +648,7 @@ func (e *Engine) updateBatch(b int) {
 			}
 			nb := e.blockFor(&st)
 			if nb >= 0 && !e.inMem[nb] {
-				moved = append(moved, movedWalk{st: st, b: nb})
+				e.moved = append(e.moved, movedWalk{st: st, b: nb})
 				break
 			}
 		}
@@ -622,13 +667,8 @@ func (e *Engine) updateBatch(b int) {
 		// moving in this batch, exactly like an async I/O thread would.
 		if nb := e.pickAbsentBlock(); nb >= 0 {
 			e.res.Prefetches++
-			e.ensureLoaded(nb, func() {})
+			e.ensureLoaded(nb)
 		}
 	}
-	e.eng.After(cpu, func() {
-		for i := range moved {
-			e.routeTo(moved[i].st, moved[i].b)
-		}
-		e.iterate()
-	})
+	e.eng.ScheduleAfter(cpu, sim.Event{Target: e, Kind: evNextRound})
 }

@@ -12,16 +12,15 @@ import (
 	"flashwalker/internal/walk"
 )
 
-// The baseline engine is closure-driven: its pending events capture Go
-// closures (block-load completions, batch continuations), which no codec can
-// serialize. Its snapshot is therefore a replay record, not a state image:
-// the complete set of construction inputs, from which the whole run is a
-// pure function — GraphWalker itself restarts interrupted walks the same
-// way. ResumeContext rebuilds the engine from these inputs and re-runs it
-// from event zero, producing the identical Result (same shared RNG stream,
-// same event order); it trades repeated simulation time for zero mid-run
-// serialization, which is acceptable because the baseline exists for
-// comparison sweeps, not long-lived jobs.
+// The baseline's snapshot is a replay record, not a state image: the
+// complete set of construction inputs, from which the whole run is a pure
+// function — GraphWalker itself restarts interrupted walks the same way.
+// ResumeContext rebuilds the engine from these inputs and re-runs it from
+// event zero, producing the identical Result (same shared RNG stream, same
+// event order). The baseline is a comparison engine, run for sweeps against
+// FlashWalker, not a long-lived job: re-simulating a run from the start
+// costs little, and spares the baseline a mid-run state image of its pools,
+// LRU and loads in flight.
 
 // SnapshotConfig is Config minus the non-serializable OnProgress hook.
 type SnapshotConfig struct {
@@ -48,9 +47,9 @@ type Snapshot struct {
 	GraphEdges    uint64
 }
 
-// Snapshot captures the engine's construction inputs. Unlike
-// core.Engine.Snapshot it can be taken at any moment — the image does not
-// depend on how far the run has progressed.
+// Snapshot captures the engine's construction inputs. The record does not
+// depend on how far the run has progressed, so it can be taken at any
+// moment.
 func (e *Engine) Snapshot() *Snapshot {
 	c := e.cfg
 	return &Snapshot{

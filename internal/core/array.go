@@ -276,17 +276,22 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 			if e.onProgress != nil {
 				e.onProgress(e.progress())
 			}
-			if e.onSnapshot != nil && e.eng.Processed()-e.lastSnap >= e.snapEvery {
+			// A failed run is draining toward its error: nothing left to
+			// snapshot.
+			if e.onSnapshot != nil && e.failure == nil && e.eng.Processed()-e.lastSnap >= e.snapEvery {
 				// Flush exported walks first so a consumer persisting both
 				// never sees a snapshot ahead of its walk records.
 				e.flushWalks()
-				// Snapshots are pure reads of engine state between events;
-				// a build error means setup closures are still draining, so
-				// just try again at a later checkpoint.
-				if snap, err := e.buildSnapshot(); err == nil {
-					e.lastSnap = e.eng.Processed()
-					e.onSnapshot(snap)
+				// Snapshots are pure reads of engine state between events.
+				// One that cannot be built would silently leave the job
+				// without recovery points, so it fails the run.
+				snap, err := e.buildSnapshot()
+				if err != nil {
+					e.fail(err)
+					return false
 				}
+				e.lastSnap = e.eng.Processed()
+				e.onSnapshot(snap)
 			}
 			return ctx.Err() == nil
 		})

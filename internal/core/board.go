@@ -35,7 +35,7 @@ func (b *boardAccel) Guide(st wstate) {
 	ref, n := e.newNode()
 	n.st = d.st
 	n.block, n.foreign, n.steps = int32(d.blockID), int32(d.foreignPart), int32(d.searchSteps)
-	b.dispatchGuideEvent(d.ops, sim.Event{Target: e, Kind: evBoardGuided, A: ref})
+	b.dispatchGuide(d.ops, sim.Event{Target: e, Kind: evBoardGuided, A: ref})
 }
 
 // route applies a classification.
@@ -69,7 +69,7 @@ func (b *boardAccel) completed() {
 	b.completedBytes += walk.StateBytes
 	if b.completedBytes >= e.cfg.CompletedBufBytes {
 		pages := int((b.completedBytes + e.ssd.Cfg.PageBytes - 1) / e.ssd.Cfg.PageBytes)
-		e.ssd.ProgramPagesFromBoard(e.flushChip(), pages, nil)
+		e.ssd.ProgramPagesFromBoard(e.flushChip(), pages, sim.Event{})
 		b.completedBytes = 0
 		e.res.CompletedFlushes++
 	}

@@ -107,7 +107,7 @@ func (ca *channelAccel) dispatchGuided(st wstate, d chanGuide) {
 	ref, n := e.newNode()
 	n.st = st
 	n.hot, n.foreign, n.rangeID = d.hot, d.foreign, d.rangeID
-	ca.dispatchGuideEvent(d.ops,
+	ca.dispatchGuide(d.ops,
 		sim.Event{Target: e, Kind: evChanGuided, A: ref, B: int32(ca.id)})
 }
 

@@ -355,7 +355,7 @@ func (c *chipAccel) enqueueDecided(s *chipSlot, h hopOutcome) {
 	c.e.chargeFilterProbes(h, c)
 	ref, n := c.e.newNode()
 	n.st, n.terminal, n.deadEnd = h.next, h.terminal, h.deadEnd
-	c.updater.dispatchEvent(c.e.updateService(c.updaterCycle, h),
+	c.updater.dispatch(c.e.updateService(c.updaterCycle, h),
 		sim.Event{Target: c.e, Kind: evChipUpdateDone, A: ref, B: int32(c.id), C: int64(s.idx)})
 }
 
@@ -371,7 +371,7 @@ func (c *chipAccel) finishUpdate(s *chipSlot, st wstate, terminal, deadEnd bool)
 		c.completedBytes += walk.StateBytes
 		if c.completedBytes >= e.cfg.ChipCompletedBufBytes {
 			pages := int((c.completedBytes + e.ssd.Cfg.PageBytes - 1) / e.ssd.Cfg.PageBytes)
-			e.ssd.ProgramPagesLocal(c.chip, pages, nil)
+			e.ssd.ProgramPagesLocal(c.chip, pages, sim.Event{})
 			c.completedBytes = 0
 			e.res.CompletedFlushes++
 		}
@@ -402,7 +402,7 @@ func (c *chipAccel) Guide(st wstate) {
 	// One compare per loaded subgraph plus the move.
 	ref, n := c.e.newNode()
 	n.st = st
-	c.dispatchGuideEvent(1+len(c.slots),
+	c.dispatchGuide(1+len(c.slots),
 		sim.Event{Target: c.e, Kind: evChipRoute, A: ref, B: int32(c.id)})
 }
 
@@ -424,7 +424,7 @@ func (c *chipAccel) addRoving(st wstate) {
 		e.res.GuiderStalls++
 		ref, n := e.newNode()
 		n.st = st
-		c.guider.dispatchEvent(e.cfg.RovingFetchInterval,
+		c.guider.dispatch(e.cfg.RovingFetchInterval,
 			sim.Event{Target: e, Kind: evChipRoute, A: ref, B: int32(c.id)})
 		return
 	}

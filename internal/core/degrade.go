@@ -1,6 +1,10 @@
 package core
 
-import "sort"
+import (
+	"sort"
+
+	"flashwalker/internal/sim"
+)
 
 // Degraded-mode rerouting: when the fault injector marks a chip as degraded
 // (sticky, after Config.Faults.DegradeAfterErrors read errors), the
@@ -61,7 +65,7 @@ func (e *boardEngine) chipDegraded(chip int) {
 	// channel buffer, paying the flash and bus traffic.
 	for _, id := range added {
 		pages := e.part.Pages(&e.part.Blocks[id], e.ssd.Cfg.PageBytes)
-		e.ssd.ReadPagesToChannel(e.ssd.Chip(e.place.ChipOf(id)), pages, nil)
+		e.ssd.ReadPagesToChannel(e.ssd.Chip(e.place.ChipOf(id)), pages, sim.Event{})
 	}
 }
 

@@ -135,9 +135,11 @@ type RunConfig struct {
 	// checkpoint boundaries (see snapshot.go). A snapshot captures the
 	// full mid-run state — walk stores, accelerator queues, device
 	// bookings, the fabric, the pending event heap — and ResumeEngine
-	// replays the run from it bit-identically. Snapshots that cannot be
-	// taken yet (setup closures still draining) are skipped silently; the
-	// callback must not call back into the engine.
+	// replays the run from it bit-identically. Every checkpoint can be
+	// snapshotted, from event zero on; a snapshot that cannot be built fails
+	// the run, and RunContext returns the error. Snapshots do not capture
+	// ProgressBin time series or a Tracer, so neither may be combined with
+	// OnSnapshot. The callback must not call back into the engine.
 	OnSnapshot func(*Snapshot)
 	// SnapshotEvery is the minimum number of processed events between
 	// OnSnapshot deliveries; snapshots are only attempted at checkpoint
@@ -158,7 +160,8 @@ type RunConfig struct {
 
 // validate checks the run-wide inputs once, before any board is built.
 // Progress time series and tracers observe one board's devices, so they
-// are rules of single-board runs.
+// are rules of single-board runs; snapshots capture neither, so they also
+// exclude OnSnapshot.
 func (rc *RunConfig) validate(g *graph.Graph) error {
 	if err := rc.Cfg.Validate(); err != nil {
 		return err
@@ -174,6 +177,12 @@ func (rc *RunConfig) validate(g *graph.Graph) error {
 	}
 	if rc.Cfg.Boards > 1 && rc.Tracer != nil {
 		return fmt.Errorf("core: tracing is not supported with Boards > 1: %w", errs.ErrInvalidConfig)
+	}
+	if rc.OnSnapshot != nil && rc.ProgressBin > 0 {
+		return fmt.Errorf("core: snapshots do not capture progress time series; OnSnapshot excludes ProgressBin: %w", errs.ErrInvalidConfig)
+	}
+	if rc.OnSnapshot != nil && rc.Tracer != nil {
+		return fmt.Errorf("core: snapshots do not capture a tracer; OnSnapshot excludes Tracer: %w", errs.ErrInvalidConfig)
 	}
 	if rc.UseAliasSampling && rc.Spec.Kind != walk.Biased {
 		return fmt.Errorf("core: alias sampling only applies to biased walks: %w", errs.ErrInvalidConfig)

@@ -2,9 +2,9 @@ package core
 
 import "flashwalker/internal/sim"
 
-// This file is the engine's typed-event layer. Every steady-state
-// continuation the accelerator tiers used to express as a captured closure
-// is now a sim.Event targeting the board engine, dispatched through the jump
+// This file is the engine's typed-event layer. Every continuation the
+// accelerator tiers schedule — the time-0 hot-subgraph preload included —
+// is a sim.Event targeting the board engine, dispatched through the jump
 // table in HandleEvent. The walk being carried across the event boundary
 // lives in a pooled wnode addressed by the event's A payload, so the hop
 // path performs no allocation once the pools are warm.
@@ -29,6 +29,7 @@ const (
 	evSlotRetry                    // deferred-load timer fired
 	evLoadPart                     // one gating part of a slot load finished
 	evSwitchPage                   // one flushed-foreigner page read back
+	evHotLoaded                    // one preloaded hot block reached its tier
 )
 
 // wnode carries one walk (plus per-event scratch) across an event boundary.
@@ -137,12 +138,7 @@ func (e *boardEngine) HandleEvent(ev sim.Event) {
 		c.finishUpdate(s, st, terminal, deadEnd)
 
 	case evTierUpdateDone:
-		var t *tierCommon
-		if ev.B >= 0 {
-			t = &e.chans[ev.B].tierCommon
-		} else {
-			t = &e.board.tierCommon
-		}
+		t := e.tier(ev.B)
 		n := e.node(ev.A)
 		st, size, terminal, deadEnd := n.st, n.prevSize, n.terminal, n.deadEnd
 		e.freeNodeRef(ev.A)
@@ -197,6 +193,13 @@ func (e *boardEngine) HandleEvent(ev sim.Event) {
 	case evLoadPart:
 		e.chips[ev.B].loadPartDone(e.chips[ev.B].slots[ev.C])
 
+	case evHotLoaded:
+		t := e.tier(ev.B)
+		t.hotPending--
+		if t.hotPending == 0 {
+			t.hotReady = true
+		}
+
 	case evSwitchPage:
 		e.switchLeft--
 		if e.switchLeft == 0 {
@@ -211,6 +214,15 @@ func (e *boardEngine) HandleEvent(ev sim.Event) {
 	default:
 		panic("core: unknown event kind")
 	}
+}
+
+// tier resolves a channel index, or -1 for the board, to its tier state
+// (tierCommon.tierID in reverse).
+func (e *boardEngine) tier(id int32) *tierCommon {
+	if id >= 0 {
+		return &e.chans[id].tierCommon
+	}
+	return &e.board.tierCommon
 }
 
 // routeBoardNode applies a board classification parked in a node.

@@ -100,7 +100,7 @@ func (e *boardEngine) chargeFilterProbes(h hopOutcome, chip *chipAccel) {
 	e.res.FilterProbes += uint64(h.filterProbes)
 	if chip != nil {
 		// Request up, response down: one small transfer each way.
-		e.ssd.TransferChannel(chip.chip.Channel, int64(h.filterProbes)*2*e.cfg.CommandBytes, nil)
+		e.ssd.TransferChannelE(chip.chip.Channel, int64(h.filterProbes)*2*e.cfg.CommandBytes, sim.Event{})
 	}
 }
 

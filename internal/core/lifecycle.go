@@ -141,7 +141,7 @@ func (e *boardEngine) startPartition(p int) {
 		for i := 0; i < pages; i++ {
 			chip := e.ssd.Chip(e.flushChipRR)
 			e.flushChipRR = (e.flushChipRR + 1) % e.ssd.NumChips()
-			e.ssd.ReadPagesToChannelE(chip, 1, sim.Event{Target: e, Kind: evSwitchPage})
+			e.ssd.ReadPagesToChannel(chip, 1, sim.Event{Target: e, Kind: evSwitchPage})
 		}
 	}
 	if e.activeCur == 0 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"flashwalker/internal/blob"
@@ -13,6 +14,7 @@ import (
 	"flashwalker/internal/graph"
 	"flashwalker/internal/sim"
 	"flashwalker/internal/snapshot"
+	"flashwalker/internal/trace"
 	"flashwalker/internal/walk"
 )
 
@@ -91,9 +93,12 @@ func resumeContext(ctx context.Context, g *graph.Graph, snap *Snapshot, opts Res
 
 // interruptCoreChain is interruptCore's multi-cut sibling: it runs rc and
 // cancels at the first cut, at least `cuts` deep, that satisfies last (nil
-// accepts any), returning the final `cuts` consecutive snapshots. The raw
-// snapshots come back un-serialized — the delta chain tests round-trip
-// them through containers themselves.
+// accepts any), returning the final `cuts` consecutive snapshots. The chain
+// starts once the time-0 preload has landed: cuts inside it precede every
+// walk-store change, so deltas between them would be empty
+// (TestResumeDuringPreload covers those cuts). The raw snapshots come back
+// un-serialized — the delta chain tests round-trip them through containers
+// themselves.
 func interruptCoreChain(t *testing.T, g *graph.Graph, rc RunConfig, cuts int, last func(*Snapshot) bool) []*Snapshot {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -103,7 +108,7 @@ func interruptCoreChain(t *testing.T, g *graph.Graph, rc RunConfig, cuts int, la
 	rc.CheckpointEvery = 64
 	rc.SnapshotEvery = 1
 	rc.OnSnapshot = func(s *Snapshot) {
-		if done {
+		if done || s.Preloading() {
 			return
 		}
 		snaps = append(snaps, s)
@@ -279,6 +284,52 @@ func TestResumeMetamorphic(t *testing.T) {
 	}
 }
 
+// TestResumeDuringPreload cuts a run at its first snapshot taken while the
+// time-0 hot-subgraph preload is still in flight — a tier not yet ready,
+// its block reads live flash ops — round-trips it through the codec, and
+// proves the resumed run lands on the golden digest with identical
+// per-vertex visits, on one board and two.
+func TestResumeDuringPreload(t *testing.T) {
+	g := testGraph(t)
+	inPreload := func(s *Snapshot) bool {
+		if !s.Preloading() {
+			return false
+		}
+		ready, live := true, false
+		for i := range s.Boards {
+			b := &s.Boards[i]
+			ready = ready && b.Board.Tier.HotReady
+			for j := range b.Chans {
+				ready = ready && b.Chans[j].Tier.HotReady
+			}
+			for _, op := range b.Flash.Ops {
+				live = live || op.Remaining > 0
+			}
+		}
+		return !ready && live
+	}
+	for _, tc := range []struct {
+		boards int
+		digest string
+	}{{1, goldenDigest}, {2, arrayGoldenDigest2}} {
+		t.Run(fmt.Sprintf("boards=%d", tc.boards), func(t *testing.T) {
+			rc := arrayConfig(tc.boards)
+			rc.TrackVisits = true
+			clean := runEngine(t, g, rc)
+
+			snap := interruptWhen(t, g, rc, 1, inPreload)
+			res, err := resumeContext(context.Background(), g, snap, ResumeOptions{})
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if got := digestResult(res); got != tc.digest {
+				t.Fatalf("resume from a preload cut diverged:\n got %s\nwant %s", got, tc.digest)
+			}
+			assertSameVisits(t, res.Visits, clean.Visits)
+		})
+	}
+}
+
 // TestResumeChained proves snapshots compose: a resumed run keeps
 // snapshotting, and resuming from a second-generation snapshot still lands
 // on the uninterrupted result.
@@ -338,5 +389,53 @@ func TestResumeRejectsWrongGraph(t *testing.T) {
 		t.Fatal("resume over a different graph succeeded")
 	} else if !errors.Is(err, errs.ErrInvalidConfig) {
 		t.Fatalf("wrong-graph resume error %v, want ErrInvalidConfig", err)
+	}
+}
+
+// TestSnapshotRejectsUncapturedObservers pins the validate rules that keep
+// OnSnapshot honest: snapshots capture neither progress time series nor a
+// tracer, so asking for both would silently lose them on resume.
+func TestSnapshotRejectsUncapturedObservers(t *testing.T) {
+	g := testGraph(t)
+	rc := goldenConfig()
+	rc.OnSnapshot = func(*Snapshot) {}
+	rc.ProgressBin = 100 * sim.Microsecond
+	if _, err := NewEngine(g, rc); !errors.Is(err, errs.ErrInvalidConfig) {
+		t.Fatalf("OnSnapshot with ProgressBin: %v, want ErrInvalidConfig", err)
+	}
+
+	rc = goldenConfig()
+	rc.OnSnapshot = func(*Snapshot) {}
+	rc.Tracer = trace.NewRecorder()
+	if _, err := NewEngine(g, rc); !errors.Is(err, errs.ErrInvalidConfig) {
+		t.Fatalf("OnSnapshot with Tracer: %v, want ErrInvalidConfig", err)
+	}
+}
+
+// foreignHandler is an event target the engine does not own.
+type foreignHandler struct{}
+
+func (foreignHandler) HandleEvent(sim.Event) {}
+
+// TestSnapshotBuildErrorFailsRun proves a snapshot that cannot be built
+// fails the run with the build error, instead of the run finishing without
+// recovery points.
+func TestSnapshotBuildErrorFailsRun(t *testing.T) {
+	g := testGraph(t)
+	rc := goldenConfig()
+	rc.CheckpointEvery = 64
+	snaps := 0
+	rc.OnSnapshot = func(*Snapshot) { snaps++ }
+	e, err := NewEngine(g, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.eng.Schedule(sim.Second, sim.Event{Target: foreignHandler{}})
+	_, err = e.RunContext(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "unknown event target core.foreignHandler") {
+		t.Fatalf("run with a foreign event pending: %v, want an unknown-target error", err)
+	}
+	if snaps != 0 {
+		t.Fatalf("%d snapshots delivered despite the build error", snaps)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"flashwalker/internal/flash"
+	"flashwalker/internal/sim"
 	"flashwalker/internal/trace"
 	"flashwalker/internal/walk"
 )
@@ -62,7 +63,7 @@ func (e *boardEngine) flushForeigners() {
 	e.emit(trace.ForeignerFlush, totalBytes, 0)
 	e.dr.Read(totalBytes, nil)
 	pages := int((totalBytes + e.ssd.Cfg.PageBytes - 1) / e.ssd.Cfg.PageBytes)
-	e.ssd.ProgramPagesFromBoard(e.flushChip(), pages, nil)
+	e.ssd.ProgramPagesFromBoard(e.flushChip(), pages, sim.Event{})
 }
 
 // flushChip picks the next chip for board-side flash writes (round-robin).

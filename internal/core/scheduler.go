@@ -1,6 +1,9 @@
 package core
 
-import "flashwalker/internal/trace"
+import (
+	"flashwalker/internal/sim"
+	"flashwalker/internal/trace"
+)
 
 // This file is the subgraph scheduler's engine side: the Eq. 1 critical
 // degree scores and the partition walk buffer (PWB) with its
@@ -64,6 +67,6 @@ func (e *boardEngine) overflowPWB(b int) {
 	// The entry moves through the chip-level walk-overflow buffer and is
 	// programmed on the block's own chip, so the read-back later is local.
 	e.dr.Read(bytes, nil)
-	e.ssd.ProgramPagesFromBoard(e.ssd.Chip(e.place.ChipOf(b)), pages, nil)
+	e.ssd.ProgramPagesFromBoard(e.ssd.Chip(e.place.ChipOf(b)), pages, sim.Event{})
 	e.refreshScore(b)
 }

@@ -27,12 +27,11 @@ import (
 // Result is bit-identical to the uninterrupted run — the invariant
 // TestResumeMetamorphic proves against the golden digest.
 //
-// What is NOT captured: closures. Pending sim closure events (At/After) and
-// flash ops with func() completions make the export fail; they only exist
-// while the time-0 hot-subgraph preload drains, so checkpoint-driven
-// snapshots simply skip until the steady (all typed events) state is
-// reached. Progress time series and tracers are also not captured — attach
-// neither when snapshotting.
+// Every pending event and every flash op completion is a typed record, so a
+// snapshot can be taken at any checkpoint from event zero on — in the middle
+// of the time-0 hot-subgraph preload too (TierState.HotPending carries the
+// blocks still in flight). What is NOT captured: progress time series and
+// tracers, which RunConfig.validate therefore refuses beside OnSnapshot.
 
 // Event-target IDs for the kernel and flash export: the driver is 0 (its
 // fabric arrivals and kill events), and board b's engine and SSD are 1+2b
@@ -98,6 +97,7 @@ type TierState struct {
 	HotIDs     []int
 	HotNil     bool
 	HotReady   bool
+	HotPending int
 }
 
 // ChipState is one chip-level accelerator.
@@ -252,6 +252,23 @@ type Snapshot struct {
 	Kills         uint64
 }
 
+// Preloading reports whether the snapshot was cut while some tier's time-0
+// hot-subgraph preload was still in flight. Such a cut precedes every
+// walk-store change.
+func (s *Snapshot) Preloading() bool {
+	for i := range s.Boards {
+		b := &s.Boards[i]
+		pending := b.Board.Tier.HotPending
+		for j := range b.Chans {
+			pending += b.Chans[j].Tier.HotPending
+		}
+		if pending > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // WalksFinished reports the walks finished on every board at the cut.
 func (s *Snapshot) WalksFinished() int {
 	n := 0
@@ -347,6 +364,7 @@ func tierOut(t *tierCommon) TierState {
 		HotIDs:     t.hot.ids(),
 		HotNil:     t.hot == nil,
 		HotReady:   t.hotReady,
+		HotPending: t.hotPending,
 	}
 }
 
@@ -364,20 +382,17 @@ func tierIn(t *tierCommon, st TierState, what string) error {
 		t.SetHotBlocks(st.HotIDs)
 	}
 	t.hotReady = st.HotReady
+	t.hotPending = st.HotPending
 	return nil
 }
 
 // --- Export. ---
 
 // buildSnapshot captures the engine's complete state. It is safe only
-// strictly between simulated events (the checkpoint hook), and fails while
-// setup closures are still draining (the time-0 hot-subgraph preload),
-// when a tracer or progress time series is attached, or after a
-// simulation failure.
+// strictly between simulated events (the checkpoint hook) of a run that has
+// not failed. It fails only when a pending event or flash op completion
+// targets a handler outside the engine.
 func (e *Engine) buildSnapshot() (*Snapshot, error) {
-	if e.failure != nil {
-		return nil, fmt.Errorf("core: cannot snapshot a failed run: %w", e.failure)
-	}
 	targetID := func(h sim.Handler) (int32, error) {
 		if h == sim.Handler(e) {
 			return targetDriver, nil
@@ -439,9 +454,6 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 	for i, fb := range e.fbatches {
 		s.FBatches[i] = FabricBatchState{Walks: fwOut(fb.walks), Dst: fb.dst, Free: fb.free}
 	}
-	// The kernel export goes last: it fails while setup closures (the
-	// hot-subgraph preloads) are still pending, which is also the signal
-	// the checkpoint hook uses to retry later.
 	simState, err := e.eng.ExportState(targetID)
 	if err != nil {
 		return nil, err
@@ -454,12 +466,6 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 // kernel. targetID also maps flash op completions, which reference engine
 // and SSD targets.
 func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, error)) error {
-	if e.tracer != nil {
-		return fmt.Errorf("core: cannot snapshot with a tracer attached")
-	}
-	if e.res.ProgressTS != nil || e.ssd.ReadTS != nil {
-		return fmt.Errorf("core: cannot snapshot with progress time series attached")
-	}
 	flashState, err := e.ssd.ExportState(targetID)
 	if err != nil {
 		return err

@@ -176,15 +176,8 @@ func newUnitPool(eng *sim.Engine, n int) *unitPool {
 }
 
 // dispatch schedules a job on the least-busy unit and returns its
-// completion time; done (optional) fires then.
-func (p *unitPool) dispatch(service sim.Time, done func()) sim.Time {
-	p.jobs++
-	p.busy += service
-	return p.pick().Acquire(service, done)
-}
-
-// dispatchEvent is dispatch with a typed completion (no closure).
-func (p *unitPool) dispatchEvent(service sim.Time, done sim.Event) sim.Time {
+// completion time; done (the zero event for none) fires then.
+func (p *unitPool) dispatch(service sim.Time, done sim.Event) sim.Time {
 	p.jobs++
 	p.busy += service
 	return p.pick().AcquireEvent(service, done)

@@ -67,43 +67,51 @@ func TestQueryCacheMinimumCapacity(t *testing.T) {
 	}
 }
 
+// endLog is a completion target recording the time of each delivery.
+type endLog struct {
+	eng *sim.Engine
+	at  []sim.Time
+}
+
+func (l *endLog) HandleEvent(sim.Event) { l.at = append(l.at, l.eng.Now()) }
+
 func TestUnitPoolSingleUnitSerializes(t *testing.T) {
 	eng := sim.New()
 	p := newUnitPool(eng, 1)
-	var ends []sim.Time
-	p.dispatch(10, func() { ends = append(ends, eng.Now()) })
-	p.dispatch(10, func() { ends = append(ends, eng.Now()) })
+	ends := &endLog{eng: eng}
+	p.dispatch(10, sim.Event{Target: ends})
+	p.dispatch(10, sim.Event{Target: ends})
 	eng.Run()
-	if len(ends) != 2 || ends[0] != 10 || ends[1] != 20 {
-		t.Fatalf("ends = %v", ends)
+	if len(ends.at) != 2 || ends.at[0] != 10 || ends.at[1] != 20 {
+		t.Fatalf("ends = %v", ends.at)
 	}
 }
 
 func TestUnitPoolParallelUnits(t *testing.T) {
 	eng := sim.New()
 	p := newUnitPool(eng, 4)
-	var ends []sim.Time
+	ends := &endLog{eng: eng}
 	for i := 0; i < 4; i++ {
-		p.dispatch(10, func() { ends = append(ends, eng.Now()) })
+		p.dispatch(10, sim.Event{Target: ends})
 	}
 	eng.Run()
-	for _, e := range ends {
+	for _, e := range ends.at {
 		if e != 10 {
-			t.Fatalf("4 jobs on 4 units did not run in parallel: %v", ends)
+			t.Fatalf("4 jobs on 4 units did not run in parallel: %v", ends.at)
 		}
 	}
 	// A 5th job queues behind the least busy unit.
-	p.dispatch(10, func() { ends = append(ends, eng.Now()) })
+	p.dispatch(10, sim.Event{Target: ends})
 	eng.Run()
-	if ends[4] != 20 {
-		t.Fatalf("5th job ended at %v", ends[4])
+	if ends.at[4] != 20 {
+		t.Fatalf("5th job ended at %v", ends.at[4])
 	}
 }
 
 func TestUnitPoolUtilization(t *testing.T) {
 	eng := sim.New()
 	p := newUnitPool(eng, 2)
-	p.dispatch(50, nil)
+	p.dispatch(50, sim.Event{})
 	eng.Run()
 	eng.RunUntil(100)
 	// One unit busy 50 of 100 ns, the other idle: mean 0.25.

@@ -65,6 +65,9 @@ type tierCommon struct {
 
 	hot      *hotIndex
 	hotReady bool
+	// hotPending counts the hot blocks whose time-0 preload is still in
+	// flight; the tier turns hotReady when it reaches zero.
+	hotPending int
 
 	queueBytes int64 // walks buffered for hot-subgraph updating
 
@@ -94,16 +97,10 @@ func (t *tierCommon) Stats() TierStats {
 	}
 }
 
-// dispatchGuide charges ops guider operations at this tier's cycle time,
-// then applies the routing outcome.
-func (t *tierCommon) dispatchGuide(ops int, apply func()) {
-	t.guider.dispatch(simTime(ops)*t.guiderCycle, apply)
-}
-
-// dispatchGuideEvent is dispatchGuide with a typed completion (the hot
-// path: no closure).
-func (t *tierCommon) dispatchGuideEvent(ops int, done sim.Event) {
-	t.guider.dispatchEvent(simTime(ops)*t.guiderCycle, done)
+// dispatchGuide charges ops guider operations at this tier's cycle time;
+// done applies the routing outcome.
+func (t *tierCommon) dispatchGuide(ops int, done sim.Event) {
+	t.guider.dispatch(simTime(ops)*t.guiderCycle, done)
 }
 
 // tryHotUpdate claims hot-update queue capacity for st and, on success,
@@ -130,7 +127,7 @@ func (t *tierCommon) EnqueueUpdate(st wstate) {
 	ref, n := e.newNode()
 	n.st, n.prevSize = h.next, size
 	n.terminal, n.deadEnd = h.terminal, h.deadEnd
-	t.updater.dispatchEvent(e.updateService(t.updaterCycle, h),
+	t.updater.dispatch(e.updateService(t.updaterCycle, h),
 		sim.Event{Target: e, Kind: evTierUpdateDone, A: ref, B: t.tierID})
 }
 

@@ -124,7 +124,9 @@ func (e *boardEngine) pickHotBlocks(sums []uint64, candidates []int, budget int6
 }
 
 // preloadHotSubgraphs reads hot blocks into the channel and board buffers
-// at time zero, paying the flash and bus traffic.
+// at time zero, paying the flash and bus traffic. Each block's read
+// completes as an evHotLoaded event for its tier, which turns hot routing on
+// once the tier's last block has arrived.
 func (e *boardEngine) preloadHotSubgraphs() {
 	if !e.cfg.Opts.HotSubgraphs {
 		e.board.hotReady = true
@@ -133,25 +135,20 @@ func (e *boardEngine) preloadHotSubgraphs() {
 		}
 		return
 	}
-	load := func(ids []int, ready *bool) {
-		if len(ids) == 0 {
-			*ready = true
-			return
-		}
-		left := len(ids)
-		for _, id := range ids {
-			pages := e.part.Pages(&e.part.Blocks[id], e.ssd.Cfg.PageBytes)
-			chip := e.ssd.Chip(e.place.ChipOf(id))
-			e.ssd.ReadPagesToChannel(chip, pages, func() {
-				left--
-				if left == 0 {
-					*ready = true
-				}
-			})
-		}
-	}
-	load(e.board.HotBlocks(), &e.board.hotReady)
+	e.preloadTier(&e.board.tierCommon)
 	for _, ca := range e.chans {
-		load(ca.HotBlocks(), &ca.hotReady)
+		e.preloadTier(&ca.tierCommon)
+	}
+}
+
+// preloadTier issues one tier's hot-block reads.
+func (e *boardEngine) preloadTier(t *tierCommon) {
+	ids := t.HotBlocks()
+	t.hotPending = len(ids)
+	t.hotReady = len(ids) == 0
+	for _, id := range ids {
+		pages := e.part.Pages(&e.part.Blocks[id], e.ssd.Cfg.PageBytes)
+		e.ssd.ReadPagesToChannel(e.ssd.Chip(e.place.ChipOf(id)), pages,
+			sim.Event{Target: e, Kind: evHotLoaded, B: t.tierID})
 	}
 }

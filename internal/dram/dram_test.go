@@ -55,15 +55,20 @@ func TestPortSerializes(t *testing.T) {
 	}
 }
 
+// counter is a completion target that counts deliveries.
+type counter int
+
+func (c *counter) HandleEvent(sim.Event) { *c++ }
+
 func TestCallbacksFire(t *testing.T) {
 	eng := sim.New()
 	d, _ := New(eng, Default())
-	fired := 0
-	d.Read(64, func() { fired++ })
-	d.Write(64, func() { fired++ })
+	var c counter
+	d.Read(64, &sim.Event{Target: &c})
+	d.Write(64, &sim.Event{Target: &c})
 	eng.Run()
-	if fired != 2 {
-		t.Fatalf("callbacks fired %d", fired)
+	if c != 2 {
+		t.Fatalf("completions fired %d", c)
 	}
 }
 

@@ -11,15 +11,15 @@ import (
 // the finish time. done-counting proves no operation is lost to a fault.
 func faultWorkload(t *testing.T, s *SSD, eng *sim.Engine) (sim.Time, int) {
 	t.Helper()
-	finished := 0
+	p := &probe{eng: eng}
 	for i := 0; i < 50; i++ {
 		chip := s.Chip(i % s.NumChips())
-		s.ReadPagesLocal(chip, 2, func() { finished++ })
-		s.ReadPagesToChannel(chip, 1, func() { finished++ })
-		s.ReadPagesToHost(chip, 1, func() { finished++ })
+		s.ReadPagesLocalE(chip, 2, p.done())
+		s.ReadPagesToChannel(chip, 1, p.done())
+		s.ReadPagesToHost(chip, 1, p.done())
 	}
 	eng.Run()
-	return eng.Now(), finished
+	return eng.Now(), p.n
 }
 
 func TestZeroRateInjectorIsTimingIdentical(t *testing.T) {
@@ -96,13 +96,13 @@ func TestDegradedChipServesReadsSlowly(t *testing.T) {
 	inj := fault.NewInjector(cfg, s.NumChips())
 	s.AttachFaults(inj)
 	chip := s.Chip(0)
-	s.ReadPagesLocal(chip, 1, nil) // first read degrades the chip
+	s.ReadPagesLocalE(chip, 1, sim.Event{}) // first read degrades the chip
 	eng.Run()
 	if !inj.Degraded(0) {
 		t.Fatal("chip 0 should be degraded after its first error")
 	}
 	start := eng.Now()
-	s.ReadPagesLocal(chip, 1, nil)
+	s.ReadPagesLocalE(chip, 1, sim.Event{})
 	eng.Run()
 	want := s.Cfg.ReadLatency + cfg.DegradedReadPenalty
 	if got := eng.Now() - start; got != want {

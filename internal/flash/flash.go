@@ -221,11 +221,9 @@ func (s *SSD) recordChannel(at sim.Time, bytes int64) {
 // Every data-path operation below is a multi-part operation: n per-page (or
 // per-payload) timelines that each end by accounting traffic and notifying a
 // shared completion. The per-part timelines are typed sim events targeting
-// the SSD itself — no closures — and the shared completion lives in a pooled
-// op record addressed by index, so steady-state flash traffic allocates
-// nothing. The caller's completion is either a typed event (the E-suffixed
-// variants, used by the accelerator hot path) or a func() (the classic API,
-// which costs exactly one op-record store).
+// the SSD itself, and the caller's completion — a typed event, or the zero
+// event for none — waits in a pooled op record addressed by index, so
+// steady-state flash traffic allocates nothing.
 
 // Flash event kinds (private to the SSD's HandleEvent).
 const (
@@ -243,16 +241,15 @@ const (
 )
 
 // flashOp is one pooled multi-part operation: the completion fires when all
-// parts have finished. Exactly one of done / doneFn is set (or neither).
+// parts have finished.
 type flashOp struct {
 	remaining int32
 	free      int32 // free-list link
 	done      sim.Event
-	doneFn    func()
 }
 
 // newOp claims a pooled op record for n parts.
-func (s *SSD) newOp(n int, done sim.Event, doneFn func()) int32 {
+func (s *SSD) newOp(n int, done sim.Event) int32 {
 	var idx int32
 	if s.freeOp >= 0 {
 		idx = s.freeOp
@@ -261,25 +258,22 @@ func (s *SSD) newOp(n int, done sim.Event, doneFn func()) int32 {
 		s.ops = append(s.ops, flashOp{})
 		idx = int32(len(s.ops) - 1)
 	}
-	s.ops[idx] = flashOp{remaining: int32(n), free: -1, done: done, doneFn: doneFn}
+	s.ops[idx] = flashOp{remaining: int32(n), free: -1, done: done}
 	return idx
 }
 
-// opPart retires one part of the op; the last part fires the completion
-// inline (matching the old closure fan-out, which called done() inside the
-// final page's event) and recycles the record.
+// opPart retires one part of the op; the last part recycles the record and
+// delivers the completion inline, inside the final part's event.
 func (s *SSD) opPart(idx int32) {
 	op := &s.ops[idx]
 	op.remaining--
 	if op.remaining > 0 {
 		return
 	}
-	done, doneFn := op.done, op.doneFn
+	done := op.done
 	*op = flashOp{free: s.freeOp}
 	s.freeOp = idx
-	if doneFn != nil {
-		doneFn()
-	} else if !done.None() {
+	if !done.None() {
 		done.Target.HandleEvent(done)
 	}
 }
@@ -305,7 +299,7 @@ func (s *SSD) HandleEvent(ev sim.Event) {
 		}
 		chip := s.Chip(int(ev.B))
 		xfer := sim.TransferTime(s.Cfg.PageBytes, s.Cfg.ChannelBytesPerSec)
-		chip.Channel.Bus.AcquireAfterEvent(now, xfer,
+		chip.Channel.Bus.AcquireAfter(now, xfer,
 			sim.Event{Target: s, Kind: fkChanPage, A: ev.A})
 	case fkChanPage:
 		s.recordChannel(now, s.Cfg.PageBytes)
@@ -317,12 +311,12 @@ func (s *SSD) HandleEvent(ev sim.Event) {
 		}
 		chip := s.Chip(int(ev.B))
 		xfer := sim.TransferTime(s.Cfg.PageBytes, s.Cfg.ChannelBytesPerSec)
-		chip.Channel.Bus.AcquireAfterEvent(now, xfer,
+		chip.Channel.Bus.AcquireAfter(now, xfer,
 			sim.Event{Target: s, Kind: fkChanHost, A: ev.A})
 	case fkChanHost:
 		s.recordChannel(now, s.Cfg.PageBytes)
 		xfer := sim.TransferTime(s.Cfg.PageBytes, s.Cfg.PCIeBytesPerSec)
-		s.pcie.AcquireAfterEvent(now, xfer,
+		s.pcie.AcquireAfter(now, xfer,
 			sim.Event{Target: s, Kind: fkHostPage, A: ev.A})
 	case fkHostPage:
 		s.Counters.HostBytes += s.Cfg.PageBytes
@@ -335,7 +329,7 @@ func (s *SSD) HandleEvent(ev sim.Event) {
 		chip := s.Chip(int(ev.B))
 		pl := chip.planes[chip.next]
 		chip.next = (chip.next + 1) % len(chip.planes)
-		pl.AcquireAfterEvent(now, s.Cfg.ProgramLatency,
+		pl.AcquireAfter(now, s.Cfg.ProgramLatency,
 			sim.Event{Target: s, Kind: fkProgramDone, A: ev.A})
 	case fkXferChan:
 		s.recordChannel(now, ev.C)
@@ -351,12 +345,10 @@ func (s *SSD) HandleEvent(ev sim.Event) {
 	}
 }
 
-// skip handles the degenerate zero-part case: the completion still fires as
-// a scheduled event at the current time, as the old API did.
-func (s *SSD) skip(done sim.Event, doneFn func()) {
-	if doneFn != nil {
-		s.Eng.After(0, doneFn)
-	} else if !done.None() {
+// skip handles the degenerate zero-part case: the completion still fires,
+// as an event scheduled at the current time.
+func (s *SSD) skip(done sim.Event) {
+	if !done.None() {
 		s.Eng.ScheduleAfter(0, done)
 	}
 }
@@ -405,79 +397,56 @@ func (s *SSD) retryRead(now sim.Time, ev sim.Event) bool {
 	chip := s.Chip(chipID)
 	plane := int(ev.C & 0xffffffff)
 	ev.C = int64(plane) | int64(attempt+1)<<32
-	chip.planes[plane].AcquireAfterEvent(now+delay, s.senseService(chipID), ev)
+	chip.planes[plane].AcquireAfter(now+delay, s.senseService(chipID), ev)
 	return true
 }
 
-// ReadPagesLocal reads n pages from the chip's planes into the chip-level
+// Every operation below takes a typed completion; the zero event means
+// none. ReadPagesLocalE and TransferChannelE keep an E suffix only because
+// the benchmark harness calls them by these names.
+
+// ReadPagesLocalE reads n pages from the chip's planes into the chip-level
 // accelerator. Pages round-robin across planes; each plane senses serially
 // at ReadLatency per page. done fires when the last page is available.
 // The channel bus is NOT used: this is the in-storage path.
-func (s *SSD) ReadPagesLocal(chip *Chip, n int, done func()) {
-	s.readPagesLocal(chip, n, sim.Event{}, done)
-}
-
-// ReadPagesLocalE is ReadPagesLocal with a typed completion (allocation-free).
 func (s *SSD) ReadPagesLocalE(chip *Chip, n int, done sim.Event) {
-	s.readPagesLocal(chip, n, done, nil)
-}
-
-func (s *SSD) readPagesLocal(chip *Chip, n int, done sim.Event, doneFn func()) {
-	if n <= 0 {
-		s.skip(done, doneFn)
-		return
-	}
-	op := s.newOp(n, done, doneFn)
-	for i := 0; i < n; i++ {
-		s.sense(chip, fkReadDone, op)
-	}
+	s.senseN(chip, n, fkReadDone, done)
 }
 
 // ReadPagesToChannel reads n pages and transfers each over the channel bus
 // to the channel-level (or board-level) accelerator. done fires when the
 // last page has crossed the bus.
-func (s *SSD) ReadPagesToChannel(chip *Chip, n int, done func()) {
-	s.readPagesToChannel(chip, n, sim.Event{}, done)
-}
-
-// ReadPagesToChannelE is ReadPagesToChannel with a typed completion.
-func (s *SSD) ReadPagesToChannelE(chip *Chip, n int, done sim.Event) {
-	s.readPagesToChannel(chip, n, done, nil)
-}
-
-func (s *SSD) readPagesToChannel(chip *Chip, n int, done sim.Event, doneFn func()) {
-	if n <= 0 {
-		s.skip(done, doneFn)
-		return
-	}
-	op := s.newOp(n, done, doneFn)
-	for i := 0; i < n; i++ {
-		s.sense(chip, fkSensedChan, op)
-	}
+func (s *SSD) ReadPagesToChannel(chip *Chip, n int, done sim.Event) {
+	s.senseN(chip, n, fkSensedChan, done)
 }
 
 // ReadPagesToHost reads n pages and moves them over the channel bus and the
 // PCIe link to the host (the GraphWalker path). done fires when the last
 // page reaches host memory.
-func (s *SSD) ReadPagesToHost(chip *Chip, n int, done func()) {
+func (s *SSD) ReadPagesToHost(chip *Chip, n int, done sim.Event) {
+	s.senseN(chip, n, fkSensedHost, done)
+}
+
+// senseN starts an n-page sense op whose pages continue as kind.
+func (s *SSD) senseN(chip *Chip, n int, kind uint16, done sim.Event) {
 	if n <= 0 {
-		s.skip(sim.Event{}, done)
+		s.skip(done)
 		return
 	}
-	op := s.newOp(n, sim.Event{}, done)
+	op := s.newOp(n, done)
 	for i := 0; i < n; i++ {
-		s.sense(chip, fkSensedHost, op)
+		s.sense(chip, kind, op)
 	}
 }
 
 // ProgramPagesLocal programs n pages on the chip's planes (data already at
 // the chip — e.g. a chip-level accelerator flushing its overflow buffer).
-func (s *SSD) ProgramPagesLocal(chip *Chip, n int, done func()) {
+func (s *SSD) ProgramPagesLocal(chip *Chip, n int, done sim.Event) {
 	if n <= 0 {
-		s.skip(sim.Event{}, done)
+		s.skip(done)
 		return
 	}
-	op := s.newOp(n, sim.Event{}, done)
+	op := s.newOp(n, done)
 	for i := 0; i < n; i++ {
 		pl := chip.planes[chip.next]
 		chip.next = (chip.next + 1) % len(chip.planes)
@@ -488,12 +457,12 @@ func (s *SSD) ProgramPagesLocal(chip *Chip, n int, done func()) {
 // ProgramPagesFromBoard moves n pages from the board over the channel bus
 // to the chip and programs them (the board flushing overflow / completed /
 // foreigner walks to flash, §III-D).
-func (s *SSD) ProgramPagesFromBoard(chip *Chip, n int, done func()) {
+func (s *SSD) ProgramPagesFromBoard(chip *Chip, n int, done sim.Event) {
 	if n <= 0 {
-		s.skip(sim.Event{}, done)
+		s.skip(done)
 		return
 	}
-	op := s.newOp(n, sim.Event{}, done)
+	op := s.newOp(n, done)
 	xfer := sim.TransferTime(s.Cfg.PageBytes, s.Cfg.ChannelBytesPerSec)
 	for i := 0; i < n; i++ {
 		chip.Channel.Bus.AcquireEvent(xfer,
@@ -501,62 +470,48 @@ func (s *SSD) ProgramPagesFromBoard(chip *Chip, n int, done func()) {
 	}
 }
 
-// TransferChannel occupies the chip's channel bus for an arbitrary payload
+// TransferChannelE occupies the chip's channel bus for an arbitrary payload
 // (roving walks moving chip->channel or commands/walks moving down). done
 // fires when the transfer completes.
-func (s *SSD) TransferChannel(ch *Channel, bytes int64, done func()) {
-	s.transferChannel(ch, bytes, sim.Event{}, done)
-}
-
-// TransferChannelE is TransferChannel with a typed completion.
 func (s *SSD) TransferChannelE(ch *Channel, bytes int64, done sim.Event) {
-	s.transferChannel(ch, bytes, done, nil)
-}
-
-func (s *SSD) transferChannel(ch *Channel, bytes int64, done sim.Event, doneFn func()) {
-	if bytes <= 0 {
-		s.skip(done, doneFn)
-		return
-	}
-	op := s.newOp(1, done, doneFn)
-	xfer := sim.TransferTime(bytes, s.Cfg.ChannelBytesPerSec)
-	ch.Bus.AcquireEvent(xfer, sim.Event{Target: s, Kind: fkXferChan, A: op, C: bytes})
+	s.transfer(ch.Bus, s.Cfg.ChannelBytesPerSec, fkXferChan, bytes, done)
 }
 
 // TransferHost occupies the PCIe link for an arbitrary payload.
-func (s *SSD) TransferHost(bytes int64, done func()) {
+func (s *SSD) TransferHost(bytes int64, done sim.Event) {
+	s.transfer(s.pcie, s.Cfg.PCIeBytesPerSec, fkXferHost, bytes, done)
+}
+
+// transfer books one payload on a link; kind accounts its bytes.
+func (s *SSD) transfer(link *sim.Queue, bytesPerSec int64, kind uint16, bytes int64, done sim.Event) {
 	if bytes <= 0 {
-		s.skip(sim.Event{}, done)
+		s.skip(done)
 		return
 	}
-	op := s.newOp(1, sim.Event{}, done)
-	xfer := sim.TransferTime(bytes, s.Cfg.PCIeBytesPerSec)
-	s.pcie.AcquireEvent(xfer, sim.Event{Target: s, Kind: fkXferHost, A: op, C: bytes})
+	op := s.newOp(1, done)
+	link.AcquireEvent(sim.TransferTime(bytes, bytesPerSec), sim.Event{Target: s, Kind: kind, A: op, C: bytes})
 }
 
 // ReadPageAt senses one page on a specific plane of a chip (used by the
 // FTL, which tracks physical placement itself). done fires when the page
 // is in the plane register; no bus time is charged.
-func (s *SSD) ReadPageAt(chipIdx, plane int, done func()) {
-	op := s.newOp(1, sim.Event{}, done)
-	chip := s.Chip(chipIdx)
-	chip.planes[plane].AcquireEvent(s.senseService(chipIdx),
+func (s *SSD) ReadPageAt(chipIdx, plane int, done sim.Event) {
+	op := s.newOp(1, done)
+	s.Chip(chipIdx).planes[plane].AcquireEvent(s.senseService(chipIdx),
 		sim.Event{Target: s, Kind: fkReadDone, A: op, B: int32(chipIdx), C: int64(plane)})
 }
 
 // ProgramPageAt programs one page on a specific plane of a chip.
-func (s *SSD) ProgramPageAt(chipIdx, plane int, done func()) {
-	op := s.newOp(1, sim.Event{}, done)
-	chip := s.Chip(chipIdx)
-	chip.planes[plane].AcquireEvent(s.Cfg.ProgramLatency,
+func (s *SSD) ProgramPageAt(chipIdx, plane int, done sim.Event) {
+	op := s.newOp(1, done)
+	s.Chip(chipIdx).planes[plane].AcquireEvent(s.Cfg.ProgramLatency,
 		sim.Event{Target: s, Kind: fkProgramDone, A: op})
 }
 
 // EraseBlockAt erases one block on a specific plane of a chip.
-func (s *SSD) EraseBlockAt(chipIdx, plane int, done func()) {
-	op := s.newOp(1, sim.Event{}, done)
-	chip := s.Chip(chipIdx)
-	chip.planes[plane].AcquireEvent(s.Cfg.EraseLatency,
+func (s *SSD) EraseBlockAt(chipIdx, plane int, done sim.Event) {
+	op := s.newOp(1, done)
+	s.Chip(chipIdx).planes[plane].AcquireEvent(s.Cfg.EraseLatency,
 		sim.Event{Target: s, Kind: fkErased, A: op})
 }
 

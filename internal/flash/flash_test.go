@@ -26,6 +26,24 @@ func newSSD(t *testing.T, cfg Config) (*sim.Engine, *SSD) {
 	return eng, s
 }
 
+// probe is a completion target: it counts deliveries and remembers the
+// time of the last one and the B payload of each.
+type probe struct {
+	eng  *sim.Engine
+	n    int
+	last sim.Time
+	bs   []int32
+}
+
+func (p *probe) HandleEvent(ev sim.Event) {
+	p.n++
+	p.last = p.eng.Now()
+	p.bs = append(p.bs, ev.B)
+}
+
+// done returns a completion event targeting p.
+func (p *probe) done() sim.Event { return sim.Event{Target: p} }
+
 func TestDefaultConfigMatchesPaperTables(t *testing.T) {
 	c := Default()
 	if c.Channels != 32 || c.ChipsPerChannel != 4 || c.DiesPerChip != 2 || c.PlanesPerDie != 4 {
@@ -116,25 +134,25 @@ func TestReadPagesLocalParallelism(t *testing.T) {
 	// 16 pages takes two.
 	eng, s := newSSD(t, smallCfg())
 	chip := s.Chip(0)
-	var done sim.Time
-	s.ReadPagesLocal(chip, 8, func() { done = eng.Now() })
+	p := &probe{eng: eng}
+	s.ReadPagesLocalE(chip, 8, p.done())
 	eng.Run()
-	if done != s.Cfg.ReadLatency {
-		t.Fatalf("8 pages on 8 planes took %v, want %v", done, s.Cfg.ReadLatency)
+	if p.last != s.Cfg.ReadLatency {
+		t.Fatalf("8 pages on 8 planes took %v, want %v", p.last, s.Cfg.ReadLatency)
 	}
 
 	eng2, s2 := newSSD(t, smallCfg())
-	var done2 sim.Time
-	s2.ReadPagesLocal(s2.Chip(0), 16, func() { done2 = eng2.Now() })
+	p2 := &probe{eng: eng2}
+	s2.ReadPagesLocalE(s2.Chip(0), 16, p2.done())
 	eng2.Run()
-	if done2 != 2*s2.Cfg.ReadLatency {
-		t.Fatalf("16 pages took %v, want %v", done2, 2*s2.Cfg.ReadLatency)
+	if p2.last != 2*s2.Cfg.ReadLatency {
+		t.Fatalf("16 pages took %v, want %v", p2.last, 2*s2.Cfg.ReadLatency)
 	}
 }
 
 func TestReadPagesLocalDoesNotUseChannel(t *testing.T) {
 	eng, s := newSSD(t, smallCfg())
-	s.ReadPagesLocal(s.Chip(0), 32, nil)
+	s.ReadPagesLocalE(s.Chip(0), 32, sim.Event{})
 	eng.Run()
 	if s.Counters.ChannelBytes != 0 {
 		t.Fatalf("local read moved %d bytes over channel", s.Counters.ChannelBytes)
@@ -149,12 +167,12 @@ func TestReadPagesLocalDoesNotUseChannel(t *testing.T) {
 
 func TestReadPagesToChannelPaysBusTime(t *testing.T) {
 	eng, s := newSSD(t, smallCfg())
-	var done sim.Time
-	s.ReadPagesToChannel(s.Chip(0), 1, func() { done = eng.Now() })
+	p := &probe{eng: eng}
+	s.ReadPagesToChannel(s.Chip(0), 1, p.done())
 	eng.Run()
 	want := s.Cfg.ReadLatency + sim.TransferTime(4096, s.Cfg.ChannelBytesPerSec)
-	if done != want {
-		t.Fatalf("1 page to channel took %v, want %v", done, want)
+	if p.last != want {
+		t.Fatalf("1 page to channel took %v, want %v", p.last, want)
 	}
 	if s.Counters.ChannelBytes != 4096 {
 		t.Fatalf("ChannelBytes = %d", s.Counters.ChannelBytes)
@@ -165,39 +183,38 @@ func TestChannelBusSerializesAcrossChips(t *testing.T) {
 	// Two chips on one channel reading one page each: sensing overlaps but
 	// the two bus transfers serialize.
 	eng, s := newSSD(t, smallCfg())
-	var last sim.Time
-	each := func() { last = eng.Now() }
-	s.ReadPagesToChannel(s.Chip(0), 1, each)
-	s.ReadPagesToChannel(s.Chip(1), 1, each)
+	p := &probe{eng: eng}
+	s.ReadPagesToChannel(s.Chip(0), 1, p.done())
+	s.ReadPagesToChannel(s.Chip(1), 1, p.done())
 	eng.Run()
 	xfer := sim.TransferTime(4096, s.Cfg.ChannelBytesPerSec)
 	want := s.Cfg.ReadLatency + 2*xfer
-	if last != want {
-		t.Fatalf("two-chip channel reads finished at %v, want %v", last, want)
+	if p.n != 2 || p.last != want {
+		t.Fatalf("two-chip channel reads: %d finished, last at %v, want 2 at %v", p.n, p.last, want)
 	}
 }
 
 func TestDifferentChannelsIndependent(t *testing.T) {
 	eng, s := newSSD(t, smallCfg())
-	var a, b sim.Time
-	s.ReadPagesToChannel(s.Chip(0), 1, func() { a = eng.Now() })
-	s.ReadPagesToChannel(s.Chip(2), 1, func() { b = eng.Now() }) // other channel
+	a, b := &probe{eng: eng}, &probe{eng: eng}
+	s.ReadPagesToChannel(s.Chip(0), 1, a.done())
+	s.ReadPagesToChannel(s.Chip(2), 1, b.done()) // other channel
 	eng.Run()
-	if a != b {
-		t.Fatalf("independent channels serialized: %v vs %v", a, b)
+	if a.last != b.last {
+		t.Fatalf("independent channels serialized: %v vs %v", a.last, b.last)
 	}
 }
 
 func TestReadPagesToHostAddsPCIe(t *testing.T) {
 	eng, s := newSSD(t, smallCfg())
-	var done sim.Time
-	s.ReadPagesToHost(s.Chip(0), 1, func() { done = eng.Now() })
+	p := &probe{eng: eng}
+	s.ReadPagesToHost(s.Chip(0), 1, p.done())
 	eng.Run()
 	want := s.Cfg.ReadLatency +
 		sim.TransferTime(4096, s.Cfg.ChannelBytesPerSec) +
 		sim.TransferTime(4096, s.Cfg.PCIeBytesPerSec)
-	if done != want {
-		t.Fatalf("host read took %v, want %v", done, want)
+	if p.last != want {
+		t.Fatalf("host read took %v, want %v", p.last, want)
 	}
 	if s.Counters.HostBytes != 4096 {
 		t.Fatalf("HostBytes = %d", s.Counters.HostBytes)
@@ -206,11 +223,11 @@ func TestReadPagesToHostAddsPCIe(t *testing.T) {
 
 func TestProgramPagesLocal(t *testing.T) {
 	eng, s := newSSD(t, smallCfg())
-	var done sim.Time
-	s.ProgramPagesLocal(s.Chip(0), 1, func() { done = eng.Now() })
+	p := &probe{eng: eng}
+	s.ProgramPagesLocal(s.Chip(0), 1, p.done())
 	eng.Run()
-	if done != s.Cfg.ProgramLatency {
-		t.Fatalf("program took %v", done)
+	if p.last != s.Cfg.ProgramLatency {
+		t.Fatalf("program took %v", p.last)
 	}
 	if s.Counters.WriteBytes != 4096 || s.Counters.ProgramPages != 1 {
 		t.Fatal("write counters wrong")
@@ -219,12 +236,12 @@ func TestProgramPagesLocal(t *testing.T) {
 
 func TestProgramPagesFromBoardCrossesBus(t *testing.T) {
 	eng, s := newSSD(t, smallCfg())
-	var done sim.Time
-	s.ProgramPagesFromBoard(s.Chip(0), 1, func() { done = eng.Now() })
+	p := &probe{eng: eng}
+	s.ProgramPagesFromBoard(s.Chip(0), 1, p.done())
 	eng.Run()
 	want := sim.TransferTime(4096, s.Cfg.ChannelBytesPerSec) + s.Cfg.ProgramLatency
-	if done != want {
-		t.Fatalf("board program took %v, want %v", done, want)
+	if p.last != want {
+		t.Fatalf("board program took %v, want %v", p.last, want)
 	}
 	if s.Counters.ChannelBytes != 4096 {
 		t.Fatal("bus bytes not counted")
@@ -233,45 +250,44 @@ func TestProgramPagesFromBoardCrossesBus(t *testing.T) {
 
 func TestTransferChannel(t *testing.T) {
 	eng, s := newSSD(t, smallCfg())
-	var done sim.Time
-	s.TransferChannel(s.Channel(0), 333, func() { done = eng.Now() })
+	p := &probe{eng: eng}
+	s.TransferChannelE(s.Channel(0), 333, p.done())
 	eng.Run()
-	if done != sim.TransferTime(333, s.Cfg.ChannelBytesPerSec) {
-		t.Fatalf("transfer took %v", done)
+	if p.last != sim.TransferTime(333, s.Cfg.ChannelBytesPerSec) {
+		t.Fatalf("transfer took %v", p.last)
 	}
 	if s.Counters.ChannelBytes != 333 {
 		t.Fatal("channel bytes")
 	}
 	// Zero-byte transfer still completes.
-	fired := false
-	s.TransferChannel(s.Channel(0), 0, func() { fired = true })
+	s.TransferChannelE(s.Channel(0), 0, p.done())
 	eng.Run()
-	if !fired {
+	if p.n != 2 {
 		t.Fatal("zero transfer did not complete")
 	}
 }
 
 func TestTransferHost(t *testing.T) {
 	eng, s := newSSD(t, smallCfg())
-	var done sim.Time
-	s.TransferHost(4_000_000, func() { done = eng.Now() })
+	p := &probe{eng: eng}
+	s.TransferHost(4_000_000, p.done())
 	eng.Run()
-	if done != sim.Millisecond {
-		t.Fatalf("4MB over 4GB/s took %v, want 1ms", done)
+	if p.last != sim.Millisecond {
+		t.Fatalf("4MB over 4GB/s took %v, want 1ms", p.last)
 	}
 }
 
 func TestZeroPageOpsComplete(t *testing.T) {
 	eng, s := newSSD(t, smallCfg())
-	calls := 0
-	s.ReadPagesLocal(s.Chip(0), 0, func() { calls++ })
-	s.ReadPagesToChannel(s.Chip(0), 0, func() { calls++ })
-	s.ReadPagesToHost(s.Chip(0), 0, func() { calls++ })
-	s.ProgramPagesLocal(s.Chip(0), 0, func() { calls++ })
-	s.ProgramPagesFromBoard(s.Chip(0), 0, func() { calls++ })
+	p := &probe{eng: eng}
+	s.ReadPagesLocalE(s.Chip(0), 0, p.done())
+	s.ReadPagesToChannel(s.Chip(0), 0, p.done())
+	s.ReadPagesToHost(s.Chip(0), 0, p.done())
+	s.ProgramPagesLocal(s.Chip(0), 0, p.done())
+	s.ProgramPagesFromBoard(s.Chip(0), 0, p.done())
 	eng.Run()
-	if calls != 5 {
-		t.Fatalf("zero-page callbacks fired %d of 5", calls)
+	if p.n != 5 {
+		t.Fatalf("zero-page completions fired %d of 5", p.n)
 	}
 	if s.Counters.ReadBytes != 0 || s.Counters.WriteBytes != 0 {
 		t.Fatal("zero ops moved bytes")
@@ -282,7 +298,7 @@ func TestTimeSeriesHookRecords(t *testing.T) {
 	eng, s := newSSD(t, smallCfg())
 	s.ReadTS = metrics.NewTimeSeries(10 * sim.Microsecond)
 	s.ChannelTS = metrics.NewTimeSeries(10 * sim.Microsecond)
-	s.ReadPagesToChannel(s.Chip(0), 4, nil)
+	s.ReadPagesToChannel(s.Chip(0), 4, sim.Event{})
 	eng.Run()
 	if s.ReadTS.Total() != 4*4096 {
 		t.Fatalf("ReadTS total %v", s.ReadTS.Total())
@@ -302,10 +318,10 @@ func TestPagesFor(t *testing.T) {
 func TestPlaneRoundRobinBalances(t *testing.T) {
 	// 80 local reads over 8 planes must finish in exactly 10 read latencies.
 	eng, s := newSSD(t, smallCfg())
-	var done sim.Time
-	s.ReadPagesLocal(s.Chip(0), 80, func() { done = eng.Now() })
+	p := &probe{eng: eng}
+	s.ReadPagesLocalE(s.Chip(0), 80, p.done())
 	eng.Run()
-	if done != 10*s.Cfg.ReadLatency {
-		t.Fatalf("80 pages took %v, want %v", done, 10*s.Cfg.ReadLatency)
+	if p.last != 10*s.Cfg.ReadLatency {
+		t.Fatalf("80 pages took %v, want %v", p.last, 10*s.Cfg.ReadLatency)
 	}
 }

@@ -1,6 +1,10 @@
 package flash
 
-import "fmt"
+import (
+	"fmt"
+
+	"flashwalker/internal/sim"
+)
 
 // FTL implements the flash translation layer of §II-C: page-level
 // logical-to-physical mapping with out-of-place updates, log-structured
@@ -205,9 +209,10 @@ func (f *FTL) place(lpn int64) (chip, planeInChip int, ok bool) {
 	}
 }
 
-// Write writes one logical page out-of-place; done fires when the program
-// completes. Returns an error when no physical space remains.
-func (f *FTL) Write(lpn int64, done func()) error {
+// Write writes one logical page out-of-place; done (the zero event for
+// none) fires when the program completes. Returns an error, and schedules
+// nothing, when the page is out of range or no physical space remains.
+func (f *FTL) Write(lpn int64, done sim.Event) error {
 	if lpn < 0 || lpn >= int64(len(f.l2p)) {
 		return fmt.Errorf("flash: lpn %d out of range", lpn)
 	}
@@ -221,9 +226,9 @@ func (f *FTL) Write(lpn int64, done func()) error {
 	return nil
 }
 
-// Read reads one logical page; done fires when the page is sensed. Reading
-// an unmapped page is an error.
-func (f *FTL) Read(lpn int64, done func()) error {
+// Read reads one logical page; done (the zero event for none) fires when
+// the page is sensed. Reading an unmapped page is an error.
+func (f *FTL) Read(lpn int64, done sim.Event) error {
 	if lpn < 0 || lpn >= int64(len(f.l2p)) {
 		return fmt.Errorf("flash: lpn %d out of range", lpn)
 	}
@@ -335,7 +340,7 @@ func (f *FTL) gcPlane(plane int) bool {
 			return false
 		}
 		// Read the victim page, move the mapping, rewrite it.
-		f.ssd.ReadPageAt(chip, pic, nil)
+		f.ssd.ReadPageAt(chip, pic, sim.Event{})
 		f.p2l[ppn] = -1
 		f.blocks[victimGB].valid--
 		f.l2p[lpn] = nppn
@@ -344,14 +349,14 @@ func (f *FTL) gcPlane(plane int) bool {
 		f.blocks[f.globalBlock(npl, nblk)].valid++
 		f.Stats.GCWrites++
 		nchip, npic := f.planeChip(npl)
-		f.ssd.ProgramPageAt(nchip, npic, nil)
+		f.ssd.ProgramPageAt(nchip, npic, sim.Event{})
 	}
 	// Erase and free the victim.
 	f.blocks[victimGB].written = 0
 	f.blocks[victimGB].valid = 0
 	f.blocks[victimGB].erases++
 	f.Stats.Erases++
-	f.ssd.EraseBlockAt(chip, pic, nil)
+	f.ssd.EraseBlockAt(chip, pic, sim.Event{})
 	f.free[plane] = append(f.free[plane], victim)
 	return true
 }

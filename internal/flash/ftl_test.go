@@ -56,34 +56,34 @@ func TestFTLWriteReadRoundTrip(t *testing.T) {
 	if f.Mapped(5) {
 		t.Fatal("unwritten page mapped")
 	}
-	if err := f.Write(5, nil); err != nil {
+	if err := f.Write(5, sim.Event{}); err != nil {
 		t.Fatal(err)
 	}
 	if !f.Mapped(5) {
 		t.Fatal("written page unmapped")
 	}
-	fired := false
-	if err := f.Read(5, func() { fired = true }); err != nil {
+	p := &probe{eng: eng}
+	if err := f.Read(5, p.done()); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if !fired {
-		t.Fatal("read callback never fired")
+	if p.n != 1 {
+		t.Fatal("read completion never fired")
 	}
 }
 
 func TestFTLReadUnmappedFails(t *testing.T) {
 	_, _, f := newFTL(t, 32)
-	if err := f.Read(3, nil); err == nil {
+	if err := f.Read(3, sim.Event{}); err == nil {
 		t.Fatal("unmapped read succeeded")
 	}
-	if err := f.Read(-1, nil); err == nil {
+	if err := f.Read(-1, sim.Event{}); err == nil {
 		t.Fatal("negative lpn accepted")
 	}
-	if err := f.Read(99, nil); err == nil {
+	if err := f.Read(99, sim.Event{}); err == nil {
 		t.Fatal("out-of-range lpn accepted")
 	}
-	if err := f.Write(99, nil); err == nil {
+	if err := f.Write(99, sim.Event{}); err == nil {
 		t.Fatal("out-of-range write accepted")
 	}
 }
@@ -91,7 +91,7 @@ func TestFTLReadUnmappedFails(t *testing.T) {
 func TestFTLOverwriteInvalidatesOld(t *testing.T) {
 	eng, _, f := newFTL(t, 32)
 	for i := 0; i < 5; i++ {
-		if err := f.Write(7, nil); err != nil {
+		if err := f.Write(7, sim.Event{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestFTLOverwriteInvalidatesOld(t *testing.T) {
 
 func TestFTLTrim(t *testing.T) {
 	_, _, f := newFTL(t, 32)
-	if err := f.Write(4, nil); err != nil {
+	if err := f.Write(4, sim.Event{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Trim(4); err != nil {
@@ -131,7 +131,7 @@ func TestFTLGarbageCollectionReclaims(t *testing.T) {
 	r := rng.New(1)
 	for i := 0; i < 2000; i++ {
 		lpn := int64(r.Intn(24))
-		if err := f.Write(lpn, nil); err != nil {
+		if err := f.Write(lpn, sim.Event{}); err != nil {
 			t.Fatalf("write %d failed: %v (GC runs=%d)", i, err, f.Stats.GCRuns)
 		}
 	}
@@ -148,7 +148,7 @@ func TestFTLGarbageCollectionReclaims(t *testing.T) {
 	// All 24 logical pages last written are still readable.
 	for lpn := int64(0); lpn < 24; lpn++ {
 		if f.Mapped(lpn) {
-			if err := f.Read(lpn, nil); err != nil {
+			if err := f.Read(lpn, sim.Event{}); err != nil {
 				t.Fatalf("read after GC failed: %v", err)
 			}
 		}
@@ -167,7 +167,7 @@ func TestFTLMappingConsistencyUnderChurn(t *testing.T) {
 			}
 			continue
 		}
-		if err := f.Write(lpn, nil); err != nil {
+		if err := f.Write(lpn, sim.Event{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestFTLValidCountsConsistent(t *testing.T) {
 	eng, _, f := newFTL(t, 24)
 	r := rng.New(3)
 	for i := 0; i < 1500; i++ {
-		if err := f.Write(int64(r.Intn(24)), nil); err != nil {
+		if err := f.Write(int64(r.Intn(24)), sim.Event{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestFTLWearLeveling(t *testing.T) {
 	eng, _, f := newFTL(t, 24)
 	r := rng.New(4)
 	for i := 0; i < 20000; i++ {
-		if err := f.Write(int64(r.Intn(24)), nil); err != nil {
+		if err := f.Write(int64(r.Intn(24)), sim.Event{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,13 +235,13 @@ func TestFTLWearLeveling(t *testing.T) {
 
 func TestFTLTimingUsesPlanes(t *testing.T) {
 	eng, ssd, f := newFTL(t, 32)
-	var done sim.Time
-	if err := f.Write(0, func() { done = eng.Now() }); err != nil {
+	p := &probe{eng: eng}
+	if err := f.Write(0, p.done()); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if done != ssd.Cfg.ProgramLatency {
-		t.Fatalf("write completed at %v, want %v", done, ssd.Cfg.ProgramLatency)
+	if p.last != ssd.Cfg.ProgramLatency {
+		t.Fatalf("write completed at %v, want %v", p.last, ssd.Cfg.ProgramLatency)
 	}
 }
 
@@ -250,13 +250,13 @@ func TestFTLDeviceFull(t *testing.T) {
 	// must succeed (GC reclaims invalidated space out of the reserve).
 	eng, _, f := newFTL(t, 40) // the maximum legal logical space
 	for lpn := int64(0); lpn < 40; lpn++ {
-		if err := f.Write(lpn, nil); err != nil {
+		if err := f.Write(lpn, sim.Event{}); err != nil {
 			t.Fatalf("initial fill failed at %d: %v", lpn, err)
 		}
 	}
 	r := rng.New(5)
 	for i := 0; i < 2000; i++ {
-		if err := f.Write(int64(r.Intn(40)), nil); err != nil {
+		if err := f.Write(int64(r.Intn(40)), sim.Event{}); err != nil {
 			t.Fatalf("overwrite %d failed: %v", i, err)
 		}
 	}

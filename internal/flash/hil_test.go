@@ -36,23 +36,31 @@ func TestHILRejectsBadParams(t *testing.T) {
 	}
 }
 
+// chainedRead is a completion target that issues a read of the same page
+// when the write it awaits completes, recording both outcomes.
+type chainedRead struct {
+	h        *HIL
+	lpn      int64
+	outcomes []int32
+}
+
+func (c *chainedRead) HandleEvent(ev sim.Event) {
+	c.outcomes = append(c.outcomes, ev.B)
+	if ev.Kind == 0 {
+		c.h.SubmitRead(c.lpn, sim.Event{Target: c, Kind: 1})
+	}
+}
+
 func TestHILWriteThenRead(t *testing.T) {
 	eng, _, h := newHIL(t, 8)
-	var writeErr, readErr error
-	gotRead := false
-	h.SubmitWrite(3, func(err error) {
-		writeErr = err
-		h.SubmitRead(3, func(err error) {
-			readErr = err
-			gotRead = true
-		})
-	})
+	c := &chainedRead{h: h, lpn: 3}
+	h.SubmitWrite(3, sim.Event{Target: c})
 	eng.Run()
-	if writeErr != nil || readErr != nil {
-		t.Fatalf("errors: %v %v", writeErr, readErr)
-	}
-	if !gotRead {
+	if len(c.outcomes) != 2 {
 		t.Fatal("read never completed")
+	}
+	if c.outcomes[0] != CmdOK || c.outcomes[1] != CmdOK {
+		t.Fatalf("outcomes: %v", c.outcomes)
 	}
 	if h.Stats.Completed != 2 || h.Stats.Submitted != 2 {
 		t.Fatalf("stats %+v", h.Stats)
@@ -61,10 +69,13 @@ func TestHILWriteThenRead(t *testing.T) {
 
 func TestHILReadUnmappedFails(t *testing.T) {
 	eng, _, h := newHIL(t, 8)
-	var got error
-	h.SubmitRead(9, func(err error) { got = err })
+	p := &probe{eng: eng}
+	h.SubmitRead(9, p.done())
 	eng.Run()
-	if got == nil {
+	if p.n != 1 {
+		t.Fatal("rejected read never completed")
+	}
+	if p.bs[0] != CmdRejected {
 		t.Fatal("unmapped read succeeded")
 	}
 	if h.Stats.Rejected != 1 {
@@ -74,14 +85,9 @@ func TestHILReadUnmappedFails(t *testing.T) {
 
 func TestHILQueueDepthEnforced(t *testing.T) {
 	eng, _, h := newHIL(t, 2)
-	done := 0
+	p := &probe{eng: eng}
 	for i := int64(0); i < 10; i++ {
-		h.SubmitWrite(i, func(err error) {
-			if err != nil {
-				t.Errorf("write failed: %v", err)
-			}
-			done++
-		})
+		h.SubmitWrite(i, p.done())
 	}
 	if h.InFlight() != 2 {
 		t.Fatalf("InFlight = %d, want 2", h.InFlight())
@@ -93,8 +99,13 @@ func TestHILQueueDepthEnforced(t *testing.T) {
 		t.Fatalf("MaxQueued = %d", h.Stats.MaxQueued)
 	}
 	eng.Run()
-	if done != 10 {
-		t.Fatalf("completed %d of 10", done)
+	if p.n != 10 {
+		t.Fatalf("completed %d of 10", p.n)
+	}
+	for i, b := range p.bs {
+		if b != CmdOK {
+			t.Errorf("write %d failed: outcome %d", i, b)
+		}
 	}
 	if h.InFlight() != 0 || h.QueuedCommands() != 0 {
 		t.Fatal("queue not drained")
@@ -103,24 +114,24 @@ func TestHILQueueDepthEnforced(t *testing.T) {
 
 func TestHILCommandLatencyApplied(t *testing.T) {
 	eng, ssd, h := newHIL(t, 8)
-	var at sim.Time
-	h.SubmitWrite(0, func(error) { at = eng.Now() })
+	p := &probe{eng: eng}
+	h.SubmitWrite(0, p.done())
 	eng.Run()
 	// proc latency + PCIe page transfer + program latency.
 	min := 5*sim.Microsecond + ssd.Cfg.ProgramLatency
-	if at < min {
-		t.Fatalf("write completed at %v, before minimum %v", at, min)
+	if p.last < min {
+		t.Fatalf("write completed at %v, before minimum %v", p.last, min)
 	}
 }
 
 func TestHILPCIeCharged(t *testing.T) {
 	eng, ssd, h := newHIL(t, 8)
-	h.SubmitWrite(1, nil)
+	h.SubmitWrite(1, sim.Event{})
 	eng.Run()
 	if ssd.Counters.HostBytes != ssd.Cfg.PageBytes {
 		t.Fatalf("HostBytes = %d", ssd.Counters.HostBytes)
 	}
-	h.SubmitRead(1, nil)
+	h.SubmitRead(1, sim.Event{})
 	eng.Run()
 	if ssd.Counters.HostBytes != 2*ssd.Cfg.PageBytes {
 		t.Fatalf("HostBytes after read = %d", ssd.Counters.HostBytes)
@@ -129,17 +140,17 @@ func TestHILPCIeCharged(t *testing.T) {
 
 func TestHILManyCommandsDrain(t *testing.T) {
 	eng, _, h := newHIL(t, 4)
-	completed := 0
+	p := &probe{eng: eng}
 	for i := 0; i < 200; i++ {
 		lpn := int64(i % 24)
 		if i%2 == 0 {
-			h.SubmitWrite(lpn, func(error) { completed++ })
+			h.SubmitWrite(lpn, p.done())
 		} else {
-			h.SubmitRead(lpn, func(error) { completed++ })
+			h.SubmitRead(lpn, p.done())
 		}
 	}
 	eng.Run()
-	if completed != 200 {
-		t.Fatalf("completed %d of 200", completed)
+	if p.n != 200 {
+		t.Fatalf("completed %d of 200", p.n)
 	}
 }

@@ -8,12 +8,10 @@ import (
 
 // Snapshot support. The SSD's mid-run state is the queue bookings (planes,
 // channel buses, PCIe), the per-chip round-robin cursors, the traffic
-// counters, and the pooled multi-part op records. Live ops whose completion
-// is a typed event serialize cleanly (the event's target is mapped to a
-// small integer by the caller, as in sim.Engine.ExportState); live ops with
-// a func() completion cannot be serialized and make ExportState fail —
-// the accelerator hot path only uses typed or nil completions, so in
-// steady state this never triggers.
+// counters, and the pooled multi-part op records. Every op completion is a
+// typed event (or none), so live ops serialize at any event boundary: the
+// event's target is mapped to a small integer by the caller, as in
+// sim.Engine.ExportState.
 
 // OpEvent is a typed completion event in serializable form.
 type OpEvent struct {
@@ -47,7 +45,7 @@ type State struct {
 
 // ExportState captures the SSD's queues, cursors, counters, and op pool.
 // targetID maps completion-event targets exactly as in
-// sim.Engine.ExportState. It fails if a live op holds a closure completion.
+// sim.Engine.ExportState, and its error fails the export.
 func (s *SSD) ExportState(targetID func(sim.Handler) (int32, error)) (State, error) {
 	st := State{
 		Counters: s.Counters,
@@ -69,18 +67,13 @@ func (s *SSD) ExportState(targetID func(sim.Handler) (int32, error)) (State, err
 	for i := range s.ops {
 		op := &s.ops[i]
 		os := OpState{Remaining: op.remaining, Free: op.free}
-		if op.remaining > 0 {
-			if op.doneFn != nil {
-				return State{}, fmt.Errorf("flash: cannot export op %d with closure completion", i)
+		if op.remaining > 0 && !op.done.None() {
+			id, err := targetID(op.done.Target)
+			if err != nil {
+				return State{}, fmt.Errorf("flash: export op %d completion: %w", i, err)
 			}
-			if !op.done.None() {
-				id, err := targetID(op.done.Target)
-				if err != nil {
-					return State{}, fmt.Errorf("flash: export op %d completion: %w", i, err)
-				}
-				os.HasDone = true
-				os.Done = OpEvent{Target: id, Kind: op.done.Kind, A: op.done.A, B: op.done.B, C: op.done.C}
-			}
+			os.HasDone = true
+			os.Done = OpEvent{Target: id, Kind: op.done.Kind, A: op.done.A, B: op.done.B, C: op.done.C}
 		}
 		st.Ops = append(st.Ops, os)
 	}

@@ -14,7 +14,8 @@ import (
 )
 
 // resumeSnapshotAt is how many engine snapshots into a run the interrupted
-// leg is killed; with SnapshotEvery=1 each snapshot is one checkpoint
+// leg is killed, counting from the first cut after the time-0 hot-subgraph
+// preload has landed; with SnapshotEvery=1 each snapshot is one checkpoint
 // interval, so the cut lands a few thousand events in — late enough that
 // every buffer tier holds live state, early enough that most of the run
 // happens on the resumed engine.
@@ -64,6 +65,9 @@ func ExtResume(ctx context.Context, scale float64, seed uint64, workers int) ([]
 		rc2 := rc
 		rc2.SnapshotEvery = 1
 		rc2.OnSnapshot = func(s *core.Snapshot) {
+			if s.Preloading() {
+				return
+			}
 			count++
 			if count == resumeSnapshotAt {
 				snap = s

@@ -46,8 +46,9 @@ func TestApplierVisibility(t *testing.T) {
 				val int
 			}{tc.changeAt, 1})
 			seen := make([]int, 0, len(tc.eventTimes))
+			h := handlerFunc(func(Event) { seen = append(seen, r.value) })
 			for _, at := range tc.eventTimes {
-				e.At(at, func() { seen = append(seen, r.value) })
+				e.Schedule(at, Event{Target: h})
 			}
 			e.SetApplier(r.apply)
 			e.Run()
@@ -78,9 +79,10 @@ func TestApplierEqualTimestampsStreamOrder(t *testing.T) {
 		}{5, v})
 	}
 	var got []int
-	e.At(4, func() { got = append(got, r.value) })
-	e.At(5, func() { got = append(got, r.value) })
-	e.At(6, func() { got = append(got, r.value) })
+	h := handlerFunc(func(Event) { got = append(got, r.value) })
+	for _, at := range []Time{4, 5, 6} {
+		e.Schedule(at, Event{Target: h})
+	}
 	e.SetApplier(r.apply)
 	e.Run()
 	want := []int{0, 9, 9}
@@ -111,9 +113,10 @@ func TestApplierRunUntil(t *testing.T) {
 		}{40, 2},
 	)
 	var got []int
-	e.At(10, func() { got = append(got, r.value) })
-	e.At(20, func() { got = append(got, r.value) })
-	e.At(50, func() { got = append(got, r.value) })
+	h := handlerFunc(func(Event) { got = append(got, r.value) })
+	for _, at := range []Time{10, 20, 50} {
+		e.Schedule(at, Event{Target: h})
+	}
 	e.SetApplier(r.apply)
 	if end := e.RunUntil(30); end != 30 {
 		t.Fatalf("RunUntil = %v, want 30", end)
@@ -137,10 +140,10 @@ func TestApplierRunUntil(t *testing.T) {
 func TestApplierNoOpHookIsInvisible(t *testing.T) {
 	run := func(withHook bool) (order []int, end Time, processed uint64) {
 		e := New()
+		h := handlerFunc(func(ev Event) { order = append(order, int(ev.A)) })
 		for i := 0; i < 50; i++ {
-			i := i
 			// Deliberately colliding timestamps to exercise seq-order ties.
-			e.At(Time(i%7)*10, func() { order = append(order, i) })
+			e.Schedule(Time(i%7)*10, Event{Target: h, A: int32(i)})
 		}
 		if withHook {
 			e.SetApplier(func(Time) {})

@@ -7,13 +7,19 @@ import "testing"
 func TestCheckpointHalts(t *testing.T) {
 	e := New()
 	var fired []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.At(Time(i*10), func() { fired = append(fired, i) })
-	}
 	stop := false
+	h := handlerFunc(func(ev Event) {
+		if ev.Kind == 1 {
+			stop = true
+			return
+		}
+		fired = append(fired, int(ev.A))
+	})
+	for i := 0; i < 10; i++ {
+		e.Schedule(Time(i*10), Event{Target: h, A: int32(i)})
+	}
 	e.SetCheckpoint(1, func() bool { return !stop })
-	e.At(25, func() { stop = true }) // fires between event 2 and 3
+	e.Schedule(25, Event{Target: h, Kind: 1}) // fires between event 2 and 3
 	e.Run()
 	if !e.Halted() {
 		t.Fatal("engine did not report halted")
@@ -49,9 +55,9 @@ func TestCheckpointHalts(t *testing.T) {
 // identical: the hook is a pure observer.
 func TestCheckpointDoesNotPerturbTimeline(t *testing.T) {
 	build := func(e *Engine, log *[]Time) {
+		h := handlerFunc(func(Event) { *log = append(*log, e.Now()) })
 		for i := 0; i < 50; i++ {
-			at := Time((i * 7) % 50)
-			e.At(at, func() { *log = append(*log, e.Now()) })
+			e.Schedule(Time((i*7)%50), Event{Target: h})
 		}
 	}
 	var plain, hooked []Time
@@ -87,8 +93,9 @@ func TestCheckpointDoesNotPerturbTimeline(t *testing.T) {
 func TestCheckpointRunUntil(t *testing.T) {
 	e := New()
 	n := 0
+	h := handlerFunc(func(Event) { n++ })
 	for i := 0; i < 5; i++ {
-		e.At(Time(i), func() { n++ })
+		e.Schedule(Time(i), Event{Target: h})
 	}
 	e.SetCheckpoint(2, func() bool { return n < 2 })
 	e.RunUntil(100)

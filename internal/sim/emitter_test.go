@@ -8,8 +8,9 @@ import "testing"
 func TestEmitterFiresBetweenEvents(t *testing.T) {
 	e := New()
 	fired := 0
+	h := handlerFunc(func(Event) { fired++ })
 	for i := 0; i < 20; i++ {
-		e.At(Time(i*10), func() { fired++ })
+		e.Schedule(Time(i*10), Event{Target: h})
 	}
 	var emits []uint64
 	e.SetEmitter(4, func() { emits = append(emits, e.Processed()) })
@@ -41,9 +42,9 @@ func TestEmitterFiresBetweenEvents(t *testing.T) {
 // observer, exactly like the checkpoint hook.
 func TestEmitterDoesNotPerturbTimeline(t *testing.T) {
 	build := func(e *Engine, log *[]Time) {
+		h := handlerFunc(func(Event) { *log = append(*log, e.Now()) })
 		for i := 0; i < 50; i++ {
-			at := Time((i * 7) % 50)
-			e.At(at, func() { *log = append(*log, e.Now()) })
+			e.Schedule(Time((i*7)%50), Event{Target: h})
 		}
 	}
 	var plain, hooked []Time
@@ -78,8 +79,9 @@ func TestEmitterDoesNotPerturbTimeline(t *testing.T) {
 // and that ClearEmitter detaches it.
 func TestEmitterRunUntil(t *testing.T) {
 	e := New()
+	nop := handlerFunc(func(Event) {})
 	for i := 0; i < 10; i++ {
-		e.At(Time(i), func() {})
+		e.Schedule(Time(i), Event{Target: nop})
 	}
 	emits := 0
 	e.SetEmitter(2, func() { emits++ })

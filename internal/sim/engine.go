@@ -18,13 +18,12 @@
 // with ~3 cache-line touches; the drain order is the exact (time, sequence)
 // total order the heap produced, so timelines are bit-identical.
 //
-// Events come in two flavours. Typed events (Schedule / ScheduleAfter) are
-// plain value records — a Handler target, a kind tag, and a small integer
-// payload — dispatched through the target's HandleEvent; they are the hot
-// path and allocate nothing in steady state (heap slots and handler state
-// are reused). Closure events (At / After) carry an arbitrary func() and
-// remain for cold paths and tests; each costs one closure allocation plus a
-// pooled slot.
+// Every event is a typed record (Schedule / ScheduleAfter): a Handler
+// target, a kind tag, and a small integer payload, dispatched through the
+// target's HandleEvent. Events are plain values, so scheduling allocates
+// nothing in steady state (slab slots and handler state are reused) and a
+// pending schedule is plain data that ExportState can serialize at any
+// event boundary.
 //
 // Simulated time is an int64 count of nanoseconds. The finest clock in the
 // modelled system is the 1 GHz board-level accelerator (1 ns per cycle), so
@@ -139,12 +138,6 @@ type Engine struct {
 	seq       uint64
 	processed uint64
 
-	// funcs holds pending closures for At/After events; slots are free-listed
-	// so a draining schedule reuses them. The engine itself is the Handler
-	// for these (kindFunc is the only kind it handles).
-	funcs   []func()
-	freeFns []int32
-
 	// Cooperative checkpoint hook (SetCheckpoint): checkFn is consulted
 	// every checkEvery processed events, strictly between events; returning
 	// false halts the drain loop. The hook never touches the clock or the
@@ -170,9 +163,6 @@ type Engine struct {
 	// before the first event at or after each mutation's time.
 	applyFn func(next Time)
 }
-
-// kindFunc tags the engine-internal closure events created by At/After.
-const kindFunc uint16 = 0
 
 // New returns a fresh Engine at time zero.
 func New() *Engine { return &Engine{} }
@@ -249,7 +239,7 @@ func (e *Engine) putEvent(t Time, seq uint64, ev Event) int32 {
 }
 
 // takeEvent releases a slab slot, returning its event. The slot is zeroed
-// so a popped closure-event reference does not pin the Handler for GC.
+// so a popped event does not pin its Handler for GC.
 func (e *Engine) takeEvent(ref int32) Event {
 	ev := e.slab[ref].ev
 	e.slab[ref] = slabEntry{}
@@ -263,47 +253,6 @@ func (e *Engine) ScheduleAfter(d Time, ev Event) {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	e.Schedule(e.now+d, ev)
-}
-
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a modelling bug.
-func (e *Engine) At(t Time, fn func()) {
-	if fn == nil {
-		panic("sim: scheduling nil func")
-	}
-	e.Schedule(t, Event{Target: e, Kind: kindFunc, A: e.putFunc(fn)})
-}
-
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	e.At(e.now+d, fn)
-}
-
-// putFunc parks a closure in a pooled slot and returns its index.
-func (e *Engine) putFunc(fn func()) int32 {
-	if n := len(e.freeFns); n > 0 {
-		slot := e.freeFns[n-1]
-		e.freeFns = e.freeFns[:n-1]
-		e.funcs[slot] = fn
-		return slot
-	}
-	e.funcs = append(e.funcs, fn)
-	return int32(len(e.funcs) - 1)
-}
-
-// HandleEvent dispatches the engine's own closure events. It is exported
-// only to satisfy Handler; external code never targets the engine.
-func (e *Engine) HandleEvent(ev Event) {
-	if ev.Kind != kindFunc {
-		panic(fmt.Sprintf("sim: engine received unknown event kind %d", ev.Kind))
-	}
-	fn := e.funcs[ev.A]
-	e.funcs[ev.A] = nil
-	e.freeFns = append(e.freeFns, ev.A)
-	fn()
 }
 
 // SetCheckpoint installs a cooperative stop hook: fn is invoked every

@@ -17,15 +17,15 @@ func TestEngineStartsAtZero(t *testing.T) {
 
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := New()
-	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
+	r := &recorder{eng: e}
+	e.Schedule(30, Event{Target: r, A: 3})
+	e.Schedule(10, Event{Target: r, A: 1})
+	e.Schedule(20, Event{Target: r, A: 2})
 	e.Run()
-	want := []int{1, 2, 3}
+	want := []int32{1, 2, 3}
 	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
+		if r.ids[i] != want[i] {
+			t.Fatalf("order = %v, want %v", r.ids, want)
 		}
 	}
 	if e.Now() != 30 {
@@ -35,15 +35,14 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 
 func TestSameTimeEventsFireInScheduleOrder(t *testing.T) {
 	e := New()
-	var order []int
+	r := &recorder{eng: e}
 	for i := 0; i < 16; i++ {
-		i := i
-		e.At(5, func() { order = append(order, i) })
+		e.Schedule(5, Event{Target: r, A: int32(i)})
 	}
 	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events reordered: %v", order)
+	for i, v := range r.ids {
+		if v != int32(i) {
+			t.Fatalf("same-time events reordered: %v", r.ids)
 		}
 	}
 }
@@ -51,25 +50,33 @@ func TestSameTimeEventsFireInScheduleOrder(t *testing.T) {
 func TestAfterSchedulesRelative(t *testing.T) {
 	e := New()
 	var at Time
-	e.At(100, func() {
-		e.After(50, func() { at = e.Now() })
-	})
+	var h handlerFunc
+	h = func(ev Event) {
+		if ev.Kind == 0 {
+			e.ScheduleAfter(50, Event{Target: h, Kind: 1})
+			return
+		}
+		at = e.Now()
+	}
+	e.Schedule(100, Event{Target: h})
 	e.Run()
 	if at != 150 {
-		t.Fatalf("After fired at %v, want 150", at)
+		t.Fatalf("ScheduleAfter fired at %v, want 150", at)
 	}
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
-	e.At(100, func() {
+	var h handlerFunc
+	h = func(Event) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(50, func() {})
-	})
+		e.Schedule(50, Event{Target: h})
+	}
+	e.Schedule(100, Event{Target: h})
 	e.Run()
 }
 
@@ -80,20 +87,20 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	e.After(-1, func() {})
+	e.ScheduleAfter(-1, Event{Target: handlerFunc(func(Event) {})})
 }
 
 func TestEventsScheduledDuringExecution(t *testing.T) {
 	e := New()
 	count := 0
-	var chain func()
-	chain = func() {
+	var chain handlerFunc
+	chain = func(Event) {
 		count++
 		if count < 10 {
-			e.After(7, chain)
+			e.ScheduleAfter(7, Event{Target: chain})
 		}
 	}
-	e.After(0, chain)
+	e.ScheduleAfter(0, Event{Target: chain})
 	e.Run()
 	if count != 10 {
 		t.Fatalf("chain executed %d times, want 10", count)
@@ -106,9 +113,9 @@ func TestEventsScheduledDuringExecution(t *testing.T) {
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	e := New()
 	fired := map[Time]bool{}
+	h := handlerFunc(func(Event) { fired[e.Now()] = true })
 	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		e.At(at, func() { fired[at] = true })
+		e.Schedule(at, Event{Target: h})
 	}
 	e.RunUntil(25)
 	if !fired[10] || !fired[20] {
@@ -136,8 +143,9 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 
 func TestProcessedCount(t *testing.T) {
 	e := New()
+	nop := handlerFunc(func(Event) {})
 	for i := 0; i < 25; i++ {
-		e.At(Time(i), func() {})
+		e.Schedule(Time(i), Event{Target: nop})
 	}
 	e.Run()
 	if e.Processed() != 25 {
@@ -156,18 +164,17 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 func TestEventOrderProperty(t *testing.T) {
 	f := func(delays []uint16) bool {
 		e := New()
-		var fired []Time
+		r := &recorder{eng: e}
 		for _, d := range delays {
-			d := Time(d)
-			e.At(d, func() { fired = append(fired, d) })
+			e.Schedule(Time(d), Event{Target: r})
 		}
 		e.Run()
-		for i := 1; i < len(fired); i++ {
-			if fired[i-1] > fired[i] {
+		for i := 1; i < len(r.times); i++ {
+			if r.times[i-1] > r.times[i] {
 				return false
 			}
 		}
-		return len(fired) == len(delays)
+		return len(r.times) == len(delays)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -137,20 +137,30 @@ func TestScheduleNilTargetPanics(t *testing.T) {
 	New().Schedule(0, Event{})
 }
 
-// TestMixedTypedAndClosureOrder interleaves At closures with typed events at
-// the same instant: insertion order must win regardless of flavour.
+// appender is a second Handler type that logs event payloads into a shared
+// slice.
+type appender struct{ order *[]int }
+
+func (a appender) HandleEvent(ev Event) { *a.order = append(*a.order, int(ev.A)) }
+
+// TestMixedTypedAndClosureOrder interleaves events for two different
+// handlers at the same instant: insertion order must win regardless of
+// target.
 func TestMixedTypedAndClosureOrder(t *testing.T) {
 	e := New()
 	var order []int
 	h := handlerFunc(func(ev Event) { order = append(order, int(ev.A)) })
-	e.Schedule(10, Event{Target: h, A: 0})
-	e.At(10, func() { order = append(order, 1) })
-	e.Schedule(10, Event{Target: h, A: 2})
-	e.At(10, func() { order = append(order, 3) })
+	g := appender{&order}
+	for i, tgt := range []Handler{h, g, h, g} {
+		e.Schedule(10, Event{Target: tgt, A: int32(i)})
+	}
 	e.Run()
+	if len(order) != 4 {
+		t.Fatalf("drained %d of 4 events", len(order))
+	}
 	for i, v := range order {
 		if i != v {
-			t.Fatalf("mixed-order drain = %v", order)
+			t.Fatalf("mixed-target drain = %v", order)
 		}
 	}
 }
@@ -185,7 +195,7 @@ func TestQueueAcquireEventAllocFree(t *testing.T) {
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
 		q.AcquireEvent(5, Event{Target: h})
-		q.AcquireAfterEvent(e.Now()+2, 3, Event{Target: h})
+		q.AcquireAfter(e.Now()+2, 3, Event{Target: h})
 		e.Run()
 	})
 	if allocs != 0 {

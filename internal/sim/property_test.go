@@ -35,26 +35,25 @@ func TestPropertyTimeMonotoneAndExactlyOnce(t *testing.T) {
 		n := 50 + int(r.Uint64n(200))
 		fired := make([]int, n)
 		last := Time(-1)
-		for i := 0; i < n; i++ {
-			i := i
-			delay := Time(r.Uint64n(1000)) * Microsecond
-			retries := 0
-			var handler func()
-			handler = func() {
-				if eng.Now() < last {
-					t.Fatalf("iter %d: clock moved backwards: %v after %v", iter, eng.Now(), last)
-				}
-				last = eng.Now()
-				// A "transient fault": reschedule the same completion with
-				// backoff, a bounded number of times.
-				if retries < 3 && r.Bool(faultRate) {
-					retries++
-					eng.After(Time(retries)*10*Microsecond, handler)
-					return
-				}
-				fired[i]++
+		// Event A is the completion's index, B its retry count.
+		var handler handlerFunc
+		handler = func(ev Event) {
+			if eng.Now() < last {
+				t.Fatalf("iter %d: clock moved backwards: %v after %v", iter, eng.Now(), last)
 			}
-			eng.After(delay, handler)
+			last = eng.Now()
+			// A "transient fault": reschedule the same completion with
+			// backoff, a bounded number of times.
+			if ev.B < 3 && r.Bool(faultRate) {
+				ev.B++
+				eng.ScheduleAfter(Time(ev.B)*10*Microsecond, ev)
+				return
+			}
+			fired[ev.A]++
+		}
+		for i := 0; i < n; i++ {
+			delay := Time(r.Uint64n(1000)) * Microsecond
+			eng.ScheduleAfter(delay, Event{Target: handler, A: int32(i)})
 		}
 		eng.Run()
 		if eng.Pending() != 0 {
@@ -83,32 +82,44 @@ func TestPropertyQueuesDrain(t *testing.T) {
 		}
 		faultRate := float64(iter) / 24
 
+		// Event kinds: an arrival submits work to queue A; a completion of
+		// a request with service C on queue A may "fail" and re-enter the
+		// same queue after a backoff (the retry pattern the flash layer
+		// uses); a retried request's completion is final.
+		const (
+			arrive = iota
+			done
+			retried
+		)
 		submitted, completed := 0, 0
-		var submit func(q *Queue, depth int)
-		submit = func(q *Queue, depth int) {
-			submitted++
-			service := Time(1+r.Uint64n(50)) * Microsecond
-			done := func() {
+		var h handlerFunc
+		h = func(ev Event) {
+			q := queues[ev.A]
+			switch ev.Kind {
+			case arrive:
+				submitted++
+				service := Time(1+r.Uint64n(50)) * Microsecond
+				fin := Event{Target: h, Kind: done, A: ev.A, C: int64(service)}
+				if r.Bool(0.5) {
+					q.AcquireEvent(service, fin)
+				} else {
+					q.AcquireAfter(eng.Now()+Time(r.Uint64n(100))*Microsecond, service, fin)
+				}
+			case done:
 				completed++
-				// With probability faultRate the work "fails" and re-enters
-				// the same queue after a backoff — the retry pattern the
-				// flash layer uses. Bounded depth keeps the run finite.
-				if depth < 3 && r.Bool(faultRate) {
+				if r.Bool(faultRate) {
 					backoff := eng.Now() + Time(1+r.Uint64n(20))*Microsecond
 					submitted++
-					q.AcquireAfter(backoff, service, func() { completed++ })
+					q.AcquireAfter(backoff, Time(ev.C), Event{Target: h, Kind: retried})
 				}
-			}
-			if r.Bool(0.5) {
-				q.Acquire(service, done)
-			} else {
-				q.AcquireAfter(eng.Now()+Time(r.Uint64n(100))*Microsecond, service, done)
+			case retried:
+				completed++
 			}
 		}
 		n := 30 + int(r.Uint64n(120))
 		for i := 0; i < n; i++ {
-			q := queues[r.Uint64n(uint64(nq))]
-			eng.After(Time(r.Uint64n(500))*Microsecond, func() { submit(q, 0) })
+			qi := r.Uint64n(uint64(nq))
+			eng.ScheduleAfter(Time(r.Uint64n(500))*Microsecond, Event{Target: h, Kind: arrive, A: int32(qi)})
 		}
 		end := eng.Run()
 		if completed != submitted {
@@ -137,13 +148,13 @@ func TestPropertyHeapOrderWithTies(t *testing.T) {
 		r := rng.New(uint64(9000 + iter))
 		eng := New()
 		var order []int
+		h := handlerFunc(func(ev Event) { order = append(order, int(ev.A)) })
 		n := 20 + int(r.Uint64n(80))
 		at := make([]Time, n)
 		for i := 0; i < n; i++ {
-			i := i
 			// Only a handful of distinct timestamps: most events tie.
 			at[i] = Time(r.Uint64n(4)) * Microsecond
-			eng.At(at[i], func() { order = append(order, i) })
+			eng.Schedule(at[i], Event{Target: h, A: int32(i)})
 		}
 		eng.Run()
 		if len(order) != n {

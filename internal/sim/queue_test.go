@@ -8,7 +8,7 @@ import (
 func TestQueueServesImmediatelyWhenIdle(t *testing.T) {
 	e := New()
 	q := NewQueue(e)
-	end := q.Acquire(100, nil)
+	end := q.AcquireEvent(100, Event{})
 	if end != 100 {
 		t.Fatalf("idle queue completion = %v, want 100", end)
 	}
@@ -18,7 +18,7 @@ func TestQueueSerializesRequests(t *testing.T) {
 	e := New()
 	q := NewQueue(e)
 	// Three back-to-back requests issued at t=0 must finish at 10, 30, 60.
-	ends := []Time{q.Acquire(10, nil), q.Acquire(20, nil), q.Acquire(30, nil)}
+	ends := []Time{q.AcquireEvent(10, Event{}), q.AcquireEvent(20, Event{}), q.AcquireEvent(30, Event{})}
 	want := []Time{10, 30, 60}
 	for i := range want {
 		if ends[i] != want[i] {
@@ -33,24 +33,24 @@ func TestQueueSerializesRequests(t *testing.T) {
 func TestQueueCompletionCallbacks(t *testing.T) {
 	e := New()
 	q := NewQueue(e)
-	var done []Time
-	q.Acquire(5, func() { done = append(done, e.Now()) })
-	q.Acquire(5, func() { done = append(done, e.Now()) })
+	r := &recorder{eng: e}
+	q.AcquireEvent(5, Event{Target: r})
+	q.AcquireEvent(5, Event{Target: r})
 	e.Run()
-	if len(done) != 2 || done[0] != 5 || done[1] != 10 {
-		t.Fatalf("callbacks at %v, want [5 10]", done)
+	if len(r.times) != 2 || r.times[0] != 5 || r.times[1] != 10 {
+		t.Fatalf("completions at %v, want [5 10]", r.times)
 	}
 }
 
 func TestQueueIdleGapThenNewRequest(t *testing.T) {
 	e := New()
 	q := NewQueue(e)
-	q.Acquire(10, nil)
-	e.At(100, func() {
-		if end := q.Acquire(10, nil); end != 110 {
+	q.AcquireEvent(10, Event{})
+	e.Schedule(100, Event{Target: handlerFunc(func(Event) {
+		if end := q.AcquireEvent(10, Event{}); end != 110 {
 			t.Errorf("request after idle gap ends at %v, want 110", end)
 		}
-	})
+	})})
 	e.Run()
 	if q.BusyTotal() != 20 {
 		t.Fatalf("BusyTotal = %v, want 20", q.BusyTotal())
@@ -61,11 +61,11 @@ func TestQueueAcquireAfter(t *testing.T) {
 	e := New()
 	q := NewQueue(e)
 	// Data staged at t=50; the bus is free, so service runs 50..70.
-	if end := q.AcquireAfter(50, 20, nil); end != 70 {
+	if end := q.AcquireAfter(50, 20, Event{}); end != 70 {
 		t.Fatalf("AcquireAfter end = %v, want 70", end)
 	}
 	// Next request ready at t=60 must queue behind until 70.
-	if end := q.AcquireAfter(60, 20, nil); end != 90 {
+	if end := q.AcquireAfter(60, 20, Event{}); end != 90 {
 		t.Fatalf("queued AcquireAfter end = %v, want 90", end)
 	}
 }
@@ -73,7 +73,7 @@ func TestQueueAcquireAfter(t *testing.T) {
 func TestQueueUtilization(t *testing.T) {
 	e := New()
 	q := NewQueue(e)
-	q.Acquire(25, nil)
+	q.AcquireEvent(25, Event{})
 	e.Run()
 	e.RunUntil(100)
 	if u := q.Utilization(); u != 0.25 {
@@ -89,7 +89,7 @@ func TestQueueNegativeServicePanics(t *testing.T) {
 			t.Error("negative service did not panic")
 		}
 	}()
-	q.Acquire(-1, nil)
+	q.AcquireEvent(-1, Event{})
 }
 
 func TestTransferTime(t *testing.T) {
@@ -124,7 +124,7 @@ func TestQueueConservationProperty(t *testing.T) {
 		var sum, last Time
 		for _, s := range services {
 			sum += Time(s)
-			last = q.Acquire(Time(s), nil)
+			last = q.AcquireEvent(Time(s), Event{})
 		}
 		return q.BusyTotal() == sum && (len(services) == 0 || last == sum)
 	}

@@ -6,12 +6,9 @@ import (
 	"sort"
 )
 
-// Snapshot support: an Engine's pending schedule is plain data as long as
-// every pending event is a typed event — a (target, kind, payload) record.
-// Closure events (At/After) carry arbitrary funcs and cannot be serialized;
-// ExportState refuses them, which in practice means snapshots are taken
-// after setup-phase closures have drained (the steady-state hot path is
-// all typed events).
+// Snapshot support: every pending event is a typed (target, kind, payload)
+// record, so an Engine's pending schedule is plain data at any event
+// boundary, from event zero on.
 //
 // Handlers are interface values, so the caller supplies the mapping between
 // Handler identities and small integer IDs in both directions. The IDs are
@@ -40,9 +37,8 @@ type EngineState struct {
 
 // ExportState captures the engine's clock and pending schedule. targetID
 // maps each distinct event target to a stable small integer; it should
-// return an error for targets it does not recognize. ExportState fails if
-// any pending event is a closure (At/After), since closures cannot be
-// serialized — callers snapshot only after setup closures have drained.
+// return an error for targets it does not recognize, and ExportState fails
+// with that error.
 //
 // The engine is not mutated; an exported engine can keep running.
 func (e *Engine) ExportState(targetID func(Handler) (int32, error)) (EngineState, error) {
@@ -53,9 +49,6 @@ func (e *Engine) ExportState(targetID func(Handler) (int32, error)) (EngineState
 		Events:    make([]SavedEvent, 0, e.Pending()),
 	}
 	save := func(ent *slabEntry) error {
-		if ent.ev.Target == e {
-			return fmt.Errorf("sim: cannot export engine state with pending closure event at %v", ent.at)
-		}
 		id, err := targetID(ent.ev.Target)
 		if err != nil {
 			return fmt.Errorf("sim: export event at %v: %w", ent.at, err)
