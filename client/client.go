@@ -286,7 +286,6 @@ func (s *Stream) Next() (WalkRecord, bool) {
 		}
 		// The trailer is the only frame without a "src" field; records are
 		// the only frames with one. Distinguish on the state field.
-		var rec WalkRecord
 		if bytes.Contains(line, []byte(`"state"`)) {
 			var end StreamEnd
 			if json.Unmarshal(line, &end) == nil && end.State != "" {
@@ -294,7 +293,8 @@ func (s *Stream) Next() (WalkRecord, bool) {
 				return WalkRecord{}, false
 			}
 		}
-		if err := json.Unmarshal(line, &rec); err != nil {
+		rec, err := service.ParseWalkRecord(line)
+		if err != nil {
 			s.err = fmt.Errorf("client: bad stream frame %q: %w", line, err)
 			return WalkRecord{}, false
 		}

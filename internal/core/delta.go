@@ -41,13 +41,13 @@ type StoreDelta struct {
 	// Blocks lists the dirtied block indices; PWB[i] and FLS[i] are block
 	// Blocks[i]'s stores at the cut.
 	Blocks []int
-	PWB    [][]WalkState
-	FLS    [][]WalkState
+	PWB    []WalkRecords
+	FLS    []WalkRecords
 	// Parts lists the dirtied partition indices; PendingMem[i] and
 	// PendingFlash[i] are partition Parts[i]'s stores at the cut.
 	Parts        []int
-	PendingMem   [][]WalkState
-	PendingFlash [][]WalkState
+	PendingMem   []WalkRecords
+	PendingFlash []WalkRecords
 }
 
 // DiffSnapshot builds the delta from base to cur, chained to the encoded

@@ -56,7 +56,7 @@ func TestApplyDeltaRejectsMismatch(t *testing.T) {
 	}
 
 	bad := *d
-	bad.Stores = []StoreDelta{{Blocks: []int{len(s.Boards[0].PWB)}, PWB: [][]WalkState{nil}, FLS: [][]WalkState{nil}}}
+	bad.Stores = []StoreDelta{{Blocks: []int{len(s.Boards[0].PWB)}, PWB: []WalkRecords{nil}, FLS: []WalkRecords{nil}}}
 	if _, err := ApplyDelta(s, &bad); err == nil {
 		t.Fatal("ApplyDelta accepted an out-of-range block index")
 	}
@@ -72,8 +72,8 @@ const (
 // fuzzBase is a small multi-board snapshot whose every store holds one
 // distinct walk, so a misplaced store is visible.
 func fuzzBase() *Snapshot {
-	store := func(b, i int) []WalkState {
-		return []WalkState{{W: walk.Walk{Src: 1, Cur: graph.VertexID(100*b + i)}}}
+	store := func(b, i int) WalkRecords {
+		return new(packer).walks([]wstate{{w: walk.Walk{Src: 1, Cur: graph.VertexID(100*b + i)}}})
 	}
 	s := &Snapshot{Boards: make([]BoardImage, fuzzBoards)}
 	for b := range s.Boards {
@@ -110,7 +110,7 @@ func FuzzApplyDelta(f *testing.F) {
 		for b := range d.Body.Boards {
 			d.Body.Boards[b] = BoardImage{PWBBytes: make([]int64, fuzzBlocks), FlushMark: make([]int, fuzzParts)}
 		}
-		walks := []WalkState{{W: walk.Walk{Src: 7, Cur: 7}}}
+		walks := new(packer).walks([]wstate{{w: walk.Walk{Src: 7, Cur: 7}}})
 		sd := StoreDelta{Board: board}
 		for i := 0; i < small(nBlocks); i++ {
 			sd.Blocks = append(sd.Blocks, block+i)

@@ -54,7 +54,7 @@ func runEngine(t *testing.T, g *graph.Graph, rc RunConfig) *Result {
 	return res
 }
 
-func testGraph(t *testing.T) *graph.Graph {
+func testGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	g, err := graph.RMAT(graph.DefaultRMAT(2048, 16384, 3))
 	if err != nil {

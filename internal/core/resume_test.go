@@ -43,7 +43,7 @@ func interruptCore(t *testing.T, g *graph.Graph, rc RunConfig, snapshotAt int) *
 
 // interruptWhen is interruptCore counting only the snapshots satisfying
 // want (nil accepts every snapshot).
-func interruptWhen(t *testing.T, g *graph.Graph, rc RunConfig, snapshotAt int, want func(*Snapshot) bool) *Snapshot {
+func interruptWhen(t testing.TB, g *graph.Graph, rc RunConfig, snapshotAt int, want func(*Snapshot) bool) *Snapshot {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

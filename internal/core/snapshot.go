@@ -32,6 +32,9 @@ import (
 // of the time-0 hot-subgraph preload too (TierState.HotPending carries the
 // blocks still in flight). What is NOT captured: progress time series and
 // tracers, which RunConfig.validate therefore refuses beside OnSnapshot.
+//
+// Walks travel packed (WalkRecords) and the node and batch pools live-only
+// (PoolImage); walkpack.go holds both codecs.
 
 // Event-target IDs for the kernel and flash export: the driver is 0 (its
 // fabric arrivals and kill events), and board b's engine and SSD are 1+2b
@@ -41,36 +44,6 @@ const targetDriver int32 = 0
 func targetBoard(b int) int32 { return int32(1 + 2*b) }
 func targetSSD(b int) int32   { return int32(2 + 2*b) }
 
-// WalkState is a wstate in serializable form.
-type WalkState struct {
-	W          walk.Walk
-	DenseBlock int
-	DenseEdge  uint64
-	RangeTag   int
-	Prev       graph.VertexID
-	RNG        [4]uint64
-}
-
-// NodeState is one pooled wnode (live or free-listed).
-type NodeState struct {
-	St       WalkState
-	PrevSize int64
-	Hot      int32
-	Foreign  int32
-	RangeID  int32
-	Block    int32
-	Steps    int32
-	Terminal bool
-	DeadEnd  bool
-	Free     int32
-}
-
-// BatchState is one pooled in-flight roving batch record.
-type BatchState struct {
-	Walks []WalkState
-	Free  int32
-}
-
 // SlotState is one chip subgraph slot.
 type SlotState struct {
 	Block     int
@@ -79,7 +52,7 @@ type SlotState struct {
 	Defers    int
 	Pending   int
 	LoadLeft  int
-	LoadWalks []WalkState
+	LoadWalks WalkRecords
 }
 
 // UnitPoolState is an updater/guider pool's bookings and accounting.
@@ -104,7 +77,7 @@ type TierState struct {
 type ChipState struct {
 	Tier           TierState
 	Slots          []SlotState
-	Roving         []WalkState
+	Roving         WalkRecords
 	RovingBytes    int64
 	CompletedBytes int64
 	MyBlocks       []int
@@ -143,29 +116,28 @@ type BoardImage struct {
 	Injector *fault.State
 
 	// Per-block walk stores and scheduler state.
-	PWB       [][]WalkState
+	PWB       []WalkRecords
 	PWBBytes  []int64
-	FLS       [][]WalkState
+	FLS       []WalkRecords
 	FLSPages  []int
 	Score     []float64
 	ScorePend []int
 
 	// Per-partition pending walks and the foreigner buffer.
-	PendingMem        [][]WalkState
-	PendingFlash      [][]WalkState
+	PendingMem        []WalkRecords
+	PendingFlash      []WalkRecords
 	PendingFlashBytes []int64
 	FlushMark         []int
 	ForeignerBufBytes int64
 
-	// Pooled records referenced by pending events.
-	Nodes     []NodeState
-	FreeNode  int32
-	Batches   []BatchState
-	FreeBatch int32
+	// Pooled records referenced by pending events: event nodes and roving
+	// batches.
+	Nodes   PoolImage
+	Batches PoolImage
 
 	// Flushed-foreigner read-back in flight.
 	SwitchLeft  int
-	SwitchWalks []WalkState
+	SwitchWalks WalkRecords
 
 	CurPart   int
 	ActiveCur int
@@ -180,23 +152,11 @@ type BoardImage struct {
 	Res Result
 }
 
-// FabricWalkState is one in-flight fabric walk in serializable form.
-type FabricWalkState struct {
-	St WalkState
-	P  int32
-}
-
-// EgressState is one (source, destination) egress batch being accumulated.
+// EgressState is one (source, destination) egress batch being accumulated;
+// Walks holds fabric walk records.
 type EgressState struct {
-	Walks []FabricWalkState
+	Walks WalkRecords
 	Bytes int64
-}
-
-// FabricBatchState is one pooled fabric transfer record (live or free).
-type FabricBatchState struct {
-	Walks []FabricWalkState
-	Dst   int32
-	Free  int32
 }
 
 // Snapshot is the complete serializable state of a paused Engine.
@@ -240,8 +200,7 @@ type Snapshot struct {
 	Dead      []bool
 	FabricQ   []sim.QueueState
 	Egress    [][]EgressState
-	FBatches  []FabricBatchState
-	FreeFB    int32
+	FBatches  PoolImage
 	InFabric  int
 	Remaining int
 
@@ -279,62 +238,6 @@ func (s *Snapshot) WalksFinished() int {
 }
 
 // --- Conversions. ---
-
-func wsOut(st *wstate) WalkState {
-	return WalkState{W: st.w, DenseBlock: st.denseBlock, DenseEdge: st.denseEdge,
-		RangeTag: st.rangeTag, Prev: st.prev, RNG: st.rng.State()}
-}
-
-func wsIn(ws WalkState) wstate {
-	st := wstate{w: ws.W, denseBlock: ws.DenseBlock, denseEdge: ws.DenseEdge,
-		rangeTag: ws.RangeTag, prev: ws.Prev}
-	st.rng.SetState(ws.RNG)
-	return st
-}
-
-func walksOut(ws []wstate) []WalkState {
-	if ws == nil {
-		return nil
-	}
-	out := make([]WalkState, len(ws))
-	for i := range ws {
-		out[i] = wsOut(&ws[i])
-	}
-	return out
-}
-
-func walksIn(ws []WalkState) []wstate {
-	if len(ws) == 0 {
-		return nil
-	}
-	out := make([]wstate, len(ws))
-	for i := range ws {
-		out[i] = wsIn(ws[i])
-	}
-	return out
-}
-
-func fwOut(ws []fabricWalk) []FabricWalkState {
-	if ws == nil {
-		return nil
-	}
-	out := make([]FabricWalkState, len(ws))
-	for i := range ws {
-		out[i] = FabricWalkState{St: wsOut(&ws[i].st), P: ws[i].p}
-	}
-	return out
-}
-
-func fwIn(ws []FabricWalkState) []fabricWalk {
-	if len(ws) == 0 {
-		return nil
-	}
-	out := make([]fabricWalk, len(ws))
-	for i := range ws {
-		out[i] = fabricWalk{st: wsIn(ws[i].St), p: ws[i].P}
-	}
-	return out
-}
 
 func poolOut(p *unitPool) UnitPoolState {
 	st := UnitPoolState{Units: make([]sim.QueueState, len(p.units)), Jobs: p.jobs, Busy: p.busy}
@@ -408,6 +311,8 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 		return 0, fmt.Errorf("unknown event target %T", h)
 	}
 	b0 := e.boards[0]
+	// Every unfinished walk is in exactly one store or pooled record.
+	p := &packer{buf: make([]byte, 0, 48*e.remaining+4096)}
 	s := &Snapshot{
 		Cfg:              e.cfg,
 		FlashCfg:         b0.ssd.Cfg,
@@ -429,7 +334,6 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 
 		Owners:    e.shard.Owners(),
 		Dead:      append([]bool(nil), e.dead...),
-		FreeFB:    e.freeFB,
 		InFabric:  e.inFabric,
 		Remaining: e.remaining,
 
@@ -440,19 +344,21 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 		Kills:         e.kills,
 	}
 	for b, be := range e.boards {
-		if err := be.image(&s.Boards[b], targetID); err != nil {
+		if err := be.image(&s.Boards[b], targetID, p); err != nil {
 			return nil, fmt.Errorf("core: snapshot board %d: %w", b, err)
 		}
 		s.FabricQ = append(s.FabricQ, e.fabric[b].State())
 		row := make([]EgressState, len(e.egress[b]))
 		for dst, eb := range e.egress[b] {
-			row[dst] = EgressState{Walks: fwOut(eb.walks), Bytes: eb.bytes}
+			row[dst] = EgressState{Walks: p.fabricWalks(eb.walks), Bytes: eb.bytes}
 		}
 		s.Egress = append(s.Egress, row)
 	}
-	s.FBatches = make([]FabricBatchState, len(e.fbatches))
-	for i, fb := range e.fbatches {
-		s.FBatches[i] = FabricBatchState{Walks: fwOut(fb.walks), Dst: fb.dst, Free: fb.free}
+	var err error
+	if s.FBatches, err = p.pool(len(e.fbatches), e.freeFB,
+		func(i int32) int32 { return e.fbatches[i].free },
+		func(b []byte, i int32) []byte { return appendFabricBatch(b, &e.fbatches[i]) }); err != nil {
+		return nil, err
 	}
 	simState, err := e.eng.ExportState(targetID)
 	if err != nil {
@@ -462,10 +368,10 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 	return s, nil
 }
 
-// image captures one board's body into s; the caller exports the shared
-// kernel. targetID also maps flash op completions, which reference engine
-// and SSD targets.
-func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, error)) error {
+// image captures one board's body into s, packing its walks with p; the
+// caller exports the shared kernel. targetID also maps flash op
+// completions, which reference engine and SSD targets.
+func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, error), p *packer) error {
 	flashState, err := e.ssd.ExportState(targetID)
 	if err != nil {
 		return err
@@ -484,11 +390,8 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 		FlushMark:         append([]int(nil), e.flushMark...),
 		ForeignerBufBytes: e.foreignerBufBytes,
 
-		FreeNode:  e.freeNode,
-		FreeBatch: e.freeBatch,
-
 		SwitchLeft:  e.switchLeft,
-		SwitchWalks: walksOut(e.switchWalks),
+		SwitchWalks: p.walks(e.switchWalks),
 
 		CurPart:   e.curPart,
 		ActiveCur: e.activeCur,
@@ -504,32 +407,28 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 	}
 	s.Res.Visits = append([]uint64(nil), e.res.Visits...)
 
-	s.PWB = make([][]WalkState, len(e.pwb))
-	s.FLS = make([][]WalkState, len(e.fls))
+	s.PWB = make([]WalkRecords, len(e.pwb))
+	s.FLS = make([]WalkRecords, len(e.fls))
 	for b := range e.pwb {
-		s.PWB[b] = walksOut(e.pwb[b])
-		s.FLS[b] = walksOut(e.fls[b])
+		s.PWB[b] = p.walks(e.pwb[b])
+		s.FLS[b] = p.walks(e.fls[b])
 	}
-	s.PendingMem = make([][]WalkState, len(e.pendingMem))
-	s.PendingFlash = make([][]WalkState, len(e.pendingFlash))
-	for p := range e.pendingMem {
-		s.PendingMem[p] = walksOut(e.pendingMem[p])
-		s.PendingFlash[p] = walksOut(e.pendingFlash[p])
+	s.PendingMem = make([]WalkRecords, len(e.pendingMem))
+	s.PendingFlash = make([]WalkRecords, len(e.pendingFlash))
+	for i := range e.pendingMem {
+		s.PendingMem[i] = p.walks(e.pendingMem[i])
+		s.PendingFlash[i] = p.walks(e.pendingFlash[i])
 	}
 
-	s.Nodes = make([]NodeState, len(e.nodes))
-	for i := range e.nodes {
-		n := &e.nodes[i]
-		s.Nodes[i] = NodeState{
-			St: wsOut(&n.st), PrevSize: n.prevSize,
-			Hot: n.hot, Foreign: n.foreign, RangeID: n.rangeID,
-			Block: n.block, Steps: n.steps,
-			Terminal: n.terminal, DeadEnd: n.deadEnd, Free: n.free,
-		}
+	if s.Nodes, err = p.pool(len(e.nodes), e.freeNode,
+		func(i int32) int32 { return e.nodes[i].free },
+		func(b []byte, i int32) []byte { return appendNode(b, &e.nodes[i]) }); err != nil {
+		return err
 	}
-	s.Batches = make([]BatchState, len(e.batches))
-	for i := range e.batches {
-		s.Batches[i] = BatchState{Walks: walksOut(e.batches[i].walks), Free: e.batches[i].free}
+	if s.Batches, err = p.pool(len(e.batches), e.freeBatch,
+		func(i int32) int32 { return e.batches[i].free },
+		func(b []byte, i int32) []byte { return appendWalks(b, e.batches[i].walks) }); err != nil {
+		return err
 	}
 
 	s.Chips = make([]ChipState, len(e.chips))
@@ -537,7 +436,7 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 		cs := ChipState{
 			Tier:           tierOut(&c.tierCommon),
 			Slots:          make([]SlotState, len(c.slots)),
-			Roving:         walksOut(c.roving),
+			Roving:         p.walks(c.roving),
 			RovingBytes:    c.rovingBytes,
 			CompletedBytes: c.completedBytes,
 			MyBlocks:       append([]int(nil), c.myBlocks...),
@@ -546,7 +445,7 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 			cs.Slots[j] = SlotState{
 				Block: sl.block, Loading: sl.loading, Idle: sl.idle,
 				Defers: sl.defers, Pending: sl.pending,
-				LoadLeft: sl.loadLeft, LoadWalks: walksOut(sl.loadWalks),
+				LoadLeft: sl.loadLeft, LoadWalks: p.walks(sl.loadWalks),
 			}
 		}
 		s.Chips[i] = cs
@@ -676,6 +575,7 @@ func (e *Engine) restore(snap *Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("core: resume: replay mutation %d: %w", e.mutCursor, err)
 	}
+	var u unpacker
 	for b, be := range e.boards {
 		if err := be.restore(&snap.Boards[b], target); err != nil {
 			return fmt.Errorf("core: resume board %d: %w", b, err)
@@ -685,18 +585,22 @@ func (e *Engine) restore(snap *Snapshot) error {
 			return fmt.Errorf("core: resume: egress row %d has %d entries, want %d", b, len(snap.Egress[b]), nb)
 		}
 		for dst, es := range snap.Egress[b] {
-			e.egress[b][dst] = egressBuf{walks: fwIn(es.Walks), bytes: es.Bytes}
+			e.egress[b][dst] = egressBuf{walks: u.fabricWalks(es.Walks), bytes: es.Bytes}
 		}
+	}
+	if u.err != nil {
+		return fmt.Errorf("core: resume egress: %w", u.err)
 	}
 	if err := e.shard.SetOwners(snap.Owners); err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
 	copy(e.dead, snap.Dead)
-	e.fbatches = make([]fabricBatch, len(snap.FBatches))
-	for i, fb := range snap.FBatches {
-		e.fbatches[i] = fabricBatch{walks: fwIn(fb.Walks), dst: fb.Dst, free: fb.Free}
+	if e.freeFB, err = snap.FBatches.load(minFBatchBytes,
+		func(n int) { e.fbatches = make([]fabricBatch, n) },
+		func(i, next int32) { e.fbatches[i].free = next },
+		func(i int32, r *recReader) { e.fbatches[i] = r.fabricBatch() }); err != nil {
+		return fmt.Errorf("core: resume fabric transfers: %w", err)
 	}
-	e.freeFB = snap.FreeFB
 	e.inFabric = snap.InFabric
 	e.remaining = snap.Remaining
 	e.numStarted = snap.NumWalks
@@ -753,9 +657,10 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 		copy(e.degraded, snap.Injector.Degraded)
 	}
 
+	var u unpacker
 	for b := 0; b < nb; b++ {
-		e.pwb[b] = walksIn(snap.PWB[b])
-		e.fls[b] = walksIn(snap.FLS[b])
+		e.pwb[b] = u.walks(snap.PWB[b])
+		e.fls[b] = u.walks(snap.FLS[b])
 	}
 	copy(e.pwbBytes, snap.PWBBytes)
 	copy(e.flsPages, snap.FLSPages)
@@ -763,31 +668,29 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	copy(e.scorePend, snap.ScorePend)
 
 	for p := 0; p < np; p++ {
-		e.pendingMem[p] = walksIn(snap.PendingMem[p])
-		e.pendingFlash[p] = walksIn(snap.PendingFlash[p])
+		e.pendingMem[p] = u.walks(snap.PendingMem[p])
+		e.pendingFlash[p] = u.walks(snap.PendingFlash[p])
 	}
 	copy(e.pendingFlashBytes, snap.PendingFlashBytes)
 	copy(e.flushMark, snap.FlushMark)
 	e.foreignerBufBytes = snap.ForeignerBufBytes
 
-	e.nodes = make([]wnode, len(snap.Nodes))
-	for i, ns := range snap.Nodes {
-		e.nodes[i] = wnode{
-			st: wsIn(ns.St), prevSize: ns.PrevSize,
-			hot: ns.Hot, foreign: ns.Foreign, rangeID: ns.RangeID,
-			block: ns.Block, steps: ns.Steps,
-			terminal: ns.Terminal, deadEnd: ns.DeadEnd, free: ns.Free,
-		}
+	var err error
+	if e.freeNode, err = snap.Nodes.load(minNodeBytes,
+		func(n int) { e.nodes = make([]wnode, n) },
+		func(i, next int32) { e.nodes[i].free = next },
+		func(i int32, r *recReader) { r.node(&e.nodes[i]) }); err != nil {
+		return fmt.Errorf("core: resume event nodes: %w", err)
 	}
-	e.freeNode = snap.FreeNode
-	e.batches = make([]walkBatch, len(snap.Batches))
-	for i, bs := range snap.Batches {
-		e.batches[i] = walkBatch{walks: walksIn(bs.Walks), free: bs.Free}
+	if e.freeBatch, err = snap.Batches.load(minBatchBytes,
+		func(n int) { e.batches = make([]walkBatch, n) },
+		func(i, next int32) { e.batches[i].free = next },
+		func(i int32, r *recReader) { e.batches[i] = walkBatch{walks: r.walks(), free: -1} }); err != nil {
+		return fmt.Errorf("core: resume roving batches: %w", err)
 	}
-	e.freeBatch = snap.FreeBatch
 
 	e.switchLeft = snap.SwitchLeft
-	e.switchWalks = walksIn(snap.SwitchWalks)
+	e.switchWalks = u.walks(snap.SwitchWalks)
 
 	e.curPart = snap.CurPart
 	e.activeCur = snap.ActiveCur
@@ -813,9 +716,9 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 			sl.defers = ss.Defers
 			sl.pending = ss.Pending
 			sl.loadLeft = ss.LoadLeft
-			sl.loadWalks = walksIn(ss.LoadWalks)
+			sl.loadWalks = u.walks(ss.LoadWalks)
 		}
-		c.roving = walksIn(cs.Roving)
+		c.roving = u.walks(cs.Roving)
 		c.rovingBytes = cs.RovingBytes
 		c.completedBytes = cs.CompletedBytes
 		c.myBlocks = append(c.myBlocks[:0], cs.MyBlocks...)
@@ -866,6 +769,9 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	b.cacheRR = snap.Board.CacheRR
 	b.completedBytes = snap.Board.CompletedBytes
 
+	if u.err != nil {
+		return fmt.Errorf("core: resume walk stores: %w", u.err)
+	}
 	e.res = snap.Res
 	e.res.Visits = append([]uint64(nil), snap.Res.Visits...)
 	return nil

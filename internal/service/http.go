@@ -224,23 +224,25 @@ func NewHandler(m *Manager) http.Handler {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 		fl, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
+		var buf []byte
 		for {
 			batch, end, err := rd.next(r.Context())
 			if err != nil {
 				return // client went away
 			}
 			if end != nil {
-				_ = enc.Encode(end)
+				_ = json.NewEncoder(w).Encode(end)
 				if fl != nil {
 					fl.Flush()
 				}
 				return
 			}
+			buf = buf[:0]
 			for i := range batch {
-				if enc.Encode(&batch[i]) != nil {
-					return
-				}
+				buf = AppendWalkRecord(buf, &batch[i])
+			}
+			if _, err := w.Write(buf); err != nil {
+				return
 			}
 			if fl != nil {
 				fl.Flush()

@@ -243,33 +243,36 @@ func TestManagerRecoveryHistoryAndSeq(t *testing.T) {
 	waitTerminal(t, jn)
 }
 
-// legacyContainer is a snapshot container as a version-1 daemon wrote it:
-// a sealed gob payload under kind, with the version field set to 1.
-func legacyContainer(t *testing.T, kind string) []byte {
+// legacyContainer is a snapshot container as an older daemon wrote it: a
+// sealed gob payload under kind, with the version field set to version.
+func legacyContainer(t *testing.T, kind string, version uint32) []byte {
 	t.Helper()
 	data, err := snapshot.Encode(kind, struct{ NumBoards int }{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.BigEndian.PutUint32(data[8:12], 1)
+	binary.BigEndian.PutUint32(data[8:12], version)
 	sum := sha256.Sum256(data[:len(data)-sha256.Size])
 	copy(data[len(data)-sha256.Size:], sum[:])
 	return data
 }
 
-// TestManagerRecoveryRejectsPreBumpSnapshots: images written before the
-// one-snapshot-kind version bump — a version-1 single-board engine image
-// and a version-1 image of the old multi-board array kind, each left at
-// snapshots/<id>.snap by a crashed daemon — are refused with ErrVersion on
-// recovery, and each job re-runs from scratch to the result a clean run
-// produces.
+// TestManagerRecoveryRejectsPreBumpSnapshots: images written before a
+// container version bump — a version-1 single-board engine image and a
+// version-1 image of the old multi-board array kind (before one snapshot
+// kind), and a version-2 engine image (before packed walk records), each
+// left at snapshots/<id>.snap by a crashed daemon — are refused with
+// ErrVersion on recovery, and each job re-runs from scratch to the result
+// a clean run produces.
 func TestManagerRecoveryRejectsPreBumpSnapshots(t *testing.T) {
 	cases := []struct {
-		kind string
-		spec JobSpec
+		version uint32
+		kind    string
+		spec    JobSpec
 	}{
-		{"flashwalker-core-engine", JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 3, CheckpointEvery: 64}},
-		{"flashwalker-core-array", JobSpec{Graph: "MB-S", NumWalks: 2000, Seed: 3, CheckpointEvery: 64, Boards: 2}},
+		{1, "flashwalker-core-engine", JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 3, CheckpointEvery: 64}},
+		{1, "flashwalker-core-array", JobSpec{Graph: "MB-S", NumWalks: 2000, Seed: 3, CheckpointEvery: 64, Boards: 2}},
+		{2, "flashwalker-core-engine", JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 4, CheckpointEvery: 64}},
 	}
 
 	mr := newTestManager(t, Config{Workers: 1})
@@ -291,9 +294,9 @@ func TestManagerRecoveryRejectsPreBumpSnapshots(t *testing.T) {
 	store := blob.NewMem()
 	for i, c := range cases {
 		id := fmt.Sprintf("job-%d", i+1)
-		old := legacyContainer(t, c.kind)
+		old := legacyContainer(t, c.kind, c.version)
 		if err := snapshot.Decode(old, snapKindCore, new(core.Snapshot)); !errors.Is(err, snapshot.ErrVersion) {
-			t.Fatalf("%s image decodes with %v, want ErrVersion", c.kind, err)
+			t.Fatalf("v%d %s image decodes with %v, want ErrVersion", c.version, c.kind, err)
 		}
 		rec, err := json.Marshal(jobRecord{ID: id, Spec: c.spec, State: StateRunning, Submitted: time.Now()})
 		if err != nil {
@@ -312,18 +315,18 @@ func TestManagerRecoveryRejectsPreBumpSnapshots(t *testing.T) {
 	for i, c := range cases {
 		j, err := m.Get(fmt.Sprintf("job-%d", i+1))
 		if err != nil {
-			t.Fatalf("recovered manager lost the %s job: %v", c.kind, err)
+			t.Fatalf("recovered manager lost the v%d %s job: %v", c.version, c.kind, err)
 		}
 		waitTerminal(t, j)
 		st := j.Status()
 		if st.State != StateDone {
-			t.Fatalf("%s job: state %q, error %q", c.kind, st.State, st.Error)
+			t.Fatalf("v%d %s job: state %q, error %q", c.version, c.kind, st.State, st.Error)
 		}
 		if st.Result == nil || *st.Result != *refs[i] {
-			t.Fatalf("%s job re-run diverged:\n got %+v\nwant %+v", c.kind, st.Result, refs[i])
+			t.Fatalf("v%d %s job re-run diverged:\n got %+v\nwant %+v", c.version, c.kind, st.Result, refs[i])
 		}
 		if _, err := store.Get(snapshotKey(j.ID)); !errors.Is(err, blob.ErrNotFound) {
-			t.Errorf("%s job: snapshot survived completion (err %v)", c.kind, err)
+			t.Errorf("v%d %s job: snapshot survived completion (err %v)", c.version, c.kind, err)
 		}
 	}
 }

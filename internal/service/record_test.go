@@ -1,0 +1,265 @@
+package service
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"reflect"
+	"testing"
+
+	"flashwalker/internal/blob"
+	"flashwalker/internal/graph"
+)
+
+// jsonLine renders rec the way encoding/json's Encoder does.
+func jsonLine(t testing.TB, rec *WalkRecord) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(rec); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// fuzzPath turns fuzz bytes into a Path: mode 0 is nil, 1 empty, anything
+// else one vertex per (up to) 8 bytes, so small and 64-bit IDs both occur.
+func fuzzPath(mode uint8, raw []byte) []graph.VertexID {
+	switch mode % 3 {
+	case 0:
+		return nil
+	case 1:
+		return []graph.VertexID{}
+	}
+	var p []graph.VertexID
+	for len(raw) > 0 {
+		var w [8]byte
+		n := copy(w[:], raw)
+		raw = raw[n:]
+		p = append(p, binary.LittleEndian.Uint64(w[:])>>(8*(8-n)))
+	}
+	return p
+}
+
+// FuzzWalkRecordCodec pins the typed NDJSON codec to encoding/json. On any
+// WalkRecord the appender must write exactly the Encoder's bytes and the
+// parser must read them back; on any line the parser must give the same
+// record and the same accept/reject as json.Unmarshal.
+func FuzzWalkRecordCodec(f *testing.F) {
+	lines := []string{
+		`{"seq":0,"src":1,"end":2,"hops":80,"sim_time_ns":123456}`,
+		`{"seq":7,"src":3,"end":3,"hops":2,"dead_end":true,"sim_time_ns":9}`,
+		`{"seq":1,"src":5,"end":9,"hops":3,"path":[5,6,9]}`,
+		`{"seq":18446744073709551615,"src":0,"end":0,"hops":4294967295,"sim_time_ns":-9223372036854775808}`,
+		`{"seq":18446744073709551616,"src":0,"end":0,"hops":0}`, // seq overflows
+		`{"seq":0,"src":0,"end":0,"hops":4294967296}`,           // hops overflows
+		`{"seq":01,"src":0,"end":0,"hops":0}`,                   // leading zero
+		`{"seq":1,"src":2,"end":3,"hops":4,"sim_time_ns":-0}`,
+		`{"seq":1,"src":2,"end":3,"hops":4,"dead_end":false}`,
+		`{"seq":1,"src":2,"end":3,"hops":4,"path":[]}`,
+		`{"seq":1,"src":2,"end":3,"hops":4,"path":null}`,
+		`{"seq":1,"src":2,"end":3,"hops":4.5}`,
+		`{"seq":1,"src":2,"end":3,"hops":4}x`,
+		`{"seq":1,"seq":2,"src":2,"end":3,"hops":4}`,
+		`{"SEQ":1,"src":2,"end":3,"hops":4}`,
+		`{"hops":4,"end":3,"src":2,"seq":1}`,
+		`{ "seq": 1, "src": 2, "end": 3, "hops": 4 }`,
+		`{"seq":1}`,
+		`{"done":true,"state":"done","next_seq":3}`,
+		`null`,
+		``,
+	}
+	for i, l := range lines {
+		f.Add(uint64(i), uint64(3*i), uint64(1<<40+i), uint32(i), i%2 == 0, int64(i-3), uint8(i), []byte(l), []byte(l))
+	}
+	f.Fuzz(func(t *testing.T, seq, src, end uint64, hops uint32, deadEnd bool, simTime int64, pathMode uint8, path, line []byte) {
+		rec := WalkRecord{Seq: seq, Src: src, End: end, Hops: hops, DeadEnd: deadEnd,
+			SimTimeNS: simTime, Path: fuzzPath(pathMode, path)}
+		want := jsonLine(t, &rec)
+		got := AppendWalkRecord([]byte("prefix"), &rec)
+		if !bytes.Equal(got[len("prefix"):], want) {
+			t.Fatalf("AppendWalkRecord(%+v) = %q, json.Encoder writes %q", rec, got[len("prefix"):], want)
+		}
+		back, err := ParseWalkRecord(bytes.TrimSpace(want))
+		if len(rec.Path) == 0 {
+			rec.Path = nil // omitempty drops an empty path
+		}
+		if err != nil || !reflect.DeepEqual(back, rec) {
+			t.Fatalf("ParseWalkRecord(%q) = %+v, %v; want %+v", want, back, err, rec)
+		}
+
+		typed, terr := ParseWalkRecord(line)
+		var ref WalkRecord
+		jerr := json.Unmarshal(line, &ref)
+		if (terr == nil) != (jerr == nil) {
+			t.Fatalf("ParseWalkRecord(%q) error %v, json.Unmarshal error %v", line, terr, jerr)
+		}
+		if !reflect.DeepEqual(typed, ref) {
+			t.Fatalf("ParseWalkRecord(%q) = %+v, json.Unmarshal gives %+v", line, typed, ref)
+		}
+	})
+}
+
+// BenchmarkWalkRecordCodec compares the typed codec with encoding/json on a
+// typical simulator record, per record.
+func BenchmarkWalkRecordCodec(b *testing.B) {
+	rec := WalkRecord{Seq: 12345, Src: 48213, End: 90211, Hops: 80, SimTimeNS: 3_141_592_653}
+	line := bytes.TrimSpace(jsonLine(b, &rec))
+	b.Run("append/typed", func(b *testing.B) {
+		buf := make([]byte, 0, 256)
+		for i := 0; i < b.N; i++ {
+			buf = AppendWalkRecord(buf[:0], &rec)
+		}
+	})
+	b.Run("append/json", func(b *testing.B) {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := enc.Encode(&rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parse/typed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ParseWalkRecord(line); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parse/json", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var r WalkRecord
+			if err := json.Unmarshal(line, &r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestWalkRecordWireBytes: a finished durable job's spool blob and its
+// HTTP stream are byte for byte the encoding/json rendering of its
+// records, for a simulator job (sim times) and a deepwalk job (paths).
+func TestWalkRecordWireBytes(t *testing.T) {
+	store := blob.NewMem()
+	srv, m := newTestServer(t, Config{Workers: 1, Store: store})
+	for _, spec := range []JobSpec{
+		{Graph: "TT-S", NumWalks: 600, Seed: 4},
+		{Kind: KindDeepWalk, Graph: "TT-S", Seed: 7, WalksPerVertex: 1, WalkLength: 4},
+	} {
+		j, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, j)
+		recs, end := drainStream(t, j, 0)
+		if end.State != StateDone || len(recs) == 0 {
+			t.Fatalf("%s job: %d records, trailer %+v", spec.Kind, len(recs), end)
+		}
+		var want []byte
+		for i := range recs {
+			want = append(want, jsonLine(t, &recs[i])...)
+		}
+
+		spool, err := store.Get(streamKey(j.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(spool, want) {
+			t.Fatalf("%s job: spool (%d bytes) differs from the encoding/json rendering (%d bytes)",
+				spec.Kind, len(spool), len(want))
+		}
+
+		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/stream", srv.URL, j.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trailer bytes.Buffer
+		if err := json.NewEncoder(&trailer).Encode(end); err != nil {
+			t.Fatal(err)
+		}
+		if wantHTTP := append(want, trailer.Bytes()...); !bytes.Equal(body, wantHTTP) {
+			t.Fatalf("%s job: HTTP stream (%d bytes) differs from the encoding/json rendering (%d bytes)",
+				spec.Kind, len(body), len(wantHTTP))
+		}
+	}
+}
+
+// TestSpoolRecoveryTornTails: on reopen, a spool whose tail a crash tore
+// or duplicated is cut back to its gapless prefix, and the next append
+// continues that prefix.
+func TestSpoolRecoveryTornTails(t *testing.T) {
+	var good []byte
+	for i := uint64(0); i < 3; i++ {
+		good = AppendWalkRecord(good, &WalkRecord{Seq: i, Src: 10 + i, End: 20 + i, Hops: 4, SimTimeNS: int64(100 * (i + 1))})
+	}
+	line := func(seq uint64) string {
+		return string(AppendWalkRecord(nil, &WalkRecord{Seq: seq, Src: 1, End: 2, Hops: 4}))
+	}
+	cases := []struct {
+		name string
+		tail string
+		kept bool // the tail is one more valid record
+	}{
+		{"clean", "", false},
+		{"torn-record", `{"seq":3,"src":1,"en`, false},
+		{"torn-before-newline", line(3)[:len(line(3))-1], false},
+		{"duplicate", line(2), false},
+		{"duplicate-then-next", line(2) + line(3), false},
+		{"gap", line(4), false},
+		{"garbage-line", "not json\n" + line(3), false},
+		{"blank-line", "\n" + line(3), false},
+		{"next", line(3), true},
+		{"next-non-canonical", `{"hops":4,"end":2,"src":1,"seq":3}` + "\n", true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			data := append(append([]byte(nil), good...), c.tail...)
+			wantCount, wantOff := uint64(3), int64(len(good))
+			if c.kept {
+				wantCount, wantOff = 4, int64(len(data))
+			}
+			count, off := countSpool(data)
+			if count != wantCount || off != wantOff {
+				t.Fatalf("countSpool = (%d, %d), want (%d, %d)", count, off, wantCount, wantOff)
+			}
+
+			store := blob.NewMem()
+			if err := store.Put("s.ndjson", data); err != nil {
+				t.Fatal(err)
+			}
+			sp, err := openSpool(store, "s.ndjson", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sp.count != wantCount {
+				t.Fatalf("reopened spool counts %d records, want %d", sp.count, wantCount)
+			}
+			next := &WalkRecord{Seq: sp.count, Src: 7, End: 8, Hops: 4}
+			sp.append(next)
+			sp.flush()
+			if sp.err != nil {
+				t.Fatal(sp.err)
+			}
+			after, err := store.Get("s.ndjson")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append(append([]byte(nil), data[:wantOff]...), AppendWalkRecord(nil, next)...)
+			if !bytes.Equal(after, want) {
+				t.Fatalf("spool after append:\n%q\nwant\n%q", after, want)
+			}
+			if count, off := countSpool(after); count != wantCount+1 || off != int64(len(after)) {
+				t.Fatalf("appended spool counts (%d, %d), want (%d, %d)", count, off, wantCount+1, len(after))
+			}
+		})
+	}
+}

@@ -1,10 +1,8 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -25,7 +23,8 @@ import (
 // the job's walk count) rather than pausing the engine.
 //
 // When the job is durable (manager has a blob store) every record is also
-// appended to a spool blob, streams/<id>.ndjson, in the exact wire format.
+// appended to a spool blob, streams/<id>.ndjson, in the exact wire format
+// (AppendWalkRecord, record.go).
 // The spool serves two purposes: replay for readers that ask for offsets
 // already evicted from the ring, and recovery — after a restart the stream
 // resumes at the spool's contiguous record count, so ?from=seq never
@@ -395,8 +394,7 @@ func (r *streamReader) spoolBatch(limit uint64) ([]WalkRecord, error) {
 type spoolFile struct {
 	store blob.Store
 	key   string
-	buf   bytes.Buffer
-	enc   *json.Encoder
+	buf   []byte
 	count uint64 // contiguous records in the store
 	err   error  // first write error; spooling stops after one
 	// onErr reports the first failed store write to the manager's
@@ -419,51 +417,55 @@ func openSpool(store blob.Store, key string, onErr func(error)) (*spoolFile, err
 			return nil, err
 		}
 	}
-	s := &spoolFile{store: store, key: key, count: count, onErr: onErr}
-	s.enc = json.NewEncoder(&s.buf)
-	return s, nil
+	return &spoolFile{store: store, key: key, count: count, onErr: onErr}, nil
 }
 
 // countSpool returns the number of contiguous records (Seq 0,1,2,...) at
 // the start of the spool bytes, and the byte offset just past the last
 // valid one. Nil data is an empty spool.
 func countSpool(data []byte) (count uint64, off int64) {
-	br := bufio.NewReader(bytes.NewReader(data))
 	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
+		line, rest, ok := nextLine(data[off:])
+		if !ok {
 			// Torn tail (no newline): keep the valid prefix.
 			return count, off
 		}
-		var rec WalkRecord
-		if json.Unmarshal(bytes.TrimSpace(line), &rec) != nil || rec.Seq != count {
+		rec, err := ParseWalkRecord(line)
+		if err != nil || rec.Seq != count {
 			return count, off
 		}
 		count++
-		off += int64(len(line))
+		off = int64(len(data) - len(rest))
 	}
+}
+
+// nextLine splits the first newline-terminated line off data, trimmed of
+// surrounding whitespace; ok is false at a torn (unterminated) tail.
+func nextLine(data []byte) (line, rest []byte, ok bool) {
+	i := bytes.IndexByte(data, '\n')
+	if i < 0 {
+		return nil, data, false
+	}
+	return bytes.TrimSpace(data[:i]), data[i+1:], true
 }
 
 func (s *spoolFile) append(rec *WalkRecord) {
 	if s.err != nil {
 		return
 	}
-	if err := s.enc.Encode(rec); err != nil {
-		s.fail(err)
-		return
-	}
+	s.buf = AppendWalkRecord(s.buf, rec)
 	s.count++
 }
 
 func (s *spoolFile) flush() {
-	if s.err != nil || s.buf.Len() == 0 {
+	if s.err != nil || len(s.buf) == 0 {
 		return
 	}
-	if err := s.store.Append(s.key, s.buf.Bytes()); err != nil {
+	if err := s.store.Append(s.key, s.buf); err != nil {
 		s.fail(err)
 		return
 	}
-	s.buf.Reset()
+	s.buf = s.buf[:0]
 }
 
 // fail latches the spool's first error and reports it once.
@@ -477,7 +479,7 @@ func (s *spoolFile) fail(err error) {
 // spoolScanner reads wire records back out of a point-in-time copy of the
 // spool blob, in order.
 type spoolScanner struct {
-	br     *bufio.Reader
+	data   []byte // the copy's unread bytes
 	next   uint64 // seq of the next record scan will return
 	peeked *WalkRecord
 }
@@ -491,7 +493,7 @@ func openSpoolScanner(store blob.Store, key string) (*spoolScanner, error) {
 			return nil, err
 		}
 	}
-	return &spoolScanner{br: bufio.NewReader(bytes.NewReader(data))}, nil
+	return &spoolScanner{data: data}, nil
 }
 
 // scan returns the next record, or io.EOF at the end of the valid prefix.
@@ -502,12 +504,13 @@ func (sc *spoolScanner) scan() (WalkRecord, error) {
 		sc.next = rec.Seq + 1
 		return rec, nil
 	}
-	line, err := sc.br.ReadBytes('\n')
-	if err != nil {
+	line, rest, ok := nextLine(sc.data)
+	if !ok {
 		return WalkRecord{}, io.EOF
 	}
-	var rec WalkRecord
-	if json.Unmarshal(bytes.TrimSpace(line), &rec) != nil {
+	sc.data = rest
+	rec, err := ParseWalkRecord(line)
+	if err != nil {
 		return WalkRecord{}, io.EOF
 	}
 	sc.next = rec.Seq + 1

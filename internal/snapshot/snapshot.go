@@ -17,7 +17,9 @@
 // or bit-rotted files; the version gates forward-incompatible payloads.
 // Payloads are encoding/gob of exported plain-data structs, so the format
 // needs no third-party dependencies and tolerates field additions in
-// future versions behind a version bump.
+// future versions behind a version bump. Bulk records travel inside them as
+// packed byte strings (the core engine's walk stores, core.WalkRecords),
+// which gob ships as one length and a copy.
 package snapshot
 
 import (
@@ -32,10 +34,11 @@ import (
 )
 
 // Version is the current container version; Decode rejects every other
-// one. Version 2 made the core engine's snapshot one type for any board
-// count; a version-1 image fails with ErrVersion, and its job re-runs from
-// the start (result-identical, the engines being deterministic).
-const Version = 2
+// one, and a job whose image fails with ErrVersion re-runs from the start
+// (result-identical, the engines being deterministic). Version 2 made the
+// core engine's snapshot one type for any board count; version 3 packs its
+// walks as binary records and exports its pooled records live-only.
+const Version = 3
 
 var magic = [8]byte{'F', 'W', 'S', 'N', 'A', 'P', '1', '\n'}
 
@@ -171,22 +174,4 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 		d.Close()
 	}
 	return nil
-}
-
-// WriteFile encodes v and writes the container to path atomically.
-func WriteFile(path, kind string, v any) error {
-	data, err := Encode(kind, v)
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, data, 0o644)
-}
-
-// ReadFile reads a container from path and decodes it into v.
-func ReadFile(path, wantKind string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return Decode(data, wantKind, v)
 }

@@ -3,8 +3,6 @@ package snapshot
 import (
 	"crypto/sha256"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -90,42 +88,6 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 	copy(data[len(data)-sha256.Size:], sum[:])
 	if err := Decode(data, "test-kind", &payload{}); !errors.Is(err, ErrVersion) {
 		t.Fatalf("future version: err %v, want ErrVersion", err)
-	}
-}
-
-func TestWriteReadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "job.snap")
-	in := testPayload()
-	if err := WriteFile(path, "test-kind", in); err != nil {
-		t.Fatal(err)
-	}
-	var out payload
-	if err := ReadFile(path, "test-kind", &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Name != in.Name {
-		t.Fatalf("file round trip mangled payload: %+v", out)
-	}
-	// The temp file must not survive a successful rename.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("state dir holds %d entries after atomic write, want 1", len(entries))
-	}
-
-	// Overwrite with new content; readers must never see a mix.
-	in.Name = "second"
-	if err := WriteFile(path, "test-kind", in); err != nil {
-		t.Fatal(err)
-	}
-	if err := ReadFile(path, "test-kind", &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Name != "second" {
-		t.Fatalf("overwrite not visible: %+v", out)
 	}
 }
 
