@@ -236,6 +236,16 @@ func (e *Engine) seedWalks(starts []graph.VertexID, n int) {
 	ws := walk.NewWalks(e.boards[0].spec, starts, n)
 	e.numStarted = len(ws)
 	e.remaining = len(ws)
+	// One counting pass sizes every pending list exactly.
+	count := make([]int, e.part.NumPartitions)
+	for i := range ws {
+		count[e.boards[0].homePartition(ws[i].Cur)]++
+	}
+	for p, c := range count {
+		if c > 0 {
+			e.boards[e.shard.BoardOf(p)].pendingMem[p] = make([]wstate, 0, c)
+		}
+	}
 	for i := range ws {
 		st := wstate{w: ws[i], denseBlock: -1, rangeTag: -1, prev: noPrev,
 			rng: *e.rootRNG.Derive(uint64(i))}

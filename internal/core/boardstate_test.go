@@ -1,0 +1,184 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"flashwalker/internal/partition"
+	"flashwalker/internal/sim"
+	"flashwalker/internal/snapshot"
+)
+
+// hostileBoardConfig is the golden workload cut into 256-byte blocks, so
+// the partitioning has dense blocks a hostile cache image can name.
+func hostileBoardConfig() RunConfig {
+	rc := goldenConfig()
+	rc.PartCfg.BlockBytes = 256
+	return rc
+}
+
+// cloneSnapshot deep-copies s through the container codec.
+func cloneSnapshot(t *testing.T, s *Snapshot) *Snapshot {
+	t.Helper()
+	data, err := snapshot.Encode("core-engine", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := new(Snapshot)
+	if err := snapshot.Decode(data, "core-engine", out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestResumeRejectsHostileBoardState feeds ResumeEngine board-accelerator
+// images no run could have written — cache columns of unequal length, more
+// entries than the cache holds, entries naming a missing, dense or
+// repeated block, a block outside the current partition or a range that is
+// not the block's, round-robin cursors outside their rings, negative
+// bookings, a hot block past the end, a current partition out of range —
+// and requires an error for each.
+// An image that slipped through would index out of range inside resume or
+// at the next routed walk, so an accepted one is also run.
+func TestResumeRejectsHostileBoardState(t *testing.T) {
+	g := testGraph(t)
+	rc := hostileBoardConfig()
+	cut := interruptWhen(t, g, rc, 4, func(s *Snapshot) bool {
+		return !s.Preloading() && len(s.Boards[0].Board.Caches[0].Blocks) >= 2
+	})
+	part, err := partition.Partition(g, rc.PartCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := part.PartitionSpan(cut.Boards[0].CurPart)
+	dense, foreign := -1, -1
+	for id := range part.Blocks {
+		switch {
+		case part.Blocks[id].Dense && id >= first && id <= last:
+			dense = id
+		case !part.Blocks[id].Dense && (id < first || id > last):
+			foreign = id
+		}
+	}
+	if dense < 0 || foreign < 0 {
+		t.Fatalf("test partitioning lacks a dense block in the cut's partition (%d) or a block outside it (%d)", dense, foreign)
+	}
+	capacity := int(rc.Cfg.QueryCacheBytes / rc.Cfg.MappingEntryBytes)
+
+	cases := map[string]func(b *BoardState){
+		"short highs": func(b *BoardState) {
+			c := &b.Caches[0]
+			c.Highs = c.Highs[:len(c.Highs)-1]
+		},
+		"short blocks": func(b *BoardState) {
+			c := &b.Caches[0]
+			c.Blocks = c.Blocks[:len(c.Blocks)-1]
+		},
+		"over capacity": func(b *BoardState) {
+			c := &b.Caches[0]
+			for len(c.Blocks) <= capacity {
+				c.Lows = append(c.Lows, c.Lows[0])
+				c.Highs = append(c.Highs, c.Highs[0])
+				c.Blocks = append(c.Blocks, c.Blocks[0])
+			}
+		},
+		"block past the end": func(b *BoardState) { b.Caches[0].Blocks[0] = len(part.Blocks) },
+		"negative block":     func(b *BoardState) { b.Caches[0].Blocks[0] = -1 },
+		"dense block": func(b *BoardState) {
+			c := &b.Caches[0]
+			c.Blocks[0] = dense
+			c.Lows[0], c.Highs[0] = part.Blocks[dense].LowVertex, part.Blocks[dense].HighVertex
+		},
+		"block of another partition": func(b *BoardState) {
+			c := &b.Caches[0]
+			c.Blocks[0] = foreign
+			c.Lows[0], c.Highs[0] = part.Blocks[foreign].LowVertex, part.Blocks[foreign].HighVertex
+		},
+		"repeated block": func(b *BoardState) {
+			c := &b.Caches[0]
+			c.Blocks[1], c.Lows[1], c.Highs[1] = c.Blocks[0], c.Lows[0], c.Highs[0]
+		},
+		"range not the block's": func(b *BoardState) { b.Caches[0].Highs[0]++ },
+		"port cursor past end":  func(b *BoardState) { b.PortRR = len(b.Ports) },
+		"negative port cursor":  func(b *BoardState) { b.PortRR = -1 },
+		"cache cursor past end": func(b *BoardState) { b.CacheRR = len(b.Caches) },
+		"negative cache cursor": func(b *BoardState) { b.CacheRR = -1 },
+		"negative guider booking": func(b *BoardState) {
+			b.Tier.Guider.Units[0].BusyUntil = -1
+		},
+		"negative port booking": func(b *BoardState) { b.Ports[0].BusyUntil = -1 },
+		"hot block past the end": func(b *BoardState) {
+			b.Tier.HotIDs = append(b.Tier.HotIDs, len(part.Blocks))
+		},
+	}
+	if _, err := ResumeEngine(g, cloneSnapshot(t, cut), ResumeOptions{}); err != nil {
+		t.Fatalf("unmodified cut rejected: %v", err)
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			s := cloneSnapshot(t, cut)
+			mutate(&s.Boards[0].Board)
+			e, err := ResumeEngine(g, s, ResumeOptions{})
+			if err == nil {
+				_, runErr := e.RunContext(context.Background())
+				t.Fatalf("hostile board state accepted (run: %v)", runErr)
+			}
+		})
+	}
+	for _, p := range []int{-2, part.NumPartitions} {
+		s := cloneSnapshot(t, cut)
+		s.Boards[0].CurPart = p
+		if _, err := ResumeEngine(g, s, ResumeOptions{}); err == nil {
+			t.Fatalf("current partition %d accepted", p)
+		}
+	}
+}
+
+// TestResumeAcceptsQueueLayoutPools resumes real cuts whose unit pools are
+// written the way images were when every unit was its own queue: units in
+// an arbitrary order, free units carrying the time they last freed rather
+// than 0, and per-unit Served/Waited/BusyTotal counters filled in. Only
+// each unit's busy-until matters, so every such image must resume to the
+// uninterrupted run's digest, on one board and two.
+func TestResumeAcceptsQueueLayoutPools(t *testing.T) {
+	g := testGraph(t)
+	for _, nb := range []int{1, 2} {
+		want := digestResult(runEngine(t, g, arrayConfig(nb)))
+		s := midRunCut(t, nb)
+		r := rand.New(rand.NewSource(int64(nb)))
+		legacy := func(p *UnitPoolState) {
+			for i := range p.Units {
+				u := &p.Units[i]
+				if u.BusyUntil == 0 && s.Sim.Now > 0 {
+					u.BusyUntil = sim.Time(1 + r.Int63n(int64(s.Sim.Now)))
+				}
+				u.Served = uint64(r.Intn(1000))
+				u.Waited = s.Sim.Now / 3
+				u.BusyTotal = u.BusyUntil / 2
+			}
+			r.Shuffle(len(p.Units), func(i, j int) { p.Units[i], p.Units[j] = p.Units[j], p.Units[i] })
+		}
+		for b := range s.Boards {
+			img := &s.Boards[b]
+			tiers := []*TierState{&img.Board.Tier}
+			for i := range img.Chips {
+				tiers = append(tiers, &img.Chips[i].Tier)
+			}
+			for i := range img.Chans {
+				tiers = append(tiers, &img.Chans[i].Tier)
+			}
+			for _, ts := range tiers {
+				legacy(&ts.Updater)
+				legacy(&ts.Guider)
+			}
+		}
+		res, err := resumeContext(context.Background(), g, s, ResumeOptions{})
+		if err != nil {
+			t.Fatalf("boards=%d: resume: %v", nb, err)
+		}
+		if got := digestResult(res); got != want {
+			t.Fatalf("boards=%d: queue-layout resume diverged:\n got %s\nwant %s", nb, got, want)
+		}
+	}
+}

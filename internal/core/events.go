@@ -1,6 +1,10 @@
 package core
 
-import "flashwalker/internal/sim"
+import (
+	"slices"
+
+	"flashwalker/internal/sim"
+)
 
 // This file is the engine's typed-event layer. Every continuation the
 // accelerator tiers schedule — the time-0 hot-subgraph preload included —
@@ -59,6 +63,19 @@ func (e *boardEngine) newNode() (int32, *wnode) {
 	n := &e.nodes[ref]
 	*n = wnode{free: -1}
 	return ref, n
+}
+
+// reserveNodes makes room for n more live nodes with at most one
+// allocation. A partition's launch burst claims a node for every walk it
+// guides at once; growing by append through it would copy the pool at each
+// step and leave the old arrays as garbage. Free nodes are reused first,
+// and slices.Grow keeps append's growth policy, so the pool never ends up
+// larger than claiming the nodes one by one would have made it.
+func (e *boardEngine) reserveNodes(n int) {
+	for ref := e.freeNode; ref >= 0 && n > 0; ref = e.nodes[ref].free {
+		n--
+	}
+	e.nodes = slices.Grow(e.nodes, n)
 }
 
 // node resolves a reference. The pointer is only valid until the next

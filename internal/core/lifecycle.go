@@ -15,14 +15,13 @@ import (
 // homePartition reports which partition a vertex's subgraph belongs to
 // (dense vertices use their first block).
 func (e *boardEngine) homePartition(v graph.VertexID) int {
+	if id := e.part.VertexBlocks()[v]; id >= 0 {
+		return e.part.PartitionOf(int(id))
+	}
 	if m, ok := e.part.Dense.Lookup(v); ok {
 		return e.part.PartitionOf(m.FirstBlockID)
 	}
-	id, _ := e.part.BlockOf(v)
-	if id < 0 {
-		return 0
-	}
-	return e.part.PartitionOf(id)
+	return 0
 }
 
 // finishWalk retires a walk (completed or dead-ended). st is the walk's
@@ -105,8 +104,9 @@ func (e *boardEngine) startPartition(p int) {
 	e.res.PartitionSwitches++
 	e.emit(trace.PartitionSwitch, int64(p),
 		int64(len(e.pendingMem[p])+len(e.pendingFlash[p])))
+	first, _ := e.part.PartitionSpan(p)
 	for _, qc := range e.board.caches {
-		qc.invalidate()
+		qc.reset(first)
 	}
 	for _, c := range e.chips {
 		c.refreshBlocks()
@@ -127,6 +127,8 @@ func (e *boardEngine) startPartition(p int) {
 
 	e.activeCur = len(mem) + len(fl)
 
+	// Each guided walk holds a node until its guider finishes.
+	e.reserveNodes(len(mem))
 	for i := range mem {
 		e.board.Guide(mem[i])
 	}

@@ -82,8 +82,7 @@ func (b *boardAccel) classify(st wstate) routeDecision {
 		d.searchSteps = steps
 		d.blockID = blockID
 		if blockID >= 0 {
-			blk := &e.part.Blocks[blockID]
-			qc.insert(blk.LowVertex, blk.HighVertex, blockID)
+			qc.insert(blockID)
 			if !e.inCurrentPartition(blockID) {
 				d.foreignPart = e.part.PartitionOf(blockID)
 			}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"flashwalker/internal/flash"
 	"flashwalker/internal/sim"
 	"flashwalker/internal/trace"
@@ -50,7 +52,14 @@ func (e *boardEngine) flushForeigners() {
 			continue
 		}
 		bytes := int64(len(tail)) * walk.StateBytes
-		e.pendingFlash[p] = append(e.pendingFlash[p], tail...)
+		// Grow by doubling. Under append's 1.25× steps for large slices,
+		// these lists, rebuilt from nothing after every partition switch,
+		// were the largest allocation of a multi-partition run.
+		pf := e.pendingFlash[p]
+		if cap(pf)-len(pf) < len(tail) {
+			pf = slices.Grow(pf, max(len(tail), len(pf)))
+		}
+		e.pendingFlash[p] = append(pf, tail...)
 		e.pendingFlashBytes[p] += bytes
 		e.pendingMem[p] = e.pendingMem[p][:e.flushMark[p]]
 		totalBytes += bytes

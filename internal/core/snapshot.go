@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"flashwalker/internal/dram"
 	"flashwalker/internal/errs"
@@ -239,21 +240,40 @@ func (s *Snapshot) WalksFinished() int {
 
 // --- Conversions. ---
 
+// poolOut exports a unit pool as one QueueState per unit carrying only its
+// BusyUntil: idle units first as 0, then the busy units ascending. Units
+// are interchangeable, so this multiset is the pool's whole timing state.
 func poolOut(p *unitPool) UnitPoolState {
-	st := UnitPoolState{Units: make([]sim.QueueState, len(p.units)), Jobs: p.jobs, Busy: p.busy}
-	for i, u := range p.units {
-		st.Units[i] = u.State()
+	st := UnitPoolState{Units: make([]sim.QueueState, p.units), Jobs: p.jobs, Busy: p.busy}
+	busy := slices.Clone(p.until)
+	slices.Sort(busy)
+	for i, t := range busy {
+		st.Units[p.idle+i].BusyUntil = t
 	}
 	return st
 }
 
+// poolIn restores a pool from its units' BusyUntil values in any order (an
+// image written when every unit was a queue lists them by unit, with
+// per-unit counters this model no longer keeps). A unit free at 0 is idle;
+// one that freed later but before the cut stays in the heap until the next
+// dispatch drains it, which starts a job at max(now, busy-until) either way.
 func poolIn(p *unitPool, st UnitPoolState, what string) error {
-	if len(st.Units) != len(p.units) {
-		return fmt.Errorf("core: resume: %s has %d units, snapshot has %d", what, len(p.units), len(st.Units))
+	if len(st.Units) != p.units {
+		return fmt.Errorf("core: resume: %s has %d units, snapshot has %d", what, p.units, len(st.Units))
 	}
-	for i, u := range p.units {
-		u.Restore(st.Units[i])
+	p.idle, p.until = 0, p.until[:0]
+	for _, u := range st.Units {
+		switch {
+		case u.BusyUntil < 0:
+			return fmt.Errorf("core: resume: %s unit busy until %d", what, u.BusyUntil)
+		case u.BusyUntil == 0:
+			p.idle++
+		default:
+			p.until = append(p.until, u.BusyUntil)
+		}
 	}
+	slices.Sort(p.until) // an ascending slice is a min-heap
 	p.jobs = st.Jobs
 	p.busy = st.Busy
 	return nil
@@ -282,6 +302,14 @@ func tierIn(t *tierCommon, st TierState, what string) error {
 	if st.HotNil {
 		t.hot = nil
 	} else {
+		part := t.e.part
+		seen := make(map[int]bool, len(st.HotIDs))
+		for _, id := range st.HotIDs {
+			if id < 0 || id >= part.NumBlocks() || part.Blocks[id].Dense || seen[id] {
+				return fmt.Errorf("core: resume: %s hot block %d is out of range, dense or repeated", what, id)
+			}
+			seen[id] = true
+		}
 		t.SetHotBlocks(st.HotIDs)
 	}
 	t.hotReady = st.HotReady
@@ -467,12 +495,11 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 		bs.Ports[i] = p.State()
 	}
 	for i, qc := range b.caches {
-		c := CacheState{Hits: qc.hits, Misses: qc.misses}
-		for j := 0; j < qc.n; j++ {
-			p := qc.slot(j)
-			c.Lows = append(c.Lows, qc.ranges[p].lo)
-			c.Highs = append(c.Highs, qc.ranges[p].hi)
-			c.Blocks = append(c.Blocks, int(qc.blockIDs[p]))
+		c := CacheState{Blocks: qc.blocks(nil), Hits: qc.hits, Misses: qc.misses}
+		for _, id := range c.Blocks {
+			blk := &e.part.Blocks[id]
+			c.Lows = append(c.Lows, blk.LowVertex)
+			c.Highs = append(c.Highs, blk.HighVertex)
 		}
 		bs.Caches[i] = c
 	}
@@ -644,6 +671,8 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 		return fmt.Errorf("core: resume: snapshot has %d query caches, config has %d", len(snap.Board.Caches), len(e.board.caches))
 	case (snap.Injector != nil) != (e.inj != nil):
 		return fmt.Errorf("core: resume: snapshot and config disagree on fault injection")
+	case snap.CurPart < -1 || snap.CurPart >= np:
+		return fmt.Errorf("core: resume: current partition %d outside [-1, %d)", snap.CurPart, np)
 	}
 
 	if err := e.ssd.ImportState(snap.Flash, target); err != nil {
@@ -753,15 +782,19 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	if err := tierIn(&b.tierCommon, snap.Board.Tier, "board"); err != nil {
 		return err
 	}
+	if err := e.checkBoardState(&snap.Board); err != nil {
+		return err
+	}
 	for i, p := range b.ports {
 		p.Restore(snap.Board.Ports[i])
 	}
 	b.portRR = snap.Board.PortRR
+	first, _ := e.part.PartitionSpan(max(e.curPart, 0))
 	for i, qc := range b.caches {
 		cs := &snap.Board.Caches[i]
-		qc.invalidate()
-		for j := range cs.Lows {
-			qc.insertTail(cs.Lows[j], cs.Highs[j], cs.Blocks[j])
+		qc.reset(first)
+		for _, id := range cs.Blocks {
+			qc.insertTail(id)
 		}
 		qc.hits = cs.Hits
 		qc.misses = cs.Misses
@@ -774,5 +807,60 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	}
 	e.res = snap.Res
 	e.res.Visits = append([]uint64(nil), snap.Res.Visits...)
+	return nil
+}
+
+// checkBoardState rejects a board-accelerator image the router could not
+// run from: round-robin cursors outside their rings, negative port
+// bookings, and query-cache contents no miss sequence could have produced.
+// The O(1) cache probe relies on the last: each entry is a distinct
+// non-dense block of the current partition whose saved range is that
+// block's. The caller has restored curPart.
+func (e *boardEngine) checkBoardState(bs *BoardState) error {
+	b := e.board
+	first, last := e.part.PartitionSpan(max(e.curPart, 0))
+	if e.curPart < 0 {
+		last = first - 1 // no partition started: the caches are empty
+	}
+	switch {
+	case bs.PortRR < 0 || bs.PortRR >= len(b.ports):
+		return fmt.Errorf("core: resume: table port cursor %d outside [0, %d)", bs.PortRR, len(b.ports))
+	case bs.CacheRR < 0 || bs.CacheRR >= max(len(b.caches), 1):
+		return fmt.Errorf("core: resume: query cache cursor %d outside [0, %d)", bs.CacheRR, len(b.caches))
+	}
+	for i, p := range bs.Ports {
+		if p.BusyUntil < 0 {
+			return fmt.Errorf("core: resume: table port %d busy until %d", i, p.BusyUntil)
+		}
+	}
+	seen := make(map[int]bool)
+	for i := range bs.Caches {
+		cs := &bs.Caches[i]
+		n := len(cs.Blocks)
+		switch {
+		case len(cs.Lows) != n || len(cs.Highs) != n:
+			return fmt.Errorf("core: resume: query cache %d has %d lows, %d highs, %d blocks",
+				i, len(cs.Lows), len(cs.Highs), n)
+		case n > b.caches[i].capacity:
+			return fmt.Errorf("core: resume: query cache %d holds %d entries, capacity %d", i, n, b.caches[i].capacity)
+		}
+		clear(seen)
+		for j, id := range cs.Blocks {
+			if id < first || id > last {
+				return fmt.Errorf("core: resume: query cache %d entry %d: block %d outside partition %d", i, j, id, e.curPart)
+			}
+			blk := &e.part.Blocks[id]
+			switch {
+			case blk.Dense:
+				return fmt.Errorf("core: resume: query cache %d entry %d: block %d is dense", i, j, id)
+			case seen[id]:
+				return fmt.Errorf("core: resume: query cache %d entry %d: block %d cached twice", i, j, id)
+			case cs.Lows[j] != blk.LowVertex || cs.Highs[j] != blk.HighVertex:
+				return fmt.Errorf("core: resume: query cache %d entry %d: range [%d, %d] is not block %d's [%d, %d]",
+					i, j, cs.Lows[j], cs.Highs[j], id, blk.LowVertex, blk.HighVertex)
+			}
+			seen[id] = true
+		}
+	}
 	return nil
 }

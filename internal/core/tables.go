@@ -10,189 +10,246 @@ import (
 // vertex range covers the queried vertex; hot subgraphs therefore stay
 // resident in every cache, which is exactly the locality argument the
 // paper makes (binary-search upper levels + power-law walk skew).
-// Entries live in a fixed ring ordered by recency: logical position i
-// (0 = most recent) occupies physical slot (head+i) % capacity. The miss
-// path — the common case at figure scale, where ~80% of probes resolve
-// outside the cache — scans all entries and then inserts, so both halves
-// are engineered for it: the scan streams dense 16-byte {lo, hi} pairs a
-// prefetcher can follow, and the ring makes insert-at-front O(1) where a
-// shifted array paid a full-cache memmove per miss. Hits still pay the
-// move-to-front shift, but under power-law walk skew they sit near the
-// front.
-// Recency order is semantically load-bearing, not just an eviction policy:
-// a dense single-vertex block's range can sit inside a normal block's
-// range, and on overlap the MOST RECENTLY touched entry answers — so hits
-// must keep the exact shift-to-front behavior (a cheaper swap would
-// reorder the middle of the cache and change later answers).
-type vrange struct{ lo, hi graph.VertexID }
-
+//
+// The hardware compares a probe against every entry; the model answers it
+// in O(1) without changing a single answer. Only non-dense blocks are ever
+// cached — the mapping-table search never returns a dense one — so cached
+// ranges are pairwise disjoint, and a block is inserted only after a miss
+// on one of its own vertices, so it is never cached twice. At most one
+// entry can therefore cover v: the entry for vertexBlock[v], the
+// partitioning's vertex→block index. The search is also confined to the
+// current partition, which a switch clears the caches for, so every
+// cached block lies in the span starting at base and slotOf maps a block's
+// offset in that span to its entry. The entries form an index-linked
+// recency list, so a hit is a move-to-front splice and a full-cache miss
+// evicts the tail: the hits, evictions and recency order of a
+// front-to-back scan, at a cost that does not grow with the capacity.
 type queryCache struct {
-	capacity int
-	ranges   []vrange // ring, physical slot = (head + logical) % capacity
-	blockIDs []int32
-	head     int // physical slot of the most recent entry
-	n        int // live entries
-	hits     uint64
-	misses   uint64
+	capacity    int
+	vertexBlock []int32      // shared vertex → non-dense block index, -1 dense
+	base        int32        // first block of the partition being cached
+	slotOf      []int32      // block - base → entry slot, -1 when not cached
+	ents        []cacheEntry // the slots in use
+	head, tail  int32        // most and least recent slots, -1 when empty
+	hits        uint64
+	misses      uint64
 }
 
-func newQueryCache(capacityBytes, entryBytes int64) *queryCache {
+// cacheEntry is one cached mapping entry, linked into the recency list.
+type cacheEntry struct {
+	block      int32
+	prev, next int32 // toward the front / the tail, -1 at the ends
+}
+
+// newQueryCache sizes a cache for partitions of at most span blocks.
+func newQueryCache(capacityBytes, entryBytes int64, vertexBlock []int32, span int) *queryCache {
 	cap := int(capacityBytes / entryBytes)
 	if cap < 1 {
 		cap = 1
 	}
-	return &queryCache{capacity: cap}
-}
-
-// slot maps a logical recency position to its physical ring slot.
-func (qc *queryCache) slot(i int) int {
-	p := qc.head + i
-	if p >= qc.capacity {
-		p -= qc.capacity
+	qc := &queryCache{capacity: cap, vertexBlock: vertexBlock, slotOf: make([]int32, span),
+		ents: make([]cacheEntry, 0, cap), head: -1, tail: -1}
+	for i := range qc.slotOf {
+		qc.slotOf[i] = -1
 	}
-	return p
+	return qc
 }
 
-// lookup probes the cache for v, returning the covering block ID on hit.
-// The scan costs one unsigned compare per entry: lo <= v <= hi is exactly
-// v-lo <= hi-lo in uint64 arithmetic (v < lo wraps v-lo past any width),
-// and the re-sliced spans let the compiler drop per-element bounds checks.
+// lookup probes the cache for v, returning the covering block ID on hit. A
+// dense vertex (block -1) or one outside the partition lands outside slotOf.
 func (qc *queryCache) lookup(v graph.VertexID) (blockID int, ok bool) {
-	r := qc.ranges
-	// Scan the ring in recency order: [head, end) then the wrapped prefix.
-	hi := qc.head + qc.n
-	if hi > len(r) {
-		hi = len(r)
-	}
-	s := r[qc.head:hi]
-	for j := range s {
-		if v-s[j].lo <= s[j].hi-s[j].lo {
+	if i := uint32(qc.vertexBlock[v] - qc.base); i < uint32(len(qc.slotOf)) {
+		if s := qc.slotOf[i]; s >= 0 {
 			qc.hits++
-			if j > 0 {
-				qc.promote(j)
+			if s != qc.head {
+				qc.unlink(s)
+				qc.pushFront(s)
 			}
-			return int(qc.blockIDs[qc.head]), true
-		}
-	}
-	if w := qc.head + qc.n - len(r); w > 0 {
-		s := r[:w]
-		for j := range s {
-			if v-s[j].lo <= s[j].hi-s[j].lo {
-				qc.hits++
-				qc.promote(j + len(r) - qc.head)
-				return int(qc.blockIDs[qc.head]), true
-			}
+			return int(qc.base) + int(i), true
 		}
 	}
 	qc.misses++
 	return -1, false
 }
 
-// promote shifts logical entries [0, i) one position later and moves the
-// entry at logical depth i to the front — the exact move-to-front the
-// recency semantics require. The shift is at most three memmoves (the ring
-// wraps once at most), not an element-by-element walk.
-func (qc *queryCache) promote(i int) {
-	p := qc.slot(i)
-	lohi, id := qc.ranges[p], qc.blockIDs[p]
-	r, b := qc.ranges, qc.blockIDs
-	if p >= qc.head {
-		// Contiguous: physical [head, p) moves to [head+1, p+1).
-		copy(r[qc.head+1:p+1], r[qc.head:p])
-		copy(b[qc.head+1:p+1], b[qc.head:p])
-	} else {
-		// Wrapped: shift the prefix [0, p) first, carry the last slot
-		// around the seam, then shift the tail [head, cap-1).
-		copy(r[1:p+1], r[:p])
-		copy(b[1:p+1], b[:p])
-		last := len(r) - 1
-		r[0], b[0] = r[last], b[last]
-		copy(r[qc.head+1:], r[qc.head:last])
-		copy(b[qc.head+1:], b[qc.head:last])
-	}
-	r[qc.head] = lohi
-	b[qc.head] = id
-}
-
-// insert caches a resolved entry at the front, evicting the LRU tail when
-// full: the ring's head steps back onto the tail slot, so eviction is the
-// overwrite itself — no shifting.
-func (qc *queryCache) insert(low, high graph.VertexID, blockID int) {
-	if qc.ranges == nil {
-		qc.ranges = make([]vrange, qc.capacity)
-		qc.blockIDs = make([]int32, qc.capacity)
-	}
-	qc.head--
-	if qc.head < 0 {
-		qc.head = qc.capacity - 1
-	}
-	if qc.n < qc.capacity {
-		qc.n++
-	}
-	qc.ranges[qc.head] = vrange{lo: low, hi: high}
-	qc.blockIDs[qc.head] = int32(blockID)
+// insert caches a block resolved after a miss at the front, evicting the
+// least recently used entry when full.
+func (qc *queryCache) insert(blockID int) {
+	s := qc.claim()
+	qc.set(s, blockID)
+	qc.pushFront(s)
 }
 
 // insertTail appends an entry at the LRU tail, preserving the order of the
 // entries already present. Snapshot restore uses it to rebuild the recency
-// order exactly as saved (front first).
-func (qc *queryCache) insertTail(low, high graph.VertexID, blockID int) {
-	if qc.ranges == nil {
-		qc.ranges = make([]vrange, qc.capacity)
-		qc.blockIDs = make([]int32, qc.capacity)
+// order exactly as saved (front first); the caller has checked that the
+// entries fit and are distinct.
+func (qc *queryCache) insertTail(blockID int) {
+	s := qc.claim()
+	qc.set(s, blockID)
+	qc.ents[s].prev, qc.ents[s].next = qc.tail, -1
+	if qc.tail >= 0 {
+		qc.ents[qc.tail].next = s
+	} else {
+		qc.head = s
 	}
-	if qc.n == qc.capacity {
-		return // restoring more entries than capacity cannot happen; guard anyway
-	}
-	p := qc.slot(qc.n)
-	qc.ranges[p] = vrange{lo: low, hi: high}
-	qc.blockIDs[p] = int32(blockID)
-	qc.n++
+	qc.tail = s
 }
 
-// invalidate clears the cache (used on partition switches: entries map
-// vertices of the old partition's table).
-func (qc *queryCache) invalidate() {
-	qc.head = 0
-	qc.n = 0
+// claim returns a free slot: a fresh one while the cache fills, then the
+// evicted tail's.
+func (qc *queryCache) claim() int32 {
+	if len(qc.ents) < qc.capacity {
+		qc.ents = append(qc.ents, cacheEntry{})
+		return int32(len(qc.ents) - 1)
+	}
+	s := qc.tail
+	qc.unlink(s)
+	qc.slotOf[qc.ents[s].block-qc.base] = -1
+	return s
+}
+
+func (qc *queryCache) set(s int32, blockID int) {
+	qc.ents[s].block = int32(blockID)
+	qc.slotOf[int32(blockID)-qc.base] = s
+}
+
+// unlink removes slot s from the recency list.
+func (qc *queryCache) unlink(s int32) {
+	en := &qc.ents[s]
+	if en.prev >= 0 {
+		qc.ents[en.prev].next = en.next
+	} else {
+		qc.head = en.next
+	}
+	if en.next >= 0 {
+		qc.ents[en.next].prev = en.prev
+	} else {
+		qc.tail = en.prev
+	}
+}
+
+// pushFront links slot s in as the most recent entry.
+func (qc *queryCache) pushFront(s int32) {
+	qc.ents[s].prev, qc.ents[s].next = -1, qc.head
+	if qc.head >= 0 {
+		qc.ents[qc.head].prev = s
+	} else {
+		qc.tail = s
+	}
+	qc.head = s
+}
+
+// blocks appends the cached block IDs to dst, most recent first (the
+// snapshot's CacheState order).
+func (qc *queryCache) blocks(dst []int) []int {
+	for s := qc.head; s >= 0; s = qc.ents[s].next {
+		dst = append(dst, int(qc.ents[s].block))
+	}
+	return dst
+}
+
+// reset clears the cache for the partition whose first block is base (used
+// on partition switches: entries map vertices of the old partition's
+// table).
+func (qc *queryCache) reset(base int) {
+	for _, en := range qc.ents {
+		qc.slotOf[en.block-qc.base] = -1
+	}
+	qc.ents = qc.ents[:0]
+	qc.head, qc.tail = -1, -1
+	qc.base = int32(base)
 }
 
 // unitPool models a pool of identical hardware units (updaters or guiders)
-// as N serializing servers with least-loaded dispatch: a job of the given
-// service time starts on whichever unit frees first.
+// as k serializing servers with least-loaded dispatch: a job of the given
+// service time starts on whichever unit frees first. Units are
+// interchangeable — a pool exposes only its jobs' completion times — so it
+// keeps a count of idle units and a min-heap of the busy units' busy-until
+// times rather than k queues: a dispatch costs O(log busy), not a scan of
+// every unit, and which idle unit takes a job never changes a later
+// completion.
 type unitPool struct {
 	eng   *sim.Engine
-	units []*sim.Queue
+	units int
+	idle  int        // units known to be free
+	until []sim.Time // min-heap of the other units' busy-until times
 	jobs  uint64
 	busy  sim.Time
 }
 
 func newUnitPool(eng *sim.Engine, n int) *unitPool {
-	p := &unitPool{eng: eng}
-	for i := 0; i < n; i++ {
-		p.units = append(p.units, sim.NewQueue(eng))
-	}
-	return p
+	return &unitPool{eng: eng, units: n, idle: n}
 }
 
 // dispatch schedules a job on the least-busy unit and returns its
-// completion time; done (the zero event for none) fires then.
+// completion time, max(now, earliest busy-until) + service; done (the zero
+// event for none) fires then.
 func (p *unitPool) dispatch(service sim.Time, done sim.Event) sim.Time {
+	if service < 0 {
+		panic("core: negative service time")
+	}
 	p.jobs++
 	p.busy += service
-	return p.pick().AcquireEvent(service, done)
+	now := p.eng.Now()
+	h := p.until
+	// Units whose jobs have ended are idle again.
+	for len(h) > 0 && h[0] <= now {
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		siftDown(h)
+		p.idle++
+	}
+	var end sim.Time
+	if p.idle > 0 {
+		p.idle--
+		end = now + service
+		h = append(h, end)
+		siftUp(h)
+	} else {
+		// Every unit is busy: the job queues on the one that frees first.
+		end = h[0] + service
+		h[0] = end
+		siftDown(h)
+	}
+	p.until = h
+	if !done.None() {
+		p.eng.Schedule(end, done)
+	}
+	return end
 }
 
-// pick returns the least-busy unit (first wins ties, matching FIFO issue
-// order on an idle pool).
-func (p *unitPool) pick() *sim.Queue {
-	best := p.units[0]
-	for _, u := range p.units[1:] {
-		if u.BusyUntil() < best.BusyUntil() {
-			best = u
+// siftDown restores the min-heap order after h[0] grew.
+func siftDown(h []sim.Time) {
+	i, n := 0, len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
 		}
+		if r := c + 1; r < n && h[r] < h[c] {
+			c = r
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	return best
+}
+
+// siftUp restores the min-heap order after an append.
+func siftUp(h []sim.Time) {
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
 }
 
 // utilization reports mean unit utilization.
@@ -201,7 +258,7 @@ func (p *unitPool) utilization() float64 {
 	if el <= 0 {
 		return 0
 	}
-	u := float64(p.busy) / (float64(el) * float64(len(p.units)))
+	u := float64(p.busy) / (float64(el) * float64(p.units))
 	if u > 1 {
 		u = 1
 	}

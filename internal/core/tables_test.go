@@ -3,12 +3,40 @@ package core
 import (
 	"testing"
 
+	"flashwalker/internal/graph"
 	"flashwalker/internal/sim"
 )
 
+// span places block on vertices [lo, hi] of a synthetic vertex→block index.
+type span struct {
+	lo, hi graph.VertexID
+	block  int
+}
+
+// spanCache builds a query cache over a synthetic index holding the given
+// spans; every other vertex below the highest span end + 8 is dense (-1).
+func spanCache(capacityBytes, entryBytes int64, spans ...span) *queryCache {
+	var n graph.VertexID
+	blocks := 0
+	for _, s := range spans {
+		n = max(n, s.hi+9)
+		blocks = max(blocks, s.block+1)
+	}
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = -1
+	}
+	for _, s := range spans {
+		for v := s.lo; v <= s.hi; v++ {
+			idx[v] = int32(s.block)
+		}
+	}
+	return newQueryCache(capacityBytes, entryBytes, idx, blocks)
+}
+
 func TestQueryCacheHitAfterInsert(t *testing.T) {
-	qc := newQueryCache(4<<10, 32) // 128 entries
-	qc.insert(10, 20, 3)
+	qc := spanCache(4<<10, 32, span{10, 20, 3}, span{21, 30, 4}) // 128 entries
+	qc.insert(3)
 	if b, ok := qc.lookup(15); !ok || b != 3 {
 		t.Fatalf("lookup(15) = %d,%v", b, ok)
 	}
@@ -27,14 +55,14 @@ func TestQueryCacheHitAfterInsert(t *testing.T) {
 }
 
 func TestQueryCacheLRUEviction(t *testing.T) {
-	qc := newQueryCache(64, 32) // capacity 2 entries
-	qc.insert(0, 9, 1)
-	qc.insert(10, 19, 2)
+	qc := spanCache(64, 32, span{0, 9, 1}, span{10, 19, 2}, span{20, 29, 3}) // capacity 2 entries
+	qc.insert(1)
+	qc.insert(2)
 	// Touch entry 1 so entry 2 becomes LRU.
 	if _, ok := qc.lookup(5); !ok {
 		t.Fatal("entry 1 evicted prematurely")
 	}
-	qc.insert(20, 29, 3) // evicts LRU (entry 2)
+	qc.insert(3) // evicts LRU (entry 2)
 	if _, ok := qc.lookup(15); ok {
 		t.Fatal("LRU entry not evicted")
 	}
@@ -47,21 +75,24 @@ func TestQueryCacheLRUEviction(t *testing.T) {
 }
 
 func TestQueryCacheInvalidate(t *testing.T) {
-	qc := newQueryCache(4<<10, 32)
-	qc.insert(0, 100, 7)
-	qc.invalidate()
+	qc := spanCache(4<<10, 32, span{0, 100, 7})
+	qc.insert(7)
+	qc.reset(0)
 	if _, ok := qc.lookup(50); ok {
 		t.Fatal("hit after invalidate")
+	}
+	if got := qc.blocks(nil); len(got) != 0 {
+		t.Fatalf("entries after reset: %v", got)
 	}
 }
 
 func TestQueryCacheMinimumCapacity(t *testing.T) {
-	qc := newQueryCache(8, 32) // smaller than one entry -> capacity 1
-	qc.insert(0, 5, 1)
+	qc := spanCache(8, 32, span{0, 5, 1}, span{6, 9, 2}) // smaller than one entry -> capacity 1
+	qc.insert(1)
 	if _, ok := qc.lookup(3); !ok {
 		t.Fatal("single-entry cache broken")
 	}
-	qc.insert(6, 9, 2)
+	qc.insert(2)
 	if _, ok := qc.lookup(3); ok {
 		t.Fatal("capacity-1 cache kept two entries")
 	}
@@ -131,32 +162,41 @@ func TestHotIndexFind(t *testing.T) {
 		t.Fatal(err)
 	}
 	hot := e.boards[0].board.hot
-	if hot == nil || len(hot.entries) == 0 {
+	if hot == nil || len(hot.blocks) == 0 {
 		t.Skip("no hot blocks selected")
 	}
 	// Every hot entry's own range must be findable.
-	for _, he := range hot.entries {
-		b, steps := hot.find(he.low)
-		if b != he.block {
-			t.Fatalf("find(%d) = %d, want %d", he.low, b, he.block)
+	for i, id := range hot.blocks {
+		b, steps := hot.find(hot.lows[i])
+		if b != int(id) {
+			t.Fatalf("find(%d) = %d, want %d", hot.lows[i], b, id)
 		}
 		if steps < 1 {
 			t.Fatal("no steps counted")
 		}
-		if !hot.contains(he.block) {
+		if !hot.contains(int(id)) {
 			t.Fatal("contains() disagrees with entries")
 		}
 	}
-	if hot.contains(-5) {
-		t.Fatal("contains(-5)")
+	members := 0
+	for id := 0; id < e.part.NumBlocks(); id++ {
+		if hot.contains(id) {
+			members++
+		}
 	}
-	if got := len(hot.ids()); got != len(hot.entries) {
+	if members != len(hot.blocks) {
+		t.Fatalf("contains() admits %d blocks, index holds %d", members, len(hot.blocks))
+	}
+	if hot.contains(-5) || hot.contains(e.part.NumBlocks()+64) {
+		t.Fatal("contains() admits an out-of-range block")
+	}
+	if got := len(hot.ids()); got != len(hot.blocks) {
 		t.Fatalf("ids() len %d", got)
 	}
 }
 
 func TestHotIndexEmptyFind(t *testing.T) {
-	h := &hotIndex{set: map[int]bool{}}
+	h := &hotIndex{}
 	b, steps := h.find(5)
 	if b != -1 || steps != 1 {
 		t.Fatalf("empty find = %d,%d", b, steps)

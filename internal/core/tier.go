@@ -150,37 +150,30 @@ func (t *tierCommon) finishHotUpdate(st wstate, size int64, terminal, deadEnd bo
 	t.self.Guide(st)
 }
 
-// hotEntry is one resident hot subgraph, kept sorted by LowVertex so the
-// guider's membership test is a binary search.
-type hotEntry struct {
-	low, high graph.VertexID
-	block     int
-}
-
 // hotIndex is a sorted hot-subgraph membership structure shared by the
 // accelerator tiers. The boundary columns are kept in flat parallel arrays
-// (struct-of-arrays) so a find probe touches two adjacent vertex IDs per
-// step instead of a full entry record.
+// (struct-of-arrays), sorted by low vertex, so a find probe touches two
+// adjacent vertex IDs per step; member is a bitset over block IDs for the
+// routers' O(1) contains test.
 type hotIndex struct {
-	entries []hotEntry
-	lows    []graph.VertexID
-	highs   []graph.VertexID
-	blocks  []int32
-	set     map[int]bool
+	lows   []graph.VertexID
+	highs  []graph.VertexID
+	blocks []int32
+	member []uint64
 }
 
 func newHotIndex(part *partition.Partitioned, ids []int) *hotIndex {
-	h := &hotIndex{set: map[int]bool{}}
-	for _, id := range ids {
+	sorted := append([]int(nil), ids...)
+	sort.Slice(sorted, func(i, j int) bool {
+		return part.Blocks[sorted[i]].LowVertex < part.Blocks[sorted[j]].LowVertex
+	})
+	h := &hotIndex{member: make([]uint64, (part.NumBlocks()+63)/64)}
+	for _, id := range sorted {
 		b := &part.Blocks[id]
-		h.entries = append(h.entries, hotEntry{low: b.LowVertex, high: b.HighVertex, block: id})
-		h.set[id] = true
-	}
-	sort.Slice(h.entries, func(i, j int) bool { return h.entries[i].low < h.entries[j].low })
-	for i := range h.entries {
-		h.lows = append(h.lows, h.entries[i].low)
-		h.highs = append(h.highs, h.entries[i].high)
-		h.blocks = append(h.blocks, int32(h.entries[i].block))
+		h.lows = append(h.lows, b.LowVertex)
+		h.highs = append(h.highs, b.HighVertex)
+		h.blocks = append(h.blocks, int32(id))
+		h.member[id>>6] |= 1 << (uint(id) & 63)
 	}
 	return h
 }
@@ -207,15 +200,20 @@ func (h *hotIndex) find(v graph.VertexID) (block, steps int) {
 	return -1, steps
 }
 
-func (h *hotIndex) contains(block int) bool { return h != nil && h.set[block] }
+func (h *hotIndex) contains(block int) bool {
+	if h == nil || block < 0 || block>>6 >= len(h.member) {
+		return false
+	}
+	return h.member[block>>6]&(1<<(uint(block)&63)) != 0
+}
 
 func (h *hotIndex) ids() []int {
 	if h == nil {
 		return nil
 	}
-	out := make([]int, 0, len(h.entries))
-	for _, e := range h.entries {
-		out = append(out, e.block)
+	out := make([]int, len(h.blocks))
+	for i, b := range h.blocks {
+		out[i] = int(b)
 	}
 	return out
 }

@@ -68,7 +68,8 @@ func (e *boardEngine) buildAccelerators(inDeg []uint64) {
 	}
 	if e.cfg.Opts.WalkQuery {
 		for i := 0; i < e.cfg.NumQueryCaches; i++ {
-			b.caches = append(b.caches, newQueryCache(e.cfg.QueryCacheBytes, e.cfg.MappingEntryBytes))
+			b.caches = append(b.caches, newQueryCache(e.cfg.QueryCacheBytes, e.cfg.MappingEntryBytes,
+				e.part.VertexBlocks(), min(e.part.Cfg.SubgraphsPerPartition, e.part.NumBlocks())))
 		}
 	}
 	e.board = b

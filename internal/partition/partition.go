@@ -161,6 +161,9 @@ type Partitioned struct {
 	Ranges          []Range
 	// NumPartitions is ceil(len(Blocks)/SubgraphsPerPartition).
 	NumPartitions int
+	// vertexBlock maps each vertex to the non-dense block holding it, -1
+	// for a dense vertex (see VertexBlocks).
+	vertexBlock []int32
 }
 
 // Partition splits g according to cfg.
@@ -285,6 +288,17 @@ func Partition(g *graph.Graph, cfg Config) (*Partitioned, error) {
 	for i := range p.Ranges {
 		p.rngLow[i], p.rngHigh[i] = p.Ranges[i].LowVertex, p.Ranges[i].HighVertex
 	}
+	p.vertexBlock = make([]int32, n)
+	for i := range p.Blocks {
+		b := &p.Blocks[i]
+		if b.Dense {
+			p.vertexBlock[b.LowVertex] = -1
+			continue
+		}
+		for v := b.LowVertex; v <= b.HighVertex && v < n; v++ {
+			p.vertexBlock[v] = int32(i)
+		}
+	}
 	return p, nil
 }
 
@@ -320,6 +334,14 @@ func (p *Partitioned) PartitionSpan(pi int) (first, last int) {
 	}
 	return first, last
 }
+
+// VertexBlocks returns the vertex-to-block index: entry v is the non-dense
+// block whose range holds v (the block BlockOf finds), or -1 when v is
+// dense. The slice is shared by every user of the partitioning and must not
+// be modified. The walk query caches answer a probe from it in O(1); the
+// modelled mapping-table search still goes through BlockOf, whose step
+// count the guider's cost model charges.
+func (p *Partitioned) VertexBlocks() []int32 { return p.vertexBlock }
 
 // BlockOf binary-searches the subgraph mapping table for the non-dense block
 // containing v. It returns the block ID and the number of search steps the

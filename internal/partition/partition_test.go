@@ -178,6 +178,27 @@ func TestBlockOfFindsEveryNonDenseVertex(t *testing.T) {
 	}
 }
 
+// TestVertexBlocksMatchesBlockOf pins the query caches' probe index to the
+// mapping-table search: every vertex maps to the block BlockOf finds, and
+// every dense vertex to -1, on graphs with and without dense vertices.
+func TestVertexBlocksMatchesBlockOf(t *testing.T) {
+	rmat, _ := graph.RMAT(graph.DefaultRMAT(2048, 8192, 4))
+	hub := graph.Star(3000)
+	empty, _ := graph.NewBuilder(0).Build()
+	for _, g := range []*graph.Graph{rmat, hub, empty} {
+		p := mustPartition(t, g, cfg4k())
+		idx := p.VertexBlocks()
+		if uint64(len(idx)) != g.NumVertices() {
+			t.Fatalf("index has %d entries for %d vertices", len(idx), g.NumVertices())
+		}
+		for v := graph.VertexID(0); v < g.NumVertices(); v++ {
+			if id, _ := p.BlockOf(v); int(idx[v]) != id {
+				t.Fatalf("VertexBlocks()[%d] = %d, BlockOf = %d", v, idx[v], id)
+			}
+		}
+	}
+}
+
 func TestBlockOfSearchStepsLogarithmic(t *testing.T) {
 	g, _ := graph.Uniform(4096, 32768, 5)
 	p := mustPartition(t, g, cfg4k())
