@@ -10,7 +10,6 @@ package flashwalker
 import (
 	"context"
 	"fmt"
-	"os"
 	"testing"
 
 	"flashwalker/internal/core"
@@ -19,12 +18,6 @@ import (
 	"flashwalker/internal/sim"
 	"flashwalker/internal/walk"
 )
-
-// batchKernelDisabled turns the batched update kernel off for every
-// engine-level bench in this file (FLASHWALKER_NO_BATCH=1). BENCH_PR7.json's
-// "baseline" section was captured with it set, the "after" section without;
-// outcomes are bit-identical either way, only wall-clock moves.
-var batchKernelDisabled = os.Getenv("FLASHWALKER_NO_BATCH") == "1"
 
 // benchScale reduces every experiment's walk counts (1.0 = the scaled
 // defaults used by cmd/experiments).
@@ -277,7 +270,6 @@ func runFSWith(b *testing.B, mutate func(rc *core.RunConfig)) *core.Result {
 		b.Fatal(err)
 	}
 	rc := harness.FlashWalkerConfig(d, core.AllOptions(), 5000, benchSeed)
-	rc.Cfg.DisableBatchKernel = batchKernelDisabled
 	mutate(&rc)
 	e, err := core.NewEngine(g, rc)
 	if err != nil {
@@ -363,13 +355,12 @@ func BenchmarkSecondOrderWalks(b *testing.B) {
 	b.ReportMetric(float64(hops)/1e6/b.Elapsed().Seconds(), "wall-Mhops/s")
 }
 
-// BenchmarkBatchSecondOrder is the figure-scale workload the batched update
-// kernel (internal/core/batch.go) targets: the FS-S second-order run at the
-// full scaled walk count, where per-hop CPU — adjacency gathers and
-// rejection-sampler bloom probes — dominates wall-clock. wall-Mhops/s is
-// simulated hops retired per wall-clock second (host throughput; sim-us,
-// the simulated timeline, is bit-identical with the kernel on or off).
-// BENCH_PR7.json stores this bench unbatched (baseline) vs batched (after).
+// BenchmarkBatchSecondOrder is the figure-scale second-order workload: the
+// FS-S node2vec run at the full scaled walk count, where per-hop CPU —
+// adjacency gathers and rejection-sampler bloom probes — dominates
+// wall-clock. wall-Mhops/s is simulated hops retired per wall-clock second
+// (host throughput). The name dates from the batched update kernel this
+// row once measured; BENCH_PR7.json gates it under that name.
 func BenchmarkBatchSecondOrder(b *testing.B) {
 	d, err := harness.DatasetByName("FS-S")
 	if err != nil {
@@ -388,7 +379,6 @@ func BenchmarkBatchSecondOrder(b *testing.B) {
 		b.StopTimer()
 		rc := harness.FlashWalkerConfig(d, core.AllOptions(), walks, benchSeed)
 		rc.Spec = walk.Spec{Kind: walk.SecondOrder, Length: 6, P: 0.5, Q: 2}
-		rc.Cfg.DisableBatchKernel = batchKernelDisabled
 		e, err := core.NewEngine(g, rc)
 		if err != nil {
 			b.Fatal(err)

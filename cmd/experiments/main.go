@@ -37,7 +37,6 @@ func main() {
 	faults := flag.Bool("faults", false, "run the fault-injection extension experiment (clean vs default fault profile)")
 	resume := flag.Bool("resume", false, "run the snapshot/resume extension experiment (uninterrupted vs snapshot->resume)")
 	boards := flag.Bool("boards", false, "run the multi-board array scaling extension experiment (1/2/4/8 boards on MB-S)")
-	batch := flag.Bool("batch", false, "run the batched-update-kernel before/after experiment (per-walk vs batched on FS-S second-order)")
 	all := flag.Bool("all", false, "run every table and figure")
 	scale := flag.Float64("scale", 1.0, "walk-count scale factor")
 	seed := flag.Uint64("seed", 1, "root seed")
@@ -75,7 +74,7 @@ func main() {
 		*figs = "1,5,6,7,8,9"
 		*tables = "1,2,3,4"
 	}
-	if *figs == "" && *tables == "" && !*energy && !*algos && !*faults && !*resume && !*boards && !*batch {
+	if *figs == "" && *tables == "" && !*energy && !*algos && !*faults && !*resume && !*boards {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -141,18 +140,6 @@ func main() {
 		fmt.Println(harness.FormatExtBoards(rows))
 		if err := saveCSV("boards.csv", func(w *os.File) error {
 			return harness.BoardsCSV(w, rows)
-		}); err != nil {
-			fail(err)
-		}
-	}
-	if *batch {
-		rows, err := harness.ExtBatch(ctx, *scale, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatExtBatch(rows))
-		if err := saveCSV("batch.csv", func(w *os.File) error {
-			return harness.BatchCSV(w, rows)
 		}); err != nil {
 			fail(err)
 		}

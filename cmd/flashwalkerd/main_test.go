@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -440,6 +441,82 @@ func TestCrashRecoveryMultiBoard(t *testing.T) {
 	}
 	if _, err := os.Stat(snapPath); !os.IsNotExist(err) {
 		t.Errorf("snapshot survived job completion: %v", err)
+	}
+}
+
+// TestCrashRecoveryGraphWalker is the host-baseline variant of
+// TestCrashRecovery: a graphwalker job keeps no snapshot, so a daemon
+// SIGKILLed mid-run leaves only its journal record saying running, and a
+// fresh daemon on the same state directory must re-run the job from event
+// zero to a result identical to an uninterrupted run.
+func TestCrashRecoveryGraphWalker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon binary")
+	}
+	bin := buildDaemon(t)
+
+	// GraphWalker is fast: the walk count keeps the run going for a few
+	// seconds, long enough for the kill to land mid-run.
+	spec := client.JobSpec{
+		Kind: client.KindGraphWalker, Graph: "TT-S", NumWalks: 2_000_000, Seed: 7,
+		CheckpointEvery: 64,
+	}
+
+	refDir := t.TempDir()
+	dr := startDaemon(t, bin, refDir, freePort(t))
+	refJob := dr.submit(spec)
+	ref := dr.waitDone(refJob.ID, 2*time.Minute)
+	dr.kill()
+	if ref.Result == nil || ref.Result.Partial {
+		t.Fatalf("reference result unusable: %+v", ref.Result)
+	}
+
+	// Victim: submit, wait until the running job reports hops, SIGKILL.
+	stateDir := t.TempDir()
+	d1 := startDaemon(t, bin, stateDir, freePort(t))
+	job := d1.submit(spec)
+	deadline := time.Now().Add(time.Minute)
+	for {
+		jv := d1.get(job.ID)
+		if jv.State == client.StateRunning && jv.Progress != nil && jv.Progress.Hops > 0 {
+			break
+		}
+		if jv.State != client.StateQueued && jv.State != client.StateRunning {
+			d1.kill()
+			t.Fatalf("job reached %q before the crash; nothing to recover", jv.State)
+		}
+		if time.Now().After(deadline) {
+			d1.kill()
+			t.Fatal("running job never reported progress")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	d1.kill()
+	// The journal is what recovery reads: a terminal record means the job
+	// finished before the kill and there is nothing to recover.
+	rec, err := os.ReadFile(filepath.Join(stateDir, "jobs", job.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journaled struct{ State string }
+	if err := json.Unmarshal(rec, &journaled); err != nil {
+		t.Fatal(err)
+	}
+	if journaled.State != client.StateQueued && journaled.State != client.StateRunning {
+		t.Fatalf("journal says %q after the kill; the job was not mid-run", journaled.State)
+	}
+
+	d2 := startDaemon(t, bin, stateDir, freePort(t))
+	defer d2.kill()
+	got := d2.waitDone(job.ID, 2*time.Minute)
+	if got.Result == nil {
+		t.Fatal("recovered job has no result")
+	}
+	if *got.Result != *ref.Result {
+		t.Fatalf("recovered result diverged:\n got %+v\nwant %+v", *got.Result, *ref.Result)
+	}
+	if _, err := os.Stat(filepath.Join(stateDir, "snapshots", job.ID+".snap")); !os.IsNotExist(err) {
+		t.Errorf("snapshot key survived job completion: %v", err)
 	}
 }
 

@@ -220,11 +220,6 @@ type Engine struct {
 	remaining int
 	chipRR    int
 
-	// numWalks/startSeed are kept verbatim for Snapshot: the baseline
-	// restores by deterministic replay from the construction inputs.
-	numWalks  int
-	startSeed uint64
-
 	res Result
 }
 
@@ -281,8 +276,6 @@ func NewWithSSD(g *graph.Graph, cfg Config, ssdCfg flash.Config, spec walk.Spec,
 		waitBlock: -1,
 	}
 	e.res.Breakdown = metrics.NewBreakdown()
-	e.numWalks = numWalks
-	e.startSeed = startSeed
 	e.seed(numWalks, startSeed)
 	return e, nil
 }

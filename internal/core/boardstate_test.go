@@ -37,8 +37,9 @@ func cloneSnapshot(t *testing.T, s *Snapshot) *Snapshot {
 // entries than the cache holds, entries naming a missing, dense or
 // repeated block, a block outside the current partition or a range that is
 // not the block's, round-robin cursors outside their rings, negative
-// bookings, a hot block past the end, a current partition out of range —
-// and requires an error for each.
+// bookings, a hot block past the end, a chip slot holding a block outside
+// [-1, NumBlocks), a current partition out of range — and requires an
+// error for each.
 // An image that slipped through would index out of range inside resume or
 // at the next routed walk, so an accepted one is also run.
 func TestResumeRejectsHostileBoardState(t *testing.T) {
@@ -66,51 +67,53 @@ func TestResumeRejectsHostileBoardState(t *testing.T) {
 	}
 	capacity := int(rc.Cfg.QueryCacheBytes / rc.Cfg.MappingEntryBytes)
 
-	cases := map[string]func(b *BoardState){
-		"short highs": func(b *BoardState) {
-			c := &b.Caches[0]
+	cases := map[string]func(img *BoardImage){
+		"short highs": func(img *BoardImage) {
+			c := &img.Board.Caches[0]
 			c.Highs = c.Highs[:len(c.Highs)-1]
 		},
-		"short blocks": func(b *BoardState) {
-			c := &b.Caches[0]
+		"short blocks": func(img *BoardImage) {
+			c := &img.Board.Caches[0]
 			c.Blocks = c.Blocks[:len(c.Blocks)-1]
 		},
-		"over capacity": func(b *BoardState) {
-			c := &b.Caches[0]
+		"over capacity": func(img *BoardImage) {
+			c := &img.Board.Caches[0]
 			for len(c.Blocks) <= capacity {
 				c.Lows = append(c.Lows, c.Lows[0])
 				c.Highs = append(c.Highs, c.Highs[0])
 				c.Blocks = append(c.Blocks, c.Blocks[0])
 			}
 		},
-		"block past the end": func(b *BoardState) { b.Caches[0].Blocks[0] = len(part.Blocks) },
-		"negative block":     func(b *BoardState) { b.Caches[0].Blocks[0] = -1 },
-		"dense block": func(b *BoardState) {
-			c := &b.Caches[0]
+		"block past the end": func(img *BoardImage) { img.Board.Caches[0].Blocks[0] = len(part.Blocks) },
+		"negative block":     func(img *BoardImage) { img.Board.Caches[0].Blocks[0] = -1 },
+		"dense block": func(img *BoardImage) {
+			c := &img.Board.Caches[0]
 			c.Blocks[0] = dense
 			c.Lows[0], c.Highs[0] = part.Blocks[dense].LowVertex, part.Blocks[dense].HighVertex
 		},
-		"block of another partition": func(b *BoardState) {
-			c := &b.Caches[0]
+		"block of another partition": func(img *BoardImage) {
+			c := &img.Board.Caches[0]
 			c.Blocks[0] = foreign
 			c.Lows[0], c.Highs[0] = part.Blocks[foreign].LowVertex, part.Blocks[foreign].HighVertex
 		},
-		"repeated block": func(b *BoardState) {
-			c := &b.Caches[0]
+		"repeated block": func(img *BoardImage) {
+			c := &img.Board.Caches[0]
 			c.Blocks[1], c.Lows[1], c.Highs[1] = c.Blocks[0], c.Lows[0], c.Highs[0]
 		},
-		"range not the block's": func(b *BoardState) { b.Caches[0].Highs[0]++ },
-		"port cursor past end":  func(b *BoardState) { b.PortRR = len(b.Ports) },
-		"negative port cursor":  func(b *BoardState) { b.PortRR = -1 },
-		"cache cursor past end": func(b *BoardState) { b.CacheRR = len(b.Caches) },
-		"negative cache cursor": func(b *BoardState) { b.CacheRR = -1 },
-		"negative guider booking": func(b *BoardState) {
-			b.Tier.Guider.Units[0].BusyUntil = -1
+		"range not the block's": func(img *BoardImage) { img.Board.Caches[0].Highs[0]++ },
+		"port cursor past end":  func(img *BoardImage) { img.Board.PortRR = len(img.Board.Ports) },
+		"negative port cursor":  func(img *BoardImage) { img.Board.PortRR = -1 },
+		"cache cursor past end": func(img *BoardImage) { img.Board.CacheRR = len(img.Board.Caches) },
+		"negative cache cursor": func(img *BoardImage) { img.Board.CacheRR = -1 },
+		"negative guider booking": func(img *BoardImage) {
+			img.Board.Tier.Guider.Units[0].BusyUntil = -1
 		},
-		"negative port booking": func(b *BoardState) { b.Ports[0].BusyUntil = -1 },
-		"hot block past the end": func(b *BoardState) {
-			b.Tier.HotIDs = append(b.Tier.HotIDs, len(part.Blocks))
+		"negative port booking": func(img *BoardImage) { img.Board.Ports[0].BusyUntil = -1 },
+		"hot block past the end": func(img *BoardImage) {
+			img.Board.Tier.HotIDs = append(img.Board.Tier.HotIDs, len(part.Blocks))
 		},
+		"slot block past the end": func(img *BoardImage) { img.Chips[0].Slots[0].Block = len(part.Blocks) },
+		"slot block below -1":     func(img *BoardImage) { img.Chips[0].Slots[0].Block = -2 },
 	}
 	if _, err := ResumeEngine(g, cloneSnapshot(t, cut), ResumeOptions{}); err != nil {
 		t.Fatalf("unmodified cut rejected: %v", err)
@@ -118,7 +121,7 @@ func TestResumeRejectsHostileBoardState(t *testing.T) {
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
 			s := cloneSnapshot(t, cut)
-			mutate(&s.Boards[0].Board)
+			mutate(&s.Boards[0])
 			e, err := ResumeEngine(g, s, ResumeOptions{})
 			if err == nil {
 				_, runErr := e.RunContext(context.Background())

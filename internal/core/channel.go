@@ -62,9 +62,7 @@ type chanGuide struct {
 
 // classify computes a roving walk's channel-level verdict: hot-subgraph
 // membership first, then the approximate walk search (range query), which
-// can detect foreigners without board involvement. It is pure apart from
-// the RangeQueries counter (an order-independent sum), which is what lets
-// guideBatch reorder the classification pass.
+// can detect foreigners without board involvement.
 func (ca *channelAccel) classify(st *wstate) chanGuide {
 	e := ca.e
 	ops := 1
@@ -98,37 +96,13 @@ func (ca *channelAccel) classify(st *wstate) chanGuide {
 // Guide classifies a roving walk at the channel level and dispatches the
 // guider completion.
 func (ca *channelAccel) Guide(st wstate) {
-	ca.dispatchGuided(st, ca.classify(&st))
-}
-
-// dispatchGuided books the guider service for an already classified walk.
-func (ca *channelAccel) dispatchGuided(st wstate, d chanGuide) {
 	e := ca.e
+	d := ca.classify(&st)
 	ref, n := e.newNode()
 	n.st = st
 	n.hot, n.foreign, n.rangeID = d.hot, d.foreign, d.rangeID
 	ca.dispatchGuide(d.ops,
 		sim.Event{Target: e, Kind: evChanGuided, A: ref, B: int32(ca.id)})
-}
-
-// guideBatch runs the batched kernel over a roving batch: classify every
-// walk in one pass sorted by current vertex (hot-index and range lookups
-// stream through adjacent keys), then dispatch the guider completions in
-// arrival order so the timeline is bit-identical to per-walk Guide calls.
-func (ca *channelAccel) guideBatch(batch []wstate) {
-	e := ca.e
-	n := len(batch)
-	if cap(e.chanGuides) < n {
-		e.chanGuides = make([]chanGuide, n)
-	}
-	gs := e.chanGuides[:n]
-	e.chanGuides = gs
-	for _, idx := range e.sortedPerm(batch, false) {
-		gs[idx] = ca.classify(&batch[idx])
-	}
-	for i := range batch {
-		ca.dispatchGuided(batch[i], gs[i])
-	}
 }
 
 // applyGuide is the evChanGuided continuation.

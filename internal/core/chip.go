@@ -59,6 +59,19 @@ type chipAccel struct {
 // refreshBlocks recomputes the candidate blocks for the current partition
 // and resets slot residency (the previous partition's subgraphs are stale).
 func (c *chipAccel) refreshBlocks() {
+	c.deriveBlocks()
+	for _, s := range c.slots {
+		s.block = -1
+		s.loading = false
+		s.idle = true
+	}
+}
+
+// deriveBlocks rebuilds the chip's block list for the current partition
+// and the indexes over it (blockPos and the work bitmap) from the
+// placement, the current partition and the block stores. Resume calls it
+// directly: the list is a function of those, so snapshots do not carry it.
+func (c *chipAccel) deriveBlocks() {
 	e := c.e
 	for _, b := range c.myBlocks {
 		e.blockPos[b] = -1
@@ -82,11 +95,6 @@ func (c *chipAccel) refreshBlocks() {
 		if len(e.pwb[b])+len(e.fls[b]) > 0 {
 			c.workBits[pos>>6] |= 1 << (uint(pos) & 63)
 		}
-	}
-	for _, s := range c.slots {
-		s.block = -1
-		s.loading = false
-		s.idle = true
 	}
 }
 
@@ -313,18 +321,8 @@ func (c *chipAccel) loadPartDone(s *chipSlot) {
 		c.e.putWalkBuf(walks)
 		return
 	}
-	if len(walks) > 1 && !c.e.cfg.DisableBatchKernel {
-		// Batched kernel (batch.go): decide the whole burst in one
-		// locality-sorted pass, then dispatch in arrival order so the
-		// timeline is bit-identical to the per-walk loop below.
-		outs := c.e.decideBatch(walks)
-		for i := range walks {
-			c.enqueueDecided(s, outs[i])
-		}
-	} else {
-		for i := range walks {
-			c.enqueue(s, walks[i])
-		}
+	for i := range walks {
+		c.enqueue(s, walks[i])
 	}
 	c.e.putWalkBuf(walks)
 }
@@ -341,15 +339,10 @@ func (c *chipAccel) EnqueueUpdate(st wstate) {
 	c.addRoving(st)
 }
 
-// enqueue hands a walk to the slot's queue; the updater serves it FIFO.
+// enqueue decides a walk's hop and hands it to the slot's queue; the
+// updater serves it FIFO.
 func (c *chipAccel) enqueue(s *chipSlot, st wstate) {
-	c.enqueueDecided(s, c.e.decideHop(st))
-}
-
-// enqueueDecided is enqueue for a hop already decided by the batch kernel:
-// everything with a device-visible effect (probe charges, wnode allocation,
-// the service-time dispatch) happens here, in the caller's order.
-func (c *chipAccel) enqueueDecided(s *chipSlot, h hopOutcome) {
+	h := c.e.decideHop(st)
 	s.pending++
 	s.idle = false
 	c.e.chargeFilterProbes(h, c)

@@ -138,16 +138,6 @@ type Config struct {
 
 	Opts Options
 
-	// DisableBatchKernel turns off the batched, locality-sorted walk-update
-	// kernel (batch.go): slot-load walk bursts and roving batches are then
-	// decided one walk at a time in arrival order, and the second-order
-	// probe memo is not built. Outcomes and the simulated timeline are
-	// bit-identical either way — every sampling draw comes from the walk's
-	// private RNG stream, so decision order cannot change trajectories. The
-	// knob exists for before/after wall-clock measurement (cmd/experiments
-	// -batch, the bench suite) and the equivalence property tests.
-	DisableBatchKernel bool
-
 	Seed uint64
 
 	// Faults configures deterministic fault injection in the flash stack

@@ -288,14 +288,6 @@ type boardEngine struct {
 	freeBatch int32
 	wbufs     [][]wstate
 
-	// Batched update kernel scratch (batch.go): the locality sorter and the
-	// per-batch outcome/classification buffers. All engine-owned so the
-	// steady state stays allocation-free; empty between events, so
-	// snapshots never need to capture them.
-	bsort      batchSorter
-	batchOuts  []hopOutcome
-	chanGuides []chanGuide
-
 	// Flushed-foreigner read-back in flight during a partition switch.
 	switchLeft  int
 	switchWalks []wstate

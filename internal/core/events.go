@@ -171,12 +171,8 @@ func (e *boardEngine) HandleEvent(ev sim.Event) {
 	case evChanBatch:
 		batch := e.takeBatch(ev.A)
 		ca := e.chans[ev.B]
-		if len(batch) > 1 && !e.cfg.DisableBatchKernel {
-			ca.guideBatch(batch)
-		} else {
-			for i := range batch {
-				ca.Guide(batch[i])
-			}
+		for i := range batch {
+			ca.Guide(batch[i])
 		}
 		e.putWalkBuf(batch)
 

@@ -81,7 +81,6 @@ type ChipState struct {
 	Roving         WalkRecords
 	RovingBytes    int64
 	CompletedBytes int64
-	MyBlocks       []int
 }
 
 // ChanState is one channel-level accelerator.
@@ -467,7 +466,6 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 			Roving:         p.walks(c.roving),
 			RovingBytes:    c.rovingBytes,
 			CompletedBytes: c.completedBytes,
-			MyBlocks:       append([]int(nil), c.myBlocks...),
 		}
 		for j, sl := range c.slots {
 			cs.Slots[j] = SlotState{
@@ -726,9 +724,6 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	e.finished = snap.Finished
 	e.flushChipRR = snap.FlushChipRR
 
-	for i := range e.blockPos {
-		e.blockPos[i] = -1
-	}
 	for i, c := range e.chips {
 		cs := &snap.Chips[i]
 		if len(cs.Slots) != len(c.slots) {
@@ -739,6 +734,9 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 		}
 		for j, sl := range c.slots {
 			ss := &cs.Slots[j]
+			if ss.Block < -1 || ss.Block >= nb {
+				return fmt.Errorf("core: resume: chip %d slot %d holds block %d outside [-1, %d)", i, j, ss.Block, nb)
+			}
 			sl.block = ss.Block
 			sl.loading = ss.Loading
 			sl.idle = ss.Idle
@@ -750,26 +748,10 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 		c.roving = u.walks(cs.Roving)
 		c.rovingBytes = cs.RovingBytes
 		c.completedBytes = cs.CompletedBytes
-		c.myBlocks = append(c.myBlocks[:0], cs.MyBlocks...)
-		// blockPos and the scheduler work bitmap are derived indexes:
-		// rebuild them from the restored block lists and store lengths
-		// (refreshBlocks would also reset slot residency, so not that).
-		for pos, b := range c.myBlocks {
-			e.blockPos[b] = int32(pos)
-		}
-		words := (len(c.myBlocks) + 63) / 64
-		if cap(c.workBits) < words {
-			c.workBits = make([]uint64, words)
-		}
-		c.workBits = c.workBits[:words]
-		for w := range c.workBits {
-			c.workBits[w] = 0
-		}
-		for pos, b := range c.myBlocks {
-			if len(e.pwb[b])+len(e.fls[b]) > 0 {
-				c.workBits[pos>>6] |= 1 << (uint(pos) & 63)
-			}
-		}
+		// The block list, blockPos and the work bitmap follow from the
+		// restored partition and stores (refreshBlocks would also reset
+		// slot residency, so not that).
+		c.deriveBlocks()
 	}
 	for i, ca := range e.chans {
 		cs := &snap.Chans[i]

@@ -188,9 +188,6 @@ func NewInjector(cfg Config, numChips int) *Injector {
 	}
 }
 
-// Config returns the injector's configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Degraded reports whether chip has crossed its error threshold.
 func (in *Injector) Degraded(chip int) bool { return in.degraded[chip] }
 

@@ -101,6 +101,8 @@ func (c Config) MaxReadBW() float64 {
 type Counters struct {
 	ReadPages    uint64
 	ProgramPages uint64
+	// ErasedBlocks stays 0: no modelled path erases a block, but the
+	// energy model and the baseline's golden digest read it.
 	ErasedBlocks uint64
 	ReadBytes    int64 // bytes sensed out of flash arrays
 	WriteBytes   int64 // bytes programmed into flash arrays
@@ -190,9 +192,6 @@ func (s *SSD) NumChips() int { return s.Cfg.NumChips() }
 // order, so a given (workload seed, fault seed) pair replays exactly.
 func (s *SSD) AttachFaults(inj *fault.Injector) { s.faults = inj }
 
-// Faults returns the attached injector (nil when fault-free).
-func (s *SSD) Faults() *fault.Injector { return s.faults }
-
 func (s *SSD) recordRead(at sim.Time, bytes int64) {
 	s.Counters.ReadPages++
 	s.Counters.ReadBytes += bytes
@@ -227,7 +226,7 @@ func (s *SSD) recordChannel(at sim.Time, bytes int64) {
 
 // Flash event kinds (private to the SSD's HandleEvent).
 const (
-	fkReadDone    uint16 = iota // page sensed on a plane (local path / FTL)
+	fkReadDone    uint16 = iota // page sensed on a plane (local path)
 	fkSensedChan                // page sensed, next crosses the channel bus
 	fkChanPage                  // page crossed the bus to channel/board
 	fkSensedHost                // page sensed, bound for the host
@@ -237,7 +236,6 @@ const (
 	fkBoardOnChip               // board payload page arrived at the chip
 	fkXferChan                  // arbitrary channel-bus payload transferred
 	fkXferHost                  // arbitrary PCIe payload transferred
-	fkErased                    // block erased
 )
 
 // flashOp is one pooled multi-part operation: the completion fires when all
@@ -336,9 +334,6 @@ func (s *SSD) HandleEvent(ev sim.Event) {
 		s.opPart(ev.A)
 	case fkXferHost:
 		s.Counters.HostBytes += ev.C
-		s.opPart(ev.A)
-	case fkErased:
-		s.Counters.ErasedBlocks++
 		s.opPart(ev.A)
 	default:
 		panic(fmt.Sprintf("flash: unknown event kind %d", ev.Kind))
@@ -490,29 +485,6 @@ func (s *SSD) transfer(link *sim.Queue, bytesPerSec int64, kind uint16, bytes in
 	}
 	op := s.newOp(1, done)
 	link.AcquireEvent(sim.TransferTime(bytes, bytesPerSec), sim.Event{Target: s, Kind: kind, A: op, C: bytes})
-}
-
-// ReadPageAt senses one page on a specific plane of a chip (used by the
-// FTL, which tracks physical placement itself). done fires when the page
-// is in the plane register; no bus time is charged.
-func (s *SSD) ReadPageAt(chipIdx, plane int, done sim.Event) {
-	op := s.newOp(1, done)
-	s.Chip(chipIdx).planes[plane].AcquireEvent(s.senseService(chipIdx),
-		sim.Event{Target: s, Kind: fkReadDone, A: op, B: int32(chipIdx), C: int64(plane)})
-}
-
-// ProgramPageAt programs one page on a specific plane of a chip.
-func (s *SSD) ProgramPageAt(chipIdx, plane int, done sim.Event) {
-	op := s.newOp(1, done)
-	s.Chip(chipIdx).planes[plane].AcquireEvent(s.Cfg.ProgramLatency,
-		sim.Event{Target: s, Kind: fkProgramDone, A: op})
-}
-
-// EraseBlockAt erases one block on a specific plane of a chip.
-func (s *SSD) EraseBlockAt(chipIdx, plane int, done sim.Event) {
-	op := s.newOp(1, done)
-	s.Chip(chipIdx).planes[plane].AcquireEvent(s.Cfg.EraseLatency,
-		sim.Event{Target: s, Kind: fkErased, A: op})
 }
 
 // PagesFor reports how many pages a payload of the given size occupies.

@@ -169,23 +169,6 @@ func ExtraDatasets() []Dataset {
 	}
 }
 
-// CustomDataset wraps a user-provided graph file as a Dataset so the
-// experiment machinery (configs, figures, energy) runs on it. idBytes is
-// 4 or 8; subgraphBytes is FlashWalker's block size for this graph;
-// defaultWalks anchors the walk-count sweeps.
-func CustomDataset(name, path string, idBytes int, subgraphBytes int64, defaultWalks int) Dataset {
-	return Dataset{
-		Name:          name,
-		Mirrors:       path,
-		IDBytes:       idBytes,
-		SubgraphBytes: subgraphBytes,
-		DefaultWalks:  defaultWalks,
-		Gen: func() (*graph.Graph, error) {
-			return graph.Load(path)
-		},
-	}
-}
-
 // DatasetByName finds a dataset by its short code, searching the Table IV
 // analogues and the extra presets.
 func DatasetByName(name string) (Dataset, error) {

@@ -148,34 +148,6 @@ func TestDatasetGraphDigests(t *testing.T) {
 	}
 }
 
-func TestCustomDataset(t *testing.T) {
-	g := graph.Ring(64)
-	path := t.TempDir() + "/ring.bin"
-	if err := graph.Save(path, g); err != nil {
-		t.Fatal(err)
-	}
-	d := CustomDataset("ring", path, 4, 1<<10, 1000)
-	loaded, err := d.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumEdges() != 64 {
-		t.Fatalf("loaded %d edges", loaded.NumEdges())
-	}
-	// The experiment machinery must run on it.
-	res, err := RunFlashWalker(context.Background(), d, core.AllOptions(), 200, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WalksFinished() != 200 {
-		t.Fatalf("finished %d", res.WalksFinished())
-	}
-	bad := CustomDataset("missing", t.TempDir()+"/no.bin", 4, 1<<10, 10)
-	if _, err := bad.Graph(); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
 func TestScaleWalksFloor(t *testing.T) {
 	if scaleWalks(100000, 0.0001) != 100 {
 		t.Fatal("floor not applied")

@@ -36,10 +36,6 @@ func NewShardMap(numPartitions, boards int) (*ShardMap, error) {
 	return m, nil
 }
 
-// NumBoards reports the board count the map was built for (dead boards
-// included; they just own nothing after Reassign).
-func (m *ShardMap) NumBoards() int { return m.numBoards }
-
 // NumPartitions reports the mapped partition count.
 func (m *ShardMap) NumPartitions() int { return len(m.boardOf) }
 

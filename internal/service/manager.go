@@ -313,6 +313,9 @@ type Job struct {
 	// persistLogged latches the job's first durability-write failure so
 	// degradation is logged once per job, not per checkpoint.
 	persistLogged atomic.Bool
+	// journalMu orders journal writes, so a slow submit-time write can
+	// never land after, and roll back, the running or terminal record.
+	journalMu sync.Mutex
 
 	mu       sync.Mutex
 	state    string
@@ -1134,22 +1137,12 @@ func (m *Manager) runGraphWalker(ctx context.Context, j *Job, g *graph.Graph, ds
 			Hops: p.Hops, WalksFinished: p.WalksFinished(),
 		})
 	}
+	// The baseline keeps no snapshot: a recovered job re-runs from event
+	// zero, as any journaled job without one does, to the identical result.
 	spec := walk.Spec{Kind: walk.Unbiased, Length: harness.WalkLength}
-	if m.store != nil {
-		// The baseline's snapshot is a replay record; recovery re-runs the
-		// job from event zero, which is result-identical.
-		var snap baseline.Snapshot
-		if _, err := m.getSnap(snapshotKey(j.ID), snapKindBaseline, &snap); err == nil {
-			r, err := baseline.ResumeContext(ctx, g, &snap, cfg.OnProgress)
-			return baselineJobResult(r, err)
-		}
-	}
 	e, err := baseline.New(g, cfg, spec, j.Spec.NumWalks, j.Spec.Seed+100)
 	if err != nil {
 		return nil, err
-	}
-	if m.store != nil {
-		m.putSnap(j, snapshotKey(j.ID), snapKindBaseline, e.Snapshot())
 	}
 	r, err := e.RunContext(ctx)
 	return baselineJobResult(r, err)

@@ -22,7 +22,8 @@ import (
 //	jobs/<id>.json         one JSON journal record per job, atomically
 //	                       rewritten at submit, start, and finish
 //	snapshots/<id>.snap    the job's latest FULL engine snapshot
-//	                       (codec container), removed at finish
+//	                       (FlashWalker jobs; codec container), removed
+//	                       at finish
 //	snapshots/<id>.dN.snap delta containers chained to the full snapshot
 //	                       (FlashWalker jobs), each naming its base by the
 //	                       preceding container's SHA-256 seal; removed at
@@ -41,9 +42,8 @@ import (
 
 // Snapshot container kind tags.
 const (
-	snapKindCore     = "flashwalker-core-engine"
-	snapKindDelta    = "flashwalker-core-delta"
-	snapKindBaseline = "flashwalker-baseline-engine"
+	snapKindCore  = "flashwalker-core-engine"
+	snapKindDelta = "flashwalker-core-delta"
 )
 
 // defaultSnapshotDeltas is the delta-chain length between full snapshot
@@ -115,6 +115,8 @@ func (m *Manager) journal(j *Job) {
 	if m.store == nil {
 		return
 	}
+	j.journalMu.Lock()
+	defer j.journalMu.Unlock()
 	j.mu.Lock()
 	rec := jobRecord{
 		ID: j.ID, Spec: j.Spec, State: j.state,

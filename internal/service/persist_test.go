@@ -8,6 +8,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -136,25 +139,7 @@ func TestManagerRecoveryResumesFromSnapshot(t *testing.T) {
 
 	// Forge the crash the cancel cleaned up after: journal back to running,
 	// snapshot back on disk.
-	jobPath := filepath.Join(dir, "jobs", j1.ID+".json")
-	data, err := os.ReadFile(jobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec map[string]any
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
-	rec["state"] = StateRunning
-	delete(rec, "result")
-	delete(rec, "error")
-	data, err = json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(jobPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	forgeRunning(t, dir, j1.ID)
 	if err := os.WriteFile(snapPath, saved, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +228,62 @@ func TestManagerRecoveryHistoryAndSeq(t *testing.T) {
 	waitTerminal(t, jn)
 }
 
+// heldJournalStore holds the first journal write back until a terminal
+// record of the same job has been stored (or a second passes): the
+// interleaving in which a slow submit-time write lands last.
+type heldJournalStore struct {
+	blob.Store
+	held     atomic.Bool
+	terminal chan struct{}
+	once     sync.Once
+}
+
+func (s *heldJournalStore) Put(key string, data []byte) error {
+	if !strings.HasPrefix(key, "jobs/") {
+		return s.Store.Put(key, data)
+	}
+	if s.held.CompareAndSwap(false, true) {
+		select {
+		case <-s.terminal:
+		case <-time.After(time.Second):
+		}
+		return s.Store.Put(key, data)
+	}
+	err := s.Store.Put(key, data)
+	var rec jobRecord
+	if json.Unmarshal(data, &rec) == nil && rec.State == StateDone {
+		s.once.Do(func() { close(s.terminal) })
+	}
+	return err
+}
+
+// TestJournalKeepsWriteOrder: a job's journal writes land in the order
+// its state changed, so a submit-time write that is slow to reach the
+// store can never overwrite the running or terminal record a worker
+// wrote after it; otherwise a finished job would come back as queued
+// and run again on restart.
+func TestJournalKeepsWriteOrder(t *testing.T) {
+	store := &heldJournalStore{Store: blob.NewMem(), terminal: make(chan struct{})}
+	m := newTestManager(t, Config{Workers: 1, Store: store})
+	defer m.Close()
+	j, err := m.Submit(JobSpec{Graph: "TT-S", NumWalks: 200, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, j)
+	data, err := store.Get(jobKey(j.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec jobRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != StateDone {
+		t.Fatalf("journal of a finished job says %q", rec.State)
+	}
+}
+
 // legacyContainer is a snapshot container as an older daemon wrote it: a
 // sealed gob payload under kind, with the version field set to version.
 func legacyContainer(t *testing.T, kind string, version uint32) []byte {
@@ -328,5 +369,114 @@ func TestManagerRecoveryRejectsPreBumpSnapshots(t *testing.T) {
 		if _, err := store.Get(snapshotKey(j.ID)); !errors.Is(err, blob.ErrNotFound) {
 			t.Errorf("v%d %s job: snapshot survived completion (err %v)", c.version, c.kind, err)
 		}
+	}
+}
+
+// TestManagerRecoveryGraphWalker: a durable graphwalker job interrupted
+// mid-run (journal forged back to running) is re-enqueued on restart and
+// re-runs from event zero, as any journaled job without a snapshot does,
+// to the uninterrupted result. The stray case leaves bytes under the
+// job's snapshot key, as a store written by an older daemon may hold:
+// recovery must not be swayed by them, and completion must remove them.
+func TestManagerRecoveryGraphWalker(t *testing.T) {
+	spec := JobSpec{Kind: KindGraphWalker, Graph: "TT-S", NumWalks: 400_000, Seed: 6, CheckpointEvery: 64}
+
+	mr := newTestManager(t, Config{Workers: 1})
+	jr, err := mr.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, jr)
+	ref := jr.Status().Result
+	if ref == nil || jr.Status().State != StateDone {
+		t.Fatalf("reference run: %+v", jr.Status())
+	}
+	mr.Close()
+
+	for _, stray := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stray=%v", stray), func(t *testing.T) {
+			dir := t.TempDir()
+			m1 := newTestManager(t, Config{Workers: 1, StateDir: dir})
+			j1, err := m1.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(time.Minute)
+			for {
+				st := j1.Status()
+				if st.State == StateRunning && st.Progress != nil && st.Progress.Hops > 0 {
+					break
+				}
+				if st.State != StateQueued && st.State != StateRunning {
+					t.Fatalf("job reached %q before the interruption; nothing to recover", st.State)
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("job never reported progress")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := m1.Cancel(j1.ID); err != nil {
+				t.Fatal(err)
+			}
+			waitTerminal(t, j1)
+			if st := j1.Status(); st.State != StateCanceled {
+				t.Fatalf("job reached %q before the interruption; nothing to recover", st.State)
+			}
+			m1.Close()
+
+			forgeRunning(t, dir, j1.ID)
+			snapPath := filepath.Join(dir, "snapshots", j1.ID+".snap")
+			if stray {
+				if err := os.MkdirAll(filepath.Dir(snapPath), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(snapPath, []byte("stray bytes of an older baseline record"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			m2 := newTestManager(t, Config{Workers: 1, StateDir: dir})
+			defer m2.Close()
+			j2, err := m2.Get(j1.ID)
+			if err != nil {
+				t.Fatalf("recovered manager lost job %s: %v", j1.ID, err)
+			}
+			waitTerminal(t, j2)
+			st := j2.Status()
+			if st.State != StateDone {
+				t.Fatalf("recovered job state %q, error %q", st.State, st.Error)
+			}
+			if st.Result == nil || *st.Result != *ref {
+				t.Fatalf("recovered result diverged:\n got %+v\nwant %+v", st.Result, ref)
+			}
+			if _, err := os.Stat(snapPath); !os.IsNotExist(err) {
+				t.Errorf("snapshot key survived job completion: %v", err)
+			}
+		})
+	}
+}
+
+// forgeRunning rewrites job id's journal record in dir back to running,
+// with no result or error: the record a daemon killed mid-run leaves.
+func forgeRunning(t *testing.T, dir, id string) {
+	t.Helper()
+	jobPath := filepath.Join(dir, "jobs", id+".json")
+	data, err := os.ReadFile(jobPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec["state"] = StateRunning
+	delete(rec, "result")
+	delete(rec, "error")
+	data, err = json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jobPath, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

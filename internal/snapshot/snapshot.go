@@ -12,8 +12,8 @@
 //	...        payLen   uint64, then payLen bytes of gob payload
 //	tail       sha256   32 bytes over everything before it
 //
-// The kind tag ("core-engine", "baseline-engine", ...) guards against
-// decoding one engine's snapshot as another's; the checksum catches torn
+// The kind tag ("core-engine", "core-delta", ...) guards against
+// decoding one kind of container as another; the checksum catches torn
 // or bit-rotted files; the version gates forward-incompatible payloads.
 // Payloads are encoding/gob of exported plain-data structs, so the format
 // needs no third-party dependencies and tolerates field additions in

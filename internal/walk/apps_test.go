@@ -7,78 +7,6 @@ import (
 	"flashwalker/internal/graph"
 )
 
-func TestPPREstimateSumsToOne(t *testing.T) {
-	g, _ := graph.RMAT(graph.DefaultRMAT(512, 4096, 1))
-	ppr, err := PPREstimate(g, 0, 5000, 0.15, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, p := range ppr {
-		if p < 0 {
-			t.Fatal("negative score")
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("scores sum to %v", sum)
-	}
-}
-
-func TestPPRSourceDominates(t *testing.T) {
-	// With a high restart probability the source must hold the largest
-	// score.
-	g := graph.Complete(50)
-	ppr, err := PPREstimate(g, 7, 20000, 0.5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, p := range ppr {
-		if v != 7 && p >= ppr[7] {
-			t.Fatalf("vertex %d score %v >= source %v", v, p, ppr[7])
-		}
-	}
-}
-
-func TestPPRUniformOnCompleteGraph(t *testing.T) {
-	// On a complete graph all non-source vertices are symmetric.
-	g := graph.Complete(20)
-	ppr, err := PPREstimate(g, 0, 50000, 0.2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var others []float64
-	for v := 1; v < 20; v++ {
-		others = append(others, ppr[v])
-	}
-	mean := 0.0
-	for _, p := range others {
-		mean += p
-	}
-	mean /= float64(len(others))
-	for v, p := range others {
-		if math.Abs(p-mean) > 0.25*mean {
-			t.Fatalf("vertex %d deviates: %v vs mean %v", v+1, p, mean)
-		}
-	}
-}
-
-func TestPPRRejectsBadInputs(t *testing.T) {
-	g := graph.Ring(4)
-	if _, err := PPREstimate(g, 99, 100, 0.2, 1); err == nil {
-		t.Fatal("bad source accepted")
-	}
-	if _, err := PPREstimate(g, 0, 0, 0.2, 1); err == nil {
-		t.Fatal("zero walks accepted")
-	}
-	if _, err := PPREstimate(g, 0, 100, 0, 1); err == nil {
-		t.Fatal("alpha=0 accepted")
-	}
-	if _, err := PPREstimate(g, 0, 100, 1, 1); err == nil {
-		t.Fatal("alpha=1 accepted")
-	}
-}
-
 func TestTopK(t *testing.T) {
 	scores := []float64{0.1, 0.5, 0, 0.3, 0.5}
 	top := TopK(scores, 3)
@@ -159,108 +87,6 @@ func TestSimRankRejectsBadInputs(t *testing.T) {
 	}
 }
 
-func TestDeepWalkCorpusShape(t *testing.T) {
-	g := graph.Ring(50)
-	corpus, err := DeepWalkCorpus(g, 2, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(corpus) != 100 {
-		t.Fatalf("corpus size %d, want 100", len(corpus))
-	}
-	for _, path := range corpus {
-		if len(path) != 5 { // start + 4 hops, no dead ends on a ring
-			t.Fatalf("path length %d", len(path))
-		}
-		for i := 1; i < len(path); i++ {
-			if path[i] != (path[i-1]+1)%50 {
-				t.Fatalf("non-edge step in %v", path)
-			}
-		}
-	}
-}
-
-func TestDeepWalkCorpusCoversAllVertices(t *testing.T) {
-	g := graph.Ring(20)
-	corpus, err := DeepWalkCorpus(g, 1, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[graph.VertexID]bool{}
-	for _, p := range corpus {
-		seen[p[0]] = true
-	}
-	if len(seen) != 20 {
-		t.Fatalf("only %d start vertices", len(seen))
-	}
-	if _, err := DeepWalkCorpus(g, 0, 3, 1); err == nil {
-		t.Fatal("zero walksPerVertex accepted")
-	}
-}
-
-func TestNode2VecPathsAreWalks(t *testing.T) {
-	g, _ := graph.RMAT(graph.DefaultRMAT(256, 4096, 5))
-	corpus, err := Node2VecWalks(g, 1, 1, 1, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(corpus) != int(g.NumVertices()) {
-		t.Fatalf("corpus %d", len(corpus))
-	}
-	for _, p := range corpus {
-		for i := 1; i < len(p); i++ {
-			if !containsSorted(g.OutEdges(p[i-1]), p[i]) {
-				t.Fatalf("step %d->%d is not an edge", p[i-1], p[i])
-			}
-		}
-	}
-}
-
-func TestNode2VecReturnBias(t *testing.T) {
-	// Small p (cheap returns) must produce more immediate backtracks than
-	// large p on a graph where backtracking is possible.
-	b := graph.NewBuilder(40)
-	for v := uint64(0); v < 40; v++ {
-		b.AddEdge(v, (v+1)%40)
-		b.AddEdge((v+1)%40, v)
-		b.AddEdge(v, (v+7)%40)
-		b.AddEdge((v+7)%40, v)
-	}
-	g, _ := b.Build()
-	countReturns := func(p float64) int {
-		corpus, err := Node2VecWalks(g, p, 1, 20, 8, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, path := range corpus {
-			for i := 2; i < len(path); i++ {
-				if path[i] == path[i-2] {
-					n++
-				}
-			}
-		}
-		return n
-	}
-	low, high := countReturns(0.1), countReturns(10)
-	if low <= high {
-		t.Fatalf("p=0.1 returns %d <= p=10 returns %d", low, high)
-	}
-}
-
-func TestNode2VecRejectsBadInputs(t *testing.T) {
-	g := graph.Ring(8)
-	if _, err := Node2VecWalks(g, 0, 1, 1, 4, 1); err == nil {
-		t.Fatal("p=0 accepted")
-	}
-	if _, err := Node2VecWalks(g, 1, -1, 1, 4, 1); err == nil {
-		t.Fatal("q<0 accepted")
-	}
-	if _, err := Node2VecWalks(g, 1, 1, 0, 4, 1); err == nil {
-		t.Fatal("zero walks accepted")
-	}
-}
-
 func TestContainsSorted(t *testing.T) {
 	adj := []graph.VertexID{2, 5, 7, 11}
 	for _, v := range adj {
@@ -275,40 +101,5 @@ func TestContainsSorted(t *testing.T) {
 	}
 	if containsSorted(nil, 1) {
 		t.Fatal("empty list member")
-	}
-}
-
-func TestWedgeClosureComplete(t *testing.T) {
-	// Every wedge in a complete graph closes.
-	g := graph.Complete(12)
-	c, err := WedgeClosure(g, 5000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != 1 {
-		t.Fatalf("K12 closure = %v, want 1", c)
-	}
-}
-
-func TestWedgeClosureStar(t *testing.T) {
-	// Star wedges (spoke-hub-spoke) never close.
-	g := graph.Star(30)
-	c, err := WedgeClosure(g, 5000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != 0 {
-		t.Fatalf("star closure = %v, want 0", c)
-	}
-}
-
-func TestWedgeClosureNoCenters(t *testing.T) {
-	g := graph.Ring(10) // all degrees 1
-	c, err := WedgeClosure(g, 100, 3)
-	if err != nil || c != 0 {
-		t.Fatalf("ring closure = %v err %v", c, err)
-	}
-	if _, err := WedgeClosure(g, 0, 1); err == nil {
-		t.Fatal("zero samples accepted")
 	}
 }

@@ -106,11 +106,7 @@ func TestCorpusStats(t *testing.T) {
 }
 
 func TestCorpusFromDeepWalk(t *testing.T) {
-	g := graph.Ring(32)
-	corpus, err := DeepWalkCorpus(g, 1, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	corpus := ringCorpus(t, 32, 4, 1)
 	var buf bytes.Buffer
 	if err := WriteCorpus(&buf, corpus); err != nil {
 		t.Fatal(err)

@@ -2,18 +2,31 @@ package walk
 
 import (
 	"bytes"
+	"context"
+	"slices"
 	"testing"
 
 	"flashwalker/internal/graph"
 )
 
-func testCorpusEntry(t *testing.T, name string, seed uint64) *CachedCorpus {
+// ringCorpus is a DeepWalk corpus fixture: the paths of one unbiased walk
+// of length hops from every vertex of an n-vertex ring.
+func ringCorpus(t *testing.T, n uint64, length uint32, seed uint64) [][]graph.VertexID {
 	t.Helper()
-	g := graph.Ring(16)
-	corpus, err := DeepWalkCorpus(g, 1, 4, seed)
-	if err != nil {
+	g := graph.Ring(n)
+	spec := Spec{Kind: Unbiased, Length: length}
+	starts := AllStarts(g)
+	var corpus [][]graph.VertexID
+	if _, err := RunContext(context.Background(), g, spec, NewWalks(spec, starts, len(starts)), seed,
+		func(_ int, path []graph.VertexID) { corpus = append(corpus, slices.Clone(path)) }); err != nil {
 		t.Fatal(err)
 	}
+	return corpus
+}
+
+func testCorpusEntry(t *testing.T, name string, seed uint64) *CachedCorpus {
+	t.Helper()
+	corpus := ringCorpus(t, 16, 4, seed)
 	key := CorpusKey{
 		Graph: name,
 		Spec:  Spec{Kind: Unbiased, Length: 4},

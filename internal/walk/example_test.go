@@ -23,16 +23,6 @@ func ExampleRunContext() {
 	// hops: 3
 }
 
-// Estimate PPR scores and rank them.
-func ExamplePPREstimate() {
-	g := graph.Complete(6)
-	ppr, _ := walk.PPREstimate(g, 0, 5000, 0.3, 2)
-	top := walk.TopK(ppr, 1)
-	fmt.Println("top vertex:", top[0])
-	// Output:
-	// top vertex: 0
-}
-
 // SimRank of a vertex with itself is 1 by definition.
 func ExampleSimRank() {
 	g := graph.Ring(5)

@@ -140,6 +140,20 @@ func (s Spec) ChooseEdgeSecondOrder(g *graph.Graph, r *rng.RNG, cur, prev graph.
 	})
 }
 
+// containsSorted binary-searches a sorted adjacency list.
+func containsSorted(adj []graph.VertexID, v graph.VertexID) bool {
+	lo, hi := 0, len(adj)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if adj[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(adj) && adj[lo] == v
+}
+
 // ChooseEdgeSecondOrderFiltered is ChooseEdgeSecondOrder with a
 // caller-supplied neighbor test (e.g. a Bloom filter standing in for the
 // previous vertex's adjacency in the in-storage engine).
