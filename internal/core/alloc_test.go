@@ -11,11 +11,12 @@ import (
 
 // TestSteadyStateHopAllocFree guards the tentpole invariant of the typed-
 // event refactor: once the pools are warm (a full run has grown them), the
-// per-hop machinery — claiming a walk node, deciding the hop, recycling a
-// batch buffer — performs zero allocations. Together with the sim-level
-// guards (TestTypedSchedulingAllocFree, TestQueueAcquireEventAllocFree)
-// this pins the whole hop path: every event it schedules is typed and every
-// record it touches is pooled.
+// per-hop machinery — claiming a walk node, deciding the hop in the walk
+// table, recycling a batch buffer and a table index — performs zero
+// allocations. Together with the sim-level guards
+// (TestTypedSchedulingAllocFree, TestQueueAcquireEventAllocFree) this pins
+// the whole hop path: every event it schedules is typed and every record
+// it touches is pooled.
 func TestSteadyStateHopAllocFree(t *testing.T) {
 	g := testGraph(t)
 	x, err := NewEngine(g, goldenConfig())
@@ -34,19 +35,23 @@ func TestSteadyStateHopAllocFree(t *testing.T) {
 			break
 		}
 	}
-	st := wstate{w: walk.Walk{Cur: v, Hop: 1 << 20}, denseBlock: -1, rangeTag: -1, prev: noPrev,
-		rng: *x.rootRNG.Derive(1)}
+	w := e.addWalk(wstate{w: walk.Walk{Cur: v, Hop: 1 << 20}, denseBlock: -1, rangeTag: -1, prev: noPrev,
+		rng: *x.rootRNG.Derive(1)})
 
 	allocs := testing.AllocsPerRun(1000, func() {
 		ref, n := e.newNode()
-		h := e.decideHop(st)
-		n.st, n.terminal, n.deadEnd = h.next, h.terminal, h.deadEnd
+		h := e.decideHop(e.walk(w))
+		n.w, n.terminal, n.deadEnd = w, h.terminal, h.deadEnd
 		e.freeNodeRef(ref)
 
 		buf := e.getWalkBuf()
-		buf = append(buf, h.next)
+		buf = append(buf, w)
 		bref := e.newBatch(buf)
 		e.putWalkBuf(e.takeBatch(bref))
+
+		st := *e.walk(w)
+		e.dropWalk(w)
+		w = e.addWalk(st)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state hop path allocated %.1f times per run, want 0", allocs)

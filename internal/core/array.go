@@ -236,25 +236,31 @@ func (e *Engine) seedWalks(starts []graph.VertexID, n int) {
 	ws := walk.NewWalks(e.boards[0].spec, starts, n)
 	e.numStarted = len(ws)
 	e.remaining = len(ws)
-	// One counting pass sizes every pending list exactly.
+	// One counting pass sizes every pending list and walk table exactly.
 	count := make([]int, e.part.NumPartitions)
 	for i := range ws {
 		count[e.boards[0].homePartition(ws[i].Cur)]++
 	}
+	perBoard := make([]int, len(e.boards))
 	for p, c := range count {
 		if c > 0 {
-			e.boards[e.shard.BoardOf(p)].pendingMem[p] = make([]wstate, 0, c)
+			b := e.shard.BoardOf(p)
+			e.boards[b].pendingMem[p] = make([]int32, 0, c)
+			perBoard[b] += c
 		}
 	}
+	for b, c := range perBoard {
+		e.boards[b].wtab = make([]wstate, 0, c)
+	}
 	for i := range ws {
-		st := wstate{w: ws[i], denseBlock: -1, rangeTag: -1, prev: noPrev,
-			rng: *e.rootRNG.Derive(uint64(i))}
-		p := e.boards[0].homePartition(st.w.Cur)
+		p := e.boards[0].homePartition(ws[i].Cur)
 		be := e.boards[e.shard.BoardOf(p)]
 		if be.res.Visits != nil {
-			be.res.Visits[st.w.Cur]++
+			be.res.Visits[ws[i].Cur]++
 		}
-		be.pendingMem[p] = append(be.pendingMem[p], st)
+		w := be.addWalk(wstate{w: ws[i], denseBlock: -1, rangeTag: -1, prev: noPrev,
+			rng: *e.rootRNG.Derive(uint64(i))})
+		be.pendingMem[p] = append(be.pendingMem[p], w)
 		be.res.Started++
 	}
 	for _, be := range e.boards {
@@ -385,16 +391,18 @@ func (e *Engine) HandleEvent(ev sim.Event) {
 
 // --- Fabric. ---
 
-// sendForeigner hands a walk bound for partition p (owned by another board)
-// to the fabric: it joins the source board's egress batch toward the owner
-// and ships when the batch fills (or when the source drains).
-func (e *Engine) sendForeigner(src *boardEngine, p int, st wstate) {
+// sendForeigner hands walk w, bound for partition p (owned by another
+// board), to the fabric: the walk is copied out of the source board's
+// table, joins the source's egress batch toward the owner and ships when
+// the batch fills (or when the source drains).
+func (e *Engine) sendForeigner(src *boardEngine, p int, w int32) {
 	dst := e.shard.BoardOf(p)
 	eb := &e.egress[src.boardID][dst]
 	if eb.walks == nil {
 		eb.walks = e.getFW()
 	}
-	eb.walks = append(eb.walks, fabricWalk{st: st, p: int32(p)})
+	eb.walks = append(eb.walks, fabricWalk{st: *src.walk(w), p: int32(p)})
+	src.dropWalk(w)
 	eb.bytes += walk.StateBytes
 	e.inFabric++
 	e.fabricWalks++
@@ -429,9 +437,10 @@ func (e *Engine) flushEgressFrom(src int) {
 	}
 }
 
-// arrive lands a fabric batch: walks join the destination board's foreigner
-// buffer (waking it if idle); walks whose owner changed in flight — the
-// destination died while they were on the wire — bounce to the new owner.
+// arrive lands a fabric batch: walks are filed in the destination board's
+// walk table and join its foreigner buffer (waking it if idle); walks
+// whose owner changed in flight — the destination died while they were on
+// the wire — bounce to the new owner.
 func (e *Engine) arrive(ref int32) {
 	walks, dst := e.takeFBatch(ref)
 	be := e.boards[dst]
@@ -446,7 +455,7 @@ func (e *Engine) arrive(ref int32) {
 		if be.pendingMem[p] == nil {
 			be.pendingMem[p] = be.getWalkBuf()
 		}
-		be.pendingMem[p] = append(be.pendingMem[p], walks[i].st)
+		be.pendingMem[p] = append(be.pendingMem[p], be.addWalk(walks[i].st))
 		be.foreignerBufBytes += walk.StateBytes
 		if be.foreignerBufBytes >= be.cfg.ForeignerBufBytes {
 			be.flushForeigners()
@@ -527,11 +536,11 @@ func (e *Engine) killBoard(b int) {
 		be.pendingFlash[p] = nil
 		be.pendingFlashBytes[p] = 0
 		be.flushMark[p] = 0
-		for i := range mem {
-			e.evacuate(be, p, mem[i])
+		for _, w := range mem {
+			e.evacuate(be, p, w)
 		}
-		for i := range fl {
-			e.evacuate(be, p, fl[i])
+		for _, w := range fl {
+			e.evacuate(be, p, w)
 		}
 		be.putWalkBuf(mem)
 		be.putWalkBuf(fl)
@@ -548,9 +557,9 @@ func (e *Engine) killBoard(b int) {
 // evacuate moves one parked walk off a killed board over the fabric. The
 // recovery path replays the board's walk log from the host side, so the
 // transfer is charged to the fabric only.
-func (e *Engine) evacuate(src *boardEngine, p int, st wstate) {
+func (e *Engine) evacuate(src *boardEngine, p int, w int32) {
 	e.evacuated++
-	e.sendForeigner(src, p, st)
+	e.sendForeigner(src, p, w)
 }
 
 // --- Termination / accounting. ---
@@ -598,17 +607,24 @@ func (e *Engine) fail(err error) {
 
 // auditConservation is the walk-conservation check: walks parked on boards,
 // active in current partitions (minus the store double-count), in the
-// fabric, or finished must sum to the seeded count. Exact at any event
+// fabric, or finished must sum to the seeded count, and each board's walk
+// table must hold exactly its parked and active walks. Exact at any event
 // boundary; invoked at every board's partition switch.
 func (e *Engine) auditConservation(where string) {
 	if !e.audit || e.failure != nil {
 		return
 	}
 	stored, active, overlap, finished := 0, 0, 0, 0
-	for _, be := range e.boards {
-		stored += be.storedWalks()
+	for b, be := range e.boards {
+		st, ov := be.storedWalks(), be.activeCurStoredOverlap()
+		if live, held := be.liveWalks(), st+be.activeCur-ov; live != held {
+			e.fail(fmt.Errorf("core: audit(%s): board %d walk table holds %d live walks, stores and tiers %d",
+				where, b, live, held))
+			return
+		}
+		stored += st
 		active += be.activeCur
-		overlap += be.activeCurStoredOverlap()
+		overlap += ov
 		finished += be.res.Completed + be.res.DeadEnded
 	}
 	if got := stored + active - overlap + e.inFabric + finished; got != e.numStarted {

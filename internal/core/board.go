@@ -29,11 +29,11 @@ type boardAccel struct {
 // Guide runs a walk through the board-level walk guider: classify first
 // (route.go), then charge the guider ops and any mapping-table port time,
 // then apply the decision (evBoardGuided / evBoardPortDone continuations).
-func (b *boardAccel) Guide(st wstate) {
-	d := b.classify(st)
+func (b *boardAccel) Guide(w int32) {
+	d := b.classify(w)
 	e := b.e
 	ref, n := e.newNode()
-	n.st = d.st
+	n.w = w
 	n.block, n.foreign, n.steps = int32(d.blockID), int32(d.foreignPart), int32(d.searchSteps)
 	b.dispatchGuide(d.ops, sim.Event{Target: e, Kind: evBoardGuided, A: ref})
 }
@@ -42,7 +42,7 @@ func (b *boardAccel) Guide(st wstate) {
 func (b *boardAccel) route(d routeDecision) {
 	e := b.e
 	if d.foreignPart >= 0 {
-		e.demoteWalk(d.foreignPart, d.st)
+		e.demoteWalk(d.foreignPart, d.w)
 		return
 	}
 	if d.blockID < 0 {
@@ -50,16 +50,16 @@ func (b *boardAccel) route(d routeDecision) {
 		return
 	}
 	// Board-level hot subgraph: update in place (§III-D).
-	if e.cfg.Opts.HotSubgraphs && b.hotReady && d.st.denseBlock < 0 &&
-		b.hot.contains(d.blockID) && b.tryHotUpdate(d.st) {
+	if e.cfg.Opts.HotSubgraphs && b.hotReady && e.walk(d.w).denseBlock < 0 &&
+		b.hot.contains(d.blockID) && b.tryHotUpdate(d.w) {
 		return
 	}
 	// Degraded destination chip: try the channel-level failover copy first
 	// (degrade.go); a miss falls through — the chip still works, just slow.
-	if e.rerouteDegraded(d.blockID, d.st) {
+	if e.rerouteDegraded(d.blockID, d.w) {
 		return
 	}
-	e.insertPWB(d.blockID, d.st)
+	e.insertPWB(d.blockID, d.w)
 }
 
 // completed accumulates a finished walk in the board's completed-walk

@@ -185,3 +185,96 @@ func TestResumeAcceptsQueueLayoutPools(t *testing.T) {
 		}
 	}
 }
+
+// nodeEvent reports whether a board event kind carries a walk node in A.
+func nodeEvent(kind uint16) bool { return eventPayload[kind]&payNode != 0 }
+
+// TestResumeRejectsHostileEvents edits one pending event of a mid-run cut
+// at a time — a channel index past the end, an unknown kind, a node index
+// past the pool, a node that is free, an event before the clock, a node
+// two events claim, and on the flash side a free list past the op pool, an
+// event on a free op, a live op missing one of its parts and a completion
+// of unknown kind — and requires ResumeEngine to refuse each. An accepted
+// image would index out of range, panic on the kind, run a timeline out
+// of order or hand a free node's zeroed walk to a tier, which then never
+// finishes, so an accepted one is not run.
+func TestResumeRejectsHostileEvents(t *testing.T) {
+	g := testGraph(t)
+	cut := interruptCore(t, g, goldenConfig(), 20)
+	if _, err := ResumeEngine(g, cloneSnapshot(t, cut), ResumeOptions{}); err != nil {
+		t.Fatalf("unmodified cut rejected: %v", err)
+	}
+	// find returns the index of the first pending event aimed at target
+	// whose kind want accepts.
+	find := func(t *testing.T, s *Snapshot, target int32, want func(kind uint16) bool) int {
+		for i, ev := range s.Sim.Events {
+			if ev.Target == target && want(ev.Kind) {
+				return i
+			}
+		}
+		t.Fatal("cut has no pending event of the wanted kind")
+		return -1
+	}
+	anyKind := func(uint16) bool { return true }
+	tick := func(k uint16) bool { return k == evChanTick }
+	cases := map[string]func(t *testing.T, s *Snapshot){
+		"channel tick past the end": func(t *testing.T, s *Snapshot) {
+			s.Sim.Events[find(t, s, targetBoard(0), tick)].B = 1 << 20
+		},
+		"unknown kind": func(t *testing.T, s *Snapshot) {
+			s.Sim.Events[find(t, s, targetBoard(0), anyKind)].Kind = 999
+		},
+		"node past the pool": func(t *testing.T, s *Snapshot) {
+			s.Sim.Events[find(t, s, targetBoard(0), nodeEvent)].A = 1 << 30
+		},
+		"free node": func(t *testing.T, s *Snapshot) {
+			if len(s.Boards[0].Nodes.Free) == 0 {
+				t.Fatal("cut has no free node to name")
+			}
+			s.Sim.Events[find(t, s, targetBoard(0), nodeEvent)].A = s.Boards[0].Nodes.Free[0]
+		},
+		"event before the clock": func(t *testing.T, s *Snapshot) {
+			s.Sim.Events[find(t, s, targetBoard(0), tick)].At = s.Sim.Now - 1
+		},
+		"node claimed twice": func(t *testing.T, s *Snapshot) {
+			dup := s.Sim.Events[find(t, s, targetBoard(0), nodeEvent)]
+			s.Sim.Seq++
+			dup.Seq = s.Sim.Seq
+			s.Sim.Events = append(s.Sim.Events, dup)
+		},
+		"flash free list past the pool": func(t *testing.T, s *Snapshot) {
+			s.Boards[0].Flash.FreeOp = int32(len(s.Boards[0].Flash.Ops))
+		},
+		"flash event on a free op": func(t *testing.T, s *Snapshot) {
+			for i, op := range s.Boards[0].Flash.Ops {
+				if op.Remaining == 0 {
+					s.Sim.Events[find(t, s, targetSSD(0), anyKind)].A = int32(i)
+					return
+				}
+			}
+			t.Fatal("cut has no free flash op")
+		},
+		"flash op missing a part": func(t *testing.T, s *Snapshot) {
+			i := find(t, s, targetSSD(0), anyKind)
+			s.Sim.Events = append(s.Sim.Events[:i], s.Sim.Events[i+1:]...)
+		},
+		"flash completion of unknown kind": func(t *testing.T, s *Snapshot) {
+			for i := range s.Boards[0].Flash.Ops {
+				if op := &s.Boards[0].Flash.Ops[i]; op.Remaining > 0 && op.HasDone {
+					op.Done.Kind = 999
+					return
+				}
+			}
+			t.Fatal("cut has no live flash op with a completion")
+		},
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			s := cloneSnapshot(t, cut)
+			mutate(t, s)
+			if _, err := ResumeEngine(g, s, ResumeOptions{}); err == nil {
+				t.Fatal("hostile event accepted")
+			}
+		})
+	}
+}

@@ -95,26 +95,26 @@ func (ca *channelAccel) classify(st *wstate) chanGuide {
 
 // Guide classifies a roving walk at the channel level and dispatches the
 // guider completion.
-func (ca *channelAccel) Guide(st wstate) {
+func (ca *channelAccel) Guide(w int32) {
 	e := ca.e
-	d := ca.classify(&st)
+	d := ca.classify(e.walk(w))
 	ref, n := e.newNode()
-	n.st = st
+	n.w = w
 	n.hot, n.foreign, n.rangeID = d.hot, d.foreign, d.rangeID
 	ca.dispatchGuide(d.ops,
 		sim.Event{Target: e, Kind: evChanGuided, A: ref, B: int32(ca.id)})
 }
 
 // applyGuide is the evChanGuided continuation.
-func (ca *channelAccel) applyGuide(st wstate, hotBlock, foreignPart, rangeID int32) {
+func (ca *channelAccel) applyGuide(w int32, hotBlock, foreignPart, rangeID int32) {
 	e := ca.e
-	if hotBlock >= 0 && ca.tryHotUpdate(st) {
+	if hotBlock >= 0 && ca.tryHotUpdate(w) {
 		return
 	}
 	if foreignPart >= 0 {
-		e.demoteWalk(int(foreignPart), st)
+		e.demoteWalk(int(foreignPart), w)
 		return
 	}
-	st.rangeTag = int(rangeID)
-	e.board.Guide(st)
+	e.walk(w).rangeTag = int(rangeID)
+	e.board.Guide(w)
 }

@@ -22,7 +22,7 @@ type chipSlot struct {
 
 	// In-flight load state: gating parts left and the claimed walks.
 	loadLeft  int
-	loadWalks []wstate
+	loadWalks []int32
 }
 
 // maxLoadDefers bounds consecutive deferrals so progress is guaranteed.
@@ -42,7 +42,7 @@ type chipAccel struct {
 	chip  *fl.Chip
 	slots []*chipSlot
 
-	roving      []wstate
+	roving      []int32
 	rovingBytes int64
 
 	completedBytes int64
@@ -225,8 +225,8 @@ func (c *chipAccel) loadBlock(s *chipSlot, blockID int) {
 		nPWB = take
 	}
 	var pwbBytes int64
-	for i := 0; i < nPWB; i++ {
-		pwbBytes += pw[i].sizeBytes()
+	for _, w := range pw[:nPWB] {
+		pwbBytes += e.walk(w).sizeBytes()
 	}
 	e.pwbBytes[blockID] -= pwbBytes
 	if e.pwbBytes[blockID] < 0 {
@@ -296,7 +296,7 @@ func (c *chipAccel) loadBlock(s *chipSlot, blockID int) {
 
 // compactFront removes the first n elements of s in place, keeping the
 // backing capacity for reuse.
-func compactFront(s []wstate, n int) []wstate {
+func compactFront(s []int32, n int) []int32 {
 	if n == 0 {
 		return s
 	}
@@ -321,8 +321,8 @@ func (c *chipAccel) loadPartDone(s *chipSlot) {
 		c.e.putWalkBuf(walks)
 		return
 	}
-	for i := range walks {
-		c.enqueue(s, walks[i])
+	for _, w := range walks {
+		c.enqueue(s, w)
 	}
 	c.e.putWalkBuf(walks)
 }
@@ -331,29 +331,29 @@ func (c *chipAccel) loadPartDone(s *chipSlot) {
 // holding its subgraph, or — when no slot has it resident — the roving
 // buffer so a higher tier takes over. Overrides the tierCommon pipeline
 // because chip updates are slot-owned.
-func (c *chipAccel) EnqueueUpdate(st wstate) {
-	if s := c.matchSlot(st); s != nil {
-		c.enqueue(s, st)
+func (c *chipAccel) EnqueueUpdate(w int32) {
+	if s := c.matchSlot(c.e.walk(w)); s != nil {
+		c.enqueue(s, w)
 		return
 	}
-	c.addRoving(st)
+	c.addRoving(w)
 }
 
 // enqueue decides a walk's hop and hands it to the slot's queue; the
 // updater serves it FIFO.
-func (c *chipAccel) enqueue(s *chipSlot, st wstate) {
-	h := c.e.decideHop(st)
+func (c *chipAccel) enqueue(s *chipSlot, w int32) {
+	h := c.e.decideHop(c.e.walk(w))
 	s.pending++
 	s.idle = false
 	c.e.chargeFilterProbes(h, c)
 	ref, n := c.e.newNode()
-	n.st, n.terminal, n.deadEnd = h.next, h.terminal, h.deadEnd
+	n.w, n.terminal, n.deadEnd = w, h.terminal, h.deadEnd
 	c.updater.dispatch(c.e.updateService(c.updaterCycle, h),
 		sim.Event{Target: c.e, Kind: evChipUpdateDone, A: ref, B: int32(c.id), C: int64(s.idx)})
 }
 
 // finishUpdate applies a hop's outcome (§III-B steps 2-7).
-func (c *chipAccel) finishUpdate(s *chipSlot, st wstate, terminal, deadEnd bool) {
+func (c *chipAccel) finishUpdate(s *chipSlot, w int32, terminal, deadEnd bool) {
 	e := c.e
 	s.pending--
 	e.res.ChipUpdates++
@@ -368,11 +368,11 @@ func (c *chipAccel) finishUpdate(s *chipSlot, st wstate, terminal, deadEnd bool)
 			c.completedBytes = 0
 			e.res.CompletedFlushes++
 		}
-		e.finishWalk(&st, !deadEnd)
+		e.finishWalk(w, !deadEnd)
 		c.checkDrained(s)
 		return
 	}
-	c.Guide(st)
+	c.Guide(w)
 	c.checkDrained(s)
 }
 
@@ -391,45 +391,46 @@ func (c *chipAccel) slotDrained(s *chipSlot) {
 
 // Guide classifies an updated walk: back into a loaded subgraph's queue, or
 // into the roving buffer for the channel-level accelerator (§III-B).
-func (c *chipAccel) Guide(st wstate) {
+func (c *chipAccel) Guide(w int32) {
 	// One compare per loaded subgraph plus the move.
 	ref, n := c.e.newNode()
-	n.st = st
+	n.w = w
 	c.dispatchGuide(1+len(c.slots),
 		sim.Event{Target: c.e, Kind: evChipRoute, A: ref, B: int32(c.id)})
 }
 
-func (c *chipAccel) route(st wstate) {
-	if target := c.matchSlot(st); target != nil {
-		c.enqueue(target, st)
+func (c *chipAccel) route(w int32) {
+	if target := c.matchSlot(c.e.walk(w)); target != nil {
+		c.enqueue(target, w)
 		return
 	}
-	c.addRoving(st)
+	c.addRoving(w)
 }
 
 // addRoving buffers a walk for the channel-level accelerator's next fetch,
 // stalling the guider when the roving buffer is full.
-func (c *chipAccel) addRoving(st wstate) {
+func (c *chipAccel) addRoving(w int32) {
 	e := c.e
-	if c.rovingBytes+st.sizeBytes() > e.cfg.ChipRovingBufBytes {
+	size := e.walk(w).sizeBytes()
+	if c.rovingBytes+size > e.cfg.ChipRovingBufBytes {
 		// Roving buffer full: the guider stalls until the channel-level
 		// accelerator's next fetch drains it.
 		e.res.GuiderStalls++
 		ref, n := e.newNode()
-		n.st = st
+		n.w = w
 		c.guider.dispatch(e.cfg.RovingFetchInterval,
 			sim.Event{Target: e, Kind: evChipRoute, A: ref, B: int32(c.id)})
 		return
 	}
-	c.rovingBytes += st.sizeBytes()
+	c.rovingBytes += size
 	if c.roving == nil {
 		c.roving = e.getWalkBuf()
 	}
-	c.roving = append(c.roving, st)
+	c.roving = append(c.roving, w)
 }
 
 // matchSlot finds a loaded slot whose subgraph contains the walk.
-func (c *chipAccel) matchSlot(st wstate) *chipSlot {
+func (c *chipAccel) matchSlot(st *wstate) *chipSlot {
 	for _, s := range c.slots {
 		if s.block < 0 || s.loading {
 			continue
@@ -449,7 +450,7 @@ func (c *chipAccel) matchSlot(st wstate) *chipSlot {
 }
 
 // takeRoving hands the roving buffer's contents to the channel fetcher.
-func (c *chipAccel) takeRoving() ([]wstate, int64) {
+func (c *chipAccel) takeRoving() ([]int32, int64) {
 	w, b := c.roving, c.rovingBytes
 	c.roving = nil
 	c.rovingBytes = 0

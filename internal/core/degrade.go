@@ -73,7 +73,7 @@ func (e *boardEngine) chipDegraded(chip int) {
 // block to the channel-level accelerator instead of the chip. It reports
 // false (walk untouched) when the destination chip is healthy, the block
 // was not failed over, or the channel's hot-update queue is full.
-func (e *boardEngine) rerouteDegraded(blockID int, st wstate) bool {
+func (e *boardEngine) rerouteDegraded(blockID int, w int32) bool {
 	if e.degraded == nil {
 		return false
 	}
@@ -82,7 +82,7 @@ func (e *boardEngine) rerouteDegraded(blockID int, st wstate) bool {
 		return false
 	}
 	ca := e.chans[chip/e.ssd.Cfg.ChipsPerChannel]
-	if !ca.hot.contains(blockID) || !ca.tryHotUpdate(st) {
+	if !ca.hot.contains(blockID) || !ca.tryHotUpdate(w) {
 		return false
 	}
 	e.res.FaultReroutes++

@@ -73,7 +73,7 @@ const (
 // distinct walk, so a misplaced store is visible.
 func fuzzBase() *Snapshot {
 	store := func(b, i int) WalkRecords {
-		return new(packer).walks([]wstate{{w: walk.Walk{Src: 1, Cur: graph.VertexID(100*b + i)}}})
+		return new(packer).walks([]wstate{{w: walk.Walk{Src: 1, Cur: graph.VertexID(100*b + i)}}}, []int32{0})
 	}
 	s := &Snapshot{Boards: make([]BoardImage, fuzzBoards)}
 	for b := range s.Boards {
@@ -110,7 +110,7 @@ func FuzzApplyDelta(f *testing.F) {
 		for b := range d.Body.Boards {
 			d.Body.Boards[b] = BoardImage{PWBBytes: make([]int64, fuzzBlocks), FlushMark: make([]int, fuzzParts)}
 		}
-		walks := new(packer).walks([]wstate{{w: walk.Walk{Src: 7, Cur: 7}}})
+		walks := new(packer).walks([]wstate{{w: walk.Walk{Src: 7, Cur: 7}}}, []int32{0})
 		sd := StoreDelta{Board: board}
 		for i := 0; i < small(nBlocks); i++ {
 			sd.Blocks = append(sd.Blocks, block+i)

@@ -244,10 +244,18 @@ type boardEngine struct {
 	// interface, in construction order (chips, channels, board).
 	tiers []tierAccel
 
+	// wtab is the board's walk table: every walk parked on the board or
+	// moving through it lives here, and every store, batch and event node
+	// holds an index into it. wfree stacks the free indices. A *wstate
+	// taken from the table stays valid until the next addWalk, which only
+	// seeding, resume and fabric arrival call, never a tier handler.
+	wtab  []wstate
+	wfree []int32
+
 	// Per-block walk stores outside the accelerators.
-	pwb       [][]wstate // partition walk buffer entries (DRAM)
+	pwb       [][]int32 // partition walk buffer entries (DRAM)
 	pwbBytes  []int64
-	fls       [][]wstate // walks overflowed to flash, per block
+	fls       [][]int32 // walks overflowed to flash, per block
 	flsPages  []int
 	score     []float64 // cached Eq. 1 score per block
 	scorePend []int     // inserts since last score refresh
@@ -258,8 +266,8 @@ type boardEngine struct {
 
 	// Walks awaiting a future partition. pendingMem walks live in board
 	// DRAM/host; pendingFlash walks were flushed and must be read back.
-	pendingMem        [][]wstate
-	pendingFlash      [][]wstate
+	pendingMem        [][]int32
+	pendingFlash      [][]int32
 	pendingFlashBytes []int64
 	// flushMark[p] is the prefix of pendingMem[p] that is NOT sitting in
 	// the board's foreigner buffer (initial seeds and previously settled
@@ -286,11 +294,11 @@ type boardEngine struct {
 	freeNode  int32
 	batches   []walkBatch
 	freeBatch int32
-	wbufs     [][]wstate
+	wbufs     [][]int32
 
 	// Flushed-foreigner read-back in flight during a partition switch.
 	switchLeft  int
-	switchWalks []wstate
+	switchWalks []int32
 
 	curPart   int
 	activeCur int // walks of the current partition inside the system
@@ -312,6 +320,28 @@ type boardEngine struct {
 	inj      *fault.Injector
 	degraded []bool
 }
+
+// addWalk files a walk in the board's table and returns its index. Growing
+// the table moves every walk, so no *wstate may be held across a call.
+func (e *boardEngine) addWalk(st wstate) int32 {
+	if n := len(e.wfree); n > 0 {
+		i := e.wfree[n-1]
+		e.wfree = e.wfree[:n-1]
+		e.wtab[i] = st
+		return i
+	}
+	e.wtab = append(e.wtab, st)
+	return int32(len(e.wtab) - 1)
+}
+
+// walk resolves a walk index; the pointer is valid until the next addWalk.
+func (e *boardEngine) walk(i int32) *wstate { return &e.wtab[i] }
+
+// dropWalk frees a walk's index once the walk has left the board.
+func (e *boardEngine) dropWalk(i int32) { e.wfree = append(e.wfree, i) }
+
+// liveWalks counts the table's occupied entries.
+func (e *boardEngine) liveWalks() int { return len(e.wtab) - len(e.wfree) }
 
 // edgeProber is the membership-probe interface shared by the static and
 // counting edge Bloom filters; both answer bit-identically over the same
@@ -360,16 +390,16 @@ func newBoardEngine(drv *Engine, id int, rc RunConfig, inDeg []uint64) (*boardEn
 		drv:     drv,
 		boardID: id,
 
-		pwb:       make([][]wstate, part.NumBlocks()),
+		pwb:       make([][]int32, part.NumBlocks()),
 		pwbBytes:  make([]int64, part.NumBlocks()),
-		fls:       make([][]wstate, part.NumBlocks()),
+		fls:       make([][]int32, part.NumBlocks()),
 		flsPages:  make([]int, part.NumBlocks()),
 		score:     make([]float64, part.NumBlocks()),
 		scorePend: make([]int, part.NumBlocks()),
 		blockPos:  make([]int32, part.NumBlocks()),
 
-		pendingMem:        make([][]wstate, part.NumPartitions),
-		pendingFlash:      make([][]wstate, part.NumPartitions),
+		pendingMem:        make([][]int32, part.NumPartitions),
+		pendingFlash:      make([][]int32, part.NumPartitions),
 		pendingFlashBytes: make([]int64, part.NumPartitions),
 		flushMark:         make([]int, part.NumPartitions),
 

@@ -10,14 +10,17 @@ import (
 // accelerator tiers schedule — the time-0 hot-subgraph preload included —
 // is a sim.Event targeting the board engine, dispatched through the jump
 // table in HandleEvent. The walk being carried across the event boundary
-// lives in a pooled wnode addressed by the event's A payload, so the hop
+// is named by a pooled wnode addressed by the event's A payload, so the hop
 // path performs no allocation once the pools are warm.
 //
-// Ownership rule: a wnode holds a walk only across a single event boundary
-// (dispatch -> completion). The durable stores (pwb, fls, roving, pending
-// lists, slot load buffers) hold walk values, never node references, so a
-// node is always freed inside the handler that consumes it — before any
-// re-routing that might claim a fresh node.
+// Ownership rule: a walk lives in its board's walk table (boardEngine.wtab)
+// from the moment it lands on the board until it finishes or leaves over
+// the fabric. Nodes, batches and the durable stores (pwb, fls, roving,
+// pending lists, slot load buffers) hold its 4-byte table index, never a
+// copy, and a tier advances the walk in place. A wnode holds the index only
+// across a single event boundary (dispatch -> completion), so a node is
+// always freed inside the handler that consumes it — before any re-routing
+// that might claim a fresh node.
 
 // Core event kinds (private to boardEngine.HandleEvent; the sim and flash
 // layers each have their own kind space behind their own Handlers).
@@ -36,9 +39,36 @@ const (
 	evHotLoaded                    // one preloaded hot block reached its tier
 )
 
-// wnode carries one walk (plus per-event scratch) across an event boundary.
+// Event payload fields, per kind: what A, B and C name. Resume checks
+// every imported event against this table (Engine.checkEvents).
+const (
+	payChip  = 1 << iota // B is a chip
+	paySlot              // B is a chip and C one of its slots
+	payChan              // B is a channel
+	payTier              // B is a channel, or -1 for the board
+	payNode              // A is a walk node
+	payBatch             // A is a roving batch
+)
+
+var eventPayload = [...]uint8{
+	evChipRoute:      payChip | payNode,
+	evChipUpdateDone: paySlot | payNode,
+	evTierUpdateDone: payTier | payNode,
+	evChanGuided:     payChan | payNode,
+	evChanBatch:      payChan | payBatch,
+	evChanTick:       payChan,
+	evBoardGuided:    payNode,
+	evBoardPortDone:  payNode,
+	evSlotRetry:      paySlot,
+	evLoadPart:       paySlot,
+	evSwitchPage:     0,
+	evHotLoaded:      payTier,
+}
+
+// wnode carries one walk index (plus per-event scratch) across an event
+// boundary.
 type wnode struct {
-	st       wstate
+	w        int32 // the walk's index in the board's walk table
 	prevSize int64 // tier update: queueBytes claimed at dispatch
 	hot      int32 // channel guide: hot block, -1 none
 	foreign  int32 // guide: destination partition when leaving, -1 none
@@ -89,18 +119,18 @@ func (e *boardEngine) freeNodeRef(ref int32) {
 }
 
 // getWalkBuf hands out a recycled walk batch buffer (len 0).
-func (e *boardEngine) getWalkBuf() []wstate {
+func (e *boardEngine) getWalkBuf() []int32 {
 	if n := len(e.wbufs); n > 0 {
 		b := e.wbufs[n-1]
 		e.wbufs[n-1] = nil
 		e.wbufs = e.wbufs[:n-1]
 		return b
 	}
-	return make([]wstate, 0, 16)
+	return make([]int32, 0, 16)
 }
 
 // putWalkBuf recycles a batch buffer once its walks have been handed on.
-func (e *boardEngine) putWalkBuf(b []wstate) {
+func (e *boardEngine) putWalkBuf(b []int32) {
 	if b == nil {
 		return
 	}
@@ -109,12 +139,12 @@ func (e *boardEngine) putWalkBuf(b []wstate) {
 
 // walkBatch is an in-flight roving batch crossing a channel bus.
 type walkBatch struct {
-	walks []wstate
+	walks []int32
 	free  int32
 }
 
 // newBatch parks a roving batch for the duration of its bus transfer.
-func (e *boardEngine) newBatch(walks []wstate) int32 {
+func (e *boardEngine) newBatch(walks []int32) int32 {
 	var ref int32
 	if e.freeBatch >= 0 {
 		ref = e.freeBatch
@@ -128,7 +158,7 @@ func (e *boardEngine) newBatch(walks []wstate) int32 {
 }
 
 // takeBatch releases a batch record, returning its walks.
-func (e *boardEngine) takeBatch(ref int32) []wstate {
+func (e *boardEngine) takeBatch(ref int32) []int32 {
 	walks := e.batches[ref].walks
 	e.batches[ref] = walkBatch{free: e.freeBatch}
 	e.freeBatch = ref
@@ -142,37 +172,37 @@ func (e *boardEngine) HandleEvent(ev sim.Event) {
 	switch ev.Kind {
 	case evChipRoute:
 		c := e.chips[ev.B]
-		st := e.node(ev.A).st
+		w := e.node(ev.A).w
 		e.freeNodeRef(ev.A)
-		c.route(st)
+		c.route(w)
 
 	case evChipUpdateDone:
 		c := e.chips[ev.B]
 		s := c.slots[ev.C]
 		n := e.node(ev.A)
-		st, terminal, deadEnd := n.st, n.terminal, n.deadEnd
+		w, terminal, deadEnd := n.w, n.terminal, n.deadEnd
 		e.freeNodeRef(ev.A)
-		c.finishUpdate(s, st, terminal, deadEnd)
+		c.finishUpdate(s, w, terminal, deadEnd)
 
 	case evTierUpdateDone:
 		t := e.tier(ev.B)
 		n := e.node(ev.A)
-		st, size, terminal, deadEnd := n.st, n.prevSize, n.terminal, n.deadEnd
+		w, size, terminal, deadEnd := n.w, n.prevSize, n.terminal, n.deadEnd
 		e.freeNodeRef(ev.A)
-		t.finishHotUpdate(st, size, terminal, deadEnd)
+		t.finishHotUpdate(w, size, terminal, deadEnd)
 
 	case evChanGuided:
 		ca := e.chans[ev.B]
 		n := e.node(ev.A)
-		st, hot, foreign, rangeID := n.st, n.hot, n.foreign, n.rangeID
+		w, hot, foreign, rangeID := n.w, n.hot, n.foreign, n.rangeID
 		e.freeNodeRef(ev.A)
-		ca.applyGuide(st, hot, foreign, rangeID)
+		ca.applyGuide(w, hot, foreign, rangeID)
 
 	case evChanBatch:
 		batch := e.takeBatch(ev.A)
 		ca := e.chans[ev.B]
-		for i := range batch {
-			ca.Guide(batch[i])
+		for _, w := range batch {
+			ca.Guide(w)
 		}
 		e.putWalkBuf(batch)
 
@@ -218,8 +248,8 @@ func (e *boardEngine) HandleEvent(ev sim.Event) {
 		if e.switchLeft == 0 {
 			ws := e.switchWalks
 			e.switchWalks = nil
-			for i := range ws {
-				e.board.Guide(ws[i])
+			for _, w := range ws {
+				e.board.Guide(w)
 			}
 			e.putWalkBuf(ws)
 		}
@@ -241,7 +271,7 @@ func (e *boardEngine) tier(id int32) *tierCommon {
 // routeBoardNode applies a board classification parked in a node.
 func (e *boardEngine) routeBoardNode(ref int32) {
 	n := e.node(ref)
-	d := routeDecision{st: n.st, blockID: int(n.block), foreignPart: int(n.foreign)}
+	d := routeDecision{w: n.w, blockID: int(n.block), foreignPart: int(n.foreign)}
 	e.freeNodeRef(ref)
 	e.board.route(d)
 }

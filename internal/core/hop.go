@@ -3,16 +3,15 @@ package core
 import (
 	"flashwalker/internal/graph"
 	"flashwalker/internal/partition"
-	"flashwalker/internal/rng"
 	"flashwalker/internal/sim"
 	"flashwalker/internal/walk"
 )
 
-// hopOutcome is a fully decided walk update: the walk's next state, whether
-// it terminates, and the extra updater operations beyond the flat
-// OpsPerUpdate (ITS binary-search steps for biased walks).
+// hopOutcome is a fully decided walk update: whether the walk terminates,
+// and the extra updater operations beyond the flat OpsPerUpdate (ITS
+// binary-search steps for biased walks). decideHop has already advanced the
+// walk itself.
 type hopOutcome struct {
-	next     wstate
 	terminal bool
 	deadEnd  bool
 	extraOps int
@@ -22,19 +21,19 @@ type hopOutcome struct {
 	filterProbes int
 }
 
-// decideHop computes a walk update. The decision is made at dispatch time
-// (before the updater's service interval elapses) so the service time can
-// include the data-dependent ITS cost; the simulation stays deterministic
-// because every draw comes from the walk's private RNG stream (wstate.rng),
-// making the trajectory independent of which tier updates the walk and of
-// any fault-induced timing shifts.
-func (e *boardEngine) decideHop(st wstate) hopOutcome {
-	deg := e.g.OutDegree(st.w.Cur)
+// decideHop computes a walk update and advances the walk in place. The
+// decision is made at dispatch time (before the updater's service interval
+// elapses) so the service time can include the data-dependent ITS cost; the
+// simulation stays deterministic because every draw comes from the walk's
+// private RNG stream (wstate.rng), making the trajectory independent of
+// which tier updates the walk and of any fault-induced timing shifts. A
+// walk at a vertex with no out-edges is left as it is.
+func (e *boardEngine) decideHop(st *wstate) hopOutcome {
+	cur := st.w.Cur
+	deg := e.g.OutDegree(cur)
 	if deg == 0 {
-		return hopOutcome{next: st, terminal: true, deadEnd: true}
+		return hopOutcome{terminal: true, deadEnd: true}
 	}
-	out := st
-	r := &out.rng
 	var idx uint64
 	var extra, probes int
 	if st.denseBlock >= 0 {
@@ -42,40 +41,41 @@ func (e *boardEngine) decideHop(st wstate) hopOutcome {
 		// dereferences it.
 		idx = st.denseEdge
 	} else {
-		idx, extra, probes = e.chooseNextEdge(r, st, deg)
+		idx, extra, probes = e.chooseNextEdge(st, deg)
 	}
-	out.prev = st.w.Cur
-	out.w.Cur = e.g.OutEdges(st.w.Cur)[idx]
-	out.w.Hop--
-	out.clearTags()
+	st.prev = cur
+	st.w.Cur = e.g.OutEdges(cur)[idx]
+	st.w.Hop--
+	st.clearTags()
 	if e.res.Visits != nil {
-		e.res.Visits[out.w.Cur]++
+		e.res.Visits[st.w.Cur]++
 	}
 	return hopOutcome{
-		next:         out,
-		terminal:     e.spec.TerminatesAfterHop(r, &out.w),
+		terminal:     e.spec.TerminatesAfterHop(&st.rng, &st.w),
 		extraOps:     extra,
 		filterProbes: probes,
 	}
 }
 
 // chooseNextEdge draws st's next edge index for a vertex of degree deg from
-// r (the walk's own stream). Factored out of decideHop so the board's dense
-// pre-walk (route.go) consumes the stream exactly as a direct update would:
-// a dense vertex can also sit inside a non-dense block's vertex range, and
-// whether such a walk is pre-walked or updated in place is timing-dependent,
-// so both paths must make identical draws.
-func (e *boardEngine) chooseNextEdge(r *rng.RNG, st wstate, deg uint64) (idx uint64, extra, probes int) {
+// the walk's own stream, advancing only st.rng. Factored out of decideHop
+// so the board's dense pre-walk (route.go) consumes the stream exactly as a
+// direct update would: a dense vertex can also sit inside a non-dense
+// block's vertex range, and whether such a walk is pre-walked or updated in
+// place is timing-dependent, so both paths must make identical draws.
+func (e *boardEngine) chooseNextEdge(st *wstate, deg uint64) (idx uint64, extra, probes int) {
+	r := &st.rng
 	switch {
 	case e.spec.Kind == walk.SecondOrder && st.prev != noPrev:
 		// Dynamic (node2vec) sampling: rejection with the DRAM-resident
 		// edge Bloom filter standing in for the previous vertex's
 		// adjacency (which may live in an unloaded subgraph).
 		var rejects int
+		prev := st.prev
 		idx, probes, rejects = e.spec.ChooseEdgeSecondOrderFiltered(
-			r, e.g.OutEdges(st.w.Cur), st.prev,
+			r, e.g.OutEdges(st.w.Cur), prev,
 			func(cand graph.VertexID) bool {
-				return e.edgeFilter.Contains(partition.EdgeKey(st.prev, cand))
+				return e.edgeFilter.Contains(partition.EdgeKey(prev, cand))
 			})
 		extra = 2*probes + rejects
 	case e.alias != nil:

@@ -24,9 +24,10 @@ func (e *boardEngine) homePartition(v graph.VertexID) int {
 	return 0
 }
 
-// finishWalk retires a walk (completed or dead-ended). st is the walk's
-// final state, read only for the completed-walk export (export.go).
-func (e *boardEngine) finishWalk(st *wstate, completed bool) {
+// finishWalk retires walk w (completed or dead-ended): the completed-walk
+// export (export.go) reads its final state from the table, then its index
+// is freed.
+func (e *boardEngine) finishWalk(w int32, completed bool) {
 	if completed {
 		e.res.Completed++
 		e.emit(trace.WalkDone, 1, 0)
@@ -38,8 +39,9 @@ func (e *boardEngine) finishWalk(st *wstate, completed bool) {
 		e.res.ProgressTS.Add(e.eng.Now(), 1)
 	}
 	if e.drv.onWalks != nil {
-		e.drv.exportWalk(e, st, completed)
+		e.drv.exportWalk(e, e.walk(w), completed)
 	}
+	e.dropWalk(w)
 	e.drv.walkFinished()
 	e.activeCur--
 	e.checkPartitionDone()
@@ -129,8 +131,8 @@ func (e *boardEngine) startPartition(p int) {
 
 	// Each guided walk holds a node until its guider finishes.
 	e.reserveNodes(len(mem))
-	for i := range mem {
-		e.board.Guide(mem[i])
+	for _, w := range mem {
+		e.board.Guide(w)
 	}
 	e.putWalkBuf(mem)
 	if len(fl) > 0 {

@@ -10,9 +10,9 @@ import (
 // subgraph mapping table, the dense-vertices table, or the walk query
 // caches is here, so a new routing policy is a localized change.
 
-// routeDecision is a precomputed guider classification.
+// routeDecision is a precomputed guider classification of walk w.
 type routeDecision struct {
-	st          wstate
+	w           int32
 	blockID     int // destination block in current partition, -1 if n/a
 	foreignPart int // >=0: walk leaves the current partition
 	ops         int // guider operations
@@ -21,10 +21,11 @@ type routeDecision struct {
 
 // classify decides a walk's destination: dense pre-walk, query-cache hit,
 // or mapping-table binary search (restricted to the tagged range when the
-// approximate walk search ran).
-func (b *boardAccel) classify(st wstate) routeDecision {
+// approximate walk search ran). A dense pre-walk tags the walk in place.
+func (b *boardAccel) classify(w int32) routeDecision {
 	e := b.e
-	d := routeDecision{st: st, blockID: -1, foreignPart: -1, ops: 1}
+	st := e.walk(w)
+	d := routeDecision{w: w, blockID: -1, foreignPart: -1, ops: 1}
 
 	// Pre-walked dense walks already know their block.
 	if st.denseBlock >= 0 {
@@ -47,12 +48,12 @@ func (b *boardAccel) classify(st wstate) routeDecision {
 			// block holding that edge. The draw comes from the walk's own
 			// stream via the same sampler decideHop uses, so pre-walked and
 			// directly-updated paths consume the stream identically.
-			idx, extra, probes := e.chooseNextEdge(&d.st.rng, st, meta.OutDegree)
+			idx, extra, probes := e.chooseNextEdge(st, meta.OutDegree)
 			e.chargeFilterProbes(hopOutcome{filterProbes: probes}, nil)
 			d.ops += 1 + extra
 			blockID, _ := partition.DenseBlockFor(meta, idx)
-			d.st.denseBlock = blockID
-			d.st.denseEdge = idx
+			st.denseBlock = blockID
+			st.denseEdge = idx
 			d.blockID = blockID
 			e.res.PreWalks++
 			if !e.inCurrentPartition(blockID) {
@@ -111,7 +112,7 @@ func (b *boardAccel) classify(st wstate) routeDecision {
 // vertex. With a range tag the search is restricted to the intersection of
 // the tagged range and the current partition; otherwise it spans the
 // current partition's entries.
-func (b *boardAccel) search(st wstate) (blockID, steps int) {
+func (b *boardAccel) search(st *wstate) (blockID, steps int) {
 	e := b.e
 	first, last := e.part.PartitionSpan(e.curPart)
 	if st.rangeTag >= 0 {
@@ -133,7 +134,7 @@ func (b *boardAccel) search(st wstate) (blockID, steps int) {
 
 // resolveForeign determines a foreigner's destination partition with a
 // global table search (charged on top of the failed partition search).
-func (b *boardAccel) resolveForeign(st wstate, steps int) (part, totalSteps int) {
+func (b *boardAccel) resolveForeign(st *wstate, steps int) (part, totalSteps int) {
 	e := b.e
 	blockID, extra := e.part.BlockOf(st.w.Cur)
 	e.res.TableSearchSteps += uint64(extra)

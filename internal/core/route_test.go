@@ -110,7 +110,7 @@ func TestClassifyDecisions(t *testing.T) {
 				// The board rotates round-robin over its caches; one miss per
 				// cache fills them all, so the next classify must hit.
 				for range e.board.caches {
-					e.board.classify(routeWalk(v))
+					e.board.classify(e.addWalk(routeWalk(v)))
 				}
 				return routeWalk(v)
 			},
@@ -179,7 +179,7 @@ func TestClassifyDecisions(t *testing.T) {
 			rc.Cfg.Opts = tc.opts
 			e := newRouteEngine(t, g, rc)
 			st := tc.prep(t, e)
-			d := e.board.classify(st)
+			d := e.board.classify(e.addWalk(st))
 			tc.check(t, e, d)
 		})
 	}
@@ -201,12 +201,14 @@ func TestClassifyDensePreWalk(t *testing.T) {
 		t.Fatal("no dense vertex on a 2000-spoke star")
 	}
 
-	d := e.board.classify(routeWalk(hub))
-	if d.st.denseBlock < 0 {
+	w := e.addWalk(routeWalk(hub))
+	d := e.board.classify(w)
+	st := e.walk(w)
+	if st.denseBlock < 0 {
 		t.Fatal("dense vertex not pre-walked")
 	}
-	if d.blockID != d.st.denseBlock {
-		t.Fatalf("routed to %d, pre-walked block is %d", d.blockID, d.st.denseBlock)
+	if d.blockID != st.denseBlock {
+		t.Fatalf("routed to %d, pre-walked block is %d", d.blockID, st.denseBlock)
 	}
 	if d.searchSteps != 0 {
 		t.Fatal("dense path searched the mapping table")
@@ -221,8 +223,8 @@ func TestClassifyDensePreWalk(t *testing.T) {
 
 	// A pre-walked walk arriving at the board keeps its chosen block and is
 	// not pre-walked again.
-	d2 := e.board.classify(d.st)
-	if d2.blockID != d.st.denseBlock || d2.ops != 1 {
+	d2 := e.board.classify(w)
+	if d2.blockID != st.denseBlock || d2.ops != 1 {
 		t.Fatalf("re-classify: blockID=%d ops=%d", d2.blockID, d2.ops)
 	}
 	if e.res.PreWalks != 1 {
@@ -239,7 +241,7 @@ func TestRouteHotSubgraphAdmission(t *testing.T) {
 	e.activeCur = 10 // keep demotions from ending the (unstarted) partition
 
 	// Not hot: the walk buffers into the block's PWB entry.
-	b.route(routeDecision{st: st, blockID: blk, foreignPart: -1})
+	b.route(routeDecision{w: e.addWalk(st), blockID: blk, foreignPart: -1})
 	if len(e.pwb[blk]) != 1 {
 		t.Fatalf("PWB entry holds %d walks, want 1", len(e.pwb[blk]))
 	}
@@ -248,7 +250,7 @@ func TestRouteHotSubgraphAdmission(t *testing.T) {
 	b.hot = newHotIndex(e.part, []int{blk})
 	b.hotReady = true
 	before := b.queueBytes
-	b.route(routeDecision{st: st, blockID: blk, foreignPart: -1})
+	b.route(routeDecision{w: e.addWalk(st), blockID: blk, foreignPart: -1})
 	if len(e.pwb[blk]) != 1 {
 		t.Fatal("hot walk was buffered to the PWB")
 	}
@@ -258,7 +260,7 @@ func TestRouteHotSubgraphAdmission(t *testing.T) {
 
 	// Queue full: hot routing falls back to the PWB.
 	b.queueBytes = b.queueCap
-	b.route(routeDecision{st: st, blockID: blk, foreignPart: -1})
+	b.route(routeDecision{w: e.addWalk(st), blockID: blk, foreignPart: -1})
 	if len(e.pwb[blk]) != 2 {
 		t.Fatal("over-cap hot walk not buffered to the PWB")
 	}
@@ -267,7 +269,7 @@ func TestRouteHotSubgraphAdmission(t *testing.T) {
 	// holds seeded walks, so compare against the pre-route length.
 	if e.part.NumPartitions >= 2 {
 		seeded := len(e.pendingMem[1])
-		b.route(routeDecision{st: st, blockID: -1, foreignPart: 1})
+		b.route(routeDecision{w: e.addWalk(st), blockID: -1, foreignPart: 1})
 		if e.res.ForeignerWalks != 1 || len(e.pendingMem[1]) != seeded+1 {
 			t.Fatalf("foreigner not demoted: walks=%d pending=%d (seeded %d)",
 				e.res.ForeignerWalks, len(e.pendingMem[1]), seeded)

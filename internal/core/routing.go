@@ -18,21 +18,21 @@ import (
 // pendingMem[p]); if the buffer fills, every buffered foreigner is flushed
 // to flash (§III-C/D). A destination partition on another board's shard is
 // serialized over the inter-board fabric instead.
-func (e *boardEngine) demoteWalk(p int, st wstate) {
+func (e *boardEngine) demoteWalk(p int, w int32) {
 	// Only the range tag is partition-relative; the dense pre-walk decision
 	// (denseBlock/denseEdge) is globally valid and already consumed a draw
 	// from the walk's RNG stream, so it must survive demotion — clearing it
 	// would make the walk re-draw when its partition starts, desyncing the
 	// stream between runs whose demotion timing differs.
-	st.rangeTag = -1
+	e.walk(w).rangeTag = -1
 	e.res.ForeignerWalks++
 	if e.drv.shard.BoardOf(p) != e.boardID {
-		e.drv.sendForeigner(e, p, st)
+		e.drv.sendForeigner(e, p, w)
 	} else {
 		if e.pendingMem[p] == nil {
 			e.pendingMem[p] = e.getWalkBuf()
 		}
-		e.pendingMem[p] = append(e.pendingMem[p], st)
+		e.pendingMem[p] = append(e.pendingMem[p], w)
 		e.foreignerBufBytes += walk.StateBytes
 		if e.foreignerBufBytes >= e.cfg.ForeignerBufBytes {
 			e.flushForeigners()

@@ -35,10 +35,10 @@ func (e *boardEngine) refreshScore(b int) {
 // insertPWB places a walk into the partition walk buffer entry of block b,
 // overflowing the entry to flash when it fills (§III-D). The record is
 // written through the DRAM port.
-func (e *boardEngine) insertPWB(b int, st wstate) {
-	sz := st.sizeBytes()
+func (e *boardEngine) insertPWB(b int, w int32) {
+	sz := e.walk(w).sizeBytes()
 	e.dr.Write(sz, nil)
-	e.pwb[b] = append(e.pwb[b], st)
+	e.pwb[b] = append(e.pwb[b], w)
 	e.pwbBytes[b] += sz
 	if e.pwbBytes[b] > e.cfg.PartitionWalkEntryBytes {
 		e.overflowPWB(b)

@@ -418,7 +418,7 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 		ForeignerBufBytes: e.foreignerBufBytes,
 
 		SwitchLeft:  e.switchLeft,
-		SwitchWalks: p.walks(e.switchWalks),
+		SwitchWalks: p.walks(e.wtab, e.switchWalks),
 
 		CurPart:   e.curPart,
 		ActiveCur: e.activeCur,
@@ -437,24 +437,24 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 	s.PWB = make([]WalkRecords, len(e.pwb))
 	s.FLS = make([]WalkRecords, len(e.fls))
 	for b := range e.pwb {
-		s.PWB[b] = p.walks(e.pwb[b])
-		s.FLS[b] = p.walks(e.fls[b])
+		s.PWB[b] = p.walks(e.wtab, e.pwb[b])
+		s.FLS[b] = p.walks(e.wtab, e.fls[b])
 	}
 	s.PendingMem = make([]WalkRecords, len(e.pendingMem))
 	s.PendingFlash = make([]WalkRecords, len(e.pendingFlash))
 	for i := range e.pendingMem {
-		s.PendingMem[i] = p.walks(e.pendingMem[i])
-		s.PendingFlash[i] = p.walks(e.pendingFlash[i])
+		s.PendingMem[i] = p.walks(e.wtab, e.pendingMem[i])
+		s.PendingFlash[i] = p.walks(e.wtab, e.pendingFlash[i])
 	}
 
 	if s.Nodes, err = p.pool(len(e.nodes), e.freeNode,
 		func(i int32) int32 { return e.nodes[i].free },
-		func(b []byte, i int32) []byte { return appendNode(b, &e.nodes[i]) }); err != nil {
+		func(b []byte, i int32) []byte { return appendNode(b, e.wtab, &e.nodes[i]) }); err != nil {
 		return err
 	}
 	if s.Batches, err = p.pool(len(e.batches), e.freeBatch,
 		func(i int32) int32 { return e.batches[i].free },
-		func(b []byte, i int32) []byte { return appendWalks(b, e.batches[i].walks) }); err != nil {
+		func(b []byte, i int32) []byte { return appendWalks(b, e.wtab, e.batches[i].walks) }); err != nil {
 		return err
 	}
 
@@ -463,7 +463,7 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 		cs := ChipState{
 			Tier:           tierOut(&c.tierCommon),
 			Slots:          make([]SlotState, len(c.slots)),
-			Roving:         p.walks(c.roving),
+			Roving:         p.walks(e.wtab, c.roving),
 			RovingBytes:    c.rovingBytes,
 			CompletedBytes: c.completedBytes,
 		}
@@ -471,7 +471,7 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 			cs.Slots[j] = SlotState{
 				Block: sl.block, Loading: sl.loading, Idle: sl.idle,
 				Defers: sl.defers, Pending: sl.pending,
-				LoadLeft: sl.loadLeft, LoadWalks: p.walks(sl.loadWalks),
+				LoadLeft: sl.loadLeft, LoadWalks: p.walks(e.wtab, sl.loadWalks),
 			}
 		}
 		s.Chips[i] = cs
@@ -626,6 +626,9 @@ func (e *Engine) restore(snap *Snapshot) error {
 		func(i int32, r *recReader) { e.fbatches[i] = r.fabricBatch() }); err != nil {
 		return fmt.Errorf("core: resume fabric transfers: %w", err)
 	}
+	if err := e.checkEvents(snap); err != nil {
+		return fmt.Errorf("core: resume: %w", err)
+	}
 	e.inFabric = snap.InFabric
 	e.remaining = snap.Remaining
 	e.numStarted = snap.NumWalks
@@ -684,7 +687,9 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 		copy(e.degraded, snap.Injector.Degraded)
 	}
 
-	var u unpacker
+	// Every decoded walk is filed in this board's table; the stores and
+	// pools get fresh indices.
+	u := unpacker{be: e}
 	for b := 0; b < nb; b++ {
 		e.pwb[b] = u.walks(snap.PWB[b])
 		e.fls[b] = u.walks(snap.FLS[b])
@@ -706,13 +711,13 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	if e.freeNode, err = snap.Nodes.load(minNodeBytes,
 		func(n int) { e.nodes = make([]wnode, n) },
 		func(i, next int32) { e.nodes[i].free = next },
-		func(i int32, r *recReader) { r.node(&e.nodes[i]) }); err != nil {
+		func(i int32, r *recReader) { r.node(&e.nodes[i], e) }); err != nil {
 		return fmt.Errorf("core: resume event nodes: %w", err)
 	}
 	if e.freeBatch, err = snap.Batches.load(minBatchBytes,
 		func(n int) { e.batches = make([]walkBatch, n) },
 		func(i, next int32) { e.batches[i].free = next },
-		func(i int32, r *recReader) { e.batches[i] = walkBatch{walks: r.walks(), free: -1} }); err != nil {
+		func(i int32, r *recReader) { e.batches[i] = walkBatch{walks: r.walks(e), free: -1} }); err != nil {
 		return fmt.Errorf("core: resume roving batches: %w", err)
 	}
 
@@ -789,6 +794,145 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	}
 	e.res = snap.Res
 	e.res.Visits = append([]uint64(nil), snap.Res.Visits...)
+	return nil
+}
+
+// claims counts the pending events and op completions that name each
+// record of a restored pool. A free record starts at -1, so a claim on it
+// fails like a second claim on a live one.
+type claims []int8
+
+func newClaims(img *PoolImage) claims {
+	c := make(claims, img.Len)
+	for _, i := range img.Free {
+		c[i] = -1
+	}
+	return c
+}
+
+func (c claims) claim(ref int32, what string) error {
+	if ref < 0 || int(ref) >= len(c) {
+		return fmt.Errorf("%s %d outside a pool of %d", what, ref, len(c))
+	}
+	if c[ref] != 0 {
+		return fmt.Errorf("%s %d is free or claimed twice", what, ref)
+	}
+	c[ref] = 1
+	return nil
+}
+
+// unclaimed fails on a live record no event names: it would never be
+// consumed, and the walk it holds would never finish.
+func (c claims) unclaimed(what string) error {
+	for i, n := range c {
+		if n == 0 {
+			return fmt.Errorf("live %s %d is named by no pending event", what, i)
+		}
+	}
+	return nil
+}
+
+// checkEvents validates every imported pending event and every live flash
+// op's completion against its target's kind space, once every pool is
+// restored: the kind is known, chip, channel, tier, slot and board indices
+// are in range, and node, roving-batch, fabric-transfer and flash-op
+// references are live. Each live node, roving batch and fabric transfer
+// must be named by exactly one event or completion — a second one would
+// hand two tiers the same walk. A hostile image is an error here rather
+// than a panic or a walk that never finishes once the run resumes.
+func (e *Engine) checkEvents(snap *Snapshot) error {
+	nb := len(e.boards)
+	nodes, batches := make([]claims, nb), make([]claims, nb)
+	for b := range e.boards {
+		nodes[b] = newClaims(&snap.Boards[b].Nodes)
+		batches[b] = newClaims(&snap.Boards[b].Batches)
+	}
+	fbatches := newClaims(&snap.FBatches)
+	// check validates an event aimed at the driver or a board; restore has
+	// already resolved every target ID.
+	check := func(target int32, kind uint16, a, b int32, c int64) error {
+		if target == targetDriver {
+			switch kind {
+			case evFabricArrive:
+				return fbatches.claim(a, "fabric transfer")
+			case evBoardKill:
+				if b < 0 || int(b) >= nb {
+					return fmt.Errorf("board kill names board %d of %d", b, nb)
+				}
+				return nil
+			}
+			return fmt.Errorf("unknown driver event kind %d", kind)
+		}
+		if bd := int(target-1) / 2; target == targetBoard(bd) {
+			return e.boards[bd].checkEvent(kind, a, b, c, nodes[bd], batches[bd])
+		}
+		return fmt.Errorf("completion kind %d aimed at an SSD", kind)
+	}
+	ssdEvents := make([][]sim.SavedEvent, nb)
+	for _, ev := range snap.Sim.Events {
+		if b := int(ev.Target-1) / 2; ev.Target == targetSSD(b) {
+			ssdEvents[b] = append(ssdEvents[b], ev)
+			continue
+		}
+		if err := check(ev.Target, ev.Kind, ev.A, ev.B, ev.C); err != nil {
+			return fmt.Errorf("pending event at %v: %w", ev.At, err)
+		}
+	}
+	for b, be := range e.boards {
+		if err := be.ssd.CheckPending(ssdEvents[b]); err != nil {
+			return fmt.Errorf("board %d: %w", b, err)
+		}
+		for i, op := range snap.Boards[b].Flash.Ops {
+			if op.Remaining == 0 || !op.HasDone {
+				continue
+			}
+			d := op.Done
+			if err := check(d.Target, d.Kind, d.A, d.B, d.C); err != nil {
+				return fmt.Errorf("board %d flash op %d completion: %w", b, i, err)
+			}
+		}
+		if err := nodes[b].unclaimed("node"); err != nil {
+			return fmt.Errorf("board %d: %w", b, err)
+		}
+		if err := batches[b].unclaimed("roving batch"); err != nil {
+			return fmt.Errorf("board %d: %w", b, err)
+		}
+	}
+	return fbatches.unclaimed("fabric transfer")
+}
+
+// checkEvent validates one event or op completion aimed at this board
+// against its kind's payload (eventPayload), claiming the node or roving
+// batch it names.
+func (e *boardEngine) checkEvent(kind uint16, a, b int32, c int64, nodes, batches claims) error {
+	if int(kind) >= len(eventPayload) {
+		return fmt.Errorf("unknown board event kind %d", kind)
+	}
+	p := eventPayload[kind]
+	switch {
+	case p&(payChip|paySlot) != 0 && (b < 0 || int(b) >= len(e.chips)):
+		return fmt.Errorf("event kind %d names chip %d of %d", kind, b, len(e.chips))
+	case p&paySlot != 0 && (c < 0 || c >= int64(len(e.chips[b].slots))):
+		return fmt.Errorf("event kind %d names slot %d of %d", kind, c, len(e.chips[b].slots))
+	case p&payChan != 0 && (b < 0 || int(b) >= len(e.chans)),
+		p&payTier != 0 && (b < -1 || int(b) >= len(e.chans)):
+		return fmt.Errorf("event kind %d names channel %d of %d", kind, b, len(e.chans))
+	case p&payBatch != 0:
+		return batches.claim(a, "roving batch")
+	case p&payNode != 0:
+		if err := nodes.claim(a, "node"); err != nil {
+			return err
+		}
+		// The handlers index partitions, blocks and ranges with the
+		// node's routing scratch.
+		n := &e.nodes[a]
+		if n.foreign < -1 || int(n.foreign) >= e.part.NumPartitions ||
+			n.block < -1 || int(n.block) >= e.part.NumBlocks() ||
+			n.rangeID < -1 || int(n.rangeID) >= len(e.part.Ranges) || n.steps < 0 {
+			return fmt.Errorf("node %d routes to partition %d, block %d, range %d in %d steps",
+				a, n.foreign, n.block, n.rangeID, n.steps)
+		}
+	}
 	return nil
 }
 

@@ -19,13 +19,14 @@ func simTime(n int) sim.Time { return sim.Time(n) }
 // Adding a fourth tier (or replacing a routing policy) means implementing
 // this interface and wiring it in buildAccelerators — nothing else.
 type tierAccel interface {
-	// Guide classifies a walk at this tier (guider pipeline) and routes it
-	// onward: into the tier's own updater, down to a lower tier's buffers,
-	// or out to the foreigner path.
-	Guide(st wstate)
-	// EnqueueUpdate runs a walk through this tier's updater pool and
+	// Guide classifies walk w (an index into the board's walk table) at
+	// this tier (guider pipeline) and routes it onward: into the tier's own
+	// updater, down to a lower tier's buffers, or out to the foreigner
+	// path.
+	Guide(w int32)
+	// EnqueueUpdate runs walk w through this tier's updater pool and
 	// re-guides or retires the outcome.
-	EnqueueUpdate(st wstate)
+	EnqueueUpdate(w int32)
 	// HotBlocks reports the tier's resident hot-subgraph block IDs.
 	HotBlocks() []int
 	// SetHotBlocks installs the tier's hot-subgraph set.
@@ -103,15 +104,16 @@ func (t *tierCommon) dispatchGuide(ops int, done sim.Event) {
 	t.guider.dispatch(simTime(ops)*t.guiderCycle, done)
 }
 
-// tryHotUpdate claims hot-update queue capacity for st and, on success,
-// runs it through the tier's updater. It reports false (walk untouched)
-// when the queue is full.
-func (t *tierCommon) tryHotUpdate(st wstate) bool {
-	if t.queueBytes+st.sizeBytes() > t.queueCap {
+// tryHotUpdate claims hot-update queue capacity for walk w and, on
+// success, runs it through the tier's updater. It reports false (walk
+// untouched) when the queue is full.
+func (t *tierCommon) tryHotUpdate(w int32) bool {
+	size := t.e.walk(w).sizeBytes()
+	if t.queueBytes+size > t.queueCap {
 		return false
 	}
-	t.queueBytes += st.sizeBytes()
-	t.self.EnqueueUpdate(st)
+	t.queueBytes += size
+	t.self.EnqueueUpdate(w)
 	return true
 }
 
@@ -119,13 +121,16 @@ func (t *tierCommon) tryHotUpdate(st wstate) bool {
 // decide the hop, charge its filter probes, occupy an updater for the
 // service time, then retire the walk or re-guide it at this tier. The
 // chip tier overrides it (its updates are slot-owned, see chipAccel).
-func (t *tierCommon) EnqueueUpdate(st wstate) {
+func (t *tierCommon) EnqueueUpdate(w int32) {
 	e := t.e
+	st := e.walk(w)
+	// The hop clears the dense tag, which changes the record size, so the
+	// claimed queue bytes are read first.
 	size := st.sizeBytes()
 	h := e.decideHop(st)
 	e.chargeFilterProbes(h, nil)
 	ref, n := e.newNode()
-	n.st, n.prevSize = h.next, size
+	n.w, n.prevSize = w, size
 	n.terminal, n.deadEnd = h.terminal, h.deadEnd
 	t.updater.dispatch(e.updateService(t.updaterCycle, h),
 		sim.Event{Target: e, Kind: evTierUpdateDone, A: ref, B: t.tierID})
@@ -133,7 +138,7 @@ func (t *tierCommon) EnqueueUpdate(st wstate) {
 
 // finishHotUpdate retires or re-guides a walk whose hot-subgraph update
 // completed (the evTierUpdateDone continuation).
-func (t *tierCommon) finishHotUpdate(st wstate, size int64, terminal, deadEnd bool) {
+func (t *tierCommon) finishHotUpdate(w int32, size int64, terminal, deadEnd bool) {
 	e := t.e
 	t.queueBytes -= size
 	if t.hotHits != nil {
@@ -144,10 +149,10 @@ func (t *tierCommon) finishHotUpdate(st wstate, size int64, terminal, deadEnd bo
 	}
 	if terminal {
 		e.board.completed()
-		e.finishWalk(&st, !deadEnd)
+		e.finishWalk(w, !deadEnd)
 		return
 	}
-	t.self.Guide(st)
+	t.self.Guide(w)
 }
 
 // hotIndex is a sorted hot-subgraph membership structure shared by the

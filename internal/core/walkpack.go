@@ -15,6 +15,10 @@ import (
 // them to one arena; the container codec then ships each store as a single
 // byte string, and DiffSnapshot compares stores byte for byte.
 //
+// In memory a board's stores hold indices into its walk table; the packer
+// resolves each index and writes the walk itself, and restore files every
+// decoded walk in its board's table. Indices never reach an image.
+//
 // One walk record is, in order: Src, Cur and Hop as uvarints, the dense
 // block as a zigzag varint, the dense edge as a uvarint, the range tag as a
 // zigzag varint, the previous vertex plus one as a uvarint (noPrev packs as
@@ -75,13 +79,14 @@ func (p *packer) cut(start int) []byte {
 	return p.buf[start:len(p.buf):len(p.buf)]
 }
 
-// walks packs a store; an empty store packs as nil.
-func (p *packer) walks(ws []wstate) WalkRecords {
+// walks packs a store of indices into the walk table tab; an empty store
+// packs as nil.
+func (p *packer) walks(tab []wstate, ws []int32) WalkRecords {
 	if len(ws) == 0 {
 		return nil
 	}
 	start := len(p.buf)
-	p.buf = appendWalks(p.buf, ws)
+	p.buf = appendWalks(p.buf, tab, ws)
 	return p.cut(start)
 }
 
@@ -132,11 +137,11 @@ func appendWalk(b []byte, st *wstate) []byte {
 	return b
 }
 
-// appendWalks appends a count-prefixed run.
-func appendWalks(b []byte, ws []wstate) []byte {
+// appendWalks appends a count-prefixed run of the walks ws names in tab.
+func appendWalks(b []byte, tab []wstate, ws []int32) []byte {
 	b = binary.AppendUvarint(b, uint64(len(ws)))
-	for i := range ws {
-		b = appendWalk(b, &ws[i])
+	for _, w := range ws {
+		b = appendWalk(b, &tab[w])
 	}
 	return b
 }
@@ -150,8 +155,8 @@ func appendFabricWalks(b []byte, ws []fabricWalk) []byte {
 	return b
 }
 
-func appendNode(b []byte, n *wnode) []byte {
-	b = appendWalk(b, &n.st)
+func appendNode(b []byte, tab []wstate, n *wnode) []byte {
+	b = appendWalk(b, &tab[n.w])
 	b = binary.AppendVarint(b, n.prevSize)
 	for _, v := range [...]int32{n.hot, n.foreign, n.rangeID, n.block, n.steps} {
 		b = binary.AppendVarint(b, int64(v))
@@ -271,17 +276,25 @@ func (r *recReader) walk(st *wstate) {
 	st.rng.SetState(s)
 }
 
-// walks reads a count-prefixed run; a zero count is a nil run.
-func (r *recReader) walks() []wstate {
+// walks reads a count-prefixed run into be's walk table and returns the
+// indices; a zero count is a nil run.
+func (r *recReader) walks(be *boardEngine) []int32 {
 	n := r.count(minWalkBytes)
 	if n == 0 {
 		return nil
 	}
-	out := make([]wstate, n)
+	out := make([]int32, n)
 	for i := range out {
-		r.walk(&out[i])
+		out[i] = r.tableWalk(be)
 	}
 	return out
+}
+
+// tableWalk reads one walk record into be's walk table.
+func (r *recReader) tableWalk(be *boardEngine) int32 {
+	var st wstate
+	r.walk(&st)
+	return be.addWalk(st)
 }
 
 func (r *recReader) fabricWalks() []fabricWalk {
@@ -297,8 +310,8 @@ func (r *recReader) fabricWalks() []fabricWalk {
 	return out
 }
 
-func (r *recReader) node(n *wnode) {
-	r.walk(&n.st)
+func (r *recReader) node(n *wnode, be *boardEngine) {
+	n.w = r.tableWalk(be)
 	n.prevSize = r.varint()
 	for _, v := range [...]*int32{&n.hot, &n.foreign, &n.rangeID, &n.block, &n.steps} {
 		*v = r.int32()
@@ -322,16 +335,19 @@ func (r *recReader) fabricBatch() fabricBatch {
 	return fabricBatch{walks: r.fabricWalks(), dst: dst, free: -1}
 }
 
-// unpacker decodes a snapshot's packed walk stores, latching the first
-// malformed one's error.
-type unpacker struct{ err error }
+// unpacker decodes a snapshot's packed walk stores, filing board walks in
+// board be's walk table and latching the first malformed store's error.
+type unpacker struct {
+	be  *boardEngine
+	err error
+}
 
-func (u *unpacker) walks(rec WalkRecords) []wstate {
+func (u *unpacker) walks(rec WalkRecords) []int32 {
 	if rec == nil || u.err != nil {
 		return nil
 	}
 	r := recReader{b: rec}
-	out := r.walks()
+	out := r.walks(u.be)
 	u.err = r.done()
 	return out
 }

@@ -42,10 +42,11 @@ func sealPayload(kind string, payload []byte) []byte {
 	return append(b, sum[:]...)
 }
 
-// unpackImage runs every packed decoder restore runs on s, returning the
-// first error.
+// unpackImage runs every packed decoder restore runs on s, filing the
+// walks in a scratch board's table, and returns the first error.
 func unpackImage(s *Snapshot) error {
-	var u unpacker
+	be := new(boardEngine)
+	u := unpacker{be: be}
 	var firstErr error
 	keep := func(err error) {
 		if firstErr == nil {
@@ -70,13 +71,13 @@ func unpackImage(s *Snapshot) error {
 		_, err := img.Nodes.load(minNodeBytes,
 			func(n int) { nodes = make([]wnode, n) },
 			func(i, next int32) { nodes[i].free = next },
-			func(i int32, r *recReader) { r.node(&nodes[i]) })
+			func(i int32, r *recReader) { r.node(&nodes[i], be) })
 		keep(err)
 		var batches []walkBatch
 		_, err = img.Batches.load(minBatchBytes,
 			func(n int) { batches = make([]walkBatch, n) },
 			func(i, next int32) { batches[i].free = next },
-			func(i int32, r *recReader) { batches[i].walks = r.walks() })
+			func(i int32, r *recReader) { batches[i].walks = r.walks(be) })
 		keep(err)
 	}
 	for _, row := range s.Egress {
@@ -129,10 +130,11 @@ func TestPackedRecordsRejectMalformed(t *testing.T) {
 	ws := []wstate{{denseBlock: -1, rangeTag: -1, prev: noPrev}, {denseBlock: 3, denseEdge: 9, rangeTag: 2, prev: 5}}
 	ws[1].w.Src, ws[1].w.Cur, ws[1].w.Hop = 1<<40, 7, 80
 	ws[1].rng.SetState([4]uint64{1, 2, 3, 4})
-	rec := new(packer).walks(ws)
-	var u unpacker
-	if got := u.walks(rec); u.err != nil || !reflect.DeepEqual(got, ws) {
-		t.Fatalf("round trip: %+v, %v", got, u.err)
+	rec := new(packer).walks(ws, []int32{1, 0})
+	u := unpacker{be: new(boardEngine)}
+	if got := u.walks(rec); u.err != nil || !reflect.DeepEqual(got, []int32{0, 1}) ||
+		!reflect.DeepEqual(u.be.wtab, []wstate{ws[1], ws[0]}) {
+		t.Fatalf("round trip: %v into %+v, %v", got, u.be.wtab, u.err)
 	}
 	bad := map[string][]byte{
 		"truncated":     rec[:len(rec)-1],
@@ -141,7 +143,7 @@ func TestPackedRecordsRejectMalformed(t *testing.T) {
 		"overlong":      append([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, rec[1:]...),
 	}
 	for name, b := range bad {
-		var u unpacker
+		u := unpacker{be: new(boardEngine)}
 		if u.walks(b); !errors.Is(u.err, errPacked) {
 			t.Errorf("%s: err %v, want errPacked", name, u.err)
 		}
@@ -151,7 +153,7 @@ func TestPackedRecordsRejectMalformed(t *testing.T) {
 		var b []byte
 		for _, i := range idx {
 			b = binary.AppendUvarint(b, i)
-			b = appendWalks(b, nil)
+			b = appendWalks(b, nil, nil)
 		}
 		return b
 	}
@@ -170,7 +172,7 @@ func TestPackedRecordsRejectMalformed(t *testing.T) {
 		_, err := img.load(minBatchBytes,
 			func(n int) { batches = make([]walkBatch, n) },
 			func(i, next int32) { batches[i].free = next },
-			func(i int32, r *recReader) { batches[i].walks = r.walks() })
+			func(i int32, r *recReader) { batches[i].walks = r.walks(new(boardEngine)) })
 		if !errors.Is(err, errPacked) {
 			t.Errorf("%s: err %v, want errPacked", name, err)
 		}

@@ -107,6 +107,28 @@ func (s *SSD) ImportState(st State, target func(int32) (sim.Handler, error)) err
 			}
 		}
 	}
+	// The free list must be exactly the ops with no parts left: newOp
+	// claims from it, so an index outside the pool or a live op on it
+	// would corrupt the pool.
+	free := 0
+	for i, os := range st.Ops {
+		switch {
+		case os.Remaining < 0:
+			return fmt.Errorf("flash: import: op %d has %d parts left", i, os.Remaining)
+		case os.Remaining == 0:
+			free++
+		}
+	}
+	listed := 0
+	for i := st.FreeOp; i >= 0; i = st.Ops[i].Free {
+		if int(i) >= len(st.Ops) || st.Ops[i].Remaining != 0 || listed == free {
+			return fmt.Errorf("flash: import: free list reaches op %d, which is outside the pool, live or listed twice", i)
+		}
+		listed++
+	}
+	if listed != free {
+		return fmt.Errorf("flash: import: free list holds %d of the %d free ops", listed, free)
+	}
 	s.ops = make([]flashOp, len(st.Ops))
 	for i, os := range st.Ops {
 		op := flashOp{remaining: os.Remaining, free: os.Free}
@@ -120,5 +142,42 @@ func (s *SSD) ImportState(st State, target func(int32) (sim.Handler, error)) err
 		s.ops[i] = op
 	}
 	s.freeOp = st.FreeOp
+	return nil
+}
+
+// CheckPending validates an imported SSD against the pending kernel events
+// that target it: each must name a known kind and a live op, and a page
+// sense or board page must name a chip, plane and retry attempt in range.
+// Every part of a live op is exactly one pending event, so each live op
+// must be named by as many events as it has parts left; otherwise it would
+// complete twice, or never.
+func (s *SSD) CheckPending(evs []sim.SavedEvent) error {
+	parts := make([]int32, len(s.ops))
+	for _, ev := range evs {
+		if ev.Kind > fkXferHost {
+			return fmt.Errorf("flash: pending event at %v has unknown kind %d", ev.At, ev.Kind)
+		}
+		if ev.A < 0 || int(ev.A) >= len(s.ops) || s.ops[ev.A].remaining == 0 {
+			return fmt.Errorf("flash: pending event at %v names op %d, which is outside the pool or free", ev.At, ev.A)
+		}
+		parts[ev.A]++
+		switch ev.Kind {
+		case fkReadDone, fkSensedChan, fkSensedHost, fkBoardOnChip:
+			if ev.B < 0 || int(ev.B) >= s.NumChips() {
+				return fmt.Errorf("flash: pending event at %v names chip %d of %d", ev.At, ev.B, s.NumChips())
+			}
+		}
+		switch ev.Kind {
+		case fkReadDone, fkSensedChan, fkSensedHost:
+			if plane, attempt := ev.C&0xffffffff, ev.C>>32; plane >= int64(s.Cfg.PlanesPerChip()) || attempt < 0 {
+				return fmt.Errorf("flash: pending sense at %v names plane %d, attempt %d", ev.At, plane, attempt)
+			}
+		}
+	}
+	for i := range s.ops {
+		if parts[i] != s.ops[i].remaining {
+			return fmt.Errorf("flash: op %d has %d parts left but %d pending events", i, s.ops[i].remaining, parts[i])
+		}
+	}
 	return nil
 }

@@ -33,6 +33,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Time is a simulated timestamp or duration in nanoseconds.
@@ -233,6 +234,12 @@ func (e *Engine) putEvent(t Time, seq uint64, ev Event) int32 {
 		e.freeSlab = e.freeSlab[:n-1]
 		e.slab[ref] = slabEntry{ev: ev, at: t, seq: seq}
 		return ref
+	}
+	if len(e.slab) == cap(e.slab) {
+		// Grow by doubling. A launch burst parks one event per walk at
+		// once, and append's 1.25x steps for large slices would allocate
+		// about five times the final slab on the way there.
+		e.slab = slices.Grow(e.slab, len(e.slab))
 	}
 	e.slab = append(e.slab, slabEntry{ev: ev, at: t, seq: seq})
 	return int32(len(e.slab) - 1)

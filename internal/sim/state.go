@@ -101,6 +101,12 @@ func (e *Engine) ImportState(st EngineState, target func(int32) (Handler, error)
 	})
 	e.now = st.Now
 	for _, sv := range events {
+		// A pending event is never before the clock nor newer than the
+		// sequence counter; one that is would fire out of order.
+		if sv.At < st.Now || sv.Seq > st.Seq {
+			return fmt.Errorf("sim: import event at %v (seq %d) is before the clock %v or past the sequence %d",
+				sv.At, sv.Seq, st.Now, st.Seq)
+		}
 		h, err := target(sv.Target)
 		if err != nil {
 			return fmt.Errorf("sim: import event at %v: %w", sv.At, err)
