@@ -278,3 +278,58 @@ func TestResumeRejectsHostileEvents(t *testing.T) {
 		})
 	}
 }
+
+// editFirstPWBWalk rewrites the first walk of the first non-empty PWB
+// store of img with edit and repacks the store.
+func editFirstPWBWalk(t *testing.T, img *BoardImage, edit func(st *wstate)) {
+	t.Helper()
+	for b, rec := range img.PWB {
+		if rec == nil {
+			continue
+		}
+		u := unpacker{be: new(boardEngine)}
+		ws := u.walks(rec)
+		if u.err != nil {
+			t.Fatal(u.err)
+		}
+		edit(u.be.walk(ws[0]))
+		img.PWB[b] = new(packer).walks(u.be.wtab, ws)
+		return
+	}
+	t.Fatal("cut has no walk in a PWB store")
+}
+
+// TestResumeRejectsHostileWalks edits one parked walk of the golden
+// workload's cut 20 to values no run could hold — a vertex past the graph,
+// a pre-walked edge past its vertex's degree, no hops left outside a
+// terminal update, more hops than the budget, a dense block past the
+// partitioning, a previous vertex or range tag out of range — and requires
+// ResumeEngine to refuse each. The codec decodes them all (it knows no
+// graph); accepted, the first two panic with an index out of range once
+// the run resumes, and the others finish a different run.
+func TestResumeRejectsHostileWalks(t *testing.T) {
+	g := testGraph(t)
+	cut := interruptCore(t, g, goldenConfig(), 20)
+	if _, err := ResumeEngine(g, cloneSnapshot(t, cut), ResumeOptions{}); err != nil {
+		t.Fatalf("unmodified cut rejected: %v", err)
+	}
+	cases := map[string]func(st *wstate){
+		"cur past the graph":         func(st *wstate) { st.w.Cur = 1 << 40 },
+		"dense edge past the degree": func(st *wstate) { st.denseBlock, st.denseEdge = 0, 1<<40 },
+		"no hops left":               func(st *wstate) { st.w.Hop = 0 },
+		"hops past the budget":       func(st *wstate) { st.w.Hop = 1 << 30 },
+		"dense block past the end":   func(st *wstate) { st.denseBlock = 1 << 30 },
+		"src past the graph":         func(st *wstate) { st.w.Src = g.NumVertices() },
+		"prev past the graph":        func(st *wstate) { st.prev = g.NumVertices() },
+		"range tag past the end":     func(st *wstate) { st.rangeTag = 1 << 20 },
+	}
+	for name, edit := range cases {
+		t.Run(name, func(t *testing.T) {
+			s := cloneSnapshot(t, cut)
+			editFirstPWBWalk(t, &s.Boards[0], edit)
+			if _, err := ResumeEngine(g, s, ResumeOptions{}); err == nil {
+				t.Fatal("hostile walk accepted")
+			}
+		})
+	}
+}

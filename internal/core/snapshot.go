@@ -629,6 +629,9 @@ func (e *Engine) restore(snap *Snapshot) error {
 	if err := e.checkEvents(snap); err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
+	if err := e.checkWalks(); err != nil {
+		return fmt.Errorf("core: resume: %w", err)
+	}
 	e.inFabric = snap.InFabric
 	e.remaining = snap.Remaining
 	e.numStarted = snap.NumWalks
@@ -899,6 +902,72 @@ func (e *Engine) checkEvents(snap *Snapshot) error {
 		}
 	}
 	return fbatches.unclaimed("fabric transfer")
+}
+
+// checkWalks range-checks every restored walk against what its readers
+// index: the graph's vertices, the partitioning's dense blocks and ranges,
+// and the hop budget. The packed codec knows no graph, so a walk value no
+// run could hold is refused here rather than indexing out of range or
+// silently changing the run once it resumes. Restore files every decoded
+// walk in a fresh table, so every table entry is live.
+func (e *Engine) checkWalks() error {
+	for b, be := range e.boards {
+		// A walk a terminal node holds has taken its last hop; free nodes
+		// are zero apart from their link, so none is terminal.
+		done := make([]bool, len(be.wtab))
+		for i := range be.nodes {
+			if be.nodes[i].terminal {
+				done[be.nodes[i].w] = true
+			}
+		}
+		for i := range be.wtab {
+			if err := be.checkWalk(&be.wtab[i], done[i]); err != nil {
+				return fmt.Errorf("board %d walk %d: %w", b, i, err)
+			}
+		}
+	}
+	// Every board shares the graph, partitioning and spec, so the first
+	// checks the walks on the fabric.
+	be := e.boards[0]
+	for src, row := range e.egress {
+		for dst := range row {
+			for i := range row[dst].walks {
+				if err := be.checkWalk(&row[dst].walks[i].st, false); err != nil {
+					return fmt.Errorf("egress %d to %d walk %d: %w", src, dst, i, err)
+				}
+			}
+		}
+	}
+	for j := range e.fbatches {
+		for i := range e.fbatches[j].walks {
+			if err := be.checkWalk(&e.fbatches[j].walks[i].st, false); err != nil {
+				return fmt.Errorf("fabric transfer %d walk %d: %w", j, i, err)
+			}
+		}
+	}
+	return nil
+}
+
+// checkWalk checks one walk; terminal reports that it has taken its last
+// hop, the one state in which no hops may be left.
+func (e *boardEngine) checkWalk(st *wstate, terminal bool) error {
+	nv := e.g.NumVertices()
+	switch {
+	case st.w.Src >= nv, st.w.Cur >= nv:
+		return fmt.Errorf("walk from vertex %d at vertex %d, graph has %d", st.w.Src, st.w.Cur, nv)
+	case st.prev != noPrev && st.prev >= nv:
+		return fmt.Errorf("previous vertex %d, graph has %d", st.prev, nv)
+	case st.w.Hop > e.spec.Length, st.w.Hop == 0 && !terminal:
+		return fmt.Errorf("%d hops left of %d", st.w.Hop, e.spec.Length)
+	case st.denseBlock < -1 || st.denseBlock >= e.part.NumBlocks(),
+		st.denseBlock >= 0 && !e.part.Blocks[st.denseBlock].Dense:
+		return fmt.Errorf("dense block %d is not a dense block", st.denseBlock)
+	case st.denseBlock >= 0 && st.denseEdge >= e.g.OutDegree(st.w.Cur):
+		return fmt.Errorf("dense edge %d of vertex %d, which has %d", st.denseEdge, st.w.Cur, e.g.OutDegree(st.w.Cur))
+	case st.rangeTag < -1 || st.rangeTag >= len(e.part.Ranges):
+		return fmt.Errorf("range tag %d outside [-1, %d)", st.rangeTag, len(e.part.Ranges))
+	}
+	return nil
 }
 
 // checkEvent validates one event or op completion aimed at this board

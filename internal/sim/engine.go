@@ -11,12 +11,46 @@
 // in-flight walk) at roughly one event per simulated nanosecond, which makes
 // a comparison-based heap the simulator's cache bottleneck: every push and
 // pop walks ~8 random cache lines of an L3-sized node array. The scheduler
-// is therefore a timing wheel — one FIFO bucket per nanosecond over a
-// 131 us horizon, a two-level bitmap to find the next occupied bucket in a
-// few word scans, and a small 4-ary overflow heap for the rare event beyond
-// the horizon (erase latencies, fault timers). Inserts and pops are O(1)
-// with ~3 cache-line touches; the drain order is the exact (time, sequence)
-// total order the heap produced, so timelines are bit-identical.
+// is therefore a two-level timing wheel that fits in cache:
+//
+//   - The near wheel has one FIFO bucket per nanosecond of the aligned
+//     4,096-ns window that holds now (32 KiB), found through a 64-word
+//     occupancy bitmap and a one-word summary of it.
+//   - The far wheel has one FIFO bucket per window for the next 255
+//     windows (2 KiB), so the two wheels reach 2^20 ns (~1 ms) ahead.
+//   - A small 4-ary overflow heap keeps anything later (erase latencies,
+//     fault timers).
+//
+// Inserts and pops are O(1); an event filed in the far wheel is touched
+// once more when its window opens. Pending events live in a slab of fixed
+// 4,096-entry chunks that never move, linked into bucket lists and a free
+// list by index, so a launch burst writes each entry once and growth
+// copies nothing.
+//
+// The drain order is the exact (time, sequence) total order a heap over
+// every pending event would produce, so timelines are bit-identical:
+//
+//   - A near bucket holds one timestamp: the window is aligned, so
+//     bucket i holds only window-start + i. Popping the lowest occupied
+//     bucket is therefore popping the earliest time; every far entry is
+//     in a later window and every heap entry beyond the far horizon.
+//   - Each bucket list, near or far, is in seq order per timestamp.
+//     Direct inserts append in increasing seq. The window moves in two
+//     places only — pop, when the near wheel is empty, and RunUntil's
+//     deadline advance — and each move does two things before any
+//     handler runs: it moves the heap entries whose window entered the far
+//     horizon into their far buckets, in heap (time, seq) order, and then
+//     spills the new window's far bucket into the near wheel in list
+//     order. A heap entry for window W was scheduled while W lay beyond
+//     the far horizon, and a direct far insert for W needs W inside it;
+//     the window only advances, so every heap entry for W was scheduled
+//     before every direct far insert for W, and the migration puts it
+//     first. Likewise the spill lands in empty near buckets before any
+//     direct near insert for the window.
+//   - Reading the next event's time never moves the window: with the near
+//     wheel empty it scans the first occupied far bucket. Moving it there
+//     would let RunUntil stop the clock at a deadline below the window,
+//     and a later Schedule between the two would be filed a lap ahead.
 //
 // Every event is a typed record (Schedule / ScheduleAfter): a Handler
 // target, a kind tag, and a small integer payload, dispatched through the
@@ -33,7 +67,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // Time is a simulated timestamp or duration in nanoseconds.
@@ -87,35 +120,39 @@ type Event struct {
 // None reports whether the event is the zero "no completion" sentinel.
 func (ev Event) None() bool { return ev.Target == nil }
 
-// Timing-wheel geometry: one bucket per nanosecond over a ~1 ms horizon.
-// The horizon covers every steady-state device latency (sense, transfer,
-// accelerator compute) including completions booked behind deep queue
-// backlogs — measured at figure scale, >99.9% of scheduled deltas fall
-// under 1 ms, so essentially only erase-class operations and fault timers
-// overflow to the heap, and each overflowed event is migrated into the
-// wheel at most once. The wheel array is 8 MiB but allocated lazily and
-// touched sparsely: resident pages track the span of in-flight deltas, not
-// the horizon.
+// Timing-wheel geometry: a near wheel of one bucket per nanosecond of the
+// window that holds now, a far wheel of one bucket per window for the next
+// farSize-1 windows, and a slab of fixed chunks. The ~1 ms horizon covers
+// every steady-state device latency (sense, transfer, accelerator compute)
+// including completions booked behind deep queue backlogs: at bench scale
+// at most one event per run lies beyond it. Most deltas are shorter than
+// one window (89% on TT-S, 71% on FS-S node2vec walks).
 const (
-	wheelBits = 20
-	wheelSize = 1 << wheelBits
-	wheelMask = wheelSize - 1
-	l1Words   = wheelSize / 64 // one occupancy bit per bucket
-	l2Words   = l1Words / 64   // one summary bit per l1 word
+	nearBits  = 12
+	nearSize  = 1 << nearBits // nanoseconds per window, buckets in the near wheel
+	nearMask  = nearSize - 1
+	nearWords = nearSize / 64 // near occupancy words; one summary bit each
+	farSize   = 256           // far buckets: the current window's and the next 255
+	farMask   = farSize - 1
+	horizon   = farSize * nearSize // 2^20 ns from the window start; the heap takes the rest
+	chunkBits = 12
+	chunkSize = 1 << chunkBits // slab entries per chunk (256 KiB)
+	chunkMask = chunkSize - 1
 )
 
 // slot is one wheel bucket: a FIFO list threaded through the slab by
 // slabEntry.next. Refs are stored +1 so the zero value means "empty" and a
-// freshly made wheel needs no initialization pass.
+// zero wheel needs no initialization pass.
 type slot struct{ head, tail int32 }
 
-// slabEntry is one pending event plus its scheduling key and FIFO link.
-// The struct is 64 bytes, so a pop touches exactly one cache line of slab.
+// slabEntry is one pending event plus its scheduling key and list link (the
+// next entry in its bucket, or in the free list once released). The struct
+// is 64 bytes, so a pop touches exactly one cache line of slab.
 type slabEntry struct {
 	ev   Event
 	at   Time
 	seq  uint64
-	next int32 // ref+1 of the next entry in the same bucket, 0 = end
+	next int32 // ref+1 of the next entry in the same list, 0 = end
 }
 
 // node is one overflow-heap entry: the (at, seq) ordering key plus a
@@ -128,13 +165,21 @@ type node struct {
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
-	wheel     []slot   // lazily allocated bucket array, wheelSize long
-	bmL1      []uint64 // bucket-occupancy bitmap
-	bmL2      []uint64 // summary bitmap over bmL1 words
-	wheelN    int      // events currently in the wheel
-	overflow  []node   // 4-ary min-heap of events at or beyond now+wheelSize
-	slab      []slabEntry
-	freeSlab  []int32 // recycled slab slots
+	near    [nearSize]slot    // one bucket per ns of the window [win, win+nearSize)
+	nearOcc [nearWords]uint64 // near bucket occupancy
+	nearSum uint64            // one bit per non-zero nearOcc word
+	far     [farSize]slot     // one bucket per window, indexed by window number mod farSize
+	farOcc  [farSize / 64]uint64
+	win     Time // start of the window holding now, a multiple of nearSize
+	nearN   int  // events in the near wheel
+	farN    int  // events in the far wheel
+
+	overflow []node // 4-ary min-heap of events at or beyond win+horizon
+
+	chunks []*[chunkSize]slabEntry // the slab; a ref r lives in chunk r>>chunkBits
+	slabN  int32                   // slab entries handed out so far
+	free   int32                   // ref+1 of the first free entry, 0 = none
+
 	now       Time
 	seq       uint64
 	processed uint64
@@ -175,7 +220,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending reports how many events are scheduled but not yet executed.
-func (e *Engine) Pending() int { return e.wheelN + len(e.overflow) }
+func (e *Engine) Pending() int { return e.nearN + e.farN + len(e.overflow) }
 
 // Schedule enqueues a typed event at absolute time t. Scheduling in the past
 // panics: it always indicates a modelling bug. The nil-target sentinel also
@@ -191,67 +236,79 @@ func (e *Engine) Schedule(t Time, ev Event) {
 	e.insert(t, e.seq, ev)
 }
 
-// insert parks the event in the slab and files its reference under the
-// wheel bucket for t, or in the overflow heap when t is beyond the horizon.
-// Callers must pass strictly increasing seq values for correct FIFO order
-// within a bucket (ImportState sorts for exactly this reason).
+// insert parks the event in the slab and files its reference in the near
+// wheel when t is inside the current window, in the far wheel when it is
+// inside the horizon, or else in the overflow heap. Callers must pass
+// strictly increasing seq values for each timestamp (ImportState sorts for
+// exactly this reason) and t at or after the window start. The offset is
+// taken unsigned, so no timestamp overflows it.
 func (e *Engine) insert(t Time, seq uint64, ev Event) {
-	if e.wheel == nil {
-		e.wheel = make([]slot, wheelSize)
-		e.bmL1 = make([]uint64, l1Words)
-		e.bmL2 = make([]uint64, l2Words)
-	}
 	ref := e.putEvent(t, seq, ev)
-	if t < e.now+wheelSize {
-		e.bucketAppend(ref, t)
-		return
+	switch d := uint64(t) - uint64(e.win); {
+	case d < nearSize:
+		e.nearAppend(ref, t)
+	case d < horizon:
+		e.farAppend(ref, t)
+	default:
+		e.heapPush(node{at: t, seq: seq, ref: ref})
 	}
-	e.heapPush(node{at: t, seq: seq, ref: ref})
 }
 
-// bucketAppend files a slab reference at the tail of its wheel bucket.
-// Within a bucket the list is FIFO, which is (at, seq) order: every entry
-// in a bucket shares one timestamp (two live timestamps wheelSize apart
-// cannot both be inside the horizon), and appends arrive in seq order.
-func (e *Engine) bucketAppend(ref int32, t Time) {
-	idx := int(t & wheelMask)
-	s := &e.wheel[idx]
-	if s.head == 0 {
+// link appends ref to the FIFO list of bucket s and reports whether the
+// bucket was empty.
+func (e *Engine) link(s *slot, ref int32) bool {
+	empty := s.head == 0
+	if empty {
 		s.head = ref + 1
-		e.bmL1[idx>>6] |= 1 << (idx & 63)
-		e.bmL2[idx>>12] |= 1 << ((idx >> 6) & 63)
 	} else {
-		e.slab[s.tail-1].next = ref + 1
+		e.entry(s.tail - 1).next = ref + 1
 	}
 	s.tail = ref + 1
-	e.wheelN++
+	return empty
 }
 
-// putEvent parks an event in a pooled slab slot and returns its index.
+// nearAppend files a slab reference at the tail of its near bucket.
+func (e *Engine) nearAppend(ref int32, t Time) {
+	i := int(t & nearMask)
+	if e.link(&e.near[i], ref) {
+		e.nearOcc[i>>6] |= 1 << (i & 63)
+		e.nearSum |= 1 << (i >> 6)
+	}
+	e.nearN++
+}
+
+// farAppend files a slab reference at the tail of its window's far bucket.
+func (e *Engine) farAppend(ref int32, t Time) {
+	i := int(t>>nearBits) & farMask
+	if e.link(&e.far[i], ref) {
+		e.farOcc[i>>6] |= 1 << (i & 63)
+	}
+	e.farN++
+}
+
+// entry resolves a slab reference.
+func (e *Engine) entry(ref int32) *slabEntry {
+	return &e.chunks[ref>>chunkBits][ref&chunkMask]
+}
+
+// putEvent parks an event in a slab entry, reusing the most recently freed
+// one, and returns its reference. A new chunk is allocated only when every
+// entry of the last one is in use; chunks never move or shrink.
 func (e *Engine) putEvent(t Time, seq uint64, ev Event) int32 {
-	if n := len(e.freeSlab); n > 0 {
-		ref := e.freeSlab[n-1]
-		e.freeSlab = e.freeSlab[:n-1]
-		e.slab[ref] = slabEntry{ev: ev, at: t, seq: seq}
+	ref := e.free - 1
+	if ref >= 0 {
+		ent := e.entry(ref)
+		e.free = ent.next
+		*ent = slabEntry{ev: ev, at: t, seq: seq}
 		return ref
 	}
-	if len(e.slab) == cap(e.slab) {
-		// Grow by doubling. A launch burst parks one event per walk at
-		// once, and append's 1.25x steps for large slices would allocate
-		// about five times the final slab on the way there.
-		e.slab = slices.Grow(e.slab, len(e.slab))
+	ref = e.slabN
+	if int(ref>>chunkBits) == len(e.chunks) {
+		e.chunks = append(e.chunks, new([chunkSize]slabEntry))
 	}
-	e.slab = append(e.slab, slabEntry{ev: ev, at: t, seq: seq})
-	return int32(len(e.slab) - 1)
-}
-
-// takeEvent releases a slab slot, returning its event. The slot is zeroed
-// so a popped event does not pin its Handler for GC.
-func (e *Engine) takeEvent(ref int32) Event {
-	ev := e.slab[ref].ev
-	e.slab[ref] = slabEntry{}
-	e.freeSlab = append(e.freeSlab, ref)
-	return ev
+	e.slabN++
+	*e.entry(ref) = slabEntry{ev: ev, at: t, seq: seq}
+	return ref
 }
 
 // ScheduleAfter enqueues a typed event d nanoseconds from now.
@@ -350,7 +407,7 @@ func (e *Engine) checkpoint() bool {
 // Step executes the single earliest pending event. It reports false when no
 // events remain.
 func (e *Engine) Step() bool {
-	if e.wheelN == 0 && len(e.overflow) == 0 {
+	if e.Pending() == 0 {
 		return false
 	}
 	ev := e.pop()
@@ -400,116 +457,124 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	}
 	if e.now < deadline {
 		e.now = deadline
-		e.migrate()
+		// Every pending event is later than the deadline, so the near
+		// wheel and the far buckets of the windows passed are empty.
+		if uint64(deadline)-uint64(e.win) >= nearSize {
+			e.moveWindow(deadline &^ nearMask)
+		}
 	}
 	return e.now
 }
 
-// nextTime reports the timestamp of the earliest pending event. It must
-// only be called with events pending. When the wheel is non-empty its
-// earliest bucket beats the overflow heap by construction (everything in
-// the wheel is inside the horizon, everything overflowed is beyond it).
+// nextTime reports the timestamp of the earliest pending event without
+// moving the window. It must only be called with events pending.
 func (e *Engine) nextTime() Time {
-	if e.wheelN > 0 {
-		s := &e.wheel[e.nextBucket()]
-		return e.slab[s.head-1].at
+	if e.nearN > 0 {
+		return e.win + Time(e.nearFirst())
+	}
+	if e.farN > 0 {
+		i := (int(e.win>>nearBits) + e.farFirst()) & farMask
+		ent := e.entry(e.far[i].head - 1)
+		t := ent.at
+		for ent.next != 0 {
+			ent = e.entry(ent.next - 1)
+			t = min(t, ent.at)
+		}
+		return t
 	}
 	return e.overflow[0].at
 }
 
-// --- Timing wheel + overflow heap. ---
-//
-// Correctness argument for the exact (at, seq) drain order:
-//
-//   - Every entry inside a bucket shares one timestamp: two live
-//     timestamps that map to the same bucket differ by a multiple of
-//     wheelSize, and all wheel entries sit inside the [now, now+wheelSize)
-//     horizon, so they cannot coexist.
-//   - Within a bucket the FIFO list is seq order. Direct inserts append in
-//     increasing seq. A migrated (previously overflowed) entry always
-//     carries a smaller seq than any direct insert to the same bucket: a
-//     direct insert at time T requires T < now+wheelSize, the overflowed
-//     entry was scheduled while T >= now+wheelSize, and now only advances —
-//     so the overflow insert happened strictly earlier. Migration runs the
-//     moment now advances, before any handler can insert, so migrated
-//     entries always land at the head of an empty bucket, in heap (seq)
-//     order.
-//   - Scanning buckets circularly from now&wheelMask visits timestamps in
-//     increasing order, and the overflow heap's minimum is always beyond
-//     every wheel entry.
-
-// pop removes the earliest pending event, advances the clock to its
-// timestamp, and migrates any overflowed events that the advance pulled
-// inside the horizon.
+// pop removes the earliest pending event and advances the clock to its
+// timestamp. With the near wheel empty it first moves the window to the
+// first occupied far bucket's window, or else to the heap minimum's.
 func (e *Engine) pop() Event {
-	if e.wheelN > 0 {
-		idx := e.nextBucket()
-		s := &e.wheel[idx]
-		ref := s.head - 1
-		ent := &e.slab[ref]
-		s.head = ent.next
-		if s.head == 0 {
-			s.tail = 0
-			w := idx >> 6
-			e.bmL1[w] &^= 1 << (idx & 63)
-			if e.bmL1[w] == 0 {
-				e.bmL2[w>>6] &^= 1 << (w & 63)
-			}
+	if e.nearN == 0 {
+		if e.farN > 0 {
+			e.moveWindow(e.win + Time(e.farFirst())*nearSize)
+		} else {
+			e.moveWindow(e.overflow[0].at &^ nearMask)
 		}
-		e.wheelN--
-		if ent.at != e.now {
-			e.now = ent.at
-			e.migrate()
-		}
-		return e.takeEvent(ref)
 	}
-	// Wheel empty: the schedule has only far-future events. Pop the
-	// overflow minimum directly and pull its same-horizon peers in.
-	nd := e.heapPop()
-	e.now = nd.at
-	e.migrate()
-	return e.takeEvent(nd.ref)
+	i := e.nearFirst()
+	s := &e.near[i]
+	ref := s.head - 1
+	ent := e.entry(ref)
+	s.head = ent.next
+	if s.head == 0 {
+		s.tail = 0
+		w := i >> 6
+		if e.nearOcc[w] &^= 1 << (i & 63); e.nearOcc[w] == 0 {
+			e.nearSum &^= 1 << w
+		}
+	}
+	e.nearN--
+	e.now = e.win + Time(i)
+	// Release the entry onto the free list, zeroed so a popped event does
+	// not pin its Handler for GC.
+	ev := ent.ev
+	*ent = slabEntry{next: e.free}
+	e.free = ref + 1
+	return ev
 }
 
-// migrate moves overflowed events that the latest clock advance brought
-// inside the horizon into their wheel buckets. The heap pops in (at, seq)
-// order, so per-bucket arrival order stays seq order.
-func (e *Engine) migrate() {
-	horizon := e.now + wheelSize
-	for len(e.overflow) > 0 && e.overflow[0].at < horizon {
-		nd := e.heapPop()
-		e.bucketAppend(nd.ref, nd.at)
-	}
+// nearFirst reports the earliest occupied near bucket. Every near entry is
+// at or after now, inside the aligned window, so the lowest set bit is the
+// earliest; the near wheel must be non-empty.
+func (e *Engine) nearFirst() int {
+	w := bits.TrailingZeros64(e.nearSum)
+	return w<<6 | bits.TrailingZeros64(e.nearOcc[w])
 }
 
-// nextBucket reports the index of the earliest occupied bucket, scanning
-// the two-level occupancy bitmap circularly from the bucket of now. It must
-// only be called when the wheel is non-empty.
-func (e *Engine) nextBucket() int {
-	start := int(e.now & wheelMask)
-	// Bits at or after start inside start's own l1 word.
+// farFirst reports how many windows past the current one the earliest
+// occupied far bucket lies, 1 to farSize-1; the far wheel must be
+// non-empty. The current window's own far bucket is always empty (its
+// events go to the near wheel), so a circular scan from the bucket after
+// it meets the windows in time order.
+func (e *Engine) farFirst() int {
+	cur := int(e.win>>nearBits) & farMask
+	start := (cur + 1) & farMask
 	w := start >> 6
-	if m := e.bmL1[w] &^ (1<<(start&63) - 1); m != 0 {
-		return w<<6 | bits.TrailingZeros64(m)
+	if m := e.farOcc[w] >> (start & 63); m != 0 {
+		return 1 + bits.TrailingZeros64(m)
 	}
-	// L1 words strictly after w inside start's l2 word.
-	w2 := w >> 6
-	if m := e.bmL2[w2] &^ (1<<((w&63)+1) - 1); m != 0 {
-		lw := w2<<6 | bits.TrailingZeros64(m)
-		return lw<<6 | bits.TrailingZeros64(e.bmL1[lw])
-	}
-	// Remaining l2 words, wrapping. The final iteration revisits w2: any
-	// bit still set there is before start, i.e. wrapped, and therefore
-	// later in time than every bucket at or after start (all checked
-	// empty above), so taking its lowest bucket is correct.
-	for i := 1; i <= l2Words; i++ {
-		w2n := (w2 + i) & (l2Words - 1)
-		if m := e.bmL2[w2n]; m != 0 {
-			lw := w2n<<6 | bits.TrailingZeros64(m)
-			return lw<<6 | bits.TrailingZeros64(e.bmL1[lw])
+	for k := 1; k <= len(e.farOcc); k++ {
+		wk := (w + k) % len(e.farOcc)
+		if m := e.farOcc[wk]; m != 0 {
+			i := wk<<6 | bits.TrailingZeros64(m)
+			return (i - cur) & farMask
 		}
 	}
-	panic("sim: nextBucket on empty wheel")
+	panic("sim: farFirst on an empty far wheel")
+}
+
+// moveWindow makes the window starting at start current. The near wheel
+// and the far buckets of the windows it passes must be empty. It moves the
+// heap entries whose window entered the far horizon into their far
+// buckets, in (at, seq) order, then spills the new window's far bucket
+// into the near wheel in list order — both before any handler can insert,
+// so each bucket list stays in seq order per timestamp (package doc).
+func (e *Engine) moveWindow(start Time) {
+	e.win = start
+	for len(e.overflow) > 0 && uint64(e.overflow[0].at)-uint64(start) < horizon {
+		nd := e.heapPop()
+		e.farAppend(nd.ref, nd.at)
+	}
+	i := int(start>>nearBits) & farMask
+	ref := e.far[i].head
+	if ref == 0 {
+		return
+	}
+	e.far[i] = slot{}
+	e.farOcc[i>>6] &^= 1 << (i & 63)
+	for ref != 0 {
+		ent := e.entry(ref - 1)
+		next := ent.next
+		ent.next = 0
+		e.farN--
+		e.nearAppend(ref-1, ent.at)
+		ref = next
+	}
 }
 
 // --- 4-ary min-heap on (at, seq) for beyond-horizon events. ---

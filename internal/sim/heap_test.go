@@ -50,12 +50,23 @@ func checkDrainOrder(t *testing.T, times []Time) {
 	}
 }
 
-// TestHeapDrainOrderRandom drives the 4-ary heap with random schedules of
-// varying sizes and duplicate-heavy time distributions.
+// boundarySpans straddle the scheduler's level boundaries: the near
+// wheel's window (4,096 ns), the far wheel's horizon (2^20 ns), and the
+// overflow heap beyond it.
+var boundarySpans = []int64{
+	nearSize - 1, nearSize, nearSize + 1,
+	horizon - 1, horizon, horizon + 1,
+	int64(5 * Millisecond),
+}
+
+// TestHeapDrainOrderRandom drives the wheels and the 4-ary heap with random
+// schedules of varying sizes and duplicate-heavy time distributions, over
+// spans that straddle each level boundary.
 func TestHeapDrainOrderRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	spans := append([]int64{1, 3, 10, 1 << 30}, boundarySpans...)
 	for _, n := range []int{1, 2, 5, 17, 64, 257, 4096} {
-		for _, span := range []int64{1, 3, 10, 1 << 30} {
+		for _, span := range spans {
 			times := make([]Time, n)
 			for i := range times {
 				times[i] = Time(rng.Int63n(span))

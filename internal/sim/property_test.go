@@ -140,38 +140,46 @@ func TestPropertyQueuesDrain(t *testing.T) {
 	}
 }
 
-// TestPropertyHeapOrderWithTies floods the heap with same-timestamp events
-// and asserts FIFO order among ties (the seq tiebreak): determinism under
-// fault-injected schedules depends on it.
+// TestPropertyHeapOrderWithTies floods the scheduler with same-timestamp
+// events and asserts FIFO order among ties (the seq tiebreak): determinism
+// under fault-injected schedules depends on it. The timestamps are
+// multiples of a microsecond and of each boundary span, so ties land in
+// the near wheel, the far wheel and the heap.
 func TestPropertyHeapOrderWithTies(t *testing.T) {
+	units := []Time{Microsecond}
+	for _, s := range boundarySpans {
+		units = append(units, Time(s))
+	}
 	for iter := 0; iter < propertyIters(t); iter++ {
-		r := rng.New(uint64(9000 + iter))
-		eng := New()
-		var order []int
-		h := handlerFunc(func(ev Event) { order = append(order, int(ev.A)) })
-		n := 20 + int(r.Uint64n(80))
-		at := make([]Time, n)
-		for i := 0; i < n; i++ {
-			// Only a handful of distinct timestamps: most events tie.
-			at[i] = Time(r.Uint64n(4)) * Microsecond
-			eng.Schedule(at[i], Event{Target: h, A: int32(i)})
-		}
-		eng.Run()
-		if len(order) != n {
-			t.Fatalf("iter %d: %d of %d events fired", iter, len(order), n)
-		}
-		seen := make(map[int]bool, n)
-		lastIdx := make(map[Time]int)
-		for _, id := range order {
-			if seen[id] {
-				t.Fatalf("iter %d: event %d fired twice", iter, id)
+		for _, unit := range units {
+			r := rng.New(uint64(9000 + iter))
+			eng := New()
+			var order []int
+			h := handlerFunc(func(ev Event) { order = append(order, int(ev.A)) })
+			n := 20 + int(r.Uint64n(80))
+			at := make([]Time, n)
+			for i := 0; i < n; i++ {
+				// Only a handful of distinct timestamps: most events tie.
+				at[i] = Time(r.Uint64n(4)) * unit
+				eng.Schedule(at[i], Event{Target: h, A: int32(i)})
 			}
-			seen[id] = true
-			if prev, ok := lastIdx[at[id]]; ok && prev > id {
-				t.Fatalf("iter %d: tie at %v fired out of scheduling order (%d before %d)",
-					iter, at[id], prev, id)
+			eng.Run()
+			if len(order) != n {
+				t.Fatalf("iter %d unit %v: %d of %d events fired", iter, unit, len(order), n)
 			}
-			lastIdx[at[id]] = id
+			seen := make(map[int]bool, n)
+			lastIdx := make(map[Time]int)
+			for _, id := range order {
+				if seen[id] {
+					t.Fatalf("iter %d unit %v: event %d fired twice", iter, unit, id)
+				}
+				seen[id] = true
+				if prev, ok := lastIdx[at[id]]; ok && prev > id {
+					t.Fatalf("iter %d unit %v: tie at %v fired out of scheduling order (%d before %d)",
+						iter, unit, at[id], prev, id)
+				}
+				lastIdx[at[id]] = id
+			}
 		}
 	}
 }

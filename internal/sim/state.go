@@ -59,21 +59,29 @@ func (e *Engine) ExportState(targetID func(Handler) (int32, error)) (EngineState
 		})
 		return nil
 	}
-	// Walk the wheel's occupied buckets (via the occupancy bitmap) and then
-	// the overflow heap. The order is deterministic but arbitrary; Seq is
-	// what reconstructs the drain order on import.
-	for w, word := range e.bmL1 {
-		for m := word; m != 0; m &= m - 1 {
-			idx := w<<6 | bits.TrailingZeros64(m)
-			for ref := e.wheel[idx].head; ref != 0; ref = e.slab[ref-1].next {
-				if err := save(&e.slab[ref-1]); err != nil {
-					return EngineState{}, err
+	// Walk the near wheel, then the far wheel (each through its occupancy
+	// bitmap), then the overflow heap. The order is deterministic but
+	// arbitrary; Seq is what reconstructs the drain order on import.
+	wheel := func(buckets []slot, occ []uint64) error {
+		for w, word := range occ {
+			for m := word; m != 0; m &= m - 1 {
+				for ref := buckets[w<<6|bits.TrailingZeros64(m)].head; ref != 0; ref = e.entry(ref - 1).next {
+					if err := save(e.entry(ref - 1)); err != nil {
+						return err
+					}
 				}
 			}
 		}
+		return nil
+	}
+	if err := wheel(e.near[:], e.nearOcc[:]); err != nil {
+		return EngineState{}, err
+	}
+	if err := wheel(e.far[:], e.farOcc[:]); err != nil {
+		return EngineState{}, err
 	}
 	for i := range e.overflow {
-		if err := save(&e.slab[e.overflow[i].ref]); err != nil {
+		if err := save(e.entry(e.overflow[i].ref)); err != nil {
 			return EngineState{}, err
 		}
 	}
@@ -90,7 +98,9 @@ func (e *Engine) ImportState(st EngineState, target func(int32) (Handler, error)
 			e.Pending(), e.processed, e.now)
 	}
 	// Insert in (At, Seq) order: wheel buckets are FIFO lists, so arrival
-	// order inside a bucket must be seq order.
+	// order inside a bucket must be seq order per timestamp. The window is
+	// the one holding the restored clock, so the events land in the
+	// buckets the exporting engine would have filed them in.
 	events := make([]SavedEvent, len(st.Events))
 	copy(events, st.Events)
 	sort.Slice(events, func(i, j int) bool {
@@ -100,6 +110,7 @@ func (e *Engine) ImportState(st EngineState, target func(int32) (Handler, error)
 		return events[i].Seq < events[j].Seq
 	})
 	e.now = st.Now
+	e.win = st.Now &^ nearMask
 	for _, sv := range events {
 		// A pending event is never before the clock nor newer than the
 		// sequence counter; one that is would fire out of order.
