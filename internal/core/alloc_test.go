@@ -11,12 +11,12 @@ import (
 
 // TestSteadyStateHopAllocFree guards the tentpole invariant of the typed-
 // event refactor: once the pools are warm (a full run has grown them), the
-// per-hop machinery — claiming a walk node, deciding the hop in the walk
-// table, recycling a batch buffer and a table index — performs zero
-// allocations. Together with the sim-level guards
-// (TestTypedSchedulingAllocFree, TestQueueAcquireEventAllocFree) this pins
-// the whole hop path: every event it schedules is typed and every record
-// it touches is pooled.
+// per-hop machinery — deciding the hop in the walk table, recycling a
+// batch buffer and a table index — performs zero allocations. Together
+// with the sim-level guards (TestTypedSchedulingAllocFree,
+// TestQueueAcquireEventAllocFree) this pins the whole hop path: every event
+// it schedules is typed and carries its walk, and every record it touches
+// is pooled.
 func TestSteadyStateHopAllocFree(t *testing.T) {
 	g := testGraph(t)
 	x, err := NewEngine(g, goldenConfig())
@@ -39,10 +39,7 @@ func TestSteadyStateHopAllocFree(t *testing.T) {
 		rng: *x.rootRNG.Derive(1)})
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		ref, n := e.newNode()
-		h := e.decideHop(e.walk(w))
-		n.w, n.terminal, n.deadEnd = w, h.terminal, h.deadEnd
-		e.freeNodeRef(ref)
+		e.decideHop(e.walk(w))
 
 		buf := e.getWalkBuf()
 		buf = append(buf, w)

@@ -236,7 +236,8 @@ func (e *Engine) seedWalks(starts []graph.VertexID, n int) {
 	ws := walk.NewWalks(e.boards[0].spec, starts, n)
 	e.numStarted = len(ws)
 	e.remaining = len(ws)
-	// One counting pass sizes every pending list and walk table exactly.
+	// One counting pass sizes every pending list, walk table and free-index
+	// stack exactly.
 	count := make([]int, e.part.NumPartitions)
 	for i := range ws {
 		count[e.boards[0].homePartition(ws[i].Cur)]++
@@ -251,6 +252,7 @@ func (e *Engine) seedWalks(starts []graph.VertexID, n int) {
 	}
 	for b, c := range perBoard {
 		e.boards[b].wtab = make([]wstate, 0, c)
+		e.boards[b].wfree = make([]int32, 0, c)
 	}
 	for i := range ws {
 		p := e.boards[0].homePartition(ws[i].Cur)

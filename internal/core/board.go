@@ -31,11 +31,8 @@ type boardAccel struct {
 // then apply the decision (evBoardGuided / evBoardPortDone continuations).
 func (b *boardAccel) Guide(w int32) {
 	d := b.classify(w)
-	e := b.e
-	ref, n := e.newNode()
-	n.w = w
-	n.block, n.foreign, n.steps = int32(d.blockID), int32(d.foreignPart), int32(d.searchSteps)
-	b.dispatchGuide(d.ops, sim.Event{Target: e, Kind: evBoardGuided, A: ref})
+	b.dispatchGuide(d.ops, sim.Event{Target: b.e, Kind: evBoardGuided, A: w,
+		B: int32(d.searchSteps), C: packC(int32(d.blockID), int32(d.foreignPart))})
 }
 
 // route applies a classification.

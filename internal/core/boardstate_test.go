@@ -38,13 +38,15 @@ func cloneSnapshot(t *testing.T, s *Snapshot) *Snapshot {
 // repeated block, a block outside the current partition or a range that is
 // not the block's, round-robin cursors outside their rings, negative
 // bookings, a hot block past the end, a chip slot holding a block outside
-// [-1, NumBlocks), a current partition out of range — and requires an
-// error for each.
+// [-1, NumBlocks), visit counters the run does not keep, a flush chip
+// cursor past the chips, a current partition out of range — and requires
+// an error for each.
 // An image that slipped through would index out of range inside resume or
-// at the next routed walk, so an accepted one is also run.
+// at the next routed walk, hop or flush, so an accepted one is also run.
 func TestResumeRejectsHostileBoardState(t *testing.T) {
 	g := testGraph(t)
 	rc := hostileBoardConfig()
+	rc.TrackVisits = true
 	cut := interruptWhen(t, g, rc, 4, func(s *Snapshot) bool {
 		return !s.Preloading() && len(s.Boards[0].Board.Caches[0].Blocks) >= 2
 	})
@@ -112,8 +114,12 @@ func TestResumeRejectsHostileBoardState(t *testing.T) {
 		"hot block past the end": func(img *BoardImage) {
 			img.Board.Tier.HotIDs = append(img.Board.Tier.HotIDs, len(part.Blocks))
 		},
-		"slot block past the end": func(img *BoardImage) { img.Chips[0].Slots[0].Block = len(part.Blocks) },
-		"slot block below -1":     func(img *BoardImage) { img.Chips[0].Slots[0].Block = -2 },
+		"slot block past the end":  func(img *BoardImage) { img.Chips[0].Slots[0].Block = len(part.Blocks) },
+		"slot block below -1":      func(img *BoardImage) { img.Chips[0].Slots[0].Block = -2 },
+		"visit counters cut short": func(img *BoardImage) { img.Res.Visits = img.Res.Visits[:3] },
+		"flush chip cursor past the end": func(img *BoardImage) {
+			img.FlushChipRR = len(img.Flash.ChipNext)
+		},
 	}
 	if _, err := ResumeEngine(g, cloneSnapshot(t, cut), ResumeOptions{}); err != nil {
 		t.Fatalf("unmodified cut rejected: %v", err)
@@ -186,23 +192,29 @@ func TestResumeAcceptsQueueLayoutPools(t *testing.T) {
 	}
 }
 
-// nodeEvent reports whether a board event kind carries a walk node in A.
-func nodeEvent(kind uint16) bool { return eventPayload[kind]&payNode != 0 }
-
 // TestResumeRejectsHostileEvents edits one pending event of a mid-run cut
-// at a time — a channel index past the end, an unknown kind, a node index
-// past the pool, a node that is free, an event before the clock, a node
-// two events claim, and on the flash side a free list past the op pool, an
+// at a time — a channel index past the end, an unknown kind, a carried
+// walk past the board's Held run or negative, a walk two events carry, a
+// carried walk no event names, a board guide routing to a block past the
+// partitioning, a channel guide tagging a range past the ranges, an event
+// before the clock, and on the flash side a free list past the op pool, an
 // event on a free op, a live op missing one of its parts and a completion
 // of unknown kind — and requires ResumeEngine to refuse each. An accepted
-// image would index out of range, panic on the kind, run a timeline out
-// of order or hand a free node's zeroed walk to a tier, which then never
-// finishes, so an accepted one is not run.
+// image would index out of range, panic on the kind, run a timeline out of
+// order, hand two tiers one walk or leave a walk that never finishes, so
+// an accepted one is not run.
 func TestResumeRejectsHostileEvents(t *testing.T) {
 	g := testGraph(t)
-	cut := interruptCore(t, g, goldenConfig(), 20)
+	rc := goldenConfig()
+	// Cut 30 holds a pending board guide and channel guide for the cases
+	// below to edit.
+	cut := interruptCore(t, g, rc, 30)
 	if _, err := ResumeEngine(g, cloneSnapshot(t, cut), ResumeOptions{}); err != nil {
 		t.Fatalf("unmodified cut rejected: %v", err)
+	}
+	part, err := partition.Partition(g, rc.PartCfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// find returns the index of the first pending event aimed at target
 	// whose kind want accepts.
@@ -216,7 +228,10 @@ func TestResumeRejectsHostileEvents(t *testing.T) {
 		return -1
 	}
 	anyKind := func(uint16) bool { return true }
+	carriesWalk := func(k uint16) bool { return eventPayload[k]&payWalk != 0 }
 	tick := func(k uint16) bool { return k == evChanTick }
+	boardGuide := func(k uint16) bool { return k == evBoardGuided || k == evBoardPortDone }
+	chanGuide := func(k uint16) bool { return k == evChanGuided }
 	cases := map[string]func(t *testing.T, s *Snapshot){
 		"channel tick past the end": func(t *testing.T, s *Snapshot) {
 			s.Sim.Events[find(t, s, targetBoard(0), tick)].B = 1 << 20
@@ -224,23 +239,34 @@ func TestResumeRejectsHostileEvents(t *testing.T) {
 		"unknown kind": func(t *testing.T, s *Snapshot) {
 			s.Sim.Events[find(t, s, targetBoard(0), anyKind)].Kind = 999
 		},
-		"node past the pool": func(t *testing.T, s *Snapshot) {
-			s.Sim.Events[find(t, s, targetBoard(0), nodeEvent)].A = 1 << 30
+		"carried walk past the run": func(t *testing.T, s *Snapshot) {
+			s.Sim.Events[find(t, s, targetBoard(0), carriesWalk)].A = 1 << 30
 		},
-		"free node": func(t *testing.T, s *Snapshot) {
-			if len(s.Boards[0].Nodes.Free) == 0 {
-				t.Fatal("cut has no free node to name")
-			}
-			s.Sim.Events[find(t, s, targetBoard(0), nodeEvent)].A = s.Boards[0].Nodes.Free[0]
+		"negative carried walk": func(t *testing.T, s *Snapshot) {
+			s.Sim.Events[find(t, s, targetBoard(0), carriesWalk)].A = -1
 		},
-		"event before the clock": func(t *testing.T, s *Snapshot) {
-			s.Sim.Events[find(t, s, targetBoard(0), tick)].At = s.Sim.Now - 1
-		},
-		"node claimed twice": func(t *testing.T, s *Snapshot) {
-			dup := s.Sim.Events[find(t, s, targetBoard(0), nodeEvent)]
+		"walk carried twice": func(t *testing.T, s *Snapshot) {
+			dup := s.Sim.Events[find(t, s, targetBoard(0), carriesWalk)]
 			s.Sim.Seq++
 			dup.Seq = s.Sim.Seq
 			s.Sim.Events = append(s.Sim.Events, dup)
+		},
+		"carried walk no event names": func(t *testing.T, s *Snapshot) {
+			u := unpacker{be: new(boardEngine)}
+			ws := u.walks(s.Boards[0].Held)
+			if u.err != nil || len(ws) == 0 {
+				t.Fatalf("cut carries %d walks (%v)", len(ws), u.err)
+			}
+			s.Boards[0].Held = new(packer).walks(u.be.wtab, append(ws, ws[0]))
+		},
+		"board guide past the partitioning": func(t *testing.T, s *Snapshot) {
+			s.Sim.Events[find(t, s, targetBoard(0), boardGuide)].C = packC(int32(part.NumBlocks()), -1)
+		},
+		"channel guide past the ranges": func(t *testing.T, s *Snapshot) {
+			s.Sim.Events[find(t, s, targetBoard(0), chanGuide)].C = packC(int32(len(part.Ranges)), -1)
+		},
+		"event before the clock": func(t *testing.T, s *Snapshot) {
+			s.Sim.Events[find(t, s, targetBoard(0), tick)].At = s.Sim.Now - 1
 		},
 		"flash free list past the pool": func(t *testing.T, s *Snapshot) {
 			s.Boards[0].Flash.FreeOp = int32(len(s.Boards[0].Flash.Ops))

@@ -50,31 +50,25 @@ func (ca *channelAccel) tick() {
 	}
 }
 
-// chanGuide is one walk's channel-level classification: the guider op count
-// plus the hot-block/foreign-partition/range verdicts that evChanGuided
-// will apply.
-type chanGuide struct {
-	ops     int
-	hot     int32
-	foreign int32
-	rangeID int32
-}
-
-// classify computes a roving walk's channel-level verdict: hot-subgraph
-// membership first, then the approximate walk search (range query), which
-// can detect foreigners without board involvement.
-func (ca *channelAccel) classify(st *wstate) chanGuide {
+// Guide classifies a roving walk at the channel level and dispatches the
+// guider completion carrying the verdict: hot-subgraph membership first
+// (evChanHot), then the approximate walk search, a range query that can
+// detect foreigners without board involvement (evChanGuided with the range
+// and any foreign partition). The two never combine.
+func (ca *channelAccel) Guide(w int32) {
 	e := ca.e
+	st := e.walk(w)
 	ops := 1
-	var hotBlock = -1
 	if (e.cfg.Opts.HotSubgraphs || ca.failover) && ca.hotReady && ca.hot != nil && st.denseBlock < 0 {
 		b, steps := ca.hot.find(st.w.Cur)
 		ops += steps
-		hotBlock = b
+		if b >= 0 {
+			ca.dispatchGuide(ops, sim.Event{Target: e, Kind: evChanHot, A: w, B: int32(ca.id)})
+			return
+		}
 	}
-	var rangeID = -1
-	var foreignPart = -1
-	if hotBlock < 0 && e.cfg.Opts.WalkQuery && st.denseBlock < 0 {
+	rangeID, foreignPart := -1, -1
+	if e.cfg.Opts.WalkQuery && st.denseBlock < 0 {
 		ri, steps := e.part.RangeOf(st.w.Cur)
 		ops += steps
 		rangeID = ri
@@ -90,27 +84,14 @@ func (ca *channelAccel) classify(st *wstate) chanGuide {
 			}
 		}
 	}
-	return chanGuide{ops: ops, hot: int32(hotBlock), foreign: int32(foreignPart), rangeID: int32(rangeID)}
+	ca.dispatchGuide(ops, sim.Event{Target: e, Kind: evChanGuided, A: w, B: int32(ca.id),
+		C: packC(int32(rangeID), int32(foreignPart))})
 }
 
-// Guide classifies a roving walk at the channel level and dispatches the
-// guider completion.
-func (ca *channelAccel) Guide(w int32) {
+// applyGuide is the evChanGuided continuation: demote a foreigner, or tag
+// the walk with its range and hand it to the board.
+func (ca *channelAccel) applyGuide(w, rangeID, foreignPart int32) {
 	e := ca.e
-	d := ca.classify(e.walk(w))
-	ref, n := e.newNode()
-	n.w = w
-	n.hot, n.foreign, n.rangeID = d.hot, d.foreign, d.rangeID
-	ca.dispatchGuide(d.ops,
-		sim.Event{Target: e, Kind: evChanGuided, A: ref, B: int32(ca.id)})
-}
-
-// applyGuide is the evChanGuided continuation.
-func (ca *channelAccel) applyGuide(w int32, hotBlock, foreignPart, rangeID int32) {
-	e := ca.e
-	if hotBlock >= 0 && ca.tryHotUpdate(w) {
-		return
-	}
 	if foreignPart >= 0 {
 		e.demoteWalk(int(foreignPart), w)
 		return

@@ -346,10 +346,8 @@ func (c *chipAccel) enqueue(s *chipSlot, w int32) {
 	s.pending++
 	s.idle = false
 	c.e.chargeFilterProbes(h, c)
-	ref, n := c.e.newNode()
-	n.w, n.terminal, n.deadEnd = w, h.terminal, h.deadEnd
 	c.updater.dispatch(c.e.updateService(c.updaterCycle, h),
-		sim.Event{Target: c.e, Kind: evChipUpdateDone, A: ref, B: int32(c.id), C: int64(s.idx)})
+		sim.Event{Target: c.e, Kind: evChipUpdateDone, A: w, B: int32(c.id), C: packC(int32(s.idx), h.flags())})
 }
 
 // finishUpdate applies a hop's outcome (§III-B steps 2-7).
@@ -393,10 +391,8 @@ func (c *chipAccel) slotDrained(s *chipSlot) {
 // into the roving buffer for the channel-level accelerator (§III-B).
 func (c *chipAccel) Guide(w int32) {
 	// One compare per loaded subgraph plus the move.
-	ref, n := c.e.newNode()
-	n.w = w
 	c.dispatchGuide(1+len(c.slots),
-		sim.Event{Target: c.e, Kind: evChipRoute, A: ref, B: int32(c.id)})
+		sim.Event{Target: c.e, Kind: evChipRoute, A: w, B: int32(c.id)})
 }
 
 func (c *chipAccel) route(w int32) {
@@ -416,10 +412,8 @@ func (c *chipAccel) addRoving(w int32) {
 		// Roving buffer full: the guider stalls until the channel-level
 		// accelerator's next fetch drains it.
 		e.res.GuiderStalls++
-		ref, n := e.newNode()
-		n.w = w
 		c.guider.dispatch(e.cfg.RovingFetchInterval,
-			sim.Event{Target: e, Kind: evChipRoute, A: ref, B: int32(c.id)})
+			sim.Event{Target: e, Kind: evChipRoute, A: w, B: int32(c.id)})
 		return
 	}
 	c.rovingBytes += size

@@ -245,8 +245,8 @@ type boardEngine struct {
 	tiers []tierAccel
 
 	// wtab is the board's walk table: every walk parked on the board or
-	// moving through it lives here, and every store, batch and event node
-	// holds an index into it. wfree stacks the free indices. A *wstate
+	// moving through it lives here, and every store, batch and pending
+	// event holds an index into it. wfree stacks the free indices. A *wstate
 	// taken from the table stays valid until the next addWalk, which only
 	// seeding, resume and fabric arrival call, never a tier handler.
 	wtab  []wstate
@@ -288,10 +288,8 @@ type boardEngine struct {
 	// a biased run (nil otherwise).
 	alias *walk.GraphAlias
 
-	// Typed-event pools (events.go): walk nodes crossing event boundaries,
-	// in-flight roving batches, and recycled walk batch buffers.
-	nodes     []wnode
-	freeNode  int32
+	// Typed-event pools (events.go): in-flight roving batches and recycled
+	// walk batch buffers.
 	batches   []walkBatch
 	freeBatch int32
 	wbufs     [][]int32
@@ -403,7 +401,6 @@ func newBoardEngine(drv *Engine, id int, rc RunConfig, inDeg []uint64) (*boardEn
 		pendingFlashBytes: make([]int64, part.NumPartitions),
 		flushMark:         make([]int, part.NumPartitions),
 
-		freeNode:  -1,
 		freeBatch: -1,
 		curPart:   -1,
 		tracer:    rc.Tracer,

@@ -1,26 +1,25 @@
 package core
 
 import (
-	"slices"
-
 	"flashwalker/internal/sim"
 )
 
 // This file is the engine's typed-event layer. Every continuation the
 // accelerator tiers schedule — the time-0 hot-subgraph preload included —
 // is a sim.Event targeting the board engine, dispatched through the jump
-// table in HandleEvent. The walk being carried across the event boundary
-// is named by a pooled wnode addressed by the event's A payload, so the hop
-// path performs no allocation once the pools are warm.
+// table in HandleEvent. An event that hands a walk from one pipeline stage
+// to the next is the whole record of the hand-off: A names the walk's index
+// in the board's walk table, and B and C carry the kind's verdict (a chip
+// or tier, a slot, the hop's outcome, a destination block or range and a
+// foreign partition), so the hop path performs no allocation and keeps no
+// side record.
 //
 // Ownership rule: a walk lives in its board's walk table (boardEngine.wtab)
 // from the moment it lands on the board until it finishes or leaves over
-// the fabric. Nodes, batches and the durable stores (pwb, fls, roving,
+// the fabric. Events, batches and the durable stores (pwb, fls, roving,
 // pending lists, slot load buffers) hold its 4-byte table index, never a
-// copy, and a tier advances the walk in place. A wnode holds the index only
-// across a single event boundary (dispatch -> completion), so a node is
-// always freed inside the handler that consumes it — before any re-routing
-// that might claim a fresh node.
+// copy, and a tier advances the walk in place. At most one pending event
+// carries a given walk.
 
 // Core event kinds (private to boardEngine.HandleEvent; the sim and flash
 // layers each have their own kind space behind their own Handlers).
@@ -28,7 +27,7 @@ const (
 	evChipRoute      uint16 = iota // chip guider done (or stall retry): route walk at chip
 	evChipUpdateDone               // chip updater done: apply hop outcome to slot
 	evTierUpdateDone               // channel/board updater done (shared hot pipeline)
-	evChanGuided                   // channel guider done: apply classification
+	evChanGuided                   // channel guider done: range tag or foreign partition
 	evChanBatch                    // roving batch crossed the channel bus
 	evChanTick                     // periodic roving fetch
 	evBoardGuided                  // board guider done: maybe hit the table port
@@ -37,85 +36,63 @@ const (
 	evLoadPart                     // one gating part of a slot load finished
 	evSwitchPage                   // one flushed-foreigner page read back
 	evHotLoaded                    // one preloaded hot block reached its tier
+	evChanHot                      // channel guider done: walk is in a hot block
 )
 
-// Event payload fields, per kind: what A, B and C name. Resume checks
-// every imported event against this table (Engine.checkEvents).
+// Event payload fields, per kind: what A, B and C name. C packs two int32
+// halves (packC, splitC). Resume checks every imported event against this
+// table (boardEngine.checkEvent).
 const (
-	payChip  = 1 << iota // B is a chip
-	paySlot              // B is a chip and C one of its slots
-	payChan              // B is a channel
-	payTier              // B is a channel, or -1 for the board
-	payNode              // A is a walk node
-	payBatch             // A is a roving batch
+	payChip       = 1 << iota // B is a chip
+	paySlot                   // B is a chip, C's low half one of its slots
+	payChan                   // B is a channel
+	payTier                   // B is a channel, or -1 for the board
+	payWalk                   // A is a carried walk
+	payBatch                  // A is a roving batch
+	payHop                    // C's high half holds the hop's outcome (hopTerminal, hopDeadEnd)
+	payBytes                  // C's low half is the queue bytes a tier update claimed
+	payBoardRoute             // B is the port steps, C (block, foreign partition)
+	payChanRoute              // C is (range, foreign partition)
 )
 
-var eventPayload = [...]uint8{
-	evChipRoute:      payChip | payNode,
-	evChipUpdateDone: paySlot | payNode,
-	evTierUpdateDone: payTier | payNode,
-	evChanGuided:     payChan | payNode,
+var eventPayload = [...]uint16{
+	evChipRoute:      payChip | payWalk,
+	evChipUpdateDone: paySlot | payWalk | payHop,
+	evTierUpdateDone: payTier | payWalk | payHop | payBytes,
+	evChanGuided:     payChan | payWalk | payChanRoute,
 	evChanBatch:      payChan | payBatch,
 	evChanTick:       payChan,
-	evBoardGuided:    payNode,
-	evBoardPortDone:  payNode,
+	evBoardGuided:    payWalk | payBoardRoute,
+	evBoardPortDone:  payWalk | payBoardRoute,
 	evSlotRetry:      paySlot,
 	evLoadPart:       paySlot,
 	evSwitchPage:     0,
 	evHotLoaded:      payTier,
+	evChanHot:        payChan | payWalk,
 }
 
-// wnode carries one walk index (plus per-event scratch) across an event
-// boundary.
-type wnode struct {
-	w        int32 // the walk's index in the board's walk table
-	prevSize int64 // tier update: queueBytes claimed at dispatch
-	hot      int32 // channel guide: hot block, -1 none
-	foreign  int32 // guide: destination partition when leaving, -1 none
-	rangeID  int32 // channel guide: approximate-search range tag
-	block    int32 // board guide: destination block, -1 none
-	steps    int32 // board guide: mapping-table port steps
-	terminal bool  // update: walk finished
-	deadEnd  bool  // update: finished at a zero-degree vertex
-	free     int32 // free-list link
-}
+// packC packs two int32 halves into an event's C; splitC is its inverse and
+// the only decoder, so a check and a handler read the same values.
+func packC(lo, hi int32) int64 { return int64(uint32(lo)) | int64(hi)<<32 }
 
-// newNode claims a pooled node.
-func (e *boardEngine) newNode() (int32, *wnode) {
-	var ref int32
-	if e.freeNode >= 0 {
-		ref = e.freeNode
-		e.freeNode = e.nodes[ref].free
-	} else {
-		e.nodes = append(e.nodes, wnode{})
-		ref = int32(len(e.nodes) - 1)
+func splitC(c int64) (lo, hi int32) { return int32(c), int32(c >> 32) }
+
+// Hop outcome bits an update completion carries in C's high half.
+const (
+	hopTerminal int32 = 1 << iota // the walk finished with this hop
+	hopDeadEnd                    // ... at a zero-degree vertex
+)
+
+// flags packs the outcome an update completion carries.
+func (h hopOutcome) flags() int32 {
+	var f int32
+	if h.terminal {
+		f |= hopTerminal
 	}
-	n := &e.nodes[ref]
-	*n = wnode{free: -1}
-	return ref, n
-}
-
-// reserveNodes makes room for n more live nodes with at most one
-// allocation. A partition's launch burst claims a node for every walk it
-// guides at once; growing by append through it would copy the pool at each
-// step and leave the old arrays as garbage. Free nodes are reused first,
-// and slices.Grow keeps append's growth policy, so the pool never ends up
-// larger than claiming the nodes one by one would have made it.
-func (e *boardEngine) reserveNodes(n int) {
-	for ref := e.freeNode; ref >= 0 && n > 0; ref = e.nodes[ref].free {
-		n--
+	if h.deadEnd {
+		f |= hopDeadEnd
 	}
-	e.nodes = slices.Grow(e.nodes, n)
-}
-
-// node resolves a reference. The pointer is only valid until the next
-// newNode call (the backing array may grow).
-func (e *boardEngine) node(ref int32) *wnode { return &e.nodes[ref] }
-
-// freeNodeRef recycles a node.
-func (e *boardEngine) freeNodeRef(ref int32) {
-	e.nodes[ref] = wnode{free: e.freeNode}
-	e.freeNode = ref
+	return f
 }
 
 // getWalkBuf hands out a recycled walk batch buffer (len 0).
@@ -165,38 +142,33 @@ func (e *boardEngine) takeBatch(ref int32) []int32 {
 	return walks
 }
 
-// HandleEvent is the engine's event jump table. A carries a wnode or batch
-// reference, B an accelerator index, C a slot index — per kind. It is
-// exported only to satisfy sim.Handler.
+// HandleEvent is the engine's event jump table: A carries a walk or a
+// roving batch, B an accelerator index, C the kind's packed scratch
+// (eventPayload). It is exported only to satisfy sim.Handler.
 func (e *boardEngine) HandleEvent(ev sim.Event) {
 	switch ev.Kind {
 	case evChipRoute:
-		c := e.chips[ev.B]
-		w := e.node(ev.A).w
-		e.freeNodeRef(ev.A)
-		c.route(w)
+		e.chips[ev.B].route(ev.A)
 
 	case evChipUpdateDone:
 		c := e.chips[ev.B]
-		s := c.slots[ev.C]
-		n := e.node(ev.A)
-		w, terminal, deadEnd := n.w, n.terminal, n.deadEnd
-		e.freeNodeRef(ev.A)
-		c.finishUpdate(s, w, terminal, deadEnd)
+		slot, hop := splitC(ev.C)
+		c.finishUpdate(c.slots[slot], ev.A, hop&hopTerminal != 0, hop&hopDeadEnd != 0)
 
 	case evTierUpdateDone:
-		t := e.tier(ev.B)
-		n := e.node(ev.A)
-		w, size, terminal, deadEnd := n.w, n.prevSize, n.terminal, n.deadEnd
-		e.freeNodeRef(ev.A)
-		t.finishHotUpdate(w, size, terminal, deadEnd)
+		size, hop := splitC(ev.C)
+		e.tier(ev.B).finishHotUpdate(ev.A, int64(size), hop&hopTerminal != 0, hop&hopDeadEnd != 0)
 
 	case evChanGuided:
+		rangeID, foreign := splitC(ev.C)
+		e.chans[ev.B].applyGuide(ev.A, rangeID, foreign)
+
+	case evChanHot:
 		ca := e.chans[ev.B]
-		n := e.node(ev.A)
-		w, hot, foreign, rangeID := n.w, n.hot, n.foreign, n.rangeID
-		e.freeNodeRef(ev.A)
-		ca.applyGuide(w, hot, foreign, rangeID)
+		if !ca.tryHotUpdate(ev.A) {
+			// Hot-update queue full: on to the board, untagged.
+			ca.applyGuide(ev.A, -1, -1)
+		}
 
 	case evChanBatch:
 		batch := e.takeBatch(ev.A)
@@ -211,30 +183,31 @@ func (e *boardEngine) HandleEvent(ev sim.Event) {
 		ca.tick()
 		ca.scheduleTick()
 
-	case evBoardGuided:
-		n := e.node(ev.A)
-		if n.steps > 0 {
-			b := e.board
+	case evBoardGuided, evBoardPortDone:
+		if b := e.board; ev.Kind == evBoardGuided && ev.B > 0 {
+			// The search needs the mapping table: the same event, renamed,
+			// completes the port access.
 			port := b.ports[b.portRR]
 			b.portRR = (b.portRR + 1) % len(b.ports)
-			port.AcquireEvent(simTime(int(n.steps))*b.guiderCycle,
-				sim.Event{Target: e, Kind: evBoardPortDone, A: ev.A})
+			ev.Kind = evBoardPortDone
+			port.AcquireEvent(simTime(int(ev.B))*b.guiderCycle, ev)
 			return
 		}
-		e.routeBoardNode(ev.A)
-
-	case evBoardPortDone:
-		e.routeBoardNode(ev.A)
+		block, foreign := splitC(ev.C)
+		e.board.route(routeDecision{w: ev.A, blockID: int(block), foreignPart: int(foreign)})
 
 	case evSlotRetry:
 		c := e.chips[ev.B]
-		s := c.slots[ev.C]
+		slot, _ := splitC(ev.C)
+		s := c.slots[slot]
 		if s.defers > 0 && !s.loading && s.pending == 0 {
 			c.scheduleSlot(s)
 		}
 
 	case evLoadPart:
-		e.chips[ev.B].loadPartDone(e.chips[ev.B].slots[ev.C])
+		c := e.chips[ev.B]
+		slot, _ := splitC(ev.C)
+		c.loadPartDone(c.slots[slot])
 
 	case evHotLoaded:
 		t := e.tier(ev.B)
@@ -266,12 +239,4 @@ func (e *boardEngine) tier(id int32) *tierCommon {
 		return &e.chans[id].tierCommon
 	}
 	return &e.board.tierCommon
-}
-
-// routeBoardNode applies a board classification parked in a node.
-func (e *boardEngine) routeBoardNode(ref int32) {
-	n := e.node(ref)
-	d := routeDecision{w: n.w, blockID: int(n.block), foreignPart: int(n.foreign)}
-	e.freeNodeRef(ref)
-	e.board.route(d)
 }

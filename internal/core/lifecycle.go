@@ -129,8 +129,6 @@ func (e *boardEngine) startPartition(p int) {
 
 	e.activeCur = len(mem) + len(fl)
 
-	// Each guided walk holds a node until its guider finishes.
-	e.reserveNodes(len(mem))
 	for _, w := range mem {
 		e.board.Guide(w)
 	}

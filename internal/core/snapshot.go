@@ -18,8 +18,8 @@ import (
 // a pure-data image of a paused engine taken strictly between simulated
 // events, for any board count: the run's identity once, the shared event
 // kernel, one body per board — every walk (with its private RNG stream),
-// every buffer and queue booking, the pooled node/batch/op records the
-// pending events reference, the fault injector's stream position — and the
+// every buffer and queue booking, the pooled batch/op records the pending
+// events reference, the fault injector's stream position — and the
 // inter-board fabric (link bookings, egress batches, in-flight transfers).
 // ResumeEngine rebuilds the engine skeleton from the identity section (the
 // original RunConfig inputs) and overlays the captured state; because the
@@ -34,8 +34,11 @@ import (
 // blocks still in flight). What is NOT captured: progress time series and
 // tracers, which RunConfig.validate therefore refuses beside OnSnapshot.
 //
-// Walks travel packed (WalkRecords) and the node and batch pools live-only
-// (PoolImage); walkpack.go holds both codecs.
+// Walks travel packed (WalkRecords) and the batch pools live-only
+// (PoolImage); walkpack.go holds both codecs. A pending event that carries a
+// walk names it by its position in its board's Held run: export renames
+// the event's table index, and restore files Held first, so the position
+// is the walk's new index and the event restores as it was written.
 
 // Event-target IDs for the kernel and flash export: the driver is 0 (its
 // fabric arrivals and kill events), and board b's engine and SSD are 1+2b
@@ -51,7 +54,6 @@ type SlotState struct {
 	Loading   bool
 	Idle      bool
 	Defers    int
-	Pending   int
 	LoadLeft  int
 	LoadWalks WalkRecords
 }
@@ -130,9 +132,10 @@ type BoardImage struct {
 	FlushMark         []int
 	ForeignerBufBytes int64
 
-	// Pooled records referenced by pending events: event nodes and roving
-	// batches.
-	Nodes   PoolImage
+	// Held packs the walks this board's pending events carry, in the
+	// kernel's export order; each such event's A is its walk's position
+	// here. Batches pools the roving batches pending events reference.
+	Held    WalkRecords
 	Batches PoolImage
 
 	// Flushed-foreigner read-back in flight.
@@ -338,7 +341,8 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 		return 0, fmt.Errorf("unknown event target %T", h)
 	}
 	b0 := e.boards[0]
-	// Every unfinished walk is in exactly one store or pooled record.
+	// Every unfinished walk is in exactly one store, pooled record or
+	// pending event.
 	p := &packer{buf: make([]byte, 0, 48*e.remaining+4096)}
 	s := &Snapshot{
 		Cfg:              e.cfg,
@@ -390,6 +394,19 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 	simState, err := e.eng.ExportState(targetID)
 	if err != nil {
 		return nil, err
+	}
+	// An event carries its walk by table index; the image names the walk by
+	// its position in the board's Held run instead.
+	held := make([][]int32, len(e.boards))
+	for i := range simState.Events {
+		ev := &simState.Events[i]
+		if b := int(ev.Target-1) / 2; ev.Target == targetBoard(b) && eventPayload[ev.Kind]&payWalk != 0 {
+			held[b] = append(held[b], ev.A)
+			ev.A = int32(len(held[b]) - 1)
+		}
+	}
+	for b, be := range e.boards {
+		s.Boards[b].Held = p.walks(be.wtab, held[b])
 	}
 	s.Sim = simState
 	return s, nil
@@ -447,11 +464,6 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 		s.PendingFlash[i] = p.walks(e.wtab, e.pendingFlash[i])
 	}
 
-	if s.Nodes, err = p.pool(len(e.nodes), e.freeNode,
-		func(i int32) int32 { return e.nodes[i].free },
-		func(b []byte, i int32) []byte { return appendNode(b, e.wtab, &e.nodes[i]) }); err != nil {
-		return err
-	}
 	if s.Batches, err = p.pool(len(e.batches), e.freeBatch,
 		func(i int32) int32 { return e.batches[i].free },
 		func(b []byte, i int32) []byte { return appendWalks(b, e.wtab, e.batches[i].walks) }); err != nil {
@@ -469,8 +481,7 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 		}
 		for j, sl := range c.slots {
 			cs.Slots[j] = SlotState{
-				Block: sl.block, Loading: sl.loading, Idle: sl.idle,
-				Defers: sl.defers, Pending: sl.pending,
+				Block: sl.block, Loading: sl.loading, Idle: sl.idle, Defers: sl.defers,
 				LoadLeft: sl.loadLeft, LoadWalks: p.walks(e.wtab, sl.loadWalks),
 			}
 		}
@@ -567,8 +578,8 @@ func (e *Engine) restore(snap *Snapshot) error {
 	case len(snap.FabricQ) != nb, len(snap.Egress) != nb, len(snap.Dead) != nb:
 		return fmt.Errorf("core: resume: snapshot fabric state sized for %d boards, config has %d", len(snap.FabricQ), nb)
 	}
-	// Pending events reference node/batch/op/fabric records by index, so
-	// the pools restored below must land in the exact same layout.
+	// Pending events reference batch/op/fabric records by index, so the
+	// pools restored below must land in the exact same layout.
 	target := func(id int32) (sim.Handler, error) {
 		if id == targetDriver {
 			return e, nil
@@ -601,7 +612,14 @@ func (e *Engine) restore(snap *Snapshot) error {
 		return fmt.Errorf("core: resume: replay mutation %d: %w", e.mutCursor, err)
 	}
 	var u unpacker
+	held := make([]int, nb)
 	for b, be := range e.boards {
+		// The walks pending events carry go first, into the board's empty
+		// table, so each lands at the index its event names.
+		hu := unpacker{be: be}
+		if held[b] = len(hu.walks(snap.Boards[b].Held)); hu.err != nil {
+			return fmt.Errorf("core: resume board %d carried walks: %w", b, hu.err)
+		}
 		if err := be.restore(&snap.Boards[b], target); err != nil {
 			return fmt.Errorf("core: resume board %d: %w", b, err)
 		}
@@ -626,10 +644,11 @@ func (e *Engine) restore(snap *Snapshot) error {
 		func(i int32, r *recReader) { e.fbatches[i] = r.fabricBatch() }); err != nil {
 		return fmt.Errorf("core: resume fabric transfers: %w", err)
 	}
-	if err := e.checkEvents(snap); err != nil {
+	carried, err := e.checkEvents(snap, held)
+	if err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
-	if err := e.checkWalks(); err != nil {
+	if err := e.checkWalks(carried); err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
 	e.inFabric = snap.InFabric
@@ -653,8 +672,8 @@ func (e *Engine) restore(snap *Snapshot) error {
 	return nil
 }
 
-// restore overlays one board's body; the caller imported the kernel.
-// target resolves flash op completion targets.
+// restore overlays one board's body; the caller imported the kernel and
+// filed the carried walks. target resolves flash op completion targets.
 func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler, error)) error {
 	nb := e.part.NumBlocks()
 	np := e.part.NumPartitions
@@ -677,6 +696,10 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 		return fmt.Errorf("core: resume: snapshot and config disagree on fault injection")
 	case snap.CurPart < -1 || snap.CurPart >= np:
 		return fmt.Errorf("core: resume: current partition %d outside [-1, %d)", snap.CurPart, np)
+	case snap.FlushChipRR < 0 || snap.FlushChipRR >= e.ssd.NumChips():
+		return fmt.Errorf("core: resume: flush chip cursor %d outside [0, %d)", snap.FlushChipRR, e.ssd.NumChips())
+	case len(snap.Res.Visits) != len(e.res.Visits):
+		return fmt.Errorf("core: resume: %d visit counters, the run keeps %d", len(snap.Res.Visits), len(e.res.Visits))
 	}
 
 	if err := e.ssd.ImportState(snap.Flash, target); err != nil {
@@ -691,7 +714,7 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	}
 
 	// Every decoded walk is filed in this board's table; the stores and
-	// pools get fresh indices.
+	// pools get fresh indices after the carried walks.
 	u := unpacker{be: e}
 	for b := 0; b < nb; b++ {
 		e.pwb[b] = u.walks(snap.PWB[b])
@@ -711,12 +734,6 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	e.foreignerBufBytes = snap.ForeignerBufBytes
 
 	var err error
-	if e.freeNode, err = snap.Nodes.load(minNodeBytes,
-		func(n int) { e.nodes = make([]wnode, n) },
-		func(i, next int32) { e.nodes[i].free = next },
-		func(i int32, r *recReader) { r.node(&e.nodes[i], e) }); err != nil {
-		return fmt.Errorf("core: resume event nodes: %w", err)
-	}
 	if e.freeBatch, err = snap.Batches.load(minBatchBytes,
 		func(n int) { e.batches = make([]walkBatch, n) },
 		func(i, next int32) { e.batches[i].free = next },
@@ -740,6 +757,8 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 		if err := tierIn(&c.tierCommon, cs.Tier, fmt.Sprintf("chip %d", i)); err != nil {
 			return err
 		}
+		// A slot's pending count is its pending update completions, which
+		// checkEvents counts.
 		for j, sl := range c.slots {
 			ss := &cs.Slots[j]
 			if ss.Block < -1 || ss.Block >= nb {
@@ -749,7 +768,6 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 			sl.loading = ss.Loading
 			sl.idle = ss.Idle
 			sl.defers = ss.Defers
-			sl.pending = ss.Pending
 			sl.loadLeft = ss.LoadLeft
 			sl.loadWalks = u.walks(ss.LoadWalks)
 		}
@@ -801,9 +819,13 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 }
 
 // claims counts the pending events and op completions that name each
-// record of a restored pool. A free record starts at -1, so a claim on it
-// fails like a second claim on a live one.
+// record of a restored pool or carried-walk run. A free record starts at
+// -1, so a claim on it fails like a second claim on a live one.
 type claims []int8
+
+// retiring marks a carried walk claimed by an update completion whose hop
+// finished it.
+const retiring = 2
 
 func newClaims(img *PoolImage) claims {
 	c := make(claims, img.Len)
@@ -815,7 +837,7 @@ func newClaims(img *PoolImage) claims {
 
 func (c claims) claim(ref int32, what string) error {
 	if ref < 0 || int(ref) >= len(c) {
-		return fmt.Errorf("%s %d outside a pool of %d", what, ref, len(c))
+		return fmt.Errorf("%s %d outside [0, %d)", what, ref, len(c))
 	}
 	if c[ref] != 0 {
 		return fmt.Errorf("%s %d is free or claimed twice", what, ref)
@@ -838,16 +860,19 @@ func (c claims) unclaimed(what string) error {
 // checkEvents validates every imported pending event and every live flash
 // op's completion against its target's kind space, once every pool is
 // restored: the kind is known, chip, channel, tier, slot and board indices
-// are in range, and node, roving-batch, fabric-transfer and flash-op
-// references are live. Each live node, roving batch and fabric transfer
-// must be named by exactly one event or completion — a second one would
-// hand two tiers the same walk. A hostile image is an error here rather
-// than a panic or a walk that never finishes once the run resumes.
-func (e *Engine) checkEvents(snap *Snapshot) error {
+// are in range, the routing scratch names partitions, blocks and ranges
+// that exist, and carried-walk, roving-batch, fabric-transfer and flash-op
+// references are live. Each of a board's held[b] carried walks, roving
+// batches and fabric transfers must be named by exactly one event or
+// completion — a second one would hand two tiers the same walk. A hostile
+// image is an error here rather than a panic or a walk that never finishes
+// once the run resumes. The pass also counts each chip slot's pending
+// updates, and returns each board's carried-walk claims for checkWalks.
+func (e *Engine) checkEvents(snap *Snapshot, held []int) ([]claims, error) {
 	nb := len(e.boards)
-	nodes, batches := make([]claims, nb), make([]claims, nb)
+	carried, batches := make([]claims, nb), make([]claims, nb)
 	for b := range e.boards {
-		nodes[b] = newClaims(&snap.Boards[b].Nodes)
+		carried[b] = make(claims, held[b])
 		batches[b] = newClaims(&snap.Boards[b].Batches)
 	}
 	fbatches := newClaims(&snap.FBatches)
@@ -867,7 +892,7 @@ func (e *Engine) checkEvents(snap *Snapshot) error {
 			return fmt.Errorf("unknown driver event kind %d", kind)
 		}
 		if bd := int(target-1) / 2; target == targetBoard(bd) {
-			return e.boards[bd].checkEvent(kind, a, b, c, nodes[bd], batches[bd])
+			return e.boards[bd].checkEvent(kind, a, b, c, carried[bd], batches[bd])
 		}
 		return fmt.Errorf("completion kind %d aimed at an SSD", kind)
 	}
@@ -878,12 +903,12 @@ func (e *Engine) checkEvents(snap *Snapshot) error {
 			continue
 		}
 		if err := check(ev.Target, ev.Kind, ev.A, ev.B, ev.C); err != nil {
-			return fmt.Errorf("pending event at %v: %w", ev.At, err)
+			return nil, fmt.Errorf("pending event at %v: %w", ev.At, err)
 		}
 	}
 	for b, be := range e.boards {
 		if err := be.ssd.CheckPending(ssdEvents[b]); err != nil {
-			return fmt.Errorf("board %d: %w", b, err)
+			return nil, fmt.Errorf("board %d: %w", b, err)
 		}
 		for i, op := range snap.Boards[b].Flash.Ops {
 			if op.Remaining == 0 || !op.HasDone {
@@ -891,17 +916,19 @@ func (e *Engine) checkEvents(snap *Snapshot) error {
 			}
 			d := op.Done
 			if err := check(d.Target, d.Kind, d.A, d.B, d.C); err != nil {
-				return fmt.Errorf("board %d flash op %d completion: %w", b, i, err)
+				return nil, fmt.Errorf("board %d flash op %d completion: %w", b, i, err)
 			}
 		}
-		if err := nodes[b].unclaimed("node"); err != nil {
-			return fmt.Errorf("board %d: %w", b, err)
+	}
+	for b := range e.boards {
+		if err := carried[b].unclaimed("carried walk"); err != nil {
+			return nil, fmt.Errorf("board %d: %w", b, err)
 		}
 		if err := batches[b].unclaimed("roving batch"); err != nil {
-			return fmt.Errorf("board %d: %w", b, err)
+			return nil, fmt.Errorf("board %d: %w", b, err)
 		}
 	}
-	return fbatches.unclaimed("fabric transfer")
+	return carried, fbatches.unclaimed("fabric transfer")
 }
 
 // checkWalks range-checks every restored walk against what its readers
@@ -909,19 +936,16 @@ func (e *Engine) checkEvents(snap *Snapshot) error {
 // and the hop budget. The packed codec knows no graph, so a walk value no
 // run could hold is refused here rather than indexing out of range or
 // silently changing the run once it resumes. Restore files every decoded
-// walk in a fresh table, so every table entry is live.
-func (e *Engine) checkWalks() error {
+// walk in a fresh table, so every table entry is live, and the carried
+// walks first, so carried[b] (checkEvents) covers board b's leading
+// entries.
+func (e *Engine) checkWalks(carried []claims) error {
 	for b, be := range e.boards {
-		// A walk a terminal node holds has taken its last hop; free nodes
-		// are zero apart from their link, so none is terminal.
-		done := make([]bool, len(be.wtab))
-		for i := range be.nodes {
-			if be.nodes[i].terminal {
-				done[be.nodes[i].w] = true
-			}
-		}
 		for i := range be.wtab {
-			if err := be.checkWalk(&be.wtab[i], done[i]); err != nil {
+			// A walk whose update completion is pending with the terminal
+			// flag has taken its last hop.
+			done := i < len(carried[b]) && carried[b][i] == retiring
+			if err := be.checkWalk(&be.wtab[i], done); err != nil {
 				return fmt.Errorf("board %d walk %d: %w", b, i, err)
 			}
 		}
@@ -971,35 +995,44 @@ func (e *boardEngine) checkWalk(st *wstate, terminal bool) error {
 }
 
 // checkEvent validates one event or op completion aimed at this board
-// against its kind's payload (eventPayload), claiming the node or roving
-// batch it names.
-func (e *boardEngine) checkEvent(kind uint16, a, b int32, c int64, nodes, batches claims) error {
+// against its kind's payload (eventPayload), claiming the carried walk or
+// roving batch it names. It counts each chip update completion against its
+// slot's pending walks.
+func (e *boardEngine) checkEvent(kind uint16, a, b int32, c int64, carried, batches claims) error {
 	if int(kind) >= len(eventPayload) {
 		return fmt.Errorf("unknown board event kind %d", kind)
 	}
 	p := eventPayload[kind]
+	lo, hi := splitC(c)
 	switch {
 	case p&(payChip|paySlot) != 0 && (b < 0 || int(b) >= len(e.chips)):
 		return fmt.Errorf("event kind %d names chip %d of %d", kind, b, len(e.chips))
-	case p&paySlot != 0 && (c < 0 || c >= int64(len(e.chips[b].slots))):
-		return fmt.Errorf("event kind %d names slot %d of %d", kind, c, len(e.chips[b].slots))
+	case p&paySlot != 0 && (lo < 0 || int(lo) >= len(e.chips[b].slots)):
+		return fmt.Errorf("event kind %d names slot %d of %d", kind, lo, len(e.chips[b].slots))
 	case p&payChan != 0 && (b < 0 || int(b) >= len(e.chans)),
 		p&payTier != 0 && (b < -1 || int(b) >= len(e.chans)):
 		return fmt.Errorf("event kind %d names channel %d of %d", kind, b, len(e.chans))
+	case p&payBytes != 0 && lo != walk.StateBytes && lo != walk.DenseStateBytes:
+		return fmt.Errorf("tier update claimed %d queue bytes, not a walk record", lo)
+	case p&payHop != 0 && hi&^(hopTerminal|hopDeadEnd) != 0:
+		return fmt.Errorf("update completion carries unknown hop flags %#x", hi)
+	case p&payBoardRoute != 0 && (b < 0 || lo < -1 || int(lo) >= e.part.NumBlocks() ||
+		hi < -1 || int(hi) >= e.part.NumPartitions):
+		return fmt.Errorf("board guide routes to block %d, partition %d in %d steps", lo, hi, b)
+	case p&payChanRoute != 0 && (lo < -1 || int(lo) >= len(e.part.Ranges) ||
+		hi < -1 || int(hi) >= e.part.NumPartitions):
+		return fmt.Errorf("channel guide tags range %d, partition %d", lo, hi)
 	case p&payBatch != 0:
 		return batches.claim(a, "roving batch")
-	case p&payNode != 0:
-		if err := nodes.claim(a, "node"); err != nil {
+	case p&payWalk != 0:
+		if err := carried.claim(a, "carried walk"); err != nil {
 			return err
 		}
-		// The handlers index partitions, blocks and ranges with the
-		// node's routing scratch.
-		n := &e.nodes[a]
-		if n.foreign < -1 || int(n.foreign) >= e.part.NumPartitions ||
-			n.block < -1 || int(n.block) >= e.part.NumBlocks() ||
-			n.rangeID < -1 || int(n.rangeID) >= len(e.part.Ranges) || n.steps < 0 {
-			return fmt.Errorf("node %d routes to partition %d, block %d, range %d in %d steps",
-				a, n.foreign, n.block, n.rangeID, n.steps)
+		if p&payHop != 0 && hi&hopTerminal != 0 {
+			carried[a] = retiring
+		}
+		if kind == evChipUpdateDone {
+			e.chips[b].slots[lo].pending++
 		}
 	}
 	return nil

@@ -129,11 +129,8 @@ func (t *tierCommon) EnqueueUpdate(w int32) {
 	size := st.sizeBytes()
 	h := e.decideHop(st)
 	e.chargeFilterProbes(h, nil)
-	ref, n := e.newNode()
-	n.w, n.prevSize = w, size
-	n.terminal, n.deadEnd = h.terminal, h.deadEnd
 	t.updater.dispatch(e.updateService(t.updaterCycle, h),
-		sim.Event{Target: e, Kind: evTierUpdateDone, A: ref, B: t.tierID})
+		sim.Event{Target: e, Kind: evTierUpdateDone, A: w, B: t.tierID, C: packC(int32(size), h.flags())})
 }
 
 // finishHotUpdate retires or re-guides a walk whose hot-subgraph update

@@ -8,16 +8,19 @@ import (
 )
 
 // Packed snapshot records. A snapshot carries every walk it holds — the
-// per-block and per-partition stores, roving batches, slot loads, pooled
-// event records, the fabric's egress batches and transfers — as packed
-// binary records rather than one gob struct per walk, the way the board
-// moves a walk as a fixed record (walk.StateBytes). Building a cut appends
-// them to one arena; the container codec then ships each store as a single
-// byte string, and DiffSnapshot compares stores byte for byte.
+// per-block and per-partition stores, roving batches, slot loads, the walks
+// pending events carry, the fabric's egress batches and transfers — as
+// packed binary records rather than one gob struct per walk, the way the
+// board moves a walk as a fixed record (walk.StateBytes). Building a cut
+// appends them to one arena; the container codec then ships each store as
+// a single byte string, and DiffSnapshot compares stores byte for byte.
 //
 // In memory a board's stores hold indices into its walk table; the packer
 // resolves each index and writes the walk itself, and restore files every
-// decoded walk in its board's table. Indices never reach an image.
+// decoded walk in its board's table. Table indices never reach an image:
+// a pending event that carries a walk names its position in the board's
+// Held run instead, and restore files Held first, so that position is the
+// walk's new index.
 //
 // One walk record is, in order: Src, Cur and Hop as uvarints, the dense
 // block as a zigzag varint, the dense edge as a uvarint, the range tag as a
@@ -34,10 +37,10 @@ import (
 // holds no walks.
 type WalkRecords []byte
 
-// PoolImage is a pooled record array (event nodes, roving batches, fabric
-// transfers) exported live-only. A free record holds nothing but its
-// free-list link, so the pool's length, its free list in order from the
-// head, and the live records restore the pool exactly.
+// PoolImage is a pooled record array (roving batches, fabric transfers)
+// exported live-only. A free record holds nothing but its free-list link,
+// so the pool's length, its free list in order from the head, and the live
+// records restore the pool exactly.
 type PoolImage struct {
 	// Len is the pool length, live and free records together.
 	Len int
@@ -54,15 +57,8 @@ const (
 	rngBytes       = 32
 	minWalkBytes   = 7 + rngBytes
 	minFabricBytes = 1 + minWalkBytes
-	minNodeBytes   = minWalkBytes + 6 + 1 // prevSize, five int32 tags, flags
-	minBatchBytes  = 1                    // an empty walk run
-	minFBatchBytes = 2                    // destination and walk count
-)
-
-// Node flag bits.
-const (
-	nodeTerminal = 1 << iota
-	nodeDeadEnd
+	minBatchBytes  = 1 // an empty walk run
+	minFBatchBytes = 2 // destination and walk count
 )
 
 // packer appends one snapshot's packed records to a shared arena and hands
@@ -153,22 +149,6 @@ func appendFabricWalks(b []byte, ws []fabricWalk) []byte {
 		b = appendWalk(b, &ws[i].st)
 	}
 	return b
-}
-
-func appendNode(b []byte, tab []wstate, n *wnode) []byte {
-	b = appendWalk(b, &tab[n.w])
-	b = binary.AppendVarint(b, n.prevSize)
-	for _, v := range [...]int32{n.hot, n.foreign, n.rangeID, n.block, n.steps} {
-		b = binary.AppendVarint(b, int64(v))
-	}
-	var flags byte
-	if n.terminal {
-		flags |= nodeTerminal
-	}
-	if n.deadEnd {
-		flags |= nodeDeadEnd
-	}
-	return append(b, flags)
 }
 
 func appendFabricBatch(b []byte, fb *fabricBatch) []byte {
@@ -308,26 +288,6 @@ func (r *recReader) fabricWalks() []fabricWalk {
 		r.walk(&out[i].st)
 	}
 	return out
-}
-
-func (r *recReader) node(n *wnode, be *boardEngine) {
-	n.w = r.tableWalk(be)
-	n.prevSize = r.varint()
-	for _, v := range [...]*int32{&n.hot, &n.foreign, &n.rangeID, &n.block, &n.steps} {
-		*v = r.int32()
-	}
-	if len(r.b) == 0 {
-		r.fail("truncated node flags")
-		return
-	}
-	flags := r.b[0]
-	r.b = r.b[1:]
-	if flags&^(nodeTerminal|nodeDeadEnd) != 0 {
-		r.fail(fmt.Sprintf("unknown node flags %#x", flags))
-	}
-	n.terminal = flags&nodeTerminal != 0
-	n.deadEnd = flags&nodeDeadEnd != 0
-	n.free = -1
 }
 
 func (r *recReader) fabricBatch() fabricBatch {

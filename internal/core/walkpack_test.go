@@ -55,6 +55,7 @@ func unpackImage(s *Snapshot) error {
 	}
 	for b := range s.Boards {
 		img := &s.Boards[b]
+		u.walks(img.Held)
 		for _, stores := range [][]WalkRecords{img.PWB, img.FLS, img.PendingMem, img.PendingFlash} {
 			for _, rec := range stores {
 				u.walks(rec)
@@ -67,14 +68,8 @@ func unpackImage(s *Snapshot) error {
 				u.walks(sl.LoadWalks)
 			}
 		}
-		var nodes []wnode
-		_, err := img.Nodes.load(minNodeBytes,
-			func(n int) { nodes = make([]wnode, n) },
-			func(i, next int32) { nodes[i].free = next },
-			func(i int32, r *recReader) { r.node(&nodes[i], be) })
-		keep(err)
 		var batches []walkBatch
-		_, err = img.Batches.load(minBatchBytes,
+		_, err := img.Batches.load(minBatchBytes,
 			func(n int) { batches = make([]walkBatch, n) },
 			func(i, next int32) { batches[i].free = next },
 			func(i int32, r *recReader) { batches[i].walks = r.walks(be) })
@@ -95,9 +90,14 @@ func unpackImage(s *Snapshot) error {
 	return firstErr
 }
 
-// TestPackedImageRoundTrip: a mid-run cut's packed stores and live-only
-// pools restore an engine whose next cut packs to the identical image, on
-// one and two boards, and every packed store decodes cleanly.
+// TestPackedImageRoundTrip: a mid-run cut's packed stores, live-only pools
+// and carried walks restore an engine whose next cut packs to the identical
+// image, on one and two boards, and every packed store decodes cleanly.
+// The identity covers Held: restore files each carried walk at the
+// position its event names. It holds at this cut only because the
+// restored kernel exports its pending events in the cut's order, which
+// about a third of the golden workload's cuts do not (sim.ImportState
+// refiles far-wheel events in time order).
 func TestPackedImageRoundTrip(t *testing.T) {
 	g := testGraph(t)
 	for _, nb := range []int{1, 2} {
@@ -105,9 +105,8 @@ func TestPackedImageRoundTrip(t *testing.T) {
 		if err := unpackImage(snap); err != nil {
 			t.Fatalf("boards=%d: %v", nb, err)
 		}
-		img := &snap.Boards[0]
-		if live := img.Nodes.Len - len(img.Nodes.Free); live <= 0 || len(img.Nodes.Free) == 0 {
-			t.Fatalf("boards=%d: cut holds %d live and %d free nodes; want both", nb, live, len(img.Nodes.Free))
+		if len(snap.Boards[0].Held) == 0 {
+			t.Fatalf("boards=%d: cut carries no walk in a pending event", nb)
 		}
 		e, err := ResumeEngine(g, snap, ResumeOptions{})
 		if err != nil {

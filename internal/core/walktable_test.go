@@ -15,10 +15,10 @@ import (
 
 // packedStoreDigest hashes every packed walk store and pool image of a cut
 // in a fixed order: per board the PWB, FLS and both pending lists, the
-// switch read-back, each chip's roving buffer and slot loads, and the
-// node and roving-batch pools; then the fabric's egress batches and its
-// transfer pool. Every byte string is length-prefixed, so a byte moving
-// between two stores changes the digest too.
+// switch read-back, each chip's roving buffer and slot loads, the walks
+// pending events carry and the roving-batch pool; then the fabric's egress
+// batches and its transfer pool. Every byte string is length-prefixed, so
+// a byte moving between two stores changes the digest too.
 func packedStoreDigest(s *Snapshot) string {
 	h := sha256.New()
 	put := func(b []byte) {
@@ -41,7 +41,7 @@ func packedStoreDigest(s *Snapshot) string {
 				put(sl.LoadWalks)
 			}
 		}
-		hashPool(h, &img.Nodes, put)
+		put(img.Held)
 		hashPool(h, &img.Batches, put)
 	}
 	for _, row := range s.Egress {
@@ -68,12 +68,12 @@ func hashPool(h hash.Hash, img *PoolImage, put func([]byte)) {
 // packs are not, because resume and the delta chain read them.
 func TestPackedStoreDigest(t *testing.T) {
 	want := map[string]string{
-		"boards=1/cut=1":  "080d3a8940f8ecf3e2bea1c1f07f3dfe2fce24816b401803be2e7a73983c8110",
-		"boards=1/cut=5":  "ae9eab5be649f38d7f59ba15a8e1434863f7285b620416f8e7b761ea21af9c8e",
-		"boards=1/cut=20": "6938cacec59e917b2d632aac9a80771cdb2f64cb7c95a945216161e070ca4cf9",
-		"boards=2/cut=1":  "0a9b11e2793dee9da5315bf8ac98fbd4d93c64bfa5b2d62959f0fa7d3049dec7",
-		"boards=2/cut=5":  "af05aedffe88fdb431553aa0eacaf6c47c03745f8b44a09f4ec2b66140406a74",
-		"boards=2/cut=20": "ae8f7ce7015751a06cf39b1330824f62af80e58920a908824eb0bf7c87a9bdf0",
+		"boards=1/cut=1":  "013befc72ac37f678a3e780756b348c3568cd9cb992ca702e91b420f8f7ba9da",
+		"boards=1/cut=5":  "42f325caac21a7d5615800ef06b822b0cd0de00bab8da30e9bcb6d1166623cb1",
+		"boards=1/cut=20": "79df15a9c6459927f3db6da1dd535d4c31393430fd371219a5d2ccfc14422d08",
+		"boards=2/cut=1":  "b3061b8b78bcaf268a46892e73d51f9c5b005ed4c7ea96faa40f62848aceeac0",
+		"boards=2/cut=5":  "53e8abd20915cc87675049e30043e724af14a61406ec8ffa5dda269281102849",
+		"boards=2/cut=20": "4fe4951a1671f955d6a6bcca7a22719d25e8bf9dd4b404f19f0b49309b196fdf",
 	}
 	g := testGraph(t)
 	for _, nb := range []int{1, 2} {

@@ -301,10 +301,11 @@ func legacyContainer(t *testing.T, kind string, version uint32) []byte {
 // TestManagerRecoveryRejectsPreBumpSnapshots: images written before a
 // container version bump — a version-1 single-board engine image and a
 // version-1 image of the old multi-board array kind (before one snapshot
-// kind), and a version-2 engine image (before packed walk records), each
-// left at snapshots/<id>.snap by a crashed daemon — are refused with
-// ErrVersion on recovery, and each job re-runs from scratch to the result
-// a clean run produces.
+// kind), a version-2 engine image (before packed walk records) and a
+// version-3 engine image (before events carried their walks), each left at
+// snapshots/<id>.snap by a crashed daemon — are refused with ErrVersion on
+// recovery, and each job re-runs from scratch to the result a clean run
+// produces.
 func TestManagerRecoveryRejectsPreBumpSnapshots(t *testing.T) {
 	cases := []struct {
 		version uint32
@@ -314,6 +315,7 @@ func TestManagerRecoveryRejectsPreBumpSnapshots(t *testing.T) {
 		{1, "flashwalker-core-engine", JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 3, CheckpointEvery: 64}},
 		{1, "flashwalker-core-array", JobSpec{Graph: "MB-S", NumWalks: 2000, Seed: 3, CheckpointEvery: 64, Boards: 2}},
 		{2, "flashwalker-core-engine", JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 4, CheckpointEvery: 64}},
+		{3, "flashwalker-core-engine", JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 5, CheckpointEvery: 64}},
 	}
 
 	mr := newTestManager(t, Config{Workers: 1})

@@ -37,8 +37,10 @@ import (
 // one, and a job whose image fails with ErrVersion re-runs from the start
 // (result-identical, the engines being deterministic). Version 2 made the
 // core engine's snapshot one type for any board count; version 3 packs its
-// walks as binary records and exports its pooled records live-only.
-const Version = 3
+// walks as binary records and exports its pooled records live-only;
+// version 4 drops the event-node pool: pending events carry their walks,
+// packed once per board in the order the kernel exports those events.
+const Version = 4
 
 var magic = [8]byte{'F', 'W', 'S', 'N', 'A', 'P', '1', '\n'}
 
