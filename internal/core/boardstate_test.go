@@ -39,8 +39,12 @@ func cloneSnapshot(t *testing.T, s *Snapshot) *Snapshot {
 // not the block's, round-robin cursors outside their rings, negative
 // bookings, a hot block past the end, a chip slot holding a block outside
 // [-1, NumBlocks), visit counters the run does not keep, a flush chip
-// cursor past the chips, a current partition out of range — and requires
-// an error for each.
+// cursor past the chips, a current partition out of range, a channel
+// failed over with no degraded chip, a tier's pending hot blocks that no
+// pending preload completion accounts for, a negative score count, slot
+// deferrals outside [0, maxLoadDefers], a completed-walk buffer outside
+// [0, its flush threshold), and flash walk pages that are negative or
+// held by an empty store — and requires an error for each.
 // An image that slipped through would index out of range inside resume or
 // at the next routed walk, hop or flush, so an accepted one is also run.
 func TestResumeRejectsHostileBoardState(t *testing.T) {
@@ -119,6 +123,32 @@ func TestResumeRejectsHostileBoardState(t *testing.T) {
 		"visit counters cut short": func(img *BoardImage) { img.Res.Visits = img.Res.Visits[:3] },
 		"flush chip cursor past the end": func(img *BoardImage) {
 			img.FlushChipRR = len(img.Flash.ChipNext)
+		},
+		"failover without a degraded chip": func(img *BoardImage) { img.Chans[0].Failover = true },
+		"board hot blocks pending without loads": func(img *BoardImage) {
+			img.Board.Tier.HotPending = 1 << 30
+		},
+		"channel hot blocks pending without loads": func(img *BoardImage) { img.Chans[1].Tier.HotPending = 1 },
+		"chip hot blocks pending":                  func(img *BoardImage) { img.Chips[0].Tier.HotPending = 1 },
+		"negative score pending":                   func(img *BoardImage) { img.ScorePend[0] = -1 << 30 },
+		"slot defers past the bound":               func(img *BoardImage) { img.Chips[0].Slots[0].Defers = maxLoadDefers + 1 },
+		"negative slot defers":                     func(img *BoardImage) { img.Chips[0].Slots[0].Defers = -1 },
+		"chip completed bytes at the threshold": func(img *BoardImage) {
+			img.Chips[0].CompletedBytes = rc.Cfg.ChipCompletedBufBytes
+		},
+		"negative chip completed bytes": func(img *BoardImage) { img.Chips[0].CompletedBytes = -1 },
+		"board completed bytes at the threshold": func(img *BoardImage) {
+			img.Board.CompletedBytes = rc.Cfg.CompletedBufBytes
+		},
+		"negative board completed bytes": func(img *BoardImage) { img.Board.CompletedBytes = -1 },
+		"negative flash walk pages":      func(img *BoardImage) { img.FLSPages[0] = -1 },
+		"flash walk pages with no walks": func(img *BoardImage) {
+			for b, rec := range img.FLS {
+				if rec == nil {
+					img.FLSPages[b] = 1
+					return
+				}
+			}
 		},
 	}
 	if _, err := ResumeEngine(g, cloneSnapshot(t, cut), ResumeOptions{}); err != nil {

@@ -314,8 +314,9 @@ func tierIn(t *tierCommon, st TierState, what string) error {
 		}
 		t.SetHotBlocks(st.HotIDs)
 	}
+	// hotPending is counted from the pending evHotLoaded events
+	// (checkEvent) and compared with st.HotPending (checkHotPending).
 	t.hotReady = st.HotReady
-	t.hotPending = st.HotPending
 	return nil
 }
 
@@ -719,6 +720,16 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	for b := 0; b < nb; b++ {
 		e.pwb[b] = u.walks(snap.PWB[b])
 		e.fls[b] = u.walks(snap.FLS[b])
+		// Overflows add pages with at least one walk and a claim of the
+		// whole store zeroes them, so an empty store holds no pages. A
+		// partial claim debits pages by walk count and can leave fewer
+		// than the remaining walks fill (even none), so that is no bound.
+		switch pages := snap.FLSPages[b]; {
+		case pages < 0, pages > 0 && len(e.fls[b]) == 0:
+			return fmt.Errorf("core: resume: block %d flash walk store holds %d walks on %d pages", b, len(e.fls[b]), pages)
+		case snap.ScorePend[b] < 0:
+			return fmt.Errorf("core: resume: block %d score has %d pending inserts", b, snap.ScorePend[b])
+		}
 	}
 	copy(e.pwbBytes, snap.PWBBytes)
 	copy(e.flsPages, snap.FLSPages)
@@ -761,8 +772,11 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 		// checkEvents counts.
 		for j, sl := range c.slots {
 			ss := &cs.Slots[j]
-			if ss.Block < -1 || ss.Block >= nb {
+			switch {
+			case ss.Block < -1 || ss.Block >= nb:
 				return fmt.Errorf("core: resume: chip %d slot %d holds block %d outside [-1, %d)", i, j, ss.Block, nb)
+			case ss.Defers < 0 || ss.Defers > maxLoadDefers:
+				return fmt.Errorf("core: resume: chip %d slot %d deferred %d loads, outside [0, %d]", i, j, ss.Defers, maxLoadDefers)
 			}
 			sl.block = ss.Block
 			sl.loading = ss.Loading
@@ -773,16 +787,28 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 		}
 		c.roving = u.walks(cs.Roving)
 		c.rovingBytes = cs.RovingBytes
+		// A completed-walk buffer is flushed as soon as it reaches its
+		// threshold.
+		if cs.CompletedBytes < 0 || cs.CompletedBytes >= e.cfg.ChipCompletedBufBytes {
+			return fmt.Errorf("core: resume: chip %d completed-walk buffer holds %d bytes, outside [0, %d)",
+				i, cs.CompletedBytes, e.cfg.ChipCompletedBufBytes)
+		}
 		c.completedBytes = cs.CompletedBytes
 		// The block list, blockPos and the work bitmap follow from the
 		// restored partition and stores (refreshBlocks would also reset
 		// slot residency, so not that).
 		c.deriveBlocks()
 	}
+	cpc := e.ssd.Cfg.ChipsPerChannel
 	for i, ca := range e.chans {
 		cs := &snap.Chans[i]
 		if err := tierIn(&ca.tierCommon, cs.Tier, fmt.Sprintf("channel %d", i)); err != nil {
 			return err
+		}
+		// Only a chip's degradation fails its channel over, and it stays
+		// degraded.
+		if cs.Failover && (e.degraded == nil || !slices.Contains(e.degraded[i*cpc:(i+1)*cpc], true)) {
+			return fmt.Errorf("core: resume: channel %d failed over with no degraded chip", i)
 		}
 		ca.failover = cs.Failover
 	}
@@ -867,7 +893,8 @@ func (c claims) unclaimed(what string) error {
 // completion — a second one would hand two tiers the same walk. A hostile
 // image is an error here rather than a panic or a walk that never finishes
 // once the run resumes. The pass also counts each chip slot's pending
-// updates, and returns each board's carried-walk claims for checkWalks.
+// updates and each tier's pending hot blocks, which must match the image's
+// count, and returns each board's carried-walk claims for checkWalks.
 func (e *Engine) checkEvents(snap *Snapshot, held []int) ([]claims, error) {
 	nb := len(e.boards)
 	carried, batches := make([]claims, nb), make([]claims, nb)
@@ -920,7 +947,10 @@ func (e *Engine) checkEvents(snap *Snapshot, held []int) ([]claims, error) {
 			}
 		}
 	}
-	for b := range e.boards {
+	for b, be := range e.boards {
+		if err := be.checkHotPending(&snap.Boards[b]); err != nil {
+			return nil, fmt.Errorf("board %d: %w", b, err)
+		}
 		if err := carried[b].unclaimed("carried walk"); err != nil {
 			return nil, fmt.Errorf("board %d: %w", b, err)
 		}
@@ -929,6 +959,31 @@ func (e *Engine) checkEvents(snap *Snapshot, held []int) ([]claims, error) {
 		}
 	}
 	return carried, fbatches.unclaimed("fabric transfer")
+}
+
+// checkHotPending compares each tier's HotPending in img with the pending
+// evHotLoaded events checkEvent counted for it. Chips preload nothing.
+func (e *boardEngine) checkHotPending(img *BoardImage) error {
+	check := func(t *tierCommon, st *TierState, what string) error {
+		if t.hotPending != st.HotPending {
+			return fmt.Errorf("%s has %d hot blocks pending, %d preload completions are", what, st.HotPending, t.hotPending)
+		}
+		return nil
+	}
+	if err := check(&e.board.tierCommon, &img.Board.Tier, "the board tier"); err != nil {
+		return err
+	}
+	for i, ca := range e.chans {
+		if err := check(&ca.tierCommon, &img.Chans[i].Tier, fmt.Sprintf("channel %d", i)); err != nil {
+			return err
+		}
+	}
+	for i, c := range e.chips {
+		if err := check(&c.tierCommon, &img.Chips[i].Tier, fmt.Sprintf("chip %d", i)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // checkWalks range-checks every restored walk against what its readers
@@ -997,7 +1052,8 @@ func (e *boardEngine) checkWalk(st *wstate, terminal bool) error {
 // checkEvent validates one event or op completion aimed at this board
 // against its kind's payload (eventPayload), claiming the carried walk or
 // roving batch it names. It counts each chip update completion against its
-// slot's pending walks.
+// slot's pending walks, and each preload completion against its tier's
+// pending hot blocks.
 func (e *boardEngine) checkEvent(kind uint16, a, b int32, c int64, carried, batches claims) error {
 	if int(kind) >= len(eventPayload) {
 		return fmt.Errorf("unknown board event kind %d", kind)
@@ -1035,12 +1091,16 @@ func (e *boardEngine) checkEvent(kind uint16, a, b int32, c int64, carried, batc
 			e.chips[b].slots[lo].pending++
 		}
 	}
+	if kind == evHotLoaded {
+		e.tier(b).hotPending++
+	}
 	return nil
 }
 
 // checkBoardState rejects a board-accelerator image the router could not
 // run from: round-robin cursors outside their rings, negative port
-// bookings, and query-cache contents no miss sequence could have produced.
+// bookings, a completed-walk buffer past its flush threshold, and
+// query-cache contents no miss sequence could have produced.
 // The O(1) cache probe relies on the last: each entry is a distinct
 // non-dense block of the current partition whose saved range is that
 // block's. The caller has restored curPart.
@@ -1055,6 +1115,8 @@ func (e *boardEngine) checkBoardState(bs *BoardState) error {
 		return fmt.Errorf("core: resume: table port cursor %d outside [0, %d)", bs.PortRR, len(b.ports))
 	case bs.CacheRR < 0 || bs.CacheRR >= max(len(b.caches), 1):
 		return fmt.Errorf("core: resume: query cache cursor %d outside [0, %d)", bs.CacheRR, len(b.caches))
+	case bs.CompletedBytes < 0 || bs.CompletedBytes >= e.cfg.CompletedBufBytes:
+		return fmt.Errorf("core: resume: completed-walk buffer holds %d bytes, outside [0, %d)", bs.CompletedBytes, e.cfg.CompletedBufBytes)
 	}
 	for i, p := range bs.Ports {
 		if p.BusyUntil < 0 {

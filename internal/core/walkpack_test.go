@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"flashwalker/internal/graph"
 	"flashwalker/internal/snapshot"
 )
 
@@ -90,34 +91,61 @@ func unpackImage(s *Snapshot) error {
 	return firstErr
 }
 
-// TestPackedImageRoundTrip: a mid-run cut's packed stores, live-only pools
-// and carried walks restore an engine whose next cut packs to the identical
-// image, on one and two boards, and every packed store decodes cleanly.
-// The identity covers Held: restore files each carried walk at the
-// position its event names. It holds at this cut only because the
-// restored kernel exports its pending events in the cut's order, which
-// about a third of the golden workload's cuts do not (sim.ImportState
-// refiles far-wheel events in time order).
+// goldenCuts returns every cut the golden workload takes on nb boards at
+// interruptWhen's cadence, each encoded in a container.
+func goldenCuts(t *testing.T, g *graph.Graph, nb int) [][]byte {
+	t.Helper()
+	rc := arrayConfig(nb)
+	rc.CheckpointEvery = 64
+	rc.SnapshotEvery = 1
+	var cuts [][]byte
+	rc.OnSnapshot = func(s *Snapshot) {
+		data, err := snapshot.Encode(fuzzSnapKind, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts = append(cuts, data)
+	}
+	runEngine(t, g, rc)
+	return cuts
+}
+
+// TestPackedImageRoundTrip: every cut of the golden workload, on one board
+// and two, restores an engine whose next cut packs to the identical image,
+// and every packed store decodes cleanly. The identity covers the kernel's
+// event list, which ExportState lists in an order that depends only on
+// the pending set, and Held, whose order follows it: restore files each
+// carried walk at the position its event names.
 func TestPackedImageRoundTrip(t *testing.T) {
 	g := testGraph(t)
 	for _, nb := range []int{1, 2} {
-		snap := midRunCut(t, nb)
-		if err := unpackImage(snap); err != nil {
-			t.Fatalf("boards=%d: %v", nb, err)
+		cuts := goldenCuts(t, g, nb)
+		carrying := 0
+		for i, data := range cuts {
+			snap := new(Snapshot)
+			if err := snapshot.Decode(data, fuzzSnapKind, snap); err != nil {
+				t.Fatal(err)
+			}
+			if err := unpackImage(snap); err != nil {
+				t.Fatalf("boards=%d cut %d: %v", nb, i, err)
+			}
+			if len(snap.Boards[0].Held) > 0 {
+				carrying++
+			}
+			e, err := ResumeEngine(g, snap, ResumeOptions{})
+			if err != nil {
+				t.Fatalf("boards=%d cut %d: %v", nb, i, err)
+			}
+			again, err := e.buildSnapshot()
+			if err != nil {
+				t.Fatalf("boards=%d cut %d: %v", nb, i, err)
+			}
+			if !reflect.DeepEqual(again, snap) {
+				t.Fatalf("boards=%d: cut %d of %d: a restored engine re-packs to a different image", nb, i, len(cuts))
+			}
 		}
-		if len(snap.Boards[0].Held) == 0 {
-			t.Fatalf("boards=%d: cut carries no walk in a pending event", nb)
-		}
-		e, err := ResumeEngine(g, snap, ResumeOptions{})
-		if err != nil {
-			t.Fatalf("boards=%d: %v", nb, err)
-		}
-		again, err := e.buildSnapshot()
-		if err != nil {
-			t.Fatalf("boards=%d: %v", nb, err)
-		}
-		if !reflect.DeepEqual(again, snap) {
-			t.Fatalf("boards=%d: a restored engine re-packs to a different image", nb)
+		if carrying == 0 {
+			t.Fatalf("boards=%d: none of %d cuts carries a walk in a pending event", nb, len(cuts))
 		}
 	}
 }

@@ -19,6 +19,11 @@ func TestGeneratorErrorsWrapInvalidConfig(t *testing.T) {
 			_, err := RMAT(cfg)
 			return err
 		},
+		"rmat dedup past 2^32 vertices": func() error {
+			// A dedup key takes 2·⌈log2 |V|⌉ bits, past 64 here.
+			_, err := RMAT(DefaultRMAT(1<<32+1, 8, 1))
+			return err
+		},
 		"powerlaw zero vertices": func() error {
 			_, err := PowerLaw(PowerLawConfig{NumEdges: 8, Alpha: 0.8})
 			return err

@@ -3,7 +3,9 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,7 +26,9 @@ type RMATConfig struct {
 	// Noise perturbs the quadrant probabilities per level, as PaRMAT's
 	// smoothing does, preventing degenerate diagonal artifacts.
 	Noise float64
-	// RemoveDuplicates drops exact duplicate edges (PaRMAT's -noDuplicateEdges).
+	// RemoveDuplicates drops exact duplicate edges (PaRMAT's
+	// -noDuplicateEdges). It needs NumVertices ≤ 2^32, so that an edge's
+	// dedup key fits 64 bits.
 	RemoveDuplicates bool
 	// Weighted assigns uniform random weights in (0, 1].
 	Weighted bool
@@ -46,6 +50,12 @@ func DefaultRMAT(v, e uint64, seed uint64) RMATConfig {
 // way PaRMAT generates in parallel; the result is the same graph, byte for
 // byte, at any setting (see parallel). Weighted graphs are generated on the
 // calling goroutine (see sequential).
+//
+// With RemoveDuplicates an edge's dedup key is src<<levels | dst, levels
+// being log2 of NumVertices rounded up to a power of two, so a key takes
+// 2·levels bits: the set stores uint32 keys up to 65,536 vertices and
+// uint64 keys beyond. An unweighted graph's set is its edge list, and its
+// CSR is built from the set (keySet.csr) without an edge slice.
 func RMAT(cfg RMATConfig) (*Graph, error) {
 	if cfg.NumVertices == 0 {
 		return nil, fmt.Errorf("graph: RMAT with zero vertices: %w", errs.ErrInvalidConfig)
@@ -54,13 +64,26 @@ func RMAT(cfg RMATConfig) (*Graph, error) {
 	if sum < 0.99 || sum > 1.01 {
 		return nil, fmt.Errorf("graph: RMAT probabilities sum to %v, want 1: %w", sum, errs.ErrInvalidConfig)
 	}
-	p := &rmat{
+	levels := bits.Len64(cfg.NumVertices - 1)
+	switch {
+	case !cfg.RemoveDuplicates:
+		return generate[uint64](cfg, levels)
+	case 2*levels <= 32:
+		return generate[uint32](cfg, levels)
+	case 2*levels <= 64:
+		return generate[uint64](cfg, levels)
+	}
+	return nil, fmt.Errorf("graph: RMAT removes duplicates among at most 2^32 vertices, got %d: %w",
+		cfg.NumVertices, errs.ErrInvalidConfig)
+}
+
+// generate runs one RMAT call with dedup keys of type K.
+func generate[K uint32 | uint64](cfg RMATConfig, levels int) (*Graph, error) {
+	p := &rmat[K]{
 		cfg:         cfg,
+		levels:      levels,
 		maxAttempts: cfg.NumEdges*20 + 1000,
 		divFree:     cfg.Noise < 1 && cfg.A >= 0 && cfg.B >= 0 && cfg.C >= 0 && cfg.D >= 0,
-	}
-	for pow := uint64(1); pow < cfg.NumVertices; pow <<= 1 {
-		p.levels++
 	}
 	// Dedup accepts at most NumVertices² distinct edges.
 	size := cfg.NumEdges
@@ -68,7 +91,11 @@ func RMAT(cfg RMATConfig) (*Graph, error) {
 		if cfg.NumVertices < 1<<32 {
 			size = min(size, cfg.NumVertices*cfg.NumVertices)
 		}
-		p.seen = newKeySet(size)
+		p.seen = newKeySet[K](size)
+		if !cfg.Weighted {
+			p.parallel(nil)
+			return p.seen.csr(cfg.NumVertices, levels), nil
+		}
 	}
 	b := &Builder{numVertices: cfg.NumVertices, edges: make([]Edge, 0, size)}
 	if cfg.Weighted {
@@ -81,7 +108,7 @@ func RMAT(cfg RMATConfig) (*Graph, error) {
 
 // rmat is one RMAT call's generator: the descent, quadrant choice and
 // accept step both of its paths share.
-type rmat struct {
+type rmat[K uint32 | uint64] struct {
 	cfg    RMATConfig
 	levels int // log2 of NumVertices rounded up to a power of two
 	// maxAttempts bounds the attempts: in a dense, duplicate-heavy corner
@@ -92,13 +119,13 @@ type rmat struct {
 	// and their total positive and finite (the bound in quadrant needs
 	// both; Noise ≥ 1 can make a weight negative and the total ≤ 0).
 	divFree bool
-	seen    *keySet // accepted src·NumVertices+dst keys; nil without dedup
+	seen    *keySet[K] // accepted src<<levels | dst keys; nil without dedup
 }
 
 // descend draws one attempt's endpoints from r, consuming levels × 5
 // values with noise and levels without, and folds them into
 // [0, NumVertices).
-func (p *rmat) descend(r *rng.RNG) (src, dst uint64) {
+func (p *rmat[K]) descend(r *rng.RNG) (src, dst uint64) {
 	cfg := &p.cfg
 	for l := 0; l < p.levels; l++ {
 		var q uint64 // quadrant: bit 1 sets src's bit l, bit 0 sets dst's
@@ -173,15 +200,15 @@ func quadrant(na, nb, nc, nd, u float64, divFree bool) uint64 {
 
 // accept reports whether an attempt's edge is kept: always without dedup,
 // otherwise only on the first occurrence of its (src, dst).
-func (p *rmat) accept(src, dst uint64) bool {
-	return p.seen == nil || p.seen.insert(src*p.cfg.NumVertices+dst)
+func (p *rmat[K]) accept(src, dst uint64) bool {
+	return p.seen == nil || p.seen.insert(K(src<<p.levels|dst))
 }
 
 // sequential generates a weighted graph on the calling goroutine. A weight
 // draw follows only an accepted edge, so where an attempt's draws start in
 // the stream depends on every earlier dedup outcome, and the attempts
 // cannot be split up the way parallel splits them.
-func (p *rmat) sequential(b *Builder) {
+func (p *rmat[K]) sequential(b *Builder) {
 	r := rng.New(p.cfg.Seed)
 	for attempts := uint64(0); uint64(len(b.edges)) < p.cfg.NumEdges && attempts < p.maxAttempts; attempts++ {
 		if src, dst := p.descend(r); p.accept(src, dst) {
@@ -203,8 +230,10 @@ type rmatChunk struct {
 // state advanced by one rng Jump. This goroutine hands out chunks
 // in attempt order and takes their results back in the same order; it
 // alone does everything order-dependent — the attempt budget, dedup, the
-// append and the stop at NumEdges — so the graph is the sequential one.
-func (p *rmat) parallel(b *Builder) {
+// count of kept edges and the stop at NumEdges — so the graph is the
+// sequential one. Kept edges are appended to b; with dedup b is nil, as
+// the set holds them.
+func (p *rmat[K]) parallel(b *Builder) {
 	// Attempts per chunk: enough that a chunk's Jump and hand-off vanish
 	// beside its descents, few enough that a small graph still spreads
 	// over the workers and little is thrown away at the stop.
@@ -243,10 +272,10 @@ func (p *rmat) parallel(b *Builder) {
 		wg.Wait()
 	}()
 
-	var dispatched, consumed uint64 // attempts handed out, and taken back
+	var dispatched, consumed, kept uint64 // attempts handed out and taken back; edges kept
 	head, queued := 0, 0
 	for {
-		need := p.cfg.NumEdges - uint64(len(b.edges))
+		need := p.cfg.NumEdges - kept
 		// Each attempt adds at most one edge, so at least need more are
 		// coming; dispatching only while fewer than that are in flight
 		// keeps at most one chunk beyond them.
@@ -270,8 +299,10 @@ func (p *rmat) parallel(b *Builder) {
 		consumed += uint64(len(c.pairs))
 		for _, e := range c.pairs {
 			if p.accept(e[0], e[1]) {
-				b.AddEdge(e[0], e[1])
-				if uint64(len(b.edges)) == p.cfg.NumEdges {
+				if b != nil {
+					b.AddEdge(e[0], e[1])
+				}
+				if kept++; kept == p.cfg.NumEdges {
 					return
 				}
 			}
@@ -279,34 +310,34 @@ func (p *rmat) parallel(b *Builder) {
 	}
 }
 
-// keySet is an insert-only set of uint64 keys: open addressing with linear
+// keySet is an insert-only set of dedup keys: open addressing with linear
 // probing over a power-of-two table kept at most half full, multiplicative
 // hashing. A slot holds key+1, so 0 marks it empty; the one key whose
-// successor wraps to 0 is tracked apart.
-type keySet struct {
-	slots  []uint64
+// successor wraps to 0, ^K(0), is tracked apart.
+type keySet[K uint32 | uint64] struct {
+	slots  []K
 	shift  uint // 64 - log2(len(slots))
-	hasMax bool // holds math.MaxUint64
+	hasMax bool // holds ^K(0)
 }
 
 // newKeySet returns a set sized for n keys.
-func newKeySet(n uint64) *keySet {
+func newKeySet[K uint32 | uint64](n uint64) *keySet[K] {
 	lg := 1
 	for uint64(1)<<lg < 2*n {
 		lg++
 	}
-	return &keySet{slots: make([]uint64, 1<<lg), shift: uint(64 - lg)}
+	return &keySet[K]{slots: make([]K, 1<<lg), shift: uint(64 - lg)}
 }
 
 // insert adds k and reports whether it was absent.
-func (s *keySet) insert(k uint64) bool {
-	if k == math.MaxUint64 {
+func (s *keySet[K]) insert(k K) bool {
+	if k == ^K(0) {
 		added := !s.hasMax
 		s.hasMax = true
 		return added
 	}
 	mask := uint64(len(s.slots) - 1)
-	for i := (k * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
+	for i := (uint64(k) * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
 		switch s.slots[i] {
 		case 0:
 			s.slots[i] = k + 1
@@ -315,6 +346,51 @@ func (s *keySet) insert(k uint64) bool {
 			return false
 		}
 	}
+}
+
+// csr returns the unweighted graph on numVertices vertices whose edges are
+// the set's keys, each src<<levels | dst. That is the graph Builder.Build
+// returns for the same edges in any order, since Build sorts each
+// adjacency run and the set holds no duplicate.
+//
+// Offsets doubles as the fill cursor: sources are counted into
+// Offsets[src+1] and prefix-summed, so Offsets[src] is where src's run
+// starts; each placement advances it, which leaves it at the next run's
+// start, and moving every entry up one index restores the offsets.
+func (s *keySet[K]) csr(numVertices uint64, levels int) *Graph {
+	mask := K(1)<<levels - 1
+	offsets := make([]uint64, numVertices+1)
+	for _, k := range s.slots {
+		if k != 0 {
+			offsets[(k-1)>>levels+1]++
+		}
+	}
+	if s.hasMax {
+		offsets[^K(0)>>levels+1]++
+	}
+	for v := 1; v < len(offsets); v++ {
+		offsets[v] += offsets[v-1]
+	}
+	edges := make([]VertexID, offsets[numVertices])
+	place := func(k K) {
+		src := k >> levels
+		edges[offsets[src]] = VertexID(k & mask)
+		offsets[src]++
+	}
+	for _, k := range s.slots {
+		if k != 0 {
+			place(k - 1)
+		}
+	}
+	if s.hasMax {
+		place(^K(0))
+	}
+	copy(offsets[1:], offsets[:numVertices])
+	offsets[0] = 0
+	for v := uint64(0); v < numVertices; v++ {
+		slices.Sort(edges[offsets[v]:offsets[v+1]])
+	}
+	return &Graph{Offsets: offsets, Edges: edges}
 }
 
 // PowerLawConfig parameterizes a Chung-Lu style power-law generator: vertex

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"testing"
@@ -116,7 +117,12 @@ func rmatReferenceCases() []RMATConfig {
 	// A negative probability: perturbed weights can go negative, so the
 	// quadrant choice always divides.
 	neg := RMATConfig{NumVertices: 777, NumEdges: 3000, A: 1.2, B: -0.2, C: 0, D: 0, Noise: 0.05, RemoveDuplicates: true, Seed: 8}
-	return append(cases, one, neg, DefaultRMAT(2, 40, 7), DefaultRMAT(16_016, 30_000, 42))
+	// One vertex count on each side of the dedup key's width switch: 65,536
+	// vertices take 32-bit keys, 65,537 64-bit ones.
+	wide := DefaultRMAT(65_537, 30_000, 13)
+	wide.Weighted = true
+	return append(cases, one, neg, DefaultRMAT(2, 40, 7), DefaultRMAT(16_016, 30_000, 42),
+		DefaultRMAT(65_536, 30_000, 12), DefaultRMAT(65_537, 30_000, 13), wide)
 }
 
 // rmatSettled waits for RMAT's workers to exit: the goroutine count must
@@ -162,6 +168,85 @@ func TestRMATMatchesReference(t *testing.T) {
 		if cfg == exhausting && want.NumEdges() != 58_097 {
 			t.Fatalf("duplicate-heavy config kept %d edges, want 58097 (attempt budget spent)", want.NumEdges())
 		}
+	}
+}
+
+// fuzzVertexCounts is the menu FuzzRMATMatchesReference draws |V| from:
+// the degenerate graphs, powers of two and their neighbours, where the
+// descent's fold and the levels change, and both sides of the dedup key's
+// switch from 32 to 64 bits at 65,536.
+var fuzzVertexCounts = []uint64{1, 2, 3, 5, 255, 256, 257, 777, 4096, 32_767, 32_768, 32_769,
+	65_535, 65_536, 65_537, 70_001}
+
+// FuzzRMATMatchesReference checks RMAT against refRMAT on byte-coded
+// configs: |V| from fuzzVertexCounts, up to 4,096 edges, A, B and C in
+// [-1.28, 1.27] with D making the sum 1 (so negative probabilities come
+// up), Noise in [0, 4) — 1 and beyond included — when its flag is set,
+// the dedup and weighted flags, and a seed.
+func FuzzRMATMatchesReference(f *testing.F) {
+	f.Add(uint8(0), uint16(50), int8(45), int8(22), int8(22), uint8(3), uint8(0b101), uint64(1))
+	f.Add(uint8(14), uint16(4096), int8(45), int8(22), int8(22), uint8(3), uint8(0b101), uint64(2))
+	f.Add(uint8(13), uint16(3000), int8(57), int8(19), int8(19), uint8(3), uint8(0b111), uint64(3))
+	f.Add(uint8(7), uint16(3000), int8(120), int8(-20), int8(0), uint8(3), uint8(0b101), uint64(8))
+	f.Add(uint8(1), uint16(40), int8(45), int8(22), int8(22), uint8(96), uint8(0b100), uint64(7))
+	f.Add(uint8(15), uint16(1000), int8(25), int8(25), int8(25), uint8(0), uint8(0b011), uint64(9))
+	f.Fuzz(func(t *testing.T, vi uint8, e uint16, a, b, c int8, noise, flags uint8, seed uint64) {
+		cfg := RMATConfig{
+			NumVertices: fuzzVertexCounts[int(vi)%len(fuzzVertexCounts)],
+			NumEdges:    uint64(e) % 4097,
+			A:           float64(a) / 100, B: float64(b) / 100, C: float64(c) / 100,
+			RemoveDuplicates: flags&1 != 0,
+			Weighted:         flags&2 != 0,
+			Seed:             seed,
+		}
+		cfg.D = 1 - cfg.A - cfg.B - cfg.C
+		if flags&4 != 0 {
+			cfg.Noise = float64(noise) / 64
+		}
+		want, err := refRMAT(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RMAT(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if !sameCSR(got, want) {
+			t.Fatalf("%+v: %d edges, reference %d; CSRs differ", cfg, got.NumEdges(), want.NumEdges())
+		}
+	})
+}
+
+// TestRMATAllocBudget bounds what one unweighted, deduplicated RMAT call
+// allocates to its dedup set, its CSR and the chunk ring of two
+// 8,192-attempt chunks per worker, plus 15%: the set is the edge list, so
+// no edge slice, fill cursor or second copy of the edges is allocated.
+func TestRMATAllocBudget(t *testing.T) {
+	orig := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(orig) })
+	// A first call builds the rng's jump table, which is allocated once
+	// per process.
+	if _, err := RMAT(DefaultRMAT(512, 4096, 1)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultRMAT(65_536, 200_000, 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := RMAT(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() != cfg.NumEdges {
+		t.Fatalf("%d edges, want %d", g.NumEdges(), cfg.NumEdges)
+	}
+	set := uint64(len(newKeySet[uint32](cfg.NumEdges).slots)) * 4
+	csr := 8 * (cfg.NumVertices + 1 + cfg.NumEdges)
+	ring := uint64(2*2*8192) * 16
+	budget := (set + csr + ring) * 115 / 100
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("RMAT allocated %d bytes, budget %d (set %d, CSR %d, chunk ring %d, +15%%)",
+			got, budget, set, csr, ring)
 	}
 }
 
@@ -214,14 +299,20 @@ func TestQuadrantMatchesQuotients(t *testing.T) {
 }
 
 // TestKeySetMatchesMap checks the dedup set's accept/reject decisions
-// against a Go map, including the key whose stored successor wraps to 0.
+// against a Go map at both key widths, including the key whose stored
+// successor wraps to 0 and its predecessor.
 func TestKeySetMatchesMap(t *testing.T) {
-	s := newKeySet(3000)
-	m := map[uint64]struct{}{}
+	t.Run("uint32", keySetMatchesMap[uint32])
+	t.Run("uint64", keySetMatchesMap[uint64])
+}
+
+func keySetMatchesMap[K uint32 | uint64](t *testing.T) {
+	s := newKeySet[K](3000)
+	m := map[K]struct{}{}
 	r := rng.New(4)
-	keys := []uint64{0, 1, math.MaxUint64, math.MaxUint64 - 1}
+	keys := []K{0, 1, ^K(0), ^K(0) - 1}
 	for i := 0; i < 3000-len(keys); i++ {
-		keys = append(keys, r.Uint64n(5000))
+		keys = append(keys, K(r.Uint64n(5000)))
 	}
 	for _, k := range append(keys, keys...) {
 		_, dup := m[k]
@@ -230,4 +321,60 @@ func TestKeySetMatchesMap(t *testing.T) {
 			t.Fatalf("insert(%d) = %v, map had it: %v", k, got, dup)
 		}
 	}
+}
+
+// TestKeySetCSRMatchesBuilder builds the CSR of random edge sets from the
+// dedup set and from Builder.Build, on either side of the key-width switch
+// (65,536 vertices take 32-bit keys, 65,537 64-bit ones). Each set leaves
+// sources without edges, and at 65,536 vertices holds the edge whose key
+// is ^uint32(0), which the set keeps outside its slots.
+func TestKeySetCSRMatchesBuilder(t *testing.T) {
+	r := rng.New(12)
+	for _, v := range []uint64{1, 2, 777, 65_536, 65_537} {
+		for _, n := range []int{0, 1, 40, 5000} {
+			// Sources come from a third of the vertices, destinations from
+			// all of them.
+			srcs := make([]uint64, max(v/3, 1))
+			for i := range srcs {
+				srcs[i] = r.Uint64n(v)
+			}
+			edges := map[[2]uint64]bool{}
+			for i := 0; i < n; i++ {
+				edges[[2]uint64{srcs[r.Uint64n(uint64(len(srcs)))], r.Uint64n(v)}] = true
+			}
+			if v == 65_536 && n > 0 {
+				edges[[2]uint64{v - 1, v - 1}] = true
+			}
+			b := NewBuilder(v)
+			for e := range edges {
+				b.AddEdge(e[0], e[1])
+			}
+			want, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got *Graph
+			if levels := bits.Len64(v - 1); 2*levels <= 32 {
+				got = keySetCSR[uint32](v, levels, edges)
+			} else {
+				got = keySetCSR[uint64](v, levels, edges)
+			}
+			if !sameCSR(got, want) {
+				t.Fatalf("|V| %d, %d edges: the set's CSR differs from Build's", v, len(edges))
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("|V| %d, %d edges: %v", v, len(edges), err)
+			}
+		}
+	}
+}
+
+// keySetCSR inserts edges into a keySet of key type K, as RMAT's dedup
+// does, and builds the CSR from it.
+func keySetCSR[K uint32 | uint64](v uint64, levels int, edges map[[2]uint64]bool) *Graph {
+	s := newKeySet[K](uint64(len(edges)))
+	for e := range edges {
+		s.insert(K(e[0]<<levels | e[1]))
+	}
+	return s.csr(v, levels)
 }

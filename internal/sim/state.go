@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -60,15 +62,36 @@ func (e *Engine) ExportState(targetID func(Handler) (int32, error)) (EngineState
 		return nil
 	}
 	// Walk the near wheel, then the far wheel (each through its occupancy
-	// bitmap), then the overflow heap. The order is deterministic but
-	// arbitrary; Seq is what reconstructs the drain order on import.
+	// bitmap), then the overflow heap, listing each bucket's run and the
+	// heap in (At, Seq) order. A near bucket already is; a far bucket
+	// holds its run in insertion order and the heap in heap order, which
+	// ImportState does not reproduce, so sorting them makes the list a
+	// function of the pending set alone: a restored engine exports what
+	// its source did.
+	var run []*slabEntry
+	flush := func() error {
+		slices.SortFunc(run, func(a, b *slabEntry) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		for _, ent := range run {
+			if err := save(ent); err != nil {
+				return err
+			}
+		}
+		run = run[:0]
+		return nil
+	}
 	wheel := func(buckets []slot, occ []uint64) error {
 		for w, word := range occ {
 			for m := word; m != 0; m &= m - 1 {
 				for ref := buckets[w<<6|bits.TrailingZeros64(m)].head; ref != 0; ref = e.entry(ref - 1).next {
-					if err := save(e.entry(ref - 1)); err != nil {
-						return err
-					}
+					run = append(run, e.entry(ref-1))
+				}
+				if err := flush(); err != nil {
+					return err
 				}
 			}
 		}
@@ -81,9 +104,10 @@ func (e *Engine) ExportState(targetID func(Handler) (int32, error)) (EngineState
 		return EngineState{}, err
 	}
 	for i := range e.overflow {
-		if err := save(e.entry(e.overflow[i].ref)); err != nil {
-			return EngineState{}, err
-		}
+		run = append(run, e.entry(e.overflow[i].ref))
+	}
+	if err := flush(); err != nil {
+		return EngineState{}, err
 	}
 	return st, nil
 }
