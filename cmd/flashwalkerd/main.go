@@ -5,20 +5,19 @@
 // Usage:
 //
 //	flashwalkerd [-addr :8080] [-workers 2] [-queue 16] [-state-dir DIR]
-//	             [-store fs|mem|http://...] [-snap-deltas 4]
+//	             [-store fs|mem|http://...]
 //	             [-retain-jobs 0] [-retain-age 0] [-max-body-bytes 4194304]
 //	             [-corpus-cache 16] [-tenant-max-queued 0]
 //	             [-tenant-max-running 0] [-tenant-rate 0] [-tenant-burst 1]
 //	             [-stream-ring 4096]
 //
 // With a durable store, jobs are durable: specs are journaled at
-// submission, running engines checkpoint to snapshot objects at their
-// checkpoint_every cadence (a full snapshot every -snap-deltas+1 cuts,
-// delta snapshots in between), and a restarted daemon recovers the
-// journal — finished jobs as history, unfinished ones re-enqueued and
-// resumed from their last snapshot. A SIGKILLed daemon restarted on the
-// same store finishes its jobs with results identical to an
-// uninterrupted run.
+// submission, running engines checkpoint at their checkpoint_every cadence
+// (each checkpoint one full snapshot object per job), and a restarted
+// daemon recovers the journal — finished jobs as history, unfinished ones
+// re-enqueued and resumed from their last snapshot. A SIGKILLed daemon
+// restarted on the same store finishes its jobs with results identical to
+// an uninterrupted run.
 //
 // The store backend is picked by -store: "fs" (the default) keeps the
 // PR-9 on-disk layout under -state-dir; "mem" holds durable state in
@@ -73,8 +72,6 @@ func main() {
 	stateDir := flag.String("state-dir", "", "durable job state directory (empty: in-memory only)")
 	storeKind := flag.String("store", "fs",
 		"durable store backend: fs (files under -state-dir), mem, or an http(s):// object-store base URL")
-	snapDeltas := flag.Int("snap-deltas", 0,
-		"delta snapshots between full snapshots (0: default 4, negative: full snapshots only)")
 	retainJobs := flag.Int("retain-jobs", 0,
 		"terminal jobs to retain in the durable store (0: unlimited)")
 	retainAge := flag.Duration("retain-age", 0,
@@ -97,7 +94,6 @@ func main() {
 
 	cfg := service.Config{
 		Workers: *workers, QueueDepth: *queue, StateDir: *stateDir,
-		SnapshotDeltas:     *snapDeltas,
 		RetainJobs:         *retainJobs,
 		RetainAge:          *retainAge,
 		MaxBodyBytes:       *maxBodyBytes,

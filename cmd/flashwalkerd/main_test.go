@@ -108,6 +108,17 @@ func freePort(t *testing.T) int {
 	return l.Addr().(*net.TCPAddr).Port
 }
 
+// snapshotKeys lists the snapshot keys of job id left in store; a finished
+// job leaves none.
+func snapshotKeys(t *testing.T, store blob.Store, id string) []string {
+	t.Helper()
+	keys, err := store.List("snapshots/" + id + ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
 func buildDaemon(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "flashwalkerd")
@@ -177,23 +188,14 @@ func TestCrashRecovery(t *testing.T) {
 	if _, err := os.Stat(snapPath); !os.IsNotExist(err) {
 		t.Errorf("snapshot survived job completion: %v", err)
 	}
-	// Completion retires the whole chain: no delta containers left either.
-	deltas, err := filepath.Glob(filepath.Join(stateDir, "snapshots", job.ID+".d*.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deltas) != 0 {
-		t.Errorf("delta containers survived job completion: %v", deltas)
-	}
 }
 
 // TestCrashRecoveryHTTPStore is the object-store variant of
 // TestCrashRecovery: the daemon keeps ALL durable state in an S3-style
 // object server (hosted by the test process, so it survives the daemon's
-// SIGKILL), checkpoints as a delta chain (-snap-deltas 2), crashes with a
-// full snapshot plus at least one delta in the store, and a fresh daemon
+// SIGKILL), crashes with a full snapshot in the store, and a fresh daemon
 // pointed at the same URL must finish the job with a result identical to
-// an uninterrupted run.
+// an uninterrupted run and leave no snapshot key behind.
 func TestCrashRecoveryHTTPStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the daemon binary")
@@ -206,7 +208,7 @@ func TestCrashRecoveryHTTPStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	storeFlags := []string{"-store", osrv.URL, "-snap-deltas", "2"}
+	storeFlags := []string{"-store", osrv.URL}
 
 	spec := client.JobSpec{
 		Graph: "TT-S", NumWalks: 20_000, Seed: 7, CheckpointEvery: 64,
@@ -222,22 +224,20 @@ func TestCrashRecoveryHTTPStore(t *testing.T) {
 		t.Fatalf("reference result unusable: %+v", ref.Result)
 	}
 
-	// Victim: submit, wait until the chain (full + a delta) is in the
-	// object store, SIGKILL mid-run.
+	// Victim: submit, wait until a full snapshot is in the object store,
+	// SIGKILL mid-run.
 	d1 := startDaemon(t, bin, t.TempDir(), freePort(t), storeFlags...)
 	job := d1.submit(spec)
 	fullKey := "snapshots/" + job.ID + ".snap"
-	deltaKey := "snapshots/" + job.ID + ".d1.snap"
 	deadline := time.Now().Add(time.Minute)
 	for {
-		_, ferr := store.Get(fullKey)
-		_, derr := store.Get(deltaKey)
-		if ferr == nil && derr == nil {
+		_, err := store.Get(fullKey)
+		if err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
 			d1.kill()
-			t.Fatalf("no full+delta chain in store (full: %v, delta: %v)", ferr, derr)
+			t.Fatalf("no snapshot in store: %v", err)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -257,16 +257,8 @@ func TestCrashRecoveryHTTPStore(t *testing.T) {
 	if *got.Result != *ref.Result {
 		t.Fatalf("recovered result diverged:\n got %+v\nwant %+v", *got.Result, *ref.Result)
 	}
-	// Completion retires the whole chain from the object store.
-	if _, err := store.Get(fullKey); !errors.Is(err, blob.ErrNotFound) {
-		t.Errorf("full snapshot survived completion (err %v)", err)
-	}
-	keys, err := store.List("snapshots/" + job.ID + ".d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 0 {
-		t.Errorf("delta containers survived completion: %v", keys)
+	if keys := snapshotKeys(t, store, job.ID); len(keys) != 0 {
+		t.Errorf("snapshot keys survived completion: %v", keys)
 	}
 }
 
@@ -371,11 +363,11 @@ func TestCrashRecoveryMutations(t *testing.T) {
 
 // TestCrashRecoveryMultiBoard is the array variant of TestCrashRecovery: a
 // two-board job on the multi-shard dataset checkpoints through the same
-// full+delta snapshot chain as a single-board job — the test watches a
-// delta container land and the next full cut retire it — is SIGKILLed
-// mid-run, and must recover to the same result an uninterrupted run
-// produces, including any walks that were in flight on the inter-board
-// fabric when the image was taken.
+// full snapshot image as a single-board job, is SIGKILLed mid-run once
+// the image lands, and must recover to the same result an uninterrupted
+// run produces, including any walks that were in flight on the
+// inter-board fabric when the image was taken, and leave no snapshot key
+// behind.
 func TestCrashRecoveryMultiBoard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the daemon binary")
@@ -399,38 +391,27 @@ func TestCrashRecoveryMultiBoard(t *testing.T) {
 		t.Fatalf("reference result unusable: %+v", ref.Result)
 	}
 
-	// One delta between full cuts: the chain cycles full, d1, full, ...
-	chainFlags := []string{"-snap-deltas", "1"}
 	stateDir := t.TempDir()
-	d1 := startDaemon(t, bin, stateDir, freePort(t), chainFlags...)
+	d1 := startDaemon(t, bin, stateDir, freePort(t))
 	job := d1.submit(spec)
 	snapPath := filepath.Join(stateDir, "snapshots", job.ID+".snap")
-	deltaPath := filepath.Join(stateDir, "snapshots", job.ID+".d1.snap")
 	deadline := time.Now().Add(2 * time.Minute)
-	sawDelta := false
 	for {
-		// The delta is checked before the full image: completion deletes
-		// the full image first, so "delta gone, full present" can only be
-		// the next full cut retiring the delta.
-		_, derr := os.Stat(deltaPath)
-		_, ferr := os.Stat(snapPath)
-		if derr == nil {
-			sawDelta = true
-		} else if sawDelta && ferr == nil {
+		if fi, err := os.Stat(snapPath); err == nil && fi.Size() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
 			d1.kill()
-			t.Fatalf("array job never wrote and retired a delta snapshot (delta seen: %v)", sawDelta)
+			t.Fatal("array job never wrote a snapshot")
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
 	if jv := d1.get(job.ID); jv.State == client.StateDone {
 		t.Fatal("job finished before the crash; nothing to recover")
 	}
 	d1.kill()
 
-	d2 := startDaemon(t, bin, stateDir, freePort(t), chainFlags...)
+	d2 := startDaemon(t, bin, stateDir, freePort(t))
 	defer d2.kill()
 	got := d2.waitDone(job.ID, 4*time.Minute)
 	if got.Result == nil {
@@ -439,8 +420,12 @@ func TestCrashRecoveryMultiBoard(t *testing.T) {
 	if *got.Result != *ref.Result {
 		t.Fatalf("recovered array result diverged:\n got %+v\nwant %+v", *got.Result, *ref.Result)
 	}
-	if _, err := os.Stat(snapPath); !os.IsNotExist(err) {
-		t.Errorf("snapshot survived job completion: %v", err)
+	fsStore, err := blob.NewFS(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys := snapshotKeys(t, fsStore, job.ID); len(keys) != 0 {
+		t.Errorf("snapshot keys survived completion: %v", keys)
 	}
 }
 

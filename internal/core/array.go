@@ -609,8 +609,9 @@ func (e *Engine) fail(err error) {
 
 // auditConservation is the walk-conservation check: walks parked on boards,
 // active in current partitions (minus the store double-count), in the
-// fabric, or finished must sum to the seeded count, and each board's walk
-// table must hold exactly its parked and active walks. Exact at any event
+// fabric, or finished must sum to the seeded count, each board's walk
+// table must hold exactly its parked and active walks, and each byte count
+// resume derives must equal its store's footprint. Exact at any event
 // boundary; invoked at every board's partition switch.
 func (e *Engine) auditConservation(where string) {
 	if !e.audit || e.failure != nil {
@@ -624,6 +625,10 @@ func (e *Engine) auditConservation(where string) {
 				where, b, live, held))
 			return
 		}
+		if err := be.auditStoreBytes(); err != nil {
+			e.fail(fmt.Errorf("core: audit(%s): board %d %w", where, b, err))
+			return
+		}
 		stored += st
 		active += be.activeCur
 		overlap += ov
@@ -633,6 +638,23 @@ func (e *Engine) auditConservation(where string) {
 		e.fail(fmt.Errorf("core: audit(%s): %d stored + %d active - %d overlap + %d fabric + %d finished != %d started",
 			where, stored, active, overlap, e.inFabric, finished, e.numStarted))
 	}
+}
+
+// auditStoreBytes checks the byte counts resume derives rather than
+// restores: each PWB entry's and each chip roving buffer's count is the
+// footprint of the walks it holds.
+func (e *boardEngine) auditStoreBytes() error {
+	for b, ws := range e.pwb {
+		if got, want := e.pwbBytes[b], e.storeBytes(ws); got != want {
+			return fmt.Errorf("block %d walk buffer entry counts %d bytes, its walks fill %d", b, got, want)
+		}
+	}
+	for i, c := range e.chips {
+		if got, want := c.rovingBytes, e.storeBytes(c.roving); got != want {
+			return fmt.Errorf("chip %d roving buffer counts %d bytes, its walks fill %d", i, got, want)
+		}
+	}
+	return nil
 }
 
 // aggregate folds the per-board results and the fabric counters into one

@@ -45,27 +45,6 @@ func TestArrayResumeMetamorphic(t *testing.T) {
 	}
 }
 
-// TestArrayResumeDeltaChain is the delta-chain leg of the array resume
-// invariant: a 2-board run cut as full -> 2 non-vacuous deltas, whose last
-// cut has walks in flight on the fabric, reconstructs through an object
-// store and resumes digest- and visit-identical to the uninterrupted run.
-func TestArrayResumeDeltaChain(t *testing.T) {
-	g := testGraph(t)
-	rc := arrayConfig(2)
-	rc.TrackVisits = true
-	clean := runEngine(t, g, rc)
-
-	res := resumeFromDeltaChain(t, g, rc, 3, func(s *Snapshot) bool { return s.InFabric > 0 })
-	if got, want := digestResult(res), digestResult(clean); got != want {
-		t.Fatalf("delta-chain resume diverged from uninterrupted run:\n got %s\nwant %s", got, want)
-	}
-	if res.FabricWalks != clean.FabricWalks || res.FabricBytes != clean.FabricBytes {
-		t.Fatalf("fabric counters diverged: resumed %d/%d, clean %d/%d",
-			res.FabricWalks, res.FabricBytes, clean.FabricWalks, clean.FabricBytes)
-	}
-	assertSameVisits(t, res.Visits, clean.Visits)
-}
-
 // TestArrayResumeChained proves array snapshots compose, interrupting the
 // resumed leg again deeper into the run.
 func TestArrayResumeChained(t *testing.T) {

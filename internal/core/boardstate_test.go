@@ -33,18 +33,17 @@ func cloneSnapshot(t *testing.T, s *Snapshot) *Snapshot {
 }
 
 // TestResumeRejectsHostileBoardState feeds ResumeEngine board-accelerator
-// images no run could have written — cache columns of unequal length, more
-// entries than the cache holds, entries naming a missing, dense or
-// repeated block, a block outside the current partition or a range that is
-// not the block's, round-robin cursors outside their rings, negative
-// bookings, a hot block past the end, a chip slot holding a block outside
-// [-1, NumBlocks), visit counters the run does not keep, a flush chip
-// cursor past the chips, a current partition out of range, a channel
-// failed over with no degraded chip, a tier's pending hot blocks that no
-// pending preload completion accounts for, a negative score count, slot
-// deferrals outside [0, maxLoadDefers], a completed-walk buffer outside
-// [0, its flush threshold), and flash walk pages that are negative or
-// held by an empty store — and requires an error for each.
+// images no run could have written — more entries than a query cache
+// holds, entries naming a missing, dense or repeated block or a block
+// outside the current partition, round-robin cursors outside their rings,
+// negative bookings, a hot block past the end, a chip slot holding a
+// block outside [-1, NumBlocks), visit counters the run does not keep, a
+// flush chip cursor past the chips, a current partition out of range, a
+// channel failed over with no degraded chip, a tier's pending hot blocks
+// that no pending preload completion accounts for, a negative score count,
+// slot deferrals outside [0, maxLoadDefers], a completed-walk buffer
+// outside [0, its flush threshold), and flash walk pages that are negative
+// or held by an empty store — and requires an error for each.
 // An image that slipped through would index out of range inside resume or
 // at the next routed walk, hop or flush, so an accepted one is also run.
 func TestResumeRejectsHostileBoardState(t *testing.T) {
@@ -74,39 +73,20 @@ func TestResumeRejectsHostileBoardState(t *testing.T) {
 	capacity := int(rc.Cfg.QueryCacheBytes / rc.Cfg.MappingEntryBytes)
 
 	cases := map[string]func(img *BoardImage){
-		"short highs": func(img *BoardImage) {
-			c := &img.Board.Caches[0]
-			c.Highs = c.Highs[:len(c.Highs)-1]
-		},
-		"short blocks": func(img *BoardImage) {
-			c := &img.Board.Caches[0]
-			c.Blocks = c.Blocks[:len(c.Blocks)-1]
-		},
 		"over capacity": func(img *BoardImage) {
 			c := &img.Board.Caches[0]
 			for len(c.Blocks) <= capacity {
-				c.Lows = append(c.Lows, c.Lows[0])
-				c.Highs = append(c.Highs, c.Highs[0])
 				c.Blocks = append(c.Blocks, c.Blocks[0])
 			}
 		},
-		"block past the end": func(img *BoardImage) { img.Board.Caches[0].Blocks[0] = len(part.Blocks) },
-		"negative block":     func(img *BoardImage) { img.Board.Caches[0].Blocks[0] = -1 },
-		"dense block": func(img *BoardImage) {
-			c := &img.Board.Caches[0]
-			c.Blocks[0] = dense
-			c.Lows[0], c.Highs[0] = part.Blocks[dense].LowVertex, part.Blocks[dense].HighVertex
-		},
-		"block of another partition": func(img *BoardImage) {
-			c := &img.Board.Caches[0]
-			c.Blocks[0] = foreign
-			c.Lows[0], c.Highs[0] = part.Blocks[foreign].LowVertex, part.Blocks[foreign].HighVertex
-		},
+		"block past the end":         func(img *BoardImage) { img.Board.Caches[0].Blocks[0] = len(part.Blocks) },
+		"negative block":             func(img *BoardImage) { img.Board.Caches[0].Blocks[0] = -1 },
+		"dense block":                func(img *BoardImage) { img.Board.Caches[0].Blocks[0] = dense },
+		"block of another partition": func(img *BoardImage) { img.Board.Caches[0].Blocks[0] = foreign },
 		"repeated block": func(img *BoardImage) {
 			c := &img.Board.Caches[0]
-			c.Blocks[1], c.Lows[1], c.Highs[1] = c.Blocks[0], c.Lows[0], c.Highs[0]
+			c.Blocks[1] = c.Blocks[0]
 		},
-		"range not the block's": func(img *BoardImage) { img.Board.Caches[0].Highs[0]++ },
 		"port cursor past end":  func(img *BoardImage) { img.Board.PortRR = len(img.Board.Ports) },
 		"negative port cursor":  func(img *BoardImage) { img.Board.PortRR = -1 },
 		"cache cursor past end": func(img *BoardImage) { img.Board.CacheRR = len(img.Board.Caches) },

@@ -224,14 +224,8 @@ func (c *chipAccel) loadBlock(s *chipSlot, blockID int) {
 	if nPWB > take {
 		nPWB = take
 	}
-	var pwbBytes int64
-	for _, w := range pw[:nPWB] {
-		pwbBytes += e.walk(w).sizeBytes()
-	}
+	pwbBytes := e.storeBytes(pw[:nPWB])
 	e.pwbBytes[blockID] -= pwbBytes
-	if e.pwbBytes[blockID] < 0 {
-		e.pwbBytes[blockID] = 0
-	}
 	take -= nPWB
 
 	fs := e.fls[blockID]

@@ -24,7 +24,7 @@ import (
 //	               conservation audit
 //	engine.go    — boardEngine, one board's devices and tiers; RunConfig
 //	snapshot.go  — Snapshot, checkpoint/restore for any board count
-//	delta.go     — delta snapshots over every board's walk stores
+//	delta.go     — the store diff between two cuts (benchmark probe only)
 //	tier.go      — the tierAccel interface and the shared tier machinery
 //	wiring.go    — accelerator tier construction and hot-subgraph preload
 //	lifecycle.go — walk retirement, partition advance
@@ -72,6 +72,17 @@ func (ws *wstate) sizeBytes() int64 {
 		return walk.DenseStateBytes
 	}
 	return walk.StateBytes
+}
+
+// storeBytes is the footprint of a store's walks. A PWB entry's and a chip
+// roving buffer's byte counts equal it, so resume derives both from the
+// restored stores.
+func (e *boardEngine) storeBytes(ws []int32) int64 {
+	var n int64
+	for _, w := range ws {
+		n += e.walk(w).sizeBytes()
+	}
+	return n
 }
 
 // RunConfig bundles everything one FlashWalker run needs.

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"flashwalker/internal/blob"
 	"flashwalker/internal/errs"
 	"flashwalker/internal/fault"
 	"flashwalker/internal/graph"
@@ -91,150 +89,11 @@ func resumeContext(ctx context.Context, g *graph.Graph, snap *Snapshot, opts Res
 	return e.RunContext(ctx)
 }
 
-// interruptCoreChain is interruptCore's multi-cut sibling: it runs rc and
-// cancels at the first cut, at least `cuts` deep, that satisfies last (nil
-// accepts any), returning the final `cuts` consecutive snapshots. The chain
-// starts once the time-0 preload has landed: cuts inside it precede every
-// walk-store change, so deltas between them would be empty
-// (TestResumeDuringPreload covers those cuts). The raw snapshots come back
-// un-serialized — the delta chain tests round-trip them through containers
-// themselves.
-func interruptCoreChain(t *testing.T, g *graph.Graph, rc RunConfig, cuts int, last func(*Snapshot) bool) []*Snapshot {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var snaps []*Snapshot
-	done := false
-	rc.CheckpointEvery = 64
-	rc.SnapshotEvery = 1
-	rc.OnSnapshot = func(s *Snapshot) {
-		if done || s.Preloading() {
-			return
-		}
-		snaps = append(snaps, s)
-		if len(snaps) >= cuts && (last == nil || last(s)) {
-			done = true
-			cancel()
-		}
-	}
-	e, err := NewEngine(g, rc)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	if _, err := e.RunContext(ctx); err == nil {
-		t.Fatalf("run finished after %d snapshots; interrupt never landed", len(snaps))
-	}
-	if !done {
-		t.Fatalf("run ended with %d snapshots and no qualifying cut", len(snaps))
-	}
-	return snaps[len(snaps)-cuts:]
-}
-
-// dirtyStores counts the store entries a delta carries, across boards.
-func dirtyStores(d *SnapshotDelta) int {
-	n := 0
-	for _, sd := range d.Stores {
-		n += len(sd.Blocks) + len(sd.Parts)
-	}
-	return n
-}
-
-// resumeFromDeltaChain is the storage-layer delta path end to end: take
-// `cuts` consecutive snapshot cuts, encode cut 0 as a full container and
-// each later cut as a delta container chained by the previous container's
-// seal, push the whole chain through an HTTP object store (the package's
-// own httptest-served Handler), read it back verifying every link, apply
-// the deltas, and resume from the reconstructed image.
-func resumeFromDeltaChain(t *testing.T, g *graph.Graph, rc RunConfig, cuts int, last func(*Snapshot) bool) *Result {
-	t.Helper()
-	snaps := interruptCoreChain(t, g, rc, cuts, last)
-
-	ts := httptest.NewServer(blob.Handler(blob.NewMem()))
-	defer ts.Close()
-	store, err := blob.NewHTTP(ts.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	key := func(i int) string {
-		if i == 0 {
-			return "snapshots/job-t.snap"
-		}
-		return fmt.Sprintf("snapshots/job-t.d%d.snap", i)
-	}
-	data, err := snapshot.Encode("core-engine", snaps[0])
-	if err != nil {
-		t.Fatalf("Encode full: %v", err)
-	}
-	if err := store.Put(key(0), data); err != nil {
-		t.Fatalf("Put full: %v", err)
-	}
-	sha, err := snapshot.Seal(data)
-	if err != nil {
-		t.Fatalf("Seal full: %v", err)
-	}
-	for i := 1; i < len(snaps); i++ {
-		d := DiffSnapshot(snaps[i-1], snaps[i], sha, i)
-		if dirtyStores(d) == 0 {
-			t.Fatalf("cut %d dirtied no stores; the chain test is vacuous", i)
-		}
-		dd, err := snapshot.Encode("core-delta", d)
-		if err != nil {
-			t.Fatalf("Encode delta %d: %v", i, err)
-		}
-		if err := store.Put(key(i), dd); err != nil {
-			t.Fatalf("Put delta %d: %v", i, err)
-		}
-		if sha, err = snapshot.Seal(dd); err != nil {
-			t.Fatalf("Seal delta %d: %v", i, err)
-		}
-	}
-
-	// Read the chain back and reconstruct the final image.
-	data, err = store.Get(key(0))
-	if err != nil {
-		t.Fatalf("Get full: %v", err)
-	}
-	cur := new(Snapshot)
-	if err := snapshot.Decode(data, "core-engine", cur); err != nil {
-		t.Fatalf("Decode full: %v", err)
-	}
-	if sha, err = snapshot.Seal(data); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(snaps); i++ {
-		dd, err := store.Get(key(i))
-		if err != nil {
-			t.Fatalf("Get delta %d: %v", i, err)
-		}
-		var d SnapshotDelta
-		if err := snapshot.Decode(dd, "core-delta", &d); err != nil {
-			t.Fatalf("Decode delta %d: %v", i, err)
-		}
-		if d.BaseSHA != sha {
-			t.Fatalf("delta %d chains to %x, container before it sealed %x", i, d.BaseSHA, sha)
-		}
-		if cur, err = ApplyDelta(cur, &d); err != nil {
-			t.Fatalf("ApplyDelta %d: %v", i, err)
-		}
-		if sha, err = snapshot.Seal(dd); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := resumeContext(context.Background(), g, cur, ResumeOptions{})
-	if err != nil {
-		t.Fatalf("resume from delta chain: %v", err)
-	}
-	return res
-}
-
 // TestResumeMetamorphic is the headline invariant of the checkpoint layer:
 // for every walk kind, with and without fault injection, run-to-completion
 // and snapshot -> kill -> serialize -> deserialize -> resume produce
 // bit-identical Results — same full digest (timeline included) and same
-// per-vertex visit counts. The delta-chain leg proves the same for the
-// storage layer's full -> K deltas -> kill -> resume path, through an HTTP
-// object store.
+// per-vertex visit counts.
 func TestResumeMetamorphic(t *testing.T) {
 	cases := map[string]struct {
 		spec   walk.Spec
@@ -268,16 +127,6 @@ func TestResumeMetamorphic(t *testing.T) {
 			for v := range clean.Visits {
 				if res.Visits[v] != clean.Visits[v] {
 					t.Fatalf("vertex %d visited %d times resumed, %d clean", v, res.Visits[v], clean.Visits[v])
-				}
-			}
-
-			chainRes := resumeFromDeltaChain(t, g, rc, 4, nil)
-			if got, want := digestResult(chainRes), digestResult(clean); got != want {
-				t.Fatalf("delta-chain resume diverged from uninterrupted run:\n got %s\nwant %s", got, want)
-			}
-			for v := range clean.Visits {
-				if chainRes.Visits[v] != clean.Visits[v] {
-					t.Fatalf("vertex %d visited %d times via delta chain, %d clean", v, chainRes.Visits[v], clean.Visits[v])
 				}
 			}
 		})

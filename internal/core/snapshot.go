@@ -81,7 +81,6 @@ type ChipState struct {
 	Tier           TierState
 	Slots          []SlotState
 	Roving         WalkRecords
-	RovingBytes    int64
 	CompletedBytes int64
 }
 
@@ -93,8 +92,6 @@ type ChanState struct {
 
 // CacheState is one walk query cache's LRU contents (front = most recent).
 type CacheState struct {
-	Lows   []graph.VertexID
-	Highs  []graph.VertexID
 	Blocks []int
 	Hits   uint64
 	Misses uint64
@@ -119,7 +116,6 @@ type BoardImage struct {
 
 	// Per-block walk stores and scheduler state.
 	PWB       []WalkRecords
-	PWBBytes  []int64
 	FLS       []WalkRecords
 	FLSPages  []int
 	Score     []float64
@@ -426,7 +422,6 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 		Flash: flashState,
 		DRAM:  e.dr.State(),
 
-		PWBBytes:  append([]int64(nil), e.pwbBytes...),
 		FLSPages:  append([]int(nil), e.flsPages...),
 		Score:     append([]float64(nil), e.score...),
 		ScorePend: append([]int(nil), e.scorePend...),
@@ -477,7 +472,6 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 			Tier:           tierOut(&c.tierCommon),
 			Slots:          make([]SlotState, len(c.slots)),
 			Roving:         p.walks(e.wtab, c.roving),
-			RovingBytes:    c.rovingBytes,
 			CompletedBytes: c.completedBytes,
 		}
 		for j, sl := range c.slots {
@@ -505,13 +499,7 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 		bs.Ports[i] = p.State()
 	}
 	for i, qc := range b.caches {
-		c := CacheState{Blocks: qc.blocks(nil), Hits: qc.hits, Misses: qc.misses}
-		for _, id := range c.Blocks {
-			blk := &e.part.Blocks[id]
-			c.Lows = append(c.Lows, blk.LowVertex)
-			c.Highs = append(c.Highs, blk.HighVertex)
-		}
-		bs.Caches[i] = c
+		bs.Caches[i] = CacheState{Blocks: qc.blocks(nil), Hits: qc.hits, Misses: qc.misses}
 	}
 	s.Board = bs
 	return nil
@@ -679,8 +667,8 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	nb := e.part.NumBlocks()
 	np := e.part.NumPartitions
 	switch {
-	case len(snap.PWB) != nb, len(snap.FLS) != nb, len(snap.PWBBytes) != nb,
-		len(snap.FLSPages) != nb, len(snap.Score) != nb, len(snap.ScorePend) != nb:
+	case len(snap.PWB) != nb, len(snap.FLS) != nb, len(snap.FLSPages) != nb,
+		len(snap.Score) != nb, len(snap.ScorePend) != nb:
 		return fmt.Errorf("core: resume: snapshot block stores sized for %d blocks, partitioning has %d", len(snap.PWB), nb)
 	case len(snap.PendingMem) != np, len(snap.PendingFlash) != np,
 		len(snap.PendingFlashBytes) != np, len(snap.FlushMark) != np:
@@ -719,6 +707,7 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	u := unpacker{be: e}
 	for b := 0; b < nb; b++ {
 		e.pwb[b] = u.walks(snap.PWB[b])
+		e.pwbBytes[b] = e.storeBytes(e.pwb[b])
 		e.fls[b] = u.walks(snap.FLS[b])
 		// Overflows add pages with at least one walk and a claim of the
 		// whole store zeroes them, so an empty store holds no pages. A
@@ -731,7 +720,6 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 			return fmt.Errorf("core: resume: block %d score has %d pending inserts", b, snap.ScorePend[b])
 		}
 	}
-	copy(e.pwbBytes, snap.PWBBytes)
 	copy(e.flsPages, snap.FLSPages)
 	copy(e.score, snap.Score)
 	copy(e.scorePend, snap.ScorePend)
@@ -786,7 +774,7 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 			sl.loadWalks = u.walks(ss.LoadWalks)
 		}
 		c.roving = u.walks(cs.Roving)
-		c.rovingBytes = cs.RovingBytes
+		c.rovingBytes = e.storeBytes(c.roving)
 		// A completed-walk buffer is flushed as soon as it reaches its
 		// threshold.
 		if cs.CompletedBytes < 0 || cs.CompletedBytes >= e.cfg.ChipCompletedBufBytes {
@@ -1102,8 +1090,8 @@ func (e *boardEngine) checkEvent(kind uint16, a, b int32, c int64, carried, batc
 // bookings, a completed-walk buffer past its flush threshold, and
 // query-cache contents no miss sequence could have produced.
 // The O(1) cache probe relies on the last: each entry is a distinct
-// non-dense block of the current partition whose saved range is that
-// block's. The caller has restored curPart.
+// non-dense block of the current partition. The caller has restored
+// curPart.
 func (e *boardEngine) checkBoardState(bs *BoardState) error {
 	b := e.board
 	first, last := e.part.PartitionSpan(max(e.curPart, 0))
@@ -1126,12 +1114,7 @@ func (e *boardEngine) checkBoardState(bs *BoardState) error {
 	seen := make(map[int]bool)
 	for i := range bs.Caches {
 		cs := &bs.Caches[i]
-		n := len(cs.Blocks)
-		switch {
-		case len(cs.Lows) != n || len(cs.Highs) != n:
-			return fmt.Errorf("core: resume: query cache %d has %d lows, %d highs, %d blocks",
-				i, len(cs.Lows), len(cs.Highs), n)
-		case n > b.caches[i].capacity:
+		if n := len(cs.Blocks); n > b.caches[i].capacity {
 			return fmt.Errorf("core: resume: query cache %d holds %d entries, capacity %d", i, n, b.caches[i].capacity)
 		}
 		clear(seen)
@@ -1139,15 +1122,11 @@ func (e *boardEngine) checkBoardState(bs *BoardState) error {
 			if id < first || id > last {
 				return fmt.Errorf("core: resume: query cache %d entry %d: block %d outside partition %d", i, j, id, e.curPart)
 			}
-			blk := &e.part.Blocks[id]
 			switch {
-			case blk.Dense:
+			case e.part.Blocks[id].Dense:
 				return fmt.Errorf("core: resume: query cache %d entry %d: block %d is dense", i, j, id)
 			case seen[id]:
 				return fmt.Errorf("core: resume: query cache %d entry %d: block %d cached twice", i, j, id)
-			case cs.Lows[j] != blk.LowVertex || cs.Highs[j] != blk.HighVertex:
-				return fmt.Errorf("core: resume: query cache %d entry %d: range [%d, %d] is not block %d's [%d, %d]",
-					i, j, cs.Lows[j], cs.Highs[j], id, blk.LowVertex, blk.HighVertex)
 			}
 			seen[id] = true
 		}

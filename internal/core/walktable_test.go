@@ -65,7 +65,7 @@ func hashPool(h hash.Hash, img *PoolImage, put func([]byte)) {
 // TestPackedStoreDigest pins the packed walk stores and pool images of
 // golden-workload cuts early, mid-run and late, on one board and two. The
 // engine's in-memory walk layout is free to change; the records a cut
-// packs are not, because resume and the delta chain read them.
+// packs are not, because resume reads them.
 func TestPackedStoreDigest(t *testing.T) {
 	want := map[string]string{
 		"boards=1/cut=1":  "013befc72ac37f678a3e780756b348c3568cd9cb992ca702e91b420f8f7ba9da",

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"flashwalker/internal/blob"
+	"flashwalker/internal/core"
+	"flashwalker/internal/snapshot"
 )
 
 // TestBodyTooLarge: both POST endpoints reject oversized bodies with the
@@ -42,8 +45,9 @@ func TestBodyTooLarge(t *testing.T) {
 
 // TestRetentionPrunesTerminal: with RetainJobs set, every finish prunes
 // terminal jobs past the cap — journal, spool, and snapshots gone from the
-// store — while a still-running job is never touched, and a restart on the
-// pruned store recovers exactly the retained set.
+// store, a delta container an older daemon left included — while a
+// still-running job is never touched, and a restart on the pruned store
+// recovers exactly the retained set.
 func TestRetentionPrunesTerminal(t *testing.T) {
 	store := blob.NewMem()
 	m1 := newTestManager(t, Config{Workers: 2, Store: store, RetainJobs: 1})
@@ -64,6 +68,12 @@ func TestRetentionPrunesTerminal(t *testing.T) {
 		}
 		shorts = append(shorts, j)
 		waitTerminal(t, j)
+		if i == 0 {
+			// What an older daemon's delta chain leaves behind.
+			if err := store.Put("snapshots/"+j.ID+".d1.snap", []byte("delta")); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
 	for _, j := range shorts[:2] {
@@ -72,6 +82,9 @@ func TestRetentionPrunesTerminal(t *testing.T) {
 		}
 		if _, err := store.Get(streamKey(j.ID)); !errors.Is(err, blob.ErrNotFound) {
 			t.Errorf("pruned job %s spool still in store (err %v)", j.ID, err)
+		}
+		if keys, err := store.List(snapshotPrefix(j.ID)); err != nil || len(keys) != 0 {
+			t.Errorf("pruned job %s snapshot keys still in store: %v (err %v)", j.ID, keys, err)
 		}
 		if _, err := m1.Get(j.ID); err == nil {
 			t.Errorf("pruned job %s still listed by the manager", j.ID)
@@ -150,9 +163,12 @@ func TestPersistErrorsCountedJobCompletes(t *testing.T) {
 
 // TestManagerRecoveryHTTPStore is the durable-jobs recovery scenario run
 // end-to-end through the HTTP object-store client against the in-package
-// object server: a job interrupted mid-run (journal says running, full
-// snapshot plus at least one delta in the store) resumes on restart and
-// converges on the uninterrupted result exactly.
+// object server: a job interrupted mid-run (journal says running, a full
+// snapshot in the store) resumes on restart and converges on the
+// uninterrupted result exactly. Beside the image lies what a daemon that
+// wrote delta chains left there: a delta container chained to the image and
+// stray bytes under the next delta key. Recovery ignores both, and
+// completion removes them.
 func TestManagerRecoveryHTTPStore(t *testing.T) {
 	osrv := httptest.NewServer(blob.Handler(blob.NewMem()))
 	defer osrv.Close()
@@ -175,26 +191,26 @@ func TestManagerRecoveryHTTPStore(t *testing.T) {
 	}
 	mr.Close()
 
-	// First life: run against the object store until a full snapshot AND a
-	// delta have landed — proof the chain writer works over HTTP — then
-	// save the chain and cancel.
-	m1 := newTestManager(t, Config{Workers: 1, Store: store, SnapshotDeltas: 2})
+	// First life: run against the object store until two cuts have landed
+	// under the snapshot key, one after the other, then cancel.
+	m1 := newTestManager(t, Config{Workers: 1, Store: store})
 	j1, err := m1.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved := map[string][]byte{}
+	var first, second []byte
 	deadline := time.Now().Add(time.Minute)
-	for {
-		full, ferr := store.Get(snapshotKey(j1.ID))
-		d1, derr := store.Get(deltaKey(j1.ID, 1))
-		if ferr == nil && derr == nil {
-			saved[snapshotKey(j1.ID)] = full
-			saved[deltaKey(j1.ID, 1)] = d1
-			break
+	for second == nil {
+		data, err := store.Get(snapshotKey(j1.ID))
+		switch {
+		case err != nil:
+		case first == nil:
+			first = data
+		case !bytes.Equal(data, first):
+			second = data
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no full+delta chain in store (full: %v, delta: %v)", ferr, derr)
+			t.Fatalf("no two snapshot cuts in store (first seen: %v, err %v)", first != nil, err)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -204,8 +220,10 @@ func TestManagerRecoveryHTTPStore(t *testing.T) {
 	waitTerminal(t, j1)
 	m1.Close()
 
-	// Forge the crash the cancel cleaned up after: journal back to
-	// running, snapshot chain back in the store.
+	// Forge the crash the cancel cleaned up after: journal back to running,
+	// the first cut under the snapshot key, and the chain a daemon writing
+	// deltas would have put beside it: the second cut as a delta container
+	// naming the first by its seal, then a torn second delta.
 	data, err := store.Get(jobKey(j1.ID))
 	if err != nil {
 		t.Fatal(err)
@@ -221,18 +239,35 @@ func TestManagerRecoveryHTTPStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Put(jobKey(j1.ID), data); err != nil {
+	var base, cur core.Snapshot
+	if err := snapshot.Decode(first, snapKindCore, &base); err != nil {
 		t.Fatal(err)
 	}
-	for key, b := range saved {
+	if err := snapshot.Decode(second, snapKindCore, &cur); err != nil {
+		t.Fatal(err)
+	}
+	seal, err := snapshot.Seal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := snapshot.Encode("flashwalker-core-delta", core.DiffSnapshot(&base, &cur, seal, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, b := range map[string][]byte{
+		jobKey(j1.ID):                     data,
+		snapshotKey(j1.ID):                first,
+		"snapshots/" + j1.ID + ".d1.snap": delta,
+		"snapshots/" + j1.ID + ".d2.snap": []byte("torn delta"),
+	} {
 		if err := store.Put(key, b); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Second life: recovered over HTTP, resumed from the delta chain, and
+	// Second life: recovered over HTTP, resumed from the full image, and
 	// bit-identical to the clean run.
-	m2 := newTestManager(t, Config{Workers: 1, Store: store, SnapshotDeltas: 2})
+	m2 := newTestManager(t, Config{Workers: 1, Store: store})
 	defer m2.Close()
 	j2, err := m2.Get(j1.ID)
 	if err != nil {
@@ -246,15 +281,12 @@ func TestManagerRecoveryHTTPStore(t *testing.T) {
 	if st.Result == nil || *st.Result != *ref {
 		t.Fatalf("resumed result diverged:\n got %+v\nwant %+v", st.Result, ref)
 	}
-	// Completion must retire the whole chain, deltas included.
-	if _, err := store.Get(snapshotKey(j1.ID)); !errors.Is(err, blob.ErrNotFound) {
-		t.Errorf("full snapshot survived completion (err %v)", err)
-	}
-	keys, err := store.List(deltaPrefix(j1.ID))
+	// Completion removes every snapshot key, the old delta keys included.
+	keys, err := store.List(snapshotPrefix(j1.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(keys) != 0 {
-		t.Errorf("delta containers survived completion: %v", keys)
+		t.Errorf("snapshot keys survived completion: %v", keys)
 	}
 }

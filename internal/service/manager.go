@@ -407,12 +407,6 @@ type Config struct {
 	// StateDir when both are set. Nil with an empty StateDir keeps the
 	// manager fully in-memory.
 	Store blob.Store
-	// SnapshotDeltas is the checkpoint chain length for FlashWalker jobs:
-	// after each full snapshot container, up to this many delta containers
-	// (each carrying only the walk stores dirtied since the previous cut)
-	// before the next full cut. 0 uses the default
-	// (4); negative disables deltas — every cut writes a full snapshot.
-	SnapshotDeltas int
 	// RetainJobs keeps at most this many terminal jobs' durable state
 	// (journal + spool); older terminal jobs are pruned at startup and on
 	// finish, oldest-first. 0 retains everything. Non-terminal jobs are
@@ -463,11 +457,10 @@ type Manager struct {
 	wg      sync.WaitGroup
 	// store is the durable-state backend; nil keeps the manager fully
 	// in-memory.
-	store          blob.Store
-	snapshotDeltas int
-	retainJobs     int
-	retainAge      time.Duration
-	maxBodyBytes   int64
+	store        blob.Store
+	retainJobs   int
+	retainAge    time.Duration
+	maxBodyBytes int64
 
 	// Admission settings (immutable after NewManager).
 	tenantMaxQueued  int
@@ -518,28 +511,20 @@ func NewManager(reg *Registry, cfg Config) (*Manager, error) {
 		}
 		store = fsStore
 	}
-	deltas := cfg.SnapshotDeltas
-	switch {
-	case deltas == 0:
-		deltas = defaultSnapshotDeltas
-	case deltas < 0:
-		deltas = 0
-	}
 	maxBody := cfg.MaxBodyBytes
 	if maxBody <= 0 {
 		maxBody = defaultMaxBodyBytes
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	m := &Manager{
-		reg:            reg,
-		baseCtx:        ctx,
-		stop:           stop,
-		jobs:           map[string]*Job{},
-		store:          store,
-		snapshotDeltas: deltas,
-		retainJobs:     cfg.RetainJobs,
-		retainAge:      cfg.RetainAge,
-		maxBodyBytes:   maxBody,
+		reg:          reg,
+		baseCtx:      ctx,
+		stop:         stop,
+		jobs:         map[string]*Job{},
+		store:        store,
+		retainJobs:   cfg.RetainJobs,
+		retainAge:    cfg.RetainAge,
+		maxBodyBytes: maxBody,
 
 		tenantMaxQueued:  cfg.TenantMaxQueued,
 		tenantMaxRunning: cfg.TenantMaxRunning,
@@ -1068,23 +1053,19 @@ func (m *Manager) runFlashWalker(ctx context.Context, j *Job, g *graph.Graph, ds
 	}
 	if m.store != nil {
 		// Snapshots piggyback on the checkpoint observer every
-		// snapshotCheckpointRatio checkpoints; the chain writer throttles
-		// serialization and alternates full and delta containers, for any
-		// board count.
+		// snapshotCheckpointRatio checkpoints; the writer throttles
+		// serialization and writes each cut it keeps as a full image, for
+		// any board count.
 		every := j.Spec.CheckpointEvery
 		if every == 0 {
 			every = core.DefaultCheckpointEvery
 		}
-		w := &coreSnapWriter{m: m, j: j, maxDeltas: m.snapshotDeltas}
-		// A recovered job picks up from its last consistent chain image; a
-		// fresh job (or one whose snapshot is unreadable, or was written by
-		// an older container version) runs from the start and begins
-		// writing snapshots at the checkpoint cadence.
-		if snap, sha, chain, ok := m.loadCoreSnap(j.ID); ok {
-			// The writer continues the stored chain exactly where the image
-			// came from, so the next cut extends (or overwrites the invalid
-			// suffix of) what is already in the store.
-			w.base, w.baseSHA, w.deltas = snap, sha, chain
+		w := &coreSnapWriter{m: m, j: j}
+		// A recovered job picks up from its snapshot image; a fresh job (or
+		// one whose snapshot is unreadable, or was written by an older
+		// container version) runs from the start and begins writing
+		// snapshots at the checkpoint cadence.
+		if snap, ok := m.loadCoreSnap(j.ID); ok {
 			e, err := core.ResumeEngine(g, snap, core.ResumeOptions{
 				OnProgress: rc.OnProgress, OnSnapshot: w.write, OnWalks: rc.OnWalks,
 				SnapshotEvery: every * snapshotCheckpointRatio, CheckpointEvery: j.Spec.CheckpointEvery,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"log"
 	"sort"
 	"strconv"
@@ -19,36 +18,28 @@ import (
 // Config.StateDir wrapped in the byte-compatible FS store) it keeps three
 // families of keys in it:
 //
-//	jobs/<id>.json         one JSON journal record per job, atomically
-//	                       rewritten at submit, start, and finish
-//	snapshots/<id>.snap    the job's latest FULL engine snapshot
-//	                       (FlashWalker jobs; codec container), removed
-//	                       at finish
-//	snapshots/<id>.dN.snap delta containers chained to the full snapshot
-//	                       (FlashWalker jobs), each naming its base by the
-//	                       preceding container's SHA-256 seal; removed at
-//	                       the next full cut and at finish
-//	streams/<id>.ndjson    the completed-walk stream spool
+//	jobs/<id>.json       one JSON journal record per job, atomically
+//	                     rewritten at submit, start, and finish
+//	snapshots/<id>.snap  the job's latest engine snapshot, a full image
+//	                     (FlashWalker jobs; codec container), rewritten
+//	                     at each checkpoint cut and removed at finish
+//	streams/<id>.ndjson  the completed-walk stream spool
+//
+// A store written by an older daemon may also hold delta containers,
+// snapshots/<id>.dN.snap, beside a job's full image. Recovery never reads
+// them, and the job's finish or pruning removes them with the image.
 //
 // On startup the manager replays the journal: terminal jobs come back as
 // history, queued and running jobs are re-enqueued. A re-enqueued running
-// job resumes from its last consistent snapshot image — the full container
-// plus the longest verifiable delta chain on top of it; otherwise it
-// re-runs from the start, which — the engines being deterministic —
-// produces the identical result, just later. Journal and snapshot writes
+// job resumes from its snapshot image; without one it re-runs from the
+// start, which — the engines being deterministic — produces the identical
+// result, just later. Journal and snapshot writes
 // are best-effort: a full disk (or unreachable store) degrades durability,
 // never a running job — but every failed write now counts in
 // flashwalker_persist_errors_total and logs once per job.
 
-// Snapshot container kind tags.
-const (
-	snapKindCore  = "flashwalker-core-engine"
-	snapKindDelta = "flashwalker-core-delta"
-)
-
-// defaultSnapshotDeltas is the delta-chain length between full snapshot
-// cuts when Config.SnapshotDeltas is 0.
-const defaultSnapshotDeltas = 4
+// snapKindCore is the kind tag of a FlashWalker job's snapshot container.
+const snapKindCore = "flashwalker-core-engine"
 
 // Persist-error kinds, the label values of
 // flashwalker_persist_errors_total.
@@ -75,15 +66,10 @@ func jobKey(id string) string      { return "jobs/" + id + ".json" }
 func snapshotKey(id string) string { return "snapshots/" + id + ".snap" }
 func streamKey(id string) string   { return "streams/" + id + ".ndjson" }
 
-// deltaKey names the n-th delta container (1-based) in a job's chain.
-func deltaKey(id string, n int) string {
-	return fmt.Sprintf("snapshots/%s.d%d.snap", id, n)
-}
-
-// deltaPrefix matches exactly one job's delta containers: "job-1.d" cannot
-// prefix "job-10.d1.snap" because the character after the shared "job-1"
-// differs ("." vs "0").
-func deltaPrefix(id string) string { return "snapshots/" + id + ".d" }
+// snapshotPrefix matches every snapshot key of exactly one job: its full
+// image and any delta container an older daemon left beside it. The
+// trailing dot keeps "job-1." from matching "job-10.snap".
+func snapshotPrefix(id string) string { return "snapshots/" + id + "." }
 
 // persistError records one failed durability write: counted by kind in
 // flashwalker_persist_errors_total and logged once per job on the first
@@ -137,81 +123,35 @@ func (m *Manager) journal(j *Job) {
 	}
 }
 
-// dropSnapshot removes a terminal job's snapshot containers — the full
-// image and any delta chain; the journal record is the durable trace that
-// remains.
+// dropSnapshot removes a terminal job's snapshot keys; the journal record
+// is the durable trace that remains.
 func (m *Manager) dropSnapshot(j *Job) {
-	if m.store == nil {
-		return
+	if m.store != nil {
+		m.deleteSnapshots(j.ID, func(err error) { m.persistError(j, persistKindSnapshot, err) })
 	}
-	if err := m.store.Delete(snapshotKey(j.ID)); err != nil {
-		m.persistError(j, persistKindSnapshot, err)
-	}
-	keys, err := m.store.List(deltaPrefix(j.ID))
+}
+
+// deleteSnapshots deletes every key under snapshotPrefix(id), reporting
+// each failure to fail.
+func (m *Manager) deleteSnapshots(id string, fail func(error)) {
+	keys, err := m.store.List(snapshotPrefix(id))
 	if err != nil {
-		m.persistError(j, persistKindSnapshot, err)
+		fail(err)
 		return
 	}
 	for _, k := range keys {
 		if err := m.store.Delete(k); err != nil {
-			m.persistError(j, persistKindSnapshot, err)
+			fail(err)
 		}
 	}
 }
 
-// putSnap encodes v into a kind-tagged container and stores it under key,
-// returning the container's seal. Failures are counted, not fatal: the
-// previous blob (if any) stays in place thanks to atomic Put.
-func (m *Manager) putSnap(j *Job, key, kind string, v any) ([32]byte, bool) {
-	var zero [32]byte
-	data, err := snapshot.Encode(kind, v)
-	if err != nil {
-		m.persistError(j, persistKindSnapshot, err)
-		return zero, false
-	}
-	if err := m.store.Put(key, data); err != nil {
-		m.persistError(j, persistKindSnapshot, err)
-		return zero, false
-	}
-	seal, err := snapshot.Seal(data)
-	if err != nil {
-		m.persistError(j, persistKindSnapshot, err)
-		return zero, false
-	}
-	return seal, true
-}
-
-// getSnap fetches and decodes a container, returning its seal alongside.
-func (m *Manager) getSnap(key, kind string, v any) ([32]byte, error) {
-	var zero [32]byte
-	data, err := m.store.Get(key)
-	if err != nil {
-		return zero, err
-	}
-	if err := snapshot.Decode(data, kind, v); err != nil {
-		return zero, err
-	}
-	seal, err := snapshot.Seal(data)
-	if err != nil {
-		return zero, err
-	}
-	return seal, nil
-}
-
-// coreSnapWriter drives a FlashWalker job's checkpoint chain:
-// a full snapshot container, then up to maxDeltas delta containers each
-// chaining to its predecessor by seal, then a fresh full cut (which
-// retires the superseded chain). A failed write never advances the chain
-// head — the next cut diffs against the last image actually stored, so the
-// chain on the store is always internally consistent, just coarser.
+// coreSnapWriter writes a FlashWalker job's checkpoint cuts, each one full
+// image under the job's snapshot key.
 type coreSnapWriter struct {
 	m         *Manager
 	j         *Job
-	maxDeltas int
 	lastWrite time.Time
-	base      *core.Snapshot
-	baseSHA   [32]byte
-	deltas    int
 }
 
 func (w *coreSnapWriter) write(s *core.Snapshot) {
@@ -222,63 +162,30 @@ func (w *coreSnapWriter) write(s *core.Snapshot) {
 		return
 	}
 	w.lastWrite = time.Now()
-	if w.base != nil && w.deltas < w.maxDeltas {
-		d := core.DiffSnapshot(w.base, s, w.baseSHA, w.deltas+1)
-		if sha, ok := w.m.putSnap(w.j, deltaKey(w.j.ID, w.deltas+1), snapKindDelta, d); ok {
-			w.deltas++
-			w.base, w.baseSHA = s, sha
-		}
-		return
+	// A failed write is counted, not fatal: atomic Put leaves the previous
+	// image in place.
+	data, err := snapshot.Encode(snapKindCore, s)
+	if err == nil {
+		err = w.m.store.Put(snapshotKey(w.j.ID), data)
 	}
-	sha, ok := w.m.putSnap(w.j, snapshotKey(w.j.ID), snapKindCore, s)
-	if !ok {
-		return
-	}
-	retire := w.deltas
-	w.base, w.baseSHA, w.deltas = s, sha, 0
-	// The new full image supersedes the old chain; stale deltas chained to
-	// the previous full snapshot must not survive it (their BaseSHA would
-	// fail verification anyway, but leaving them would leak storage).
-	for n := 1; n <= retire; n++ {
-		if err := w.m.store.Delete(deltaKey(w.j.ID, n)); err != nil {
-			w.m.persistError(w.j, persistKindSnapshot, err)
-		}
+	if err != nil {
+		w.m.persistError(w.j, persistKindSnapshot, err)
 	}
 }
 
-// loadCoreSnap reads a job's checkpoint chain — the full container plus
-// any delta containers — and reconstructs the most recent consistent
-// image. A delta that is missing, corrupt, mis-chained (BaseSHA does not
-// match the container before it), or structurally inapplicable ends the
-// walk: the prefix up to it is still a consistent cut, and the engine's
-// determinism makes resuming from any consistent cut result-identical.
-// Returns the image, the seal of the last container consumed, and the
-// chain position, so a resumed job's writer continues the chain in place.
-func (m *Manager) loadCoreSnap(id string) (*core.Snapshot, [32]byte, int, bool) {
-	var full core.Snapshot
-	sha, err := m.getSnap(snapshotKey(id), snapKindCore, &full)
+// loadCoreSnap reads a job's snapshot image; Decode verifies its checksum.
+// A missing, corrupt or older-version container reports false, and the job
+// runs from the start.
+func (m *Manager) loadCoreSnap(id string) (*core.Snapshot, bool) {
+	data, err := m.store.Get(snapshotKey(id))
 	if err != nil {
-		return nil, sha, 0, false
+		return nil, false
 	}
-	cur := &full
-	n := 0
-	for {
-		var d core.SnapshotDelta
-		dsha, err := m.getSnap(deltaKey(id, n+1), snapKindDelta, &d)
-		if err != nil {
-			break
-		}
-		if d.BaseSHA != sha {
-			break
-		}
-		next, err := core.ApplyDelta(cur, &d)
-		if err != nil {
-			break
-		}
-		cur, sha = next, dsha
-		n++
+	var s core.Snapshot
+	if err := snapshot.Decode(data, snapKindCore, &s); err != nil {
+		return nil, false
 	}
-	return cur, sha, n, true
+	return &s, true
 }
 
 // jobSeq extracts the numeric suffix of a "job-N" ID.
@@ -424,22 +331,14 @@ func (m *Manager) pruneTerminal() {
 	m.order = kept
 	m.mu.Unlock()
 
+	fail := func(err error) { m.persistError(nil, persistKindRetention, err) }
 	for id := range prune {
-		for _, key := range []string{jobKey(id), streamKey(id), snapshotKey(id)} {
+		for _, key := range []string{jobKey(id), streamKey(id)} {
 			if err := m.store.Delete(key); err != nil {
-				m.persistError(nil, persistKindRetention, err)
+				fail(err)
 			}
 		}
-		keys, err := m.store.List(deltaPrefix(id))
-		if err != nil {
-			m.persistError(nil, persistKindRetention, err)
-			continue
-		}
-		for _, key := range keys {
-			if err := m.store.Delete(key); err != nil {
-				m.persistError(nil, persistKindRetention, err)
-			}
-		}
+		m.deleteSnapshots(id, fail)
 		m.metrics.jobsPruned.Add(1)
 	}
 }

@@ -123,8 +123,9 @@ func Decode(data []byte, wantKind string, v any) error {
 }
 
 // Seal returns the container's trailing SHA-256 checksum after verifying
-// it matches the body. The seal uniquely identifies the encoded state
-// image, so delta snapshots use it to name the exact base they chain to.
+// it matches the body. Decode verifies the same checksum, so no run path
+// calls Seal; it stays only for the benchmark's snapshot probe
+// (bench/layers.go), which names a delta's base image by it.
 func Seal(data []byte) ([32]byte, error) {
 	var sum [32]byte
 	if len(data) < len(magic)+4+2+8+sha256.Size {
