@@ -85,22 +85,48 @@ func TestStoreAppend(t *testing.T) {
 
 func TestStoreList(t *testing.T) {
 	eachStore(t, func(t *testing.T, s blob.Store) {
-		for _, k := range []string{"jobs/job-2.json", "jobs/job-10.json", "snapshots/job-2.snap"} {
+		all := []string{"jobs/job-10.json", "jobs/job-2.json", "snapshots/job-2.snap",
+			"snapx.json", "streams/a/b.ndjson", "streams/a/c/d.ndjson", "streams/ab.ndjson"}
+		for _, k := range all {
 			if err := s.Put(k, []byte("x")); err != nil {
 				t.Fatalf("Put %s: %v", k, err)
 			}
 		}
-		keys, err := s.List("jobs/")
-		if err != nil {
-			t.Fatalf("List: %v", err)
-		}
-		want := []string{"jobs/job-10.json", "jobs/job-2.json"}
-		if !reflect.DeepEqual(keys, want) {
-			t.Fatalf("List(jobs/) = %v, want %v (sorted)", keys, want)
-		}
-		keys, err = s.List("nothing/")
-		if err != nil || len(keys) != 0 {
-			t.Fatalf("List of empty prefix = %v, %v; want none", keys, err)
+		for _, c := range []struct {
+			prefix string
+			want   []string
+		}{
+			{"jobs/", []string{"jobs/job-10.json", "jobs/job-2.json"}},
+			{"", all},
+			// Without a '/' the prefix matches across directories.
+			{"snap", []string{"snapshots/job-2.snap", "snapx.json"}},
+			{"jobs/job-1", []string{"jobs/job-10.json"}},
+			{"streams/a", []string{"streams/a/b.ndjson", "streams/a/c/d.ndjson", "streams/ab.ndjson"}},
+			{"streams/a/", []string{"streams/a/b.ndjson", "streams/a/c/d.ndjson"}},
+			{"streams/a/c/d", []string{"streams/a/c/d.ndjson"}},
+			{"nothing/", nil},
+			{"jobs/missing/", nil},
+			// A directory part that is not a key path lists nothing and,
+			// on a filesystem, never leaves the root.
+			{"../", nil},
+			{"..", nil},
+			{"/jobs/", nil},
+			{"/", nil},
+			{"jobs//", nil},
+			{"./jobs/", nil},
+			{"jobs/./", nil},
+			{"jobs/../jobs/", nil},
+			{"streams/a/../", nil},
+		} {
+			keys, err := s.List(c.prefix)
+			if err != nil {
+				t.Fatalf("List(%q): %v", c.prefix, err)
+			}
+			if len(keys) != 0 || len(c.want) != 0 {
+				if !reflect.DeepEqual(keys, c.want) {
+					t.Errorf("List(%q) = %v, want %v (sorted)", c.prefix, keys, c.want)
+				}
+			}
 		}
 	})
 }
@@ -140,6 +166,29 @@ func TestFSListSkipsTempFiles(t *testing.T) {
 	}
 	if !reflect.DeepEqual(keys, []string{"jobs/a.json"}) {
 		t.Fatalf("List = %v, want just jobs/a.json (temp file leaked)", keys)
+	}
+}
+
+// TestFSListStaysInRoot plants a key-shaped file beside an FS store's root
+// and lists it through prefixes whose directory part climbs out: a walk
+// that left the root would find it.
+func TestFSListStaysInRoot(t *testing.T) {
+	dir := t.TempDir()
+	s, err := blob.NewFS(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "outside", "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "outside", "jobs", "a.json"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, prefix := range []string{"../", "../outside/", "../outside/jobs/", "jobs/../../outside/jobs/", "/" + filepath.ToSlash(dir) + "/outside/"} {
+		keys, err := s.List(prefix)
+		if err != nil || len(keys) != 0 {
+			t.Errorf("List(%q) = %v, %v; want nothing", prefix, keys, err)
+		}
 	}
 }
 

@@ -95,9 +95,21 @@ func (f *FS) Delete(key string) error {
 	return nil
 }
 
+// List walks only the prefix's directory, its part up to the last '/',
+// since no other directory can hold a key with that prefix. A directory
+// part that is not a key path ("..", an empty or "." segment, a leading
+// '/') lists nothing, so a prefix can never take the walk out of the root.
 func (f *FS) List(prefix string) ([]string, error) {
+	dir := f.root
+	if i := strings.LastIndexByte(prefix, '/'); i >= 0 {
+		p, err := f.path(prefix[:i])
+		if err != nil {
+			return nil, nil // no key lies under a path that is not a key path
+		}
+		dir = p
+	}
 	var keys []string
-	err := filepath.WalkDir(f.root, func(p string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			if os.IsNotExist(err) {
 				return nil

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"flashwalker/internal/errs"
 	"flashwalker/internal/graph"
@@ -112,7 +113,9 @@ type Engine struct {
 	checkEvery uint64
 	onSnapshot func(*Snapshot)
 	snapEvery  uint64
-	lastSnap   uint64
+	lastSnap   uint64        // events processed at the last due cut
+	snapWall   time.Duration // RunConfig.SnapshotMinInterval
+	lastSnapAt time.Time     // wall time of the last delivered cut's decision
 
 	// Completed-walk export (export.go): one fleet-wide finish sequence so
 	// consumers see a single total order regardless of board count.
@@ -185,6 +188,7 @@ func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 		checkEvery:   rc.CheckpointEvery,
 		onSnapshot:   rc.OnSnapshot,
 		snapEvery:    rc.SnapshotEvery,
+		snapWall:     rc.SnapshotMinInterval,
 		onWalks:      rc.OnWalks,
 		emitEvery:    rc.EmitEvery,
 	}
@@ -297,19 +301,24 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 			// A failed run is draining toward its error: nothing left to
 			// snapshot.
 			if e.onSnapshot != nil && e.failure == nil && e.eng.Processed()-e.lastSnap >= e.snapEvery {
-				// Flush exported walks first so a consumer persisting both
-				// never sees a snapshot ahead of its walk records.
-				e.flushWalks()
-				// Snapshots are pure reads of engine state between events.
-				// One that cannot be built would silently leave the job
-				// without recovery points, so it fails the run.
-				snap, err := e.buildSnapshot()
-				if err != nil {
-					e.fail(err)
-					return false
-				}
 				e.lastSnap = e.eng.Processed()
-				e.onSnapshot(snap)
+				// A cut due within SnapshotMinInterval of the last delivered
+				// one is decided against here, before it is built.
+				if e.snapWall == 0 || time.Since(e.lastSnapAt) >= e.snapWall {
+					e.lastSnapAt = time.Now()
+					// Flush exported walks first so a consumer persisting
+					// both never sees a snapshot ahead of its walk records.
+					e.flushWalks()
+					// Snapshots are pure reads of engine state between
+					// events. One that cannot be built would silently leave
+					// the job without recovery points, so it fails the run.
+					snap, err := e.buildSnapshot()
+					if err != nil {
+						e.fail(err)
+						return false
+					}
+					e.onSnapshot(snap)
+				}
 			}
 			return ctx.Err() == nil
 		})

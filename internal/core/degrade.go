@@ -27,11 +27,11 @@ func (e *boardEngine) chipDegraded(chip int) {
 	// channel beats keeping a marginally hotter block of a healthy chip.
 	sums := e.part.InDegreeSums()
 	existing := ca.HotBlocks()
-	used := map[int]bool{}
+	used := make([]bool, len(e.part.Blocks))
 	for _, id := range existing {
 		used[id] = true
 	}
-	added := e.pickHotBlocks(sums, e.place.BlocksOnChip(chip),
+	added := pickHotBlocks(e.part.Blocks, sums, e.place.BlocksOnChip(chip),
 		e.cfg.ChannelSubgraphBufBytes/2, used)
 	if len(added) == 0 {
 		return

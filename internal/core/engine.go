@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"flashwalker/internal/bloom"
 	"flashwalker/internal/dram"
@@ -157,6 +158,11 @@ type RunConfig struct {
 	// boundaries, so the effective cadence is the next checkpoint after
 	// the interval elapses. 0 snapshots at every checkpoint.
 	SnapshotEvery uint64
+	// SnapshotMinInterval is the minimum wall time between OnSnapshot
+	// deliveries. A cut that falls due sooner after the last delivered one
+	// is skipped before it is built, and the next falls due SnapshotEvery
+	// events on, as if it had been delivered. 0 delivers every due cut.
+	SnapshotMinInterval time.Duration
 	// OnWalks, when non-nil, receives finished walks in retirement order
 	// (see export.go). Deliveries happen strictly between simulated events
 	// — at emitter boundaries, before every snapshot, and at run end — so

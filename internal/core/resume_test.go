@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"flashwalker/internal/errs"
 	"flashwalker/internal/fault"
@@ -130,6 +131,43 @@ func TestResumeMetamorphic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSnapshotMinIntervalDeliversFirstCut snapshots at every checkpoint
+// with a one-hour minimum interval: the run delivers only its first due
+// cut, and its Result is the unsnapshotted run's. A resume with the same
+// interval from that cut delivers exactly one more.
+func TestSnapshotMinIntervalDeliversFirstCut(t *testing.T) {
+	g := testGraph(t)
+	rc := goldenConfig()
+	clean := runEngine(t, g, rc)
+
+	var cuts []*Snapshot
+	rc.CheckpointEvery, rc.SnapshotEvery = 64, 1
+	rc.SnapshotMinInterval = time.Hour
+	rc.OnSnapshot = func(s *Snapshot) { cuts = append(cuts, s) }
+	snapped := runEngine(t, g, rc)
+	if len(cuts) != 1 {
+		t.Fatalf("%d cuts delivered within an hour, want 1", len(cuts))
+	}
+	if got, want := digestResult(snapped), digestResult(clean); got != want {
+		t.Fatalf("run with a one-hour snapshot interval diverged:\n got %s\nwant %s", got, want)
+	}
+
+	var resumedCuts int
+	res, err := resumeContext(context.Background(), g, cuts[0], ResumeOptions{
+		OnSnapshot: func(*Snapshot) { resumedCuts++ }, SnapshotEvery: 1,
+		SnapshotMinInterval: time.Hour, CheckpointEvery: 64,
+	})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if resumedCuts != 1 {
+		t.Fatalf("resumed run delivered %d cuts within an hour, want 1", resumedCuts)
+	}
+	if got, want := digestResult(res), digestResult(clean); got != want {
+		t.Fatalf("resumed run diverged:\n got %s\nwant %s", got, want)
 	}
 }
 

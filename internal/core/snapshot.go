@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"flashwalker/internal/dram"
 	"flashwalker/internal/errs"
@@ -512,10 +513,11 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 type ResumeOptions struct {
 	// OnProgress is RunConfig.OnProgress for the resumed run.
 	OnProgress func(Progress)
-	// OnSnapshot / SnapshotEvery re-arm periodic snapshots on the resumed
-	// run (a resumed job keeps checkpointing).
-	OnSnapshot    func(*Snapshot)
-	SnapshotEvery uint64
+	// OnSnapshot / SnapshotEvery / SnapshotMinInterval re-arm periodic
+	// snapshots on the resumed run (a resumed job keeps checkpointing).
+	OnSnapshot          func(*Snapshot)
+	SnapshotEvery       uint64
+	SnapshotMinInterval time.Duration
 	// CheckpointEvery is RunConfig.CheckpointEvery; 0 uses the default.
 	CheckpointEvery uint64
 	// OnWalks / EmitEvery re-attach the completed-walk export (export.go).
@@ -546,7 +548,7 @@ func ResumeEngine(g *graph.Graph, snap *Snapshot, opts ResumeOptions) (*Engine, 
 		Mutations:  snap.Mutations,
 		OnProgress: opts.OnProgress, CheckpointEvery: opts.CheckpointEvery,
 		OnSnapshot: opts.OnSnapshot, SnapshotEvery: opts.SnapshotEvery,
-		OnWalks: opts.OnWalks, EmitEvery: opts.EmitEvery,
+		SnapshotMinInterval: opts.SnapshotMinInterval, OnWalks: opts.OnWalks, EmitEvery: opts.EmitEvery,
 	}
 	e, err := newEngine(g, rc)
 	if err != nil {

@@ -1,6 +1,12 @@
 package core
 
-import "flashwalker/internal/sim"
+import (
+	"cmp"
+	"slices"
+
+	"flashwalker/internal/partition"
+	"flashwalker/internal/sim"
+)
 
 // buildAccelerators wires the accelerator hierarchy: one chip-level
 // accelerator per flash chip, one channel-level accelerator per channel,
@@ -89,37 +95,36 @@ func (e *boardEngine) selectHotSubgraphs(sums []uint64) {
 	for i := range all {
 		all[i] = i
 	}
-	e.board.SetHotBlocks(e.pickHotBlocks(sums, all, e.cfg.BoardSubgraphBufBytes, map[int]bool{}))
+	blocks := e.part.Blocks
+	used := make([]bool, len(blocks))
+	e.board.SetHotBlocks(pickHotBlocks(blocks, sums, all, e.cfg.BoardSubgraphBufBytes, used))
 	for ch, ca := range e.chans {
-		ca.SetHotBlocks(e.pickHotBlocks(sums, e.place.BlocksOnChannel(ch),
-			e.cfg.ChannelSubgraphBufBytes, map[int]bool{}))
+		clear(used)
+		ca.SetHotBlocks(pickHotBlocks(blocks, sums, e.place.BlocksOnChannel(ch),
+			e.cfg.ChannelSubgraphBufBytes, used))
 	}
 }
 
 // pickHotBlocks greedily selects the top in-degree non-dense candidates that
-// fit in budget bytes, skipping (and marking) blocks already in used. Shared
-// by the initial hot-subgraph selection and the degraded-chip failover
-// (degrade.go). Selection sort: candidate lists are small (blocks per
-// channel).
-func (e *boardEngine) pickHotBlocks(sums []uint64, candidates []int, budget int64, used map[int]bool) []int {
+// fit in budget bytes, skipping (and marking) blocks already in used, which
+// has an entry per block. Shared by the initial hot-subgraph selection and
+// the degraded-chip failover (degrade.go).
+//
+// One stable sort ranks the candidates hottest first, ties in candidate
+// order; the scan then takes each unused, non-dense block that fits what
+// is left of the budget. That is the repeated pick of the hottest block
+// that fits: the budget only shrinks, so a block too big to take never
+// fits later.
+func pickHotBlocks(blocks []partition.Block, sums []uint64, candidates []int, budget int64, used []bool) []int {
+	order := slices.Clone(candidates)
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(sums[b], sums[a]) })
 	chosen := []int{}
-	for {
-		best, bestSum := -1, uint64(0)
-		for _, id := range candidates {
-			b := &e.part.Blocks[id]
-			if used[id] || b.Dense || b.Bytes > budget {
-				continue
-			}
-			if best == -1 || sums[id] > bestSum {
-				best, bestSum = id, sums[id]
-			}
+	for _, id := range order {
+		if b := &blocks[id]; !used[id] && !b.Dense && b.Bytes <= budget {
+			used[id] = true
+			budget -= b.Bytes
+			chosen = append(chosen, id)
 		}
-		if best == -1 {
-			break
-		}
-		used[best] = true
-		budget -= e.part.Blocks[best].Bytes
-		chosen = append(chosen, best)
 	}
 	return chosen
 }

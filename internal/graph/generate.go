@@ -54,8 +54,9 @@ func DefaultRMAT(v, e uint64, seed uint64) RMATConfig {
 // With RemoveDuplicates an edge's dedup key is src<<levels | dst, levels
 // being log2 of NumVertices rounded up to a power of two, so a key takes
 // 2·levels bits: the set stores uint32 keys up to 65,536 vertices and
-// uint64 keys beyond. An unweighted graph's set is its edge list, and its
-// CSR is built from the set (keySet.csr) without an edge slice.
+// uint64 keys beyond. An unweighted graph's set is its edge list: the
+// generator counts each kept edge's source as it keeps it, and the CSR is
+// built from the set and those counts (keySet.csr) without an edge slice.
 func RMAT(cfg RMATConfig) (*Graph, error) {
 	if cfg.NumVertices == 0 {
 		return nil, fmt.Errorf("graph: RMAT with zero vertices: %w", errs.ErrInvalidConfig)
@@ -93,21 +94,22 @@ func generate[K uint32 | uint64](cfg RMATConfig, levels int) (*Graph, error) {
 		}
 		p.seen = newKeySet[K](size)
 		if !cfg.Weighted {
-			p.parallel(nil)
-			return p.seen.csr(cfg.NumVertices, levels), nil
+			offsets := make([]uint64, cfg.NumVertices+1)
+			p.parallel(nil, offsets)
+			return p.seen.csr(offsets, levels), nil
 		}
 	}
 	b := &Builder{numVertices: cfg.NumVertices, edges: make([]Edge, 0, size)}
 	if cfg.Weighted {
 		p.sequential(b)
 	} else {
-		p.parallel(b)
+		p.parallel(b, nil)
 	}
 	return b.Build()
 }
 
-// rmat is one RMAT call's generator: the descent, quadrant choice and
-// accept step both of its paths share.
+// rmat is one RMAT call's generator: the descent kernel and accept step
+// both of its paths share.
 type rmat[K uint32 | uint64] struct {
 	cfg    RMATConfig
 	levels int // log2 of NumVertices rounded up to a power of two
@@ -122,35 +124,74 @@ type rmat[K uint32 | uint64] struct {
 	seen    *keySet[K] // accepted src<<levels | dst keys; nil without dedup
 }
 
-// descend draws one attempt's endpoints from r, consuming levels × 5
-// values with noise and levels without, and folds them into
-// [0, NumVertices).
-func (p *rmat[K]) descend(r *rng.RNG) (src, dst uint64) {
-	cfg := &p.cfg
-	for l := 0; l < p.levels; l++ {
-		var q uint64 // quadrant: bit 1 sets src's bit l, bit 0 sets dst's
-		if cfg.Noise > 0 {
-			// Symmetric per-level perturbation, renormalized.
-			na := cfg.A * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-			nb := cfg.B * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-			nc := cfg.C * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-			nd := cfg.D * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-			q = quadrant(na, nb, nc, nd, r.Float64(), p.divFree)
-		} else {
-			switch u := r.Float64(); {
-			case u < cfg.A:
-			case u < cfg.A+cfg.B:
-				q = 1
-			case u < cfg.A+cfg.B+cfg.C:
-				q = 2
-			default:
-				q = 3
+// kernel descends len(out) consecutive attempts from the xoshiro256**
+// state s, writes each one's endpoints, folded into [0, NumVertices), to
+// out, and returns the state after them. An attempt consumes levels × 5
+// draws with noise and levels without.
+//
+// The state lives in four locals, which next steps as rng.RNG.Uint64
+// does, so no draw loads or stores it. Only 1−Noise and 2·Noise are
+// hoisted: every other floating-point operation keeps its operands and
+// order, so each weight and quadrant is the one the reference loop
+// computes, bit for bit.
+func (p *rmat[K]) kernel(s [4]uint64, out [][2]VertexID) [4]uint64 {
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	a, b, c, d, n := p.cfg.A, p.cfg.B, p.cfg.C, p.cfg.D, p.cfg.NumVertices
+	noise, lo, span := p.cfg.Noise > 0, 1-p.cfg.Noise, 2*p.cfg.Noise
+	levels, divFree := p.levels, p.divFree
+	for i := range out {
+		var src, dst uint64
+		for l := 0; l < levels; l++ {
+			var q uint64 // quadrant: bit 1 sets src's bit l, bit 0 sets dst's
+			var u float64
+			if noise {
+				// Symmetric per-level perturbation, renormalized.
+				var fa, fb, fc, fd float64
+				fa, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+				fb, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+				fc, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+				fd, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+				u, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+				q = quadrant(a*(lo+span*fa), b*(lo+span*fb), c*(lo+span*fc), d*(lo+span*fd), u, divFree)
+			} else {
+				u, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+				switch {
+				case u < a:
+				case u < a+b:
+					q = 1
+				case u < a+b+c:
+					q = 2
+				default:
+					q = 3
+				}
 			}
+			src |= (q >> 1) << l
+			dst |= (q & 1) << l
 		}
-		src |= (q >> 1) << l
-		dst |= (q & 1) << l
+		// src, dst < 2^levels < 2·NumVertices, so one subtraction folds.
+		if src >= n {
+			src -= n
+		}
+		if dst >= n {
+			dst -= n
+		}
+		out[i] = [2]VertexID{src, dst}
 	}
-	return src % cfg.NumVertices, dst % cfg.NumVertices
+	return [4]uint64{s0, s1, s2, s3}
+}
+
+// next returns the draw rng.RNG.Float64 makes from xoshiro256** state s0..s3
+// and the state after it.
+func next(s0, s1, s2, s3 uint64) (float64, uint64, uint64, uint64, uint64) {
+	x := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = bits.RotateLeft64(s3, 45)
+	return float64(x>>11) / (1 << 53), s0, s1, s2, s3
 }
 
 // quadrant picks the quadrant for perturbed weights na..nd and a uniform u
@@ -164,27 +205,17 @@ func (p *rmat[K]) descend(r *rng.RNG) (src, dst uint64) {
 // within ε·tot of u·tot, and x−t is formed to within ε|x−t|. So when x is
 // farther than m = 1e-9·tot from all three, u falls on the same side of
 // each quotient as x of its t, and as the thresholds ascend the quadrant
-// is how many lie below x — counted without branches, since which quadrant
-// comes up is random. Only inside the margin are the quotients formed.
+// is how many lie below x. Which quadrant comes up is random, so that
+// count takes no branch: x ≠ t there, and x > t exactly when x−t has a
+// clear sign bit. Only inside the margin are the quotients formed.
 func quadrant(na, nb, nc, nd, u float64, divFree bool) uint64 {
 	t2 := na + nb
 	t3 := t2 + nc
 	tot := t3 + nd
-	if divFree {
-		x, m := u*tot, 1e-9*tot
-		if math.Abs(x-na) > m && math.Abs(x-t2) > m && math.Abs(x-t3) > m {
-			var q uint64
-			if x > na {
-				q++
-			}
-			if x > t2 {
-				q++
-			}
-			if x > t3 {
-				q++
-			}
-			return q
-		}
+	x, m := u*tot, 1e-9*tot
+	d1, d2, d3 := x-na, x-t2, x-t3
+	if divFree && math.Abs(d1) > m && math.Abs(d2) > m && math.Abs(d3) > m {
+		return 3 - (math.Float64bits(d1)>>63 + math.Float64bits(d2)>>63 + math.Float64bits(d3)>>63)
 	}
 	a, bb, c := na/tot, nb/tot, nc/tot
 	switch {
@@ -210,8 +241,10 @@ func (p *rmat[K]) accept(src, dst uint64) bool {
 // cannot be split up the way parallel splits them.
 func (p *rmat[K]) sequential(b *Builder) {
 	r := rng.New(p.cfg.Seed)
+	var e [1][2]VertexID
 	for attempts := uint64(0); uint64(len(b.edges)) < p.cfg.NumEdges && attempts < p.maxAttempts; attempts++ {
-		if src, dst := p.descend(r); p.accept(src, dst) {
+		r.SetState(p.kernel(r.State(), e[:]))
+		if src, dst := e[0][0], e[0][1]; p.accept(src, dst) {
 			b.AddWeightedEdge(src, dst, float32(r.Float64())+1e-6)
 		}
 	}
@@ -232,8 +265,9 @@ type rmatChunk struct {
 // alone does everything order-dependent — the attempt budget, dedup, the
 // count of kept edges and the stop at NumEdges — so the graph is the
 // sequential one. Kept edges are appended to b; with dedup b is nil, as
-// the set holds them.
-func (p *rmat[K]) parallel(b *Builder) {
+// the set holds them, and each one's source is counted into
+// offsets[src+1] instead.
+func (p *rmat[K]) parallel(b *Builder, offsets []uint64) {
 	// Attempts per chunk: enough that a chunk's Jump and hand-off vanish
 	// beside its descents, few enough that a small graph still spreads
 	// over the workers and little is thrown away at the stop.
@@ -258,9 +292,7 @@ func (p *rmat[K]) parallel(b *Builder) {
 				if !stop.Load() {
 					r := rng.FromState(seed)
 					r.Jump(c.first * draws)
-					for i := range c.pairs {
-						c.pairs[i][0], c.pairs[i][1] = p.descend(r)
-					}
+					p.kernel(r.State(), c.pairs)
 				}
 				c.done <- struct{}{}
 			}
@@ -298,13 +330,16 @@ func (p *rmat[K]) parallel(b *Builder) {
 		head, queued = (head+1)%len(ring), queued-1
 		consumed += uint64(len(c.pairs))
 		for _, e := range c.pairs {
-			if p.accept(e[0], e[1]) {
-				if b != nil {
-					b.AddEdge(e[0], e[1])
-				}
-				if kept++; kept == p.cfg.NumEdges {
-					return
-				}
+			if !p.accept(e[0], e[1]) {
+				continue
+			}
+			if b != nil {
+				b.AddEdge(e[0], e[1])
+			} else {
+				offsets[e[0]+1]++
+			}
+			if kept++; kept == p.cfg.NumEdges {
+				return
 			}
 		}
 	}
@@ -348,26 +383,19 @@ func (s *keySet[K]) insert(k K) bool {
 	}
 }
 
-// csr returns the unweighted graph on numVertices vertices whose edges are
-// the set's keys, each src<<levels | dst. That is the graph Builder.Build
-// returns for the same edges in any order, since Build sorts each
-// adjacency run and the set holds no duplicate.
+// csr returns the unweighted graph whose edges are the set's keys, each
+// src<<levels | dst, given each source's count of them in offsets[src+1]
+// (offsets has one entry per vertex and one more). That is the graph
+// Builder.Build returns for the same edges in any order, since Build sorts
+// each adjacency run and the set holds no duplicate.
 //
-// Offsets doubles as the fill cursor: sources are counted into
-// Offsets[src+1] and prefix-summed, so Offsets[src] is where src's run
-// starts; each placement advances it, which leaves it at the next run's
-// start, and moving every entry up one index restores the offsets.
-func (s *keySet[K]) csr(numVertices uint64, levels int) *Graph {
+// offsets doubles as the fill cursor: prefix-summed, offsets[src] is where
+// src's run starts; each placement advances it, which leaves it at the
+// next run's start, and moving every entry up one index restores the
+// offsets.
+func (s *keySet[K]) csr(offsets []uint64, levels int) *Graph {
 	mask := K(1)<<levels - 1
-	offsets := make([]uint64, numVertices+1)
-	for _, k := range s.slots {
-		if k != 0 {
-			offsets[(k-1)>>levels+1]++
-		}
-	}
-	if s.hasMax {
-		offsets[^K(0)>>levels+1]++
-	}
+	numVertices := uint64(len(offsets) - 1)
 	for v := 1; v < len(offsets); v++ {
 		offsets[v] += offsets[v-1]
 	}
@@ -387,10 +415,37 @@ func (s *keySet[K]) csr(numVertices uint64, levels int) *Graph {
 	}
 	copy(offsets[1:], offsets[:numVertices])
 	offsets[0] = 0
-	for v := uint64(0); v < numVertices; v++ {
-		slices.Sort(edges[offsets[v]:offsets[v+1]])
-	}
+	sortRuns(offsets, edges)
 	return &Graph{Offsets: offsets, Edges: edges}
+}
+
+// sortRuns sorts every vertex's adjacency run. It splits the vertices into
+// runtime.GOMAXPROCS(0) consecutive ranges holding about as many edges
+// each and sorts the ranges on as many goroutines, this one sorting the
+// last; the ranges are disjoint, so the result does not depend on the
+// split.
+func sortRuns(offsets []uint64, edges []VertexID) {
+	sortRange := func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			slices.Sort(edges[offsets[v]:offsets[v+1]])
+		}
+	}
+	n, workers := len(offsets)-1, uint64(runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	lo := 0
+	for w := uint64(1); w < workers; w++ {
+		// The first vertex whose run starts at or past w/workers of the
+		// edges ends this range.
+		hi, _ := slices.BinarySearch(offsets[:n], uint64(len(edges))/workers*w)
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			sortRange(lo, hi)
+		}(lo, hi)
+		lo = hi
+	}
+	sortRange(lo, n)
+	wg.Wait()
 }
 
 // PowerLawConfig parameterizes a Chung-Lu style power-law generator: vertex

@@ -369,12 +369,14 @@ func TestKeySetCSRMatchesBuilder(t *testing.T) {
 	}
 }
 
-// keySetCSR inserts edges into a keySet of key type K, as RMAT's dedup
-// does, and builds the CSR from it.
+// keySetCSR inserts edges into a keySet of key type K and counts their
+// sources, as RMAT's dedup does, and builds the CSR from it.
 func keySetCSR[K uint32 | uint64](v uint64, levels int, edges map[[2]uint64]bool) *Graph {
 	s := newKeySet[K](uint64(len(edges)))
+	offsets := make([]uint64, v+1)
 	for e := range edges {
 		s.insert(K(e[0]<<levels | e[1]))
+		offsets[e[0]+1]++
 	}
-	return s.csr(v, levels)
+	return s.csr(offsets, levels)
 }

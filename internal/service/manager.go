@@ -31,10 +31,12 @@ var (
 	ErrUnknownJob = errors.New("unknown job")
 )
 
-// Snapshot cadence for durable jobs: a snapshot is attempted every
+// Snapshot cadence for durable jobs: a snapshot falls due every
 // snapshotCheckpointRatio checkpoint intervals (spec.checkpoint_every
-// events each, or the engine default), and actually written at most once
-// per snapshotMinInterval of wall time.
+// events each, or the engine default), and the engine builds and delivers
+// at most one per snapshotMinInterval of wall time
+// (core.RunConfig.SnapshotMinInterval), so short checkpoint intervals
+// don't turn the job into an fsync loop.
 const (
 	snapshotCheckpointRatio = 16
 	snapshotMinInterval     = 200 * time.Millisecond
@@ -1053,9 +1055,9 @@ func (m *Manager) runFlashWalker(ctx context.Context, j *Job, g *graph.Graph, ds
 	}
 	if m.store != nil {
 		// Snapshots piggyback on the checkpoint observer every
-		// snapshotCheckpointRatio checkpoints; the writer throttles
-		// serialization and writes each cut it keeps as a full image, for
-		// any board count.
+		// snapshotCheckpointRatio checkpoints; the engine throttles them to
+		// snapshotMinInterval before building one, and the writer writes
+		// each cut it is handed as a full image, for any board count.
 		every := j.Spec.CheckpointEvery
 		if every == 0 {
 			every = core.DefaultCheckpointEvery
@@ -1068,7 +1070,8 @@ func (m *Manager) runFlashWalker(ctx context.Context, j *Job, g *graph.Graph, ds
 		if snap, ok := m.loadCoreSnap(j.ID); ok {
 			e, err := core.ResumeEngine(g, snap, core.ResumeOptions{
 				OnProgress: rc.OnProgress, OnSnapshot: w.write, OnWalks: rc.OnWalks,
-				SnapshotEvery: every * snapshotCheckpointRatio, CheckpointEvery: j.Spec.CheckpointEvery,
+				SnapshotEvery: every * snapshotCheckpointRatio, SnapshotMinInterval: snapshotMinInterval,
+				CheckpointEvery: j.Spec.CheckpointEvery,
 			})
 			if err != nil {
 				return nil, err
@@ -1077,6 +1080,7 @@ func (m *Manager) runFlashWalker(ctx context.Context, j *Job, g *graph.Graph, ds
 		}
 		rc.OnSnapshot = w.write
 		rc.SnapshotEvery = every * snapshotCheckpointRatio
+		rc.SnapshotMinInterval = snapshotMinInterval
 	}
 	e, err := core.NewEngine(g, rc)
 	if err != nil {

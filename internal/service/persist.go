@@ -149,19 +149,11 @@ func (m *Manager) deleteSnapshots(id string, fail func(error)) {
 // coreSnapWriter writes a FlashWalker job's checkpoint cuts, each one full
 // image under the job's snapshot key.
 type coreSnapWriter struct {
-	m         *Manager
-	j         *Job
-	lastWrite time.Time
+	m *Manager
+	j *Job
 }
 
 func (w *coreSnapWriter) write(s *core.Snapshot) {
-	// Serializing the engine image is throttled to at most one write per
-	// snapshotMinInterval of wall time so short checkpoint intervals don't
-	// turn the job into an fsync loop.
-	if time.Since(w.lastWrite) < snapshotMinInterval {
-		return
-	}
-	w.lastWrite = time.Now()
 	// A failed write is counted, not fatal: atomic Put leaves the previous
 	// image in place.
 	data, err := snapshot.Encode(snapKindCore, s)

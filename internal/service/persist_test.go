@@ -482,3 +482,52 @@ func forgeRunning(t *testing.T, dir, id string) {
 		t.Fatal(err)
 	}
 }
+
+// snapPutStore counts the snapshot images written per job key.
+type snapPutStore struct {
+	blob.Store
+	mu   sync.Mutex
+	puts map[string]int
+}
+
+func (s *snapPutStore) Put(key string, data []byte) error {
+	if strings.HasPrefix(key, "snapshots/") {
+		s.mu.Lock()
+		s.puts[key]++
+		s.mu.Unlock()
+	}
+	return s.Store.Put(key, data)
+}
+
+// TestSnapshotWritesKeepMinInterval runs the benchmark's daemon job (TT-S,
+// 20k walks, the default checkpoint interval) eight times in a row. The
+// engine decides on snapshotMinInterval before building a cut, and the
+// writer writes every cut it is handed, so each job writes its first due
+// cut and at most one more per snapshotMinInterval it ran; with no wall
+// interval every due cut of the seven a job has would be written.
+func TestSnapshotWritesKeepMinInterval(t *testing.T) {
+	store := &snapPutStore{Store: blob.NewMem(), puts: map[string]int{}}
+	m := newTestManager(t, Config{Workers: 1, Store: store})
+	defer m.Close()
+	total := 0
+	for i := 0; i < 8; i++ {
+		t0 := time.Now()
+		j, err := m.Submit(JobSpec{Graph: "TT-S", NumWalks: 20_000, Seed: 1, CheckpointEvery: core.DefaultCheckpointEvery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, j)
+		ran := time.Since(t0)
+		if st := j.Status(); st.State != StateDone {
+			t.Fatalf("job %s: state %q, error %q", j.ID, st.State, st.Error)
+		}
+		store.mu.Lock()
+		n := store.puts[snapshotKey(j.ID)]
+		store.mu.Unlock()
+		if limit := 1 + int(ran/snapshotMinInterval); n < 1 || n > limit {
+			t.Fatalf("job %s ran %v and wrote %d snapshots, want 1 to %d", j.ID, ran, n, limit)
+		}
+		total += n
+	}
+	t.Logf("eight jobs wrote %d snapshots", total)
+}

@@ -193,22 +193,29 @@ func TestWalkRecordWireBytes(t *testing.T) {
 	}
 }
 
-// TestSpoolRecoveryTornTails: on reopen, a spool whose tail a crash tore
-// or duplicated is cut back to its gapless prefix, and the next append
-// continues that prefix.
-func TestSpoolRecoveryTornTails(t *testing.T) {
-	var good []byte
-	for i := uint64(0); i < 3; i++ {
-		good = AppendWalkRecord(good, &WalkRecord{Seq: i, Src: 10 + i, End: 20 + i, Hops: 4, SimTimeNS: int64(100 * (i + 1))})
+// spoolPrefix is n valid spool lines, seqs 0 to n-1.
+func spoolPrefix(n uint64) []byte {
+	var data []byte
+	for i := uint64(0); i < n; i++ {
+		data = AppendWalkRecord(data, &WalkRecord{Seq: i, Src: 10 + i, End: 20 + i, Hops: 4, SimTimeNS: int64(100 * (i + 1))})
 	}
+	return data
+}
+
+// spoolTail is a tail a crash can leave after three valid spool records.
+type spoolTail struct {
+	name string
+	tail string
+	kept bool // the tail is one more valid record
+}
+
+// spoolTails are the torn, duplicated and valid tails the recovery table
+// checks and the spool fuzzer starts from.
+func spoolTails() []spoolTail {
 	line := func(seq uint64) string {
 		return string(AppendWalkRecord(nil, &WalkRecord{Seq: seq, Src: 1, End: 2, Hops: 4}))
 	}
-	cases := []struct {
-		name string
-		tail string
-		kept bool // the tail is one more valid record
-	}{
+	return []spoolTail{
 		{"clean", "", false},
 		{"torn-record", `{"seq":3,"src":1,"en`, false},
 		{"torn-before-newline", line(3)[:len(line(3))-1], false},
@@ -220,7 +227,41 @@ func TestSpoolRecoveryTornTails(t *testing.T) {
 		{"next", line(3), true},
 		{"next-non-canonical", `{"hops":4,"end":2,"src":1,"seq":3}` + "\n", true},
 	}
-	for _, c := range cases {
+}
+
+// reopenAndAppend reopens the spool blob holding data, appends the record
+// that continues it and flushes; it returns the reopened spool's count and
+// the blob's bytes afterwards, with the appended record.
+func reopenAndAppend(t *testing.T, data []byte) (uint64, []byte, *WalkRecord) {
+	t.Helper()
+	store := blob.NewMem()
+	if err := store.Put("s.ndjson", data); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := openSpool(store, "s.ndjson", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := sp.count
+	next := &WalkRecord{Seq: count, Src: 7, End: 8, Hops: 4}
+	sp.append(next)
+	sp.flush()
+	if sp.err != nil {
+		t.Fatal(sp.err)
+	}
+	after, err := store.Get("s.ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return count, after, next
+}
+
+// TestSpoolRecoveryTornTails: on reopen, a spool whose tail a crash tore
+// or duplicated is cut back to its gapless prefix, and the next append
+// continues that prefix.
+func TestSpoolRecoveryTornTails(t *testing.T) {
+	good := spoolPrefix(3)
+	for _, c := range spoolTails() {
 		t.Run(c.name, func(t *testing.T) {
 			data := append(append([]byte(nil), good...), c.tail...)
 			wantCount, wantOff := uint64(3), int64(len(good))
@@ -232,26 +273,9 @@ func TestSpoolRecoveryTornTails(t *testing.T) {
 				t.Fatalf("countSpool = (%d, %d), want (%d, %d)", count, off, wantCount, wantOff)
 			}
 
-			store := blob.NewMem()
-			if err := store.Put("s.ndjson", data); err != nil {
-				t.Fatal(err)
-			}
-			sp, err := openSpool(store, "s.ndjson", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sp.count != wantCount {
-				t.Fatalf("reopened spool counts %d records, want %d", sp.count, wantCount)
-			}
-			next := &WalkRecord{Seq: sp.count, Src: 7, End: 8, Hops: 4}
-			sp.append(next)
-			sp.flush()
-			if sp.err != nil {
-				t.Fatal(sp.err)
-			}
-			after, err := store.Get("s.ndjson")
-			if err != nil {
-				t.Fatal(err)
+			count, after, next := reopenAndAppend(t, data)
+			if count != wantCount {
+				t.Fatalf("reopened spool counts %d records, want %d", count, wantCount)
 			}
 			want := append(append([]byte(nil), data[:wantOff]...), AppendWalkRecord(nil, next)...)
 			if !bytes.Equal(after, want) {
@@ -262,4 +286,57 @@ func TestSpoolRecoveryTornTails(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzSpoolRecovery checks spool recovery on n valid records followed by
+// arbitrary tail bytes: countSpool keeps at least the n records and cuts
+// inside the tail; its valid prefix re-counts the same and scans back as
+// seqs 0 to count-1; and reopening the blob, appending the next record and
+// flushing leave exactly that prefix plus the record's line.
+func FuzzSpoolRecovery(f *testing.F) {
+	for _, c := range spoolTails() {
+		f.Add(uint8(3), []byte(c.tail))
+	}
+	f.Add(uint8(0), []byte("{\"seq\":0}\n"))
+	f.Fuzz(func(t *testing.T, n uint8, tail []byte) {
+		prefix := spoolPrefix(uint64(n % 8))
+		data := append(append([]byte(nil), prefix...), tail...)
+		count, off := countSpool(data)
+		if count < uint64(n%8) || off < int64(len(prefix)) || off > int64(len(data)) {
+			t.Fatalf("countSpool = (%d, %d) over %d valid records (%d bytes) and a %d-byte tail",
+				count, off, n%8, len(prefix), len(tail))
+		}
+		valid := data[:off]
+		if c, o := countSpool(valid); c != count || o != off {
+			t.Fatalf("the valid prefix re-counts (%d, %d), want (%d, %d)", c, o, count, off)
+		}
+		store := blob.NewMem()
+		if err := store.Put("s.ndjson", valid); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := openSpoolScanner(store, "s.ndjson")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := uint64(0); ; seq++ {
+			rec, err := sc.scan()
+			if err == io.EOF {
+				if seq != count {
+					t.Fatalf("scanned %d records of the valid prefix, want %d", seq, count)
+				}
+				break
+			}
+			if err != nil || seq >= count || rec.Seq != seq {
+				t.Fatalf("scan %d of %d: seq %d, %v", seq, count, rec.Seq, err)
+			}
+		}
+
+		reopened, after, next := reopenAndAppend(t, data)
+		if reopened != count {
+			t.Fatalf("reopened spool counts %d records, want %d", reopened, count)
+		}
+		if want := append(append([]byte(nil), valid...), AppendWalkRecord(nil, next)...); !bytes.Equal(after, want) {
+			t.Fatalf("spool after append:\n%q\nwant\n%q", after, want)
+		}
+	})
 }
