@@ -26,7 +26,8 @@ type (
 	Graph = graph.Graph
 	// GraphBuilder accumulates edges and produces a Graph.
 	GraphBuilder = graph.Builder
-	// VertexID identifies a vertex.
+	// VertexID identifies a vertex: a uint32, so a graph has at most
+	// 2^32-1 vertices (graph.MaxVertices).
 	VertexID = graph.VertexID
 
 	// WalkSpec selects the random-walk algorithm (kind, length, and the

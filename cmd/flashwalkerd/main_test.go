@@ -299,7 +299,7 @@ func TestCrashRecoveryMutations(t *testing.T) {
 	pc := rc.PartCfg
 	var src, dst graph.VertexID
 	found := false
-	for v := graph.VertexID(0); v < g.NumVertices() && !found; v++ {
+	for v := graph.VertexID(0); uint64(v) < g.NumVertices() && !found; v++ {
 		if d := g.OutDegree(v); d >= 1 && uint64(d)+1 < pc.EdgesPerBlock(g.Weighted()) {
 			src, dst, found = v, g.OutEdges(v)[0], true
 		}

@@ -62,7 +62,7 @@ func TestSecondOrderWalksOnBaseline(t *testing.T) {
 	// The baseline executes dynamic walks with exact adjacency (host
 	// memory holds the graph blocks).
 	b := graph.NewBuilder(64)
-	for v := uint64(0); v < 64; v++ {
+	for v := graph.VertexID(0); v < 64; v++ {
 		b.AddEdge(v, (v+1)%64)
 		b.AddEdge((v+1)%64, v)
 		b.AddEdge(v, (v+9)%64)

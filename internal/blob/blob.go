@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // ErrNotFound reports a Get against a key with no blob. Implementations
@@ -51,12 +52,17 @@ type Store interface {
 	List(prefix string) ([]string, error)
 }
 
-// ValidKey enforces the key grammar shared by every backend: non-empty
-// slash-separated segments with no ".", "..", or empty segment, so a key
-// can never escape an FS store's root or alias another key.
+// ValidKey enforces the key grammar shared by every backend: non-empty,
+// valid UTF-8, slash-separated segments with no ".", "..", or empty
+// segment, so a key can never escape an FS store's root or alias another
+// key, and a listing's JSON carries it unchanged (encoding/json would
+// replace invalid bytes with U+FFFD).
 func ValidKey(key string) error {
 	if key == "" {
 		return fmt.Errorf("blob: empty key")
+	}
+	if !utf8.ValidString(key) {
+		return fmt.Errorf("blob: key %q is not valid UTF-8", key)
 	}
 	if strings.ContainsAny(key, "\\\x00") {
 		return fmt.Errorf("blob: key %q contains forbidden characters", key)

@@ -133,7 +133,7 @@ func TestStoreList(t *testing.T) {
 
 func TestStoreRejectsBadKeys(t *testing.T) {
 	eachStore(t, func(t *testing.T, s blob.Store) {
-		for _, k := range []string{"", "../escape", "a//b", "a/./b", "jobs/", "/abs"} {
+		for _, k := range []string{"", "../escape", "a//b", "a/./b", "jobs/", "/abs", "a/\x80"} {
 			if err := s.Put(k, []byte("x")); err == nil {
 				t.Errorf("Put(%q) accepted an invalid key", k)
 			}

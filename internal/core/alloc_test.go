@@ -30,7 +30,7 @@ func TestSteadyStateHopAllocFree(t *testing.T) {
 
 	// A live walk at a vertex with outgoing edges, far from termination.
 	var v graph.VertexID
-	for v = 0; v < g.NumVertices(); v++ {
+	for v = 0; uint64(v) < g.NumVertices(); v++ {
 		if g.OutDegree(v) > 0 {
 			break
 		}

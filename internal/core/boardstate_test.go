@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -19,7 +21,7 @@ func hostileBoardConfig() RunConfig {
 }
 
 // cloneSnapshot deep-copies s through the container codec.
-func cloneSnapshot(t *testing.T, s *Snapshot) *Snapshot {
+func cloneSnapshot(t testing.TB, s *Snapshot) *Snapshot {
 	t.Helper()
 	data, err := snapshot.Encode("core-engine", s)
 	if err != nil {
@@ -315,9 +317,42 @@ func TestResumeRejectsHostileEvents(t *testing.T) {
 	}
 }
 
+// wideWalk is a packed walk record's fields at the widths the record
+// encodes them, so a test can write values no wstate can hold.
+type wideWalk struct {
+	src, cur, hop        uint64
+	denseBlock, rangeTag int64
+	denseEdge            uint64
+	prev                 uint64 // the previous vertex plus one, 0 for noPrev
+	rng                  [4]uint64
+}
+
+func widen(st *wstate) wideWalk {
+	return wideWalk{
+		src: uint64(st.w.Src), cur: uint64(st.w.Cur), hop: uint64(st.w.Hop),
+		denseBlock: int64(st.denseBlock), rangeTag: int64(st.rangeTag),
+		denseEdge: st.denseEdge, prev: uint64(st.prev + 1), rng: st.rng.State(),
+	}
+}
+
+// appendTo encodes w in appendWalk's field order.
+func (w *wideWalk) appendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, w.src)
+	b = binary.AppendUvarint(b, w.cur)
+	b = binary.AppendUvarint(b, w.hop)
+	b = binary.AppendVarint(b, w.denseBlock)
+	b = binary.AppendUvarint(b, w.denseEdge)
+	b = binary.AppendVarint(b, w.rangeTag)
+	b = binary.AppendUvarint(b, w.prev)
+	for _, x := range w.rng {
+		b = binary.LittleEndian.AppendUint64(b, x)
+	}
+	return b
+}
+
 // editFirstPWBWalk rewrites the first walk of the first non-empty PWB
 // store of img with edit and repacks the store.
-func editFirstPWBWalk(t *testing.T, img *BoardImage, edit func(st *wstate)) {
+func editFirstPWBWalk(t testing.TB, img *BoardImage, edit func(w *wideWalk)) {
 	t.Helper()
 	for b, rec := range img.PWB {
 		if rec == nil {
@@ -328,8 +363,19 @@ func editFirstPWBWalk(t *testing.T, img *BoardImage, edit func(st *wstate)) {
 		if u.err != nil {
 			t.Fatal(u.err)
 		}
-		edit(u.be.walk(ws[0]))
-		img.PWB[b] = new(packer).walks(u.be.wtab, ws)
+		out := binary.AppendUvarint(nil, uint64(len(ws)))
+		for i, w := range ws {
+			st := u.be.walk(w)
+			wide := widen(st)
+			if got := wide.appendTo(nil); !bytes.Equal(got, appendWalk(nil, st)) {
+				t.Fatalf("wideWalk packs %x, appendWalk %x", got, appendWalk(nil, st))
+			}
+			if i == 0 {
+				edit(&wide)
+			}
+			out = wide.appendTo(out)
+		}
+		img.PWB[b] = out
 		return
 	}
 	t.Fatal("cut has no walk in a PWB store")
@@ -340,24 +386,36 @@ func editFirstPWBWalk(t *testing.T, img *BoardImage, edit func(st *wstate)) {
 // a pre-walked edge past its vertex's degree, no hops left outside a
 // terminal update, more hops than the budget, a dense block past the
 // partitioning, a previous vertex or range tag out of range — and requires
-// ResumeEngine to refuse each. The codec decodes them all (it knows no
-// graph); accepted, the first two panic with an index out of range once
-// the run resumes, and the others finish a different run.
+// ResumeEngine to refuse each. The range checks know the graph, so the
+// codec decodes these; accepted, the first two panic with an index out of
+// range once the run resumes, and the others finish a different run.
+//
+// The IDs and tags past their in-memory widths must be refused by the
+// codec itself: narrowed, 2^32+1 is vertex 1 and 2^32 block 0, which the
+// range checks would pass, and a previous vertex of 2^32-1 is noPrev.
 func TestResumeRejectsHostileWalks(t *testing.T) {
 	g := testGraph(t)
 	cut := interruptCore(t, g, goldenConfig(), 20)
 	if _, err := ResumeEngine(g, cloneSnapshot(t, cut), ResumeOptions{}); err != nil {
 		t.Fatalf("unmodified cut rejected: %v", err)
 	}
-	cases := map[string]func(st *wstate){
-		"cur past the graph":         func(st *wstate) { st.w.Cur = 1 << 40 },
-		"dense edge past the degree": func(st *wstate) { st.denseBlock, st.denseEdge = 0, 1<<40 },
-		"no hops left":               func(st *wstate) { st.w.Hop = 0 },
-		"hops past the budget":       func(st *wstate) { st.w.Hop = 1 << 30 },
-		"dense block past the end":   func(st *wstate) { st.denseBlock = 1 << 30 },
-		"src past the graph":         func(st *wstate) { st.w.Src = g.NumVertices() },
-		"prev past the graph":        func(st *wstate) { st.prev = g.NumVertices() },
-		"range tag past the end":     func(st *wstate) { st.rangeTag = 1 << 20 },
+	cases := map[string]func(w *wideWalk){
+		"cur past the graph":         func(w *wideWalk) { w.cur = 1 << 40 },
+		"dense edge past the degree": func(w *wideWalk) { w.denseBlock, w.denseEdge = 0, 1<<40 },
+		"no hops left":               func(w *wideWalk) { w.hop = 0 },
+		"hops past the budget":       func(w *wideWalk) { w.hop = 1 << 30 },
+		"dense block past the end":   func(w *wideWalk) { w.denseBlock = 1 << 30 },
+		"src past the graph":         func(w *wideWalk) { w.src = g.NumVertices() },
+		"prev past the graph":        func(w *wideWalk) { w.prev = g.NumVertices() + 1 },
+		"range tag past the end":     func(w *wideWalk) { w.rangeTag = 1 << 20 },
+		"src of 2^32+1":              func(w *wideWalk) { w.src = 1<<32 + 1 },
+		"cur of 2^32+1":              func(w *wideWalk) { w.cur = 1<<32 + 1 },
+		"prev of 2^32+1":             func(w *wideWalk) { w.prev = 1<<32 + 2 },
+		"src of 2^32-1":              func(w *wideWalk) { w.src = 1<<32 - 1 },
+		"cur of 2^32-1":              func(w *wideWalk) { w.cur = 1<<32 - 1 },
+		"prev of 2^32-1":             func(w *wideWalk) { w.prev = 1 << 32 },
+		"dense block of 2^32":        func(w *wideWalk) { w.denseBlock = 1 << 32 },
+		"range tag of 2^32+1":        func(w *wideWalk) { w.rangeTag = 1<<32 + 1 },
 	}
 	for name, edit := range cases {
 		t.Run(name, func(t *testing.T) {

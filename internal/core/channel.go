@@ -96,6 +96,6 @@ func (ca *channelAccel) applyGuide(w, rangeID, foreignPart int32) {
 		e.demoteWalk(int(foreignPart), w)
 		return
 	}
-	e.walk(w).rangeTag = int(rangeID)
+	e.walk(w).rangeTag = rangeID
 	e.board.Guide(w)
 }

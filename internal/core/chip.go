@@ -425,7 +425,7 @@ func (c *chipAccel) matchSlot(st *wstate) *chipSlot {
 		}
 		b := &c.e.part.Blocks[s.block]
 		if b.Dense {
-			if st.denseBlock == s.block {
+			if int(st.denseBlock) == s.block {
 				return s
 			}
 			continue

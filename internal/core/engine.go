@@ -40,14 +40,17 @@ import (
 // routing annotations the hardware attaches: the pre-walked dense block and
 // edge (paper §III-D) and the subgraph-range tag from the approximate walk
 // search (§III-C).
+//
+// The fields are ordered so that the record fills one 64-byte cache line
+// without padding (TestWalkStateSize pins it).
 type wstate struct {
-	w          walk.Walk
-	denseBlock int    // destination dense block after pre-walking, -1 otherwise
-	denseEdge  uint64 // chosen edge index within Cur's edge list (pre-walked)
-	rangeTag   int    // subgraph range ID from the approximate search, -1 untagged
+	w walk.Walk
 	// prev is the previous vertex (second-order walks); noPrev before the
-	// first hop. Unlike the tags above it persists across routing.
-	prev graph.VertexID
+	// first hop. Unlike the tags below it persists across routing.
+	prev       graph.VertexID
+	denseEdge  uint64 // chosen edge index within Cur's edge list (pre-walked)
+	denseBlock int32  // destination dense block after pre-walking, -1 otherwise
+	rangeTag   int32  // subgraph range ID from the approximate search, -1 untagged
 	// rng is the walk's private sampling stream (KnightKing-style), derived
 	// from the run seed per walk at seeding time. Because every hop draws
 	// from the walk's own stream — never a tier's — the trajectory depends
@@ -205,7 +208,7 @@ func (rc *RunConfig) validate(g *graph.Graph) error {
 		return fmt.Errorf("core: alias sampling only applies to biased walks: %w", errs.ErrInvalidConfig)
 	}
 	for _, v := range rc.Starts {
-		if v >= g.NumVertices() {
+		if uint64(v) >= g.NumVertices() {
 			return fmt.Errorf("core: start vertex %d out of range: %w", v, errs.ErrInvalidConfig)
 		}
 	}

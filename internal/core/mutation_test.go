@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"flashwalker/internal/errs"
@@ -126,6 +127,50 @@ func freshDst(edges []graph.Edge, used map[[2]graph.VertexID]bool, v graph.Verte
 			used[[2]graph.VertexID{v, d}] = true
 			return d
 		}
+	}
+}
+
+// freshInDegrees counts g's in-degrees afresh.
+func freshInDegrees(g *graph.Graph) []uint64 {
+	in := make([]uint64, g.NumVertices())
+	for _, d := range g.Edges {
+		in[d]++
+	}
+	return in
+}
+
+// TestNewEngineInDegrees: in-degrees are counted once per graph. Two
+// engines built at once on a fresh graph share its counts (the race lane
+// runs this under -race); an engine with an At-0 batch ranks hot blocks
+// by its mutated clone's own counts and leaves the shared graph's alone.
+func TestNewEngineInDegrees(t *testing.T) {
+	g, edges := mutTestGraph(t, false)
+	rc := mutConfig(false)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := NewEngine(g, rc); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	in := g.InDegrees()
+	if !slices.Equal(in, freshInDegrees(g)) {
+		t.Fatal("shared counts differ from a fresh count")
+	}
+	rc.Mutations = mutStream(edges, false)
+	x, err := newEngine(g, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := x.g.InDegrees(); !slices.Equal(got, freshInDegrees(x.g)) || slices.Equal(got, in) {
+		t.Fatal("the engine's mutated graph kept the shared counts")
+	}
+	if got := g.InDegrees(); &got[0] != &in[0] || !slices.Equal(got, freshInDegrees(g)) {
+		t.Fatal("an At-0 batch changed the shared graph's counts")
 	}
 }
 

@@ -29,7 +29,7 @@ func (b *boardAccel) classify(w int32) routeDecision {
 
 	// Pre-walked dense walks already know their block.
 	if st.denseBlock >= 0 {
-		d.blockID = st.denseBlock
+		d.blockID = int(st.denseBlock)
 		if !e.inCurrentPartition(d.blockID) {
 			d.foreignPart = e.part.PartitionOf(d.blockID)
 		}
@@ -52,7 +52,7 @@ func (b *boardAccel) classify(w int32) routeDecision {
 			e.chargeFilterProbes(hopOutcome{filterProbes: probes}, nil)
 			d.ops += 1 + extra
 			blockID, _ := partition.DenseBlockFor(meta, idx)
-			st.denseBlock = blockID
+			st.denseBlock = int32(blockID)
 			st.denseEdge = idx
 			d.blockID = blockID
 			e.res.PreWalks++

@@ -153,7 +153,7 @@ func TestClassifyDecisions(t *testing.T) {
 				st := routeWalk(v)
 				for _, r := range e.part.Ranges {
 					if r.FirstBlock <= blk && blk <= r.LastBlock {
-						st.rangeTag = r.ID
+						st.rangeTag = int32(r.ID)
 						break
 					}
 				}
@@ -207,7 +207,7 @@ func TestClassifyDensePreWalk(t *testing.T) {
 	if st.denseBlock < 0 {
 		t.Fatal("dense vertex not pre-walked")
 	}
-	if d.blockID != st.denseBlock {
+	if d.blockID != int(st.denseBlock) {
 		t.Fatalf("routed to %d, pre-walked block is %d", d.blockID, st.denseBlock)
 	}
 	if d.searchSteps != 0 {
@@ -224,7 +224,7 @@ func TestClassifyDensePreWalk(t *testing.T) {
 	// A pre-walked walk arriving at the board keeps its chosen block and is
 	// not pre-walked again.
 	d2 := e.board.classify(w)
-	if d2.blockID != st.denseBlock || d2.ops != 1 {
+	if d2.blockID != int(st.denseBlock) || d2.ops != 1 {
 		t.Fatalf("re-classify: blockID=%d ops=%d", d2.blockID, d2.ops)
 	}
 	if e.res.PreWalks != 1 {

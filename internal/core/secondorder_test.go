@@ -11,8 +11,8 @@ func secondOrderGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	// Bidirectional edges so backtracking is always available.
 	b := graph.NewBuilder(512)
-	for v := uint64(0); v < 512; v++ {
-		for _, d := range []uint64{(v + 1) % 512, (v + 17) % 512, (v + 101) % 512} {
+	for v := graph.VertexID(0); v < 512; v++ {
+		for _, d := range []graph.VertexID{(v + 1) % 512, (v + 17) % 512, (v + 101) % 512} {
 			b.AddEdge(v, d)
 			b.AddEdge(d, v)
 		}

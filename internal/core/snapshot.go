@@ -1022,18 +1022,18 @@ func (e *Engine) checkWalks(carried []claims) error {
 func (e *boardEngine) checkWalk(st *wstate, terminal bool) error {
 	nv := e.g.NumVertices()
 	switch {
-	case st.w.Src >= nv, st.w.Cur >= nv:
+	case uint64(st.w.Src) >= nv, uint64(st.w.Cur) >= nv:
 		return fmt.Errorf("walk from vertex %d at vertex %d, graph has %d", st.w.Src, st.w.Cur, nv)
-	case st.prev != noPrev && st.prev >= nv:
+	case st.prev != noPrev && uint64(st.prev) >= nv:
 		return fmt.Errorf("previous vertex %d, graph has %d", st.prev, nv)
 	case st.w.Hop > e.spec.Length, st.w.Hop == 0 && !terminal:
 		return fmt.Errorf("%d hops left of %d", st.w.Hop, e.spec.Length)
-	case st.denseBlock < -1 || st.denseBlock >= e.part.NumBlocks(),
+	case st.denseBlock < -1 || int(st.denseBlock) >= e.part.NumBlocks(),
 		st.denseBlock >= 0 && !e.part.Blocks[st.denseBlock].Dense:
 		return fmt.Errorf("dense block %d is not a dense block", st.denseBlock)
 	case st.denseBlock >= 0 && st.denseEdge >= e.g.OutDegree(st.w.Cur):
 		return fmt.Errorf("dense edge %d of vertex %d, which has %d", st.denseEdge, st.w.Cur, e.g.OutDegree(st.w.Cur))
-	case st.rangeTag < -1 || st.rangeTag >= len(e.part.Ranges):
+	case st.rangeTag < -1 || int(st.rangeTag) >= len(e.part.Ranges):
 		return fmt.Errorf("range tag %d outside [-1, %d)", st.rangeTag, len(e.part.Ranges))
 	}
 	return nil

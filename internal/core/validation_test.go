@@ -45,7 +45,7 @@ func TestEngineMatchesReferenceHopCounts(t *testing.T) {
 func TestEngineDeadEndRateMatchesReference(t *testing.T) {
 	// Half the vertices are sinks.
 	b := graph.NewBuilder(400)
-	for v := uint64(0); v < 200; v++ {
+	for v := graph.VertexID(0); v < 200; v++ {
 		b.AddEdge(v, (v+1)%200) // live cycle
 		b.AddEdge(v, 200+v)     // edge into a sink
 		b.AddEdge(v, (v+7)%200) // more live edges

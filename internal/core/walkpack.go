@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"flashwalker/internal/graph"
 )
 
 // Packed snapshot records. A snapshot carries every walk it holds — the
@@ -31,7 +33,8 @@ import (
 // Restore reads records through recReader, which bounds-checks every
 // count, index, varint and value: a snapshot crosses a trust boundary on
 // recovery, so a malformed image is an error, never a panic or an
-// allocation the input does not pay for.
+// allocation the input does not pay for. A vertex ID past
+// graph.MaxVertices-1 is refused, never narrowed to a smaller vertex.
 
 // WalkRecords is a run of packed walk records after a uvarint count; nil
 // holds no walks.
@@ -120,13 +123,14 @@ func (p *packer) pool(n int, head int32, link func(int32) int32, put func([]byte
 }
 
 func appendWalk(b []byte, st *wstate) []byte {
-	b = binary.AppendUvarint(b, st.w.Src)
-	b = binary.AppendUvarint(b, st.w.Cur)
+	b = binary.AppendUvarint(b, uint64(st.w.Src))
+	b = binary.AppendUvarint(b, uint64(st.w.Cur))
 	b = binary.AppendUvarint(b, uint64(st.w.Hop))
 	b = binary.AppendVarint(b, int64(st.denseBlock))
 	b = binary.AppendUvarint(b, st.denseEdge)
 	b = binary.AppendVarint(b, int64(st.rangeTag))
-	b = binary.AppendUvarint(b, st.prev+1)
+	// st.prev+1 wraps noPrev to 0 at the ID's own width.
+	b = binary.AppendUvarint(b, uint64(st.prev+1))
 	for _, w := range st.rng.State() {
 		b = binary.LittleEndian.AppendUint64(b, w)
 	}
@@ -195,15 +199,6 @@ func (r *recReader) varint() int64 {
 	return v
 }
 
-func (r *recReader) int() int {
-	v := r.varint()
-	if int64(int(v)) != v {
-		r.fail("value overflows int")
-		return 0
-	}
-	return int(v)
-}
-
 func (r *recReader) int32() int32 {
 	v := r.varint()
 	if v < math.MinInt32 || v > math.MaxInt32 {
@@ -232,18 +227,33 @@ func (r *recReader) done() error {
 	return r.err
 }
 
+// vertex reads a vertex ID, which is below graph.MaxVertices.
+func (r *recReader) vertex() graph.VertexID {
+	v := r.uvarint()
+	if v >= graph.MaxVertices {
+		r.fail(fmt.Sprintf("vertex %d past %d", v, graph.MaxVertices-1))
+		return 0
+	}
+	return graph.VertexID(v)
+}
+
 func (r *recReader) walk(st *wstate) {
-	st.w.Src = r.uvarint()
-	st.w.Cur = r.uvarint()
+	st.w.Src = r.vertex()
+	st.w.Cur = r.vertex()
 	hop := r.uvarint()
 	if hop > math.MaxUint32 {
 		r.fail("hop count overflows uint32")
 	}
 	st.w.Hop = uint32(hop)
-	st.denseBlock = r.int()
+	st.denseBlock = r.int32()
 	st.denseEdge = r.uvarint()
-	st.rangeTag = r.int()
-	st.prev = r.uvarint() - 1
+	st.rangeTag = r.int32()
+	// 0 is noPrev and v+1 the vertex v, so the largest is MaxVertices.
+	if prev := r.uvarint(); prev > graph.MaxVertices {
+		r.fail(fmt.Sprintf("previous vertex %d past %d", prev-1, graph.MaxVertices-1))
+	} else {
+		st.prev = graph.VertexID(prev) - 1
+	}
 	if len(r.b) < rngBytes {
 		r.fail("truncated RNG state")
 		return

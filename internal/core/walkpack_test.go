@@ -155,7 +155,7 @@ func TestPackedImageRoundTrip(t *testing.T) {
 // errors, never a panic.
 func TestPackedRecordsRejectMalformed(t *testing.T) {
 	ws := []wstate{{denseBlock: -1, rangeTag: -1, prev: noPrev}, {denseBlock: 3, denseEdge: 9, rangeTag: 2, prev: 5}}
-	ws[1].w.Src, ws[1].w.Cur, ws[1].w.Hop = 1<<40, 7, 80
+	ws[1].w.Src, ws[1].w.Cur, ws[1].w.Hop = 1<<32-2, 7, 80
 	ws[1].rng.SetState([4]uint64{1, 2, 3, 4})
 	rec := new(packer).walks(ws, []int32{1, 0})
 	u := unpacker{be: new(boardEngine)}
@@ -211,14 +211,28 @@ func TestPackedRecordsRejectMalformed(t *testing.T) {
 // Decode gets past the checksum. Decode into a Snapshot must fail or yield
 // an image that survives an Encode/Decode round trip unchanged, and every
 // packed store of a decoded image must decode or fail cleanly — never
-// panic.
+// panic. The 1-board cut also seeds with one parked walk at vertex 2^32-2
+// (the largest ID), 2^32-1 (no vertex), 2^32 and 2^32+1.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, nb := range []int{1, 2} {
-		data, err := snapshot.Encode(fuzzSnapKind, midRunCut(f, nb))
+		cut := midRunCut(f, nb)
+		data, err := snapshot.Encode(fuzzSnapKind, cut)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(containerPayload(data, fuzzSnapKind))
+		if nb > 1 {
+			continue
+		}
+		for _, id := range []uint64{1<<32 - 2, 1<<32 - 1, 1 << 32, 1<<32 + 1} {
+			s := cloneSnapshot(f, cut)
+			editFirstPWBWalk(f, &s.Boards[0], func(w *wideWalk) { w.cur, w.prev = id, id+1 })
+			data, err := snapshot.Encode(fuzzSnapKind, s)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(containerPayload(data, fuzzSnapKind))
+		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var s Snapshot

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash"
 	"testing"
+	"unsafe"
 
 	"flashwalker/internal/graph"
 	"flashwalker/internal/sim"
@@ -60,6 +61,18 @@ func hashPool(h hash.Hash, img *PoolImage, put func([]byte)) {
 	}
 	put(b)
 	put(img.Live)
+}
+
+// TestWalkStateSize pins the walk-table record at one 64-byte cache line
+// and a walk at 12 bytes: 4-byte vertex IDs, int32 block and range tags,
+// no padding.
+func TestWalkStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(wstate{}); got != 64 {
+		t.Errorf("wstate is %d bytes, want 64", got)
+	}
+	if got := unsafe.Sizeof(wstate{}.w); got != 12 {
+		t.Errorf("walk.Walk is %d bytes, want 12", got)
+	}
 }
 
 // TestPackedStoreDigest pins the packed walk stores and pool images of

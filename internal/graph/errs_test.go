@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"flashwalker/internal/errs"
@@ -19,9 +22,57 @@ func TestGeneratorErrorsWrapInvalidConfig(t *testing.T) {
 			_, err := RMAT(cfg)
 			return err
 		},
-		"rmat dedup past 2^32 vertices": func() error {
-			// A dedup key takes 2·⌈log2 |V|⌉ bits, past 64 here.
+		"rmat past 2^32 vertices": func() error {
 			_, err := RMAT(DefaultRMAT(1<<32+1, 8, 1))
+			return err
+		},
+		"rmat 2^32 vertices": func() error {
+			_, err := RMAT(DefaultRMAT(1<<32, 8, 1))
+			return err
+		},
+		"weighted rmat 2^32 vertices": func() error {
+			cfg := DefaultRMAT(1<<32, 8, 1)
+			cfg.Weighted = true
+			_, err := RMAT(cfg)
+			return err
+		},
+		"rmat with duplicates 2^32 vertices": func() error {
+			cfg := DefaultRMAT(1<<32, 8, 1)
+			cfg.RemoveDuplicates = false
+			_, err := RMAT(cfg)
+			return err
+		},
+		"powerlaw 2^32 vertices": func() error {
+			_, err := PowerLaw(PowerLawConfig{NumVertices: 1 << 32, NumEdges: 8, Alpha: 0.8})
+			return err
+		},
+		"uniform 2^32 vertices": func() error {
+			_, err := Uniform(1<<32, 8, 1)
+			return err
+		},
+		"build 2^32 vertices": func() error {
+			_, err := NewBuilder(1 << 32).Build()
+			return err
+		},
+		"from edges 2^32 vertices": func() error {
+			_, err := FromEdges(1<<32, []Edge{{Src: 0, Dst: 1}})
+			return err
+		},
+		"read a header of 2^32 vertices": func() error {
+			var b bytes.Buffer
+			b.WriteString(magic)
+			for _, v := range []uint64{0, 1 << 32, 0} {
+				binary.Write(&b, binary.LittleEndian, v)
+			}
+			_, err := Read(&b)
+			return err
+		},
+		"edge list naming vertex 2^32": func() error {
+			_, err := ReadEdgeList(strings.NewReader("4294967296 1\n"))
+			return err
+		},
+		"edge list naming vertex 2^32-1": func() error {
+			_, err := ReadEdgeList(strings.NewReader("0 4294967295\n"))
 			return err
 		},
 		"powerlaw zero vertices": func() error {
@@ -41,6 +92,53 @@ func TestGeneratorErrorsWrapInvalidConfig(t *testing.T) {
 		}
 		if !errors.Is(err, errs.ErrInvalidConfig) {
 			t.Errorf("%s: error %v does not wrap ErrInvalidConfig", name, err)
+		}
+	}
+}
+
+// TestGeneratorsPanicPastMaxVertices: the generators that return no error
+// refuse more than MaxVertices vertices by panicking, before they allocate.
+func TestGeneratorsPanicPastMaxVertices(t *testing.T) {
+	for name, gen := range map[string]func(){
+		"ring":                  func() { Ring(1 << 32) },
+		"complete":              func() { Complete(1 << 32) },
+		"star":                  func() { Star(MaxVertices) }, // a hub and MaxVertices spokes
+		"star of 2^64-1 spokes": func() { Star(1<<64 - 1) },
+	} {
+		func() {
+			defer func() {
+				if err, ok := recover().(error); !ok || !errors.Is(err, errs.ErrInvalidConfig) {
+					t.Errorf("%s: recovered %v, want an ErrInvalidConfig panic", name, err)
+				}
+			}()
+			gen()
+		}()
+	}
+}
+
+// TestLoadersRefuseWideIDs: an ID past the largest vertex is an error from
+// either loader, never a smaller vertex. The edge-list parser takes the
+// largest ID itself (parseEdgeList, so no 2^32-vertex graph is built).
+func TestLoadersRefuseWideIDs(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, Ring(16)); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	firstEdge := len(magic) + 3*8 + 17*8
+	for _, id := range []uint64{16, 1<<32 - 2, 1<<32 - 1, 1 << 32, 1<<32 + 1} {
+		data := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(data[firstEdge:], id)
+		if g, err := Read(bytes.NewReader(data)); err == nil {
+			t.Errorf("Read: edge to %d loaded as %d", id, g.Edges[0])
+		}
+	}
+	if _, n, _, err := parseEdgeList(strings.NewReader("4294967294 0\n")); err != nil || n != MaxVertices {
+		t.Errorf("largest ID: %d vertices, %v", n, err)
+	}
+	for _, line := range []string{"4294967295 0", "0 4294967296", "4294967297 1", "18446744073709551615 0"} {
+		if edges, _, _, err := parseEdgeList(strings.NewReader(line)); !errors.Is(err, errs.ErrInvalidConfig) {
+			t.Errorf("%q: edges %v, error %v", line, edges, err)
 		}
 	}
 }

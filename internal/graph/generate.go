@@ -27,8 +27,7 @@ type RMATConfig struct {
 	// smoothing does, preventing degenerate diagonal artifacts.
 	Noise float64
 	// RemoveDuplicates drops exact duplicate edges (PaRMAT's
-	// -noDuplicateEdges). It needs NumVertices ≤ 2^32, so that an edge's
-	// dedup key fits 64 bits.
+	// -noDuplicateEdges).
 	RemoveDuplicates bool
 	// Weighted assigns uniform random weights in (0, 1].
 	Weighted bool
@@ -61,21 +60,18 @@ func RMAT(cfg RMATConfig) (*Graph, error) {
 	if cfg.NumVertices == 0 {
 		return nil, fmt.Errorf("graph: RMAT with zero vertices: %w", errs.ErrInvalidConfig)
 	}
+	if err := checkVertices("RMAT", cfg.NumVertices); err != nil {
+		return nil, err
+	}
 	sum := cfg.A + cfg.B + cfg.C + cfg.D
 	if sum < 0.99 || sum > 1.01 {
 		return nil, fmt.Errorf("graph: RMAT probabilities sum to %v, want 1: %w", sum, errs.ErrInvalidConfig)
 	}
 	levels := bits.Len64(cfg.NumVertices - 1)
-	switch {
-	case !cfg.RemoveDuplicates:
-		return generate[uint64](cfg, levels)
-	case 2*levels <= 32:
+	if cfg.RemoveDuplicates && 2*levels <= 32 {
 		return generate[uint32](cfg, levels)
-	case 2*levels <= 64:
-		return generate[uint64](cfg, levels)
 	}
-	return nil, fmt.Errorf("graph: RMAT removes duplicates among at most 2^32 vertices, got %d: %w",
-		cfg.NumVertices, errs.ErrInvalidConfig)
+	return generate[uint64](cfg, levels)
 }
 
 // generate runs one RMAT call with dedup keys of type K.
@@ -89,9 +85,7 @@ func generate[K uint32 | uint64](cfg RMATConfig, levels int) (*Graph, error) {
 	// Dedup accepts at most NumVertices² distinct edges.
 	size := cfg.NumEdges
 	if cfg.RemoveDuplicates {
-		if cfg.NumVertices < 1<<32 {
-			size = min(size, cfg.NumVertices*cfg.NumVertices)
-		}
+		size = min(size, cfg.NumVertices*cfg.NumVertices)
 		p.seen = newKeySet[K](size)
 		if !cfg.Weighted {
 			offsets := make([]uint64, cfg.NumVertices+1)
@@ -175,7 +169,7 @@ func (p *rmat[K]) kernel(s [4]uint64, out [][2]VertexID) [4]uint64 {
 		if dst >= n {
 			dst -= n
 		}
-		out[i] = [2]VertexID{src, dst}
+		out[i] = [2]VertexID{VertexID(src), VertexID(dst)}
 	}
 	return [4]uint64{s0, s1, s2, s3}
 }
@@ -231,8 +225,8 @@ func quadrant(na, nb, nc, nd, u float64, divFree bool) uint64 {
 
 // accept reports whether an attempt's edge is kept: always without dedup,
 // otherwise only on the first occurrence of its (src, dst).
-func (p *rmat[K]) accept(src, dst uint64) bool {
-	return p.seen == nil || p.seen.insert(K(src<<p.levels|dst))
+func (p *rmat[K]) accept(src, dst VertexID) bool {
+	return p.seen == nil || p.seen.insert(K(uint64(src)<<p.levels|uint64(dst)))
 }
 
 // sequential generates a weighted graph on the calling goroutine. A weight
@@ -464,6 +458,9 @@ func PowerLaw(cfg PowerLawConfig) (*Graph, error) {
 	if cfg.NumVertices == 0 {
 		return nil, fmt.Errorf("graph: PowerLaw with zero vertices: %w", errs.ErrInvalidConfig)
 	}
+	if err := checkVertices("PowerLaw", cfg.NumVertices); err != nil {
+		return nil, err
+	}
 	if cfg.Alpha <= 0 {
 		cfg.Alpha = 0.7
 	}
@@ -512,6 +509,9 @@ func Uniform(numVertices, numEdges, seed uint64) (*Graph, error) {
 	if numVertices == 0 {
 		return nil, fmt.Errorf("graph: Uniform with zero vertices: %w", errs.ErrInvalidConfig)
 	}
+	if err := checkVertices("Uniform", numVertices); err != nil {
+		return nil, err
+	}
 	r := rng.New(seed)
 	b := NewBuilder(numVertices)
 	for uint64(b.NumEdges()) < numEdges {
@@ -521,11 +521,13 @@ func Uniform(numVertices, numEdges, seed uint64) (*Graph, error) {
 }
 
 // Ring generates a cycle graph: v -> (v+1) mod n. Useful in tests because
-// every walk's trajectory is fully determined.
+// every walk's trajectory is fully determined. It panics past MaxVertices
+// vertices.
 func Ring(numVertices uint64) *Graph {
+	mustFit("Ring", numVertices)
 	b := NewBuilder(numVertices)
 	for v := uint64(0); v < numVertices; v++ {
-		b.AddEdge(v, (v+1)%numVertices)
+		b.AddEdge(VertexID(v), VertexID((v+1)%numVertices))
 	}
 	g, err := b.Build()
 	if err != nil {
@@ -534,13 +536,15 @@ func Ring(numVertices uint64) *Graph {
 	return g
 }
 
-// Complete generates a complete directed graph without self-loops.
+// Complete generates a complete directed graph without self-loops. It
+// panics past MaxVertices vertices.
 func Complete(numVertices uint64) *Graph {
+	mustFit("Complete", numVertices)
 	b := NewBuilder(numVertices)
 	for u := uint64(0); u < numVertices; u++ {
 		for v := uint64(0); v < numVertices; v++ {
 			if u != v {
-				b.AddEdge(u, v)
+				b.AddEdge(VertexID(u), VertexID(v))
 			}
 		}
 	}
@@ -553,10 +557,12 @@ func Complete(numVertices uint64) *Graph {
 
 // Star generates a hub-and-spoke graph: the hub (vertex 0) points at every
 // spoke and every spoke points back. Vertex 0 is a guaranteed dense vertex,
-// which exercises the pre-walking path.
+// which exercises the pre-walking path. It panics past MaxVertices
+// vertices.
 func Star(numSpokes uint64) *Graph {
+	mustFit("Star", min(numSpokes, MaxVertices)+1) // the hub and the spokes, without wrapping
 	b := NewBuilder(numSpokes + 1)
-	for v := uint64(1); v <= numSpokes; v++ {
+	for v := VertexID(1); uint64(v) <= numSpokes; v++ {
 		b.AddEdge(0, v)
 		b.AddEdge(v, 0)
 	}

@@ -3,9 +3,13 @@
 // edge weights, plus builders, synthetic generators, binary serialization
 // and degree statistics.
 //
-// Vertex IDs are uint64 because ClueWeb-scale graphs exceed the 4-byte ID
-// range (paper §IV-A); the scaled analogues in this repo fit easily, but the
-// representation matches the paper's.
+// On the host a vertex ID is 4 bytes, so a graph holds at most
+// MaxVertices vertices and its edge array and every walk record store IDs
+// at the width the datasets need. The simulated hardware's ID width is a
+// separate quantity: partition.Config.IDBytes is the modelled on-flash
+// width (4 or 8 bytes, Table IV; ClueWeb exceeds the 4-byte range, paper
+// §IV-A), and every modelled byte count uses it, whatever the host stores.
+// The binary format keeps 8-byte edges on disk.
 package graph
 
 import (
@@ -13,10 +17,36 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
+
+	"flashwalker/internal/errs"
 )
 
-// VertexID identifies a vertex.
-type VertexID = uint64
+// VertexID identifies a vertex. IDs run from 0 to MaxVertices-1: the
+// largest value, ^VertexID(0), is never a vertex, so it can mark "no
+// vertex" and a loop `for v := low; v <= high; v++` cannot wrap.
+type VertexID = uint32
+
+// MaxVertices is the most vertices a graph can have. Every constructor
+// and loader refuses more.
+const MaxVertices = uint64(^VertexID(0))
+
+// checkVertices returns an error wrapping errs.ErrInvalidConfig when n
+// vertices exceed MaxVertices.
+func checkVertices(what string, n uint64) error {
+	if n > MaxVertices {
+		return fmt.Errorf("graph: %s with %d vertices, at most %d: %w", what, n, MaxVertices, errs.ErrInvalidConfig)
+	}
+	return nil
+}
+
+// mustFit panics when n vertices exceed MaxVertices: the form
+// checkVertices takes in the generators that return no error.
+func mustFit(what string, n uint64) {
+	if err := checkVertices(what, n); err != nil {
+		panic(err)
+	}
+}
 
 // Edge is a directed edge, optionally weighted.
 type Edge struct {
@@ -38,7 +68,8 @@ type Graph struct {
 	// inverse transform sampling binary-searches (paper §III-B).
 	CumWeights []float32
 
-	mut *mutScratch // ApplyMutations' reusable scratch
+	mut   *mutScratch              // ApplyMutations' reusable scratch
+	inDeg atomic.Pointer[[]uint64] // InDegrees' counts once made; nil after a mutation
 }
 
 // NumVertices reports the number of vertices.
@@ -118,8 +149,11 @@ func (g *Graph) Validate() error {
 		}
 	}
 	n := g.NumVertices()
+	if err := checkVertices("graph", n); err != nil {
+		return err
+	}
 	for i, dst := range g.Edges {
-		if dst >= n {
+		if uint64(dst) >= n {
 			return fmt.Errorf("graph: edge %d targets %d >= %d vertices", i, dst, n)
 		}
 	}
@@ -165,10 +199,14 @@ func (b *Builder) NumEdges() int { return len(b.edges) }
 
 // Build sorts the edges into CSR form and returns the graph. Self-loops are
 // kept; exact duplicates are kept (multigraphs are legal inputs for random
-// walks). It returns an error if any endpoint is out of range.
+// walks). It returns an error if any endpoint is out of range, or one
+// wrapping errs.ErrInvalidConfig for more than MaxVertices vertices.
 func (b *Builder) Build() (*Graph, error) {
+	if err := checkVertices("Build", b.numVertices); err != nil {
+		return nil, err
+	}
 	for _, e := range b.edges {
-		if e.Src >= b.numVertices || e.Dst >= b.numVertices {
+		if uint64(e.Src) >= b.numVertices || uint64(e.Dst) >= b.numVertices {
 			return nil, fmt.Errorf("graph: edge (%d,%d) outside %d vertices",
 				e.Src, e.Dst, b.numVertices)
 		}

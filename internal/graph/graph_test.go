@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -166,7 +168,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 func TestRingStructure(t *testing.T) {
 	g := Ring(7)
-	for v := uint64(0); v < 7; v++ {
+	for v := VertexID(0); v < 7; v++ {
 		e := g.OutEdges(v)
 		if len(e) != 1 || e[0] != (v+1)%7 {
 			t.Fatalf("ring vertex %d edges %v", v, e)
@@ -179,7 +181,7 @@ func TestCompleteStructure(t *testing.T) {
 	if g.NumEdges() != 20 {
 		t.Fatalf("K5 has %d edges, want 20", g.NumEdges())
 	}
-	for v := uint64(0); v < 5; v++ {
+	for v := VertexID(0); v < 5; v++ {
 		if g.OutDegree(v) != 4 {
 			t.Fatalf("vertex %d degree %d", v, g.OutDegree(v))
 		}
@@ -196,7 +198,7 @@ func TestStarStructure(t *testing.T) {
 	if g.OutDegree(0) != 100 {
 		t.Fatalf("hub degree %d", g.OutDegree(0))
 	}
-	for v := uint64(1); v <= 100; v++ {
+	for v := VertexID(1); v <= 100; v++ {
 		if g.OutDegree(v) != 1 || g.OutEdges(v)[0] != 0 {
 			t.Fatalf("spoke %d wrong", v)
 		}
@@ -251,10 +253,10 @@ func TestRMATNoDuplicatesWhenRequested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[[2]uint64]bool{}
-	for v := uint64(0); v < g.NumVertices(); v++ {
+	seen := map[[2]VertexID]bool{}
+	for v := VertexID(0); uint64(v) < g.NumVertices(); v++ {
 		for _, d := range g.OutEdges(v) {
-			k := [2]uint64{v, d}
+			k := [2]VertexID{v, d}
 			if seen[k] {
 				t.Fatalf("duplicate edge (%d,%d)", v, d)
 			}
@@ -366,7 +368,7 @@ func TestGiniBounds(t *testing.T) {
 
 func TestInDegrees(t *testing.T) {
 	g := Star(4)
-	in := InDegrees(g)
+	in := g.InDegrees()
 	if in[0] != 4 {
 		t.Fatalf("hub in-degree %d", in[0])
 	}
@@ -375,6 +377,80 @@ func TestInDegrees(t *testing.T) {
 			t.Fatalf("spoke %d in-degree %d", v, in[v])
 		}
 	}
+}
+
+// countInDegrees counts every vertex's in-degree afresh: the reference the
+// kept counts must equal.
+func countInDegrees(g *Graph) []uint64 {
+	in := make([]uint64, g.NumVertices())
+	for _, d := range g.Edges {
+		in[d]++
+	}
+	return in
+}
+
+// TestInDegreesKept: the counts are made once and kept, a clone shares
+// them, and a mutation drops them from the mutated graph alone, whose next
+// call counts its new edges.
+func TestInDegreesKept(t *testing.T) {
+	g, err := RMAT(DefaultRMAT(512, 4096, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := g.InDegrees()
+	if !slices.Equal(in, countInDegrees(g)) {
+		t.Fatal("kept counts differ from a fresh count")
+	}
+	if &g.InDegrees()[0] != &in[0] {
+		t.Fatal("a second call counted again")
+	}
+	c := g.Clone()
+	if &c.InDegrees()[0] != &in[0] {
+		t.Fatal("the clone counted again")
+	}
+	src := VertexID(0)
+	for g.OutDegree(src) == 0 {
+		src++
+	}
+	dst := g.OutEdges(src)[0]
+	if err := c.ApplyMutations([]Mutation{
+		{Op: OpDeleteEdge, Src: src, Dst: dst},
+		{Op: OpInsertEdge, Src: src, Dst: (dst + 1) % VertexID(g.NumVertices())},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.InDegrees(); !slices.Equal(got, countInDegrees(c)) || slices.Equal(got, in) {
+		t.Fatal("the mutated clone kept stale counts")
+	}
+	if got := g.InDegrees(); &got[0] != &in[0] || !slices.Equal(got, countInDegrees(g)) {
+		t.Fatal("mutating the clone changed the original's counts")
+	}
+	cc := c.Clone()
+	if !slices.Equal(cc.InDegrees(), countInDegrees(cc)) {
+		t.Fatal("a clone of the mutated graph has stale counts")
+	}
+}
+
+// TestInDegreesConcurrent: engines sharing a graph may ask for its counts
+// at once (run under -race).
+func TestInDegreesConcurrent(t *testing.T) {
+	g, err := RMAT(DefaultRMAT(512, 4096, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := countInDegrees(g)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !slices.Equal(g.InDegrees(), want) {
+				t.Error("concurrent counts differ from a fresh count")
+			}
+			_ = g.Clone()
+		}()
+	}
+	wg.Wait()
 }
 
 func TestTextSizeEstimate(t *testing.T) {
@@ -407,7 +483,7 @@ func TestCSRPreservesEdgesProperty(t *testing.T) {
 			return false
 		}
 		got := map[pair]int{}
-		for v := uint64(0); v < n; v++ {
+		for v := VertexID(0); uint64(v) < n; v++ {
 			for _, d := range g.OutEdges(v) {
 				got[pair{v, d}]++
 			}
@@ -435,7 +511,7 @@ func TestDegreeSumProperty(t *testing.T) {
 			return false
 		}
 		var sum uint64
-		for v := uint64(0); v < g.NumVertices(); v++ {
+		for v := VertexID(0); uint64(v) < g.NumVertices(); v++ {
 			sum += g.OutDegree(v)
 		}
 		return sum == g.NumEdges()

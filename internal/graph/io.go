@@ -17,7 +17,7 @@ import (
 //	V       uint64   number of vertices
 //	E       uint64   number of edges
 //	offsets [V+1]uint64
-//	edges   [E]uint64
+//	edges   [E]uint64 (widened from the 4-byte VertexID)
 //	weights [E]float32 (iff weighted)
 const magic = "FWGRAPH1"
 
@@ -40,8 +40,13 @@ func Write(w io.Writer, g *Graph) error {
 	if err := binary.Write(bw, binary.LittleEndian, g.Offsets); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Edges); err != nil {
-		return err
+	// Edges stay 8 bytes on disk: each is widened on the way out.
+	var buf [8]byte
+	for _, d := range g.Edges {
+		binary.LittleEndian.PutUint64(buf[:], uint64(d))
+		if _, err := bw.Write(buf[:]); err != nil {
+			return err
+		}
 	}
 	if g.Weighted() {
 		if err := binary.Write(bw, binary.LittleEndian, g.Weights); err != nil {
@@ -67,23 +72,41 @@ func Read(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("graph: reading header: %w", err)
 		}
 	}
+	if err := checkVertices("Read", v); err != nil {
+		return nil, err
+	}
 	const maxReasonable = 1 << 33 // 8G entries; guards corrupt headers
-	if v+1 > maxReasonable || e > maxReasonable {
+	if e > maxReasonable {
 		return nil, fmt.Errorf("graph: implausible header V=%d E=%d", v, e)
 	}
-	g := &Graph{
-		Offsets: make([]uint64, v+1),
-		Edges:   make([]VertexID, e),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Offsets); err != nil {
+	// Every array grows as its values arrive, so a header claiming more
+	// than the input holds fails at the input's end rather than
+	// allocating the claim.
+	g := &Graph{}
+	var err error
+	if g.Offsets, err = readWords[uint64](br, v+1); err != nil {
 		return nil, fmt.Errorf("graph: reading offsets: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.Edges); err != nil {
-		return nil, fmt.Errorf("graph: reading edges: %w", err)
+	// Each 8-byte edge is checked against V before it is narrowed, so an
+	// out-of-range ID is an error, never a smaller vertex.
+	var buf [8 << 10]byte
+	g.Edges = []VertexID{}
+	for uint64(len(g.Edges)) < e {
+		g.Edges = grow(g.Edges, e)
+		chunk := buf[:8*min(cap(g.Edges)-len(g.Edges), len(buf)/8)]
+		if _, err := io.ReadFull(br, chunk); err != nil {
+			return nil, fmt.Errorf("graph: reading edges: %w", err)
+		}
+		for j := 0; j < len(chunk); j += 8 {
+			d := binary.LittleEndian.Uint64(chunk[j:])
+			if d >= v {
+				return nil, fmt.Errorf("graph: edge %d targets %d >= %d vertices", len(g.Edges), d, v)
+			}
+			g.Edges = append(g.Edges, VertexID(d))
+		}
 	}
 	if flags&1 != 0 {
-		g.Weights = make([]float32, e)
-		if err := binary.Read(br, binary.LittleEndian, g.Weights); err != nil {
+		if g.Weights, err = readWords[float32](br, e); err != nil {
 			return nil, fmt.Errorf("graph: reading weights: %w", err)
 		}
 		g.CumWeights = buildCumWeights(g.Offsets, g.Weights)
@@ -92,6 +115,32 @@ func Read(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// grow returns s with room for at least one more element: its capacity
+// doubles, from 64 Ki elements, up to n. s must be shorter than n.
+func grow[T any](s []T, n uint64) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	g := make([]T, len(s), min(n, max(2*uint64(cap(s)), 1<<16)))
+	copy(g, s)
+	return g
+}
+
+// readWords reads n little-endian values of T, growing the slice with
+// grow as they arrive.
+func readWords[T uint64 | float32](r io.Reader, n uint64) ([]T, error) {
+	out := []T{}
+	for uint64(len(out)) < n {
+		out = grow(out, n)
+		chunk := out[len(out):cap(out)]
+		if err := binary.Read(r, binary.LittleEndian, chunk); err != nil {
+			return nil, err
+		}
+		out = out[:cap(out)]
+	}
+	return out, nil
 }
 
 // Save writes the graph to the named file.
@@ -137,7 +186,7 @@ func ComputeStats(g *Graph) Stats {
 	}
 	degs := make([]uint64, s.NumVertices)
 	for v := uint64(0); v < s.NumVertices; v++ {
-		d := g.OutDegree(v)
+		d := g.OutDegree(VertexID(v))
 		degs[v] = d
 		if d > s.MaxOutDeg {
 			s.MaxOutDeg = d
@@ -178,13 +227,21 @@ func gini(vals []uint64) float64 {
 	return g
 }
 
-// InDegrees computes the in-degree of every vertex (used by the hot-subgraph
-// selection, which keeps subgraphs with top in-degrees).
-func InDegrees(g *Graph) []uint64 {
+// InDegrees returns the in-degree of every vertex (used by the hot-subgraph
+// selection, which keeps subgraphs with top in-degrees). The counts are
+// made on first use and kept on the graph until ApplyMutations changes it;
+// Clone shares them. Engines sharing one graph may call it concurrently:
+// each may count, and all get the same counts. The slice is shared, so
+// callers must not modify it.
+func (g *Graph) InDegrees() []uint64 {
+	if p := g.inDeg.Load(); p != nil {
+		return *p
+	}
 	in := make([]uint64, g.NumVertices())
 	for _, dst := range g.Edges {
 		in[dst]++
 	}
+	g.inDeg.Store(&in)
 	return in
 }
 

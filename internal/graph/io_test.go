@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -122,5 +124,30 @@ func TestSaveLoad(t *testing.T) {
 func TestLoadMissingFile(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestReadHugeHeaderAllocatesLittle: a header claiming the most vertices
+// and edges a file may hold, followed by nothing, fails at the end of the
+// input having allocated about what the input held, not the claim (32 GiB
+// of offsets and as much of edges).
+func TestReadHugeHeaderAllocatesLittle(t *testing.T) {
+	for _, body := range [][]byte{nil, make([]byte, 4096)} {
+		var b bytes.Buffer
+		b.WriteString(magic)
+		for _, v := range []uint64{1, MaxVertices, 1 << 33} {
+			binary.Write(&b, binary.LittleEndian, v)
+		}
+		b.Write(body)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(&b)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("a truncated file was read")
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+			t.Errorf("%d-byte body: Read allocated %d bytes", len(body), got)
+		}
 	}
 }

@@ -105,7 +105,7 @@ func (ms MutationStream) Validate(g *Graph, maxDegree uint64) error {
 	degDelta := map[VertexID]int64{}
 	pairDelta := map[[2]VertexID]int64{}
 	for i, m := range ms {
-		if m.Src >= n || m.Dst >= n {
+		if uint64(m.Src) >= n || uint64(m.Dst) >= n {
 			return fmt.Errorf("graph: mutation %d edge (%d,%d) outside %d vertices", i, m.Src, m.Dst, n)
 		}
 		deg := int64(g.OutDegree(m.Src)) + degDelta[m.Src]
@@ -183,8 +183,8 @@ func (ms MutationStream) Hash() [sha256.Size]byte {
 		} else {
 			put(1)
 		}
-		put(m.Src)
-		put(m.Dst)
+		put(uint64(m.Src))
+		put(uint64(m.Dst))
 		put(uint64(math.Float32bits(m.Weight)))
 	}
 	var out [sha256.Size]byte
@@ -194,12 +194,14 @@ func (ms MutationStream) Hash() [sha256.Size]byte {
 
 // Clone returns a deep copy of the graph. Engines that apply a mutation
 // stream clone first so shared graphs (dataset registries, caches) are
-// never mutated in place.
+// never mutated in place. The copy shares the in-degree counts, which no
+// one writes.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		Offsets: append([]uint64(nil), g.Offsets...),
 		Edges:   append([]VertexID(nil), g.Edges...),
 	}
+	c.inDeg.Store(g.inDeg.Load())
 	if g.Weights != nil {
 		c.Weights = append([]float32(nil), g.Weights...)
 	}
@@ -233,7 +235,7 @@ func (g *Graph) ApplyMutations(ms []Mutation) error {
 	}
 	n := g.NumVertices()
 	for i, m := range ms {
-		if m.Src >= n || m.Dst >= n {
+		if uint64(m.Src) >= n || uint64(m.Dst) >= n {
 			return fmt.Errorf("graph: mutation %d edge (%d,%d) outside %d vertices", i, m.Src, m.Dst, n)
 		}
 		switch m.Op {
@@ -270,6 +272,7 @@ func (g *Graph) ApplyMutations(ms []Mutation) error {
 	if bad >= 0 {
 		return fmt.Errorf("graph: mutation %d deletes missing edge (%d,%d)", bad, ms[bad].Src, ms[bad].Dst)
 	}
+	g.inDeg.Store(nil)
 	g.splice(sc)
 	return nil
 }
@@ -356,9 +359,9 @@ func (g *Graph) splice(sc *mutScratch) {
 		}
 		end := g.NumVertices()
 		if i+1 < len(sc.runs) {
-			end = sc.runs[i+1].src
+			end = uint64(sc.runs[i+1].src)
 		}
-		for v := r.src + 1; v <= end; v++ {
+		for v := uint64(r.src) + 1; v <= end; v++ {
 			g.Offsets[v] = uint64(int64(g.Offsets[v]) + r.shift)
 		}
 	}

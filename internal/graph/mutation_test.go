@@ -14,7 +14,7 @@ import (
 // the whole edge-array tail and every later Offsets entry.
 func refApplyMutation(g *Graph, m Mutation) error {
 	n := g.NumVertices()
-	if m.Src >= n || m.Dst >= n {
+	if uint64(m.Src) >= n || uint64(m.Dst) >= n {
 		return fmt.Errorf("graph: mutation edge (%d,%d) outside %d vertices", m.Src, m.Dst, n)
 	}
 	switch m.Op {
@@ -29,7 +29,7 @@ func refApplyMutation(g *Graph, m Mutation) error {
 			g.Weights = spliceIn(g.Weights, at, m.Weight)
 			g.CumWeights = spliceIn(g.CumWeights, at, 0)
 		}
-		for v := m.Src + 1; v <= n; v++ {
+		for v := uint64(m.Src) + 1; v <= n; v++ {
 			g.Offsets[v]++
 		}
 	case OpDeleteEdge:
@@ -44,7 +44,7 @@ func refApplyMutation(g *Graph, m Mutation) error {
 			g.Weights = spliceOut(g.Weights, at)
 			g.CumWeights = spliceOut(g.CumWeights, at)
 		}
-		for v := m.Src + 1; v <= n; v++ {
+		for v := uint64(m.Src) + 1; v <= n; v++ {
 			g.Offsets[v]--
 		}
 	default:
@@ -252,8 +252,8 @@ func TestValidateMutationsRejects(t *testing.T) {
 		{"negative time", MutationStream{{At: -1, Op: OpInsertEdge, Src: 0, Dst: 1}}, 0},
 		{"unsorted", MutationStream{{At: 5, Op: OpInsertEdge, Src: 0, Dst: 1}, {At: 4, Op: OpInsertEdge, Src: 0, Dst: 2}}, 0},
 		{"unknown op", MutationStream{{At: 0, Op: "upsert", Src: 0, Dst: 1}}, 0},
-		{"src out of range", MutationStream{{At: 0, Op: OpInsertEdge, Src: nv, Dst: 1}}, 0},
-		{"dst out of range", MutationStream{{At: 0, Op: OpInsertEdge, Src: 0, Dst: nv}}, 0},
+		{"src out of range", MutationStream{{At: 0, Op: OpInsertEdge, Src: VertexID(nv), Dst: 1}}, 0},
+		{"dst out of range", MutationStream{{At: 0, Op: OpInsertEdge, Src: 0, Dst: VertexID(nv)}}, 0},
 		{"weight on unweighted", MutationStream{{At: 0, Op: OpInsertEdge, Src: 0, Dst: 1, Weight: 2}}, 0},
 		{"weight on delete", MutationStream{{At: 0, Op: OpDeleteEdge, Src: 0, Dst: 1, Weight: 1}}, 0},
 		{"delete missing edge", MutationStream{{At: 0, Op: OpDeleteEdge, Src: 0, Dst: 2}}, 0},
@@ -404,7 +404,7 @@ func decodeMutationCase(data []byte) (nv uint64, weighted bool, edges []Edge, ms
 	h := next()
 	nv, weighted = 1+uint64(h&15), h&0x80 != 0
 	for ne := int(next() % 48); ne > 0 && len(data) > 0; ne-- {
-		e := Edge{Src: uint64(next()) % nv, Dst: uint64(next()) % nv, Weight: 1}
+		e := Edge{Src: VertexID(uint64(next()) % nv), Dst: VertexID(uint64(next()) % nv), Weight: 1}
 		if wb := next(); weighted {
 			e.Weight = 0.5 * float32(1+wb%4)
 		}
@@ -414,7 +414,7 @@ func decodeMutationCase(data []byte) (nv uint64, weighted bool, edges []Edge, ms
 		op, a, b := next(), uint64(next()), uint64(next())
 		switch op & 3 {
 		case 0, 1:
-			m := Mutation{Op: OpInsertEdge, Src: a % nv, Dst: b % nv}
+			m := Mutation{Op: OpInsertEdge, Src: VertexID(a % nv), Dst: VertexID(b % nv)}
 			if weighted {
 				m.Weight = 0.5 * float32((op>>2)%5)
 			} else if op>>2 == 63 {
@@ -422,7 +422,7 @@ func decodeMutationCase(data []byte) (nv uint64, weighted bool, edges []Edge, ms
 			}
 			ms = append(ms, m)
 		case 2:
-			ms = append(ms, Mutation{Op: OpDeleteEdge, Src: a % (nv + 1), Dst: b % nv})
+			ms = append(ms, Mutation{Op: OpDeleteEdge, Src: VertexID(a % (nv + 1)), Dst: VertexID(b % nv)})
 		case 3:
 			m := Mutation{Op: OpDeleteEdge}
 			if len(edges) > 0 {
@@ -536,7 +536,7 @@ func benchCSR() *Graph {
 	for v := uint64(0); v < nv; v++ {
 		from := len(g.Edges)
 		for i := uint64(0); i < deg; i++ {
-			g.Edges = append(g.Edges, (v*2654435761+i*40503)%nv)
+			g.Edges = append(g.Edges, VertexID((v*2654435761+i*40503)%nv))
 		}
 		slices.Sort(g.Edges[from:])
 		g.Offsets[v+1] = uint64(len(g.Edges))
@@ -550,7 +550,7 @@ func benchCSR() *Graph {
 // the source's run), and a net +1 batch, which shifts the tail once.
 func BenchmarkApplyMutations(b *testing.B) {
 	g := benchCSR()
-	nv := g.NumVertices()
+	nv := VertexID(g.NumVertices())
 	rewire := func(i int) (del, ins Mutation) {
 		src := VertexID(i) * 40503 % nv
 		del = Mutation{Op: OpDeleteEdge, Src: src, Dst: g.OutEdges(src)[0]}

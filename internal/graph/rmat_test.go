@@ -67,9 +67,9 @@ func refRMAT(cfg RMATConfig) (*Graph, error) {
 			seen[key] = struct{}{}
 		}
 		if cfg.Weighted {
-			b.AddWeightedEdge(src, dst, float32(r.Float64())+1e-6)
+			b.AddWeightedEdge(VertexID(src), VertexID(dst), float32(r.Float64())+1e-6)
 		} else {
-			b.AddEdge(src, dst)
+			b.AddEdge(VertexID(src), VertexID(dst))
 		}
 	}
 	return b.Build()
@@ -241,8 +241,8 @@ func TestRMATAllocBudget(t *testing.T) {
 		t.Fatalf("%d edges, want %d", g.NumEdges(), cfg.NumEdges)
 	}
 	set := uint64(len(newKeySet[uint32](cfg.NumEdges).slots)) * 4
-	csr := 8 * (cfg.NumVertices + 1 + cfg.NumEdges)
-	ring := uint64(2*2*8192) * 16
+	csr := 8*(cfg.NumVertices+1) + 4*cfg.NumEdges // 8-byte offsets, 4-byte edges
+	ring := uint64(2*2*8192) * 8                  // a [2]VertexID pair per attempt
 	budget := (set + csr + ring) * 115 / 100
 	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
 		t.Fatalf("RMAT allocated %d bytes, budget %d (set %d, CSR %d, chunk ring %d, +15%%)",
@@ -347,7 +347,7 @@ func TestKeySetCSRMatchesBuilder(t *testing.T) {
 			}
 			b := NewBuilder(v)
 			for e := range edges {
-				b.AddEdge(e[0], e[1])
+				b.AddEdge(VertexID(e[0]), VertexID(e[1]))
 			}
 			want, err := b.Build()
 			if err != nil {

@@ -79,7 +79,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if g2.NumEdges() != g.NumEdges() {
 		t.Fatalf("edges %d != %d", g2.NumEdges(), g.NumEdges())
 	}
-	for v := VertexID(0); v < g.NumVertices(); v++ {
+	for v := VertexID(0); uint64(v) < g.NumVertices(); v++ {
 		a, b := g.OutEdges(v), g2.OutEdges(v)
 		if len(a) != len(b) {
 			t.Fatalf("vertex %d degree changed", v)
@@ -153,8 +153,8 @@ func TestReverseWeighted(t *testing.T) {
 func TestReverseInOutDegreeDuality(t *testing.T) {
 	g, _ := RMAT(DefaultRMAT(512, 4096, 3))
 	r := Reverse(g)
-	in := InDegrees(g)
-	for v := VertexID(0); v < g.NumVertices(); v++ {
+	in := g.InDegrees()
+	for v := VertexID(0); uint64(v) < g.NumVertices(); v++ {
 		if r.OutDegree(v) != in[v] {
 			t.Fatalf("vertex %d: reverse out-degree %d != in-degree %d", v, r.OutDegree(v), in[v])
 		}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,11 +102,16 @@ func TestDatasetShapes(t *testing.T) {
 }
 
 // csrDigest is the first 16 hex digits of the SHA-256 of g's Offsets,
-// Edges and Weights, little-endian.
+// Edges and Weights, little-endian, each edge widened to 8 bytes: the
+// bytes the digests were pinned over when vertex IDs were 8 bytes wide.
 func csrDigest(t *testing.T, g *graph.Graph) string {
 	t.Helper()
+	wide := make([]uint64, len(g.Edges))
+	for i, d := range g.Edges {
+		wide[i] = uint64(d)
+	}
 	h := sha256.New()
-	for _, a := range []any{g.Offsets, g.Edges, g.Weights} {
+	for _, a := range []any{g.Offsets, wide, g.Weights} {
 		if err := binary.Write(h, binary.LittleEndian, a); err != nil {
 			t.Fatal(err)
 		}
@@ -145,6 +151,24 @@ func TestDatasetGraphDigests(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("digests for %d graphs, want %d", len(got), len(want))
+	}
+}
+
+// TestPresetInDegrees: every preset's kept in-degree counts equal a fresh
+// count of its edges.
+func TestPresetInDegrees(t *testing.T) {
+	for _, d := range append(Datasets(), ExtraDatasets()...) {
+		g, err := d.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]uint64, g.NumVertices())
+		for _, v := range g.Edges {
+			want[v]++
+		}
+		if !slices.Equal(g.InDegrees(), want) {
+			t.Errorf("%s: kept in-degrees differ from a fresh count", d.Name)
+		}
 	}
 }
 

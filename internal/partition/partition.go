@@ -22,8 +22,10 @@ package partition
 
 import (
 	"fmt"
+	"math"
 
 	"flashwalker/internal/bloom"
+	"flashwalker/internal/errs"
 	"flashwalker/internal/graph"
 )
 
@@ -194,7 +196,7 @@ func Partition(g *graph.Graph, cfg Config) (*Partitioned, error) {
 		}
 	}
 	n := g.NumVertices()
-	for v := graph.VertexID(0); v < n; v++ {
+	for v := graph.VertexID(0); uint64(v) < n; v++ {
 		deg := g.OutDegree(v)
 		need := vertexHeader + int64(deg)*edgeBytes
 		if need > cfg.BlockBytes {
@@ -250,6 +252,9 @@ func Partition(g *graph.Graph, cfg Config) (*Partitioned, error) {
 		p.Blocks = append(p.Blocks, Block{ID: 0})
 		p.table = append(p.table, 0)
 	}
+	if err := checkBlocks(len(p.Blocks)); err != nil {
+		return nil, err
+	}
 
 	// Dense table: bloom sized for the dense population.
 	f := bloom.New(maxInt(len(denseMeta), 1), 0.001)
@@ -295,11 +300,21 @@ func Partition(g *graph.Graph, cfg Config) (*Partitioned, error) {
 			p.vertexBlock[b.LowVertex] = -1
 			continue
 		}
-		for v := b.LowVertex; v <= b.HighVertex && v < n; v++ {
+		for v := b.LowVertex; v <= b.HighVertex && uint64(v) < n; v++ {
 			p.vertexBlock[v] = int32(i)
 		}
 	}
 	return p, nil
+}
+
+// checkBlocks refuses more blocks than an int32 holds: the walk records,
+// the mapping table's ID column and the vertex-to-block index keep block
+// IDs as int32.
+func checkBlocks(n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("partition: %d blocks, at most %d: %w", n, math.MaxInt32, errs.ErrInvalidConfig)
+	}
+	return nil
 }
 
 func maxInt(a, b int) int {
@@ -459,9 +474,10 @@ func (p *Partitioned) Pages(b *Block, pageBytes int64) int {
 	return int((b.Bytes + pageBytes - 1) / pageBytes)
 }
 
-// EdgeKey combines a directed edge's endpoints into one filter key.
+// EdgeKey combines a directed edge's endpoints into one filter key. Both
+// IDs are widened to 64 bits before they are mixed.
 func EdgeKey(src, dst graph.VertexID) uint64 {
-	return src*0x100000001b3 ^ dst
+	return uint64(src)*0x100000001b3 ^ uint64(dst)
 }
 
 // EdgeFilter builds a Bloom filter over the graph's directed edges. The
@@ -471,7 +487,7 @@ func EdgeKey(src, dst graph.VertexID) uint64 {
 // common-neighbor class, which rejection sampling tolerates.
 func EdgeFilter(g *graph.Graph, fp float64) *bloom.Filter {
 	f := bloom.New(int(g.NumEdges())+1, fp)
-	for v := graph.VertexID(0); v < g.NumVertices(); v++ {
+	for v := graph.VertexID(0); uint64(v) < g.NumVertices(); v++ {
 		for _, d := range g.OutEdges(v) {
 			f.Add(EdgeKey(v, d))
 		}
@@ -487,7 +503,7 @@ func EdgeFilter(g *graph.Graph, fp float64) *bloom.Filter {
 // keeps the bit array — and every probe answer — identical to rebuilding.
 func EdgeFilterCounting(g *graph.Graph, fp float64, capacity int) *bloom.Counting {
 	f := bloom.NewCounting(capacity, fp)
-	for v := graph.VertexID(0); v < g.NumVertices(); v++ {
+	for v := graph.VertexID(0); uint64(v) < g.NumVertices(); v++ {
 		for _, d := range g.OutEdges(v) {
 			f.Add(EdgeKey(v, d))
 		}
@@ -525,7 +541,7 @@ func (p *Partitioned) ApplyEdgeDelta(src graph.VertexID, delta int64) error {
 // edge slice they hold). Hot-subgraph selection keeps the top-K by this
 // metric (paper §III-C).
 func (p *Partitioned) InDegreeSums() []uint64 {
-	in := graph.InDegrees(p.G)
+	in := p.G.InDegrees()
 	sums := make([]uint64, len(p.Blocks))
 	for i := range p.Blocks {
 		b := &p.Blocks[i]

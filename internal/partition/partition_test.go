@@ -1,9 +1,12 @@
 package partition
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
+	"flashwalker/internal/errs"
 	"flashwalker/internal/graph"
 	"flashwalker/internal/rng"
 )
@@ -157,7 +160,7 @@ func TestDenseBlockForPreWalking(t *testing.T) {
 func TestBlockOfFindsEveryNonDenseVertex(t *testing.T) {
 	g, _ := graph.RMAT(graph.DefaultRMAT(2048, 8192, 4))
 	p := mustPartition(t, g, cfg4k())
-	for v := graph.VertexID(0); v < g.NumVertices(); v++ {
+	for v := graph.VertexID(0); uint64(v) < g.NumVertices(); v++ {
 		if _, isDense := p.Dense.Lookup(v); isDense {
 			if id, _ := p.BlockOf(v); id != -1 {
 				t.Fatalf("dense vertex %d found in non-dense table (block %d)", v, id)
@@ -191,7 +194,7 @@ func TestVertexBlocksMatchesBlockOf(t *testing.T) {
 		if uint64(len(idx)) != g.NumVertices() {
 			t.Fatalf("index has %d entries for %d vertices", len(idx), g.NumVertices())
 		}
-		for v := graph.VertexID(0); v < g.NumVertices(); v++ {
+		for v := graph.VertexID(0); uint64(v) < g.NumVertices(); v++ {
 			if id, _ := p.BlockOf(v); int(idx[v]) != id {
 				t.Fatalf("VertexBlocks()[%d] = %d, BlockOf = %d", v, idx[v], id)
 			}
@@ -203,7 +206,7 @@ func TestBlockOfSearchStepsLogarithmic(t *testing.T) {
 	g, _ := graph.Uniform(4096, 32768, 5)
 	p := mustPartition(t, g, cfg4k())
 	maxSteps := 0
-	for v := graph.VertexID(0); v < g.NumVertices(); v += 17 {
+	for v := graph.VertexID(0); uint64(v) < g.NumVertices(); v += 17 {
 		if _, steps := p.BlockOf(v); steps > maxSteps {
 			maxSteps = steps
 		}
@@ -221,7 +224,7 @@ func TestBlockOfSearchStepsLogarithmic(t *testing.T) {
 func TestBlockOfInRangeMatchesGlobal(t *testing.T) {
 	g, _ := graph.RMAT(graph.DefaultRMAT(2048, 16384, 6))
 	p := mustPartition(t, g, cfg4k())
-	for v := graph.VertexID(0); v < g.NumVertices(); v += 3 {
+	for v := graph.VertexID(0); uint64(v) < g.NumVertices(); v += 3 {
 		global, globalSteps := p.BlockOf(v)
 		ri, _ := p.RangeOf(v)
 		if ri < 0 {
@@ -240,7 +243,7 @@ func TestBlockOfInRangeMatchesGlobal(t *testing.T) {
 func TestRangeOfCoversAllVertices(t *testing.T) {
 	g := graph.Star(3000) // includes a dense vertex
 	p := mustPartition(t, g, cfg4k())
-	for v := graph.VertexID(0); v < g.NumVertices(); v++ {
+	for v := graph.VertexID(0); uint64(v) < g.NumVertices(); v++ {
 		ri, steps := p.RangeOf(v)
 		if ri < 0 {
 			t.Fatalf("vertex %d not in any range", v)
@@ -461,7 +464,7 @@ func TestEdgeFilterMembership(t *testing.T) {
 	g, _ := graph.RMAT(graph.DefaultRMAT(512, 4096, 11))
 	f := EdgeFilter(g, 0.01)
 	// Every real edge must be present (no false negatives).
-	for v := graph.VertexID(0); v < g.NumVertices(); v++ {
+	for v := graph.VertexID(0); uint64(v) < g.NumVertices(); v++ {
 		for _, d := range g.OutEdges(v) {
 			if !f.Contains(EdgeKey(v, d)) {
 				t.Fatalf("edge (%d,%d) missing from filter", v, d)
@@ -523,7 +526,7 @@ func TestPartitionInvariantsProperty(t *testing.T) {
 		if total != g.NumEdges() {
 			return false
 		}
-		for vv := graph.VertexID(0); vv < v; vv++ {
+		for vv := graph.VertexID(0); uint64(vv) < v; vv++ {
 			if _, dense := p.Dense.Lookup(vv); dense {
 				continue
 			}
@@ -535,5 +538,16 @@ func TestPartitionInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckBlocksFitsInt32: walk records and the block indexes hold block
+// IDs as int32, so a partitioning of more blocks is refused.
+func TestCheckBlocksFitsInt32(t *testing.T) {
+	if err := checkBlocks(math.MaxInt32); err != nil {
+		t.Fatalf("MaxInt32 blocks refused: %v", err)
+	}
+	if err := checkBlocks(math.MaxInt32 + 1); !errors.Is(err, errs.ErrInvalidConfig) {
+		t.Fatalf("MaxInt32+1 blocks: %v", err)
 	}
 }

@@ -44,6 +44,10 @@ func FuzzJobSpecDecode(f *testing.F) {
 		`{"kind":"graphwalker","graph":"TT-S","mutations":[{"op":"insert","src":1,"dst":2}]}`,
 		`{"mutations":[{"at_ns":-1,"op":"insert","src":0,"dst":0}]}`,
 		`{"mutations":[{"op":"rewire","src":0,"dst":0}]}`,
+		`{"kind":"flashwalker","graph":"TT-S","mutations":[{"at_ns":0,"op":"insert","src":4294967294,"dst":4294967294}]}`,
+		`{"kind":"flashwalker","graph":"TT-S","mutations":[{"at_ns":0,"op":"insert","src":4294967295,"dst":0}]}`,
+		`{"kind":"flashwalker","graph":"TT-S","mutations":[{"at_ns":0,"op":"delete","src":0,"dst":4294967296}]}`,
+		`{"kind":"flashwalker","graph":"TT-S","mutations":[{"at_ns":0,"op":"insert","src":4294967297,"dst":1}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -114,6 +118,10 @@ func FuzzMutationStreamDecode(f *testing.F) {
 		`[{"op":"insert","src":0,"dst":0,"weight":-1}]`,
 		`[{"op":"insert","src":0,"dst":0,"weight":1e39}]`,
 		`[{"op":"insert","src":18446744073709551615,"dst":0}]`,
+		`[{"op":"insert","src":4294967294,"dst":4294967294}]`,
+		`[{"op":"insert","src":4294967295,"dst":0}]`,
+		`[{"op":"delete","src":0,"dst":4294967296}]`,
+		`[{"op":"insert","src":4294967297,"dst":1}]`,
 		`[{}]`,
 	} {
 		f.Add([]byte(seed))

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,13 +24,16 @@ import (
 
 // Service-level errors. Engine- and registry-level failures surface the
 // shared taxonomy (errs.ErrCanceled, errs.ErrInvalidConfig,
-// errs.ErrUnknownDataset); these two are specific to the job manager.
+// errs.ErrUnknownDataset); these are specific to the job manager.
 var (
 	// ErrQueueFull reports a submission rejected by backpressure: the
 	// bounded job queue has no free slot. Retry later.
 	ErrQueueFull = errors.New("job queue full")
 	// ErrUnknownJob reports a job ID with no matching job.
 	ErrUnknownJob = errors.New("unknown job")
+	// ErrJobPanicked fails a job whose run panicked; the manager and its
+	// other jobs carry on.
+	ErrJobPanicked = errors.New("job panicked")
 )
 
 // Snapshot cadence for durable jobs: a snapshot falls due every
@@ -463,6 +468,9 @@ type Manager struct {
 	retainJobs   int
 	retainAge    time.Duration
 	maxBodyBytes int64
+	// runHook, when set, is called by run as a job starts executing; tests
+	// set it before submitting to panic inside one job.
+	runHook func(*Job)
 
 	// Admission settings (immutable after NewManager).
 	tenantMaxQueued  int
@@ -860,8 +868,18 @@ func (m *Manager) dequeue() *Job {
 	}
 }
 
-// run executes one job end to end.
+// run executes one job end to end. A panic in the job fails that job
+// alone, with ErrJobPanicked: finish journals it failed, closes its stream
+// with the error and drops its snapshot keys, so a restarted manager does
+// not resume it into the same panic, and the worker goes on to its next
+// job. The stack goes to the log.
 func (m *Manager) run(j *Job) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("service: job %s panicked: %v\n%s", j.ID, p, debug.Stack())
+			m.finish(j, nil, fmt.Errorf("service: job %s: %v: %w", j.ID, p, ErrJobPanicked))
+		}
+	}()
 	ctx := j.ctx
 	if ctx.Err() != nil { // canceled while queued
 		m.finish(j, nil, &errs.Canceled{
@@ -887,6 +905,9 @@ func (m *Manager) run(j *Job) {
 	if err != nil {
 		m.finish(j, nil, err)
 		return
+	}
+	if m.runHook != nil {
+		m.runHook(j)
 	}
 
 	var res *JobResult

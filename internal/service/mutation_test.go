@@ -27,7 +27,7 @@ func mutationProbe(t *testing.T, name string) (src, dst, missing graph.VertexID,
 	pc := harness.FlashWalkerConfig(ds, core.AllOptions(), 500, 1).PartCfg
 	cap := pc.EdgesPerBlock(g.Weighted())
 	n := g.NumVertices()
-	for v := graph.VertexID(0); v < n; v++ {
+	for v := graph.VertexID(0); uint64(v) < n; v++ {
 		if d := g.OutDegree(v); d >= 1 && uint64(d)+1 < cap {
 			adj := g.OutEdges(v)
 			src, dst = v, adj[0]
@@ -113,7 +113,7 @@ func TestManagerMutationSubmitValidation(t *testing.T) {
 			{Op: graph.OpInsertEdge, Src: src, Dst: dst, Weight: badWeight},
 		}},
 		"vertex-out-of-range": {Graph: "TT-S", Mutations: graph.MutationStream{
-			{Op: graph.OpInsertEdge, Src: 1 << 40, Dst: dst, Weight: w},
+			{Op: graph.OpInsertEdge, Src: 1<<32 - 2, Dst: dst, Weight: w},
 		}},
 		"baseline-with-stream": {Kind: KindGraphWalker, Graph: "TT-S", Mutations: graph.MutationStream{
 			{Op: graph.OpInsertEdge, Src: src, Dst: dst, Weight: w},
@@ -201,5 +201,27 @@ func TestDeepWalkMutatedCorpusKey(t *testing.T) {
 	}
 	if m.CorpusEngineRuns() != 2 {
 		t.Fatalf("cache hits invoked the engine (runs=%d)", m.CorpusEngineRuns())
+	}
+}
+
+// TestJobSpecRefusesWideVertex: a submitted mutation naming a vertex past
+// the 4-byte range is refused as the spec decodes (400 bad_request), and
+// one naming 2^32-1 or 2^32-2 when validated against the graph (400
+// invalid_config); none is read as a smaller vertex.
+func TestJobSpecRefusesWideVertex(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1})
+	for id, code := range map[string]string{
+		"4294967294": "invalid_config",
+		"4294967295": "invalid_config",
+		"4294967296": "bad_request",
+		"4294967297": "bad_request",
+	} {
+		for _, m := range []string{`"src":` + id + `,"dst":0`, `"src":0,"dst":` + id} {
+			body := json.RawMessage(`{"graph":"TT-S","num_walks":10,"mutations":[{"at_ns":0,"op":"insert",` + m + `}]}`)
+			resp, b := postJSON(t, srv.URL+"/v1/jobs", body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), `"code":"`+code+`"`) {
+				t.Errorf("mutation {%s}: status %d, body %s; want 400 %s", m, resp.StatusCode, b, code)
+			}
+		}
 	}
 }

@@ -531,3 +531,66 @@ func TestSnapshotWritesKeepMinInterval(t *testing.T) {
 	}
 	t.Logf("eight jobs wrote %d snapshots", total)
 }
+
+// TestJobPanicFailsAlone: a panic inside one job fails that job alone with
+// ErrJobPanicked — journaled failed, its stream closed with the error, its
+// snapshot keys dropped — and the worker, its running slot and the
+// tenant's one running slot released, runs the next job to done. A manager
+// restarted on the same store leaves the failed job failed.
+func TestJobPanicFailsAlone(t *testing.T) {
+	store := blob.NewMem()
+	m1 := newTestManager(t, Config{Workers: 1, TenantMaxRunning: 1, Store: store})
+	m1.runHook = func(j *Job) {
+		if j.Spec.Seed != 13 {
+			return
+		}
+		// A cut written before the panic must not outlive the job.
+		if err := store.Put(snapshotKey(j.ID), []byte("cut")); err != nil {
+			t.Error(err)
+		}
+		panic("injected fault")
+	}
+	bad, err := m1.Submit(JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 13, Tenant: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := m1.Submit(JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 14, Tenant: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, end := drainStream(t, bad, 0)
+	waitTerminal(t, bad)
+	waitTerminal(t, good)
+	if st := bad.Status(); st.State != StateFailed || !errors.Is(bad.Err(), ErrJobPanicked) ||
+		!strings.Contains(st.Error, "injected fault") {
+		t.Fatalf("panicking job: state %s, error %v", st.State, bad.Err())
+	}
+	if end.State != StateFailed || !strings.Contains(end.Error, "injected fault") {
+		t.Fatalf("stream trailer %+v", end)
+	}
+	if keys, err := store.List(snapshotPrefix(bad.ID)); err != nil || len(keys) != 0 {
+		t.Fatalf("snapshot keys %v left (%v)", keys, err)
+	}
+	if st := good.Status(); st.State != StateDone {
+		t.Fatalf("next job: state %s, error %q", st.State, st.Error)
+	}
+	m1.Close()
+
+	m2 := newTestManager(t, Config{Workers: 1, Store: store})
+	defer m2.Close()
+	j, err := m2.Get(bad.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Status(); st.State != StateFailed {
+		t.Fatalf("restarted manager: job state %s", st.State)
+	}
+	next, err := m2.Submit(JobSpec{Graph: "TT-S", NumWalks: 500, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, next)
+	if st := j.Status(); st.State != StateFailed {
+		t.Fatalf("restarted manager re-ran the failed job: state %s", st.State)
+	}
+}

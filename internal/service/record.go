@@ -2,8 +2,12 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
 	"strconv"
+
+	"flashwalker/internal/graph"
 )
 
 // The walk-record NDJSON codec. Every record a job streams crosses it twice
@@ -13,16 +17,17 @@ import (
 // seq, src, end and hops always and dead_end, sim_time_ns and path only
 // when set, in that order. ParseWalkRecord reads that layout directly and
 // hands any other line to encoding/json, so errors and unusual input
-// behave exactly as json.Unmarshal does.
+// behave exactly as json.Unmarshal does, except that a vertex ID past
+// graph.MaxVertices-1 is always an error.
 
 // AppendWalkRecord appends r's NDJSON line, newline included.
 func AppendWalkRecord(b []byte, r *WalkRecord) []byte {
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendUint(b, r.Seq, 10)
 	b = append(b, `,"src":`...)
-	b = strconv.AppendUint(b, r.Src, 10)
+	b = strconv.AppendUint(b, uint64(r.Src), 10)
 	b = append(b, `,"end":`...)
-	b = strconv.AppendUint(b, r.End, 10)
+	b = strconv.AppendUint(b, uint64(r.End), 10)
 	b = append(b, `,"hops":`...)
 	b = strconv.AppendUint(b, uint64(r.Hops), 10)
 	if r.DeadEnd {
@@ -38,7 +43,7 @@ func AppendWalkRecord(b []byte, r *WalkRecord) []byte {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendUint(b, v, 10)
+			b = strconv.AppendUint(b, uint64(v), 10)
 		}
 		b = append(b, ']')
 	}
@@ -47,7 +52,8 @@ func AppendWalkRecord(b []byte, r *WalkRecord) []byte {
 
 // ParseWalkRecord decodes one NDJSON line, surrounding whitespace trimmed
 // by the caller, with json.Unmarshal's result: the same record and the
-// same error or lack of one.
+// same error or lack of one, but an error for a record naming
+// ^graph.VertexID(0), which json.Unmarshal accepts and no vertex has.
 func ParseWalkRecord(line []byte) (WalkRecord, error) {
 	var rec WalkRecord
 	c := cursor{b: line, ok: true}
@@ -61,8 +67,14 @@ func ParseWalkRecord(line []byte) (WalkRecord, error) {
 // record on the canonical path does not escape to the heap.
 func unmarshalWalkRecord(line []byte) (WalkRecord, error) {
 	var rec WalkRecord
-	err := json.Unmarshal(line, &rec)
-	return rec, err
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return rec, err
+	}
+	const none = ^graph.VertexID(0)
+	if rec.Src == none || rec.End == none || slices.Contains(rec.Path, none) {
+		return rec, fmt.Errorf("service: walk record names vertex %d, past %d", none, graph.MaxVertices-1)
+	}
+	return rec, nil
 }
 
 // cursor scans a line in the canonical record layout; the first mismatch
@@ -77,9 +89,9 @@ func (c *cursor) canonical(rec *WalkRecord) bool {
 	c.lit(`{"seq":`)
 	rec.Seq = c.uint(math.MaxUint64)
 	c.lit(`,"src":`)
-	rec.Src = c.uint(math.MaxUint64)
+	rec.Src = c.vertex()
 	c.lit(`,"end":`)
-	rec.End = c.uint(math.MaxUint64)
+	rec.End = c.vertex()
 	c.lit(`,"hops":`)
 	rec.Hops = uint32(c.uint(math.MaxUint32))
 	rec.DeadEnd = c.opt(`,"dead_end":true`)
@@ -88,7 +100,7 @@ func (c *cursor) canonical(rec *WalkRecord) bool {
 	}
 	if c.opt(`,"path":[`) {
 		for {
-			rec.Path = append(rec.Path, c.uint(math.MaxUint64))
+			rec.Path = append(rec.Path, c.vertex())
 			if !c.ok || !c.opt(",") {
 				break
 			}
@@ -113,6 +125,11 @@ func (c *cursor) opt(s string) bool {
 	}
 	c.b = c.b[len(s):]
 	return true
+}
+
+// vertex consumes a vertex ID, no larger than graph.MaxVertices-1.
+func (c *cursor) vertex() graph.VertexID {
+	return graph.VertexID(c.uint(graph.MaxVertices - 1))
 }
 
 // uint consumes a JSON number that is a plain decimal integer no larger

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"slices"
 	"testing"
 
 	"flashwalker/internal/blob"
@@ -25,7 +26,8 @@ func jsonLine(t testing.TB, rec *WalkRecord) []byte {
 }
 
 // fuzzPath turns fuzz bytes into a Path: mode 0 is nil, 1 empty, anything
-// else one vertex per (up to) 8 bytes, so small and 64-bit IDs both occur.
+// else one vertex per (up to) 4 bytes, so small and 32-bit IDs both occur;
+// fuzzID folds each below graph.MaxVertices.
 func fuzzPath(mode uint8, raw []byte) []graph.VertexID {
 	switch mode % 3 {
 	case 0:
@@ -35,18 +37,22 @@ func fuzzPath(mode uint8, raw []byte) []graph.VertexID {
 	}
 	var p []graph.VertexID
 	for len(raw) > 0 {
-		var w [8]byte
+		var w [4]byte
 		n := copy(w[:], raw)
 		raw = raw[n:]
-		p = append(p, binary.LittleEndian.Uint64(w[:])>>(8*(8-n)))
+		p = append(p, fuzzID(uint64(binary.LittleEndian.Uint32(w[:])>>(8*(4-n)))))
 	}
 	return p
 }
 
+// fuzzID folds x into a vertex ID.
+func fuzzID(x uint64) graph.VertexID { return graph.VertexID(x % graph.MaxVertices) }
+
 // FuzzWalkRecordCodec pins the typed NDJSON codec to encoding/json. On any
 // WalkRecord the appender must write exactly the Encoder's bytes and the
 // parser must read them back; on any line the parser must give the same
-// record and the same accept/reject as json.Unmarshal.
+// record and the same accept/reject as json.Unmarshal, save that it also
+// refuses the one ID json.Unmarshal lets through and no vertex has.
 func FuzzWalkRecordCodec(f *testing.F) {
 	lines := []string{
 		`{"seq":0,"src":1,"end":2,"hops":80,"sim_time_ns":123456}`,
@@ -56,6 +62,12 @@ func FuzzWalkRecordCodec(f *testing.F) {
 		`{"seq":18446744073709551616,"src":0,"end":0,"hops":0}`, // seq overflows
 		`{"seq":0,"src":0,"end":0,"hops":4294967296}`,           // hops overflows
 		`{"seq":01,"src":0,"end":0,"hops":0}`,                   // leading zero
+		`{"seq":0,"src":4294967294,"end":4294967294,"hops":1,"path":[4294967294]}`,
+		`{"seq":0,"src":4294967295,"end":0,"hops":0}`, // no vertex
+		`{"seq":0,"src":0,"end":4294967296,"hops":0}`, // overflows
+		`{"seq":0,"src":4294967297,"end":0,"hops":0}`,
+		`{"seq":0,"src":0,"end":0,"hops":1,"path":[0,4294967295]}`,
+		`{"seq":0,"src":0,"end":0,"hops":1,"path":[4294967296]}`,
 		`{"seq":1,"src":2,"end":3,"hops":4,"sim_time_ns":-0}`,
 		`{"seq":1,"src":2,"end":3,"hops":4,"dead_end":false}`,
 		`{"seq":1,"src":2,"end":3,"hops":4,"path":[]}`,
@@ -75,7 +87,7 @@ func FuzzWalkRecordCodec(f *testing.F) {
 		f.Add(uint64(i), uint64(3*i), uint64(1<<40+i), uint32(i), i%2 == 0, int64(i-3), uint8(i), []byte(l), []byte(l))
 	}
 	f.Fuzz(func(t *testing.T, seq, src, end uint64, hops uint32, deadEnd bool, simTime int64, pathMode uint8, path, line []byte) {
-		rec := WalkRecord{Seq: seq, Src: src, End: end, Hops: hops, DeadEnd: deadEnd,
+		rec := WalkRecord{Seq: seq, Src: fuzzID(src), End: fuzzID(end), Hops: hops, DeadEnd: deadEnd,
 			SimTimeNS: simTime, Path: fuzzPath(pathMode, path)}
 		want := jsonLine(t, &rec)
 		got := AppendWalkRecord([]byte("prefix"), &rec)
@@ -93,7 +105,9 @@ func FuzzWalkRecordCodec(f *testing.F) {
 		typed, terr := ParseWalkRecord(line)
 		var ref WalkRecord
 		jerr := json.Unmarshal(line, &ref)
-		if (terr == nil) != (jerr == nil) {
+		const none = ^graph.VertexID(0)
+		refuse := jerr != nil || ref.Src == none || ref.End == none || slices.Contains(ref.Path, none)
+		if (terr == nil) == refuse {
 			t.Fatalf("ParseWalkRecord(%q) error %v, json.Unmarshal error %v", line, terr, jerr)
 		}
 		if !reflect.DeepEqual(typed, ref) {
@@ -138,6 +152,34 @@ func BenchmarkWalkRecordCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestParseWalkRecordVertexRange: the largest vertex ID reads back, and
+// every ID past it is an error on both parser paths (canonical and
+// reordered), never a smaller vertex.
+func TestParseWalkRecordVertexRange(t *testing.T) {
+	const max = "4294967294"
+	for _, line := range []string{
+		`{"seq":0,"src":` + max + `,"end":` + max + `,"hops":1,"path":[` + max + `]}`,
+		`{"hops":1,"end":` + max + `,"src":` + max + `,"seq":0}`,
+	} {
+		rec, err := ParseWalkRecord([]byte(line))
+		if err != nil || rec.Src != 1<<32-2 || rec.End != 1<<32-2 {
+			t.Errorf("%s: %+v, %v", line, rec, err)
+		}
+	}
+	for _, id := range []string{"4294967295", "4294967296", "4294967297"} {
+		for _, line := range []string{
+			`{"seq":0,"src":` + id + `,"end":0,"hops":0}`,
+			`{"seq":0,"src":0,"end":` + id + `,"hops":0}`,
+			`{"seq":0,"src":0,"end":0,"hops":1,"path":[0,` + id + `]}`,
+			`{"hops":0,"end":0,"src":` + id + `,"seq":0}`,
+		} {
+			if rec, err := ParseWalkRecord([]byte(line)); err == nil {
+				t.Errorf("%s parsed as %+v", line, rec)
+			}
+		}
+	}
 }
 
 // TestWalkRecordWireBytes: a finished durable job's spool blob and its
@@ -197,7 +239,7 @@ func TestWalkRecordWireBytes(t *testing.T) {
 func spoolPrefix(n uint64) []byte {
 	var data []byte
 	for i := uint64(0); i < n; i++ {
-		data = AppendWalkRecord(data, &WalkRecord{Seq: i, Src: 10 + i, End: 20 + i, Hops: 4, SimTimeNS: int64(100 * (i + 1))})
+		data = AppendWalkRecord(data, &WalkRecord{Seq: i, Src: graph.VertexID(10 + i), End: graph.VertexID(20 + i), Hops: 4, SimTimeNS: int64(100 * (i + 1))})
 	}
 	return data
 }

@@ -109,7 +109,7 @@ func NewGraphAlias(g *graph.Graph) (*GraphAlias, error) {
 		return nil, fmt.Errorf("walk: alias tables need a weighted graph")
 	}
 	ga := &GraphAlias{tables: make([]*AliasTable, g.NumVertices())}
-	for v := graph.VertexID(0); v < g.NumVertices(); v++ {
+	for v := graph.VertexID(0); uint64(v) < g.NumVertices(); v++ {
 		w := g.OutWeights(v)
 		if len(w) == 0 {
 			continue

@@ -47,7 +47,7 @@ func TopK(scores []float64, k int) []graph.VertexID {
 // pairs of walks on the graph as given (use a reversed graph for the exact
 // in-link semantics).
 func SimRank(g *graph.Graph, u, v graph.VertexID, pairs int, length uint32, c float64, seed uint64) (float64, error) {
-	if u >= g.NumVertices() || v >= g.NumVertices() {
+	if uint64(u) >= g.NumVertices() || uint64(v) >= g.NumVertices() {
 		return 0, fmt.Errorf("walk: vertex out of range")
 	}
 	if pairs <= 0 || length == 0 {

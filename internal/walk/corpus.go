@@ -22,7 +22,7 @@ func WriteCorpus(w io.Writer, corpus [][]graph.VertexID) error {
 					return err
 				}
 			}
-			if _, err := bw.WriteString(strconv.FormatUint(v, 10)); err != nil {
+			if _, err := bw.WriteString(strconv.FormatUint(uint64(v), 10)); err != nil {
 				return err
 			}
 		}
@@ -42,6 +42,7 @@ func WriteCorpus(w io.Writer, corpus [][]graph.VertexID) error {
 const maxCorpusLine = 1 << 30
 
 // ReadCorpus parses the format WriteCorpus emits. Empty lines are skipped.
+// A token past the largest vertex ID, graph.MaxVertices-1, is an error.
 func ReadCorpus(r io.Reader) ([][]graph.VertexID, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxCorpusLine)
@@ -60,7 +61,10 @@ func ReadCorpus(r io.Reader) ([][]graph.VertexID, error) {
 			if err != nil {
 				return nil, fmt.Errorf("walk: corpus line %d token %d: %w", line, i, err)
 			}
-			path[i] = v
+			if v >= graph.MaxVertices {
+				return nil, fmt.Errorf("walk: corpus line %d token %d: vertex %d past %d", line, i, v, graph.MaxVertices-1)
+			}
+			path[i] = graph.VertexID(v)
 		}
 		corpus = append(corpus, path)
 	}

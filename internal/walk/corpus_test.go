@@ -61,10 +61,10 @@ func TestReadCorpusSkipsBlankLines(t *testing.T) {
 // a single walk whose line exceeds 1 MiB (the old Buffer max, which made
 // ReadCorpus fail with bufio.ErrTooLong) must round-trip intact.
 func TestReadCorpusLongLine(t *testing.T) {
-	// ~80k tokens of 20-digit IDs ≈ 1.7 MiB on one line.
-	long := make([]graph.VertexID, 80_000)
+	// ~160k tokens of 10-digit IDs ≈ 1.7 MiB on one line.
+	long := make([]graph.VertexID, 160_000)
 	for i := range long {
-		long[i] = 18_400_000_000_000_000_000 + graph.VertexID(i)
+		long[i] = 4_200_000_000 + graph.VertexID(i)
 	}
 	corpus := [][]graph.VertexID{{1, 2}, long, {3}}
 	var buf bytes.Buffer
@@ -91,6 +91,20 @@ func TestReadCorpusLongLine(t *testing.T) {
 func TestReadCorpusRejectsGarbage(t *testing.T) {
 	if _, err := ReadCorpus(strings.NewReader("1 x 3\n")); err == nil {
 		t.Fatal("garbage token accepted")
+	}
+}
+
+// TestReadCorpusVertexRange: the largest vertex ID reads back; every token
+// past it is an error, never a smaller vertex.
+func TestReadCorpusVertexRange(t *testing.T) {
+	got, err := ReadCorpus(strings.NewReader("1 4294967294\n"))
+	if err != nil || len(got) != 1 || got[0][1] != 1<<32-2 {
+		t.Fatalf("largest ID: %v, %v", got, err)
+	}
+	for _, tok := range []string{"4294967295", "4294967296", "4294967297", "18446744073709551615"} {
+		if got, err := ReadCorpus(strings.NewReader("1 " + tok + "\n")); err == nil {
+			t.Errorf("token %s read as %v", tok, got)
+		}
 	}
 }
 

@@ -45,8 +45,8 @@ func TestSecondOrderWeights(t *testing.T) {
 // returning to prev is always possible.
 func backtrackGraph() *graph.Graph {
 	b := graph.NewBuilder(32)
-	for v := uint64(0); v < 32; v++ {
-		for _, d := range []uint64{(v + 1) % 32, (v + 5) % 32, (v + 11) % 32} {
+	for v := graph.VertexID(0); v < 32; v++ {
+		for _, d := range []graph.VertexID{(v + 1) % 32, (v + 5) % 32, (v + 11) % 32} {
 			b.AddEdge(v, d)
 			b.AddEdge(d, v)
 		}

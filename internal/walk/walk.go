@@ -32,8 +32,9 @@ type Walk struct {
 	Hop uint32         // remaining hops, w.hop
 }
 
-// StateBytes is the storage footprint of a walk record in buffers and on
-// flash (8B src + 8B cur + 4B hop).
+// StateBytes is the modelled storage footprint of a walk record in
+// buffers and on flash (8B src + 8B cur + 4B hop). It is the simulated
+// record's size, not the host's: walk.Walk holds 4-byte IDs in 12 bytes.
 const StateBytes = 20
 
 // DenseStateBytes is the footprint of a walk buffered for a dense subgraph:

@@ -257,7 +257,7 @@ func TestRunHopConservation(t *testing.T) {
 	g, _ := graph.Uniform(200, 4000, 7)
 	// Ensure no dead ends by adding a ring backbone.
 	b := graph.NewBuilder(200)
-	for v := uint64(0); v < 200; v++ {
+	for v := graph.VertexID(0); v < 200; v++ {
 		b.AddEdge(v, (v+1)%200)
 		for _, d := range g.OutEdges(v) {
 			b.AddEdge(v, d)
