@@ -545,7 +545,6 @@ func (e *Engine) killBoard(b int) {
 		be.pendingMem[p] = nil
 		fl := be.pendingFlash[p]
 		be.pendingFlash[p] = nil
-		be.pendingFlashBytes[p] = 0
 		be.flushMark[p] = 0
 		for _, w := range mem {
 			e.evacuate(be, p, w)
@@ -601,6 +600,12 @@ func (e *Engine) checkStalled() {
 	e.fail(fmt.Errorf("core: simulation stalled with %d walks unaccounted for", e.remaining))
 }
 
+// boardDone reports whether a board is done for good: it is dead and
+// drained, or every walk of the fleet has finished.
+func (e *Engine) boardDone(be *boardEngine) bool {
+	return e.dead[be.boardID] && be.activeCur == 0 || e.remaining == 0
+}
+
 func (e *Engine) finishAll() {
 	for _, be := range e.boards {
 		be.finished = true
@@ -619,8 +624,9 @@ func (e *Engine) fail(err error) {
 // auditConservation is the walk-conservation check: walks parked on boards,
 // active in current partitions (minus the store double-count), in the
 // fabric, or finished must sum to the seeded count, each board's walk
-// table must hold exactly its parked and active walks, and each byte count
-// resume derives must equal its store's footprint. Exact at any event
+// table must hold exactly its parked and active walks, and each count
+// resume derives must equal its derivation: the byte counts of the stores,
+// the walks left to finish, and each board's done flag. Exact at any event
 // boundary; invoked at every board's partition switch.
 func (e *Engine) auditConservation(where string) {
 	if !e.audit || e.failure != nil {
@@ -638,21 +644,29 @@ func (e *Engine) auditConservation(where string) {
 			e.fail(fmt.Errorf("core: audit(%s): board %d %w", where, b, err))
 			return
 		}
+		if be.finished != e.boardDone(be) {
+			e.fail(fmt.Errorf("core: audit(%s): board %d finished=%t, dead=%t with %d active and %d remaining",
+				where, b, be.finished, e.dead[b], be.activeCur, e.remaining))
+			return
+		}
 		stored += st
 		active += be.activeCur
 		overlap += ov
 		finished += be.res.Completed + be.res.DeadEnded
 	}
-	if got := stored + active - overlap + e.inFabric + finished; got != e.numStarted {
-		e.fail(fmt.Errorf("core: audit(%s): %d stored + %d active - %d overlap + %d fabric + %d finished != %d started",
-			where, stored, active, overlap, e.inFabric, finished, e.numStarted))
+	if got := stored + active - overlap + e.inFabric + finished; got != e.numStarted || e.remaining != e.numStarted-finished {
+		e.fail(fmt.Errorf("core: audit(%s): %d stored + %d active - %d overlap + %d fabric + %d finished, %d remaining, of %d started",
+			where, stored, active, overlap, e.inFabric, finished, e.remaining, e.numStarted))
 	}
 }
 
 // auditStoreBytes checks the byte counts resume derives rather than
-// restores: each PWB entry's and each chip roving buffer's count is the
-// footprint of the walks it holds.
+// restores: each PWB entry's and each chip roving buffer's count, and the
+// foreigner buffer's, is the footprint of the walks it holds.
 func (e *boardEngine) auditStoreBytes() error {
+	if got, want := e.foreignerBufBytes, e.foreignerBytes(); got != want {
+		return fmt.Errorf("foreigner buffer counts %d bytes, its walks fill %d", got, want)
+	}
 	for b, ws := range e.pwb {
 		if got, want := e.pwbBytes[b], e.storeBytes(ws); got != want {
 			return fmt.Errorf("block %d walk buffer entry counts %d bytes, its walks fill %d", b, got, want)

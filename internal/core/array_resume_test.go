@@ -10,6 +10,19 @@ import (
 	"flashwalker/internal/sim"
 )
 
+// onFabric reports whether a cut holds walks on the fabric: in an egress
+// batch or in a live transfer, which holds at least one.
+func onFabric(s *Snapshot) bool {
+	for _, row := range s.Egress {
+		for _, es := range row {
+			if len(es.Walks) > 0 {
+				return true
+			}
+		}
+	}
+	return s.FBatches.Len > len(s.FBatches.Free)
+}
+
 // TestArrayResumeMetamorphic extends the PR-5 resume invariant to arrays:
 // a 2-board run interrupted at a snapshot that has walks IN FLIGHT on the
 // fabric (in-fabric count > 0, so egress buffers and pending evFabricArrive
@@ -21,8 +34,8 @@ func TestArrayResumeMetamorphic(t *testing.T) {
 	rc.TrackVisits = true
 	clean := runEngine(t, g, rc)
 
-	snap := interruptWhen(t, g, rc, 1, func(s *Snapshot) bool { return s.InFabric > 0 })
-	if snap.InFabric == 0 {
+	snap := interruptWhen(t, g, rc, 1, onFabric)
+	if !onFabric(snap) {
 		t.Fatal("captured snapshot has no in-flight fabric walks")
 	}
 	res, err := resumeContext(context.Background(), g, snap, ResumeOptions{})

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"flashwalker/internal/partition"
 	"flashwalker/internal/sim"
@@ -41,13 +43,15 @@ func cloneSnapshot(t testing.TB, s *Snapshot) *Snapshot {
 // negative bookings, a hot block past the end, a chip slot holding a
 // block outside [-1, NumBlocks), visit counters the run does not keep, a
 // flush chip cursor past the chips, a current partition out of range, a
-// channel failed over with no degraded chip, a tier's pending hot blocks
-// that no pending preload completion accounts for, a negative score count,
+// channel failed over with no degraded chip, a negative score count,
 // slot deferrals outside [0, maxLoadDefers], a completed-walk buffer
-// outside [0, its flush threshold), and flash walk pages that are negative
-// or held by an empty store — and requires an error for each.
+// outside [0, its flush threshold), flash walk pages that are negative
+// or held by an empty store, a flush mark outside its pending list, a
+// slot's claimed walks with no load part pending and read-back walks with
+// no page pending — and requires an error for each.
 // An image that slipped through would index out of range inside resume or
-// at the next routed walk, hop or flush, so an accepted one is also run.
+// at the next routed walk, hop or flush, or leave walks no completion ever
+// hands on, so an accepted one is also run, for at most ten seconds.
 func TestResumeRejectsHostileBoardState(t *testing.T) {
 	g := testGraph(t)
 	rc := hostileBoardConfig()
@@ -73,6 +77,46 @@ func TestResumeRejectsHostileBoardState(t *testing.T) {
 		t.Fatalf("test partitioning lacks a dense block in the cut's partition (%d) or a block outside it (%d)", dense, foreign)
 	}
 	capacity := int(rc.Cfg.QueryCacheBytes / rc.Cfg.MappingEntryBytes)
+	img0 := &cut.Boards[0]
+
+	// A chip holding a slot with claimed walks and a slot with no load part
+	// pending; every load part completes through a flash op.
+	loadParts := map[[2]int32]int{}
+	for _, op := range img0.Flash.Ops {
+		if op.Remaining > 0 && op.HasDone && op.Done.Target == targetBoard(0) && op.Done.Kind == evLoadPart {
+			slot, _ := splitC(op.Done.C)
+			loadParts[[2]int32{op.Done.B, slot}]++
+		}
+	}
+	claimChip, claimFrom, claimTo := -1, -1, -1
+	for i := 0; i < len(img0.Chips) && claimChip < 0; i++ {
+		slots := img0.Chips[i].Slots
+		from := slices.IndexFunc(slots, func(s SlotState) bool { return len(s.LoadWalks) > 0 })
+		to := -1
+		for k := range slots {
+			if loadParts[[2]int32{int32(i), int32(k)}] == 0 {
+				to = k
+				break
+			}
+		}
+		if from >= 0 && to >= 0 {
+			claimChip, claimFrom, claimTo = i, from, to
+		}
+	}
+	// A pending list's last walk moved to the read-back, with the list's
+	// flush mark kept inside it.
+	parked := slices.IndexFunc(img0.PendingMem, func(rec WalkRecords) bool { return rec != nil })
+	if claimChip < 0 || parked < 0 || img0.SwitchWalks != nil {
+		t.Fatalf("cut lacks a claimed load beside a slot with no load part pending (chip %d), a pending walk (partition %d) or an idle read-back (%d bytes)",
+			claimChip, parked, len(img0.SwitchWalks))
+	}
+	u := unpacker{be: new(boardEngine)}
+	ws := u.walks(img0.PendingMem[parked])
+	if u.err != nil {
+		t.Fatal(u.err)
+	}
+	kept := len(ws) - 1
+	keptRec, movedRec := new(packer).walks(u.be.wtab, ws[:kept]), new(packer).walks(u.be.wtab, ws[kept:])
 
 	cases := map[string]func(img *BoardImage){
 		"over capacity": func(img *BoardImage) {
@@ -107,14 +151,9 @@ func TestResumeRejectsHostileBoardState(t *testing.T) {
 			img.FlushChipRR = len(img.Flash.ChipNext)
 		},
 		"failover without a degraded chip": func(img *BoardImage) { img.Chans[0].Failover = true },
-		"board hot blocks pending without loads": func(img *BoardImage) {
-			img.Board.Tier.HotPending = 1 << 30
-		},
-		"channel hot blocks pending without loads": func(img *BoardImage) { img.Chans[1].Tier.HotPending = 1 },
-		"chip hot blocks pending":                  func(img *BoardImage) { img.Chips[0].Tier.HotPending = 1 },
-		"negative score pending":                   func(img *BoardImage) { img.ScorePend[0] = -1 << 30 },
-		"slot defers past the bound":               func(img *BoardImage) { img.Chips[0].Slots[0].Defers = maxLoadDefers + 1 },
-		"negative slot defers":                     func(img *BoardImage) { img.Chips[0].Slots[0].Defers = -1 },
+		"negative score pending":           func(img *BoardImage) { img.ScorePend[0] = -1 << 30 },
+		"slot defers past the bound":       func(img *BoardImage) { img.Chips[0].Slots[0].Defers = maxLoadDefers + 1 },
+		"negative slot defers":             func(img *BoardImage) { img.Chips[0].Slots[0].Defers = -1 },
 		"chip completed bytes at the threshold": func(img *BoardImage) {
 			img.Chips[0].CompletedBytes = rc.Cfg.ChipCompletedBufBytes
 		},
@@ -124,6 +163,16 @@ func TestResumeRejectsHostileBoardState(t *testing.T) {
 		},
 		"negative board completed bytes": func(img *BoardImage) { img.Board.CompletedBytes = -1 },
 		"negative flash walk pages":      func(img *BoardImage) { img.FLSPages[0] = -1 },
+		"flush mark past the list":       func(img *BoardImage) { img.FlushMark[0] = 1 << 20 },
+		"negative flush mark":            func(img *BoardImage) { img.FlushMark[0] = -1 },
+		"claimed walks with no load part pending": func(img *BoardImage) {
+			slots := img.Chips[claimChip].Slots
+			slots[claimTo].LoadWalks, slots[claimFrom].LoadWalks = slots[claimFrom].LoadWalks, nil
+		},
+		"read-back walks with no page pending": func(img *BoardImage) {
+			img.PendingMem[parked], img.SwitchWalks = keptRec, movedRec
+			img.FlushMark[parked] = min(img.FlushMark[parked], kept)
+		},
 		"flash walk pages with no walks": func(img *BoardImage) {
 			for b, rec := range img.FLS {
 				if rec == nil {
@@ -142,7 +191,9 @@ func TestResumeRejectsHostileBoardState(t *testing.T) {
 			mutate(&s.Boards[0])
 			e, err := ResumeEngine(g, s, ResumeOptions{})
 			if err == nil {
-				_, runErr := e.RunContext(context.Background())
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				_, runErr := e.RunContext(ctx)
 				t.Fatalf("hostile board state accepted (run: %v)", runErr)
 			}
 		})
@@ -208,13 +259,14 @@ func TestResumeAcceptsQueueLayoutPools(t *testing.T) {
 // at a time — a channel index past the end, an unknown kind, a carried
 // walk past the board's Held run or negative, a walk two events carry, a
 // carried walk no event names, a board guide routing to a block past the
-// partitioning, a channel guide tagging a range past the ranges, an event
-// before the clock, and on the flash side a free list past the op pool, an
-// event on a free op, a live op missing one of its parts and a completion
-// of unknown kind — and requires ResumeEngine to refuse each. An accepted
-// image would index out of range, panic on the kind, run a timeline out of
-// order, hand two tiers one walk or leave a walk that never finishes, so
-// an accepted one is not run.
+// partitioning, a channel guide tagging a range past the ranges, a
+// read-back page with no read-back walks, an event before the clock, and
+// on the flash side a free list past the op pool, an event on a free op, a
+// live op missing one of its parts and a completion of unknown kind — and
+// requires ResumeEngine to refuse each. An accepted image would index out
+// of range, panic on the kind, run a timeline out of order, hand two tiers
+// one walk or leave a walk that never finishes, so an accepted one is not
+// run.
 func TestResumeRejectsHostileEvents(t *testing.T) {
 	g := testGraph(t)
 	rc := goldenConfig()
@@ -276,6 +328,13 @@ func TestResumeRejectsHostileEvents(t *testing.T) {
 		},
 		"channel guide past the ranges": func(t *testing.T, s *Snapshot) {
 			s.Sim.Events[find(t, s, targetBoard(0), chanGuide)].C = packC(int32(len(part.Ranges)), -1)
+		},
+		"read-back page with no walks": func(t *testing.T, s *Snapshot) {
+			if s.Boards[0].SwitchWalks != nil {
+				t.Fatal("cut has a read-back in flight")
+			}
+			s.Sim.Seq++
+			s.Sim.Events = append(s.Sim.Events, sim.SavedEvent{At: s.Sim.Now, Seq: s.Sim.Seq, Target: targetBoard(0), Kind: evSwitchPage})
 		},
 		"event before the clock": func(t *testing.T, s *Snapshot) {
 			s.Sim.Events[find(t, s, targetBoard(0), tick)].At = s.Sim.Now - 1

@@ -286,9 +286,8 @@ type boardEngine struct {
 
 	// Walks awaiting a future partition. pendingMem walks live in board
 	// DRAM/host; pendingFlash walks were flushed and must be read back.
-	pendingMem        [][]int32
-	pendingFlash      [][]int32
-	pendingFlashBytes []int64
+	pendingMem   [][]int32
+	pendingFlash [][]int32
 	// flushMark[p] is the prefix of pendingMem[p] that is NOT sitting in
 	// the board's foreigner buffer (initial seeds and previously settled
 	// walks). pendingMem[p][flushMark[p]:] are the foreigner-buffer
@@ -416,10 +415,9 @@ func newBoardEngine(drv *Engine, id int, rc RunConfig, inDeg []uint64) (*boardEn
 		scorePend: make([]int, part.NumBlocks()),
 		blockPos:  make([]int32, part.NumBlocks()),
 
-		pendingMem:        make([][]int32, part.NumPartitions),
-		pendingFlash:      make([][]int32, part.NumPartitions),
-		pendingFlashBytes: make([]int64, part.NumPartitions),
-		flushMark:         make([]int, part.NumPartitions),
+		pendingMem:   make([][]int32, part.NumPartitions),
+		pendingFlash: make([][]int32, part.NumPartitions),
+		flushMark:    make([]int, part.NumPartitions),
 
 		freeBatch: -1,
 		curPart:   -1,

@@ -172,7 +172,7 @@ func TestWalkExportArrayResumeContinuity(t *testing.T) {
 	var phase1 []WalkDone
 	rc.OnWalks = collectWalks(&phase1)
 	rc.EmitEvery = 64
-	snap := interruptWhen(t, g, rc, 2, func(s *Snapshot) bool { return s.InFabric > 0 })
+	snap := interruptWhen(t, g, rc, 2, onFabric)
 
 	cut := uint64(snap.WalksFinished())
 	var phase2 []WalkDone

@@ -60,15 +60,16 @@ func (e *boardEngine) checkPartitionDone() {
 	// The board just drained: ship every batched foreigner now so no walk
 	// waits on an egress threshold that will never be reached.
 	e.drv.flushEgressFrom(e.boardID)
+	if e.drv.dead[e.boardID] {
+		// A dead board is done: its shard was re-placed, so it has no
+		// partition to advance to, and arrivals are re-forwarded, so
+		// nothing can wake it.
+		e.finished = true
+		return
+	}
 	if !e.advancePartition() {
-		// An idle board is not done — fabric deliveries can wake it —
-		// unless it is dead, in which case nothing ever will (its shard was
-		// re-placed and arrivals are re-forwarded).
-		if e.drv.dead[e.boardID] {
-			e.finished = true
-		} else {
-			e.drv.checkStalled()
-		}
+		// An idle board is not done: fabric deliveries can wake it.
+		e.drv.checkStalled()
 	}
 }
 
@@ -116,16 +117,11 @@ func (e *boardEngine) startPartition(p int) {
 
 	// Foreigner-buffer residents bound for p are consumed now.
 	e.foreignerBufBytes -= int64(len(e.pendingMem[p])-e.flushMark[p]) * walk.StateBytes
-	if e.foreignerBufBytes < 0 {
-		e.foreignerBufBytes = 0
-	}
 	e.flushMark[p] = 0
 	mem := e.pendingMem[p]
 	e.pendingMem[p] = nil
 	fl := e.pendingFlash[p]
-	flBytes := e.pendingFlashBytes[p]
 	e.pendingFlash[p] = nil
-	e.pendingFlashBytes[p] = 0
 
 	e.activeCur = len(mem) + len(fl)
 
@@ -137,6 +133,7 @@ func (e *boardEngine) startPartition(p int) {
 		// Read the flushed foreigner pages back (striped over chips, the
 		// same way they were written). The last page's evSwitchPage
 		// completion dispatches the batch.
+		flBytes := int64(len(fl)) * walk.StateBytes
 		pages := int((flBytes + e.ssd.Cfg.PageBytes - 1) / e.ssd.Cfg.PageBytes)
 		e.switchLeft = pages
 		e.switchWalks = fl

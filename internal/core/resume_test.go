@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -178,22 +180,20 @@ func TestSnapshotMinIntervalDeliversFirstCut(t *testing.T) {
 // per-vertex visits, on one board and two.
 func TestResumeDuringPreload(t *testing.T) {
 	g := testGraph(t)
+	// A preloading cut has a tier whose preload completions are pending,
+	// so it is not yet ready.
 	inPreload := func(s *Snapshot) bool {
 		if !s.Preloading() {
 			return false
 		}
-		ready, live := true, false
 		for i := range s.Boards {
-			b := &s.Boards[i]
-			ready = ready && b.Board.Tier.HotReady
-			for j := range b.Chans {
-				ready = ready && b.Chans[j].Tier.HotReady
-			}
-			for _, op := range b.Flash.Ops {
-				live = live || op.Remaining > 0
+			for _, op := range s.Boards[i].Flash.Ops {
+				if op.Remaining > 0 {
+					return true
+				}
 			}
 		}
-		return !ready && live
+		return false
 	}
 	for _, tc := range []struct {
 		boards int
@@ -214,6 +214,165 @@ func TestResumeDuringPreload(t *testing.T) {
 			}
 			assertSameVisits(t, res.Visits, clean.Visits)
 		})
+	}
+}
+
+// derivedCounts is every count resume derives rather than reads from the
+// image, as an engine holds it.
+type derivedCounts struct {
+	InFabric, Remaining int
+	Boards              []boardCounts
+}
+
+// boardCounts is one board's share of derivedCounts: its read-back pages
+// left, active walks, foreigner-buffer bytes and done flag, each chip
+// slot's load parts left and loading flag, the board and channel tiers'
+// pending preload blocks and ready flags, and every tier's hot-queue bytes.
+type boardCounts struct {
+	SwitchLeft, ActiveCur int
+	ForeignerBufBytes     int64
+	Finished              bool
+	LoadLeft              []int
+	Loading               []bool
+	HotPending            []int
+	HotReady              []bool
+	QueueBytes            []int64
+}
+
+func countsOf(e *Engine) derivedCounts {
+	d := derivedCounts{InFabric: e.inFabric, Remaining: e.remaining}
+	for _, be := range e.boards {
+		bc := boardCounts{SwitchLeft: be.switchLeft, ActiveCur: be.activeCur,
+			ForeignerBufBytes: be.foreignerBufBytes, Finished: be.finished}
+		for _, c := range be.chips {
+			for _, s := range c.slots {
+				bc.LoadLeft = append(bc.LoadLeft, s.loadLeft)
+				bc.Loading = append(bc.Loading, s.loading)
+			}
+			bc.QueueBytes = append(bc.QueueBytes, c.queueBytes)
+		}
+		hot := []*tierCommon{&be.board.tierCommon}
+		for _, ca := range be.chans {
+			hot = append(hot, &ca.tierCommon)
+		}
+		for _, t := range hot {
+			bc.HotPending = append(bc.HotPending, t.hotPending)
+			bc.HotReady = append(bc.HotReady, t.hotReady)
+			bc.QueueBytes = append(bc.QueueBytes, t.queueBytes)
+		}
+		d.Boards = append(d.Boards, bc)
+	}
+	return d
+}
+
+// stressDigest4 pins the timeline of TestResumeDerivesCounters' 4-board
+// run, whose foreigner flushes are read back at partition switches: the
+// read-back's page count follows from its walks, as the image's
+// PendingFlashBytes did.
+const stressDigest4 = "time=1870000 started=500 completed=500 dead=0 hops=3000 " +
+	"readPages=652 progPages=153 readB=2670592 chanB=2503472 " +
+	"dramR=45820 dramW=6040 " +
+	"qcHit=363 qcMiss=4365 search=21267 range=347 prewalk=0 " +
+	"hotCh=96 hotBd=2599 chip=305 loads=64 reloads=32 " +
+	"pwb=0 foreign=2075 switches=58"
+
+// TestResumeDerivesCounters resumes every cut of three workloads after a
+// codec round trip: the golden one on one board and two, and a 4-board run
+// with faults that degrade chips, a board kill, a timed mutation stream and
+// a foreigner buffer small enough to flush. Each count resume derives must
+// equal the live engine's at that cut, and each must be nonzero (or set,
+// or clear) at some cut, so a derivation left at zero fails here too. The
+// 4-board run's timeline is pinned (stressDigest4), and a run that does
+// not finish within a minute fails rather than hangs.
+func TestResumeDerivesCounters(t *testing.T) {
+	g := testGraph(t)
+	mg, edges := mutTestGraph(t, false)
+	stress := mutConfig(false)
+	stress.Cfg.Boards = 4
+	stress.Cfg.Faults = resumeFaultConfig()
+	stress.Cfg.ForeignerBufBytes = 256
+	clocks := probeClocks(t, mg, stress)
+	ms := mutStream(edges, false)
+	stress.Mutations = timedStream(ms, midStreamTimes(t, len(ms), clocks))
+	stress.Cfg.Faults.KillBoard = 1
+	stress.Cfg.Faults.KillBoardAt = clocks[len(clocks)/3]
+
+	seen, ran := map[string]bool{}, 0
+	note := func(c derivedCounts, started int) {
+		seen["fabric"] = seen["fabric"] || c.InFabric > 0
+		seen["finished walks"] = seen["finished walks"] || c.Remaining < started
+		for _, b := range c.Boards {
+			seen["read-back"] = seen["read-back"] || b.SwitchLeft > 0
+			seen["active"] = seen["active"] || b.ActiveCur > 0
+			seen["foreigner buffer"] = seen["foreigner buffer"] || b.ForeignerBufBytes > 0
+			seen["board done"] = seen["board done"] || b.Finished
+			seen["load parts"] = seen["load parts"] || slices.ContainsFunc(b.LoadLeft, func(n int) bool { return n > 0 })
+			seen["loading"] = seen["loading"] || slices.Contains(b.Loading, true)
+			seen["preload"] = seen["preload"] || slices.ContainsFunc(b.HotPending, func(n int) bool { return n > 0 })
+			seen["not ready"] = seen["not ready"] || slices.Contains(b.HotReady, false)
+			seen["hot queue"] = seen["hot queue"] || slices.ContainsFunc(b.QueueBytes, func(n int64) bool { return n > 0 })
+		}
+	}
+	for _, tc := range []struct {
+		name, digest string
+		g            *graph.Graph
+		rc           RunConfig
+	}{
+		{"golden-1", goldenDigest, g, arrayConfig(1)},
+		{"golden-2", arrayGoldenDigest2, g, arrayConfig(2)},
+		{"stress-4", stressDigest4, mg, stress},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ran++
+			var live *Engine
+			cuts := 0
+			rc := tc.rc
+			rc.CheckpointEvery, rc.SnapshotEvery = 64, 1
+			rc.OnSnapshot = func(s *Snapshot) {
+				cuts++
+				want := countsOf(live)
+				e, err := ResumeEngine(tc.g, cloneSnapshot(t, s), ResumeOptions{})
+				if err != nil {
+					t.Fatalf("cut %d: resume: %v", cuts, err)
+				}
+				if got := countsOf(e); !reflect.DeepEqual(got, want) {
+					t.Fatalf("cut %d: resume derived\n%+v\nthe live engine holds\n%+v", cuts, got, want)
+				}
+				note(want, live.numStarted)
+			}
+			e, err := NewEngine(tc.g, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = e
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			res, err := e.RunContext(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digestResult(res); got != tc.digest {
+				t.Fatalf("digest changed:\n got %s\nwant %s", got, tc.digest)
+			}
+			if cuts == 0 {
+				t.Fatal("the run took no cut")
+			}
+			t.Logf("%d cuts", cuts)
+			if tc.rc.Cfg.Faults.KillBoardAt > 0 && (res.BoardKills != 1 || res.ForeignerFlushes == 0 ||
+				res.Faults.DegradedChips == 0 || res.MutationsApplied != uint64(len(ms))) {
+				t.Fatalf("stress run killed %d boards, flushed %d times, degraded %d chips, applied %d mutations",
+					res.BoardKills, res.ForeignerFlushes, res.Faults.DegradedChips, res.MutationsApplied)
+			}
+		})
+	}
+	if ran < 3 {
+		return // a subtest was filtered out
+	}
+	for _, what := range []string{"fabric", "finished walks", "read-back", "active", "foreigner buffer", "board done",
+		"load parts", "loading", "preload", "not ready", "hot queue"} {
+		if !seen[what] {
+			t.Errorf("no cut shows %s", what)
+		}
 	}
 }
 

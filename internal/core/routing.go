@@ -42,8 +42,8 @@ func (e *boardEngine) demoteWalk(p int, w int32) {
 	e.checkPartitionDone()
 }
 
-// flushForeigners writes every foreigner-buffer resident to flash and
-// records the read-back debt per destination partition.
+// flushForeigners writes every foreigner-buffer resident to flash, where
+// it waits in its destination partition's pendingFlash list.
 func (e *boardEngine) flushForeigners() {
 	var totalBytes int64
 	for p := range e.pendingMem {
@@ -60,7 +60,6 @@ func (e *boardEngine) flushForeigners() {
 			pf = slices.Grow(pf, max(len(tail), len(pf)))
 		}
 		e.pendingFlash[p] = append(pf, tail...)
-		e.pendingFlashBytes[p] += bytes
 		e.pendingMem[p] = e.pendingMem[p][:e.flushMark[p]]
 		totalBytes += bytes
 	}
@@ -86,6 +85,16 @@ func (e *boardEngine) flushChip() *flash.Chip {
 // partition.
 func (e *boardEngine) inCurrentPartition(b int) bool {
 	return e.part.PartitionOf(b) == e.curPart
+}
+
+// foreignerBytes is the foreigner buffer's footprint: each pending list's
+// walks past its flush mark.
+func (e *boardEngine) foreignerBytes() int64 {
+	var n int64
+	for p := range e.pendingMem {
+		n += int64(len(e.pendingMem[p])-e.flushMark[p]) * walk.StateBytes
+	}
+	return n
 }
 
 // storedWalks counts every walk parked in this board's stores (pending

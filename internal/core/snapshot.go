@@ -31,9 +31,12 @@ import (
 //
 // Every pending event and every flash op completion is a typed record, so a
 // snapshot can be taken at any checkpoint from event zero on — in the middle
-// of the time-0 hot-subgraph preload too (TierState.HotPending carries the
+// of the time-0 hot-subgraph preload too (its pending completions are the
 // blocks still in flight). What is NOT captured: progress time series and
 // tracers, which RunConfig.validate therefore refuses beside OnSnapshot.
+//
+// The image holds no count that the rest of it records: resume derives
+// each from the pending events or the restored stores (DESIGN §10.1).
 //
 // Walks travel packed (WalkRecords) and the batch pools live-only
 // (PoolImage); walkpack.go holds both codecs. A pending event that carries a
@@ -52,10 +55,8 @@ func targetSSD(b int) int32   { return int32(2 + 2*b) }
 // SlotState is one chip subgraph slot.
 type SlotState struct {
 	Block     int
-	Loading   bool
 	Idle      bool
 	Defers    int
-	LoadLeft  int
 	LoadWalks WalkRecords
 }
 
@@ -68,13 +69,10 @@ type UnitPoolState struct {
 
 // TierState is the state every accelerator tier shares.
 type TierState struct {
-	Updater    UnitPoolState
-	Guider     UnitPoolState
-	QueueBytes int64
-	HotIDs     []int
-	HotNil     bool
-	HotReady   bool
-	HotPending int
+	Updater UnitPoolState
+	Guider  UnitPoolState
+	HotIDs  []int
+	HotNil  bool
 }
 
 // ChipState is one chip-level accelerator.
@@ -122,12 +120,11 @@ type BoardImage struct {
 	Score     []float64
 	ScorePend []int
 
-	// Per-partition pending walks and the foreigner buffer.
-	PendingMem        []WalkRecords
-	PendingFlash      []WalkRecords
-	PendingFlashBytes []int64
-	FlushMark         []int
-	ForeignerBufBytes int64
+	// Per-partition pending walks; PendingMem[p][FlushMark[p]:] sit in the
+	// foreigner buffer.
+	PendingMem   []WalkRecords
+	PendingFlash []WalkRecords
+	FlushMark    []int
 
 	// Held packs the walks this board's pending events carry, in the
 	// kernel's export order; each such event's A is its walk's position
@@ -136,13 +133,9 @@ type BoardImage struct {
 	Batches PoolImage
 
 	// Flushed-foreigner read-back in flight.
-	SwitchLeft  int
 	SwitchWalks WalkRecords
 
-	CurPart   int
-	ActiveCur int
-	Finished  bool
-
+	CurPart     int
 	FlushChipRR int
 
 	Chips []ChipState
@@ -194,15 +187,13 @@ type Snapshot struct {
 	Boards []BoardImage
 
 	// Fabric state: shard ownership, device liveness, per-link bookings,
-	// egress batches, the pooled in-flight transfers pending events
-	// reference by index, and the run-wide walk counts.
-	Owners    []int32
-	Dead      []bool
-	FabricQ   []sim.QueueState
-	Egress    [][]EgressState
-	FBatches  PoolImage
-	InFabric  int
-	Remaining int
+	// egress batches and the pooled in-flight transfers pending events
+	// reference by index.
+	Owners   []int32
+	Dead     []bool
+	FabricQ  []sim.QueueState
+	Egress   [][]EgressState
+	FBatches PoolImage
 
 	FabricWalks   uint64
 	FabricBatches uint64
@@ -212,17 +203,20 @@ type Snapshot struct {
 }
 
 // Preloading reports whether the snapshot was cut while some tier's time-0
-// hot-subgraph preload was still in flight. Such a cut precedes every
-// walk-store change.
+// hot-subgraph preload was still in flight: a preload completion
+// (evHotLoaded) is pending, as a kernel event or a live flash op's. Such a
+// cut precedes every walk-store change.
 func (s *Snapshot) Preloading() bool {
-	for i := range s.Boards {
-		b := &s.Boards[i]
-		pending := b.Board.Tier.HotPending
-		for j := range b.Chans {
-			pending += b.Chans[j].Tier.HotPending
-		}
-		if pending > 0 {
+	for _, ev := range s.Sim.Events {
+		if ev.Kind == evHotLoaded && ev.Target == targetBoard(int(ev.Target-1)/2) {
 			return true
+		}
+	}
+	for b := range s.Boards {
+		for _, op := range s.Boards[b].Flash.Ops {
+			if op.Remaining > 0 && op.HasDone && op.Done.Kind == evHotLoaded && op.Done.Target == targetBoard(b) {
+				return true
+			}
 		}
 	}
 	return false
@@ -280,13 +274,10 @@ func poolIn(p *unitPool, st UnitPoolState, what string) error {
 
 func tierOut(t *tierCommon) TierState {
 	return TierState{
-		Updater:    poolOut(t.updater),
-		Guider:     poolOut(t.guider),
-		QueueBytes: t.queueBytes,
-		HotIDs:     t.hot.ids(),
-		HotNil:     t.hot == nil,
-		HotReady:   t.hotReady,
-		HotPending: t.hotPending,
+		Updater: poolOut(t.updater),
+		Guider:  poolOut(t.guider),
+		HotIDs:  t.hot.ids(),
+		HotNil:  t.hot == nil,
 	}
 }
 
@@ -297,7 +288,6 @@ func tierIn(t *tierCommon, st TierState, what string) error {
 	if err := poolIn(t.guider, st.Guider, what+" guider"); err != nil {
 		return err
 	}
-	t.queueBytes = st.QueueBytes
 	if st.HotNil {
 		t.hot = nil
 	} else {
@@ -311,9 +301,9 @@ func tierIn(t *tierCommon, st TierState, what string) error {
 		}
 		t.SetHotBlocks(st.HotIDs)
 	}
-	// hotPending is counted from the pending evHotLoaded events
-	// (checkEvent) and compared with st.HotPending (checkHotPending).
-	t.hotReady = st.HotReady
+	// The queue bytes and the preload's pending blocks are counted from
+	// the pending events (checkEvent), and readiness follows from the
+	// latter (derivePending).
 	return nil
 }
 
@@ -361,10 +351,8 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 		RootRNG: e.rootRNG.State(),
 		Boards:  make([]BoardImage, len(e.boards)),
 
-		Owners:    e.shard.Owners(),
-		Dead:      append([]bool(nil), e.dead...),
-		InFabric:  e.inFabric,
-		Remaining: e.remaining,
+		Owners: e.shard.Owners(),
+		Dead:   append([]bool(nil), e.dead...),
 
 		FabricWalks:   e.fabricWalks,
 		FabricBatches: e.fabricBatchCnt,
@@ -427,17 +415,11 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 		Score:     append([]float64(nil), e.score...),
 		ScorePend: append([]int(nil), e.scorePend...),
 
-		PendingFlashBytes: append([]int64(nil), e.pendingFlashBytes...),
-		FlushMark:         append([]int(nil), e.flushMark...),
-		ForeignerBufBytes: e.foreignerBufBytes,
+		FlushMark: append([]int(nil), e.flushMark...),
 
-		SwitchLeft:  e.switchLeft,
 		SwitchWalks: p.walks(e.wtab, e.switchWalks),
 
-		CurPart:   e.curPart,
-		ActiveCur: e.activeCur,
-		Finished:  e.finished,
-
+		CurPart:     e.curPart,
 		FlushChipRR: e.flushChipRR,
 
 		Res: e.res,
@@ -477,8 +459,8 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 		}
 		for j, sl := range c.slots {
 			cs.Slots[j] = SlotState{
-				Block: sl.block, Loading: sl.loading, Idle: sl.idle, Defers: sl.defers,
-				LoadLeft: sl.loadLeft, LoadWalks: p.walks(e.wtab, sl.loadWalks),
+				Block: sl.block, Idle: sl.idle, Defers: sl.defers,
+				LoadWalks: p.walks(e.wtab, sl.loadWalks),
 			}
 		}
 		s.Chips[i] = cs
@@ -642,9 +624,21 @@ func (e *Engine) restore(snap *Snapshot) error {
 	if err := e.checkWalks(carried); err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
-	e.inFabric = snap.InFabric
-	e.remaining = snap.Remaining
+	// The fabric holds the walks of its egress batches and live transfers
+	// (a free transfer record holds none).
+	for _, row := range e.egress {
+		for _, eb := range row {
+			e.inFabric += len(eb.walks)
+		}
+	}
+	for i := range e.fbatches {
+		e.inFabric += len(e.fbatches[i].walks)
+	}
 	e.numStarted = snap.NumWalks
+	e.remaining = snap.NumWalks - snap.WalksFinished()
+	for _, be := range e.boards {
+		be.finished = e.boardDone(be)
+	}
 	e.rootRNG.SetState(snap.RootRNG)
 	e.fabricWalks = snap.FabricWalks
 	e.fabricBatchCnt = snap.FabricBatches
@@ -672,8 +666,7 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	case len(snap.PWB) != nb, len(snap.FLS) != nb, len(snap.FLSPages) != nb,
 		len(snap.Score) != nb, len(snap.ScorePend) != nb:
 		return fmt.Errorf("core: resume: snapshot block stores sized for %d blocks, partitioning has %d", len(snap.PWB), nb)
-	case len(snap.PendingMem) != np, len(snap.PendingFlash) != np,
-		len(snap.PendingFlashBytes) != np, len(snap.FlushMark) != np:
+	case len(snap.PendingMem) != np, len(snap.PendingFlash) != np, len(snap.FlushMark) != np:
 		return fmt.Errorf("core: resume: snapshot pending stores sized for %d partitions, partitioning has %d", len(snap.PendingMem), np)
 	case len(snap.Chips) != len(e.chips):
 		return fmt.Errorf("core: resume: snapshot has %d chips, geometry has %d", len(snap.Chips), len(e.chips))
@@ -729,10 +722,12 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	for p := 0; p < np; p++ {
 		e.pendingMem[p] = u.walks(snap.PendingMem[p])
 		e.pendingFlash[p] = u.walks(snap.PendingFlash[p])
+		if m := snap.FlushMark[p]; m < 0 || m > len(e.pendingMem[p]) {
+			return fmt.Errorf("core: resume: partition %d flush mark %d outside [0, %d]", p, m, len(e.pendingMem[p]))
+		}
 	}
-	copy(e.pendingFlashBytes, snap.PendingFlashBytes)
 	copy(e.flushMark, snap.FlushMark)
-	e.foreignerBufBytes = snap.ForeignerBufBytes
+	e.foreignerBufBytes = e.foreignerBytes()
 
 	var err error
 	if e.freeBatch, err = snap.Batches.load(minBatchBytes,
@@ -742,12 +737,10 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 		return fmt.Errorf("core: resume roving batches: %w", err)
 	}
 
-	e.switchLeft = snap.SwitchLeft
+	// The read-back's pending pages are counted by checkEvent.
 	e.switchWalks = u.walks(snap.SwitchWalks)
 
 	e.curPart = snap.CurPart
-	e.activeCur = snap.ActiveCur
-	e.finished = snap.Finished
 	e.flushChipRR = snap.FlushChipRR
 
 	for i, c := range e.chips {
@@ -758,8 +751,8 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 		if err := tierIn(&c.tierCommon, cs.Tier, fmt.Sprintf("chip %d", i)); err != nil {
 			return err
 		}
-		// A slot's pending count is its pending update completions, which
-		// checkEvents counts.
+		// A slot's pending count and its load parts left are its pending
+		// update and load completions, which checkEvent counts.
 		for j, sl := range c.slots {
 			ss := &cs.Slots[j]
 			switch {
@@ -769,10 +762,8 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 				return fmt.Errorf("core: resume: chip %d slot %d deferred %d loads, outside [0, %d]", i, j, ss.Defers, maxLoadDefers)
 			}
 			sl.block = ss.Block
-			sl.loading = ss.Loading
 			sl.idle = ss.Idle
 			sl.defers = ss.Defers
-			sl.loadLeft = ss.LoadLeft
 			sl.loadWalks = u.walks(ss.LoadWalks)
 		}
 		c.roving = u.walks(cs.Roving)
@@ -829,6 +820,10 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	if u.err != nil {
 		return fmt.Errorf("core: resume walk stores: %w", u.err)
 	}
+	// Every walk on the board is in its table now; those no store holds,
+	// and those in the current partition's block stores, are active (the
+	// audit's identity).
+	e.activeCur = e.liveWalks() - e.storedWalks() + e.activeCurStoredOverlap()
 	e.res = snap.Res
 	e.res.Visits = append([]uint64(nil), snap.Res.Visits...)
 	return nil
@@ -882,9 +877,9 @@ func (c claims) unclaimed(what string) error {
 // batches and fabric transfers must be named by exactly one event or
 // completion — a second one would hand two tiers the same walk. A hostile
 // image is an error here rather than a panic or a walk that never finishes
-// once the run resumes. The pass also counts each chip slot's pending
-// updates and each tier's pending hot blocks, which must match the image's
-// count, and returns each board's carried-walk claims for checkWalks.
+// once the run resumes. The pass also counts what the image does not
+// repeat (checkEvent), and returns each board's carried-walk claims for
+// checkWalks.
 func (e *Engine) checkEvents(snap *Snapshot, held []int) ([]claims, error) {
 	nb := len(e.boards)
 	carried, batches := make([]claims, nb), make([]claims, nb)
@@ -938,7 +933,7 @@ func (e *Engine) checkEvents(snap *Snapshot, held []int) ([]claims, error) {
 		}
 	}
 	for b, be := range e.boards {
-		if err := be.checkHotPending(&snap.Boards[b]); err != nil {
+		if err := be.derivePending(); err != nil {
 			return nil, fmt.Errorf("board %d: %w", b, err)
 		}
 		if err := carried[b].unclaimed("carried walk"); err != nil {
@@ -951,27 +946,27 @@ func (e *Engine) checkEvents(snap *Snapshot, held []int) ([]claims, error) {
 	return carried, fbatches.unclaimed("fabric transfer")
 }
 
-// checkHotPending compares each tier's HotPending in img with the pending
-// evHotLoaded events checkEvent counted for it. Chips preload nothing.
-func (e *boardEngine) checkHotPending(img *BoardImage) error {
-	check := func(t *tierCommon, st *TierState, what string) error {
-		if t.hotPending != st.HotPending {
-			return fmt.Errorf("%s has %d hot blocks pending, %d preload completions are", what, st.HotPending, t.hotPending)
-		}
-		return nil
-	}
-	if err := check(&e.board.tierCommon, &img.Board.Tier, "the board tier"); err != nil {
-		return err
-	}
-	for i, ca := range e.chans {
-		if err := check(&ca.tierCommon, &img.Chans[i].Tier, fmt.Sprintf("channel %d", i)); err != nil {
-			return err
-		}
-	}
+// derivePending sets what follows from the counts checkEvent took: a slot
+// is loading while load parts are pending, and a board or channel tier
+// routes hot once its preload has landed (nothing reads a chip's). It
+// refuses walks that no pending completion would ever hand on: a slot's
+// claimed walks with no load part pending, and read-back walks with no
+// page pending (or pages pending for no walks).
+func (e *boardEngine) derivePending() error {
 	for i, c := range e.chips {
-		if err := check(&c.tierCommon, &img.Chips[i].Tier, fmt.Sprintf("chip %d", i)); err != nil {
-			return err
+		for j, s := range c.slots {
+			s.loading = s.loadLeft > 0
+			if len(s.loadWalks) > 0 && !s.loading {
+				return fmt.Errorf("chip %d slot %d claimed %d walks with no load part pending", i, j, len(s.loadWalks))
+			}
 		}
+	}
+	if (len(e.switchWalks) > 0) != (e.switchLeft > 0) {
+		return fmt.Errorf("%d read-back walks wait on %d pending pages", len(e.switchWalks), e.switchLeft)
+	}
+	e.board.hotReady = e.board.hotPending == 0
+	for _, ca := range e.chans {
+		ca.hotReady = ca.hotPending == 0
 	}
 	return nil
 }
@@ -1041,9 +1036,10 @@ func (e *boardEngine) checkWalk(st *wstate, terminal bool) error {
 
 // checkEvent validates one event or op completion aimed at this board
 // against its kind's payload (eventPayload), claiming the carried walk or
-// roving batch it names. It counts each chip update completion against its
-// slot's pending walks, and each preload completion against its tier's
-// pending hot blocks.
+// roving batch it names. It counts what each completion settles: a chip
+// update its slot's pending walks, a load part its slot's parts left, a
+// tier update the queue bytes it claimed, a preload its tier's pending
+// hot blocks, and a read-back page the board's pages left.
 func (e *boardEngine) checkEvent(kind uint16, a, b int32, c int64, carried, batches claims) error {
 	if int(kind) >= len(eventPayload) {
 		return fmt.Errorf("unknown board event kind %d", kind)
@@ -1077,12 +1073,18 @@ func (e *boardEngine) checkEvent(kind uint16, a, b int32, c int64, carried, batc
 		if p&payHop != 0 && hi&hopTerminal != 0 {
 			carried[a] = retiring
 		}
-		if kind == evChipUpdateDone {
-			e.chips[b].slots[lo].pending++
-		}
 	}
-	if kind == evHotLoaded {
+	switch kind {
+	case evChipUpdateDone:
+		e.chips[b].slots[lo].pending++
+	case evLoadPart:
+		e.chips[b].slots[lo].loadLeft++
+	case evTierUpdateDone:
+		e.tier(b).queueBytes += int64(lo)
+	case evHotLoaded:
 		e.tier(b).hotPending++
+	case evSwitchPage:
+		e.switchLeft++
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"strings"
 	"testing"
 
 	"flashwalker/internal/errs"
@@ -67,14 +66,6 @@ func TestGeneratorErrorsWrapInvalidConfig(t *testing.T) {
 			_, err := Read(&b)
 			return err
 		},
-		"edge list naming vertex 2^32": func() error {
-			_, err := ReadEdgeList(strings.NewReader("4294967296 1\n"))
-			return err
-		},
-		"edge list naming vertex 2^32-1": func() error {
-			_, err := ReadEdgeList(strings.NewReader("0 4294967295\n"))
-			return err
-		},
 		"powerlaw zero vertices": func() error {
 			_, err := PowerLaw(PowerLawConfig{NumEdges: 8, Alpha: 0.8})
 			return err
@@ -116,9 +107,8 @@ func TestGeneratorsPanicPastMaxVertices(t *testing.T) {
 	}
 }
 
-// TestLoadersRefuseWideIDs: an ID past the largest vertex is an error from
-// either loader, never a smaller vertex. The edge-list parser takes the
-// largest ID itself (parseEdgeList, so no 2^32-vertex graph is built).
+// TestLoadersRefuseWideIDs: an edge naming a vertex past the largest is an
+// error from the binary loader, never a smaller vertex.
 func TestLoadersRefuseWideIDs(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, Ring(16)); err != nil {
@@ -131,14 +121,6 @@ func TestLoadersRefuseWideIDs(t *testing.T) {
 		binary.LittleEndian.PutUint64(data[firstEdge:], id)
 		if g, err := Read(bytes.NewReader(data)); err == nil {
 			t.Errorf("Read: edge to %d loaded as %d", id, g.Edges[0])
-		}
-	}
-	if _, n, _, err := parseEdgeList(strings.NewReader("4294967294 0\n")); err != nil || n != MaxVertices {
-		t.Errorf("largest ID: %d vertices, %v", n, err)
-	}
-	for _, line := range []string{"4294967295 0", "0 4294967296", "4294967297 1", "18446744073709551615 0"} {
-		if edges, _, _, err := parseEdgeList(strings.NewReader(line)); !errors.Is(err, errs.ErrInvalidConfig) {
-			t.Errorf("%q: edges %v, error %v", line, edges, err)
 		}
 	}
 }

@@ -3,56 +3,8 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
-	"strings"
 	"testing"
 )
-
-// FuzzReadEdgeList hardens the text parser: arbitrary input must either
-// parse into a valid graph or return an error — never panic, never yield a
-// graph failing Validate, never read an ID past MaxVertices-1 (as a
-// smaller one or at all).
-//
-// A parse naming a vertex past maxFuzzVertices is checked but not built:
-// sparse IDs are legal, and a graph of up to 2^32-1 vertices takes 8
-// bytes of offsets per vertex.
-func FuzzReadEdgeList(f *testing.F) {
-	const maxFuzzVertices = 1 << 20
-	f.Add("0 1\n1 2\n")
-	f.Add("# comment\n5 6 0.5\n")
-	f.Add("")
-	f.Add("0 1 2 3 4\n")
-	f.Add("9999999999999999999999 1\n")
-	f.Add("1 2 -1\n")
-	f.Add("0 0\n0 0\n")
-	for _, id := range []string{"4294967294", "4294967295", "4294967296", "4294967297"} {
-		f.Add(id + " 0\n")
-		f.Add("1 " + id + " 0.5\n")
-	}
-	f.Fuzz(func(t *testing.T, input string) {
-		edges, n, _, err := parseEdgeList(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		if n > MaxVertices {
-			t.Fatalf("parsed %d vertices, more than %d", n, MaxVertices)
-		}
-		for _, e := range edges {
-			if uint64(e.Src) >= n || uint64(e.Dst) >= n {
-				t.Fatalf("edge (%d,%d) outside %d vertices", e.Src, e.Dst, n)
-			}
-		}
-		if n > maxFuzzVertices {
-			return
-		}
-		g, err := ReadEdgeList(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		if verr := g.Validate(); verr != nil {
-			t.Fatalf("parsed graph fails validation: %v", verr)
-		}
-	})
-}
 
 // FuzzRead hardens the binary decoder against corrupt files.
 func FuzzRead(f *testing.F) {

@@ -284,3 +284,27 @@ func FromEdges(numVertices uint64, edges []Edge) (*Graph, error) {
 	}
 	return b.Build()
 }
+
+// Reverse returns the transpose graph (every edge u->v becomes v->u,
+// weights preserved). SimRank's in-link semantics and in-degree-based
+// analyses use it.
+func Reverse(g *Graph) *Graph {
+	b := NewBuilder(g.NumVertices())
+	for v := VertexID(0); uint64(v) < g.NumVertices(); v++ {
+		edges := g.OutEdges(v)
+		weights := g.OutWeights(v)
+		for i, d := range edges {
+			if weights != nil {
+				b.AddWeightedEdge(d, v, weights[i])
+			} else {
+				b.AddEdge(d, v)
+			}
+		}
+	}
+	rg, err := b.Build()
+	if err != nil {
+		// Cannot happen: all endpoints come from a valid graph.
+		panic(err)
+	}
+	return rg
+}

@@ -520,3 +520,55 @@ func TestDegreeSumProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestReverse(t *testing.T) {
+	b := NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(0, 2)
+	b.AddEdge(3, 0)
+	g, _ := b.Build()
+	r := Reverse(g)
+	if r.NumEdges() != 3 {
+		t.Fatal("edge count changed")
+	}
+	if r.OutDegree(1) != 1 || r.OutEdges(1)[0] != 0 {
+		t.Fatal("reverse edge 1->0 missing")
+	}
+	if r.OutDegree(0) != 1 || r.OutEdges(0)[0] != 3 {
+		t.Fatal("reverse edge 0->3 missing")
+	}
+	// Double reverse is the original.
+	rr := Reverse(r)
+	for v := VertexID(0); v < 4; v++ {
+		a, b := g.OutEdges(v), rr.OutEdges(v)
+		if len(a) != len(b) {
+			t.Fatal("double reverse changed degrees")
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatal("double reverse changed edges")
+			}
+		}
+	}
+}
+
+func TestReverseWeighted(t *testing.T) {
+	b := NewBuilder(2)
+	b.AddWeightedEdge(0, 1, 7)
+	g, _ := b.Build()
+	r := Reverse(g)
+	if !r.Weighted() || r.OutWeights(1)[0] != 7 {
+		t.Fatal("weight not carried through reverse")
+	}
+}
+
+func TestReverseInOutDegreeDuality(t *testing.T) {
+	g, _ := RMAT(DefaultRMAT(512, 4096, 3))
+	r := Reverse(g)
+	in := g.InDegrees()
+	for v := VertexID(0); uint64(v) < g.NumVertices(); v++ {
+		if r.OutDegree(v) != in[v] {
+			t.Fatalf("vertex %d: reverse out-degree %d != in-degree %d", v, r.OutDegree(v), in[v])
+		}
+	}
+}
