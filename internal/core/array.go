@@ -57,8 +57,9 @@ type egressBuf struct {
 	bytes int64
 }
 
-// fabricBatch is a pooled in-flight fabric transfer record (referenced by
-// evFabricArrive events, so it must survive snapshots by index).
+// fabricBatch is a pooled in-flight fabric transfer record, which its
+// evFabricArrive event names by index; a snapshot packs it beside the
+// event.
 type fabricBatch struct {
 	walks []fabricWalk
 	dst   int32
@@ -85,6 +86,7 @@ type Engine struct {
 	numStarted int // walks seeded fleet-wide
 	remaining  int // walks not yet finished fleet-wide
 	inFabric   int // walks in egress buffers or in-flight batches
+	ticks      int // channel ticks pending in the kernel
 
 	fabricWalks    uint64
 	fabricBatchCnt uint64
@@ -584,20 +586,23 @@ func (e *Engine) walkFinished() {
 	}
 }
 
-// checkStalled fails the run when every board idles with walks still
-// unaccounted for — the lost-walk guard. An idle fleet with an empty fabric
-// can never make progress again, so failing beats spinning on channel
-// ticks forever. Called whenever a board goes idle.
-func (e *Engine) checkStalled() {
-	if e.remaining == 0 || e.inFabric > 0 || e.failure != nil {
-		return
+// stalled is the lost-walk guard, consulted by every channel tick: walks
+// remain, yet nothing but ticks is pending and no chip holds a roving walk
+// for one to fetch. A tick only fetches roving walks, so such a run can
+// never move again — a walk lost, or one waiting on a completion that
+// never comes — and failing beats spinning on ticks forever.
+func (e *Engine) stalled() bool {
+	if e.remaining == 0 || e.failure != nil || e.eng.Pending() != e.ticks {
+		return false
 	}
 	for _, be := range e.boards {
-		if be.activeCur > 0 || be.storedWalks() > 0 {
-			return
+		for _, c := range be.chips {
+			if len(c.roving) > 0 {
+				return false
+			}
 		}
 	}
-	e.fail(fmt.Errorf("core: simulation stalled with %d walks unaccounted for", e.remaining))
+	return true
 }
 
 // boardDone reports whether a board is done for good: it is dead and

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"flashwalker/internal/errs"
@@ -11,7 +12,8 @@ import (
 )
 
 // onFabric reports whether a cut holds walks on the fabric: in an egress
-// batch or in a live transfer, which holds at least one.
+// batch or in a transfer, which a pending evFabricArrive carries and which
+// holds at least one.
 func onFabric(s *Snapshot) bool {
 	for _, row := range s.Egress {
 		for _, es := range row {
@@ -20,7 +22,9 @@ func onFabric(s *Snapshot) bool {
 			}
 		}
 	}
-	return s.FBatches.Len > len(s.FBatches.Free)
+	return slices.ContainsFunc(s.Sim.Events, func(ev sim.SavedEvent) bool {
+		return ev.Target == targetDriver && ev.Kind == evFabricArrive
+	})
 }
 
 // TestArrayResumeMetamorphic extends the PR-5 resume invariant to arrays:

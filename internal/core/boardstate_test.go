@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"flashwalker/internal/flash"
 	"flashwalker/internal/partition"
 	"flashwalker/internal/sim"
 	"flashwalker/internal/snapshot"
@@ -256,78 +257,114 @@ func TestResumeAcceptsQueueLayoutPools(t *testing.T) {
 }
 
 // TestResumeRejectsHostileEvents edits one pending event of a mid-run cut
-// at a time — a channel index past the end, an unknown kind, a carried
-// walk past the board's Held run or negative, a walk two events carry, a
-// carried walk no event names, a board guide routing to a block past the
-// partitioning, a channel guide tagging a range past the ranges, a
-// read-back page with no read-back walks, an event before the clock, and
-// on the flash side a free list past the op pool, an event on a free op, a
-// live op missing one of its parts and a completion of unknown kind — and
-// requires ResumeEngine to refuse each. An accepted image would index out
-// of range, panic on the kind, run a timeline out of order, hand two tiers
-// one walk or leave a walk that never finishes, so an accepted one is not
-// run.
+// at a time — a channel index past the end, an unknown kind, a walk two
+// events carry, a board guide routing to a block past the partitioning, a
+// channel guide tagging a range past the ranges, a read-back page with no
+// read-back walks, an event before the clock, and on the flash side an
+// event on a free op, a live op missing one of its parts, a completion of
+// unknown kind and a channel tick as a completion — or the records events
+// carry: a walk-carrying event or a roving batch completion with no
+// payload, a payload on a tick, a payload of two walks, a malformed
+// payload, an empty roving batch, and a walk appended to a PWB store. On
+// two boards it edits a fabric transfer: empty, bound for a board past the
+// array, or holding a walk bound for a partition past the end. It requires
+// ResumeEngine to refuse each. An accepted image would index out of range,
+// panic on the kind, run a timeline out of order, hand two tiers one walk
+// or leave a walk that never finishes, so an accepted one is not run.
 func TestResumeRejectsHostileEvents(t *testing.T) {
 	g := testGraph(t)
 	rc := goldenConfig()
 	// Cut 30 holds a pending board guide and channel guide for the cases
-	// below to edit.
+	// below to edit, and roving batches in flight.
 	cut := interruptCore(t, g, rc, 30)
-	if _, err := ResumeEngine(g, cloneSnapshot(t, cut), ResumeOptions{}); err != nil {
-		t.Fatalf("unmodified cut rejected: %v", err)
+	fabricCut := carryingCut(t, 2)
+	for _, c := range []*Snapshot{cut, fabricCut} {
+		if _, err := ResumeEngine(g, cloneSnapshot(t, c), ResumeOptions{}); err != nil {
+			t.Fatalf("unmodified cut rejected: %v", err)
+		}
 	}
 	part, err := partition.Partition(g, rc.PartCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// find returns the index of the first pending event aimed at target
-	// whose kind want accepts.
-	find := func(t *testing.T, s *Snapshot, target int32, want func(kind uint16) bool) int {
+	// find returns the first pending event aimed at target whose kind want
+	// accepts.
+	find := func(t *testing.T, s *Snapshot, target int32, want func(kind uint16) bool) *sim.SavedEvent {
 		for i, ev := range s.Sim.Events {
 			if ev.Target == target && want(ev.Kind) {
-				return i
+				return &s.Sim.Events[i]
 			}
 		}
 		t.Fatal("cut has no pending event of the wanted kind")
-		return -1
+		return nil
+	}
+	// batchDone returns the first live flash op completion that hands on a
+	// roving batch.
+	batchDone := func(t *testing.T, s *Snapshot) *flash.OpEvent {
+		for i := range s.Boards[0].Flash.Ops {
+			if op := &s.Boards[0].Flash.Ops[i]; op.Remaining > 0 && op.HasDone && op.Done.Kind == evChanBatch {
+				return &op.Done
+			}
+		}
+		t.Fatal("cut has no roving batch in flight")
+		return nil
+	}
+	// twoWalks packs the walk a payload carries twice.
+	twoWalks := func(t *testing.T, payload []byte) []byte {
+		u := unpacker{be: new(boardEngine)}
+		ws := u.walks(payload)
+		if u.err != nil || len(ws) != 1 {
+			t.Fatalf("payload holds %d walks (%v)", len(ws), u.err)
+		}
+		return new(packer).walks(u.be.wtab, append(ws, ws[0]))
 	}
 	anyKind := func(uint16) bool { return true }
 	carriesWalk := func(k uint16) bool { return eventPayload[k]&payWalk != 0 }
 	tick := func(k uint16) bool { return k == evChanTick }
 	boardGuide := func(k uint16) bool { return k == evBoardGuided || k == evBoardPortDone }
 	chanGuide := func(k uint16) bool { return k == evChanGuided }
+	arrival := func(k uint16) bool { return k == evFabricArrive }
 	cases := map[string]func(t *testing.T, s *Snapshot){
 		"channel tick past the end": func(t *testing.T, s *Snapshot) {
-			s.Sim.Events[find(t, s, targetBoard(0), tick)].B = 1 << 20
+			find(t, s, targetBoard(0), tick).B = 1 << 20
 		},
 		"unknown kind": func(t *testing.T, s *Snapshot) {
-			s.Sim.Events[find(t, s, targetBoard(0), anyKind)].Kind = 999
-		},
-		"carried walk past the run": func(t *testing.T, s *Snapshot) {
-			s.Sim.Events[find(t, s, targetBoard(0), carriesWalk)].A = 1 << 30
-		},
-		"negative carried walk": func(t *testing.T, s *Snapshot) {
-			s.Sim.Events[find(t, s, targetBoard(0), carriesWalk)].A = -1
+			find(t, s, targetBoard(0), anyKind).Kind = 999
 		},
 		"walk carried twice": func(t *testing.T, s *Snapshot) {
-			dup := s.Sim.Events[find(t, s, targetBoard(0), carriesWalk)]
+			dup := *find(t, s, targetBoard(0), carriesWalk)
 			s.Sim.Seq++
 			dup.Seq = s.Sim.Seq
 			s.Sim.Events = append(s.Sim.Events, dup)
 		},
-		"carried walk no event names": func(t *testing.T, s *Snapshot) {
-			u := unpacker{be: new(boardEngine)}
-			ws := u.walks(s.Boards[0].Held)
-			if u.err != nil || len(ws) == 0 {
-				t.Fatalf("cut carries %d walks (%v)", len(ws), u.err)
-			}
-			s.Boards[0].Held = new(packer).walks(u.be.wtab, append(ws, ws[0]))
+		"walk-carrying event with no payload": func(t *testing.T, s *Snapshot) {
+			find(t, s, targetBoard(0), carriesWalk).Payload = nil
+		},
+		"roving batch completion with no payload": func(t *testing.T, s *Snapshot) {
+			batchDone(t, s).Payload = nil
+		},
+		"payload on a tick": func(t *testing.T, s *Snapshot) {
+			find(t, s, targetBoard(0), tick).Payload = find(t, s, targetBoard(0), carriesWalk).Payload
+		},
+		"payload of two walks": func(t *testing.T, s *Snapshot) {
+			ev := find(t, s, targetBoard(0), carriesWalk)
+			ev.Payload = twoWalks(t, ev.Payload)
+		},
+		"malformed payload": func(t *testing.T, s *Snapshot) {
+			ev := find(t, s, targetBoard(0), carriesWalk)
+			ev.Payload = ev.Payload[:len(ev.Payload)-1]
+		},
+		"empty roving batch": func(t *testing.T, s *Snapshot) {
+			batchDone(t, s).Payload = appendWalks(nil, nil, nil)
+		},
+		"walk appended to a PWB store": func(t *testing.T, s *Snapshot) {
+			appendPWBWalk(t, &s.Boards[0])
 		},
 		"board guide past the partitioning": func(t *testing.T, s *Snapshot) {
-			s.Sim.Events[find(t, s, targetBoard(0), boardGuide)].C = packC(int32(part.NumBlocks()), -1)
+			find(t, s, targetBoard(0), boardGuide).C = packC(int32(part.NumBlocks()), -1)
 		},
 		"channel guide past the ranges": func(t *testing.T, s *Snapshot) {
-			s.Sim.Events[find(t, s, targetBoard(0), chanGuide)].C = packC(int32(len(part.Ranges)), -1)
+			find(t, s, targetBoard(0), chanGuide).C = packC(int32(len(part.Ranges)), -1)
 		},
 		"read-back page with no walks": func(t *testing.T, s *Snapshot) {
 			if s.Boards[0].SwitchWalks != nil {
@@ -337,43 +374,93 @@ func TestResumeRejectsHostileEvents(t *testing.T) {
 			s.Sim.Events = append(s.Sim.Events, sim.SavedEvent{At: s.Sim.Now, Seq: s.Sim.Seq, Target: targetBoard(0), Kind: evSwitchPage})
 		},
 		"event before the clock": func(t *testing.T, s *Snapshot) {
-			s.Sim.Events[find(t, s, targetBoard(0), tick)].At = s.Sim.Now - 1
-		},
-		"flash free list past the pool": func(t *testing.T, s *Snapshot) {
-			s.Boards[0].Flash.FreeOp = int32(len(s.Boards[0].Flash.Ops))
+			find(t, s, targetBoard(0), tick).At = s.Sim.Now - 1
 		},
 		"flash event on a free op": func(t *testing.T, s *Snapshot) {
 			for i, op := range s.Boards[0].Flash.Ops {
 				if op.Remaining == 0 {
-					s.Sim.Events[find(t, s, targetSSD(0), anyKind)].A = int32(i)
+					find(t, s, targetSSD(0), anyKind).A = int32(i)
 					return
 				}
 			}
 			t.Fatal("cut has no free flash op")
 		},
 		"flash op missing a part": func(t *testing.T, s *Snapshot) {
-			i := find(t, s, targetSSD(0), anyKind)
-			s.Sim.Events = append(s.Sim.Events[:i], s.Sim.Events[i+1:]...)
+			i := slices.IndexFunc(s.Sim.Events, func(ev sim.SavedEvent) bool { return ev.Target == targetSSD(0) })
+			if i < 0 {
+				t.Fatal("cut has no pending flash event")
+			}
+			s.Sim.Events = slices.Delete(s.Sim.Events, i, i+1)
 		},
 		"flash completion of unknown kind": func(t *testing.T, s *Snapshot) {
-			for i := range s.Boards[0].Flash.Ops {
-				if op := &s.Boards[0].Flash.Ops[i]; op.Remaining > 0 && op.HasDone {
-					op.Done.Kind = 999
-					return
-				}
-			}
-			t.Fatal("cut has no live flash op with a completion")
+			batchDone(t, s).Kind = 999
+		},
+		"channel tick as a flash completion": func(t *testing.T, s *Snapshot) {
+			d := batchDone(t, s)
+			*d = flash.OpEvent{Target: d.Target, Kind: evChanTick}
 		},
 	}
-	for name, mutate := range cases {
-		t.Run(name, func(t *testing.T) {
-			s := cloneSnapshot(t, cut)
-			mutate(t, s)
-			if _, err := ResumeEngine(g, s, ResumeOptions{}); err == nil {
-				t.Fatal("hostile event accepted")
-			}
-		})
+	fabricCases := map[string]func(t *testing.T, s *Snapshot){
+		"empty fabric transfer": func(t *testing.T, s *Snapshot) {
+			find(t, s, targetDriver, arrival).Payload = appendFabricWalks([]byte{0}, nil)
+		},
+		"fabric transfer past the array": func(t *testing.T, s *Snapshot) {
+			editTransfer(t, find(t, s, targetDriver, arrival), func(fb *fabricBatch) { fb.dst = int32(len(s.Boards)) })
+		},
+		"fabric walk past the partitions": func(t *testing.T, s *Snapshot) {
+			editTransfer(t, find(t, s, targetDriver, arrival), func(fb *fabricBatch) { fb.walks[0].p = int32(part.NumPartitions) })
+		},
 	}
+	for _, set := range []struct {
+		cut   *Snapshot
+		cases map[string]func(t *testing.T, s *Snapshot)
+	}{{cut, cases}, {fabricCut, fabricCases}} {
+		for name, mutate := range set.cases {
+			t.Run(name, func(t *testing.T) {
+				s := cloneSnapshot(t, set.cut)
+				mutate(t, s)
+				if _, err := ResumeEngine(g, s, ResumeOptions{}); err == nil {
+					t.Fatal("hostile event accepted")
+				}
+			})
+		}
+	}
+}
+
+// editPWB repacks the first non-empty PWB store of img with the walks
+// edit returns for its walks.
+func editPWB(t testing.TB, img *BoardImage, edit func(ws []int32) []int32) {
+	t.Helper()
+	for b, rec := range img.PWB {
+		if rec != nil {
+			u := unpacker{be: new(boardEngine)}
+			ws := u.walks(rec)
+			if u.err != nil {
+				t.Fatal(u.err)
+			}
+			img.PWB[b] = new(packer).walks(u.be.wtab, edit(ws))
+			return
+		}
+	}
+	t.Fatal("cut has no walk in a PWB store")
+}
+
+// appendPWBWalk appends a copy of the first walk of the first non-empty
+// PWB store of img to that store.
+func appendPWBWalk(t testing.TB, img *BoardImage) {
+	editPWB(t, img, func(ws []int32) []int32 { return append(ws, ws[0]) })
+}
+
+// editTransfer rewrites the fabric transfer a pending arrival carries.
+func editTransfer(t testing.TB, ev *sim.SavedEvent, edit func(fb *fabricBatch)) {
+	t.Helper()
+	r := recReader{b: ev.Payload}
+	fb := r.fabricBatch()
+	if err := r.done(); err != nil || len(fb.walks) == 0 {
+		t.Fatalf("transfer holds %d walks (%v)", len(fb.walks), err)
+	}
+	edit(&fb)
+	ev.Payload = new(packer).fabricBatch(&fb)
 }
 
 // wideWalk is a packed walk record's fields at the widths the record

@@ -20,11 +20,13 @@ type channelAccel struct {
 	failover bool
 }
 
-// scheduleTick arms the periodic roving-walk fetch.
+// scheduleTick arms the periodic roving-walk fetch; the driver counts the
+// ticks pending (Engine.stalled).
 func (ca *channelAccel) scheduleTick() {
 	if ca.e.finished {
 		return
 	}
+	ca.e.drv.ticks++
 	ca.e.eng.ScheduleAfter(ca.e.cfg.RovingFetchInterval,
 		sim.Event{Target: ca.e, Kind: evChanTick, B: int32(ca.id)})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"flashwalker/internal/sim"
 )
 
@@ -179,6 +181,11 @@ func (e *boardEngine) HandleEvent(ev sim.Event) {
 		e.putWalkBuf(batch)
 
 	case evChanTick:
+		e.drv.ticks--
+		if e.drv.stalled() {
+			e.fail(fmt.Errorf("core: simulation stalled with %d walks unaccounted for", e.drv.remaining))
+			return
+		}
 		ca := e.chans[ev.B]
 		ca.tick()
 		ca.scheduleTick()

@@ -67,10 +67,8 @@ func (e *boardEngine) checkPartitionDone() {
 		e.finished = true
 		return
 	}
-	if !e.advancePartition() {
-		// An idle board is not done: fabric deliveries can wake it.
-		e.drv.checkStalled()
-	}
+	// An idle board is not done: fabric deliveries can wake it.
+	e.advancePartition()
 }
 
 // advancePartition selects the next partition of this board's shard holding

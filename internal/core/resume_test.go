@@ -12,6 +12,7 @@ import (
 
 	"flashwalker/internal/errs"
 	"flashwalker/internal/fault"
+	"flashwalker/internal/flash"
 	"flashwalker/internal/graph"
 	"flashwalker/internal/sim"
 	"flashwalker/internal/snapshot"
@@ -218,10 +219,11 @@ func TestResumeDuringPreload(t *testing.T) {
 }
 
 // derivedCounts is every count resume derives rather than reads from the
-// image, as an engine holds it.
+// image, as an engine holds it: the walks on the fabric and left to
+// finish, the channel ticks pending, and each board's counts.
 type derivedCounts struct {
-	InFabric, Remaining int
-	Boards              []boardCounts
+	InFabric, Remaining, Ticks int
+	Boards                     []boardCounts
 }
 
 // boardCounts is one board's share of derivedCounts: its read-back pages
@@ -240,7 +242,7 @@ type boardCounts struct {
 }
 
 func countsOf(e *Engine) derivedCounts {
-	d := derivedCounts{InFabric: e.inFabric, Remaining: e.remaining}
+	d := derivedCounts{InFabric: e.inFabric, Remaining: e.remaining, Ticks: e.ticks}
 	for _, be := range e.boards {
 		bc := boardCounts{SwitchLeft: be.switchLeft, ActiveCur: be.activeCur,
 			ForeignerBufBytes: be.foreignerBufBytes, Finished: be.finished}
@@ -300,6 +302,7 @@ func TestResumeDerivesCounters(t *testing.T) {
 	seen, ran := map[string]bool{}, 0
 	note := func(c derivedCounts, started int) {
 		seen["fabric"] = seen["fabric"] || c.InFabric > 0
+		seen["ticks"] = seen["ticks"] || c.Ticks > 0
 		seen["finished walks"] = seen["finished walks"] || c.Remaining < started
 		for _, b := range c.Boards {
 			seen["read-back"] = seen["read-back"] || b.SwitchLeft > 0
@@ -368,10 +371,125 @@ func TestResumeDerivesCounters(t *testing.T) {
 	if ran < 3 {
 		return // a subtest was filtered out
 	}
-	for _, what := range []string{"fabric", "finished walks", "read-back", "active", "foreigner buffer", "board done",
+	for _, what := range []string{"fabric", "ticks", "finished walks", "read-back", "active", "foreigner buffer", "board done",
 		"load parts", "loading", "preload", "not ready", "hot queue"} {
 		if !seen[what] {
 			t.Errorf("no cut shows %s", what)
+		}
+	}
+}
+
+// TestStalledRunFails resumes a golden mid-run cut without the audit, as
+// the daemon runs, and breaks the resumed engine in one of two ways: a
+// loading slot waits on one load part more than is pending, or a parked
+// walk is dropped. Either leaves walks no completion will ever hand on,
+// and once only channel ticks are pending the run must fail with the
+// stalled error, well inside a ten-second deadline, rather than tick until
+// it.
+func TestStalledRunFails(t *testing.T) {
+	g := testGraph(t)
+	cut := interruptWhen(t, g, goldenConfig(), 1, func(s *Snapshot) bool {
+		loading := slices.ContainsFunc(s.Boards[0].Flash.Ops, func(op flash.OpState) bool {
+			return op.Remaining > 0 && op.HasDone && op.Done.Kind == evLoadPart
+		})
+		parked := slices.ContainsFunc(s.Boards[0].PendingMem, func(rec WalkRecords) bool { return rec != nil })
+		return !s.Preloading() && loading && parked
+	})
+	cases := map[string]func(t *testing.T, be *boardEngine){
+		"load part never comes": func(t *testing.T, be *boardEngine) {
+			for _, c := range be.chips {
+				for _, sl := range c.slots {
+					if sl.loading {
+						sl.loadLeft++
+						return
+					}
+				}
+			}
+			t.Fatal("no slot is loading")
+		},
+		"parked walk dropped": func(t *testing.T, be *boardEngine) {
+			for p, ws := range be.pendingMem {
+				if len(ws) == 0 {
+					continue
+				}
+				be.pendingMem[p] = ws[1:]
+				if be.flushMark[p] > 0 {
+					be.flushMark[p]--
+				} else {
+					be.foreignerBufBytes -= walk.StateBytes
+				}
+				be.dropWalk(ws[0])
+				return
+			}
+			t.Fatal("no walk is parked")
+		},
+	}
+	for name, lose := range cases {
+		t.Run(name, func(t *testing.T) {
+			s := cloneSnapshot(t, cut)
+			s.Audit = false
+			e, err := ResumeEngine(g, s, ResumeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lose(t, e.boards[0])
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if _, err := e.RunContext(ctx); err == nil || !strings.Contains(err.Error(), "simulation stalled") {
+				t.Fatalf("run ended with %v, want the stalled error", err)
+			}
+		})
+	}
+}
+
+// TestResumeChecksConservation: the walks an image files in its boards'
+// tables plus those on the fabric must number NumWalks - WalksFinished().
+// Each edit breaks only that identity — a walk-carrying event or a fabric
+// arrival duplicated, a walk appended to or dropped from a store, one more
+// walk counted finished — and resume must refuse it by that check, on one
+// board and two.
+func TestResumeChecksConservation(t *testing.T) {
+	g := testGraph(t)
+	dup := func(t *testing.T, s *Snapshot, want func(ev sim.SavedEvent) bool) {
+		i := slices.IndexFunc(s.Sim.Events, want)
+		if i < 0 {
+			t.Fatal("cut has no pending event of the wanted kind")
+		}
+		ev := s.Sim.Events[i]
+		s.Sim.Seq++
+		ev.Seq = s.Sim.Seq
+		s.Sim.Events = append(s.Sim.Events, ev)
+	}
+	cases := map[string]func(t *testing.T, s *Snapshot){
+		"walk-carrying event duplicated": func(t *testing.T, s *Snapshot) {
+			dup(t, s, func(ev sim.SavedEvent) bool {
+				return ev.Target == targetBoard(0) && eventPayload[ev.Kind]&payWalk != 0
+			})
+		},
+		"walk appended to a PWB store": func(t *testing.T, s *Snapshot) { appendPWBWalk(t, &s.Boards[0]) },
+		"walk dropped from a PWB store": func(t *testing.T, s *Snapshot) {
+			editPWB(t, &s.Boards[0], func(ws []int32) []int32 { return ws[1:] })
+		},
+		"one more walk finished": func(t *testing.T, s *Snapshot) { s.Boards[0].Res.Completed++ },
+	}
+	for _, nb := range []int{1, 2} {
+		cut := carryingCut(t, nb)
+		if _, err := ResumeEngine(g, cloneSnapshot(t, cut), ResumeOptions{}); err != nil {
+			t.Fatalf("boards=%d: unmodified cut rejected: %v", nb, err)
+		}
+		if nb > 1 {
+			cases["fabric arrival duplicated"] = func(t *testing.T, s *Snapshot) {
+				dup(t, s, func(ev sim.SavedEvent) bool { return ev.Target == targetDriver && ev.Kind == evFabricArrive })
+			}
+		}
+		for name, edit := range cases {
+			t.Run(fmt.Sprintf("boards=%d/%s", nb, name), func(t *testing.T) {
+				s := cloneSnapshot(t, cut)
+				edit(t, s)
+				if _, err := ResumeEngine(g, s, ResumeOptions{}); err == nil || !strings.Contains(err.Error(), "started and") {
+					t.Fatalf("resume: %v, want the conservation refusal", err)
+				}
+			})
 		}
 	}
 }

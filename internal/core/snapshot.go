@@ -19,9 +19,9 @@ import (
 // a pure-data image of a paused engine taken strictly between simulated
 // events, for any board count: the run's identity once, the shared event
 // kernel, one body per board — every walk (with its private RNG stream),
-// every buffer and queue booking, the pooled batch/op records the pending
-// events reference, the fault injector's stream position — and the
-// inter-board fabric (link bookings, egress batches, in-flight transfers).
+// every buffer and queue booking, the flash op records, the fault
+// injector's stream position — and the inter-board fabric (link bookings
+// and egress batches).
 // ResumeEngine rebuilds the engine skeleton from the identity section (the
 // original RunConfig inputs) and overlays the captured state; because the
 // walk trajectories are timing-independent (per-walk RNG streams) AND the
@@ -38,11 +38,16 @@ import (
 // The image holds no count that the rest of it records: resume derives
 // each from the pending events or the restored stores (DESIGN §10.1).
 //
-// Walks travel packed (WalkRecords) and the batch pools live-only
-// (PoolImage); walkpack.go holds both codecs. A pending event that carries a
-// walk names it by its position in its board's Held run: export renames
-// the event's table index, and restore files Held first, so the position
-// is the walk's new index and the event restores as it was written.
+// Walks travel packed (WalkRecords, walkpack.go). A saved event names no
+// walk-table, batch or transfer index: every pending kernel event and live
+// flash op completion whose kind names a walk (payWalk), a roving batch
+// (payBatch) or a fabric transfer (evFabricArrive) carries that record
+// packed in its Payload, and export writes its A as 0. Restore files each
+// payload in a fresh table, batch or transfer slot and points A at it.
+// The flash op pool is the one pool an image indexes, because several part
+// events share one op. No record names another, so one identity covers
+// the walks: those filed in the tables plus those on the fabric number
+// NumWalks - WalksFinished().
 
 // Event-target IDs for the kernel and flash export: the driver is 0 (its
 // fabric arrivals and kill events), and board b's engine and SSD are 1+2b
@@ -92,8 +97,6 @@ type ChanState struct {
 // CacheState is one walk query cache's LRU contents (front = most recent).
 type CacheState struct {
 	Blocks []int
-	Hits   uint64
-	Misses uint64
 }
 
 // BoardState is the board-level accelerator.
@@ -106,8 +109,8 @@ type BoardState struct {
 	CompletedBytes int64
 }
 
-// BoardImage is one board's share of a Snapshot: its devices, walk stores,
-// pooled event records and accelerator tiers.
+// BoardImage is one board's share of a Snapshot: its devices, walk stores
+// and accelerator tiers.
 type BoardImage struct {
 	Flash    flash.State
 	DRAM     dram.State
@@ -125,12 +128,6 @@ type BoardImage struct {
 	PendingMem   []WalkRecords
 	PendingFlash []WalkRecords
 	FlushMark    []int
-
-	// Held packs the walks this board's pending events carry, in the
-	// kernel's export order; each such event's A is its walk's position
-	// here. Batches pools the roving batches pending events reference.
-	Held    WalkRecords
-	Batches PoolImage
 
 	// Flushed-foreigner read-back in flight.
 	SwitchWalks WalkRecords
@@ -186,14 +183,13 @@ type Snapshot struct {
 	// Boards holds one body per board, indexed by board.
 	Boards []BoardImage
 
-	// Fabric state: shard ownership, device liveness, per-link bookings,
-	// egress batches and the pooled in-flight transfers pending events
-	// reference by index.
-	Owners   []int32
-	Dead     []bool
-	FabricQ  []sim.QueueState
-	Egress   [][]EgressState
-	FBatches PoolImage
+	// Fabric state: shard ownership, device liveness, per-link bookings
+	// and egress batches. The transfers in flight are the payloads of the
+	// pending evFabricArrive events.
+	Owners  []int32
+	Dead    []bool
+	FabricQ []sim.QueueState
+	Egress  [][]EgressState
 
 	FabricWalks   uint64
 	FabricBatches uint64
@@ -329,8 +325,7 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 		return 0, fmt.Errorf("unknown event target %T", h)
 	}
 	b0 := e.boards[0]
-	// Every unfinished walk is in exactly one store, pooled record or
-	// pending event.
+	// Every unfinished walk is in exactly one store or pending event.
 	p := &packer{buf: make([]byte, 0, 48*e.remaining+4096)}
 	s := &Snapshot{
 		Cfg:              e.cfg,
@@ -371,31 +366,42 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 		}
 		s.Egress = append(s.Egress, row)
 	}
-	var err error
-	if s.FBatches, err = p.pool(len(e.fbatches), e.freeFB,
-		func(i int32) int32 { return e.fbatches[i].free },
-		func(b []byte, i int32) []byte { return appendFabricBatch(b, &e.fbatches[i]) }); err != nil {
-		return nil, err
-	}
 	simState, err := e.eng.ExportState(targetID)
 	if err != nil {
 		return nil, err
 	}
-	// An event carries its walk by table index; the image names the walk by
-	// its position in the board's Held run instead.
-	held := make([][]int32, len(e.boards))
 	for i := range simState.Events {
 		ev := &simState.Events[i]
-		if b := int(ev.Target-1) / 2; ev.Target == targetBoard(b) && eventPayload[ev.Kind]&payWalk != 0 {
-			held[b] = append(held[b], ev.A)
-			ev.A = int32(len(held[b]) - 1)
+		if rec := e.packRecord(p, ev.Target, ev.Kind, ev.A); rec != nil {
+			ev.Payload, ev.A = rec, 0
 		}
-	}
-	for b, be := range e.boards {
-		s.Boards[b].Held = p.walks(be.wtab, held[b])
 	}
 	s.Sim = simState
 	return s, nil
+}
+
+// packRecord packs the record a pending event or flash op completion names
+// by its A — a walk, a roving batch or a fabric transfer — or returns nil
+// for a kind that names none.
+func (e *Engine) packRecord(p *packer, target int32, kind uint16, a int32) []byte {
+	if target == targetDriver {
+		if kind == evFabricArrive {
+			return p.fabricBatch(&e.fbatches[a])
+		}
+		return nil
+	}
+	b := int(target-1) / 2
+	if target != targetBoard(b) {
+		return nil // an SSD's own events name ops
+	}
+	be := e.boards[b]
+	switch pay := eventPayload[kind]; {
+	case pay&payWalk != 0:
+		return p.walks(be.wtab, []int32{a})
+	case pay&payBatch != 0:
+		return p.walks(be.wtab, be.batches[a].walks)
+	}
+	return nil
 }
 
 // image captures one board's body into s, packing its walks with p; the
@@ -405,6 +411,13 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 	flashState, err := e.ssd.ExportState(targetID)
 	if err != nil {
 		return err
+	}
+	for i := range flashState.Ops {
+		if op := &flashState.Ops[i]; op.HasDone {
+			if rec := e.drv.packRecord(p, op.Done.Target, op.Done.Kind, op.Done.A); rec != nil {
+				op.Done.Payload, op.Done.A = rec, 0
+			}
+		}
 	}
 
 	*s = BoardImage{
@@ -443,12 +456,6 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 		s.PendingFlash[i] = p.walks(e.wtab, e.pendingFlash[i])
 	}
 
-	if s.Batches, err = p.pool(len(e.batches), e.freeBatch,
-		func(i int32) int32 { return e.batches[i].free },
-		func(b []byte, i int32) []byte { return appendWalks(b, e.wtab, e.batches[i].walks) }); err != nil {
-		return err
-	}
-
 	s.Chips = make([]ChipState, len(e.chips))
 	for i, c := range e.chips {
 		cs := ChipState{
@@ -482,7 +489,7 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 		bs.Ports[i] = p.State()
 	}
 	for i, qc := range b.caches {
-		bs.Caches[i] = CacheState{Blocks: qc.blocks(nil), Hits: qc.hits, Misses: qc.misses}
+		bs.Caches[i] = CacheState{Blocks: qc.blocks(nil)}
 	}
 	s.Board = bs
 	return nil
@@ -551,8 +558,6 @@ func (e *Engine) restore(snap *Snapshot) error {
 	case len(snap.FabricQ) != nb, len(snap.Egress) != nb, len(snap.Dead) != nb:
 		return fmt.Errorf("core: resume: snapshot fabric state sized for %d boards, config has %d", len(snap.FabricQ), nb)
 	}
-	// Pending events reference batch/op/fabric records by index, so the
-	// pools restored below must land in the exact same layout.
 	target := func(id int32) (sim.Handler, error) {
 		if id == targetDriver {
 			return e, nil
@@ -566,15 +571,13 @@ func (e *Engine) restore(snap *Snapshot) error {
 		}
 		return e.boards[b].ssd, nil
 	}
-	if err := e.eng.ImportState(snap.Sim, target); err != nil {
-		return err
-	}
 	// Replay, as one batch, the mutations the original run had applied
 	// beyond the At == 0 prefix (which construction already applied).
 	// Incremental apply is rebuild-equivalent, so the graph and every
 	// derived index land in the exact state the snapshot saw. Runs before
-	// the per-board res overlay, so attribution counters come from the
-	// snapshot, not the replay.
+	// the walks are checked against the graph, and before the per-board res
+	// overlay, so attribution counters come from the snapshot, not the
+	// replay.
 	if snap.MutApplied < e.mutCursor || snap.MutApplied > len(e.muts) {
 		return fmt.Errorf("core: resume: snapshot applied %d of %d mutations (prefix %d)",
 			snap.MutApplied, len(e.muts), e.mutCursor)
@@ -584,16 +587,43 @@ func (e *Engine) restore(snap *Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("core: resume: replay mutation %d: %w", e.mutCursor, err)
 	}
-	var u unpacker
-	held := make([]int, nb)
-	for b, be := range e.boards {
-		// The walks pending events carry go first, into the board's empty
-		// table, so each lands at the index its event names.
-		hu := unpacker{be: be}
-		if held[b] = len(hu.walks(snap.Boards[b].Held)); hu.err != nil {
-			return fmt.Errorf("core: resume board %d carried walks: %w", b, hu.err)
+	// The records pending events carry are filed first, into the empty
+	// walk tables and batch and transfer pools. The kernel and each SSD
+	// import copies of the image's events and ops whose A names them, so
+	// the image is left as it was handed.
+	events := slices.Clone(snap.Sim.Events)
+	for i := range events {
+		ev := &events[i]
+		if ev.A, err = e.fileRecord(ev.Target, ev.Kind, ev.A, ev.C, ev.Payload); err != nil {
+			return fmt.Errorf("core: resume: pending event at %v: %w", ev.At, err)
 		}
-		if err := be.restore(&snap.Boards[b], target); err != nil {
+	}
+	ops := make([][]flash.OpState, nb)
+	for b := range e.boards {
+		ops[b] = slices.Clone(snap.Boards[b].Flash.Ops)
+		for i := range ops[b] {
+			op := &ops[b][i]
+			if op.Remaining == 0 || !op.HasDone {
+				continue
+			}
+			d := &op.Done
+			if d.A, err = e.fileRecord(d.Target, d.Kind, d.A, d.C, d.Payload); err != nil {
+				return fmt.Errorf("core: resume: board %d flash op %d completion: %w", b, i, err)
+			}
+		}
+	}
+	carried := make([]int, nb)
+	for b, be := range e.boards {
+		carried[b] = len(be.wtab)
+	}
+	kernel := snap.Sim
+	kernel.Events = events
+	if err := e.eng.ImportState(kernel, target); err != nil {
+		return err
+	}
+	var u unpacker
+	for b, be := range e.boards {
+		if err := be.restore(&snap.Boards[b], ops[b], target); err != nil {
 			return fmt.Errorf("core: resume board %d: %w", b, err)
 		}
 		e.fabric[b].Restore(snap.FabricQ[b])
@@ -611,21 +641,13 @@ func (e *Engine) restore(snap *Snapshot) error {
 		return fmt.Errorf("core: resume: %w", err)
 	}
 	copy(e.dead, snap.Dead)
-	if e.freeFB, err = snap.FBatches.load(minFBatchBytes,
-		func(n int) { e.fbatches = make([]fabricBatch, n) },
-		func(i, next int32) { e.fbatches[i].free = next },
-		func(i int32, r *recReader) { e.fbatches[i] = r.fabricBatch() }); err != nil {
-		return fmt.Errorf("core: resume fabric transfers: %w", err)
-	}
-	carried, err := e.checkEvents(snap, held)
-	if err != nil {
+	if err := e.checkEvents(snap); err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
 	if err := e.checkWalks(carried); err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
-	// The fabric holds the walks of its egress batches and live transfers
-	// (a free transfer record holds none).
+	// The fabric holds the walks of its egress batches and transfers.
 	for _, row := range e.egress {
 		for _, eb := range row {
 			e.inFabric += len(eb.walks)
@@ -636,6 +658,18 @@ func (e *Engine) restore(snap *Snapshot) error {
 	}
 	e.numStarted = snap.NumWalks
 	e.remaining = snap.NumWalks - snap.WalksFinished()
+	// Every walk not yet finished is in exactly one table or on the fabric
+	// (auditConservation's identity). A store holding a walk twice, a
+	// duplicated event or a walk missing from every store would finish a
+	// different run, or never finish it.
+	held := e.inFabric
+	for _, be := range e.boards {
+		held += be.liveWalks()
+	}
+	if held != e.remaining {
+		return fmt.Errorf("core: resume: image holds %d walks, but %d started and %d finished",
+			held, snap.NumWalks, snap.WalksFinished())
+	}
 	for _, be := range e.boards {
 		be.finished = e.boardDone(be)
 	}
@@ -658,8 +692,10 @@ func (e *Engine) restore(snap *Snapshot) error {
 }
 
 // restore overlays one board's body; the caller imported the kernel and
-// filed the carried walks. target resolves flash op completion targets.
-func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler, error)) error {
+// filed the records pending events carry. ops is the image's op pool with
+// each completion's A naming its filed record, and target resolves
+// completion targets.
+func (e *boardEngine) restore(snap *BoardImage, ops []flash.OpState, target func(int32) (sim.Handler, error)) error {
 	nb := e.part.NumBlocks()
 	np := e.part.NumPartitions
 	switch {
@@ -686,7 +722,9 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 		return fmt.Errorf("core: resume: %d visit counters, the run keeps %d", len(snap.Res.Visits), len(e.res.Visits))
 	}
 
-	if err := e.ssd.ImportState(snap.Flash, target); err != nil {
+	fs := snap.Flash
+	fs.Ops = ops
+	if err := e.ssd.ImportState(fs, target); err != nil {
 		return err
 	}
 	if err := e.dr.Restore(snap.DRAM); err != nil {
@@ -697,8 +735,8 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 		copy(e.degraded, snap.Injector.Degraded)
 	}
 
-	// Every decoded walk is filed in this board's table; the stores and
-	// pools get fresh indices after the carried walks.
+	// Every decoded walk is filed in this board's table; the stores get
+	// fresh indices after the carried walks.
 	u := unpacker{be: e}
 	for b := 0; b < nb; b++ {
 		e.pwb[b] = u.walks(snap.PWB[b])
@@ -728,14 +766,6 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	}
 	copy(e.flushMark, snap.FlushMark)
 	e.foreignerBufBytes = e.foreignerBytes()
-
-	var err error
-	if e.freeBatch, err = snap.Batches.load(minBatchBytes,
-		func(n int) { e.batches = make([]walkBatch, n) },
-		func(i, next int32) { e.batches[i].free = next },
-		func(i int32, r *recReader) { e.batches[i] = walkBatch{walks: r.walks(e), free: -1} }); err != nil {
-		return fmt.Errorf("core: resume roving batches: %w", err)
-	}
 
 	// The read-back's pending pages are counted by checkEvent.
 	e.switchWalks = u.walks(snap.SwitchWalks)
@@ -811,8 +841,6 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 		for _, id := range cs.Blocks {
 			qc.insertTail(id)
 		}
-		qc.hits = cs.Hits
-		qc.misses = cs.Misses
 	}
 	b.cacheRR = snap.Board.CacheRR
 	b.completedBytes = snap.Board.CompletedBytes
@@ -829,72 +857,82 @@ func (e *boardEngine) restore(snap *BoardImage, target func(int32) (sim.Handler,
 	return nil
 }
 
-// claims counts the pending events and op completions that name each
-// record of a restored pool or carried-walk run. A free record starts at
-// -1, so a claim on it fails like a second claim on a live one.
-type claims []int8
-
-// retiring marks a carried walk claimed by an update completion whose hop
-// finished it.
-const retiring = 2
-
-func newClaims(img *PoolImage) claims {
-	c := make(claims, img.Len)
-	for _, i := range img.Free {
-		c[i] = -1
+// fileRecord files the record a saved event or flash op completion
+// carries — a walk in its board's table, a roving batch or a fabric
+// transfer — in a fresh slot, checks each walk it holds, and returns the
+// slot, which becomes the event's A. A kind that names no record must
+// carry no payload and keeps its A.
+func (e *Engine) fileRecord(target int32, kind uint16, a int32, c int64, payload []byte) (int32, error) {
+	b := int(target-1) / 2
+	fabric := target == targetDriver && kind == evFabricArrive
+	switch {
+	case !fabric && (b < 0 || b >= len(e.boards) || target != targetBoard(b) ||
+		int(kind) >= len(eventPayload) || eventPayload[kind]&(payWalk|payBatch) == 0):
+		if payload != nil {
+			return 0, fmt.Errorf("event kind %d names no record but carries %d bytes", kind, len(payload))
+		}
+		return a, nil
+	case payload == nil:
+		return 0, fmt.Errorf("event kind %d carries no record", kind)
 	}
-	return c
-}
-
-func (c claims) claim(ref int32, what string) error {
-	if ref < 0 || int(ref) >= len(c) {
-		return fmt.Errorf("%s %d outside [0, %d)", what, ref, len(c))
+	r := recReader{b: payload}
+	if fabric {
+		fb := r.fabricBatch()
+		if err := r.done(); err != nil {
+			return 0, fmt.Errorf("fabric transfer: %w", err)
+		}
+		if fb.dst < 0 || int(fb.dst) >= len(e.boards) || len(fb.walks) == 0 {
+			return 0, fmt.Errorf("fabric transfer of %d walks to board %d of %d", len(fb.walks), fb.dst, len(e.boards))
+		}
+		for i := range fb.walks {
+			if err := e.checkFabricWalk(&fb.walks[i]); err != nil {
+				return 0, fmt.Errorf("fabric transfer walk %d: %w", i, err)
+			}
+		}
+		return e.newFBatch(fb.walks, int(fb.dst)), nil
 	}
-	if c[ref] != 0 {
-		return fmt.Errorf("%s %d is free or claimed twice", what, ref)
+	be := e.boards[b]
+	ws := r.walks(be)
+	if err := r.done(); err != nil {
+		return 0, fmt.Errorf("event kind %d: %w", kind, err)
 	}
-	c[ref] = 1
-	return nil
-}
-
-// unclaimed fails on a live record no event names: it would never be
-// consumed, and the walk it holds would never finish.
-func (c claims) unclaimed(what string) error {
-	for i, n := range c {
-		if n == 0 {
-			return fmt.Errorf("live %s %d is named by no pending event", what, i)
+	pay := eventPayload[kind]
+	switch {
+	case pay&payWalk != 0 && len(ws) != 1:
+		return 0, fmt.Errorf("event kind %d carries %d walks, not one", kind, len(ws))
+	case len(ws) == 0:
+		return 0, fmt.Errorf("event kind %d carries an empty roving batch", kind)
+	}
+	// A walk whose update completion is pending with the terminal flag has
+	// taken its last hop.
+	_, hop := splitC(c)
+	for i, w := range ws {
+		if err := be.checkWalk(be.walk(w), pay&payHop != 0 && hop&hopTerminal != 0); err != nil {
+			return 0, fmt.Errorf("event kind %d walk %d: %w", kind, i, err)
 		}
 	}
-	return nil
+	if pay&payWalk != 0 {
+		return ws[0], nil
+	}
+	return be.newBatch(ws), nil
 }
 
 // checkEvents validates every imported pending event and every live flash
-// op's completion against its target's kind space, once every pool is
+// op's completion against its target's kind space, once every store is
 // restored: the kind is known, chip, channel, tier, slot and board indices
-// are in range, the routing scratch names partitions, blocks and ranges
-// that exist, and carried-walk, roving-batch, fabric-transfer and flash-op
-// references are live. Each of a board's held[b] carried walks, roving
-// batches and fabric transfers must be named by exactly one event or
-// completion — a second one would hand two tiers the same walk. A hostile
-// image is an error here rather than a panic or a walk that never finishes
-// once the run resumes. The pass also counts what the image does not
-// repeat (checkEvent), and returns each board's carried-walk claims for
-// checkWalks.
-func (e *Engine) checkEvents(snap *Snapshot, held []int) ([]claims, error) {
+// are in range, and the routing scratch names partitions, blocks and
+// ranges that exist. A hostile image is an error here rather than a panic
+// or a walk that never finishes once the run resumes. The pass also counts
+// what the image does not repeat (checkEvent).
+func (e *Engine) checkEvents(snap *Snapshot) error {
 	nb := len(e.boards)
-	carried, batches := make([]claims, nb), make([]claims, nb)
-	for b := range e.boards {
-		carried[b] = make(claims, held[b])
-		batches[b] = newClaims(&snap.Boards[b].Batches)
-	}
-	fbatches := newClaims(&snap.FBatches)
 	// check validates an event aimed at the driver or a board; restore has
 	// already resolved every target ID.
-	check := func(target int32, kind uint16, a, b int32, c int64) error {
+	check := func(target int32, kind uint16, b int32, c int64) error {
 		if target == targetDriver {
 			switch kind {
 			case evFabricArrive:
-				return fbatches.claim(a, "fabric transfer")
+				return nil
 			case evBoardKill:
 				if b < 0 || int(b) >= nb {
 					return fmt.Errorf("board kill names board %d of %d", b, nb)
@@ -904,7 +942,7 @@ func (e *Engine) checkEvents(snap *Snapshot, held []int) ([]claims, error) {
 			return fmt.Errorf("unknown driver event kind %d", kind)
 		}
 		if bd := int(target-1) / 2; target == targetBoard(bd) {
-			return e.boards[bd].checkEvent(kind, a, b, c, carried[bd], batches[bd])
+			return e.boards[bd].checkEvent(kind, b, c)
 		}
 		return fmt.Errorf("completion kind %d aimed at an SSD", kind)
 	}
@@ -914,36 +952,33 @@ func (e *Engine) checkEvents(snap *Snapshot, held []int) ([]claims, error) {
 			ssdEvents[b] = append(ssdEvents[b], ev)
 			continue
 		}
-		if err := check(ev.Target, ev.Kind, ev.A, ev.B, ev.C); err != nil {
-			return nil, fmt.Errorf("pending event at %v: %w", ev.At, err)
+		if err := check(ev.Target, ev.Kind, ev.B, ev.C); err != nil {
+			return fmt.Errorf("pending event at %v: %w", ev.At, err)
 		}
 	}
 	for b, be := range e.boards {
 		if err := be.ssd.CheckPending(ssdEvents[b]); err != nil {
-			return nil, fmt.Errorf("board %d: %w", b, err)
+			return fmt.Errorf("board %d: %w", b, err)
 		}
 		for i, op := range snap.Boards[b].Flash.Ops {
 			if op.Remaining == 0 || !op.HasDone {
 				continue
 			}
 			d := op.Done
-			if err := check(d.Target, d.Kind, d.A, d.B, d.C); err != nil {
-				return nil, fmt.Errorf("board %d flash op %d completion: %w", b, i, err)
+			if d.Kind == evChanTick {
+				return fmt.Errorf("board %d flash op %d completes a channel tick, which only the kernel schedules", b, i)
+			}
+			if err := check(d.Target, d.Kind, d.B, d.C); err != nil {
+				return fmt.Errorf("board %d flash op %d completion: %w", b, i, err)
 			}
 		}
 	}
 	for b, be := range e.boards {
 		if err := be.derivePending(); err != nil {
-			return nil, fmt.Errorf("board %d: %w", b, err)
-		}
-		if err := carried[b].unclaimed("carried walk"); err != nil {
-			return nil, fmt.Errorf("board %d: %w", b, err)
-		}
-		if err := batches[b].unclaimed("roving batch"); err != nil {
-			return nil, fmt.Errorf("board %d: %w", b, err)
+			return fmt.Errorf("board %d: %w", b, err)
 		}
 	}
-	return carried, fbatches.unclaimed("fabric transfer")
+	return nil
 }
 
 // derivePending sets what follows from the counts checkEvent took: a slot
@@ -971,45 +1006,42 @@ func (e *boardEngine) derivePending() error {
 	return nil
 }
 
-// checkWalks range-checks every restored walk against what its readers
-// index: the graph's vertices, the partitioning's dense blocks and ranges,
-// and the hop budget. The packed codec knows no graph, so a walk value no
-// run could hold is refused here rather than indexing out of range or
-// silently changing the run once it resumes. Restore files every decoded
-// walk in a fresh table, so every table entry is live, and the carried
-// walks first, so carried[b] (checkEvents) covers board b's leading
-// entries.
-func (e *Engine) checkWalks(carried []claims) error {
+// checkWalks range-checks every walk the stores restored against what its
+// readers index: the graph's vertices, the partitioning's dense blocks and
+// ranges, and the hop budget. The packed codec knows no graph, so a walk
+// value no run could hold is refused here rather than indexing out of
+// range or silently changing the run once it resumes. Restore files every
+// decoded walk in a fresh table, so every table entry is live, and the
+// records events carry first: fileRecord checked board b's leading
+// carried[b] walks and the fabric transfers.
+func (e *Engine) checkWalks(carried []int) error {
 	for b, be := range e.boards {
-		for i := range be.wtab {
-			// A walk whose update completion is pending with the terminal
-			// flag has taken its last hop.
-			done := i < len(carried[b]) && carried[b][i] == retiring
-			if err := be.checkWalk(&be.wtab[i], done); err != nil {
+		for i := carried[b]; i < len(be.wtab); i++ {
+			if err := be.checkWalk(&be.wtab[i], false); err != nil {
 				return fmt.Errorf("board %d walk %d: %w", b, i, err)
 			}
 		}
 	}
-	// Every board shares the graph, partitioning and spec, so the first
-	// checks the walks on the fabric.
-	be := e.boards[0]
 	for src, row := range e.egress {
 		for dst := range row {
 			for i := range row[dst].walks {
-				if err := be.checkWalk(&row[dst].walks[i].st, false); err != nil {
+				if err := e.checkFabricWalk(&row[dst].walks[i]); err != nil {
 					return fmt.Errorf("egress %d to %d walk %d: %w", src, dst, i, err)
 				}
 			}
 		}
 	}
-	for j := range e.fbatches {
-		for i := range e.fbatches[j].walks {
-			if err := be.checkWalk(&e.fbatches[j].walks[i].st, false); err != nil {
-				return fmt.Errorf("fabric transfer %d walk %d: %w", j, i, err)
-			}
-		}
-	}
 	return nil
+}
+
+// checkFabricWalk checks a walk on the fabric: its destination partition
+// exists, and every board shares the graph, partitioning and spec, so the
+// first checks the walk itself.
+func (e *Engine) checkFabricWalk(fw *fabricWalk) error {
+	if fw.p < 0 || int(fw.p) >= e.part.NumPartitions {
+		return fmt.Errorf("destination partition %d of %d", fw.p, e.part.NumPartitions)
+	}
+	return e.boards[0].checkWalk(&fw.st, false)
 }
 
 // checkWalk checks one walk; terminal reports that it has taken its last
@@ -1035,12 +1067,13 @@ func (e *boardEngine) checkWalk(st *wstate, terminal bool) error {
 }
 
 // checkEvent validates one event or op completion aimed at this board
-// against its kind's payload (eventPayload), claiming the carried walk or
-// roving batch it names. It counts what each completion settles: a chip
+// against its kind's payload (eventPayload); fileRecord already filed the
+// walk or roving batch it carries. It counts what each event settles: a chip
 // update its slot's pending walks, a load part its slot's parts left, a
 // tier update the queue bytes it claimed, a preload its tier's pending
-// hot blocks, and a read-back page the board's pages left.
-func (e *boardEngine) checkEvent(kind uint16, a, b int32, c int64, carried, batches claims) error {
+// hot blocks, a read-back page the board's pages left, and a channel tick
+// the driver's pending ticks.
+func (e *boardEngine) checkEvent(kind uint16, b int32, c int64) error {
 	if int(kind) >= len(eventPayload) {
 		return fmt.Errorf("unknown board event kind %d", kind)
 	}
@@ -1064,15 +1097,6 @@ func (e *boardEngine) checkEvent(kind uint16, a, b int32, c int64, carried, batc
 	case p&payChanRoute != 0 && (lo < -1 || int(lo) >= len(e.part.Ranges) ||
 		hi < -1 || int(hi) >= e.part.NumPartitions):
 		return fmt.Errorf("channel guide tags range %d, partition %d", lo, hi)
-	case p&payBatch != 0:
-		return batches.claim(a, "roving batch")
-	case p&payWalk != 0:
-		if err := carried.claim(a, "carried walk"); err != nil {
-			return err
-		}
-		if p&payHop != 0 && hi&hopTerminal != 0 {
-			carried[a] = retiring
-		}
 	}
 	switch kind {
 	case evChipUpdateDone:
@@ -1085,6 +1109,8 @@ func (e *boardEngine) checkEvent(kind uint16, a, b int32, c int64, carried, batc
 		e.tier(b).hotPending++
 	case evSwitchPage:
 		e.switchLeft++
+	case evChanTick:
+		e.drv.ticks++
 	}
 	return nil
 }

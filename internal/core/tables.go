@@ -31,8 +31,6 @@ type queryCache struct {
 	slotOf      []int32      // block - base → entry slot, -1 when not cached
 	ents        []cacheEntry // the slots in use
 	head, tail  int32        // most and least recent slots, -1 when empty
-	hits        uint64
-	misses      uint64
 }
 
 // cacheEntry is one cached mapping entry, linked into the recency list.
@@ -60,7 +58,6 @@ func newQueryCache(capacityBytes, entryBytes int64, vertexBlock []int32, span in
 func (qc *queryCache) lookup(v graph.VertexID) (blockID int, ok bool) {
 	if i := uint32(qc.vertexBlock[v] - qc.base); i < uint32(len(qc.slotOf)) {
 		if s := qc.slotOf[i]; s >= 0 {
-			qc.hits++
 			if s != qc.head {
 				qc.unlink(s)
 				qc.pushFront(s)
@@ -68,7 +65,6 @@ func (qc *queryCache) lookup(v graph.VertexID) (blockID int, ok bool) {
 			return int(qc.base) + int(i), true
 		}
 	}
-	qc.misses++
 	return -1, false
 }
 

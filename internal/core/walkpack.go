@@ -10,25 +10,27 @@ import (
 )
 
 // Packed snapshot records. A snapshot carries every walk it holds — the
-// per-block and per-partition stores, roving batches, slot loads, the walks
-// pending events carry, the fabric's egress batches and transfers — as
-// packed binary records rather than one gob struct per walk, the way the
-// board moves a walk as a fixed record (walk.StateBytes). Building a cut
-// appends them to one arena; the container codec then ships each store as
-// a single byte string, and DiffSnapshot compares stores byte for byte.
+// per-block and per-partition stores, slot loads, the fabric's egress
+// batches, and the walk, roving batch or fabric transfer each pending event
+// carries — as packed binary records rather than one gob struct per walk,
+// the way the board moves a walk as a fixed record (walk.StateBytes).
+// Building a cut appends them to one arena; the container codec then ships
+// each store and event payload as a single byte string, and DiffSnapshot
+// compares stores byte for byte.
 //
-// In memory a board's stores hold indices into its walk table; the packer
-// resolves each index and writes the walk itself, and restore files every
-// decoded walk in its board's table. Table indices never reach an image:
-// a pending event that carries a walk names its position in the board's
-// Held run instead, and restore files Held first, so that position is the
-// walk's new index.
+// In memory a board's stores, batches and events hold indices into its
+// walk table; the packer resolves each index and writes the walk itself,
+// and restore files every decoded walk in its board's table. Table, batch
+// and transfer indices never reach an image.
 //
 // One walk record is, in order: Src, Cur and Hop as uvarints, the dense
 // block as a zigzag varint, the dense edge as a uvarint, the range tag as a
 // zigzag varint, the previous vertex plus one as a uvarint (noPrev packs as
-// 0), and the walk's raw 32-byte RNG state, little-endian. A fabric walk
-// record prefixes its destination partition as a zigzag varint.
+// 0), and the walk's raw 32-byte RNG state, little-endian. A run is a
+// uvarint count and that many records: a store, a roving batch, or the one
+// walk an event carries. A fabric walk record prefixes its destination
+// partition as a zigzag varint, and a fabric transfer is its destination
+// board as a zigzag varint and a run of fabric walks.
 //
 // Restore reads records through recReader, which bounds-checks every
 // count, index, varint and value: a snapshot crosses a trust boundary on
@@ -40,28 +42,12 @@ import (
 // holds no walks.
 type WalkRecords []byte
 
-// PoolImage is a pooled record array (roving batches, fabric transfers)
-// exported live-only. A free record holds nothing but its free-list link,
-// so the pool's length, its free list in order from the head, and the live
-// records restore the pool exactly.
-type PoolImage struct {
-	// Len is the pool length, live and free records together.
-	Len int
-	// Free lists the free records, from the head of the free list.
-	Free []int32
-	// Live packs each of the Len-len(Free) live records, in ascending
-	// index order, as its uvarint index followed by the record.
-	Live []byte
-}
-
 // Minimum packed sizes, for bounding counts by the bytes that carry them:
 // seven one-byte varints and the RNG state make the smallest walk.
 const (
 	rngBytes       = 32
 	minWalkBytes   = 7 + rngBytes
 	minFabricBytes = 1 + minWalkBytes
-	minBatchBytes  = 1 // an empty walk run
-	minFBatchBytes = 2 // destination and walk count
 )
 
 // packer appends one snapshot's packed records to a shared arena and hands
@@ -98,28 +84,12 @@ func (p *packer) fabricWalks(ws []fabricWalk) WalkRecords {
 	return p.cut(start)
 }
 
-// pool exports a pool of n records whose free list starts at head and
-// follows link, appending each live record i with put. It fails only on a
-// free list that revisits a record.
-func (p *packer) pool(n int, head int32, link func(int32) int32, put func([]byte, int32) []byte) (PoolImage, error) {
-	img := PoolImage{Len: n}
-	free := make([]bool, n)
-	for i := head; i >= 0; i = link(i) {
-		if free[i] {
-			return img, fmt.Errorf("core: snapshot: free list revisits record %d", i)
-		}
-		free[i] = true
-		img.Free = append(img.Free, i)
-	}
+// fabricBatch packs an in-flight fabric transfer.
+func (p *packer) fabricBatch(fb *fabricBatch) []byte {
 	start := len(p.buf)
-	for i := int32(0); int(i) < n; i++ {
-		if !free[i] {
-			p.buf = binary.AppendUvarint(p.buf, uint64(i))
-			p.buf = put(p.buf, i)
-		}
-	}
-	img.Live = p.cut(start)
-	return img, nil
+	p.buf = binary.AppendVarint(p.buf, int64(fb.dst))
+	p.buf = appendFabricWalks(p.buf, fb.walks)
+	return p.cut(start)
 }
 
 func appendWalk(b []byte, st *wstate) []byte {
@@ -153,11 +123,6 @@ func appendFabricWalks(b []byte, ws []fabricWalk) []byte {
 		b = appendWalk(b, &ws[i].st)
 	}
 	return b
-}
-
-func appendFabricBatch(b []byte, fb *fabricBatch) []byte {
-	b = binary.AppendVarint(b, int64(fb.dst))
-	return appendFabricWalks(b, fb.walks)
 }
 
 // --- Decoding. ---
@@ -300,6 +265,7 @@ func (r *recReader) fabricWalks() []fabricWalk {
 	return out
 }
 
+// fabricBatch reads a fabric transfer: its destination board and walks.
 func (r *recReader) fabricBatch() fabricBatch {
 	dst := r.int32()
 	return fabricBatch{walks: r.fabricWalks(), dst: dst, free: -1}
@@ -330,47 +296,4 @@ func (u *unpacker) fabricWalks(rec WalkRecords) []fabricWalk {
 	out := r.fabricWalks()
 	u.err = r.done()
 	return out
-}
-
-// load validates a pool image whose live records take at least min bytes
-// each. It calls alloc once with the pool length (bounded by the image's
-// bytes), then free(i, next) for every free record in list order and
-// live(i, r) to read every live record, and returns the free-list head.
-func (img *PoolImage) load(min int, alloc func(n int), free func(i, next int32), live func(i int32, r *recReader)) (int32, error) {
-	nLive := img.Len - len(img.Free)
-	if img.Len < 0 || nLive < 0 || nLive > len(img.Live)/(1+min) {
-		return -1, fmt.Errorf("%w: pool of %d records with %d free and %d live bytes",
-			errPacked, img.Len, len(img.Free), len(img.Live))
-	}
-	alloc(img.Len)
-	seen := make([]bool, img.Len)
-	for k, i := range img.Free {
-		if i < 0 || int(i) >= img.Len || seen[i] {
-			return -1, fmt.Errorf("%w: free-list entry %d outside the pool or repeated", errPacked, i)
-		}
-		seen[i] = true
-		next := int32(-1)
-		if k+1 < len(img.Free) {
-			next = img.Free[k+1]
-		}
-		free(i, next)
-	}
-	r := recReader{b: img.Live}
-	prev := int64(-1)
-	for k := 0; k < nLive && r.err == nil; k++ {
-		i := r.uvarint()
-		if int64(i) <= prev || i >= uint64(img.Len) || seen[i] {
-			r.fail(fmt.Sprintf("live index %d out of order, outside the pool or free", i))
-			break
-		}
-		prev = int64(i)
-		live(int32(i), &r)
-	}
-	if err := r.done(); err != nil {
-		return -1, err
-	}
-	if len(img.Free) == 0 {
-		return -1, nil
-	}
-	return img.Free[0], nil
 }

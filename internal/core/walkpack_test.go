@@ -25,6 +25,17 @@ func midRunCut(t testing.TB, nb int) *Snapshot {
 	return interruptWhen(t, testGraph(t), arrayConfig(nb), 4, func(s *Snapshot) bool { return !s.Preloading() })
 }
 
+// carryingCut is the first cut of the golden workload on nb boards whose
+// pending events carry a walk and a roving batch and, on more than one
+// board, a fabric transfer.
+func carryingCut(t testing.TB, nb int) *Snapshot {
+	t.Helper()
+	return interruptWhen(t, testGraph(t), arrayConfig(nb), 1, func(s *Snapshot) bool {
+		w, b, x := carriedRecords(s)
+		return w > 0 && b > 0 && (nb == 1 || x > 0)
+	})
+}
+
 // containerPayload is the gob payload of an encoded container.
 func containerPayload(data []byte, kind string) []byte {
 	return data[8+4+2+len(kind)+8 : len(data)-sha256.Size]
@@ -43,20 +54,46 @@ func sealPayload(kind string, payload []byte) []byte {
 	return append(b, sum[:]...)
 }
 
-// unpackImage runs every packed decoder restore runs on s, filing the
-// walks in a scratch board's table, and returns the first error.
-func unpackImage(s *Snapshot) error {
-	be := new(boardEngine)
-	u := unpacker{be: be}
-	var firstErr error
-	keep := func(err error) {
-		if firstErr == nil {
-			firstErr = err
+// eachPayload calls fn with each record a cut's pending events carry, in
+// event order: the kernel's events as exported, then each board's live
+// flash op completions in op order.
+func eachPayload(s *Snapshot, fn func(target int32, kind uint16, payload []byte)) {
+	for _, ev := range s.Sim.Events {
+		if ev.Payload != nil {
+			fn(ev.Target, ev.Kind, ev.Payload)
 		}
 	}
 	for b := range s.Boards {
+		for _, op := range s.Boards[b].Flash.Ops {
+			if op.Remaining > 0 && op.HasDone && op.Done.Payload != nil {
+				fn(op.Done.Target, op.Done.Kind, op.Done.Payload)
+			}
+		}
+	}
+}
+
+// carriedRecords counts the walks, roving batches and fabric transfers a
+// cut's pending events carry.
+func carriedRecords(s *Snapshot) (walks, batches, transfers int) {
+	eachPayload(s, func(target int32, kind uint16, _ []byte) {
+		switch {
+		case target == targetDriver:
+			transfers++
+		case eventPayload[kind]&payWalk != 0:
+			walks++
+		default:
+			batches++
+		}
+	})
+	return walks, batches, transfers
+}
+
+// unpackImage runs every packed decoder restore runs on s, filing the
+// walks in a scratch board's table, and returns the first error.
+func unpackImage(s *Snapshot) error {
+	u := unpacker{be: new(boardEngine)}
+	for b := range s.Boards {
 		img := &s.Boards[b]
-		u.walks(img.Held)
 		for _, stores := range [][]WalkRecords{img.PWB, img.FLS, img.PendingMem, img.PendingFlash} {
 			for _, rec := range stores {
 				u.walks(rec)
@@ -69,26 +106,22 @@ func unpackImage(s *Snapshot) error {
 				u.walks(sl.LoadWalks)
 			}
 		}
-		var batches []walkBatch
-		_, err := img.Batches.load(minBatchBytes,
-			func(n int) { batches = make([]walkBatch, n) },
-			func(i, next int32) { batches[i].free = next },
-			func(i int32, r *recReader) { batches[i].walks = r.walks(be) })
-		keep(err)
 	}
 	for _, row := range s.Egress {
 		for _, es := range row {
 			u.fabricWalks(es.Walks)
 		}
 	}
-	var fb []fabricBatch
-	_, err := s.FBatches.load(minFBatchBytes,
-		func(n int) { fb = make([]fabricBatch, n) },
-		func(i, next int32) { fb[i].free = next },
-		func(i int32, r *recReader) { fb[i] = r.fabricBatch() })
-	keep(err)
-	keep(u.err)
-	return firstErr
+	eachPayload(s, func(target int32, kind uint16, payload []byte) {
+		if target != targetDriver || kind != evFabricArrive {
+			u.walks(payload)
+		} else if u.err == nil {
+			r := recReader{b: payload}
+			r.fabricBatch()
+			u.err = r.done()
+		}
+	})
+	return u.err
 }
 
 // goldenCuts returns every cut the golden workload takes on nb boards at
@@ -112,29 +145,34 @@ func goldenCuts(t *testing.T, g *graph.Graph, nb int) [][]byte {
 
 // TestPackedImageRoundTrip: every cut of the golden workload, on one board
 // and two, restores an engine whose next cut packs to the identical image,
-// and every packed store decodes cleanly. The identity covers the kernel's
-// event list, which ExportState lists in an order that depends only on
-// the pending set, and Held, whose order follows it: restore files each
-// carried walk at the position its event names.
+// payloads included, and every packed store and payload decodes cleanly.
+// The identity covers the kernel's event list, which ExportState lists in
+// an order that depends only on the pending set. Restore must leave the
+// image it is handed as decoded.
 func TestPackedImageRoundTrip(t *testing.T) {
 	g := testGraph(t)
 	for _, nb := range []int{1, 2} {
 		cuts := goldenCuts(t, g, nb)
-		carrying := 0
+		var walks, batches, transfers int
 		for i, data := range cuts {
-			snap := new(Snapshot)
+			snap, orig := new(Snapshot), new(Snapshot)
 			if err := snapshot.Decode(data, fuzzSnapKind, snap); err != nil {
+				t.Fatal(err)
+			}
+			if err := snapshot.Decode(data, fuzzSnapKind, orig); err != nil {
 				t.Fatal(err)
 			}
 			if err := unpackImage(snap); err != nil {
 				t.Fatalf("boards=%d cut %d: %v", nb, i, err)
 			}
-			if len(snap.Boards[0].Held) > 0 {
-				carrying++
-			}
+			w, b, x := carriedRecords(snap)
+			walks, batches, transfers = walks+w, batches+b, transfers+x
 			e, err := ResumeEngine(g, snap, ResumeOptions{})
 			if err != nil {
 				t.Fatalf("boards=%d cut %d: %v", nb, i, err)
+			}
+			if !reflect.DeepEqual(snap, orig) {
+				t.Fatalf("boards=%d cut %d: restore edited the image it was handed", nb, i)
 			}
 			again, err := e.buildSnapshot()
 			if err != nil {
@@ -144,15 +182,15 @@ func TestPackedImageRoundTrip(t *testing.T) {
 				t.Fatalf("boards=%d: cut %d of %d: a restored engine re-packs to a different image", nb, i, len(cuts))
 			}
 		}
-		if carrying == 0 {
-			t.Fatalf("boards=%d: none of %d cuts carries a walk in a pending event", nb, len(cuts))
+		if walks == 0 || batches == 0 || nb > 1 && transfers == 0 {
+			t.Fatalf("boards=%d: %d cuts carry %d walks, %d roving batches and %d fabric transfers",
+				nb, len(cuts), walks, batches, transfers)
 		}
 	}
 }
 
-// TestPackedRecordsRejectMalformed: truncations, trailing bytes, overlong
-// counts and pool indices outside the pool, repeated or out of order are
-// errors, never a panic.
+// TestPackedRecordsRejectMalformed: truncations, trailing bytes and
+// overlong counts are errors, never a panic.
 func TestPackedRecordsRejectMalformed(t *testing.T) {
 	ws := []wstate{{denseBlock: -1, rangeTag: -1, prev: noPrev}, {denseBlock: 3, denseEdge: 9, rangeTag: 2, prev: 5}}
 	ws[1].w.Src, ws[1].w.Cur, ws[1].w.Hop = 1<<32-2, 7, 80
@@ -175,47 +213,20 @@ func TestPackedRecordsRejectMalformed(t *testing.T) {
 			t.Errorf("%s: err %v, want errPacked", name, u.err)
 		}
 	}
-
-	live := func(idx ...uint64) []byte {
-		var b []byte
-		for _, i := range idx {
-			b = binary.AppendUvarint(b, i)
-			b = appendWalks(b, nil, nil)
-		}
-		return b
-	}
-	pools := map[string]PoolImage{
-		"negative-length":   {Len: -1},
-		"length-overrun":    {Len: 1 << 40, Live: live(0)},
-		"free-out-of-range": {Len: 2, Free: []int32{5}, Live: live(0)},
-		"free-repeated":     {Len: 3, Free: []int32{1, 1}, Live: live(0)},
-		"live-out-of-order": {Len: 2, Live: live(1, 0)},
-		"live-is-free":      {Len: 2, Free: []int32{0}, Live: live(0)},
-		"live-out-of-range": {Len: 1, Live: live(3)},
-		"trailing":          {Len: 1, Live: append(live(0), 0)},
-	}
-	for name, img := range pools {
-		var batches []walkBatch
-		_, err := img.load(minBatchBytes,
-			func(n int) { batches = make([]walkBatch, n) },
-			func(i, next int32) { batches[i].free = next },
-			func(i int32, r *recReader) { batches[i].walks = r.walks(new(boardEngine)) })
-		if !errors.Is(err, errPacked) {
-			t.Errorf("%s: err %v, want errPacked", name, err)
-		}
-	}
 }
 
 // FuzzSnapshotDecode feeds hostile payloads to the snapshot codec: mutated
 // gob payloads of real 1-board and 2-board mid-run cuts, re-sealed so
 // Decode gets past the checksum. Decode into a Snapshot must fail or yield
 // an image that survives an Encode/Decode round trip unchanged, and every
-// packed store of a decoded image must decode or fail cleanly — never
-// panic. The 1-board cut also seeds with one parked walk at vertex 2^32-2
-// (the largest ID), 2^32-1 (no vertex), 2^32 and 2^32+1.
+// packed store and event payload of a decoded image must decode or fail
+// cleanly — never panic. The seed cuts carry a walk and a roving batch in
+// pending events, and on two boards a fabric transfer. The 1-board cut
+// also seeds with one parked walk at vertex 2^32-2 (the largest ID),
+// 2^32-1 (no vertex), 2^32 and 2^32+1.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, nb := range []int{1, 2} {
-		cut := midRunCut(f, nb)
+		cut := carryingCut(f, nb)
 		data, err := snapshot.Encode(fuzzSnapKind, cut)
 		if err != nil {
 			f.Fatal(err)

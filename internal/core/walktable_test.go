@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"testing"
 	"unsafe"
 
@@ -14,12 +13,13 @@ import (
 	"flashwalker/internal/sim"
 )
 
-// packedStoreDigest hashes every packed walk store and pool image of a cut
-// in a fixed order: per board the PWB, FLS and both pending lists, the
-// switch read-back, each chip's roving buffer and slot loads, the walks
-// pending events carry and the roving-batch pool; then the fabric's egress
-// batches and its transfer pool. Every byte string is length-prefixed, so
-// a byte moving between two stores changes the digest too.
+// packedStoreDigest hashes every packed walk store of a cut and every
+// record its pending events carry, in a fixed order: per board the PWB,
+// FLS and both pending lists, the switch read-back, each chip's roving
+// buffer and slot loads; then the fabric's egress batches; then the
+// payloads in event order (eachPayload). Every byte string is
+// length-prefixed, so a byte moving between two stores changes the digest
+// too.
 func packedStoreDigest(s *Snapshot) string {
 	h := sha256.New()
 	put := func(b []byte) {
@@ -42,25 +42,14 @@ func packedStoreDigest(s *Snapshot) string {
 				put(sl.LoadWalks)
 			}
 		}
-		put(img.Held)
-		hashPool(h, &img.Batches, put)
 	}
 	for _, row := range s.Egress {
 		for _, es := range row {
 			put(es.Walks)
 		}
 	}
-	hashPool(h, &s.FBatches, put)
+	eachPayload(s, func(_ int32, _ uint16, payload []byte) { put(payload) })
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-func hashPool(h hash.Hash, img *PoolImage, put func([]byte)) {
-	b := binary.AppendVarint(nil, int64(img.Len))
-	for _, i := range img.Free {
-		b = binary.AppendVarint(b, int64(i))
-	}
-	put(b)
-	put(img.Live)
 }
 
 // TestWalkStateSize pins the walk-table record at one 64-byte cache line
@@ -75,18 +64,18 @@ func TestWalkStateSize(t *testing.T) {
 	}
 }
 
-// TestPackedStoreDigest pins the packed walk stores and pool images of
+// TestPackedStoreDigest pins the packed walk stores and event payloads of
 // golden-workload cuts early, mid-run and late, on one board and two. The
 // engine's in-memory walk layout is free to change; the records a cut
 // packs are not, because resume reads them.
 func TestPackedStoreDigest(t *testing.T) {
 	want := map[string]string{
-		"boards=1/cut=1":  "013befc72ac37f678a3e780756b348c3568cd9cb992ca702e91b420f8f7ba9da",
-		"boards=1/cut=5":  "42f325caac21a7d5615800ef06b822b0cd0de00bab8da30e9bcb6d1166623cb1",
-		"boards=1/cut=20": "79df15a9c6459927f3db6da1dd535d4c31393430fd371219a5d2ccfc14422d08",
-		"boards=2/cut=1":  "b3061b8b78bcaf268a46892e73d51f9c5b005ed4c7ea96faa40f62848aceeac0",
-		"boards=2/cut=5":  "53e8abd20915cc87675049e30043e724af14a61406ec8ffa5dda269281102849",
-		"boards=2/cut=20": "4fe4951a1671f955d6a6bcca7a22719d25e8bf9dd4b404f19f0b49309b196fdf",
+		"boards=1/cut=1":  "80aa50169e9e77a02ee8103fa1a8a31e00f162906a48b3d4ffe1f081e25a9e7c",
+		"boards=1/cut=5":  "e1354ddf4e4e21c16e40cc95bb98f4e034e91f4855fe2673c60fb7fe8cd1eb96",
+		"boards=1/cut=20": "0f6e07b97fb7b21c07f90444fb8ebcdaf1a74e975d5ed8b4ca6071bed117ed66",
+		"boards=2/cut=1":  "e803e8ec0ba1f7d5c23b190f6673bb58d30903439b40446ab3721d35fc547417",
+		"boards=2/cut=5":  "9005967c8d02c1937bd868ece89b1a465928cbb758563e9363f6a0f3691cfbe9",
+		"boards=2/cut=20": "1a4ec07d07b8c40445ea0904c3cf3e278282b8a47d5e9999515bffb5099190d6",
 	}
 	g := testGraph(t)
 	for _, nb := range []int{1, 2} {

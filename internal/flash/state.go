@@ -11,21 +11,24 @@ import (
 // counters, and the pooled multi-part op records. Every op completion is a
 // typed event (or none), so live ops serialize at any event boundary: the
 // event's target is mapped to a small integer by the caller, as in
-// sim.Engine.ExportState.
+// sim.Engine.ExportState. The pool is exported by index, because a live
+// op's pending part events name it; its free list is not, because it is
+// exactly the ops with no parts left.
 
-// OpEvent is a typed completion event in serializable form.
+// OpEvent is a typed completion event in serializable form. Payload is the
+// caller's, as in sim.SavedEvent: the SSD neither writes nor reads it.
 type OpEvent struct {
-	Target int32
-	Kind   uint16
-	A, B   int32
-	C      int64
+	Target  int32
+	Kind    uint16
+	A, B    int32
+	C       int64
+	Payload []byte
 }
 
-// OpState is one pooled op record. Remaining > 0 marks a live op; free
-// records carry only their free-list link.
+// OpState is one pooled op record. Remaining > 0 marks a live op; a free
+// record has no parts left and no completion.
 type OpState struct {
 	Remaining int32
-	Free      int32
 	HasDone   bool
 	Done      OpEvent
 }
@@ -40,7 +43,6 @@ type State struct {
 	Planes   []sim.QueueState // chip-major: chip*PlanesPerChip() + plane
 	ChipNext []int            // per-chip round-robin plane cursor
 	Ops      []OpState
-	FreeOp   int32
 }
 
 // ExportState captures the SSD's queues, cursors, counters, and op pool.
@@ -53,7 +55,6 @@ func (s *SSD) ExportState(targetID func(sim.Handler) (int32, error)) (State, err
 		Buses:    make([]sim.QueueState, 0, len(s.channels)),
 		ChipNext: make([]int, 0, s.NumChips()),
 		Ops:      make([]OpState, 0, len(s.ops)),
-		FreeOp:   s.freeOp,
 	}
 	for _, ch := range s.channels {
 		st.Buses = append(st.Buses, ch.Bus.State())
@@ -66,7 +67,7 @@ func (s *SSD) ExportState(targetID func(sim.Handler) (int32, error)) (State, err
 	}
 	for i := range s.ops {
 		op := &s.ops[i]
-		os := OpState{Remaining: op.remaining, Free: op.free}
+		os := OpState{Remaining: op.remaining}
 		if op.remaining > 0 && !op.done.None() {
 			id, err := targetID(op.done.Target)
 			if err != nil {
@@ -107,31 +108,21 @@ func (s *SSD) ImportState(st State, target func(int32) (sim.Handler, error)) err
 			}
 		}
 	}
-	// The free list must be exactly the ops with no parts left: newOp
-	// claims from it, so an index outside the pool or a live op on it
-	// would corrupt the pool.
-	free := 0
-	for i, os := range st.Ops {
+	// The free list is rebuilt from the ops with no parts left, lowest
+	// index first.
+	s.ops = make([]flashOp, len(st.Ops))
+	s.freeOp = -1
+	for i := len(st.Ops) - 1; i >= 0; i-- {
+		os := &st.Ops[i]
 		switch {
 		case os.Remaining < 0:
 			return fmt.Errorf("flash: import: op %d has %d parts left", i, os.Remaining)
 		case os.Remaining == 0:
-			free++
+			s.ops[i] = flashOp{free: s.freeOp}
+			s.freeOp = int32(i)
+			continue
 		}
-	}
-	listed := 0
-	for i := st.FreeOp; i >= 0; i = st.Ops[i].Free {
-		if int(i) >= len(st.Ops) || st.Ops[i].Remaining != 0 || listed == free {
-			return fmt.Errorf("flash: import: free list reaches op %d, which is outside the pool, live or listed twice", i)
-		}
-		listed++
-	}
-	if listed != free {
-		return fmt.Errorf("flash: import: free list holds %d of the %d free ops", listed, free)
-	}
-	s.ops = make([]flashOp, len(st.Ops))
-	for i, os := range st.Ops {
-		op := flashOp{remaining: os.Remaining, free: os.Free}
+		op := flashOp{remaining: os.Remaining, free: -1}
 		if os.HasDone {
 			h, err := target(os.Done.Target)
 			if err != nil {
@@ -141,7 +132,6 @@ func (s *SSD) ImportState(st State, target func(int32) (sim.Handler, error)) err
 		}
 		s.ops[i] = op
 	}
-	s.freeOp = st.FreeOp
 	return nil
 }
 

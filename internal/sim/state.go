@@ -18,14 +18,17 @@ import (
 
 // SavedEvent is one pending scheduler entry in serializable form. Seq
 // preserves the insertion order, so a restored schedule drains in exactly
-// the original (time, insertion) order.
+// the original (time, insertion) order. Payload is the caller's: the
+// engine neither writes nor reads it, so a caller can pack beside an event
+// the record its A names in memory.
 type SavedEvent struct {
-	At     Time
-	Seq    uint64
-	Target int32
-	Kind   uint16
-	A, B   int32
-	C      int64
+	At      Time
+	Seq     uint64
+	Target  int32
+	Kind    uint16
+	A, B    int32
+	C       int64
+	Payload []byte
 }
 
 // EngineState is the full serializable state of an Engine: the clock, the

@@ -39,8 +39,11 @@ import (
 // core engine's snapshot one type for any board count; version 3 packs its
 // walks as binary records and exports its pooled records live-only;
 // version 4 drops the event-node pool: pending events carry their walks,
-// packed once per board in the order the kernel exports those events.
-const Version = 4
+// packed once per board in the order the kernel exports those events;
+// version 5 packs the walk, roving batch or fabric transfer each pending
+// event names beside that event, and drops the batch and transfer pools,
+// the flash op free list and the query caches' hit counters.
+const Version = 5
 
 var magic = [8]byte{'F', 'W', 'S', 'N', 'A', 'P', '1', '\n'}
 
