@@ -71,7 +71,8 @@ type fabricBatch struct {
 type Engine struct {
 	eng    *sim.Engine
 	cfg    Config
-	g      *graph.Graph
+	g      *graph.Graph   // the caller's graph, shared and never written
+	ov     *graph.Overlay // the run's view of g after its mutations; nil without a stream
 	part   *partition.Partitioned
 	shard  *partition.ShardMap
 	boards []*boardEngine
@@ -102,14 +103,9 @@ type Engine struct {
 
 	// Mutation stream state (mutate.go): muts is the full stream, mutCursor
 	// the next unapplied index (the At == 0 prefix applies at construction).
-	// initVertices/initEdges are the graph's pre-mutation counts — the
-	// identity a snapshot records, since a resumed run rebuilds from the
-	// initial graph and replays.
-	muts         graph.MutationStream
-	mutCursor    int
-	mutSrcs      []graph.VertexID // applyBatch's distinct-source scratch
-	initVertices uint64
-	initEdges    uint64
+	muts      graph.MutationStream
+	mutCursor int
+	mutSrcs   []graph.VertexID // applyBatch's distinct-source scratch
 
 	onProgress func(Progress)
 	checkEvery uint64
@@ -148,19 +144,17 @@ func NewArray(g *graph.Graph, rc RunConfig) (*Engine, error) { return NewEngine(
 
 // newEngine builds the skeleton — shared kernel, board engines, shard map,
 // fabric — without seeding walks (ResumeEngine overlays a snapshot). A
-// mutation stream is validated here, the graph is cloned (callers keep
-// their Graph pristine), and the At == 0 prefix is applied before the
-// boards are built so hot-subgraph selection sees the patched degree sums.
+// mutation stream is validated here and gets the run's overlay, and the
+// At == 0 prefix is applied before the boards are built so hot-subgraph
+// selection sees the patched degree sums.
 func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 	if err := rc.validate(g); err != nil {
 		return nil, err
 	}
-	nb := max(rc.Cfg.Boards, 1)
-	initVertices, initEdges := g.NumVertices(), g.NumEdges()
-	g, err := cloneForMutations(g, rc)
-	if err != nil {
+	if err := ValidateMutations(g, rc.PartCfg, rc.Mutations); err != nil {
 		return nil, err
 	}
+	nb := max(rc.Cfg.Boards, 1)
 	part, err := partition.Partition(g, rc.PartCfg)
 	if err != nil {
 		return nil, err
@@ -171,34 +165,35 @@ func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 	}
 	eng := sim.New()
 	e := &Engine{
-		eng:          eng,
-		cfg:          rc.Cfg,
-		g:            g,
-		part:         part,
-		shard:        shard,
-		muts:         rc.Mutations,
-		initVertices: initVertices,
-		initEdges:    initEdges,
-		dead:         make([]bool, nb),
-		fabric:       make([]*sim.Queue, nb),
-		egress:       make([][]egressBuf, nb),
-		freeFB:       -1,
-		audit:        rc.Audit,
-		maxSimTime:   rc.MaxSimTime,
-		rootRNG:      rng.New(rc.Cfg.Seed),
-		onProgress:   rc.OnProgress,
-		checkEvery:   rc.CheckpointEvery,
-		onSnapshot:   rc.OnSnapshot,
-		snapEvery:    rc.SnapshotEvery,
-		snapWall:     rc.SnapshotMinInterval,
-		onWalks:      rc.OnWalks,
-		emitEvery:    rc.EmitEvery,
+		eng:        eng,
+		cfg:        rc.Cfg,
+		g:          g,
+		part:       part,
+		shard:      shard,
+		muts:       rc.Mutations,
+		dead:       make([]bool, nb),
+		fabric:     make([]*sim.Queue, nb),
+		egress:     make([][]egressBuf, nb),
+		freeFB:     -1,
+		audit:      rc.Audit,
+		maxSimTime: rc.MaxSimTime,
+		rootRNG:    rng.New(rc.Cfg.Seed),
+		onProgress: rc.OnProgress,
+		checkEvery: rc.CheckpointEvery,
+		onSnapshot: rc.OnSnapshot,
+		snapEvery:  rc.SnapshotEvery,
+		snapWall:   rc.SnapshotMinInterval,
+		onWalks:    rc.OnWalks,
+		emitEvery:  rc.EmitEvery,
 	}
 	if e.checkEvery == 0 {
 		e.checkEvery = DefaultCheckpointEvery
 	}
 	if e.emitEvery == 0 {
 		e.emitEvery = DefaultEmitEvery
+	}
+	if len(e.muts) > 0 {
+		e.ov = graph.NewOverlay(g)
 	}
 	for e.mutCursor < len(e.muts) && e.muts[e.mutCursor].At == 0 {
 		e.mutCursor++
@@ -210,13 +205,18 @@ func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 	// graph; every board reads the same sums, so compute them once.
 	var inDeg []uint64
 	if rc.Cfg.Opts.HotSubgraphs {
-		inDeg = part.InDegreeSums()
+		inDeg = e.inDegreeSums()
 	}
 	// Board engines share the kernel and the partitioning but own their
-	// devices and accelerator tiers.
+	// devices and accelerator tiers. Each builds its edge filter and alias
+	// tables over the shared graph, then takes the At == 0 prefix as a
+	// mid-run batch would.
 	for b := 0; b < nb; b++ {
 		be, err := newBoardEngine(e, b, rc, inDeg)
 		if err != nil {
+			return nil, err
+		}
+		if err := be.applyIndexes(e.muts[:e.mutCursor], e.mutSrcs); err != nil {
 			return nil, err
 		}
 		e.boards = append(e.boards, be)

@@ -25,7 +25,7 @@ func (e *boardEngine) chipDegraded(chip int) {
 	// to half the channel subgraph buffer, evicting the coldest existing
 	// residents to make room: serving the sick chip's traffic at the
 	// channel beats keeping a marginally hotter block of a healthy chip.
-	sums := e.part.InDegreeSums()
+	sums := e.drv.inDegreeSums()
 	existing := ca.HotBlocks()
 	used := make([]bool, len(e.part.Blocks))
 	for _, id := range existing {

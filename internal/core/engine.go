@@ -126,12 +126,13 @@ type RunConfig struct {
 	// Mutations is a deterministic edge insert/delete stream applied during
 	// the run: a mutation stamped T becomes visible to the first simulated
 	// event at time >= T and to nothing before it (At == 0 mutations apply
-	// at construction, before hot-subgraph selection). The engine clones
-	// the graph, so the caller's Graph is never modified, and maintains
-	// every derived index — block degree tables, the second-order edge
-	// filter, alias tables — incrementally; the result is bit-identical to
-	// rebuilding those structures over the mutated graph. The stream must
-	// satisfy graph.MutationStream.Validate over the initial graph with the
+	// at construction, before hot-subgraph selection). The caller's Graph
+	// is never modified: the engine keeps the touched sources' rewritten
+	// runs in a private graph.Overlay and maintains every derived index —
+	// block degree tables, the second-order edge filter, alias tables —
+	// incrementally; the result is bit-identical to rebuilding those
+	// structures over the mutated graph. The stream must satisfy
+	// graph.MutationStream.Validate over the initial graph with the
 	// partitioning's dense-vertex threshold as the degree cap (the frozen
 	// block skeleton cannot re-partition mid-run). Empty means a static
 	// graph: the classic, byte-identical path.
@@ -248,7 +249,8 @@ type boardEngine struct {
 	cfg   Config
 	ssd   *flash.SSD
 	dr    *dram.DRAM
-	g     *graph.Graph
+	g     *graph.Graph   // the shared graph; read it through outEdges
+	ov    *graph.Overlay // the driver's overlay, nil without a stream
 	part  *partition.Partitioned
 	place *partition.Placement
 	spec  walk.Spec
@@ -376,11 +378,11 @@ func (e *boardEngine) emit(kind trace.Kind, a, b int64) {
 
 // newBoardEngine builds board id of drv over the driver's kernel, graph and
 // partitioning, without seeding walks. The driver has already applied the
-// stream up to its cursor to the graph and partition stats, and derived
-// indexes built here (edge filter, alias tables) are built over the
-// patched graph, which is bit-identical to building them
-// initial-then-incrementally. inDeg is the partitioning's per-block
-// in-degree sums over that graph (nil without hot subgraphs).
+// stream up to its cursor to its overlay and the partition stats; the
+// derived indexes built here (edge filter, alias tables) are built over
+// the shared graph, and the driver patches them with that prefix. inDeg
+// is the partitioning's per-block in-degree sums over the patched graph
+// (nil without hot subgraphs).
 func newBoardEngine(drv *Engine, id int, rc RunConfig, inDeg []uint64) (*boardEngine, error) {
 	g, part := drv.g, drv.part
 	ssd, err := flash.New(drv.eng, rc.FlashCfg)
@@ -401,6 +403,7 @@ func newBoardEngine(drv *Engine, id int, rc RunConfig, inDeg []uint64) (*boardEn
 		ssd:     ssd,
 		dr:      dr,
 		g:       g,
+		ov:      drv.ov,
 		part:    part,
 		place:   place,
 		spec:    rc.Spec,
@@ -455,7 +458,7 @@ func newBoardEngine(drv *Engine, id int, rc RunConfig, inDeg []uint64) (*boardEn
 			// geometry to the plain filter a run over the fully mutated
 			// graph would build, so probe answers — and trajectories —
 			// match the rebuild leg of the metamorphic tests.
-			final := int(int64(g.NumEdges())+rc.Mutations.NetEdges(drv.mutCursor)) + 1
+			final := int(int64(g.NumEdges())+rc.Mutations.NetEdges(0)) + 1
 			e.edgeFilterC = partition.EdgeFilterCounting(g, 0.01, final)
 			e.edgeFilter = e.edgeFilterC
 		} else {

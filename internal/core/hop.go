@@ -30,7 +30,8 @@ type hopOutcome struct {
 // walk at a vertex with no out-edges is left as it is.
 func (e *boardEngine) decideHop(st *wstate) hopOutcome {
 	cur := st.w.Cur
-	deg := e.g.OutDegree(cur)
+	edges := e.outEdges(cur)
+	deg := uint64(len(edges))
 	if deg == 0 {
 		return hopOutcome{terminal: true, deadEnd: true}
 	}
@@ -44,7 +45,7 @@ func (e *boardEngine) decideHop(st *wstate) hopOutcome {
 		idx, extra, probes = e.chooseNextEdge(st, deg)
 	}
 	st.prev = cur
-	st.w.Cur = e.g.OutEdges(cur)[idx]
+	st.w.Cur = edges[idx]
 	st.w.Hop--
 	st.clearTags()
 	if e.res.Visits != nil {
@@ -73,7 +74,7 @@ func (e *boardEngine) chooseNextEdge(st *wstate, deg uint64) (idx uint64, extra,
 		var rejects int
 		prev := st.prev
 		idx, probes, rejects = e.spec.ChooseEdgeSecondOrderFiltered(
-			r, e.g.OutEdges(st.w.Cur), prev,
+			r, e.outEdges(st.w.Cur), prev,
 			func(cand graph.VertexID) bool {
 				return e.edgeFilter.Contains(partition.EdgeKey(prev, cand))
 			})
@@ -84,7 +85,7 @@ func (e *boardEngine) chooseNextEdge(st *wstate, deg uint64) (idx uint64, extra,
 		idx = e.alias.ChooseEdge(r, st.w.Cur)
 		extra = 1
 	default:
-		idx, extra = e.spec.ChooseEdge(r, deg, e.g.OutCumWeights(st.w.Cur))
+		idx, extra = e.spec.ChooseEdge(r, deg, e.outCumWeights(st.w.Cur))
 	}
 	return idx, extra, probes
 }

@@ -17,20 +17,26 @@ import (
 // everything earlier. The At == 0 prefix applies at construction, before
 // hot-subgraph selection and walk seeding.
 //
+// The caller's graph is never written: many runs may share it (a dataset
+// registry, a daemon's cached graphs, concurrent engines), and the
+// simulated device keeps its subgraphs read-only too. A run with a stream
+// reads the graph through an engine-private graph.Overlay instead, which
+// holds the rewritten run of every source the stream has touched so far
+// and reads every other vertex straight from the shared graph.
+//
 // Every caller applies the largest batch it has through applyBatch: the
 // applier hook drains every mutation due before the next event, the
 // constructor the whole At == 0 prefix, and resume the whole replayed
-// prefix. Nothing observes the graph between the mutations of one batch,
-// so applying it at once is indistinguishable from applying it one
-// mutation at a time — and the CSR splice then costs the touched sources'
-// degrees instead of one edge-array shift per mutation.
+// prefix onto a fresh overlay. Nothing observes the graph between the
+// mutations of one batch, so applying it at once is indistinguishable
+// from applying it one mutation at a time.
 //
 // Every derived structure is maintained incrementally and provably matches
 // a from-scratch rebuild over the mutated graph:
 //
-//   - the CSR arrays (graph.ApplyMutations — one splice per batch,
-//     equal to the per-mutation splice and to a rebuild, proven in
-//     internal/graph),
+//   - the touched sources' runs (graph.Overlay.Apply — each rewritten
+//     exactly as graph.ApplyMutations splices it, which internal/graph
+//     proves equal to a rebuild),
 //   - per-block degree tables and byte sizes (Partitioned.ApplyEdgeDelta;
 //     the block skeleton itself is frozen — stream validation caps every
 //     touched vertex below the dense threshold, and overflowing a block
@@ -39,7 +45,12 @@ import (
 //     additive over the edge multiset, proven in internal/bloom),
 //   - per-vertex alias tables (GraphAlias.RebuildVertex — a table is a
 //     pure function of one vertex's weight vector, so one rebuild per
-//     touched source and batch suffices).
+//     touched source and batch suffices),
+//   - the in-degrees that rank hot and failover blocks (inDegreeSums —
+//     the shared graph's counts plus the applied mutations' deltas).
+//
+// The boards build their edge filter and alias tables over the shared
+// graph and then take the At == 0 prefix as one more batch.
 //
 // TestMutationMetamorphic in this package closes the loop end to end:
 // running with an At == 0 stream is bit-identical to running over the
@@ -63,28 +74,18 @@ func ValidateMutations(g *graph.Graph, pc partition.Config, ms graph.MutationStr
 	return nil
 }
 
-// cloneForMutations validates the stream and returns a private copy of the
-// graph to mutate; with no stream the caller's graph is used directly (the
-// classic zero-copy static path).
-func cloneForMutations(g *graph.Graph, rc RunConfig) (*graph.Graph, error) {
-	if len(rc.Mutations) == 0 {
-		return g, nil
-	}
-	if err := ValidateMutations(g, rc.PartCfg, rc.Mutations); err != nil {
-		return nil, err
-	}
-	return g.Clone(), nil
-}
-
 // applyBatch applies ms, consecutive entries of the stream, to the whole
 // run in three steps: the per-block stats one mutation at a time in stream
-// order, the shared CSR in one splice, then every board's private
-// indexes. It reports how many of ms it applied: when a block overflows at
-// ms[n], ms[:n] are applied in full and the overflow is returned, exactly
-// as if the batch had been applied one mutation at a time. At
-// construction there are no boards yet; they build their indexes over the
-// patched graph.
+// order, the overlay in one batch, then every board's private indexes. It
+// reports how many of ms it applied: when a block overflows at ms[n],
+// ms[:n] are applied in full and the overflow is returned, exactly as if
+// the batch had been applied one mutation at a time. At construction
+// there are no boards yet; each takes the At == 0 prefix through
+// applyIndexes once it is built.
 func (e *Engine) applyBatch(ms []graph.Mutation) (int, error) {
+	if len(ms) == 0 {
+		return 0, nil
+	}
 	n := 0
 	var err error
 	for ; n < len(ms); n++ {
@@ -97,7 +98,7 @@ func (e *Engine) applyBatch(ms []graph.Mutation) (int, error) {
 		}
 	}
 	ms = ms[:n]
-	if gerr := e.g.ApplyMutations(ms); gerr != nil {
+	if gerr := e.ov.Apply(ms); gerr != nil {
 		return 0, gerr
 	}
 	e.mutSrcs = e.mutSrcs[:0]
@@ -122,7 +123,7 @@ func (e *Engine) applyBatch(ms []graph.Mutation) (int, error) {
 }
 
 // applyIndexes patches this board's private derived indexes after the
-// shared graph took a batch: the counting edge filter per mutation, and the
+// overlay took a batch: the counting edge filter per mutation, and the
 // alias table of each distinct mutated source (srcs) once. Every board
 // applies every batch — each board owns its own filter and tables.
 func (e *boardEngine) applyIndexes(ms []graph.Mutation, srcs []graph.VertexID) error {
@@ -138,7 +139,7 @@ func (e *boardEngine) applyIndexes(ms []graph.Mutation, srcs []graph.VertexID) e
 	}
 	if e.alias != nil {
 		for _, v := range srcs {
-			if err := e.alias.RebuildVertex(e.g, v); err != nil {
+			if err := e.alias.RebuildVertex(v, e.ov.OutWeights(v)); err != nil {
 				return err
 			}
 		}
@@ -163,4 +164,46 @@ func (e *Engine) applyMutations(next sim.Time) {
 		e.fail(fmt.Errorf("core: mutation %d: %w", e.mutCursor, err))
 		e.eng.ClearApplier()
 	}
+}
+
+// inDegreeSums is Partitioned.InDegreeSums over the graph as the run sees
+// it now: the shared graph's cached in-degrees plus the per-destination
+// deltas of the mutations applied so far. Hot-subgraph selection reads it
+// after the At == 0 prefix, and a degraded chip's failover ranking at the
+// instant the chip degrades.
+func (e *Engine) inDegreeSums() []uint64 {
+	in := e.g.InDegrees()
+	if e.mutCursor > 0 {
+		in = slices.Clone(in)
+		for _, m := range e.muts[:e.mutCursor] {
+			if m.Op == graph.OpInsertEdge {
+				in[m.Dst]++
+			} else {
+				in[m.Dst]--
+			}
+		}
+	}
+	return e.part.InDegreeSums(in)
+}
+
+// outEdges returns v's out-edges as this run sees them: through the
+// overlay on a run with a mutation stream, straight from the shared graph
+// otherwise.
+func (e *boardEngine) outEdges(v graph.VertexID) []graph.VertexID {
+	if e.ov != nil {
+		return e.ov.OutEdges(v)
+	}
+	return e.g.OutEdges(v)
+}
+
+// outDegree reports v's out-degree as this run sees it.
+func (e *boardEngine) outDegree(v graph.VertexID) uint64 { return uint64(len(e.outEdges(v))) }
+
+// outCumWeights returns v's cumulative weights as this run sees them, or
+// nil on an unweighted graph.
+func (e *boardEngine) outCumWeights(v graph.VertexID) []float32 {
+	if e.ov != nil {
+		return e.ov.OutCumWeights(v)
+	}
+	return e.g.OutCumWeights(v)
 }

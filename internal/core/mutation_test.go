@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -142,7 +145,8 @@ func freshInDegrees(g *graph.Graph) []uint64 {
 // TestNewEngineInDegrees: in-degrees are counted once per graph. Two
 // engines built at once on a fresh graph share its counts (the race lane
 // runs this under -race); an engine with an At-0 batch ranks hot blocks
-// by its mutated clone's own counts and leaves the shared graph's alone.
+// by the shared counts plus the batch's deltas, which equal a fresh count
+// over the rebuilt graph, and leaves the shared graph's counts alone.
 func TestNewEngineInDegrees(t *testing.T) {
 	g, edges := mutTestGraph(t, false)
 	rc := mutConfig(false)
@@ -166,12 +170,145 @@ func TestNewEngineInDegrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := x.g.InDegrees(); !slices.Equal(got, freshInDegrees(x.g)) || slices.Equal(got, in) {
-		t.Fatal("the engine's mutated graph kept the shared counts")
+	mg := buildMutGraph(t, applyStreamToEdges(t, edges, rc.Mutations), false)
+	assertSkeletonStable(t, rc.PartCfg, g, mg)
+	mp, err := partition.Partition(mg, rc.PartCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := x.inDegreeSums(), mp.InDegreeSums(freshInDegrees(mg))
+	if !slices.Equal(got, want) {
+		t.Fatalf("hot-selection sums after the At-0 batch %v, a fresh count over the rebuilt graph %v", got, want)
+	}
+	if slices.Equal(got, x.part.InDegreeSums(in)) {
+		t.Fatal("the At-0 batch left the block sums unchanged; pick other destinations")
 	}
 	if got := g.InDegrees(); &got[0] != &in[0] || !slices.Equal(got, freshInDegrees(g)) {
 		t.Fatal("an At-0 batch changed the shared graph's counts")
 	}
+}
+
+// TestMutationRunsShareGraph: runs with mutation streams read the
+// caller's graph and never write it. Two engines run at once on one
+// weighted graph with different mid-run streams, one unbiased and one
+// biased with alias tables, and each reproduces its solo run; the graph's
+// arrays hash the same after as before (the race lane runs this under
+// -race). And a stream costs construction no copy of the graph: on a
+// 4.5 MB CSR, NewEngine with a 250-rewire stream allocates under 1 MB more
+// than without it.
+func TestMutationRunsShareGraph(t *testing.T) {
+	g, edges := mutTestGraph(t, true)
+	before := csrHash(g)
+	ms0 := mutStream(edges, true)
+	rcA := mutConfig(true)
+	rcB := mutConfig(true)
+	rcB.Spec = walk.Spec{Kind: walk.Biased, Length: 6}
+	rcB.UseAliasSampling = true
+	rev := slices.Clone(ms0) // its sources are distinct, so any order is a valid stream
+	slices.Reverse(rev)
+	rcA.Mutations = timedStream(ms0, midStreamTimes(t, len(ms0), probeClocks(t, g, rcA)))
+	rcB.Mutations = timedStream(rev, midStreamTimes(t, len(ms0), probeClocks(t, g, rcB)))
+	solo := []*Result{runEngine(t, g, rcA), runEngine(t, g, rcB)}
+
+	shared := make([]*Result, 2)
+	var wg sync.WaitGroup
+	for i, rc := range []RunConfig{rcA, rcB} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, err := NewEngine(g, rc)
+			if err == nil {
+				shared[i], err = e.RunContext(context.Background())
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range solo {
+		if shared[i] == nil {
+			t.FailNow()
+		}
+		if shared[i].MutationsApplied != uint64(len(ms0)) {
+			t.Fatalf("engine %d applied %d of %d mutations", i, shared[i].MutationsApplied, len(ms0))
+		}
+		if got, want := digestResult(shared[i]), digestResult(solo[i]); got != want {
+			t.Fatalf("engine %d on the shared graph diverged from its solo run:\n got %s\nwant %s", i, got, want)
+		}
+		assertSameVisits(t, shared[i].Visits, solo[i].Visits)
+	}
+	if csrHash(g) != before {
+		t.Fatal("runs with mutation streams wrote the shared graph")
+	}
+
+	big := shareTestCSR()
+	rc := testConfig()
+	for i := range 250 {
+		src := graph.VertexID(i * 40503 % (1 << 16))
+		at := int64(i+1) * int64(sim.Microsecond)
+		rc.Mutations = append(rc.Mutations,
+			graph.Mutation{At: at, Op: graph.OpDeleteEdge, Src: src, Dst: big.OutEdges(src)[0]},
+			graph.Mutation{At: at, Op: graph.OpInsertEdge, Src: src, Dst: graph.VertexID(i)})
+	}
+	big.InDegrees()
+	alloc := func(rc RunConfig) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := NewEngine(big, rc); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	static := rc
+	static.Mutations = nil
+	plain, withStream := alloc(static), alloc(rc)
+	if withStream > plain+1<<20 {
+		t.Fatalf("NewEngine allocated %d B with a stream, %d B without: the stream cost %d B", withStream, plain, withStream-plain)
+	}
+}
+
+// csrHash hashes a graph's four CSR arrays.
+func csrHash(g *graph.Graph) [sha256.Size]byte {
+	h := sha256.New()
+	for _, a := range []any{g.Offsets, g.Edges, g.Weights, g.CumWeights} {
+		if err := binary.Write(h, binary.LittleEndian, a); err != nil {
+			panic(err)
+		}
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// shareTestCSR builds a 65,536-vertex graph of out-degree 16 directly:
+// about 4.5 MB of CSR, so a copy of it shows in an allocation count.
+func shareTestCSR() *graph.Graph {
+	const nv, deg = 1 << 16, 16
+	g := &graph.Graph{Offsets: make([]uint64, nv+1), Edges: make([]graph.VertexID, 0, nv*deg)}
+	for v := uint64(0); v < nv; v++ {
+		from := len(g.Edges)
+		for i := uint64(0); i < deg; i++ {
+			g.Edges = append(g.Edges, graph.VertexID((v*2654435761+i*40503)%nv))
+		}
+		slices.Sort(g.Edges[from:])
+		g.Offsets[v+1] = uint64(len(g.Edges))
+	}
+	return g
+}
+
+// viewCSR materializes the engine's view of its unweighted graph — the
+// shared graph read through the run's overlay — as a CSR, so it can be
+// compared with a Builder rebuild.
+func viewCSR(e *Engine) *graph.Graph {
+	n := e.g.NumVertices()
+	v := &graph.Graph{Offsets: make([]uint64, 1, n+1)}
+	for u := graph.VertexID(0); uint64(u) < n; u++ {
+		v.Edges = append(v.Edges, e.ov.OutEdges(u)...)
+		v.Offsets = append(v.Offsets, uint64(len(v.Edges)))
+	}
+	return v
 }
 
 // mutStream is the canonical test stream (all At == 0; retime with
@@ -574,11 +711,79 @@ func TestArrayMutationKillThenResume(t *testing.T) {
 	assertSameVisits(t, res.Visits, clean.Visits)
 }
 
+// TestMutationPrefixPatchesIndexes: each board builds its edge filter and
+// alias tables over the shared graph and then takes the At == 0 prefix as
+// one batch, after which they equal indexes built afresh over the rebuilt
+// graph — the counting filter in its geometry too, sized for the final
+// edge count + 1.
+func TestMutationPrefixPatchesIndexes(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		g, edges := mutTestGraph(t, weighted)
+		rc := mutConfig(weighted)
+		rc.Cfg.Boards = 2
+		rc.Mutations = mutStream(edges, weighted)
+		rc.Spec = walk.Spec{Kind: walk.SecondOrder, Length: 6, P: 0.5, Q: 2}
+		if weighted {
+			rc.Spec = walk.Spec{Kind: walk.Biased, Length: 6}
+			rc.UseAliasSampling = true
+		}
+		mg := buildMutGraph(t, applyStreamToEdges(t, edges, rc.Mutations), weighted)
+		e, err := NewEngine(g, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, be := range e.boards {
+			if weighted {
+				want, err := walk.NewGraphAlias(mg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(be.alias, want) {
+					t.Fatalf("board %d alias tables differ from fresh ones over the rebuilt graph", b)
+				}
+			} else if !reflect.DeepEqual(be.edgeFilterC, partition.EdgeFilterCounting(mg, 0.01, int(mg.NumEdges())+1)) {
+				t.Fatalf("board %d counting edge filter differs from a fresh one over the rebuilt graph", b)
+			}
+		}
+	}
+}
+
+// TestMutationFailoverRanksMutatedInDegrees: a chip that degrades after
+// mutations ranks its failover blocks by the in-degrees the run sees at
+// that instant, the shared graph's counts plus the applied mutations'
+// deltas. Rewires at 1 µs move 32 edges' worth of in-degree onto vertex
+// 130, and with room for two failover blocks per channel which blocks fail
+// over depends on it. The digest was pinned from an engine that mutated a
+// private clone of the graph.
+func TestMutationFailoverRanksMutatedInDegrees(t *testing.T) {
+	g, _ := mutTestGraph(t, false)
+	rc := mutConfig(false)
+	rc.Cfg.Faults = resumeFaultConfig()
+	rc.Cfg.ChannelSubgraphBufBytes = 800
+	at := int64(sim.Microsecond)
+	for s := graph.VertexID(1); s < mutNV; s += 8 {
+		rc.Mutations = append(rc.Mutations,
+			graph.Mutation{At: at, Op: graph.OpDeleteEdge, Src: s, Dst: mutDst(uint64(s), 0)},
+			graph.Mutation{At: at, Op: graph.OpInsertEdge, Src: s, Dst: 130})
+	}
+	res := runEngine(t, g, rc)
+	if res.MutationsApplied != uint64(len(rc.Mutations)) || res.FailoverBlocks == 0 {
+		t.Fatalf("applied %d of %d mutations and failed %d blocks over; the fixture needs all and some",
+			res.MutationsApplied, len(rc.Mutations), res.FailoverBlocks)
+	}
+	const want = "time=336000 started=500 completed=500 dead=0 hops=3000 readPages=125 progPages=0 readB=512000 " +
+		"chanB=351976 dramR=1740 dramW=1740 qcHit=585 qcMiss=4448 search=23074 range=93 prewalk=0 " +
+		"hotCh=14 hotBd=2898 chip=88 loads=21 reloads=13 pwb=0 foreign=2123 switches=32"
+	if got := digestResult(res); got != want {
+		t.Fatalf("failover after mutations moved the run:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestMutationInsertDeleteCancels proves equal timestamps apply in stream
 // order and that incremental application is exactly invertible: inserting
 // a brand-new edge and deleting it at the same instant restores every
-// structure (CSR arrays, block stats, bloom counts) bit for bit, so the
-// run matches a mutation-free one. The reversed stream — delete before
+// structure (the vertex's run, block stats, bloom counts) bit for bit, so
+// the run matches a mutation-free one. The reversed stream — delete before
 // its own insert — must be rejected up front.
 func TestMutationInsertDeleteCancels(t *testing.T) {
 	for _, tc := range []struct {
@@ -712,13 +917,13 @@ func TestMutationEmptyStreamKeepsGoldenDigest(t *testing.T) {
 // TestMutationBatchAtOneInstant drives the applier's batching: one
 // mid-run instant carries mutations on three sources with mixed-sign net
 // deltas — +2 on a low vertex, a degree-neutral rewire in the middle, −1
-// on a high vertex — so the one CSR splice moves segments both ways, and a
-// later single insert shifts the tail again. No event may see the instant
-// partly applied. After the run the engine's private graph must equal a
-// Builder rebuild of the final edge list, every block's SumOutDeg its
-// vertices' out-degree sum, and every board's counting edge filter a fresh
-// one over that graph; permuting the instant's mutations of different
-// sources must leave the run unchanged.
+// on a high vertex — so one batch rewrites three runs whose degrees move
+// both ways, and a later single insert rewrites a fourth. No event may see
+// the instant partly applied. After the run the engine's view of the
+// graph must equal a Builder rebuild of the final edge list, every block's
+// SumOutDeg its vertices' out-degree sum, and every board's counting edge
+// filter a fresh one over that graph; permuting the instant's mutations of
+// different sources must leave the run unchanged.
 func TestMutationBatchAtOneInstant(t *testing.T) {
 	g, edges := mutTestGraph(t, false)
 	for _, tc := range []struct {
@@ -771,8 +976,8 @@ func TestMutationBatchAtOneInstant(t *testing.T) {
 			res, e := run(ms)
 
 			want := buildMutGraph(t, applyStreamToEdges(t, edges, ms), false)
-			if !slices.Equal(e.g.Offsets, want.Offsets) || !slices.Equal(e.g.Edges, want.Edges) {
-				t.Fatal("engine graph after the run differs from a Builder rebuild of the final edge list")
+			if view := viewCSR(e); !slices.Equal(view.Offsets, want.Offsets) || !slices.Equal(view.Edges, want.Edges) {
+				t.Fatal("engine's view of the graph after the run differs from a Builder rebuild of the final edge list")
 			}
 			for i, b := range e.part.Blocks {
 				if b.Dense {
@@ -834,7 +1039,7 @@ func TestMutationBatchOverflowFailsAtIndex(t *testing.T) {
 		t.Fatalf("RunContext: %v, want a block overflow at mutation 4", err)
 	}
 	want := buildMutGraph(t, applyStreamToEdges(t, edges, rc.Mutations[:4]), false)
-	if !slices.Equal(e.g.Offsets, want.Offsets) || !slices.Equal(e.g.Edges, want.Edges) {
+	if view := viewCSR(e); !slices.Equal(view.Offsets, want.Offsets) || !slices.Equal(view.Edges, want.Edges) {
 		t.Fatal("failed batch did not leave exactly its first four mutations applied")
 	}
 	var applied uint64

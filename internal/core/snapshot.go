@@ -163,14 +163,14 @@ type Snapshot struct {
 	TrackVisits      bool
 	Audit            bool
 	UseAliasSampling bool
-	// GraphVertices/GraphEdges are the INITIAL graph's counts (before any
-	// mutations): a resumed run is handed the initial graph and replays
-	// the stream's applied prefix itself.
+	// GraphVertices/GraphEdges are the shared graph's counts, which
+	// mutations never change: a resumed run is handed that graph and
+	// replays the stream's applied prefix onto a fresh overlay.
 	GraphVertices uint64
 	GraphEdges    uint64
 	// Mutations is the run's full mutation stream; MutApplied is how many
 	// of them had been applied when the snapshot was taken. ResumeEngine
-	// re-applies mutations [0, MutApplied) to the initial graph before
+	// re-applies mutations [0, MutApplied) to a fresh overlay before
 	// overlaying state, and the applier hook resumes from the cursor.
 	Mutations  graph.MutationStream
 	MutApplied int
@@ -338,8 +338,8 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 		TrackVisits:      b0.res.Visits != nil,
 		Audit:            e.audit,
 		UseAliasSampling: b0.alias != nil,
-		GraphVertices:    e.initVertices,
-		GraphEdges:       e.initEdges,
+		GraphVertices:    e.g.NumVertices(),
+		GraphEdges:       e.g.NumEdges(),
 		Mutations:        e.muts,
 		MutApplied:       e.mutCursor,
 
@@ -572,12 +572,12 @@ func (e *Engine) restore(snap *Snapshot) error {
 		return e.boards[b].ssd, nil
 	}
 	// Replay, as one batch, the mutations the original run had applied
-	// beyond the At == 0 prefix (which construction already applied).
-	// Incremental apply is rebuild-equivalent, so the graph and every
-	// derived index land in the exact state the snapshot saw. Runs before
-	// the walks are checked against the graph, and before the per-board res
-	// overlay, so attribution counters come from the snapshot, not the
-	// replay.
+	// beyond the At == 0 prefix (which construction already applied) onto
+	// the fresh overlay. Incremental apply is rebuild-equivalent, so the
+	// overlay and every derived index land in the exact state the snapshot
+	// saw. Runs before the walks are checked against the graph, and before
+	// the per-board res overlay, so attribution counters come from the
+	// snapshot, not the replay.
 	if snap.MutApplied < e.mutCursor || snap.MutApplied > len(e.muts) {
 		return fmt.Errorf("core: resume: snapshot applied %d of %d mutations (prefix %d)",
 			snap.MutApplied, len(e.muts), e.mutCursor)
@@ -1058,8 +1058,8 @@ func (e *boardEngine) checkWalk(st *wstate, terminal bool) error {
 	case st.denseBlock < -1 || int(st.denseBlock) >= e.part.NumBlocks(),
 		st.denseBlock >= 0 && !e.part.Blocks[st.denseBlock].Dense:
 		return fmt.Errorf("dense block %d is not a dense block", st.denseBlock)
-	case st.denseBlock >= 0 && st.denseEdge >= e.g.OutDegree(st.w.Cur):
-		return fmt.Errorf("dense edge %d of vertex %d, which has %d", st.denseEdge, st.w.Cur, e.g.OutDegree(st.w.Cur))
+	case st.denseBlock >= 0 && st.denseEdge >= e.outDegree(st.w.Cur):
+		return fmt.Errorf("dense edge %d of vertex %d, which has %d", st.denseEdge, st.w.Cur, e.outDegree(st.w.Cur))
 	case st.rangeTag < -1 || int(st.rangeTag) >= len(e.part.Ranges):
 		return fmt.Errorf("range tag %d outside [-1, %d)", st.rangeTag, len(e.part.Ranges))
 	}

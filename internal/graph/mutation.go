@@ -12,9 +12,10 @@ import (
 
 // Dynamic-graph mutations: a deterministic, timestamped stream of edge
 // inserts and deletes that the simulation applies strictly between events.
-// The graph type stays "immutable" from the walkers' point of view — a
-// mutation is only ever applied at an event boundary by the engine that
-// owns a private Clone, never concurrently with a hop decision.
+// The graph type stays "immutable" from the walkers' point of view: an
+// engine applies its stream at event boundaries to a private Overlay over
+// the shared graph, never concurrently with a hop decision, and a
+// host-side caller that owns a Clone may splice it with ApplyMutations.
 //
 // Apply order is fully deterministic: an inserted edge lands at the upper
 // bound of its destination's run in the (sorted) adjacency list, which is
@@ -192,10 +193,10 @@ func (ms MutationStream) Hash() [sha256.Size]byte {
 	return out
 }
 
-// Clone returns a deep copy of the graph. Engines that apply a mutation
-// stream clone first so shared graphs (dataset registries, caches) are
-// never mutated in place. The copy shares the in-degree counts, which no
-// one writes.
+// Clone returns a deep copy of the graph, for a host-side caller that
+// applies a stream with ApplyMutations without writing a shared graph
+// (dataset registries, caches). The copy shares the in-degree counts,
+// which no one writes.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		Offsets: append([]uint64(nil), g.Offsets...),
@@ -218,21 +219,65 @@ func (g *Graph) ApplyMutation(m Mutation) error { return g.ApplyMutations([]Muta
 // them one at a time in stream order, keeping every CSR invariant: each
 // adjacency run stays sorted, Offsets stay monotone, and every touched
 // source's cumulative-weight run is recomputed left to right in Builder
-// order. Callers own the graph exclusively (see Clone).
+// order. Callers own the graph exclusively; an engine that shares its
+// graph applies its stream to an Overlay instead.
 //
-// The whole batch is checked before anything is written — endpoint
-// ranges, ops, insert weight kinds, and delete-must-exist against the
-// running edge multiset — so a rejected batch leaves the graph untouched
-// and its error names the offending mutation's index. Each touched
-// source's new run is built in scratch; every untouched segment between
-// touched sources then moves once, by the cumulative degree delta of the
-// runs before it, and Offsets change only where that delta is non-zero.
-// A degree-neutral batch, such as a rewire's delete+insert, therefore
-// costs its sources' degrees rather than a shift of the edge array.
+// The whole batch is checked before anything is written (see rewrite), so
+// a rejected batch leaves the graph untouched and its error names the
+// offending mutation's index. Each touched source's new run is built in
+// scratch; every untouched segment between touched sources then moves
+// once, by the cumulative degree delta of the runs before it, and Offsets
+// change only where that delta is non-zero. A degree-neutral batch, such
+// as a rewire's delete+insert, therefore costs its sources' degrees rather
+// than a shift of the edge array.
 func (g *Graph) ApplyMutations(ms []Mutation) error {
 	if len(ms) == 0 {
 		return nil
 	}
+	if g.mut == nil {
+		g.mut = new(mutScratch)
+	}
+	if err := g.mut.rewrite(g, ms); err != nil {
+		return err
+	}
+	g.inDeg.Store(nil)
+	g.splice(g.mut)
+	return nil
+}
+
+// runReader is what a batch rewrite reads of the graph it rewrites: a
+// Graph, or an Overlay over one.
+type runReader interface {
+	NumVertices() uint64
+	Weighted() bool
+	OutEdges(v VertexID) []VertexID
+	OutWeights(v VertexID) []float32
+}
+
+// mutScratch is the working space of a batch rewrite, kept by its owner
+// (a Graph or an Overlay) so successive batches reuse it.
+type mutScratch struct {
+	order        []int        // batch indices grouped by source, stream order within a source
+	runs         []touchedRun // one per touched source, ascending
+	edges        []VertexID   // the touched sources' new runs, back to back
+	weights, cum []float32    // parallel to edges on weighted graphs
+}
+
+// touchedRun locates one touched source's new run in the scratch arrays.
+type touchedRun struct {
+	src   VertexID
+	from  int   // start in the scratch arrays
+	deg   int   // new out-degree
+	shift int64 // cumulative degree delta of this and every earlier touched source
+}
+
+// rewrite checks the whole batch against g — endpoint ranges, ops, insert
+// weight kinds, and delete-must-exist against the running edge multiset —
+// and builds in scratch the new run of every source it touches, grouped
+// by source with a stable sort so each source takes its mutations in
+// stream order. It writes nothing outside the scratch; an error names the
+// first offending mutation's index.
+func (sc *mutScratch) rewrite(g runReader, ms []Mutation) error {
 	n := g.NumVertices()
 	for i, m := range ms {
 		if uint64(m.Src) >= n || uint64(m.Dst) >= n {
@@ -248,10 +293,6 @@ func (g *Graph) ApplyMutations(ms []Mutation) error {
 			return fmt.Errorf("graph: mutation %d has unknown op %q", i, m.Op)
 		}
 	}
-	if g.mut == nil {
-		g.mut = new(mutScratch)
-	}
-	sc := g.mut
 	sc.order = sc.order[:0]
 	for i := range ms {
 		sc.order = append(sc.order, i)
@@ -272,26 +313,7 @@ func (g *Graph) ApplyMutations(ms []Mutation) error {
 	if bad >= 0 {
 		return fmt.Errorf("graph: mutation %d deletes missing edge (%d,%d)", bad, ms[bad].Src, ms[bad].Dst)
 	}
-	g.inDeg.Store(nil)
-	g.splice(sc)
 	return nil
-}
-
-// mutScratch is ApplyMutations' working space, kept on the graph so
-// successive batches reuse it.
-type mutScratch struct {
-	order        []int        // batch indices grouped by source, stream order within a source
-	runs         []touchedRun // one per touched source, ascending
-	edges        []VertexID   // the touched sources' new runs, back to back
-	weights, cum []float32    // parallel to edges on weighted graphs
-}
-
-// touchedRun locates one touched source's new run in the scratch arrays.
-type touchedRun struct {
-	src   VertexID
-	from  int   // start in the scratch arrays
-	deg   int   // new out-degree
-	shift int64 // cumulative degree delta of this and every earlier touched source
 }
 
 // rebuildRun appends the new run of one source — its current run with
@@ -300,10 +322,11 @@ type touchedRun struct {
 // insert lands at the upper bound of its destination's run, where
 // Builder's sort would place a fresh duplicate; a delete removes the last
 // parallel edge of its pair.
-func (sc *mutScratch) rebuildRun(g *Graph, ms []Mutation, idx []int) int {
+func (sc *mutScratch) rebuildRun(g runReader, ms []Mutation, idx []int) int {
 	src := ms[idx[0]].Src
 	from := len(sc.edges)
-	sc.edges = append(sc.edges, g.OutEdges(src)...)
+	cur := g.OutEdges(src)
+	sc.edges = append(sc.edges, cur...)
 	w := g.Weighted()
 	if w {
 		sc.weights = append(sc.weights, g.OutWeights(src)...)
@@ -335,7 +358,7 @@ func (sc *mutScratch) rebuildRun(g *Graph, ms []Mutation, idx []int) int {
 		}
 	}
 	deg := len(sc.edges) - from
-	shift := int64(deg) - int64(g.OutDegree(src))
+	shift := int64(deg) - int64(len(cur))
 	if len(sc.runs) > 0 {
 		shift += sc.runs[len(sc.runs)-1].shift
 	}

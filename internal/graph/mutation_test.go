@@ -3,8 +3,11 @@ package graph
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -528,6 +531,74 @@ func FuzzApplyMutations(f *testing.F) {
 	})
 }
 
+// FuzzOverlayMatchesApply checks the overlay against the CSR splice on
+// FuzzApplyMutations' inputs (its generator and its seed corpus): an
+// Overlay and a Clone take the same batch, whole, in thirds and one
+// mutation per call, and after every call they agree on acceptance and
+// on every vertex's edges, weights and cumulative weights, bit for bit,
+// while the base graph stays untouched.
+func FuzzOverlayMatchesApply(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzApplyMutations", "*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range seeds {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		_, arg, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(arg, "[]byte("), ")"))
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		f.Add([]byte(data))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nv, weighted, edges, ms := decodeMutationCase(data)
+		b := NewBuilder(nv)
+		for _, e := range edges {
+			if weighted {
+				b.AddWeightedEdge(e.Src, e.Dst, e.Weight)
+			} else {
+				b.AddEdge(e.Src, e.Dst)
+			}
+		}
+		base, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pristine := base.Clone()
+		for _, size := range []int{max(len(ms), 1), 3, 1} {
+			o, ref := NewOverlay(base), base.Clone()
+			for lo := 0; lo < len(ms); lo += size {
+				batch := ms[lo:min(lo+size, len(ms))]
+				oerr, rerr := o.Apply(batch), ref.ApplyMutations(batch)
+				if (oerr == nil) != (rerr == nil) || (oerr != nil && oerr.Error() != rerr.Error()) {
+					t.Fatalf("batch %v: overlay error %v, splice error %v", batch, oerr, rerr)
+				}
+				for v := VertexID(0); uint64(v) < nv; v++ {
+					if !slices.Equal(o.OutEdges(v), ref.OutEdges(v)) ||
+						!sameFloats(o.OutWeights(v), ref.OutWeights(v)) || !sameFloats(o.OutCumWeights(v), ref.OutCumWeights(v)) {
+						t.Fatalf("after batch %v vertex %d: overlay %v %v %v, splice %v %v %v", batch, v,
+							o.OutEdges(v), o.OutWeights(v), o.OutCumWeights(v),
+							ref.OutEdges(v), ref.OutWeights(v), ref.OutCumWeights(v))
+					}
+				}
+			}
+		}
+		if !sameBits(base, pristine) {
+			t.Fatal("the overlay wrote its base graph")
+		}
+	})
+}
+
+// sameFloats compares two float32 runs by bit pattern; nil and empty are
+// the same run.
+func sameFloats(x, y []float32) bool {
+	return slices.EqualFunc(x, y, func(p, q float32) bool { return math.Float32bits(p) == math.Float32bits(q) })
+}
+
 // benchCSR builds an MB-S-sized CSR directly — 65,536 vertices of
 // out-degree 32, about 2M edges — rather than through the RMAT generator.
 func benchCSR() *Graph {
@@ -546,20 +617,22 @@ func benchCSR() *Graph {
 
 // BenchmarkApplyMutations times the graph layer of a mid-run rewire on an
 // MB-S-sized CSR: a delete+insert on one source applied as two calls (each
-// shifts the edge-array tail) or as one degree-neutral batch (touches only
-// the source's run), and a net +1 batch, which shifts the tail once.
+// shifts the edge-array tail), as one degree-neutral batch (touches only
+// the source's run) or as one batch into an Overlay over the CSR (copies
+// the run into the overlay's arena), and a net +1 batch, which shifts the
+// tail once.
 func BenchmarkApplyMutations(b *testing.B) {
 	g := benchCSR()
 	nv := VertexID(g.NumVertices())
-	rewire := func(i int) (del, ins Mutation) {
+	rewire := func(r runReader, i int) (del, ins Mutation) {
 		src := VertexID(i) * 40503 % nv
-		del = Mutation{Op: OpDeleteEdge, Src: src, Dst: g.OutEdges(src)[0]}
+		del = Mutation{Op: OpDeleteEdge, Src: src, Dst: r.OutEdges(src)[0]}
 		ins = Mutation{Op: OpInsertEdge, Src: src, Dst: VertexID(i) % nv}
 		return del, ins
 	}
 	b.Run("rewire/per-call", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			del, ins := rewire(i)
+			del, ins := rewire(g, i)
 			if err := g.ApplyMutation(del); err != nil {
 				b.Fatal(err)
 			}
@@ -570,15 +643,24 @@ func BenchmarkApplyMutations(b *testing.B) {
 	})
 	b.Run("rewire/batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			del, ins := rewire(i)
+			del, ins := rewire(g, i)
 			if err := g.ApplyMutations([]Mutation{del, ins}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("rewire/overlay", func(b *testing.B) {
+		o := NewOverlay(g)
+		for i := 0; i < b.N; i++ {
+			del, ins := rewire(o, i)
+			if err := o.Apply([]Mutation{del, ins}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("insert/batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			del, ins := rewire(i)
+			del, ins := rewire(g, i)
 			grow := Mutation{Op: OpInsertEdge, Src: (del.Src + nv/2) % nv, Dst: del.Src}
 			if err := g.ApplyMutations([]Mutation{del, ins, grow}); err != nil {
 				b.Fatal(err)

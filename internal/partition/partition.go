@@ -537,11 +537,13 @@ func (p *Partitioned) ApplyEdgeDelta(src graph.VertexID, delta int64) error {
 }
 
 // InDegreeSums computes, per block, the total in-degree of the vertices it
-// stores (dense blocks share their vertex's in-degree proportionally to the
-// edge slice they hold). Hot-subgraph selection keeps the top-K by this
-// metric (paper §III-C).
-func (p *Partitioned) InDegreeSums() []uint64 {
-	in := p.G.InDegrees()
+// stores, given every vertex's in-degree (dense blocks share their
+// vertex's in-degree proportionally to the edge slice they hold).
+// Hot-subgraph selection keeps the top-K by this metric (paper §III-C).
+// The caller supplies the counts so that a run with a mutation stream can
+// rank blocks over its mutated graph, while p.G stays the graph it was
+// cut from.
+func (p *Partitioned) InDegreeSums(in []uint64) []uint64 {
 	sums := make([]uint64, len(p.Blocks))
 	for i := range p.Blocks {
 		b := &p.Blocks[i]

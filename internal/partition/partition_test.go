@@ -353,7 +353,7 @@ func TestDenseTableNoFalseNegatives(t *testing.T) {
 func TestInDegreeSums(t *testing.T) {
 	g := graph.Star(3000)
 	p := mustPartition(t, g, cfg4k())
-	sums := p.InDegreeSums()
+	sums := p.InDegreeSums(g.InDegrees())
 	var denseSum, rest uint64
 	for i, b := range p.Blocks {
 		if b.Dense {

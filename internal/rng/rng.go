@@ -77,8 +77,9 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform integer in [0, n) using Lemire's multiply-shift
-// rejection method (unbiased). It panics if n == 0.
+// Uint64n returns a uniform integer in [0, n) by modulo reduction with
+// rejection (unbiased): a draw below 2^64 mod n is redrawn, so every
+// residue is left with the same number of draws. It panics if n == 0.
 func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with n == 0")
@@ -87,11 +88,11 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	// Rejection sampling on the top bits.
-	threshold := -n % n
 	for {
 		v := r.Uint64()
-		if v >= threshold {
+		// The threshold 2^64 mod n is below n, so a draw of at least n
+		// passes without the division that computes it.
+		if v >= n || v >= -n%n {
 			return v % n
 		}
 	}

@@ -213,6 +213,44 @@ func TestUint64nBoundProperty(t *testing.T) {
 	}
 }
 
+// refUint64n is the loop Uint64n replaced, kept as its reference: it
+// computed the rejection threshold, a 64-bit division, on every call.
+func refUint64n(r *RNG, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	threshold := -n % n
+	for {
+		v := r.Uint64()
+		if v >= threshold {
+			return v % n
+		}
+	}
+}
+
+// TestUint64nMatchesReference: Uint64n returns the reference's values and
+// leaves the generator in the reference's state, at bounds whose
+// rejection threshold is 0, tiny or about half the range (2^63+1 redraws
+// nearly every other draw) and at 10^6 random bounds of every magnitude.
+func TestUint64nMatchesReference(t *testing.T) {
+	got, want := New(5), New(5)
+	check := func(n uint64, draws int) {
+		for i := 0; i < draws; i++ {
+			g, w := got.Uint64n(n), refUint64n(want, n)
+			if g != w || got.s != want.s {
+				t.Fatalf("Uint64n(%d) draw %d = %d, reference %d (states equal: %v)", n, i, g, w, got.s == want.s)
+			}
+		}
+	}
+	for _, n := range []uint64{1, 3, 1<<32 - 1, 1<<32 + 1, 1<<63 - 1, 1<<63 + 1, math.MaxUint64 - 2} {
+		check(n, 10_000)
+	}
+	pick := New(6)
+	for i := 0; i < 1_000_000; i++ {
+		check(max(pick.Uint64()>>pick.Uint64n(64), 1), 1)
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {

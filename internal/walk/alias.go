@@ -124,17 +124,16 @@ func NewGraphAlias(g *graph.Graph) (*GraphAlias, error) {
 	return ga, nil
 }
 
-// RebuildVertex recomputes v's alias table from its current out-weights —
-// the incremental maintenance hook for graph mutations. A table is a pure
-// function of one vertex's weight vector, so rebuilding only the mutated
-// vertex leaves the whole structure identical to NewGraphAlias over the
-// mutated graph.
-func (ga *GraphAlias) RebuildVertex(g *graph.Graph, v graph.VertexID) error {
+// RebuildVertex recomputes v's alias table from w, its current
+// out-weights — the incremental maintenance hook for graph mutations. A
+// table is a pure function of one vertex's weight vector, so rebuilding
+// only the mutated vertex leaves the whole structure identical to
+// NewGraphAlias over the mutated graph.
+func (ga *GraphAlias) RebuildVertex(v graph.VertexID, w []float32) error {
 	if t := ga.tables[v]; t != nil {
 		ga.bytes -= t.SizeBytes()
 		ga.tables[v] = nil
 	}
-	w := g.OutWeights(v)
 	if len(w) == 0 {
 		return nil
 	}
