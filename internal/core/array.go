@@ -186,6 +186,7 @@ func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 		onWalks:    rc.OnWalks,
 		emitEvery:  rc.EmitEvery,
 	}
+	eng.Register(e) // targetDriver
 	if e.checkEvery == 0 {
 		e.checkEvery = DefaultCheckpointEvery
 	}
@@ -219,6 +220,8 @@ func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 		if err := be.applyIndexes(e.muts[:e.mutCursor], e.mutSrcs); err != nil {
 			return nil, err
 		}
+		eng.Register(be)     // targetBoard(b)
+		eng.Register(be.ssd) // targetSSD(b)
 		e.boards = append(e.boards, be)
 		e.fabric[b] = sim.NewQueue(eng)
 		e.egress[b] = make([]egressBuf, nb)
@@ -239,14 +242,18 @@ func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 // so its trajectory is independent of the board count, of scheduling, and
 // of injected faults (see wstate.rng).
 func (e *Engine) seedWalks(starts []graph.VertexID, n int) {
-	ws := walk.NewWalks(e.boards[0].spec, starts, n)
-	e.numStarted = len(ws)
-	e.remaining = len(ws)
-	// One counting pass sizes every pending list, walk table and free-index
-	// stack exactly.
+	if len(starts) == 0 {
+		n = 0
+	}
+	n = max(n, 0)
+	e.numStarted = n
+	e.remaining = n
+	b0 := e.boards[0]
+	// Walk i starts at starts[i mod len(starts)]. One counting pass sizes
+	// every pending list, walk table and free-index stack exactly.
 	count := make([]int, e.part.NumPartitions)
-	for i := range ws {
-		count[e.boards[0].homePartition(ws[i].Cur)]++
+	for i := 0; i < n; i++ {
+		count[b0.homePartition(starts[i%len(starts)])]++
 	}
 	perBoard := make([]int, len(e.boards))
 	for p, c := range count {
@@ -260,14 +267,15 @@ func (e *Engine) seedWalks(starts []graph.VertexID, n int) {
 		e.boards[b].wtab = make([]wstate, 0, c)
 		e.boards[b].wfree = make([]int32, 0, c)
 	}
-	for i := range ws {
-		p := e.boards[0].homePartition(ws[i].Cur)
+	for i := 0; i < n; i++ {
+		v := starts[i%len(starts)]
+		p := b0.homePartition(v)
 		be := e.boards[e.shard.BoardOf(p)]
 		if be.res.Visits != nil {
-			be.res.Visits[ws[i].Cur]++
+			be.res.Visits[v]++
 		}
-		w := be.addWalk(wstate{w: ws[i], denseBlock: -1, rangeTag: -1, prev: noPrev,
-			rng: *e.rootRNG.Derive(uint64(i))})
+		w := be.addWalk(wstate{w: walk.Walk{Src: v, Cur: v, Hop: b0.spec.Length},
+			denseBlock: -1, rangeTag: -1, prev: noPrev, rng: *e.rootRNG.Derive(uint64(i))})
 		be.pendingMem[p] = append(be.pendingMem[p], w)
 		be.res.Started++
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -171,5 +172,41 @@ func TestNewArrayRejectsBadInput(t *testing.T) {
 	rc = arrayConfig(MaxBoards + 1)
 	if _, err := NewArray(g, rc); !errors.Is(err, errs.ErrInvalidConfig) {
 		t.Fatalf("%d boards accepted: %v", MaxBoards+1, err)
+	}
+}
+
+// TestHandlerIDsPinned: construction registers the engine's handlers with
+// the kernel in the order images name them — the driver 0, board b's
+// engine 1+2b and its SSD 2+2b — and a run registers no other, on one, two
+// and four boards.
+func TestHandlerIDsPinned(t *testing.T) {
+	g := testGraph(t)
+	for _, nb := range []int{1, 2, 4} {
+		e, err := NewEngine(g, arrayConfig(nb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(when string) {
+			t.Helper()
+			if n := e.eng.Handlers(); n != 1+2*nb {
+				t.Fatalf("boards=%d %s: kernel holds %d handlers, want %d", nb, when, n, 1+2*nb)
+			}
+			if targetDriver != 0 || e.eng.Handler(0) != sim.Handler(e) {
+				t.Fatalf("boards=%d %s: handler 0 is not the driver", nb, when)
+			}
+			for b, be := range e.boards {
+				if targetBoard(b) != int32(1+2*b) || e.eng.Handler(int32(1+2*b)) != sim.Handler(be) {
+					t.Fatalf("boards=%d %s: handler %d is not board %d's engine", nb, when, 1+2*b, b)
+				}
+				if targetSSD(b) != int32(2+2*b) || e.eng.Handler(int32(2+2*b)) != sim.Handler(be.ssd) {
+					t.Fatalf("boards=%d %s: handler %d is not board %d's SSD", nb, when, 2+2*b, b)
+				}
+			}
+		}
+		check("at construction")
+		if _, err := e.RunContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		check("after the run")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"flashwalker/internal/flash"
 	"flashwalker/internal/partition"
 	"flashwalker/internal/sim"
 	"flashwalker/internal/snapshot"
@@ -84,7 +83,7 @@ func TestResumeRejectsHostileBoardState(t *testing.T) {
 	// pending; every load part completes through a flash op.
 	loadParts := map[[2]int32]int{}
 	for _, op := range img0.Flash.Ops {
-		if op.Remaining > 0 && op.HasDone && op.Done.Target == targetBoard(0) && op.Done.Kind == evLoadPart {
+		if op.Remaining > 0 && op.Done.Target == targetBoard(0) && op.Done.Kind == evLoadPart {
 			slot, _ := splitC(op.Done.C)
 			loadParts[[2]int32{op.Done.B, slot}]++
 		}
@@ -257,20 +256,23 @@ func TestResumeAcceptsQueueLayoutPools(t *testing.T) {
 }
 
 // TestResumeRejectsHostileEvents edits one pending event of a mid-run cut
-// at a time — a channel index past the end, an unknown kind, a walk two
-// events carry, a board guide routing to a block past the partitioning, a
-// channel guide tagging a range past the ranges, a read-back page with no
-// read-back walks, an event before the clock, and on the flash side an
-// event on a free op, a live op missing one of its parts, a completion of
-// unknown kind and a channel tick as a completion — or the records events
-// carry: a walk-carrying event or a roving batch completion with no
-// payload, a payload on a tick, a payload of two walks, a malformed
-// payload, an empty roving batch, and a walk appended to a PWB store. On
-// two boards it edits a fabric transfer: empty, bound for a board past the
-// array, or holding a walk bound for a partition past the end. It requires
-// ResumeEngine to refuse each. An accepted image would index out of range,
-// panic on the kind, run a timeline out of order, hand two tiers one walk
-// or leave a walk that never finishes, so an accepted one is not run.
+// at a time — a channel index past the end, an unknown kind, a handler
+// index past the table, a walk two events carry, a board guide routing to a
+// block past the partitioning, a channel guide tagging a range past the
+// ranges, a read-back page with no read-back walks, an event before the
+// clock, and on the flash side an event on a free op, a live op missing one
+// of its parts, a completion of unknown kind, a channel tick as a
+// completion and a completion naming a handler past the table — or the
+// records events carry: a walk-carrying event or a roving batch completion
+// with no record, a record on a tick, a record of two walks, a truncated
+// stream, trailing stream bytes, an empty roving batch, and a walk appended
+// to a PWB store. On two boards it edits a fabric transfer: empty, bound
+// for a board past the array, or holding a walk bound for a partition past
+// the end. It requires ResumeEngine to refuse each. (Case names call the
+// record an event carries its payload.) An accepted image would
+// index out of range, panic on the kind, run a timeline out of order, hand
+// two tiers one walk or leave a walk that never finishes, so an accepted
+// one is not run.
 func TestResumeRejectsHostileEvents(t *testing.T) {
 	g := testGraph(t)
 	rc := goldenConfig()
@@ -287,34 +289,43 @@ func TestResumeRejectsHostileEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// find returns the first pending event aimed at target whose kind want
-	// accepts.
-	find := func(t *testing.T, s *Snapshot, target int32, want func(kind uint16) bool) *sim.SavedEvent {
+	// index returns the index of the first pending event aimed at target
+	// whose kind want accepts, and find the event.
+	index := func(t *testing.T, s *Snapshot, target int32, want func(kind uint16) bool) int {
 		for i, ev := range s.Sim.Events {
 			if ev.Target == target && want(ev.Kind) {
-				return &s.Sim.Events[i]
+				return i
 			}
 		}
 		t.Fatal("cut has no pending event of the wanted kind")
-		return nil
+		return -1
 	}
-	// batchDone returns the first live flash op completion that hands on a
-	// roving batch.
-	batchDone := func(t *testing.T, s *Snapshot) *flash.OpEvent {
-		for i := range s.Boards[0].Flash.Ops {
-			if op := &s.Boards[0].Flash.Ops[i]; op.Remaining > 0 && op.HasDone && op.Done.Kind == evChanBatch {
-				return &op.Done
+	find := func(t *testing.T, s *Snapshot, target int32, want func(kind uint16) bool) *sim.SavedEvent {
+		return &s.Sim.Events[index(t, s, target, want)]
+	}
+	// batchOp returns board 0's first live flash op whose completion hands
+	// on a roving batch.
+	batchOp := func(t *testing.T, s *Snapshot) int {
+		for i, op := range s.Boards[0].Flash.Ops {
+			if op.Remaining > 0 && op.Done.Kind == evChanBatch {
+				return i
 			}
 		}
 		t.Fatal("cut has no roving batch in flight")
-		return nil
+		return -1
 	}
-	// twoWalks packs the walk a payload carries twice.
-	twoWalks := func(t *testing.T, payload []byte) []byte {
+	// editRecords rewrites the cut's record stream through its split.
+	editRecords := func(t *testing.T, s *Snapshot, edit func(rs *records)) {
+		rs := mustSplit(t, s)
+		edit(rs)
+		rs.join(s)
+	}
+	// twoWalks packs the walk a record carries twice.
+	twoWalks := func(t *testing.T, rec []byte) []byte {
 		u := unpacker{be: new(boardEngine)}
-		ws := u.walks(payload)
+		ws := u.walks(rec)
 		if u.err != nil || len(ws) != 1 {
-			t.Fatalf("payload holds %d walks (%v)", len(ws), u.err)
+			t.Fatalf("record holds %d walks (%v)", len(ws), u.err)
 		}
 		return new(packer).walks(u.be.wtab, append(ws, ws[0]))
 	}
@@ -332,30 +343,33 @@ func TestResumeRejectsHostileEvents(t *testing.T) {
 			find(t, s, targetBoard(0), anyKind).Kind = 999
 		},
 		"walk carried twice": func(t *testing.T, s *Snapshot) {
-			dup := *find(t, s, targetBoard(0), carriesWalk)
-			s.Sim.Seq++
-			dup.Seq = s.Sim.Seq
-			s.Sim.Events = append(s.Sim.Events, dup)
+			dupEvent(t, s, index(t, s, targetBoard(0), carriesWalk))
 		},
 		"walk-carrying event with no payload": func(t *testing.T, s *Snapshot) {
-			find(t, s, targetBoard(0), carriesWalk).Payload = nil
+			editRecords(t, s, func(rs *records) { rs.events[index(t, s, targetBoard(0), carriesWalk)] = nil })
 		},
 		"roving batch completion with no payload": func(t *testing.T, s *Snapshot) {
-			batchDone(t, s).Payload = nil
+			editRecords(t, s, func(rs *records) { rs.ops[0][batchOp(t, s)] = nil })
 		},
 		"payload on a tick": func(t *testing.T, s *Snapshot) {
-			find(t, s, targetBoard(0), tick).Payload = find(t, s, targetBoard(0), carriesWalk).Payload
+			editRecords(t, s, func(rs *records) {
+				rs.events[index(t, s, targetBoard(0), tick)] = rs.events[index(t, s, targetBoard(0), carriesWalk)]
+			})
 		},
 		"payload of two walks": func(t *testing.T, s *Snapshot) {
-			ev := find(t, s, targetBoard(0), carriesWalk)
-			ev.Payload = twoWalks(t, ev.Payload)
+			editRecords(t, s, func(rs *records) {
+				i := index(t, s, targetBoard(0), carriesWalk)
+				rs.events[i] = twoWalks(t, rs.events[i])
+			})
 		},
 		"malformed payload": func(t *testing.T, s *Snapshot) {
-			ev := find(t, s, targetBoard(0), carriesWalk)
-			ev.Payload = ev.Payload[:len(ev.Payload)-1]
+			s.Carried = s.Carried[:len(s.Carried)-1]
+		},
+		"trailing record bytes": func(t *testing.T, s *Snapshot) {
+			s.Carried = append(s.Carried, 0)
 		},
 		"empty roving batch": func(t *testing.T, s *Snapshot) {
-			batchDone(t, s).Payload = appendWalks(nil, nil, nil)
+			editRecords(t, s, func(rs *records) { rs.ops[0][batchOp(t, s)] = appendWalks(nil, nil, nil) })
 		},
 		"walk appended to a PWB store": func(t *testing.T, s *Snapshot) {
 			appendPWBWalk(t, &s.Boards[0])
@@ -393,22 +407,45 @@ func TestResumeRejectsHostileEvents(t *testing.T) {
 			s.Sim.Events = slices.Delete(s.Sim.Events, i, i+1)
 		},
 		"flash completion of unknown kind": func(t *testing.T, s *Snapshot) {
-			batchDone(t, s).Kind = 999
+			editRecords(t, s, func(rs *records) {
+				rs.ops[0][batchOp(t, s)] = nil
+				s.Boards[0].Flash.Ops[batchOp(t, s)].Done.Kind = 999
+			})
 		},
 		"channel tick as a flash completion": func(t *testing.T, s *Snapshot) {
-			d := batchDone(t, s)
-			*d = flash.OpEvent{Target: d.Target, Kind: evChanTick}
+			editRecords(t, s, func(rs *records) {
+				i := batchOp(t, s)
+				rs.ops[0][i] = nil
+				d := &s.Boards[0].Flash.Ops[i].Done
+				*d = sim.Stored{Target: d.Target, Kind: evChanTick}
+			})
+		},
+		"flash completion past the handler table": func(t *testing.T, s *Snapshot) {
+			editRecords(t, s, func(rs *records) {
+				i := batchOp(t, s)
+				rs.ops[0][i] = nil
+				s.Boards[0].Flash.Ops[i].Done.Target = int32(1 + 2*len(s.Boards))
+			})
+		},
+		"event past the handler table": func(t *testing.T, s *Snapshot) {
+			find(t, s, targetBoard(0), tick).Target = int32(1 + 2*len(s.Boards))
 		},
 	}
 	fabricCases := map[string]func(t *testing.T, s *Snapshot){
 		"empty fabric transfer": func(t *testing.T, s *Snapshot) {
-			find(t, s, targetDriver, arrival).Payload = appendFabricWalks([]byte{0}, nil)
+			editRecords(t, s, func(rs *records) {
+				rs.events[index(t, s, targetDriver, arrival)] = appendFabricWalks([]byte{0}, nil)
+			})
 		},
 		"fabric transfer past the array": func(t *testing.T, s *Snapshot) {
-			editTransfer(t, find(t, s, targetDriver, arrival), func(fb *fabricBatch) { fb.dst = int32(len(s.Boards)) })
+			editRecords(t, s, func(rs *records) {
+				editTransfer(t, &rs.events[index(t, s, targetDriver, arrival)], func(fb *fabricBatch) { fb.dst = int32(len(s.Boards)) })
+			})
 		},
 		"fabric walk past the partitions": func(t *testing.T, s *Snapshot) {
-			editTransfer(t, find(t, s, targetDriver, arrival), func(fb *fabricBatch) { fb.walks[0].p = int32(part.NumPartitions) })
+			editRecords(t, s, func(rs *records) {
+				editTransfer(t, &rs.events[index(t, s, targetDriver, arrival)], func(fb *fabricBatch) { fb.walks[0].p = int32(part.NumPartitions) })
+			})
 		},
 	}
 	for _, set := range []struct {
@@ -451,16 +488,30 @@ func appendPWBWalk(t testing.TB, img *BoardImage) {
 	editPWB(t, img, func(ws []int32) []int32 { return append(ws, ws[0]) })
 }
 
-// editTransfer rewrites the fabric transfer a pending arrival carries.
-func editTransfer(t testing.TB, ev *sim.SavedEvent, edit func(fb *fabricBatch)) {
+// editTransfer rewrites the fabric transfer record rec.
+func editTransfer(t testing.TB, rec *[]byte, edit func(fb *fabricBatch)) {
 	t.Helper()
-	r := recReader{b: ev.Payload}
+	r := recReader{b: *rec}
 	fb := r.fabricBatch()
 	if err := r.done(); err != nil || len(fb.walks) == 0 {
 		t.Fatalf("transfer holds %d walks (%v)", len(fb.walks), err)
 	}
 	edit(&fb)
-	ev.Payload = new(packer).fabricBatch(&fb)
+	*rec = appendFabricBatch(nil, &fb)
+}
+
+// dupEvent appends a copy of pending event i, under a fresh sequence
+// number, with a copy of the record it carries at the end of the events'
+// records.
+func dupEvent(t testing.TB, s *Snapshot, i int) {
+	t.Helper()
+	rs := mustSplit(t, s)
+	ev := s.Sim.Events[i]
+	s.Sim.Seq++
+	ev.Seq = s.Sim.Seq
+	s.Sim.Events = append(s.Sim.Events, ev)
+	rs.events = append(rs.events, rs.events[i])
+	rs.join(s)
 }
 
 // wideWalk is a packed walk record's fields at the widths the record

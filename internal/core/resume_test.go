@@ -390,7 +390,7 @@ func TestStalledRunFails(t *testing.T) {
 	g := testGraph(t)
 	cut := interruptWhen(t, g, goldenConfig(), 1, func(s *Snapshot) bool {
 		loading := slices.ContainsFunc(s.Boards[0].Flash.Ops, func(op flash.OpState) bool {
-			return op.Remaining > 0 && op.HasDone && op.Done.Kind == evLoadPart
+			return op.Remaining > 0 && !op.Done.None() && op.Done.Kind == evLoadPart
 		})
 		parked := slices.ContainsFunc(s.Boards[0].PendingMem, func(rec WalkRecords) bool { return rec != nil })
 		return !s.Preloading() && loading && parked
@@ -455,10 +455,7 @@ func TestResumeChecksConservation(t *testing.T) {
 		if i < 0 {
 			t.Fatal("cut has no pending event of the wanted kind")
 		}
-		ev := s.Sim.Events[i]
-		s.Sim.Seq++
-		ev.Seq = s.Sim.Seq
-		s.Sim.Events = append(s.Sim.Events, ev)
+		dupEvent(t, s, i)
 	}
 	cases := map[string]func(t *testing.T, s *Snapshot){
 		"walk-carrying event duplicated": func(t *testing.T, s *Snapshot) {

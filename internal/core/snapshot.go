@@ -41,17 +41,21 @@ import (
 // Walks travel packed (WalkRecords, walkpack.go). A saved event names no
 // walk-table, batch or transfer index: every pending kernel event and live
 // flash op completion whose kind names a walk (payWalk), a roving batch
-// (payBatch) or a fabric transfer (evFabricArrive) carries that record
-// packed in its Payload, and export writes its A as 0. Restore files each
-// payload in a fresh table, batch or transfer slot and points A at it.
-// The flash op pool is the one pool an image indexes, because several part
+// (payBatch) or a fabric transfer (evFabricArrive) carries that record,
+// and export writes its A as 0. The records go in one packed stream,
+// Snapshot.Carried, in the order the image lists the carrying events:
+// Sim.Events, then each board's live flash op completions in op order.
+// Restore reads the stream back in that order, files each record in a
+// fresh table, batch or transfer slot and points the event's A at it. The
+// flash op pool is the one pool an image indexes, because several part
 // events share one op. No record names another, so one identity covers
 // the walks: those filed in the tables plus those on the fabric number
 // NumWalks - WalksFinished().
 
-// Event-target IDs for the kernel and flash export: the driver is 0 (its
+// Handler IDs: the indices of the engine's handlers in the kernel's table,
+// which events and flash op completions name them by. The driver is 0 (its
 // fabric arrivals and kill events), and board b's engine and SSD are 1+2b
-// and 2+2b.
+// and 2+2b; newEngine registers them in that order.
 const targetDriver int32 = 0
 
 func targetBoard(b int) int32 { return int32(1 + 2*b) }
@@ -179,13 +183,16 @@ type Snapshot struct {
 	// which every walk's private stream was derived.
 	Sim     sim.EngineState
 	RootRNG [4]uint64
+	// Carried packs the records the carrying events name, in the order the
+	// image lists them (see above).
+	Carried []byte
 
 	// Boards holds one body per board, indexed by board.
 	Boards []BoardImage
 
 	// Fabric state: shard ownership, device liveness, per-link bookings
-	// and egress batches. The transfers in flight are the payloads of the
-	// pending evFabricArrive events.
+	// and egress batches. The transfers in flight are the records the
+	// pending evFabricArrive events carry.
 	Owners  []int32
 	Dead    []bool
 	FabricQ []sim.QueueState
@@ -210,7 +217,7 @@ func (s *Snapshot) Preloading() bool {
 	}
 	for b := range s.Boards {
 		for _, op := range s.Boards[b].Flash.Ops {
-			if op.Remaining > 0 && op.HasDone && op.Done.Kind == evHotLoaded && op.Done.Target == targetBoard(b) {
+			if op.Remaining > 0 && op.Done.Kind == evHotLoaded && op.Done.Target == targetBoard(b) {
 				return true
 			}
 		}
@@ -308,22 +315,8 @@ func tierIn(t *tierCommon, st TierState, what string) error {
 // buildSnapshot captures the engine's complete state. It is safe only
 // strictly between simulated events (the checkpoint hook) of a run that has
 // not failed. It fails only when a pending event or flash op completion
-// targets a handler outside the engine.
+// targets a handler outside the engine, which no restore could resolve.
 func (e *Engine) buildSnapshot() (*Snapshot, error) {
-	targetID := func(h sim.Handler) (int32, error) {
-		if h == sim.Handler(e) {
-			return targetDriver, nil
-		}
-		for b, be := range e.boards {
-			switch h {
-			case sim.Handler(be):
-				return targetBoard(b), nil
-			case sim.Handler(be.ssd):
-				return targetSSD(b), nil
-			}
-		}
-		return 0, fmt.Errorf("unknown event target %T", h)
-	}
 	b0 := e.boards[0]
 	// Every unfinished walk is in exactly one store or pending event.
 	p := &packer{buf: make([]byte, 0, 48*e.remaining+4096)}
@@ -343,6 +336,7 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 		Mutations:        e.muts,
 		MutApplied:       e.mutCursor,
 
+		Sim:     e.eng.ExportState(),
 		RootRNG: e.rootRNG.State(),
 		Boards:  make([]BoardImage, len(e.boards)),
 
@@ -355,10 +349,31 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 		Evacuated:     e.evacuated,
 		Kills:         e.kills,
 	}
+	// The carried records go first, as one window of the arena.
+	flashStates := make([]flash.State, len(e.boards))
 	for b, be := range e.boards {
-		if err := be.image(&s.Boards[b], targetID, p); err != nil {
-			return nil, fmt.Errorf("core: snapshot board %d: %w", b, err)
+		flashStates[b] = be.ssd.ExportState()
+	}
+	start := len(p.buf)
+	var err error
+	for i := range s.Sim.Events {
+		ev := &s.Sim.Events[i]
+		if p.buf, err = e.appendRecord(p.buf, ev.Target, ev.Kind, &ev.A); err != nil {
+			return nil, err
 		}
+	}
+	for _, fs := range flashStates {
+		for i := range fs.Ops {
+			if op := &fs.Ops[i]; op.Remaining > 0 && !op.Done.None() {
+				if p.buf, err = e.appendRecord(p.buf, op.Done.Target, op.Done.Kind, &op.Done.A); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	s.Carried = p.cut(start)
+	for b, be := range e.boards {
+		be.image(&s.Boards[b], flashStates[b], p)
 		s.FabricQ = append(s.FabricQ, e.fabric[b].State())
 		row := make([]EgressState, len(e.egress[b]))
 		for dst, eb := range e.egress[b] {
@@ -366,62 +381,38 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 		}
 		s.Egress = append(s.Egress, row)
 	}
-	simState, err := e.eng.ExportState(targetID)
-	if err != nil {
-		return nil, err
-	}
-	for i := range simState.Events {
-		ev := &simState.Events[i]
-		if rec := e.packRecord(p, ev.Target, ev.Kind, ev.A); rec != nil {
-			ev.Payload, ev.A = rec, 0
-		}
-	}
-	s.Sim = simState
 	return s, nil
 }
 
-// packRecord packs the record a pending event or flash op completion names
-// by its A — a walk, a roving batch or a fabric transfer — or returns nil
-// for a kind that names none.
-func (e *Engine) packRecord(p *packer, target int32, kind uint16, a int32) []byte {
-	if target == targetDriver {
-		if kind == evFabricArrive {
-			return p.fabricBatch(&e.fbatches[a])
-		}
-		return nil
+// appendRecord appends to b the record a pending event or flash op
+// completion names by its A — a walk, a roving batch or a fabric transfer —
+// and writes its A as 0; a kind that names none is left as it is. A target
+// past the engine's own handlers is an error.
+func (e *Engine) appendRecord(b []byte, target int32, kind uint16, a *int32) ([]byte, error) {
+	if target > targetSSD(len(e.boards)-1) {
+		return nil, fmt.Errorf("core: snapshot: unknown event target %T", e.eng.Handler(target))
 	}
-	b := int(target-1) / 2
-	if target != targetBoard(b) {
-		return nil // an SSD's own events name ops
+	if !carriesRecord(target, kind, len(e.boards)) {
+		return b, nil
 	}
-	be := e.boards[b]
-	switch pay := eventPayload[kind]; {
-	case pay&payWalk != 0:
-		return p.walks(be.wtab, []int32{a})
-	case pay&payBatch != 0:
-		return p.walks(be.wtab, be.batches[a].walks)
+	switch be := e.boards[(target-1)/2]; {
+	case target == targetDriver:
+		b = appendFabricBatch(b, &e.fbatches[*a])
+	case eventPayload[kind]&payWalk != 0:
+		b = appendWalks(b, be.wtab, []int32{*a})
+	default:
+		b = appendWalks(b, be.wtab, be.batches[*a].walks)
 	}
-	return nil
+	*a = 0
+	return b, nil
 }
 
-// image captures one board's body into s, packing its walks with p; the
-// caller exports the shared kernel. targetID also maps flash op
-// completions, which reference engine and SSD targets.
-func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, error), p *packer) error {
-	flashState, err := e.ssd.ExportState(targetID)
-	if err != nil {
-		return err
-	}
-	for i := range flashState.Ops {
-		if op := &flashState.Ops[i]; op.HasDone {
-			if rec := e.drv.packRecord(p, op.Done.Target, op.Done.Kind, op.Done.A); rec != nil {
-				op.Done.Payload, op.Done.A = rec, 0
-			}
-		}
-	}
-
+// image captures one board's body into s, beside its exported flash state,
+// packing its walks with p; the caller exports the shared kernel and the
+// records events carry.
+func (e *boardEngine) image(s *BoardImage, fs flash.State, p *packer) {
 	*s = BoardImage{
-		Flash: flashState,
+		Flash: fs,
 		DRAM:  e.dr.State(),
 
 		FLSPages:  append([]int(nil), e.flsPages...),
@@ -492,7 +483,6 @@ func (e *boardEngine) image(s *BoardImage, targetID func(sim.Handler) (int32, er
 		bs.Caches[i] = CacheState{Blocks: qc.blocks(nil)}
 	}
 	s.Board = bs
-	return nil
 }
 
 // --- Restore. ---
@@ -558,19 +548,6 @@ func (e *Engine) restore(snap *Snapshot) error {
 	case len(snap.FabricQ) != nb, len(snap.Egress) != nb, len(snap.Dead) != nb:
 		return fmt.Errorf("core: resume: snapshot fabric state sized for %d boards, config has %d", len(snap.FabricQ), nb)
 	}
-	target := func(id int32) (sim.Handler, error) {
-		if id == targetDriver {
-			return e, nil
-		}
-		b := int(id-1) / 2
-		if id < 0 || b >= nb {
-			return nil, fmt.Errorf("unknown target id %d", id)
-		}
-		if (id-1)%2 == 0 {
-			return e.boards[b], nil
-		}
-		return e.boards[b].ssd, nil
-	}
 	// Replay, as one batch, the mutations the original run had applied
 	// beyond the At == 0 prefix (which construction already applied) onto
 	// the fresh overlay. Incremental apply is rebuild-equivalent, so the
@@ -588,13 +565,15 @@ func (e *Engine) restore(snap *Snapshot) error {
 		return fmt.Errorf("core: resume: replay mutation %d: %w", e.mutCursor, err)
 	}
 	// The records pending events carry are filed first, into the empty
-	// walk tables and batch and transfer pools. The kernel and each SSD
-	// import copies of the image's events and ops whose A names them, so
-	// the image is left as it was handed.
+	// walk tables and batch and transfer pools, reading the stream in the
+	// order export wrote it. The kernel and each SSD import copies of the
+	// image's events and ops whose A names them, so the image is left as it
+	// was handed.
+	r := recReader{b: snap.Carried}
 	events := slices.Clone(snap.Sim.Events)
 	for i := range events {
 		ev := &events[i]
-		if ev.A, err = e.fileRecord(ev.Target, ev.Kind, ev.A, ev.C, ev.Payload); err != nil {
+		if ev.A, err = e.fileRecord(&r, ev.Target, ev.Kind, ev.A, ev.C); err != nil {
 			return fmt.Errorf("core: resume: pending event at %v: %w", ev.At, err)
 		}
 	}
@@ -603,14 +582,17 @@ func (e *Engine) restore(snap *Snapshot) error {
 		ops[b] = slices.Clone(snap.Boards[b].Flash.Ops)
 		for i := range ops[b] {
 			op := &ops[b][i]
-			if op.Remaining == 0 || !op.HasDone {
+			if op.Remaining == 0 || op.Done.None() {
 				continue
 			}
 			d := &op.Done
-			if d.A, err = e.fileRecord(d.Target, d.Kind, d.A, d.C, d.Payload); err != nil {
+			if d.A, err = e.fileRecord(&r, d.Target, d.Kind, d.A, d.C); err != nil {
 				return fmt.Errorf("core: resume: board %d flash op %d completion: %w", b, i, err)
 			}
 		}
+	}
+	if err := r.done(); err != nil {
+		return fmt.Errorf("core: resume: carried records: %w", err)
 	}
 	carried := make([]int, nb)
 	for b, be := range e.boards {
@@ -618,12 +600,12 @@ func (e *Engine) restore(snap *Snapshot) error {
 	}
 	kernel := snap.Sim
 	kernel.Events = events
-	if err := e.eng.ImportState(kernel, target); err != nil {
+	if err := e.eng.ImportState(kernel); err != nil {
 		return err
 	}
 	var u unpacker
 	for b, be := range e.boards {
-		if err := be.restore(&snap.Boards[b], ops[b], target); err != nil {
+		if err := be.restore(&snap.Boards[b], ops[b]); err != nil {
 			return fmt.Errorf("core: resume board %d: %w", b, err)
 		}
 		e.fabric[b].Restore(snap.FabricQ[b])
@@ -693,9 +675,8 @@ func (e *Engine) restore(snap *Snapshot) error {
 
 // restore overlays one board's body; the caller imported the kernel and
 // filed the records pending events carry. ops is the image's op pool with
-// each completion's A naming its filed record, and target resolves
-// completion targets.
-func (e *boardEngine) restore(snap *BoardImage, ops []flash.OpState, target func(int32) (sim.Handler, error)) error {
+// each completion's A naming its filed record.
+func (e *boardEngine) restore(snap *BoardImage, ops []flash.OpState) error {
 	nb := e.part.NumBlocks()
 	np := e.part.NumPartitions
 	switch {
@@ -724,7 +705,7 @@ func (e *boardEngine) restore(snap *BoardImage, ops []flash.OpState, target func
 
 	fs := snap.Flash
 	fs.Ops = ops
-	if err := e.ssd.ImportState(fs, target); err != nil {
+	if err := e.ssd.ImportState(fs); err != nil {
 		return err
 	}
 	if err := e.dr.Restore(snap.DRAM); err != nil {
@@ -857,29 +838,33 @@ func (e *boardEngine) restore(snap *BoardImage, ops []flash.OpState, target func
 	return nil
 }
 
-// fileRecord files the record a saved event or flash op completion
-// carries — a walk in its board's table, a roving batch or a fabric
-// transfer — in a fresh slot, checks each walk it holds, and returns the
-// slot, which becomes the event's A. A kind that names no record must
-// carry no payload and keeps its A.
-func (e *Engine) fileRecord(target int32, kind uint16, a int32, c int64, payload []byte) (int32, error) {
-	b := int(target-1) / 2
-	fabric := target == targetDriver && kind == evFabricArrive
-	switch {
-	case !fabric && (b < 0 || b >= len(e.boards) || target != targetBoard(b) ||
-		int(kind) >= len(eventPayload) || eventPayload[kind]&(payWalk|payBatch) == 0):
-		if payload != nil {
-			return 0, fmt.Errorf("event kind %d names no record but carries %d bytes", kind, len(payload))
-		}
-		return a, nil
-	case payload == nil:
-		return 0, fmt.Errorf("event kind %d carries no record", kind)
+// carriesRecord reports whether an event or flash op completion aimed at
+// target with the given kind carries a record on an array of nb boards: a
+// fabric transfer to the driver, or a walk or roving batch to a board.
+func carriesRecord(target int32, kind uint16, nb int) bool {
+	if target == targetDriver {
+		return kind == evFabricArrive
 	}
-	r := recReader{b: payload}
+	b := int(target-1) / 2
+	return b >= 0 && b < nb && target == targetBoard(b) &&
+		int(kind) < len(eventPayload) && eventPayload[kind]&(payWalk|payBatch) != 0
+}
+
+// fileRecord files the record a saved event or flash op completion
+// carries, read from the image's record stream r — a walk in its board's
+// table, a roving batch or a fabric transfer — in a fresh slot, checks each
+// walk it holds, and returns the slot, which becomes the event's A. A kind
+// that names no record reads none and keeps its A.
+func (e *Engine) fileRecord(r *recReader, target int32, kind uint16, a int32, c int64) (int32, error) {
+	if !carriesRecord(target, kind, len(e.boards)) {
+		return a, nil
+	}
+	b := int(target-1) / 2
+	fabric := target == targetDriver
 	if fabric {
 		fb := r.fabricBatch()
-		if err := r.done(); err != nil {
-			return 0, fmt.Errorf("fabric transfer: %w", err)
+		if r.err != nil {
+			return 0, fmt.Errorf("fabric transfer: %w", r.err)
 		}
 		if fb.dst < 0 || int(fb.dst) >= len(e.boards) || len(fb.walks) == 0 {
 			return 0, fmt.Errorf("fabric transfer of %d walks to board %d of %d", len(fb.walks), fb.dst, len(e.boards))
@@ -893,8 +878,8 @@ func (e *Engine) fileRecord(target int32, kind uint16, a int32, c int64, payload
 	}
 	be := e.boards[b]
 	ws := r.walks(be)
-	if err := r.done(); err != nil {
-		return 0, fmt.Errorf("event kind %d: %w", kind, err)
+	if r.err != nil {
+		return 0, fmt.Errorf("event kind %d: %w", kind, r.err)
 	}
 	pay := eventPayload[kind]
 	switch {
@@ -926,8 +911,8 @@ func (e *Engine) fileRecord(target int32, kind uint16, a int32, c int64, payload
 // what the image does not repeat (checkEvent).
 func (e *Engine) checkEvents(snap *Snapshot) error {
 	nb := len(e.boards)
-	// check validates an event aimed at the driver or a board; restore has
-	// already resolved every target ID.
+	// check validates an event aimed at the driver or a board; the kernel
+	// and SSD imports have refused every target ID past the handler table.
 	check := func(target int32, kind uint16, b int32, c int64) error {
 		if target == targetDriver {
 			switch kind {
@@ -961,7 +946,7 @@ func (e *Engine) checkEvents(snap *Snapshot) error {
 			return fmt.Errorf("board %d: %w", b, err)
 		}
 		for i, op := range snap.Boards[b].Flash.Ops {
-			if op.Remaining == 0 || !op.HasDone {
+			if op.Remaining == 0 || op.Done.None() {
 				continue
 			}
 			d := op.Done

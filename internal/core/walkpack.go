@@ -14,8 +14,9 @@ import (
 // batches, and the walk, roving batch or fabric transfer each pending event
 // carries — as packed binary records rather than one gob struct per walk,
 // the way the board moves a walk as a fixed record (walk.StateBytes).
-// Building a cut appends them to one arena; the container codec then ships
-// each store and event payload as a single byte string, and DiffSnapshot
+// Building a cut appends the stores to one arena and the records events
+// carry to one stream (Snapshot.Carried); the container codec then ships
+// each store, and the stream, as a single byte string, and DiffSnapshot
 // compares stores byte for byte.
 //
 // In memory a board's stores, batches and events hold indices into its
@@ -30,7 +31,8 @@ import (
 // uvarint count and that many records: a store, a roving batch, or the one
 // walk an event carries. A fabric walk record prefixes its destination
 // partition as a zigzag varint, and a fabric transfer is its destination
-// board as a zigzag varint and a run of fabric walks.
+// board as a zigzag varint and a run of fabric walks. The record stream is
+// the carried runs and transfers back to back.
 //
 // Restore reads records through recReader, which bounds-checks every
 // count, index, varint and value: a snapshot crosses a trust boundary on
@@ -84,14 +86,6 @@ func (p *packer) fabricWalks(ws []fabricWalk) WalkRecords {
 	return p.cut(start)
 }
 
-// fabricBatch packs an in-flight fabric transfer.
-func (p *packer) fabricBatch(fb *fabricBatch) []byte {
-	start := len(p.buf)
-	p.buf = binary.AppendVarint(p.buf, int64(fb.dst))
-	p.buf = appendFabricWalks(p.buf, fb.walks)
-	return p.cut(start)
-}
-
 func appendWalk(b []byte, st *wstate) []byte {
 	b = binary.AppendUvarint(b, uint64(st.w.Src))
 	b = binary.AppendUvarint(b, uint64(st.w.Cur))
@@ -123,6 +117,12 @@ func appendFabricWalks(b []byte, ws []fabricWalk) []byte {
 		b = appendWalk(b, &ws[i].st)
 	}
 	return b
+}
+
+// appendFabricBatch appends an in-flight fabric transfer.
+func appendFabricBatch(b []byte, fb *fabricBatch) []byte {
+	b = binary.AppendVarint(b, int64(fb.dst))
+	return appendFabricWalks(b, fb.walks)
 }
 
 // --- Decoding. ---

@@ -31,7 +31,7 @@ func midRunCut(t testing.TB, nb int) *Snapshot {
 func carryingCut(t testing.TB, nb int) *Snapshot {
 	t.Helper()
 	return interruptWhen(t, testGraph(t), arrayConfig(nb), 1, func(s *Snapshot) bool {
-		w, b, x := carriedRecords(s)
+		w, b, x := carriedRecords(t, s)
 		return w > 0 && b > 0 && (nb == 1 || x > 0)
 	})
 }
@@ -54,19 +54,82 @@ func sealPayload(kind string, payload []byte) []byte {
 	return append(b, sum[:]...)
 }
 
-// eachPayload calls fn with each record a cut's pending events carry, in
-// event order: the kernel's events as exported, then each board's live
-// flash op completions in op order.
-func eachPayload(s *Snapshot, fn func(target int32, kind uint16, payload []byte)) {
-	for _, ev := range s.Sim.Events {
-		if ev.Payload != nil {
-			fn(ev.Target, ev.Kind, ev.Payload)
+// records is a cut's record stream split by carrier: events[i] is the
+// record Sim.Events[i] carries and ops[b][i] the one board b's op i
+// completion carries, nil where none.
+type records struct {
+	events [][]byte
+	ops    [][][]byte
+}
+
+// splitRecords splits s's record stream; err is the first record that does
+// not decode, or trailing bytes.
+func splitRecords(s *Snapshot) (rs *records, err error) {
+	r := recReader{b: s.Carried}
+	take := func(target int32, kind uint16) []byte {
+		if !carriesRecord(target, kind, len(s.Boards)) || r.err != nil {
+			return nil
 		}
+		start := r.b
+		if target == targetDriver {
+			r.fabricBatch()
+		} else {
+			r.walks(new(boardEngine))
+		}
+		return start[:len(start)-len(r.b)]
+	}
+	rs = &records{events: make([][]byte, len(s.Sim.Events)), ops: make([][][]byte, len(s.Boards))}
+	for i, ev := range s.Sim.Events {
+		rs.events[i] = take(ev.Target, ev.Kind)
 	}
 	for b := range s.Boards {
-		for _, op := range s.Boards[b].Flash.Ops {
-			if op.Remaining > 0 && op.HasDone && op.Done.Payload != nil {
-				fn(op.Done.Target, op.Done.Kind, op.Done.Payload)
+		rs.ops[b] = make([][]byte, len(s.Boards[b].Flash.Ops))
+		for i, op := range s.Boards[b].Flash.Ops {
+			if op.Remaining > 0 && !op.Done.None() {
+				rs.ops[b][i] = take(op.Done.Target, op.Done.Kind)
+			}
+		}
+	}
+	return rs, r.done()
+}
+
+// mustSplit is splitRecords for a cut whose stream decodes.
+func mustSplit(t testing.TB, s *Snapshot) *records {
+	t.Helper()
+	rs, err := splitRecords(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+// join writes the records back into s's stream, in stream order.
+func (rs *records) join(s *Snapshot) {
+	s.Carried = nil
+	for _, rec := range rs.events {
+		s.Carried = append(s.Carried, rec...)
+	}
+	for _, ops := range rs.ops {
+		for _, rec := range ops {
+			s.Carried = append(s.Carried, rec...)
+		}
+	}
+}
+
+// eachRecord calls fn with each record a cut's carrying events name, in
+// stream order: the kernel's events as exported, then each board's live
+// flash op completions in op order.
+func eachRecord(t testing.TB, s *Snapshot, fn func(target int32, kind uint16, rec []byte)) {
+	rs := mustSplit(t, s)
+	for i, rec := range rs.events {
+		if rec != nil {
+			fn(s.Sim.Events[i].Target, s.Sim.Events[i].Kind, rec)
+		}
+	}
+	for b, ops := range rs.ops {
+		for i, rec := range ops {
+			if rec != nil {
+				fn(s.Boards[b].Flash.Ops[i].Done.Target, s.Boards[b].Flash.Ops[i].Done.Kind, rec)
 			}
 		}
 	}
@@ -74,8 +137,8 @@ func eachPayload(s *Snapshot, fn func(target int32, kind uint16, payload []byte)
 
 // carriedRecords counts the walks, roving batches and fabric transfers a
 // cut's pending events carry.
-func carriedRecords(s *Snapshot) (walks, batches, transfers int) {
-	eachPayload(s, func(target int32, kind uint16, _ []byte) {
+func carriedRecords(t testing.TB, s *Snapshot) (walks, batches, transfers int) {
+	eachRecord(t, s, func(target int32, kind uint16, _ []byte) {
 		switch {
 		case target == targetDriver:
 			transfers++
@@ -112,15 +175,9 @@ func unpackImage(s *Snapshot) error {
 			u.fabricWalks(es.Walks)
 		}
 	}
-	eachPayload(s, func(target int32, kind uint16, payload []byte) {
-		if target != targetDriver || kind != evFabricArrive {
-			u.walks(payload)
-		} else if u.err == nil {
-			r := recReader{b: payload}
-			r.fabricBatch()
-			u.err = r.done()
-		}
-	})
+	if _, err := splitRecords(s); u.err == nil {
+		u.err = err
+	}
 	return u.err
 }
 
@@ -145,7 +202,8 @@ func goldenCuts(t *testing.T, g *graph.Graph, nb int) [][]byte {
 
 // TestPackedImageRoundTrip: every cut of the golden workload, on one board
 // and two, restores an engine whose next cut packs to the identical image,
-// payloads included, and every packed store and payload decodes cleanly.
+// record stream included, and every packed store and record decodes
+// cleanly.
 // The identity covers the kernel's event list, which ExportState lists in
 // an order that depends only on the pending set. Restore must leave the
 // image it is handed as decoded.
@@ -165,7 +223,7 @@ func TestPackedImageRoundTrip(t *testing.T) {
 			if err := unpackImage(snap); err != nil {
 				t.Fatalf("boards=%d cut %d: %v", nb, i, err)
 			}
-			w, b, x := carriedRecords(snap)
+			w, b, x := carriedRecords(t, snap)
 			walks, batches, transfers = walks+w, batches+b, transfers+x
 			e, err := ResumeEngine(g, snap, ResumeOptions{})
 			if err != nil {
@@ -219,8 +277,8 @@ func TestPackedRecordsRejectMalformed(t *testing.T) {
 // gob payloads of real 1-board and 2-board mid-run cuts, re-sealed so
 // Decode gets past the checksum. Decode into a Snapshot must fail or yield
 // an image that survives an Encode/Decode round trip unchanged, and every
-// packed store and event payload of a decoded image must decode or fail
-// cleanly — never panic. The seed cuts carry a walk and a roving batch in
+// packed store and the record stream of a decoded image must decode or
+// fail cleanly — never panic. The seed cuts carry a walk and a roving batch in
 // pending events, and on two boards a fabric transfer. The 1-board cut
 // also seeds with one parked walk at vertex 2^32-2 (the largest ID),
 // 2^32-1 (no vertex), 2^32 and 2^32+1.

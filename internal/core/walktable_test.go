@@ -17,10 +17,10 @@ import (
 // record its pending events carry, in a fixed order: per board the PWB,
 // FLS and both pending lists, the switch read-back, each chip's roving
 // buffer and slot loads; then the fabric's egress batches; then the
-// payloads in event order (eachPayload). Every byte string is
+// carried records in stream order (eachRecord). Every byte string is
 // length-prefixed, so a byte moving between two stores changes the digest
 // too.
-func packedStoreDigest(s *Snapshot) string {
+func packedStoreDigest(t testing.TB, s *Snapshot) string {
 	h := sha256.New()
 	put := func(b []byte) {
 		var n [8]byte
@@ -48,7 +48,7 @@ func packedStoreDigest(s *Snapshot) string {
 			put(es.Walks)
 		}
 	}
-	eachPayload(s, func(_ int32, _ uint16, payload []byte) { put(payload) })
+	eachRecord(t, s, func(_ int32, _ uint16, rec []byte) { put(rec) })
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -64,7 +64,7 @@ func TestWalkStateSize(t *testing.T) {
 	}
 }
 
-// TestPackedStoreDigest pins the packed walk stores and event payloads of
+// TestPackedStoreDigest pins the packed walk stores and carried records of
 // golden-workload cuts early, mid-run and late, on one board and two. The
 // engine's in-memory walk layout is free to change; the records a cut
 // packs are not, because resume reads them.
@@ -82,7 +82,7 @@ func TestPackedStoreDigest(t *testing.T) {
 		for _, cut := range []int{1, 5, 20} {
 			name := fmt.Sprintf("boards=%d/cut=%d", nb, cut)
 			s := interruptCore(t, g, arrayConfig(nb), cut)
-			if got := packedStoreDigest(s); got != want[name] {
+			if got := packedStoreDigest(t, s); got != want[name] {
 				t.Errorf("%s: packed stores digest %s, want %s", name, got, want[name])
 			}
 		}

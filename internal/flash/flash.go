@@ -221,8 +221,9 @@ func (s *SSD) recordChannel(at sim.Time, bytes int64) {
 // per-payload) timelines that each end by accounting traffic and notifying a
 // shared completion. The per-part timelines are typed sim events targeting
 // the SSD itself, and the caller's completion — a typed event, or the zero
-// event for none — waits in a pooled op record addressed by index, so
-// steady-state flash traffic allocates nothing.
+// event for none — waits in a pooled op record addressed by index, in the
+// kernel's plain form (sim.Stored), so steady-state flash traffic allocates
+// nothing and the pool holds no pointer for the garbage collector to scan.
 
 // Flash event kinds (private to the SSD's HandleEvent).
 const (
@@ -239,11 +240,11 @@ const (
 )
 
 // flashOp is one pooled multi-part operation: the completion fires when all
-// parts have finished.
+// parts have finished. It is 32 bytes with no pointer in it.
 type flashOp struct {
 	remaining int32
 	free      int32 // free-list link
-	done      sim.Event
+	done      sim.Stored
 }
 
 // newOp claims a pooled op record for n parts.
@@ -256,12 +257,13 @@ func (s *SSD) newOp(n int, done sim.Event) int32 {
 		s.ops = append(s.ops, flashOp{})
 		idx = int32(len(s.ops) - 1)
 	}
-	s.ops[idx] = flashOp{remaining: int32(n), free: -1, done: done}
+	s.ops[idx] = flashOp{remaining: int32(n), free: -1, done: s.Eng.Store(done)}
 	return idx
 }
 
 // opPart retires one part of the op; the last part recycles the record and
-// delivers the completion inline, inside the final part's event.
+// delivers the completion inline, inside the final part's event. A free
+// record keeps its stale completion, which pins nothing.
 func (s *SSD) opPart(idx int32) {
 	op := &s.ops[idx]
 	op.remaining--
@@ -269,10 +271,10 @@ func (s *SSD) opPart(idx int32) {
 		return
 	}
 	done := op.done
-	*op = flashOp{free: s.freeOp}
+	op.free = s.freeOp
 	s.freeOp = idx
 	if !done.None() {
-		done.Target.HandleEvent(done)
+		s.Eng.Fire(done)
 	}
 }
 

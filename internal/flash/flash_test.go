@@ -1,6 +1,8 @@
 package flash
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"flashwalker/internal/metrics"
@@ -324,4 +326,93 @@ func TestPlaneRoundRobinBalances(t *testing.T) {
 	if p.last != 10*s.Cfg.ReadLatency {
 		t.Fatalf("80 pages took %v, want %v", p.last, 10*s.Cfg.ReadLatency)
 	}
+}
+
+// pointerFree reports whether a value of type t holds no pointer: only
+// numbers, and arrays and structs of them.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return t.Kind() >= reflect.Bool && t.Kind() <= reflect.Complex128
+}
+
+// TestOpIsPlainData: a pooled op record is at most 32 bytes and holds no
+// pointer, completion included, so the garbage collector never scans the
+// pool.
+func TestOpIsPlainData(t *testing.T) {
+	rt := reflect.TypeOf(flashOp{})
+	if rt.Size() > 32 {
+		t.Errorf("flashOp is %d bytes, want at most 32", rt.Size())
+	}
+	if !pointerFree(rt) {
+		t.Errorf("flashOp holds a pointer")
+	}
+}
+
+// TestStateRoundTrip cuts an SSD with ops in flight, imports its state
+// into a fresh SSD on a fresh engine holding the same handlers, and checks
+// both deliver the same completions at the same times. An op naming a
+// handler past the table is refused.
+func TestStateRoundTrip(t *testing.T) {
+	build := func() (*sim.Engine, *SSD, *probe) {
+		eng, s := newSSD(t, smallCfg())
+		p := &probe{eng: eng}
+		eng.Register(s)
+		eng.Register(p)
+		return eng, s, p
+	}
+	eng, s, p := build()
+	for i := 0; i < 6; i++ {
+		s.ReadPagesToChannel(s.Chip(i%4), 2, sim.Event{Target: p, B: int32(i)})
+		s.ProgramPagesLocal(s.Chip(i%4), 1, sim.Event{})
+		s.TransferHost(4096, sim.Event{Target: p, B: int32(10 + i)})
+	}
+	eng.RunUntil(40 * sim.Microsecond)
+	fst, kst := s.ExportState(), eng.ExportState()
+	eng2, s2, p2 := build()
+	if err := eng2.ImportState(kst); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.ImportState(fst); err != nil {
+		t.Fatal(err)
+	}
+	var ssdEvents []sim.SavedEvent
+	for _, ev := range kst.Events {
+		if ev.Target == 0 {
+			ssdEvents = append(ssdEvents, ev)
+		}
+	}
+	if len(ssdEvents) == 0 {
+		t.Fatal("the cut has no part in flight")
+	}
+	if err := s2.CheckPending(ssdEvents); err != nil {
+		t.Fatal(err)
+	}
+	p2.n, p2.bs = p.n, append([]int32(nil), p.bs...)
+	eng.Run()
+	eng2.Run()
+	if p2.n != p.n || p2.last != p.last || !slices.Equal(p2.bs, p.bs) || s2.Counters != s.Counters {
+		t.Fatalf("restored SSD delivered %d completions (last at %v), original %d (at %v)", p2.n, p2.last, p.n, p.last)
+	}
+
+	for i := range fst.Ops {
+		if fst.Ops[i].Remaining > 0 && !fst.Ops[i].Done.None() {
+			fst.Ops[i].Done.Target = 2
+			_, s3, _ := build()
+			if err := s3.ImportState(fst); err == nil {
+				t.Fatal("an op completion naming handler 2 of 2 was imported")
+			}
+			return
+		}
+	}
+	t.Fatal("the cut has no live op with a completion")
 }

@@ -8,29 +8,18 @@ import (
 
 // Snapshot support. The SSD's mid-run state is the queue bookings (planes,
 // channel buses, PCIe), the per-chip round-robin cursors, the traffic
-// counters, and the pooled multi-part op records. Every op completion is a
-// typed event (or none), so live ops serialize at any event boundary: the
-// event's target is mapped to a small integer by the caller, as in
-// sim.Engine.ExportState. The pool is exported by index, because a live
-// op's pending part events name it; its free list is not, because it is
-// exactly the ops with no parts left.
+// counters, and the pooled multi-part op records. Every op completion is
+// kept in the kernel's plain form (sim.Stored, or None), so live ops
+// serialize at any event boundary as they are. The pool is exported by
+// index, because a live op's pending part events name it; its free list is
+// not, because it is exactly the ops with no parts left.
 
-// OpEvent is a typed completion event in serializable form. Payload is the
-// caller's, as in sim.SavedEvent: the SSD neither writes nor reads it.
-type OpEvent struct {
-	Target  int32
-	Kind    uint16
-	A, B    int32
-	C       int64
-	Payload []byte
-}
-
-// OpState is one pooled op record. Remaining > 0 marks a live op; a free
-// record has no parts left and no completion.
+// OpState is one pooled op record. Remaining > 0 marks a live op, whose
+// completion Done names its handler by its index in the engine's table,
+// or is None; a free record is the zero OpState.
 type OpState struct {
 	Remaining int32
-	HasDone   bool
-	Done      OpEvent
+	Done      sim.Stored
 }
 
 // State is the serializable mid-run state of an SSD. Geometry and timing
@@ -46,9 +35,7 @@ type State struct {
 }
 
 // ExportState captures the SSD's queues, cursors, counters, and op pool.
-// targetID maps completion-event targets exactly as in
-// sim.Engine.ExportState, and its error fails the export.
-func (s *SSD) ExportState(targetID func(sim.Handler) (int32, error)) (State, error) {
+func (s *SSD) ExportState() State {
 	st := State{
 		Counters: s.Counters,
 		PCIe:     s.pcie.State(),
@@ -66,24 +53,19 @@ func (s *SSD) ExportState(targetID func(sim.Handler) (int32, error)) (State, err
 		}
 	}
 	for i := range s.ops {
-		op := &s.ops[i]
-		os := OpState{Remaining: op.remaining}
-		if op.remaining > 0 && !op.done.None() {
-			id, err := targetID(op.done.Target)
-			if err != nil {
-				return State{}, fmt.Errorf("flash: export op %d completion: %w", i, err)
-			}
-			os.HasDone = true
-			os.Done = OpEvent{Target: id, Kind: op.done.Kind, A: op.done.A, B: op.done.B, C: op.done.C}
+		var os OpState
+		if op := &s.ops[i]; op.remaining > 0 {
+			os = OpState{Remaining: op.remaining, Done: op.done}
 		}
 		st.Ops = append(st.Ops, os)
 	}
-	return st, nil
+	return st
 }
 
 // ImportState overlays a captured State onto a freshly built SSD of the
-// same geometry. target is the inverse of ExportState's targetID mapping.
-func (s *SSD) ImportState(st State, target func(int32) (sim.Handler, error)) error {
+// same geometry, on an engine whose handler table holds every handler the
+// completions name.
+func (s *SSD) ImportState(st State) error {
 	if len(st.Buses) != len(s.channels) {
 		return fmt.Errorf("flash: import: %d channels in state, SSD has %d", len(st.Buses), len(s.channels))
 	}
@@ -122,15 +104,10 @@ func (s *SSD) ImportState(st State, target func(int32) (sim.Handler, error)) err
 			s.freeOp = int32(i)
 			continue
 		}
-		op := flashOp{remaining: os.Remaining, free: -1}
-		if os.HasDone {
-			h, err := target(os.Done.Target)
-			if err != nil {
-				return fmt.Errorf("flash: import op %d completion: %w", i, err)
-			}
-			op.done = sim.Event{Target: h, Kind: os.Done.Kind, A: os.Done.A, B: os.Done.B, C: os.Done.C}
+		if os.Done.Target >= int32(s.Eng.Handlers()) {
+			return fmt.Errorf("flash: import op %d completion names handler %d of %d", i, os.Done.Target, s.Eng.Handlers())
 		}
-		s.ops[i] = op
+		s.ops[i] = flashOp{remaining: os.Remaining, free: -1, done: os.Done}
 	}
 	return nil
 }

@@ -302,9 +302,10 @@ func legacyContainer(t *testing.T, kind string, version uint32) []byte {
 // container version bump — a version-1 single-board engine image and a
 // version-1 image of the old multi-board array kind (before one snapshot
 // kind), a version-2 engine image (before packed walk records), a
-// version-3 engine image (before events carried their walks) and a
-// version-4 engine image (before saved events carried their records),
-// each left at snapshots/<id>.snap by a crashed daemon — are refused with
+// version-3 engine image (before events carried their walks), a
+// version-4 engine image (before saved events carried their records) and
+// a version-5 engine image (before the records moved to one stream and
+// saved events to plain form), each left at snapshots/<id>.snap by a crashed daemon — are refused with
 // ErrVersion on recovery, and each job re-runs from scratch to the result
 // a clean run produces.
 func TestManagerRecoveryRejectsPreBumpSnapshots(t *testing.T) {
@@ -318,6 +319,7 @@ func TestManagerRecoveryRejectsPreBumpSnapshots(t *testing.T) {
 		{2, "flashwalker-core-engine", JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 4, CheckpointEvery: 64}},
 		{3, "flashwalker-core-engine", JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 5, CheckpointEvery: 64}},
 		{4, "flashwalker-core-engine", JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 6, CheckpointEvery: 64}},
+		{5, "flashwalker-core-engine", JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 7, CheckpointEvery: 64}},
 	}
 
 	mr := newTestManager(t, Config{Workers: 1})

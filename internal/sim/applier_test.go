@@ -46,7 +46,7 @@ func TestApplierVisibility(t *testing.T) {
 				val int
 			}{tc.changeAt, 1})
 			seen := make([]int, 0, len(tc.eventTimes))
-			h := handlerFunc(func(Event) { seen = append(seen, r.value) })
+			h := handle(func(Event) { seen = append(seen, r.value) })
 			for _, at := range tc.eventTimes {
 				e.Schedule(at, Event{Target: h})
 			}
@@ -79,7 +79,7 @@ func TestApplierEqualTimestampsStreamOrder(t *testing.T) {
 		}{5, v})
 	}
 	var got []int
-	h := handlerFunc(func(Event) { got = append(got, r.value) })
+	h := handle(func(Event) { got = append(got, r.value) })
 	for _, at := range []Time{4, 5, 6} {
 		e.Schedule(at, Event{Target: h})
 	}
@@ -113,7 +113,7 @@ func TestApplierRunUntil(t *testing.T) {
 		}{40, 2},
 	)
 	var got []int
-	h := handlerFunc(func(Event) { got = append(got, r.value) })
+	h := handle(func(Event) { got = append(got, r.value) })
 	for _, at := range []Time{10, 20, 50} {
 		e.Schedule(at, Event{Target: h})
 	}
@@ -140,7 +140,7 @@ func TestApplierRunUntil(t *testing.T) {
 func TestApplierNoOpHookIsInvisible(t *testing.T) {
 	run := func(withHook bool) (order []int, end Time, processed uint64) {
 		e := New()
-		h := handlerFunc(func(ev Event) { order = append(order, int(ev.A)) })
+		h := handle(func(ev Event) { order = append(order, int(ev.A)) })
 		for i := 0; i < 50; i++ {
 			// Deliberately colliding timestamps to exercise seq-order ties.
 			e.Schedule(Time(i%7)*10, Event{Target: h, A: int32(i)})

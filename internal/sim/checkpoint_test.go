@@ -8,7 +8,7 @@ func TestCheckpointHalts(t *testing.T) {
 	e := New()
 	var fired []int
 	stop := false
-	h := handlerFunc(func(ev Event) {
+	h := handle(func(ev Event) {
 		if ev.Kind == 1 {
 			stop = true
 			return
@@ -55,7 +55,7 @@ func TestCheckpointHalts(t *testing.T) {
 // identical: the hook is a pure observer.
 func TestCheckpointDoesNotPerturbTimeline(t *testing.T) {
 	build := func(e *Engine, log *[]Time) {
-		h := handlerFunc(func(Event) { *log = append(*log, e.Now()) })
+		h := handle(func(Event) { *log = append(*log, e.Now()) })
 		for i := 0; i < 50; i++ {
 			e.Schedule(Time((i*7)%50), Event{Target: h})
 		}
@@ -93,7 +93,7 @@ func TestCheckpointDoesNotPerturbTimeline(t *testing.T) {
 func TestCheckpointRunUntil(t *testing.T) {
 	e := New()
 	n := 0
-	h := handlerFunc(func(Event) { n++ })
+	h := handle(func(Event) { n++ })
 	for i := 0; i < 5; i++ {
 		e.Schedule(Time(i), Event{Target: h})
 	}

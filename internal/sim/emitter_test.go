@@ -8,7 +8,7 @@ import "testing"
 func TestEmitterFiresBetweenEvents(t *testing.T) {
 	e := New()
 	fired := 0
-	h := handlerFunc(func(Event) { fired++ })
+	h := handle(func(Event) { fired++ })
 	for i := 0; i < 20; i++ {
 		e.Schedule(Time(i*10), Event{Target: h})
 	}
@@ -42,7 +42,7 @@ func TestEmitterFiresBetweenEvents(t *testing.T) {
 // observer, exactly like the checkpoint hook.
 func TestEmitterDoesNotPerturbTimeline(t *testing.T) {
 	build := func(e *Engine, log *[]Time) {
-		h := handlerFunc(func(Event) { *log = append(*log, e.Now()) })
+		h := handle(func(Event) { *log = append(*log, e.Now()) })
 		for i := 0; i < 50; i++ {
 			e.Schedule(Time((i*7)%50), Event{Target: h})
 		}
@@ -79,7 +79,7 @@ func TestEmitterDoesNotPerturbTimeline(t *testing.T) {
 // and that ClearEmitter detaches it.
 func TestEmitterRunUntil(t *testing.T) {
 	e := New()
-	nop := handlerFunc(func(Event) {})
+	nop := handle(func(Event) {})
 	for i := 0; i < 10; i++ {
 		e.Schedule(Time(i), Event{Target: nop})
 	}

@@ -34,19 +34,20 @@
 //     bucket i holds only window-start + i. Popping the lowest occupied
 //     bucket is therefore popping the earliest time; every far entry is
 //     in a later window and every heap entry beyond the far horizon.
-//   - Each bucket list, near or far, is in seq order per timestamp.
-//     Direct inserts append in increasing seq. The window moves in two
-//     places only — pop, when the near wheel is empty, and RunUntil's
-//     deadline advance — and each move does two things before any
-//     handler runs: it moves the heap entries whose window entered the far
-//     horizon into their far buckets, in heap (time, seq) order, and then
-//     spills the new window's far bucket into the near wheel in list
-//     order. A heap entry for window W was scheduled while W lay beyond
-//     the far horizon, and a direct far insert for W needs W inside it;
-//     the window only advances, so every heap entry for W was scheduled
-//     before every direct far insert for W, and the migration puts it
-//     first. Likewise the spill lands in empty near buckets before any
-//     direct near insert for the window.
+//   - Each bucket list, near or far, is in seq order per timestamp, so a
+//     slab entry needs no seq; only heap nodes carry one. Direct inserts
+//     append in increasing seq. The window moves in two places only — pop,
+//     when the near wheel is empty, and RunUntil's deadline advance — and
+//     each move does two things before any handler runs: it moves the
+//     heap entries whose window entered the far horizon into their far
+//     buckets, in heap (time, seq) order, and then spills the new window's
+//     far bucket into the near wheel in list order. A heap entry for
+//     window W was scheduled while W lay beyond the far horizon, and a
+//     direct far insert for W needs W inside it; the window only
+//     advances, so every heap entry for W was scheduled before every
+//     direct far insert for W, and the migration puts it first. Likewise
+//     the spill lands in empty near buckets before any direct near insert
+//     for the window.
 //   - Reading the next event's time never moves the window: with the near
 //     wheel empty it scans the first occupied far bucket. Moving it there
 //     would let RunUntil stop the clock at a deadline below the window,
@@ -54,10 +55,18 @@
 //
 // Every event is a typed record (Schedule / ScheduleAfter): a Handler
 // target, a kind tag, and a small integer payload, dispatched through the
-// target's HandleEvent. Events are plain values, so scheduling allocates
-// nothing in steady state (slab slots and handler state are reused) and a
-// pending schedule is plain data that ExportState can serialize at any
-// event boundary.
+// target's HandleEvent. The kernel stores it as plain data: each Engine
+// keeps a table of the handlers it has seen, and a pending event holds its
+// target's index in that table in place of the interface. A slab entry is
+// therefore 32 bytes with no pointer in it, the garbage collector never
+// scans the slab, and ExportState copies pending events as they are. A
+// Handler's dynamic type must be comparable — a pointer, typically —
+// because Schedule finds a target's index by comparing it with the table;
+// registering one that is not panics. A handler enters the table on its
+// first Schedule, or earlier through Register, which lets a caller fix the
+// indices its images name. Scheduling allocates nothing in steady state
+// (slab slots and handler state are reused), and device models that park
+// completions (package flash) keep them in the same plain form (Stored).
 //
 // Simulated time is an int64 count of nanoseconds. The finest clock in the
 // modelled system is the 1 GHz board-level accelerator (1 ns per cycle), so
@@ -66,7 +75,10 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"reflect"
+	"unsafe"
 )
 
 // Time is a simulated timestamp or duration in nanoseconds.
@@ -100,6 +112,7 @@ func (t Time) String() string {
 // Handler receives typed events at their scheduled time. Implementations
 // dispatch on Event.Kind; kind values are private to each Handler, so
 // independent subsystems (the accelerator engine, the SSD) never collide.
+// The dynamic type of a Handler must be comparable (package doc).
 type Handler interface {
 	HandleEvent(ev Event)
 }
@@ -145,14 +158,18 @@ const (
 // zero wheel needs no initialization pass.
 type slot struct{ head, tail int32 }
 
-// slabEntry is one pending event plus its scheduling key and list link (the
-// next entry in its bucket, or in the free list once released). The struct
-// is 64 bytes, so a pop touches exactly one cache line of slab.
+// slabEntry is one pending event in plain form — its time, payload, kind
+// and the index of its target in the handler table — plus its list link
+// (the next entry in its bucket, or in the free list once released). The
+// struct is 32 bytes and holds no pointer, so two entries share a cache
+// line and a released entry pins nothing.
 type slabEntry struct {
-	ev   Event
 	at   Time
-	seq  uint64
+	c    int64
+	a, b int32
 	next int32 // ref+1 of the next entry in the same list, 0 = end
+	kind uint16
+	h    uint16 // the target's index in Engine.handlers
 }
 
 // node is one overflow-heap entry: the (at, seq) ordering key plus a
@@ -183,6 +200,10 @@ type Engine struct {
 	now       Time
 	seq       uint64
 	processed uint64
+
+	// handlers is the handler table: a pending event names its target by
+	// its index here (Register).
+	handlers []Handler
 
 	// Cooperative checkpoint hook (SetCheckpoint): checkFn is consulted
 	// every checkEvery processed events, strictly between events; returning
@@ -233,24 +254,25 @@ func (e *Engine) Schedule(t Time, ev Event) {
 		panic("sim: scheduling event with nil target")
 	}
 	e.seq++
-	e.insert(t, e.seq, ev)
+	e.insert(e.seq, slabEntry{at: t, c: ev.C, a: ev.A, b: ev.B, kind: ev.Kind, h: e.handlerIndex(ev.Target)})
 }
 
 // insert parks the event in the slab and files its reference in the near
-// wheel when t is inside the current window, in the far wheel when it is
-// inside the horizon, or else in the overflow heap. Callers must pass
-// strictly increasing seq values for each timestamp (ImportState sorts for
-// exactly this reason) and t at or after the window start. The offset is
-// taken unsigned, so no timestamp overflows it.
-func (e *Engine) insert(t Time, seq uint64, ev Event) {
-	ref := e.putEvent(t, seq, ev)
-	switch d := uint64(t) - uint64(e.win); {
+// wheel when its time is inside the current window, in the far wheel when
+// it is inside the horizon, or else in the overflow heap, which alone
+// keeps seq. Callers must pass strictly increasing seq values for each
+// timestamp (ImportState sorts for exactly this reason) and a time at or
+// after the window start. The offset is taken unsigned, so no timestamp
+// overflows it.
+func (e *Engine) insert(seq uint64, se slabEntry) {
+	ref := e.putEvent(se)
+	switch d := uint64(se.at) - uint64(e.win); {
 	case d < nearSize:
-		e.nearAppend(ref, t)
+		e.nearAppend(ref, se.at)
 	case d < horizon:
-		e.farAppend(ref, t)
+		e.farAppend(ref, se.at)
 	default:
-		e.heapPush(node{at: t, seq: seq, ref: ref})
+		e.heapPush(node{at: se.at, seq: seq, ref: ref})
 	}
 }
 
@@ -294,12 +316,12 @@ func (e *Engine) entry(ref int32) *slabEntry {
 // putEvent parks an event in a slab entry, reusing the most recently freed
 // one, and returns its reference. A new chunk is allocated only when every
 // entry of the last one is in use; chunks never move or shrink.
-func (e *Engine) putEvent(t Time, seq uint64, ev Event) int32 {
+func (e *Engine) putEvent(se slabEntry) int32 {
 	ref := e.free - 1
 	if ref >= 0 {
 		ent := e.entry(ref)
 		e.free = ent.next
-		*ent = slabEntry{ev: ev, at: t, seq: seq}
+		*ent = se
 		return ref
 	}
 	ref = e.slabN
@@ -307,8 +329,88 @@ func (e *Engine) putEvent(t Time, seq uint64, ev Event) int32 {
 		e.chunks = append(e.chunks, new([chunkSize]slabEntry))
 	}
 	e.slabN++
-	*e.entry(ref) = slabEntry{ev: ev, at: t, seq: seq}
+	*e.entry(ref) = se
 	return ref
+}
+
+// --- The handler table. ---
+
+// Register adds h to the engine's handler table unless it is there already
+// and returns its index, the Target by which stored and exported events
+// name it. Schedule registers a new target itself; registering ahead of
+// time fixes the indices, so that every run of a model names its handlers
+// alike in the images it exports. Register panics on a nil h and on one
+// whose dynamic type is not comparable.
+func (e *Engine) Register(h Handler) int32 {
+	if h == nil {
+		panic("sim: registering a nil handler")
+	}
+	if t := reflect.TypeOf(h); !t.Comparable() {
+		panic(fmt.Sprintf("sim: handler type %v is not comparable", t))
+	}
+	for i, g := range e.handlers {
+		if g == h {
+			return int32(i)
+		}
+	}
+	if len(e.handlers) > math.MaxUint16 {
+		panic("sim: more than 65,536 handlers")
+	}
+	e.handlers = append(e.handlers, h)
+	return int32(len(e.handlers) - 1)
+}
+
+// Handlers reports how many handlers the table holds; a stored or exported
+// event's Target is below it.
+func (e *Engine) Handlers() int { return len(e.handlers) }
+
+// Handler returns the handler at index id of the table.
+func (e *Engine) Handler(id int32) Handler { return e.handlers[id] }
+
+// handlerIndex finds h in the handler table, registering it on first use.
+// It compares the interface's two words — the type and the data pointer —
+// one at a time rather than with ==, which calls into the runtime for
+// every entry it passes. Equal words are the same handler. A non-pointer
+// handler boxed afresh by each conversion misses here, and Register finds
+// it by ==.
+func (e *Engine) handlerIndex(h Handler) uint16 {
+	w := *(*[2]unsafe.Pointer)(unsafe.Pointer(&h))
+	for i := range e.handlers {
+		if hw := (*[2]unsafe.Pointer)(unsafe.Pointer(&e.handlers[i])); hw[0] == w[0] && hw[1] == w[1] {
+			return uint16(i)
+		}
+	}
+	return uint16(e.Register(h))
+}
+
+// Stored is an event in the plain form the kernel keeps: Target is the
+// index of the event's handler in the engine's handler table, or -1 for
+// the zero "no completion" event. It holds no pointer, so a device model
+// can pool completions the garbage collector never scans, and an image can
+// carry them as they are.
+type Stored struct {
+	C      int64
+	A, B   int32
+	Target int32
+	Kind   uint16
+}
+
+// None reports whether the stored event is the "no completion" sentinel.
+func (s Stored) None() bool { return s.Target < 0 }
+
+// Store returns ev in plain form, registering its target on first use.
+func (e *Engine) Store(ev Event) Stored {
+	if ev.None() {
+		return Stored{Target: -1}
+	}
+	return Stored{C: ev.C, A: ev.A, B: ev.B, Kind: ev.Kind, Target: int32(e.handlerIndex(ev.Target))}
+}
+
+// Fire delivers a stored event to its handler now, inline, as the part of
+// the current event that completes it; it must not be None.
+func (e *Engine) Fire(s Stored) {
+	h := e.handlers[s.Target]
+	h.HandleEvent(Event{Target: h, C: s.C, A: s.A, B: s.B, Kind: s.Kind})
 }
 
 // ScheduleAfter enqueues a typed event d nanoseconds from now.
@@ -410,9 +512,12 @@ func (e *Engine) Step() bool {
 	if e.Pending() == 0 {
 		return false
 	}
-	ev := e.pop()
+	ent := e.pop()
 	e.processed++
-	ev.Target.HandleEvent(ev)
+	// Dispatch straight from the released entry: the call's arguments are
+	// read before the handler can reuse it.
+	h := e.handlers[ent.h]
+	h.HandleEvent(Event{Target: h, C: ent.c, A: ent.a, B: ent.b, Kind: ent.kind})
 	return true
 }
 
@@ -485,10 +590,12 @@ func (e *Engine) nextTime() Time {
 	return e.overflow[0].at
 }
 
-// pop removes the earliest pending event and advances the clock to its
-// timestamp. With the near wheel empty it first moves the window to the
-// first occupied far bucket's window, or else to the heap minimum's.
-func (e *Engine) pop() Event {
+// pop removes the earliest pending event, advances the clock to its
+// timestamp and releases its entry onto the free list, where the entry
+// keeps its event until the next insert reuses it. With the near wheel
+// empty it first moves the window to the first occupied far bucket's
+// window, or else to the heap minimum's.
+func (e *Engine) pop() *slabEntry {
 	if e.nearN == 0 {
 		if e.farN > 0 {
 			e.moveWindow(e.win + Time(e.farFirst())*nearSize)
@@ -510,12 +617,9 @@ func (e *Engine) pop() Event {
 	}
 	e.nearN--
 	e.now = e.win + Time(i)
-	// Release the entry onto the free list, zeroed so a popped event does
-	// not pin its Handler for GC.
-	ev := ent.ev
-	*ent = slabEntry{next: e.free}
+	ent.next = e.free
 	e.free = ref + 1
-	return ev
+	return ent
 }
 
 // nearFirst reports the earliest occupied near bucket. Every near entry is

@@ -50,8 +50,8 @@ func TestSameTimeEventsFireInScheduleOrder(t *testing.T) {
 func TestAfterSchedulesRelative(t *testing.T) {
 	e := New()
 	var at Time
-	var h handlerFunc
-	h = func(ev Event) {
+	h := new(handlerFunc)
+	h.fn = func(ev Event) {
 		if ev.Kind == 0 {
 			e.ScheduleAfter(50, Event{Target: h, Kind: 1})
 			return
@@ -67,8 +67,8 @@ func TestAfterSchedulesRelative(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
-	var h handlerFunc
-	h = func(Event) {
+	h := new(handlerFunc)
+	h.fn = func(Event) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
@@ -87,14 +87,14 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	e.ScheduleAfter(-1, Event{Target: handlerFunc(func(Event) {})})
+	e.ScheduleAfter(-1, Event{Target: handle(func(Event) {})})
 }
 
 func TestEventsScheduledDuringExecution(t *testing.T) {
 	e := New()
 	count := 0
-	var chain handlerFunc
-	chain = func(Event) {
+	chain := new(handlerFunc)
+	chain.fn = func(Event) {
 		count++
 		if count < 10 {
 			e.ScheduleAfter(7, Event{Target: chain})
@@ -113,7 +113,7 @@ func TestEventsScheduledDuringExecution(t *testing.T) {
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	e := New()
 	fired := map[Time]bool{}
-	h := handlerFunc(func(Event) { fired[e.Now()] = true })
+	h := handle(func(Event) { fired[e.Now()] = true })
 	for _, at := range []Time{10, 20, 30, 40} {
 		e.Schedule(at, Event{Target: h})
 	}
@@ -143,7 +143,7 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 
 func TestProcessedCount(t *testing.T) {
 	e := New()
-	nop := handlerFunc(func(Event) {})
+	nop := handle(func(Event) {})
 	for i := 0; i < 25; i++ {
 		e.Schedule(Time(i), Event{Target: nop})
 	}

@@ -84,7 +84,7 @@ func TestHeapInterleavedScheduling(t *testing.T) {
 	var fired int
 	var last Time
 	var h Handler
-	h = handlerFunc(func(ev Event) {
+	h = handle(func(ev Event) {
 		if e.Now() < last {
 			t.Fatalf("time went backwards: %v after %v", e.Now(), last)
 		}
@@ -105,9 +105,14 @@ func TestHeapInterleavedScheduling(t *testing.T) {
 	}
 }
 
-type handlerFunc func(Event)
+// handlerFunc adapts a function to a Handler. It is a pointer type because
+// a Handler's dynamic type must be comparable, and a func type is not.
+type handlerFunc struct{ fn func(Event) }
 
-func (f handlerFunc) HandleEvent(ev Event) { f(ev) }
+func (h *handlerFunc) HandleEvent(ev Event) { h.fn(ev) }
+
+// handle wraps fn as a Handler.
+func handle(fn func(Event)) *handlerFunc { return &handlerFunc{fn} }
 
 // FuzzHeapDrainOrder fuzzes the (time, seq) drain invariant with arbitrary
 // byte-derived schedules.
@@ -130,7 +135,7 @@ func FuzzHeapDrainOrder(f *testing.F) {
 func TestTypedEventPayload(t *testing.T) {
 	e := New()
 	var got Event
-	h := handlerFunc(func(ev Event) { got = ev })
+	h := handle(func(ev Event) { got = ev })
 	e.Schedule(5, Event{Target: h, Kind: 9, A: -3, B: 4, C: 1 << 40})
 	e.Run()
 	if got.Kind != 9 || got.A != -3 || got.B != 4 || got.C != 1<<40 {
@@ -160,7 +165,7 @@ func (a appender) HandleEvent(ev Event) { *a.order = append(*a.order, int(ev.A))
 func TestMixedTypedAndClosureOrder(t *testing.T) {
 	e := New()
 	var order []int
-	h := handlerFunc(func(ev Event) { order = append(order, int(ev.A)) })
+	h := handle(func(ev Event) { order = append(order, int(ev.A)) })
 	g := appender{&order}
 	for i, tgt := range []Handler{h, g, h, g} {
 		e.Schedule(10, Event{Target: tgt, A: int32(i)})
@@ -180,7 +185,7 @@ func TestMixedTypedAndClosureOrder(t *testing.T) {
 // draining typed events through a warm heap performs zero allocations.
 func TestTypedSchedulingAllocFree(t *testing.T) {
 	e := New()
-	h := handlerFunc(func(ev Event) {})
+	h := handle(func(ev Event) {})
 	// Warm the heap's backing array.
 	for i := 0; i < 64; i++ {
 		e.ScheduleAfter(Time(i%7), Event{Target: h})
@@ -201,7 +206,7 @@ func TestTypedSchedulingAllocFree(t *testing.T) {
 func TestQueueAcquireEventAllocFree(t *testing.T) {
 	e := New()
 	q := NewQueue(e)
-	h := handlerFunc(func(ev Event) {})
+	h := handle(func(ev Event) {})
 	q.AcquireEvent(5, Event{Target: h})
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -36,8 +36,8 @@ func TestPropertyTimeMonotoneAndExactlyOnce(t *testing.T) {
 		fired := make([]int, n)
 		last := Time(-1)
 		// Event A is the completion's index, B its retry count.
-		var handler handlerFunc
-		handler = func(ev Event) {
+		handler := new(handlerFunc)
+		handler.fn = func(ev Event) {
 			if eng.Now() < last {
 				t.Fatalf("iter %d: clock moved backwards: %v after %v", iter, eng.Now(), last)
 			}
@@ -92,8 +92,8 @@ func TestPropertyQueuesDrain(t *testing.T) {
 			retried
 		)
 		submitted, completed := 0, 0
-		var h handlerFunc
-		h = func(ev Event) {
+		h := new(handlerFunc)
+		h.fn = func(ev Event) {
 			q := queues[ev.A]
 			switch ev.Kind {
 			case arrive:
@@ -155,7 +155,7 @@ func TestPropertyHeapOrderWithTies(t *testing.T) {
 			r := rng.New(uint64(9000 + iter))
 			eng := New()
 			var order []int
-			h := handlerFunc(func(ev Event) { order = append(order, int(ev.A)) })
+			h := handle(func(ev Event) { order = append(order, int(ev.A)) })
 			n := 20 + int(r.Uint64n(80))
 			at := make([]Time, n)
 			for i := 0; i < n; i++ {

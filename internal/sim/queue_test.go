@@ -46,7 +46,7 @@ func TestQueueIdleGapThenNewRequest(t *testing.T) {
 	e := New()
 	q := NewQueue(e)
 	q.AcquireEvent(10, Event{})
-	e.Schedule(100, Event{Target: handlerFunc(func(Event) {
+	e.Schedule(100, Event{Target: handle(func(Event) {
 		if end := q.AcquireEvent(10, Event{}); end != 110 {
 			t.Errorf("request after idle gap ends at %v, want 110", end)
 		}

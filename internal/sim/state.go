@@ -5,30 +5,25 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
-// Snapshot support: every pending event is a typed (target, kind, payload)
-// record, so an Engine's pending schedule is plain data at any event
-// boundary, from event zero on.
-//
-// Handlers are interface values, so the caller supplies the mapping between
-// Handler identities and small integer IDs in both directions. The IDs are
-// the caller's contract with itself: export and import must agree on them.
+// Snapshot support: every pending event is a plain (handler index, kind,
+// payload) record, so an Engine's pending schedule is plain data at any
+// event boundary, from event zero on, and export and import copy it as it
+// is. A saved event's Target is its handler's index in the engine's table:
+// the caller registers its handlers in the same order before it imports
+// (Engine.Register), so the indices name the same handlers.
 
 // SavedEvent is one pending scheduler entry in serializable form. Seq
-// preserves the insertion order, so a restored schedule drains in exactly
-// the original (time, insertion) order. Payload is the caller's: the
-// engine neither writes nor reads it, so a caller can pack beside an event
-// the record its A names in memory.
+// orders the events of one timestamp, so a restored schedule drains in
+// exactly the original (time, insertion) order.
 type SavedEvent struct {
-	At      Time
-	Seq     uint64
-	Target  int32
-	Kind    uint16
-	A, B    int32
-	C       int64
-	Payload []byte
+	At     Time
+	Seq    uint64
+	Target int32
+	Kind   uint16
+	A, B   int32
+	C      int64
 }
 
 // EngineState is the full serializable state of an Engine: the clock, the
@@ -40,101 +35,84 @@ type EngineState struct {
 	Events    []SavedEvent
 }
 
-// ExportState captures the engine's clock and pending schedule. targetID
-// maps each distinct event target to a stable small integer; it should
-// return an error for targets it does not recognize, and ExportState fails
-// with that error.
+// ExportState captures the engine's clock and pending schedule. The engine
+// is not mutated; an exported engine can keep running.
 //
-// The engine is not mutated; an exported engine can keep running.
-func (e *Engine) ExportState(targetID func(Handler) (int32, error)) (EngineState, error) {
+// It walks the near wheel, then the far wheel (each through its occupancy
+// bitmap), then the overflow heap. A near bucket holds one timestamp in
+// seq order. A far bucket holds its window in seq order per timestamp, so
+// a stable sort by time puts it in (time, seq) order, and the heap sorts on
+// the seq its nodes keep. The events are then numbered by their position
+// in the list: the numbers keep the order of each timestamp's events, and
+// the list and its numbers are a function of the pending set alone, so a
+// restored engine exports what its source did. Seq stays the real
+// counter, above every number the list holds.
+func (e *Engine) ExportState() EngineState {
 	st := EngineState{
 		Now:       e.now,
 		Seq:       e.seq,
 		Processed: e.processed,
 		Events:    make([]SavedEvent, 0, e.Pending()),
 	}
-	save := func(ent *slabEntry) error {
-		id, err := targetID(ent.ev.Target)
-		if err != nil {
-			return fmt.Errorf("sim: export event at %v: %w", ent.at, err)
-		}
+	save := func(ent *slabEntry) {
 		st.Events = append(st.Events, SavedEvent{
-			At: ent.at, Seq: ent.seq, Target: id,
-			Kind: ent.ev.Kind, A: ent.ev.A, B: ent.ev.B, C: ent.ev.C,
+			At: ent.at, Seq: uint64(len(st.Events) + 1), Target: int32(ent.h),
+			Kind: ent.kind, A: ent.a, B: ent.b, C: ent.c,
 		})
-		return nil
 	}
-	// Walk the near wheel, then the far wheel (each through its occupancy
-	// bitmap), then the overflow heap, listing each bucket's run and the
-	// heap in (At, Seq) order. A near bucket already is; a far bucket
-	// holds its run in insertion order and the heap in heap order, which
-	// ImportState does not reproduce, so sorting them makes the list a
-	// function of the pending set alone: a restored engine exports what
-	// its source did.
 	var run []*slabEntry
-	flush := func() error {
-		slices.SortFunc(run, func(a, b *slabEntry) int {
-			if c := cmp.Compare(a.at, b.at); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.seq, b.seq)
-		})
-		for _, ent := range run {
-			if err := save(ent); err != nil {
-				return err
-			}
-		}
-		run = run[:0]
-		return nil
-	}
-	wheel := func(buckets []slot, occ []uint64) error {
+	wheel := func(buckets []slot, occ []uint64) {
 		for w, word := range occ {
 			for m := word; m != 0; m &= m - 1 {
+				run = run[:0]
 				for ref := buckets[w<<6|bits.TrailingZeros64(m)].head; ref != 0; ref = e.entry(ref - 1).next {
 					run = append(run, e.entry(ref-1))
 				}
-				if err := flush(); err != nil {
-					return err
+				slices.SortStableFunc(run, func(a, b *slabEntry) int { return cmp.Compare(a.at, b.at) })
+				for _, ent := range run {
+					save(ent)
 				}
 			}
 		}
-		return nil
 	}
-	if err := wheel(e.near[:], e.nearOcc[:]); err != nil {
-		return EngineState{}, err
+	wheel(e.near[:], e.nearOcc[:])
+	wheel(e.far[:], e.farOcc[:])
+	heap := slices.Clone(e.overflow)
+	slices.SortFunc(heap, func(a, b node) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	for _, nd := range heap {
+		save(e.entry(nd.ref))
 	}
-	if err := wheel(e.far[:], e.farOcc[:]); err != nil {
-		return EngineState{}, err
-	}
-	for i := range e.overflow {
-		run = append(run, e.entry(e.overflow[i].ref))
-	}
-	if err := flush(); err != nil {
-		return EngineState{}, err
-	}
-	return st, nil
+	return st
 }
 
 // ImportState restores a captured state into a fresh engine (zero clock, no
-// pending or processed events). target is the inverse of ExportState's
-// targetID mapping. Saved sequence numbers are preserved verbatim so ties
-// at equal timestamps break identically to the original run.
-func (e *Engine) ImportState(st EngineState, target func(int32) (Handler, error)) error {
+// pending or processed events) whose handler table holds every handler the
+// events name. Saved sequence numbers order each timestamp's events as in
+// the original run, and new events follow them.
+func (e *Engine) ImportState(st EngineState) error {
 	if e.Pending() != 0 || e.processed != 0 || e.now != 0 {
 		return fmt.Errorf("sim: ImportState requires a fresh engine (pending=%d processed=%d now=%v)",
 			e.Pending(), e.processed, e.now)
+	}
+	// Each pending event took its own number below the counter.
+	if uint64(len(st.Events)) > st.Seq {
+		return fmt.Errorf("sim: import of %d events past the sequence %d", len(st.Events), st.Seq)
 	}
 	// Insert in (At, Seq) order: wheel buckets are FIFO lists, so arrival
 	// order inside a bucket must be seq order per timestamp. The window is
 	// the one holding the restored clock, so the events land in the
 	// buckets the exporting engine would have filed them in.
-	events := make([]SavedEvent, len(st.Events))
-	copy(events, st.Events)
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].At != events[j].At {
-			return events[i].At < events[j].At
+	events := slices.Clone(st.Events)
+	slices.SortStableFunc(events, func(a, b SavedEvent) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		return events[i].Seq < events[j].Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 	e.now = st.Now
 	e.win = st.Now &^ nearMask
@@ -145,16 +123,10 @@ func (e *Engine) ImportState(st EngineState, target func(int32) (Handler, error)
 			return fmt.Errorf("sim: import event at %v (seq %d) is before the clock %v or past the sequence %d",
 				sv.At, sv.Seq, st.Now, st.Seq)
 		}
-		h, err := target(sv.Target)
-		if err != nil {
-			return fmt.Errorf("sim: import event at %v: %w", sv.At, err)
+		if sv.Target < 0 || int(sv.Target) >= len(e.handlers) {
+			return fmt.Errorf("sim: import event at %v names handler %d of %d", sv.At, sv.Target, len(e.handlers))
 		}
-		if h == nil {
-			return fmt.Errorf("sim: import event at %v: nil target for id %d", sv.At, sv.Target)
-		}
-		e.insert(sv.At, sv.Seq, Event{
-			Target: h, Kind: sv.Kind, A: sv.A, B: sv.B, C: sv.C,
-		})
+		e.insert(sv.Seq, slabEntry{at: sv.At, c: sv.C, a: sv.A, b: sv.B, kind: sv.Kind, h: uint16(sv.Target)})
 	}
 	e.seq = st.Seq
 	e.processed = st.Processed

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -122,34 +123,18 @@ func TestExportImportRoundTrip(t *testing.T) {
 		} else {
 			e.RunUntil(Time(r.Int63n(int64(end) + 1)))
 		}
-		st, err := e.ExportState(func(h Handler) (int32, error) {
-			if h != Handler(s) {
-				return 0, fmt.Errorf("unknown target %v", h)
-			}
-			return 7, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := e.ExportState()
 		e2 := New()
 		s2 := &spawner{eng: e2, log: slices.Clone(s.log)}
-		if err := e2.ImportState(st, func(id int32) (Handler, error) {
-			if id != 7 {
-				return nil, fmt.Errorf("unknown target id %d", id)
-			}
-			return s2, nil
-		}); err != nil {
+		e2.Register(s2)
+		if err := e2.ImportState(st); err != nil {
 			t.Fatal(err)
 		}
 		if e2.Now() != e.Now() || e2.Pending() != e.Pending() || e2.Processed() != e.Processed() {
 			t.Fatalf("trial %d: imported now %v pending %d processed %d, exported %v %d %d", trial,
 				e2.Now(), e2.Pending(), e2.Processed(), e.Now(), e.Pending(), e.Processed())
 		}
-		st2, err := e2.ExportState(func(Handler) (int32, error) { return 7, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(st.Events, st2.Events) {
+		if st2 := e2.ExportState(); !reflect.DeepEqual(st.Events, st2.Events) {
 			t.Fatalf("trial %d: the imported engine exports its pending events differently", trial)
 		}
 		e2.Run()
@@ -160,12 +145,12 @@ func TestExportImportRoundTrip(t *testing.T) {
 }
 
 // TestBurstAllocation bounds what a launch burst allocates: 100k events
-// filed into a fresh engine across the wheels' horizon cost their 64-byte
+// filed into a fresh engine across the wheels' horizon cost their 32-byte
 // slab entries, written once into fixed chunks, plus the engine itself —
 // no megabyte-scale wheel and no growth copies of the slab.
 func TestBurstAllocation(t *testing.T) {
 	const n = 100_000
-	h := handlerFunc(func(Event) {})
+	h := handle(func(Event) {})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	e := New()
@@ -207,6 +192,16 @@ func FuzzEngineDrainOrder(f *testing.F) {
 	f.Add([]byte{0, 0x81, 0, 0x83, 0, 0x85, 2, 0x82, 0, 0x80, 3, 0, 1, 0, 1, 0})
 	f.Add([]byte{0, 11, 0, 12, 0, 13, 2, 5, 3, 0, 0, 0xc1, 2, 12, 1, 0})
 	f.Add([]byte{0, 8, 2, 7, 0, 7, 0, 6, 3, 0, 2, 0x84, 1, 0, 0, 0xff, 1, 0})
+	// Two heap entries for the window at the horizon, the later time
+	// scheduled first (0x90: window start + 1, 0x8a: + 0), and a tie with
+	// the first. A RunUntil into the next window migrates them into their
+	// far bucket in (time, seq) order, out of schedule order; then one cut
+	// with the tie pending, and a fourth event (delay 9: horizon - nearSize)
+	// at the same time as the second, which must fire after it.
+	f.Add([]byte{0, 0x90, 0, 0x8a, 0, 0x90, 2, 6, 3, 0, 0, 9, 1, 0, 1, 0})
+	// Three heap entries at one time across a cut: the heap is not stable,
+	// so only their numbers keep their order.
+	f.Add([]byte{0, 0x90, 0, 0x90, 0, 0x90, 3, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
 			t.Skip()
@@ -217,7 +212,7 @@ func FuzzEngineDrainOrder(f *testing.F) {
 		}
 		e := New()
 		var ref, fired []pend
-		h := handlerFunc(func(ev Event) { fired = append(fired, pend{e.Now(), ev.A}) })
+		h := handle(func(ev Event) { fired = append(fired, pend{e.Now(), ev.A}) })
 		// expect checks that the events fired since the last check are the
 		// first n of the reference, then drops them from it.
 		expect := func(op int, n int) {
@@ -248,12 +243,10 @@ func FuzzEngineDrainOrder(f *testing.F) {
 				}
 				expect(i, sort.Search(len(ref), func(j int) bool { return ref[j].at > deadline }))
 			case 3:
-				st, err := e.ExportState(func(Handler) (int32, error) { return 0, nil })
-				if err != nil {
-					t.Fatal(err)
-				}
+				st := e.ExportState()
 				e = New()
-				if err := e.ImportState(st, func(int32) (Handler, error) { return h, nil }); err != nil {
+				e.Register(h)
+				if err := e.ImportState(st); err != nil {
 					t.Fatal(err)
 				}
 				if e.Now() != now {
@@ -286,12 +279,115 @@ func TestImportAtExtremeClocks(t *testing.T) {
 		}
 		e := New()
 		r := &recorder{eng: e}
-		if err := e.ImportState(st, func(int32) (Handler, error) { return r, nil }); err != nil {
+		e.Register(r)
+		if err := e.ImportState(st); err != nil {
 			t.Fatal(err)
 		}
 		e.Run()
 		if !slices.Equal(r.times, times) {
 			t.Fatalf("drained at %v, want %v", r.times, times)
 		}
+	}
+}
+
+// TestPlainData: a slab entry is 32 bytes and a Stored event at most 24,
+// and neither holds a pointer, so the garbage collector never scans the
+// slab or a device's pooled completions.
+func TestPlainData(t *testing.T) {
+	for _, typ := range []struct {
+		v    any
+		size uintptr
+	}{{slabEntry{}, 32}, {Stored{}, 24}} {
+		rt := reflect.TypeOf(typ.v)
+		if rt.Size() != typ.size {
+			t.Errorf("%v is %d bytes, want %d", rt, rt.Size(), typ.size)
+		}
+		for i := 0; i < rt.NumField(); i++ {
+			if k := rt.Field(i).Type.Kind(); k < reflect.Bool || k > reflect.Complex128 {
+				t.Errorf("%v.%s is a %v, not a plain number", rt, rt.Field(i).Name, k)
+			}
+		}
+	}
+}
+
+// TestImportRefusesUnknownHandler: an image naming a handler index the
+// table does not hold is an error, not a panic once the event fires. So is
+// one listing more events than its counter numbered, whose export would
+// number events past the counter.
+func TestImportRefusesUnknownHandler(t *testing.T) {
+	for _, target := range []int32{1, -1, 1 << 20} {
+		e := New()
+		e.Register(&recorder{eng: e})
+		st := EngineState{Seq: 1, Events: []SavedEvent{{At: 5, Seq: 1, Target: target}}}
+		if err := e.ImportState(st); err == nil {
+			t.Errorf("an event naming handler %d of 1 was imported", target)
+		}
+	}
+	e := New()
+	e.Register(&recorder{eng: e})
+	st := EngineState{Seq: 1, Events: []SavedEvent{{At: 5, Seq: 1}, {At: 6, Seq: 1}}}
+	if err := e.ImportState(st); err == nil {
+		t.Error("two events numbered by a counter at 1 were imported")
+	}
+}
+
+// uncomparable is a Handler whose dynamic type has no ==.
+type uncomparable struct{ log []Time }
+
+func (uncomparable) HandleEvent(Event) {}
+
+// TestRegisterRefusesUncomparable: a handler whose dynamic type is not
+// comparable panics at registration — through Register or on its first
+// Schedule — with a message naming the type.
+func TestRegisterRefusesUncomparable(t *testing.T) {
+	for name, register := range map[string]func(e *Engine){
+		"Register": func(e *Engine) { e.Register(uncomparable{}) },
+		"Schedule": func(e *Engine) { e.Schedule(1, Event{Target: uncomparable{}}) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "sim.uncomparable") {
+					t.Errorf("%s: panic %q does not name the handler type", name, msg)
+				}
+			}()
+			register(New())
+		}()
+	}
+}
+
+// value is a non-pointer Handler with a non-zero size.
+type value struct{ id int }
+
+func (value) HandleEvent(Event) {}
+
+// TestHandlerTable: the zero Engine schedules and runs; each distinct
+// target enters the table once, in first-use order, pointer handlers and
+// value handlers (boxed afresh by each conversion) alike; and Register
+// returns a registered handler's index without growing the table.
+func TestHandlerTable(t *testing.T) {
+	var e Engine
+	r := &recorder{eng: &e}
+	for i := 0; i < 3; i++ {
+		e.Schedule(Time(i), Event{Target: r, A: int32(i)})
+		e.Schedule(Time(i), Event{Target: value{7}})
+		e.Schedule(Time(i), Event{Target: value{8}})
+	}
+	if e.Handlers() != 3 || e.Register(r) != 0 || e.Register(value{7}) != 1 || e.Register(value{8}) != 2 {
+		t.Fatalf("table holds %d handlers, want the recorder, value{7} and value{8} in that order", e.Handlers())
+	}
+	if st := e.Store(Event{Target: value{8}, Kind: 4, A: 1, B: 2, C: 3}); st != (Stored{C: 3, A: 1, B: 2, Target: 2, Kind: 4}) {
+		t.Fatalf("stored form %+v", st)
+	}
+	if !e.Store(Event{}).None() {
+		t.Fatal("the zero event does not store as None")
+	}
+	e.Run()
+	if !slices.Equal(r.ids, []int32{0, 1, 2}) || e.Processed() != 9 {
+		t.Fatalf("recorder saw %v of %d events", r.ids, e.Processed())
+	}
+	e.Fire(e.Store(Event{Target: r, A: 9}))
+	if r.ids[len(r.ids)-1] != 9 {
+		t.Fatal("Fire did not deliver the stored event")
 	}
 }

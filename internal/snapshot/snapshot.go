@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Version is the current container version; Decode rejects every other
@@ -42,8 +43,11 @@ import (
 // packed once per board in the order the kernel exports those events;
 // version 5 packs the walk, roving batch or fabric transfer each pending
 // event names beside that event, and drops the batch and transfer pools,
-// the flash op free list and the query caches' hit counters.
-const Version = 5
+// the flash op free list and the query caches' hit counters; version 6
+// packs those records in one stream in event order instead, numbers saved
+// events by their position, and stores a flash op's completion in the
+// kernel's plain form.
+const Version = 6
 
 var magic = [8]byte{'F', 'W', 'S', 'N', 'A', 'P', '1', '\n'}
 
@@ -58,31 +62,36 @@ var (
 	ErrKind = errors.New("snapshot: unexpected kind")
 )
 
-// Encode gob-encodes v into a checksummed container tagged with kind.
+// Encode gob-encodes v into a checksummed container tagged with kind. The
+// gob stream is written straight into the container behind its header, so
+// the payload is copied once.
 func Encode(kind string, v any) ([]byte, error) {
 	if len(kind) > 1<<16-1 {
 		return nil, fmt.Errorf("snapshot: kind tag too long (%d bytes)", len(kind))
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+	w := &containerWriter{b: make([]byte, 0, len(magic)+4+2+len(kind)+8+sha256.Size)}
+	w.b = append(w.b, magic[:]...)
+	w.b = binary.BigEndian.AppendUint32(w.b, Version)
+	w.b = binary.BigEndian.AppendUint16(w.b, uint16(len(kind)))
+	w.b = append(w.b, kind...)
+	w.b = binary.BigEndian.AppendUint64(w.b, 0) // the payload length, set below
+	start := len(w.b)
+	if err := gob.NewEncoder(w).Encode(v); err != nil {
 		return nil, fmt.Errorf("snapshot: encode %s payload: %w", kind, err)
 	}
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], Version)
-	buf.Write(hdr[:])
-	var klen [2]byte
-	binary.BigEndian.PutUint16(klen[:], uint16(len(kind)))
-	buf.Write(klen[:])
-	buf.WriteString(kind)
-	var plen [8]byte
-	binary.BigEndian.PutUint64(plen[:], uint64(payload.Len()))
-	buf.Write(plen[:])
-	buf.Write(payload.Bytes())
-	sum := sha256.Sum256(buf.Bytes())
-	buf.Write(sum[:])
-	return buf.Bytes(), nil
+	binary.BigEndian.PutUint64(w.b[start-8:start], uint64(len(w.b)-start))
+	sum := sha256.Sum256(w.b)
+	return append(w.b, sum[:]...), nil
+}
+
+// containerWriter appends the gob stream to a container, keeping room for
+// the checksum trailer at each write: the encoder writes a value as one
+// message, so a large image grows the container once, to its final size.
+type containerWriter struct{ b []byte }
+
+func (w *containerWriter) Write(p []byte) (int, error) {
+	w.b = append(slices.Grow(w.b, len(p)+sha256.Size), p...)
+	return len(p), nil
 }
 
 // Decode verifies the container's magic, version, kind, and checksum, then
