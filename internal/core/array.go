@@ -95,11 +95,10 @@ type Engine struct {
 	evacuated      uint64
 	kills          uint64
 
-	launched   bool
-	failure    error
-	audit      bool
-	maxSimTime sim.Time
-	rootRNG    *rng.RNG
+	launched bool
+	failure  error
+	audit    bool
+	rootRNG  *rng.RNG
 
 	// Mutation stream state (mutate.go): muts is the full stream, mutCursor
 	// the next unapplied index (the At == 0 prefix applies at construction).
@@ -107,20 +106,17 @@ type Engine struct {
 	mutCursor int
 	mutSrcs   []graph.VertexID // applyBatch's distinct-source scratch
 
-	onProgress func(Progress)
-	checkEvery uint64
-	onSnapshot func(*Snapshot)
-	snapEvery  uint64
-	lastSnap   uint64        // events processed at the last due cut
-	snapWall   time.Duration // RunConfig.SnapshotMinInterval
-	lastSnapAt time.Time     // wall time of the last delivered cut's decision
+	// obs are the run's observers, served at checkpoint boundaries
+	// (boundary); CheckpointEvery is never 0 here.
+	obs        Observers
+	lastSnap   uint64    // events processed at the last due cut
+	lastSnapAt time.Time // wall time of the last delivered cut's decision
 
 	// Completed-walk export (export.go): one fleet-wide finish sequence so
 	// consumers see a single total order regardless of board count.
-	onWalks   func([]WalkDone)
-	emitEvery uint64
 	exportBuf []WalkDone
 	finSeq    uint64
+	lastWalks uint64 // events processed at the last OnWalks delivery
 }
 
 // NewEngine builds a FlashWalker instance over the graph and seeds the
@@ -165,33 +161,23 @@ func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 	}
 	eng := sim.New()
 	e := &Engine{
-		eng:        eng,
-		cfg:        rc.Cfg,
-		g:          g,
-		part:       part,
-		shard:      shard,
-		muts:       rc.Mutations,
-		dead:       make([]bool, nb),
-		fabric:     make([]*sim.Queue, nb),
-		egress:     make([][]egressBuf, nb),
-		freeFB:     -1,
-		audit:      rc.Audit,
-		maxSimTime: rc.MaxSimTime,
-		rootRNG:    rng.New(rc.Cfg.Seed),
-		onProgress: rc.OnProgress,
-		checkEvery: rc.CheckpointEvery,
-		onSnapshot: rc.OnSnapshot,
-		snapEvery:  rc.SnapshotEvery,
-		snapWall:   rc.SnapshotMinInterval,
-		onWalks:    rc.OnWalks,
-		emitEvery:  rc.EmitEvery,
+		eng:     eng,
+		cfg:     rc.Cfg,
+		g:       g,
+		part:    part,
+		shard:   shard,
+		muts:    rc.Mutations,
+		dead:    make([]bool, nb),
+		fabric:  make([]*sim.Queue, nb),
+		egress:  make([][]egressBuf, nb),
+		freeFB:  -1,
+		audit:   rc.Audit,
+		rootRNG: rng.New(rc.Cfg.Seed),
+		obs:     rc.Observers,
 	}
 	eng.Register(e) // targetDriver
-	if e.checkEvery == 0 {
-		e.checkEvery = DefaultCheckpointEvery
-	}
-	if e.emitEvery == 0 {
-		e.emitEvery = DefaultEmitEvery
+	if e.obs.CheckpointEvery == 0 {
+		e.obs.CheckpointEvery = DefaultCheckpointEvery
 	}
 	if len(e.muts) > 0 {
 		e.ov = graph.NewOverlay(g)
@@ -303,40 +289,9 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if ctx.Done() != nil || e.onProgress != nil || e.onSnapshot != nil {
-		e.eng.SetCheckpoint(e.checkEvery, func() bool {
-			if e.onProgress != nil {
-				e.onProgress(e.progress())
-			}
-			// A failed run is draining toward its error: nothing left to
-			// snapshot.
-			if e.onSnapshot != nil && e.failure == nil && e.eng.Processed()-e.lastSnap >= e.snapEvery {
-				e.lastSnap = e.eng.Processed()
-				// A cut due within SnapshotMinInterval of the last delivered
-				// one is decided against here, before it is built.
-				if e.snapWall == 0 || time.Since(e.lastSnapAt) >= e.snapWall {
-					e.lastSnapAt = time.Now()
-					// Flush exported walks first so a consumer persisting
-					// both never sees a snapshot ahead of its walk records.
-					e.flushWalks()
-					// Snapshots are pure reads of engine state between
-					// events. One that cannot be built would silently leave
-					// the job without recovery points, so it fails the run.
-					snap, err := e.buildSnapshot()
-					if err != nil {
-						e.fail(err)
-						return false
-					}
-					e.onSnapshot(snap)
-				}
-			}
-			return ctx.Err() == nil
-		})
+	if o := &e.obs; ctx.Done() != nil || o.OnProgress != nil || o.OnSnapshot != nil || o.OnWalks != nil {
+		e.eng.SetCheckpoint(o.CheckpointEvery, func() bool { return e.boundary(ctx) })
 		defer e.eng.ClearCheckpoint()
-	}
-	if e.onWalks != nil {
-		e.eng.SetEmitter(e.emitEvery, e.flushWalks)
-		defer e.eng.ClearEmitter()
 	}
 	if e.mutCursor < len(e.muts) {
 		e.eng.SetApplier(e.applyMutations)
@@ -355,18 +310,14 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 			e.finishAll()
 		}
 	}
-	if e.maxSimTime > 0 {
-		e.eng.RunUntil(e.maxSimTime)
-	} else {
-		e.eng.Run()
-	}
+	e.eng.Run()
 	e.flushWalks()
 	if e.failure != nil {
 		return nil, e.failure
 	}
 	res := e.aggregate()
-	if e.onProgress != nil {
-		e.onProgress(e.progress())
+	if e.obs.OnProgress != nil {
+		e.obs.OnProgress(e.progress())
 	}
 	if e.eng.Halted() {
 		return res, fmt.Errorf("core: run canceled at %v: %w", res.Time, &errs.Canceled{
@@ -374,13 +325,57 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 		})
 	}
 	if e.remaining != 0 {
-		if e.maxSimTime > 0 {
-			return nil, fmt.Errorf("core: MaxSimTime %v exceeded with %d walks unfinished", e.maxSimTime, e.remaining)
-		}
 		return nil, fmt.Errorf("core: simulation drained with %d walks unfinished (%d in fabric)",
 			e.remaining, e.inFabric)
 	}
 	return res, nil
+}
+
+// boundary is the kernel's checkpoint hook, run strictly between events.
+// It delivers the export buffer, reports progress, builds a snapshot if
+// one is due, and reports whether ctx lets the run go on. Walks go out
+// before every snapshot, so a consumer persisting both never sees a
+// snapshot ahead of its walk records, and otherwise at most once per
+// minWalkGap events.
+func (e *Engine) boundary(ctx context.Context) bool {
+	n := e.eng.Processed()
+	cut := e.cutDue(n)
+	if cut || n-e.lastWalks >= minWalkGap {
+		e.flushWalks()
+	}
+	if e.obs.OnProgress != nil {
+		e.obs.OnProgress(e.progress())
+	}
+	if cut {
+		// Snapshots are pure reads of engine state between events. One
+		// that cannot be built would silently leave the job without
+		// recovery points, so it fails the run.
+		snap, err := e.buildSnapshot()
+		if err != nil {
+			e.fail(err)
+			return false
+		}
+		e.obs.OnSnapshot(snap)
+	}
+	return ctx.Err() == nil
+}
+
+// cutDue decides whether the boundary at n processed events takes a
+// snapshot. One falls due SnapshotEvery events after the last due one; a
+// cut due within SnapshotMinInterval of the last delivered one is decided
+// against here, before it is built. A failed run is draining toward its
+// error, so nothing is left to snapshot.
+func (e *Engine) cutDue(n uint64) bool {
+	o := &e.obs
+	if o.OnSnapshot == nil || e.failure != nil || n-e.lastSnap < o.SnapshotEvery {
+		return false
+	}
+	e.lastSnap = n
+	if o.SnapshotMinInterval > 0 && time.Since(e.lastSnapAt) < o.SnapshotMinInterval {
+		return false
+	}
+	e.lastSnapAt = time.Now()
+	return true
 }
 
 // progress snapshots the fleet-wide headline counters. Only called from the

@@ -42,7 +42,7 @@ func TestArrayResumeMetamorphic(t *testing.T) {
 	if !onFabric(snap) {
 		t.Fatal("captured snapshot has no in-flight fabric walks")
 	}
-	res, err := resumeContext(context.Background(), g, snap, ResumeOptions{})
+	res, err := resumeContext(context.Background(), g, snap, Observers{})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestArrayResumeChained(t *testing.T) {
 	defer cancel()
 	var second *Snapshot
 	count := 0
-	a, err := ResumeEngine(g, first, ResumeOptions{
+	a, err := ResumeEngine(g, first, Observers{
 		CheckpointEvery: 64,
 		SnapshotEvery:   1,
 		OnSnapshot: func(s *Snapshot) {
@@ -96,7 +96,7 @@ func TestArrayResumeChained(t *testing.T) {
 		t.Fatalf("second leg took %d snapshots, wanted 2", count)
 	}
 
-	res, err := resumeContext(context.Background(), g, second, ResumeOptions{})
+	res, err := resumeContext(context.Background(), g, second, Observers{})
 	if err != nil {
 		t.Fatalf("final resume: %v", err)
 	}
@@ -110,14 +110,14 @@ func TestArrayResumeRejectsBadSnapshot(t *testing.T) {
 	g := testGraph(t)
 	snap := interruptWhen(t, g, arrayConfig(2), 1, nil)
 
-	if _, err := ResumeEngine(g, nil, ResumeOptions{}); !errors.Is(err, errs.ErrInvalidConfig) {
+	if _, err := ResumeEngine(g, nil, Observers{}); !errors.Is(err, errs.ErrInvalidConfig) {
 		t.Fatalf("nil snapshot: %v, want ErrInvalidConfig", err)
 	}
 	other, err := graph.RMAT(graph.DefaultRMAT(1024, 8192, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeEngine(other, snap, ResumeOptions{}); !errors.Is(err, errs.ErrInvalidConfig) {
+	if _, err := ResumeEngine(other, snap, Observers{}); !errors.Is(err, errs.ErrInvalidConfig) {
 		t.Fatalf("wrong-graph resume: %v, want ErrInvalidConfig", err)
 	}
 }
@@ -211,7 +211,7 @@ func TestArrayKillThenResume(t *testing.T) {
 	clean := runEngine(t, g, rc)
 
 	snap := interruptWhen(t, g, rc, 2, nil)
-	res, err := resumeContext(context.Background(), g, snap, ResumeOptions{})
+	res, err := resumeContext(context.Background(), g, snap, Observers{})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

@@ -182,14 +182,14 @@ func TestResumeRejectsHostileBoardState(t *testing.T) {
 			}
 		},
 	}
-	if _, err := ResumeEngine(g, cloneSnapshot(t, cut), ResumeOptions{}); err != nil {
+	if _, err := ResumeEngine(g, cloneSnapshot(t, cut), Observers{}); err != nil {
 		t.Fatalf("unmodified cut rejected: %v", err)
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
 			s := cloneSnapshot(t, cut)
 			mutate(&s.Boards[0])
-			e, err := ResumeEngine(g, s, ResumeOptions{})
+			e, err := ResumeEngine(g, s, Observers{})
 			if err == nil {
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 				defer cancel()
@@ -201,7 +201,7 @@ func TestResumeRejectsHostileBoardState(t *testing.T) {
 	for _, p := range []int{-2, part.NumPartitions} {
 		s := cloneSnapshot(t, cut)
 		s.Boards[0].CurPart = p
-		if _, err := ResumeEngine(g, s, ResumeOptions{}); err == nil {
+		if _, err := ResumeEngine(g, s, Observers{}); err == nil {
 			t.Fatalf("current partition %d accepted", p)
 		}
 	}
@@ -245,7 +245,7 @@ func TestResumeAcceptsQueueLayoutPools(t *testing.T) {
 				legacy(&ts.Guider)
 			}
 		}
-		res, err := resumeContext(context.Background(), g, s, ResumeOptions{})
+		res, err := resumeContext(context.Background(), g, s, Observers{})
 		if err != nil {
 			t.Fatalf("boards=%d: resume: %v", nb, err)
 		}
@@ -281,7 +281,7 @@ func TestResumeRejectsHostileEvents(t *testing.T) {
 	cut := interruptCore(t, g, rc, 30)
 	fabricCut := carryingCut(t, 2)
 	for _, c := range []*Snapshot{cut, fabricCut} {
-		if _, err := ResumeEngine(g, cloneSnapshot(t, c), ResumeOptions{}); err != nil {
+		if _, err := ResumeEngine(g, cloneSnapshot(t, c), Observers{}); err != nil {
 			t.Fatalf("unmodified cut rejected: %v", err)
 		}
 	}
@@ -456,7 +456,7 @@ func TestResumeRejectsHostileEvents(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				s := cloneSnapshot(t, set.cut)
 				mutate(t, s)
-				if _, err := ResumeEngine(g, s, ResumeOptions{}); err == nil {
+				if _, err := ResumeEngine(g, s, Observers{}); err == nil {
 					t.Fatal("hostile event accepted")
 				}
 			})
@@ -593,7 +593,7 @@ func editFirstPWBWalk(t testing.TB, img *BoardImage, edit func(w *wideWalk)) {
 func TestResumeRejectsHostileWalks(t *testing.T) {
 	g := testGraph(t)
 	cut := interruptCore(t, g, goldenConfig(), 20)
-	if _, err := ResumeEngine(g, cloneSnapshot(t, cut), ResumeOptions{}); err != nil {
+	if _, err := ResumeEngine(g, cloneSnapshot(t, cut), Observers{}); err != nil {
 		t.Fatalf("unmodified cut rejected: %v", err)
 	}
 	cases := map[string]func(w *wideWalk){
@@ -618,7 +618,7 @@ func TestResumeRejectsHostileWalks(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := cloneSnapshot(t, cut)
 			editFirstPWBWalk(t, &s.Boards[0], edit)
-			if _, err := ResumeEngine(g, s, ResumeOptions{}); err == nil {
+			if _, err := ResumeEngine(g, s, Observers{}); err == nil {
 				t.Fatal("hostile walk accepted")
 			}
 		})

@@ -321,18 +321,6 @@ func (c *chipAccel) loadPartDone(s *chipSlot) {
 	c.e.putWalkBuf(walks)
 }
 
-// EnqueueUpdate runs a walk through this chip's updater: into the slot
-// holding its subgraph, or — when no slot has it resident — the roving
-// buffer so a higher tier takes over. Overrides the tierCommon pipeline
-// because chip updates are slot-owned.
-func (c *chipAccel) EnqueueUpdate(w int32) {
-	if s := c.matchSlot(c.e.walk(w)); s != nil {
-		c.enqueue(s, w)
-		return
-	}
-	c.addRoving(w)
-}
-
 // enqueue decides a walk's hop and hands it to the slot's queue; the
 // updater serves it FIFO.
 func (c *chipAccel) enqueue(s *chipSlot, w int32) {

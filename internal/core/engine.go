@@ -26,7 +26,7 @@ import (
 //	engine.go    — boardEngine, one board's devices and tiers; RunConfig
 //	snapshot.go  — Snapshot, checkpoint/restore for any board count
 //	delta.go     — the store diff between two cuts (benchmark probe only)
-//	tier.go      — the tierAccel interface and the shared tier machinery
+//	tier.go      — the machinery the three tiers share (tierCommon)
 //	wiring.go    — accelerator tier construction and hot-subgraph preload
 //	lifecycle.go — walk retirement, partition advance
 //	routing.go   — foreigner demotion/flush and the per-board store counts
@@ -105,8 +105,6 @@ type RunConfig struct {
 	// ProgressBin, when non-zero, enables the Figure-8 time series
 	// (single-board runs only).
 	ProgressBin sim.Time
-	// MaxSimTime aborts runs exceeding this simulated time (0 = unlimited).
-	MaxSimTime sim.Time
 	// TrackVisits records per-vertex visit counts in Result.Visits
 	// (validation and analytics; costs one counter array).
 	TrackVisits bool
@@ -137,46 +135,9 @@ type RunConfig struct {
 	// block skeleton cannot re-partition mid-run). Empty means a static
 	// graph: the classic, byte-identical path.
 	Mutations graph.MutationStream
-	// OnProgress, when non-nil, receives live counter snapshots from the
-	// simulation goroutine at checkpoint boundaries (every CheckpointEvery
-	// events) and once more when the run ends. The callback must be fast
-	// and must not call back into the engine.
-	OnProgress func(Progress)
-	// CheckpointEvery is the event interval between cancellation checks and
-	// progress snapshots; 0 uses DefaultCheckpointEvery. Checkpoints run
-	// strictly between simulated events, so they never perturb the
-	// timeline.
-	CheckpointEvery uint64
-	// OnSnapshot, when non-nil, receives durable engine snapshots taken at
-	// checkpoint boundaries (see snapshot.go). A snapshot captures the
-	// full mid-run state — walk stores, accelerator queues, device
-	// bookings, the fabric, the pending event heap — and ResumeEngine
-	// replays the run from it bit-identically. Every checkpoint can be
-	// snapshotted, from event zero on; a snapshot that cannot be built fails
-	// the run, and RunContext returns the error. Snapshots do not capture
-	// ProgressBin time series or a Tracer, so neither may be combined with
-	// OnSnapshot. The callback must not call back into the engine.
-	OnSnapshot func(*Snapshot)
-	// SnapshotEvery is the minimum number of processed events between
-	// OnSnapshot deliveries; snapshots are only attempted at checkpoint
-	// boundaries, so the effective cadence is the next checkpoint after
-	// the interval elapses. 0 snapshots at every checkpoint.
-	SnapshotEvery uint64
-	// SnapshotMinInterval is the minimum wall time between OnSnapshot
-	// deliveries. A cut that falls due sooner after the last delivered one
-	// is skipped before it is built, and the next falls due SnapshotEvery
-	// events on, as if it had been delivered. 0 delivers every due cut.
-	SnapshotMinInterval time.Duration
-	// OnWalks, when non-nil, receives finished walks in retirement order
-	// (see export.go). Deliveries happen strictly between simulated events
-	// — at emitter boundaries, before every snapshot, and at run end — so
-	// attaching a consumer never perturbs the timeline. The record slice is
-	// reused between deliveries; the callback must copy what it keeps and
-	// must not call back into the engine.
-	OnWalks func([]WalkDone)
-	// EmitEvery is the event interval between OnWalks deliveries; 0 uses
-	// DefaultEmitEvery.
-	EmitEvery uint64
+	// Observers watch the run between simulated events; ResumeEngine
+	// takes the same set for a resumed run.
+	Observers
 }
 
 // validate checks the run-wide inputs once, before any board is built.
@@ -216,8 +177,47 @@ func (rc *RunConfig) validate(g *graph.Graph) error {
 	return nil
 }
 
-// DefaultCheckpointEvery is the default event interval between cooperative
-// cancellation checks and progress snapshots during RunContext.
+// Observers are a run's between-events observers. RunContext drives them
+// all from the kernel's one checkpoint hook (sim.Engine.SetCheckpoint),
+// which runs strictly between simulated events, so no observer perturbs
+// the timeline. Every callback runs on the simulation goroutine, must be
+// fast, and must not call back into the engine.
+type Observers struct {
+	// OnProgress, when non-nil, receives live counter snapshots at
+	// checkpoint boundaries and once more when the run ends.
+	OnProgress func(Progress)
+	// CheckpointEvery is the event interval between checkpoint boundaries,
+	// which check cancellation and serve the observers; 0 uses
+	// DefaultCheckpointEvery.
+	CheckpointEvery uint64
+	// OnSnapshot, when non-nil, receives durable engine snapshots taken at
+	// checkpoint boundaries (see snapshot.go). A snapshot captures the
+	// full mid-run state — walk stores, accelerator queues, device
+	// bookings, the fabric, the pending events — and ResumeEngine replays
+	// the run from it bit-identically. Every checkpoint can be
+	// snapshotted, from event zero on; a snapshot that cannot be built
+	// fails the run, and RunContext returns the error. Snapshots do not
+	// capture ProgressBin time series or a Tracer, so neither may be
+	// combined with OnSnapshot.
+	OnSnapshot func(*Snapshot)
+	// SnapshotEvery is the minimum number of processed events between
+	// OnSnapshot deliveries; the effective cadence is the next checkpoint
+	// after the interval elapses. 0 snapshots at every checkpoint.
+	SnapshotEvery uint64
+	// SnapshotMinInterval is the minimum wall time between OnSnapshot
+	// deliveries. A cut that falls due sooner after the last delivered one
+	// is skipped before it is built, and the next falls due SnapshotEvery
+	// events on, as if it had been delivered. 0 delivers every due cut.
+	SnapshotMinInterval time.Duration
+	// OnWalks, when non-nil, receives finished walks in retirement order
+	// (see export.go) at checkpoint boundaries at least 1,024 events
+	// apart, before every snapshot, and at run end. The record slice is
+	// reused between deliveries; the callback must copy what it keeps.
+	OnWalks func([]WalkDone)
+}
+
+// DefaultCheckpointEvery is the default event interval between checkpoint
+// boundaries during RunContext.
 const DefaultCheckpointEvery = 4096
 
 // Progress is a consistent mid-run snapshot of an engine's headline
@@ -262,9 +262,6 @@ type boardEngine struct {
 	chips []*chipAccel
 	chans []*channelAccel
 	board *boardAccel
-	// tiers is every accelerator in the hierarchy behind the shared
-	// interface, in construction order (chips, channels, board).
-	tiers []tierAccel
 
 	// wtab is the board's walk table: every walk parked on the board or
 	// moving through it lives here, and every store, batch and pending
@@ -486,41 +483,33 @@ func newBoardEngine(drv *Engine, id int, rc RunConfig, inDeg []uint64) (*boardEn
 	return e, nil
 }
 
-// collectTierStats folds every tier's utilization snapshot into the result
+// collectTierStats folds the tiers' unit utilizations into the result
 // (averages and maxima per level) plus the channel-bus peak.
 func (e *boardEngine) collectTierStats() {
-	var chipU, chipMax, chanGU float64
-	var nChip, nChan int
-	for _, t := range e.tiers {
-		st := t.Stats()
-		switch st.Level {
-		case tierChip:
-			nChip++
-			chipU += st.UpdaterUtil
-			if st.UpdaterUtil > chipMax {
-				chipMax = st.UpdaterUtil
-			}
-		case tierChannel:
-			nChan++
-			chanGU += st.GuiderUtil
-		case tierBoard:
-			e.res.BoardGuiderUtil = st.GuiderUtil
+	var chipU, chipMax float64
+	for _, c := range e.chips {
+		u := c.updater.utilization()
+		chipU += u
+		if u > chipMax {
+			chipMax = u
 		}
 	}
-	if nChip > 0 {
-		e.res.ChipUpdaterUtil = chipU / float64(nChip)
+	if len(e.chips) > 0 {
+		e.res.ChipUpdaterUtil = chipU / float64(len(e.chips))
 	}
 	e.res.ChipUpdaterUtilMax = chipMax
-	if nChan > 0 {
-		e.res.ChannelGuiderUtil = chanGU / float64(nChan)
-	}
-	var busMax float64
+	var chanGU, busMax float64
 	for _, ca := range e.chans {
+		chanGU += ca.guider.utilization()
 		if u := ca.channel.Bus.Utilization(); u > busMax {
 			busMax = u
 		}
 	}
+	if len(e.chans) > 0 {
+		e.res.ChannelGuiderUtil = chanGU / float64(len(e.chans))
+	}
 	e.res.ChannelBusUtilMax = busMax
+	e.res.BoardGuiderUtil = e.board.guider.utilization()
 }
 
 // launch performs the one-time start-of-run work: the hot-subgraph preload,

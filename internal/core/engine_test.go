@@ -335,20 +335,6 @@ func TestNewEngineRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestMaxSimTimeAborts(t *testing.T) {
-	g := testGraph(t)
-	rc := testConfig()
-	rc.NumWalks = 2000
-	rc.MaxSimTime = 1 * sim.Microsecond // far too short
-	e, err := NewEngine(g, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RunContext(context.Background()); err == nil {
-		t.Fatal("run exceeding MaxSimTime did not error")
-	}
-}
-
 func TestRovingWalksMove(t *testing.T) {
 	g := testGraph(t)
 	res := runEngine(t, g, testConfig())

@@ -7,16 +7,16 @@ import (
 
 // Completed-walk export: a streaming observer over walk retirement.
 //
-// When RunConfig.OnWalks is set, every finished walk (completed or
+// When Observers.OnWalks is set, every finished walk (completed or
 // dead-ended) is appended to an engine-owned buffer at the instant
 // finishWalk retires it, and the buffer is handed to the callback in
-// batches — at emitter boundaries (sim.SetEmitter, every EmitEvery
-// processed events, strictly between events), immediately before every
-// snapshot delivery, and once more when the run ends. Appending to the
-// buffer is the only work done on the hot path, the callback itself only
-// ever runs between events, and nothing here touches the clock or the
-// schedule, so an exported run's timeline is bit-identical to an
-// unexported one — the same pure-observer contract as the checkpoint hook.
+// batches by the checkpoint hook (Engine.boundary, strictly between
+// events): at a boundary at least minWalkGap events after the last
+// delivery, immediately before every snapshot delivery, and once more when
+// the run ends. Appending to the buffer is the only work done on the hot
+// path, and nothing here touches the clock or the schedule, so an exported
+// run's timeline is bit-identical to an unexported one — the checkpoint
+// hook's pure-observer contract.
 //
 // Records carry a walk sequence number assigned in finish order. Finish
 // order is a pure function of the simulated timeline, which is
@@ -44,8 +44,9 @@ type WalkDone struct {
 	At sim.Time
 }
 
-// DefaultEmitEvery is the default event interval between OnWalks deliveries.
-const DefaultEmitEvery = 1024
+// minWalkGap is the fewest events between two OnWalks deliveries at
+// checkpoint boundaries, so a short CheckpointEvery does not multiply them.
+const minWalkGap = 1024
 
 // exportWalk appends the just-retired walk to the export buffer. Boards
 // share one fleet-wide finish sequence, so the stream a consumer sees is a
@@ -66,9 +67,10 @@ func (e *Engine) exportWalk(be *boardEngine, st *wstate, completed bool) {
 // resets the buffer. The slice is reused between deliveries; the callback
 // must copy anything it keeps.
 func (e *Engine) flushWalks() {
-	if e.onWalks == nil || len(e.exportBuf) == 0 {
+	if e.obs.OnWalks == nil || len(e.exportBuf) == 0 {
 		return
 	}
-	e.onWalks(e.exportBuf)
+	e.obs.OnWalks(e.exportBuf)
 	e.exportBuf = e.exportBuf[:0]
+	e.lastWalks = e.eng.Processed()
 }

@@ -58,12 +58,39 @@ func TestWalkExportDoesNotPerturbTimeline(t *testing.T) {
 	rc := goldenConfig()
 	var recs []WalkDone
 	rc.OnWalks = collectWalks(&recs)
-	rc.EmitEvery = 256
 	res := runEngine(t, g, rc)
 	if got := digestResult(res); got != goldenDigest {
 		t.Fatalf("walk export moved the golden timeline:\n got %s\nwant %s", got, goldenDigest)
 	}
 	checkExport(t, recs, res, rc.Spec)
+}
+
+// TestWalkExportKeepsItsFloor sets only OnWalks, on a short checkpoint
+// interval: the boundaries must deliver every record once and in order,
+// at most once per minWalkGap events plus the delivery at run end.
+func TestWalkExportKeepsItsFloor(t *testing.T) {
+	g := testGraph(t)
+	rc := goldenConfig()
+	rc.CheckpointEvery = 64
+	var recs []WalkDone
+	deliveries := 0
+	rc.OnWalks = func(b []WalkDone) {
+		deliveries++
+		recs = append(recs, b...)
+	}
+	e, err := NewEngine(g, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExport(t, recs, res, rc.Spec)
+	events := e.eng.Processed()
+	if most := int((events+minWalkGap-1)/minWalkGap) + 1; deliveries < 2 || deliveries > most {
+		t.Fatalf("%d deliveries over %d events, want 2 to %d", deliveries, events, most)
+	}
 }
 
 // TestWalkExportResumeContinuity proves seq continuity across
@@ -83,12 +110,11 @@ func TestWalkExportResumeContinuity(t *testing.T) {
 	rc := goldenConfig()
 	var phase1 []WalkDone
 	rc.OnWalks = collectWalks(&phase1)
-	rc.EmitEvery = 64
 	snap := interruptCore(t, g, rc, 3)
 
 	var phase2 []WalkDone
-	res, err := resumeContext(context.Background(), g, snap, ResumeOptions{
-		OnWalks: collectWalks(&phase2), EmitEvery: 64,
+	res, err := resumeContext(context.Background(), g, snap, Observers{
+		OnWalks: collectWalks(&phase2),
 	})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
@@ -171,13 +197,12 @@ func TestWalkExportArrayResumeContinuity(t *testing.T) {
 	rc := arrayConfig(2)
 	var phase1 []WalkDone
 	rc.OnWalks = collectWalks(&phase1)
-	rc.EmitEvery = 64
 	snap := interruptWhen(t, g, rc, 2, onFabric)
 
 	cut := uint64(snap.WalksFinished())
 	var phase2 []WalkDone
-	res, err := resumeContext(context.Background(), g, snap, ResumeOptions{
-		OnWalks: collectWalks(&phase2), EmitEvery: 64,
+	res, err := resumeContext(context.Background(), g, snap, Observers{
+		OnWalks: collectWalks(&phase2),
 	})
 	if err != nil {
 		t.Fatalf("resume: %v", err)

@@ -38,7 +38,7 @@ func (e *boardEngine) finishWalk(w int32, completed bool) {
 	if e.res.ProgressTS != nil {
 		e.res.ProgressTS.Add(e.eng.Now(), 1)
 	}
-	if e.drv.onWalks != nil {
+	if e.drv.obs.OnWalks != nil {
 		e.drv.exportWalk(e, e.walk(w), completed)
 	}
 	e.dropWalk(w)

@@ -149,7 +149,9 @@ func (e *boardEngine) applyIndexes(ms []graph.Mutation, srcs []graph.VertexID) e
 
 // applyMutations is the applier hook: it applies every not-yet-applied
 // mutation stamped at or before the next event's time as one batch. An
-// apply failure (block overflow) fails the run.
+// apply failure (block overflow) fails the run. The hook removes itself
+// once the stream is spent or the run has failed, so the events after the
+// last mutation pay nothing for it.
 func (e *Engine) applyMutations(next sim.Time) {
 	end := e.mutCursor
 	for end < len(e.muts) && sim.Time(e.muts[end].At) <= next {
@@ -162,6 +164,8 @@ func (e *Engine) applyMutations(next sim.Time) {
 	e.mutCursor += n
 	if err != nil {
 		e.fail(fmt.Errorf("core: mutation %d: %w", e.mutCursor, err))
+	}
+	if err != nil || e.mutCursor == len(e.muts) {
 		e.eng.ClearApplier()
 	}
 }

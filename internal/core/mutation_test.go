@@ -584,7 +584,7 @@ func TestMutationMetamorphicResume(t *testing.T) {
 			if snap.MutApplied <= 0 || snap.MutApplied >= len(ms) {
 				t.Fatalf("snapshot cursor %d not strictly inside the %d-mutation stream", snap.MutApplied, len(ms))
 			}
-			res, err := resumeContext(context.Background(), g, snap, ResumeOptions{})
+			res, err := resumeContext(context.Background(), g, snap, Observers{})
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -695,7 +695,7 @@ func TestArrayMutationKillThenResume(t *testing.T) {
 	}
 
 	snap := interruptMidStream(t, g, rc, len(ms))
-	res, err := resumeContext(context.Background(), g, snap, ResumeOptions{})
+	res, err := resumeContext(context.Background(), g, snap, Observers{})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

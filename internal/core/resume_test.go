@@ -85,8 +85,8 @@ func interruptWhen(t testing.TB, g *graph.Graph, rc RunConfig, snapshotAt int, w
 }
 
 // resumeContext is ResumeEngine followed by RunContext.
-func resumeContext(ctx context.Context, g *graph.Graph, snap *Snapshot, opts ResumeOptions) (*Result, error) {
-	e, err := ResumeEngine(g, snap, opts)
+func resumeContext(ctx context.Context, g *graph.Graph, snap *Snapshot, obs Observers) (*Result, error) {
+	e, err := ResumeEngine(g, snap, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +118,7 @@ func TestResumeMetamorphic(t *testing.T) {
 			clean := runEngine(t, g, rc)
 
 			snap := interruptCore(t, g, rc, 3)
-			res, err := resumeContext(context.Background(), g, snap, ResumeOptions{})
+			res, err := resumeContext(context.Background(), g, snap, Observers{})
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -159,7 +159,7 @@ func TestSnapshotMinIntervalDeliversFirstCut(t *testing.T) {
 	}
 
 	var resumedCuts int
-	res, err := resumeContext(context.Background(), g, cuts[0], ResumeOptions{
+	res, err := resumeContext(context.Background(), g, cuts[0], Observers{
 		OnSnapshot: func(*Snapshot) { resumedCuts++ }, SnapshotEvery: 1,
 		SnapshotMinInterval: time.Hour, CheckpointEvery: 64,
 	})
@@ -206,7 +206,7 @@ func TestResumeDuringPreload(t *testing.T) {
 			clean := runEngine(t, g, rc)
 
 			snap := interruptWhen(t, g, rc, 1, inPreload)
-			res, err := resumeContext(context.Background(), g, snap, ResumeOptions{})
+			res, err := resumeContext(context.Background(), g, snap, Observers{})
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -334,7 +334,7 @@ func TestResumeDerivesCounters(t *testing.T) {
 			rc.OnSnapshot = func(s *Snapshot) {
 				cuts++
 				want := countsOf(live)
-				e, err := ResumeEngine(tc.g, cloneSnapshot(t, s), ResumeOptions{})
+				e, err := ResumeEngine(tc.g, cloneSnapshot(t, s), Observers{})
 				if err != nil {
 					t.Fatalf("cut %d: resume: %v", cuts, err)
 				}
@@ -428,7 +428,7 @@ func TestStalledRunFails(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := cloneSnapshot(t, cut)
 			s.Audit = false
-			e, err := ResumeEngine(g, s, ResumeOptions{})
+			e, err := ResumeEngine(g, s, Observers{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -471,7 +471,7 @@ func TestResumeChecksConservation(t *testing.T) {
 	}
 	for _, nb := range []int{1, 2} {
 		cut := carryingCut(t, nb)
-		if _, err := ResumeEngine(g, cloneSnapshot(t, cut), ResumeOptions{}); err != nil {
+		if _, err := ResumeEngine(g, cloneSnapshot(t, cut), Observers{}); err != nil {
 			t.Fatalf("boards=%d: unmodified cut rejected: %v", nb, err)
 		}
 		if nb > 1 {
@@ -483,7 +483,7 @@ func TestResumeChecksConservation(t *testing.T) {
 			t.Run(fmt.Sprintf("boards=%d/%s", nb, name), func(t *testing.T) {
 				s := cloneSnapshot(t, cut)
 				edit(t, s)
-				if _, err := ResumeEngine(g, s, ResumeOptions{}); err == nil || !strings.Contains(err.Error(), "started and") {
+				if _, err := ResumeEngine(g, s, Observers{}); err == nil || !strings.Contains(err.Error(), "started and") {
 					t.Fatalf("resume: %v, want the conservation refusal", err)
 				}
 			})
@@ -506,7 +506,7 @@ func TestResumeChained(t *testing.T) {
 	defer cancel()
 	var second *Snapshot
 	count := 0
-	e, err := ResumeEngine(g, first, ResumeOptions{
+	e, err := ResumeEngine(g, first, Observers{
 		CheckpointEvery: 64,
 		SnapshotEvery:   1,
 		OnSnapshot: func(s *Snapshot) {
@@ -527,7 +527,7 @@ func TestResumeChained(t *testing.T) {
 		t.Fatalf("second leg took %d snapshots, wanted 2", count)
 	}
 
-	res, err := resumeContext(context.Background(), g, second, ResumeOptions{})
+	res, err := resumeContext(context.Background(), g, second, Observers{})
 	if err != nil {
 		t.Fatalf("final resume: %v", err)
 	}
@@ -546,7 +546,7 @@ func TestResumeRejectsWrongGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeEngine(other, snap, ResumeOptions{}); err == nil {
+	if _, err := ResumeEngine(other, snap, Observers{}); err == nil {
 		t.Fatal("resume over a different graph succeeded")
 	} else if !errors.Is(err, errs.ErrInvalidConfig) {
 		t.Fatalf("wrong-graph resume error %v, want ErrInvalidConfig", err)

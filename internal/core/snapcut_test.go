@@ -42,7 +42,7 @@ func BenchmarkSnapshotCut(b *testing.B) {
 		b.Fatalf("run ended after %d cuts without reaching the middle one", n)
 	}
 	// A resumed engine stands paused exactly at the cut.
-	paused, err := core.ResumeEngine(g, cut, core.ResumeOptions{})
+	paused, err := core.ResumeEngine(g, cut, core.Observers{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"flashwalker/internal/dram"
 	"flashwalker/internal/errs"
@@ -163,7 +162,6 @@ type Snapshot struct {
 	PartCfg          partition.Config
 	Spec             walk.Spec
 	NumWalks         int
-	MaxSimTime       sim.Time
 	TrackVisits      bool
 	Audit            bool
 	UseAliasSampling bool
@@ -327,7 +325,6 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 		PartCfg:          e.part.Cfg,
 		Spec:             b0.spec,
 		NumWalks:         e.numStarted,
-		MaxSimTime:       e.maxSimTime,
 		TrackVisits:      b0.res.Visits != nil,
 		Audit:            e.audit,
 		UseAliasSampling: b0.alias != nil,
@@ -487,31 +484,15 @@ func (e *boardEngine) image(s *BoardImage, fs flash.State, p *packer) {
 
 // --- Restore. ---
 
-// ResumeOptions parameterizes a resumed run; everything about the workload
-// itself comes from the snapshot.
-type ResumeOptions struct {
-	// OnProgress is RunConfig.OnProgress for the resumed run.
-	OnProgress func(Progress)
-	// OnSnapshot / SnapshotEvery / SnapshotMinInterval re-arm periodic
-	// snapshots on the resumed run (a resumed job keeps checkpointing).
-	OnSnapshot          func(*Snapshot)
-	SnapshotEvery       uint64
-	SnapshotMinInterval time.Duration
-	// CheckpointEvery is RunConfig.CheckpointEvery; 0 uses the default.
-	CheckpointEvery uint64
-	// OnWalks / EmitEvery re-attach the completed-walk export (export.go).
-	// The snapshot carries the finished-walk counters, so the resumed run
-	// continues the finish-order sequence numbering without a gap.
-	OnWalks   func([]WalkDone)
-	EmitEvery uint64
-}
-
 // ResumeEngine rebuilds an engine from a snapshot over the same graph. The
 // resumed engine continues the interrupted run exactly: same clock, same
 // pending events (fabric transfers and a scheduled kill included), same
 // walk and fault RNG positions, so its final Result is bit-identical to the
-// run the snapshot was taken from.
-func ResumeEngine(g *graph.Graph, snap *Snapshot, opts ResumeOptions) (*Engine, error) {
+// run the snapshot was taken from. Everything about the workload comes
+// from the snapshot; obs are the resumed run's observers. The snapshot
+// carries the finished-walk counters, so an OnWalks export continues the
+// finish-order numbering without a gap.
+func ResumeEngine(g *graph.Graph, snap *Snapshot, obs Observers) (*Engine, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: nil snapshot: %w", errs.ErrInvalidConfig)
 	}
@@ -522,12 +503,8 @@ func ResumeEngine(g *graph.Graph, snap *Snapshot, opts ResumeOptions) (*Engine, 
 	rc := RunConfig{
 		Cfg: snap.Cfg, FlashCfg: snap.FlashCfg, DRAMCfg: snap.DRAMCfg,
 		PartCfg: snap.PartCfg, Spec: snap.Spec, NumWalks: snap.NumWalks,
-		MaxSimTime: snap.MaxSimTime, TrackVisits: snap.TrackVisits,
-		Audit: snap.Audit, UseAliasSampling: snap.UseAliasSampling,
-		Mutations:  snap.Mutations,
-		OnProgress: opts.OnProgress, CheckpointEvery: opts.CheckpointEvery,
-		OnSnapshot: opts.OnSnapshot, SnapshotEvery: opts.SnapshotEvery,
-		SnapshotMinInterval: opts.SnapshotMinInterval, OnWalks: opts.OnWalks, EmitEvery: opts.EmitEvery,
+		TrackVisits: snap.TrackVisits, Audit: snap.Audit, UseAliasSampling: snap.UseAliasSampling,
+		Mutations: snap.Mutations, Observers: obs,
 	}
 	e, err := newEngine(g, rc)
 	if err != nil {

@@ -11,47 +11,6 @@ import (
 // simTime converts an int operation count to a sim.Time multiplier.
 func simTime(n int) sim.Time { return sim.Time(n) }
 
-// tierAccel is the contract shared by the three accelerator tiers (chip,
-// channel, board). The engine drives every tier through it: Guide
-// classifies a walk at the tier and routes it onward, EnqueueUpdate runs a
-// walk through the tier's updater pool, HotBlocks/SetHotBlocks manage the
-// tier's resident hot-subgraph set, and Stats snapshots utilization.
-// Adding a fourth tier (or replacing a routing policy) means implementing
-// this interface and wiring it in buildAccelerators — nothing else.
-type tierAccel interface {
-	// Guide classifies walk w (an index into the board's walk table) at
-	// this tier (guider pipeline) and routes it onward: into the tier's own
-	// updater, down to a lower tier's buffers, or out to the foreigner
-	// path.
-	Guide(w int32)
-	// EnqueueUpdate runs walk w through this tier's updater pool and
-	// re-guides or retires the outcome.
-	EnqueueUpdate(w int32)
-	// HotBlocks reports the tier's resident hot-subgraph block IDs.
-	HotBlocks() []int
-	// SetHotBlocks installs the tier's hot-subgraph set.
-	SetHotBlocks(ids []int)
-	// Stats snapshots the tier's utilization counters.
-	Stats() TierStats
-}
-
-// Tier level names reported in TierStats.Level.
-const (
-	tierChip    = "chip"
-	tierChannel = "channel"
-	tierBoard   = "board"
-)
-
-// TierStats is one tier's utilization snapshot.
-type TierStats struct {
-	Level       string // "chip", "channel", or "board"
-	UpdaterUtil float64
-	GuiderUtil  float64
-	UpdaterJobs uint64
-	GuiderJobs  uint64
-	QueueBytes  int64 // walks currently buffered for hot-subgraph updating
-}
-
 // tierCommon is the state and behaviour every accelerator tier shares: the
 // updater/guider unit pools, the hot-subgraph index, and the hot-update
 // walk queue. chipAccel, channelAccel and boardAccel embed it; the chip
@@ -72,13 +31,11 @@ type tierCommon struct {
 
 	queueBytes int64 // walks buffered for hot-subgraph updating
 
-	level        string
 	updaterCycle sim.Time
 	guiderCycle  sim.Time
 	queueCap     int64   // hot-update queue capacity (0: tier has none)
 	hotHits      *uint64 // Result counter for hot-subgraph updates (nil: chip)
 	tierID       int32   // channel index; -1 for the board (event routing)
-	self         tierAccel
 }
 
 func (t *tierCommon) SetHotBlocks(ids []int) {
@@ -87,50 +44,33 @@ func (t *tierCommon) SetHotBlocks(ids []int) {
 
 func (t *tierCommon) HotBlocks() []int { return t.hot.ids() }
 
-func (t *tierCommon) Stats() TierStats {
-	return TierStats{
-		Level:       t.level,
-		UpdaterUtil: t.updater.utilization(),
-		GuiderUtil:  t.guider.utilization(),
-		UpdaterJobs: t.updater.jobs,
-		GuiderJobs:  t.guider.jobs,
-		QueueBytes:  t.queueBytes,
-	}
-}
-
 // dispatchGuide charges ops guider operations at this tier's cycle time;
 // done applies the routing outcome.
 func (t *tierCommon) dispatchGuide(ops int, done sim.Event) {
 	t.guider.dispatch(simTime(ops)*t.guiderCycle, done)
 }
 
-// tryHotUpdate claims hot-update queue capacity for walk w and, on
-// success, runs it through the tier's updater. It reports false (walk
-// untouched) when the queue is full.
+// tryHotUpdate is the channel and board tiers' hot-subgraph update
+// pipeline (§III-C/D): claim hot-update queue capacity for walk w, decide
+// the hop, charge its filter probes and occupy an updater for the service
+// time; finishHotUpdate then retires the walk or re-guides it at this
+// tier. It reports false (walk untouched) when the queue is full. The chip
+// tier's updates are slot-owned instead (chipAccel.enqueue).
 func (t *tierCommon) tryHotUpdate(w int32) bool {
-	size := t.e.walk(w).sizeBytes()
-	if t.queueBytes+size > t.queueCap {
-		return false
-	}
-	t.queueBytes += size
-	t.self.EnqueueUpdate(w)
-	return true
-}
-
-// EnqueueUpdate is the shared hot-subgraph update pipeline (§III-C/D):
-// decide the hop, charge its filter probes, occupy an updater for the
-// service time, then retire the walk or re-guide it at this tier. The
-// chip tier overrides it (its updates are slot-owned, see chipAccel).
-func (t *tierCommon) EnqueueUpdate(w int32) {
 	e := t.e
 	st := e.walk(w)
 	// The hop clears the dense tag, which changes the record size, so the
 	// claimed queue bytes are read first.
 	size := st.sizeBytes()
+	if t.queueBytes+size > t.queueCap {
+		return false
+	}
+	t.queueBytes += size
 	h := e.decideHop(st)
 	e.chargeFilterProbes(h, nil)
 	t.updater.dispatch(e.updateService(t.updaterCycle, h),
 		sim.Event{Target: e, Kind: evTierUpdateDone, A: w, B: t.tierID, C: packC(int32(size), h.flags())})
+	return true
 }
 
 // finishHotUpdate retires or re-guides a walk whose hot-subgraph update
@@ -149,7 +89,11 @@ func (t *tierCommon) finishHotUpdate(w int32, size int64, terminal, deadEnd bool
 		e.finishWalk(w, !deadEnd)
 		return
 	}
-	t.self.Guide(w)
+	if t.tierID >= 0 {
+		e.chans[t.tierID].Guide(w)
+	} else {
+		e.board.Guide(w)
+	}
 }
 
 // hotIndex is a sorted hot-subgraph membership structure shared by the

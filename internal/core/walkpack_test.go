@@ -225,7 +225,7 @@ func TestPackedImageRoundTrip(t *testing.T) {
 			}
 			w, b, x := carriedRecords(t, snap)
 			walks, batches, transfers = walks+w, batches+b, transfers+x
-			e, err := ResumeEngine(g, snap, ResumeOptions{})
+			e, err := ResumeEngine(g, snap, Observers{})
 			if err != nil {
 				t.Fatalf("boards=%d cut %d: %v", nb, i, err)
 			}

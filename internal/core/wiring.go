@@ -8,11 +8,10 @@ import (
 	"flashwalker/internal/sim"
 )
 
-// buildAccelerators wires the accelerator hierarchy: one chip-level
-// accelerator per flash chip, one channel-level accelerator per channel,
-// and the board-level accelerator, all registered in e.tiers behind the
-// shared tierAccel interface. A fourth tier would be constructed and
-// appended here. inDeg ranks the hot-subgraph candidates.
+// buildAccelerators wires the paper's three-tier accelerator hierarchy:
+// one chip-level accelerator per flash chip (e.chips), one channel-level
+// accelerator per channel (e.chans), and the board-level accelerator
+// (e.board). inDeg ranks the hot-subgraph candidates.
 func (e *boardEngine) buildAccelerators(inDeg []uint64) {
 	numChips := e.ssd.NumChips()
 	for i := 0; i < numChips; i++ {
@@ -21,19 +20,16 @@ func (e *boardEngine) buildAccelerators(inDeg []uint64) {
 				e:            e,
 				updater:      newUnitPool(e.eng, e.cfg.ChipUpdaters),
 				guider:       newUnitPool(e.eng, e.cfg.ChipGuiders),
-				level:        tierChip,
 				updaterCycle: e.cfg.ChipUpdaterCycle,
 				guiderCycle:  e.cfg.ChipGuiderCycle,
 			},
 			id:   i,
 			chip: e.ssd.Chip(i),
 		}
-		c.self = c
 		for s := 0; s < e.slotsPerChip; s++ {
 			c.slots = append(c.slots, &chipSlot{idx: s, block: -1})
 		}
 		e.chips = append(e.chips, c)
-		e.tiers = append(e.tiers, c)
 	}
 	for ch := 0; ch < e.ssd.Cfg.Channels; ch++ {
 		ca := &channelAccel{
@@ -41,7 +37,6 @@ func (e *boardEngine) buildAccelerators(inDeg []uint64) {
 				e:            e,
 				updater:      newUnitPool(e.eng, e.cfg.ChannelUpdaters),
 				guider:       newUnitPool(e.eng, e.cfg.ChannelGuiders),
-				level:        tierChannel,
 				updaterCycle: e.cfg.ChannelUpdaterCycle,
 				guiderCycle:  e.cfg.ChannelGuiderCycle,
 				queueCap:     e.cfg.ChannelWalkQueueBytes,
@@ -51,16 +46,13 @@ func (e *boardEngine) buildAccelerators(inDeg []uint64) {
 			id:      ch,
 			channel: e.ssd.Channel(ch),
 		}
-		ca.self = ca
 		e.chans = append(e.chans, ca)
-		e.tiers = append(e.tiers, ca)
 	}
 	b := &boardAccel{
 		tierCommon: tierCommon{
 			e:            e,
 			updater:      newUnitPool(e.eng, e.cfg.BoardUpdaters),
 			guider:       newUnitPool(e.eng, e.cfg.BoardGuiders),
-			level:        tierBoard,
 			updaterCycle: e.cfg.BoardUpdaterCycle,
 			guiderCycle:  e.cfg.BoardGuiderCycle,
 			queueCap:     e.cfg.BoardWalkQueueBytes,
@@ -68,7 +60,6 @@ func (e *boardEngine) buildAccelerators(inDeg []uint64) {
 			tierID:       -1,
 		},
 	}
-	b.self = b
 	for i := 0; i < e.cfg.TablePorts; i++ {
 		b.ports = append(b.ports, sim.NewQueue(e.eng))
 	}
@@ -79,7 +70,6 @@ func (e *boardEngine) buildAccelerators(inDeg []uint64) {
 		}
 	}
 	e.board = b
-	e.tiers = append(e.tiers, b)
 	e.selectHotSubgraphs(inDeg)
 }
 

@@ -98,7 +98,7 @@ func ExtResume(ctx context.Context, scale float64, seed uint64, workers int) ([]
 		if err := snapshot.Decode(data, "core-engine", back); err != nil {
 			return err
 		}
-		e, err = core.ResumeEngine(g, back, core.ResumeOptions{})
+		e, err = core.ResumeEngine(g, back, core.Observers{})
 		if err != nil {
 			return err
 		}

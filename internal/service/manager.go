@@ -97,8 +97,11 @@ type JobSpec struct {
 	// MemBytes is the baseline's memory capacity; 0 uses the scaled-8GB
 	// analogue. Ignored by FlashWalker jobs.
 	MemBytes int64 `json:"mem_bytes"`
-	// CheckpointEvery overrides the event interval between cancellation
-	// checks and progress snapshots; 0 uses the engine default.
+	// CheckpointEvery overrides the event interval between checkpoint
+	// boundaries, where the engine checks cancellation, reports progress,
+	// publishes finished walks to the stream (at least 1,024 events apart)
+	// and takes snapshots (every snapshotCheckpointRatio boundaries); 0
+	// uses the engine default.
 	CheckpointEvery uint64 `json:"checkpoint_every"`
 	// FaultConfig, when non-nil, enables deterministic fault injection for
 	// FlashWalker jobs (ignored by the host baseline). An invalid config is
@@ -1045,34 +1048,22 @@ func (m *Manager) deepWalkResult(j *Job, c *walk.CachedCorpus, cached bool) *Job
 }
 
 func (m *Manager) runFlashWalker(ctx context.Context, j *Job, g *graph.Graph, ds harness.Dataset) (*JobResult, error) {
-	rc := harness.FlashWalkerConfig(ds, core.AllOptions(), j.Spec.NumWalks, j.Spec.Seed)
-	rc.CheckpointEvery = j.Spec.CheckpointEvery
-	// The mutation stream rides in the run config; snapshots carry the
-	// stream plus an applied-prefix cursor, so the recovery paths below
-	// resume mid-stream without re-threading it here.
-	rc.Mutations = j.Spec.Mutations
-	if j.Spec.FaultConfig != nil {
-		rc.Cfg.Faults = *j.Spec.FaultConfig
-	}
-	rc.Cfg.Boards = j.Spec.Boards
-	if j.Spec.FabricLatencyNS > 0 {
-		rc.Cfg.FabricLatency = sim.Time(j.Spec.FabricLatencyNS)
-	}
-	if j.Spec.FabricMBps > 0 {
-		rc.Cfg.FabricBytesPerSec = j.Spec.FabricMBps * 1_000_000
-	}
-	rc.OnProgress = func(p core.Progress) {
-		j.progress.Store(&Progress{
-			SimTimeNS: int64(p.Now), Events: p.Events,
-			Started: p.Started, Completed: p.Completed, DeadEnded: p.DeadEnded,
-			Hops: p.Hops, WalksFinished: p.WalksFinished(),
-		})
+	// One observer set serves the fresh and the recovered run alike.
+	obs := core.Observers{
+		CheckpointEvery: j.Spec.CheckpointEvery,
+		OnProgress: func(p core.Progress) {
+			j.progress.Store(&Progress{
+				SimTimeNS: int64(p.Now), Events: p.Events,
+				Started: p.Started, Completed: p.Completed, DeadEnded: p.DeadEnded,
+				Hops: p.Hops, WalksFinished: p.WalksFinished(),
+			})
+		},
 	}
 	if st := j.stream; st != nil {
 		// The export callback only appends to the stream's buffers — it
 		// never blocks on consumers, so attaching it cannot perturb the
 		// simulated timeline.
-		rc.OnWalks = func(recs []core.WalkDone) { st.publish(coreWalkRecords(recs)) }
+		obs.OnWalks = func(recs []core.WalkDone) { st.publish(coreWalkRecords(recs)) }
 	}
 	if m.store != nil {
 		// Snapshots piggyback on the checkpoint observer every
@@ -1083,25 +1074,33 @@ func (m *Manager) runFlashWalker(ctx context.Context, j *Job, g *graph.Graph, ds
 		if every == 0 {
 			every = core.DefaultCheckpointEvery
 		}
-		w := &coreSnapWriter{m: m, j: j}
-		// A recovered job picks up from its snapshot image; a fresh job (or
-		// one whose snapshot is unreadable, or was written by an older
-		// container version) runs from the start and begins writing
-		// snapshots at the checkpoint cadence.
+		obs.OnSnapshot = (&coreSnapWriter{m: m, j: j}).write
+		obs.SnapshotEvery = every * snapshotCheckpointRatio
+		obs.SnapshotMinInterval = snapshotMinInterval
+		// A recovered job picks up from its snapshot image, which carries
+		// the workload, the mutation stream and its applied prefix; a fresh
+		// job (or one whose snapshot is unreadable, or was written by an
+		// older container version) runs from the start.
 		if snap, ok := m.loadCoreSnap(j.ID); ok {
-			e, err := core.ResumeEngine(g, snap, core.ResumeOptions{
-				OnProgress: rc.OnProgress, OnSnapshot: w.write, OnWalks: rc.OnWalks,
-				SnapshotEvery: every * snapshotCheckpointRatio, SnapshotMinInterval: snapshotMinInterval,
-				CheckpointEvery: j.Spec.CheckpointEvery,
-			})
+			e, err := core.ResumeEngine(g, snap, obs)
 			if err != nil {
 				return nil, err
 			}
 			return coreJobResult(e.RunContext(ctx))
 		}
-		rc.OnSnapshot = w.write
-		rc.SnapshotEvery = every * snapshotCheckpointRatio
-		rc.SnapshotMinInterval = snapshotMinInterval
+	}
+	rc := harness.FlashWalkerConfig(ds, core.AllOptions(), j.Spec.NumWalks, j.Spec.Seed)
+	rc.Observers = obs
+	rc.Mutations = j.Spec.Mutations
+	if j.Spec.FaultConfig != nil {
+		rc.Cfg.Faults = *j.Spec.FaultConfig
+	}
+	rc.Cfg.Boards = j.Spec.Boards
+	if j.Spec.FabricLatencyNS > 0 {
+		rc.Cfg.FabricLatency = sim.Time(j.Spec.FabricLatencyNS)
+	}
+	if j.Spec.FabricMBps > 0 {
+		rc.Cfg.FabricBytesPerSec = j.Spec.FabricMBps * 1_000_000
 	}
 	e, err := core.NewEngine(g, rc)
 	if err != nil {

@@ -95,8 +95,11 @@ type jobStream struct {
 	// the snapshot cut) are dropped on publish.
 	next uint64
 	// maxDel is the furthest position any reader has been served; it is
-	// the eviction floor when no reader is attached, so a job nobody
-	// watches still caps its memory at the ring.
+	// the eviction floor when no reader is attached. It moves only when a
+	// reader is served, so a job nobody reads keeps every record, the
+	// ring full and the rest pending: a reader that attaches after submit
+	// starts at seq 0 even without a spool. On a daemon with a store,
+	// Config.RetainJobs bounds how many finished jobs keep theirs.
 	maxDel  uint64
 	readers map[*streamReader]uint64
 

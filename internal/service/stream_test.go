@@ -80,62 +80,81 @@ func TestStreamDeliversEveryWalk(t *testing.T) {
 // the eviction floor), the job must still run to completion — the engine
 // side of the stream only appends, so a stalled consumer cannot hold the
 // simulated timeline hostage. The ring stays bounded; the overflow holds
-// the rest; and a later drain still sees every record.
+// the rest; and a later drain still sees every record. A job nobody reads
+// until it is done keeps its records the same way, so a reader attaching
+// after Done starts at seq 0.
 func TestStreamStalledConsumerNeverBlocksEngine(t *testing.T) {
 	const ring = 64
-	m := newTestManagerCfg(t, Config{Workers: 1, StreamRingWalks: ring})
-	j, err := m.Submit(JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The stalled reader: attaches at 0, never calls next.
-	stalled, err := j.stream.attach(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case <-j.Done():
-	case <-time.After(2 * time.Minute):
-		t.Fatal("job did not finish with a stalled stream consumer attached")
-	}
-	st := j.Status()
-	if st.State != StateDone {
-		t.Fatalf("job state %s: %s", st.State, st.Error)
-	}
-
-	j.stream.mu.Lock()
-	ringLen, pendLen := len(j.stream.ring), len(j.stream.pending)
-	j.stream.mu.Unlock()
-	if ringLen > ring {
-		t.Fatalf("ring grew to %d records past its %d cap", ringLen, ring)
-	}
-	if total := st.Result.Completed + st.Result.DeadEnded; ringLen+pendLen != total {
-		t.Fatalf("ring %d + overflow %d != %d finished walks", ringLen, pendLen, total)
-	}
-
-	// The stalled reader wakes up: everything is still there, in order.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	next := uint64(0)
-	for {
-		batch, end, err := stalled.next(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if end != nil {
-			break
-		}
-		for _, r := range batch {
-			if r.Seq != next {
-				t.Fatalf("gap after stall: got seq %d, want %d", r.Seq, next)
+	for _, tc := range []struct {
+		name         string
+		attachBefore bool
+	}{
+		{"stalled reader", true},
+		{"no reader until done", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newTestManagerCfg(t, Config{Workers: 1, StreamRingWalks: ring})
+			j, err := m.Submit(JobSpec{Graph: "TT-S", NumWalks: 2000, Seed: 6})
+			if err != nil {
+				t.Fatal(err)
 			}
-			next++
-		}
-	}
-	stalled.detach()
-	if next != uint64(st.Result.Completed+st.Result.DeadEnded) {
-		t.Fatalf("stalled reader drained %d records, want %d", next, st.Result.Completed+st.Result.DeadEnded)
+			var stalled *streamReader
+			if tc.attachBefore {
+				// The stalled reader: attaches at 0, never calls next.
+				if stalled, err = j.stream.attach(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			select {
+			case <-j.Done():
+			case <-time.After(2 * time.Minute):
+				t.Fatal("job did not finish")
+			}
+			st := j.Status()
+			if st.State != StateDone {
+				t.Fatalf("job state %s: %s", st.State, st.Error)
+			}
+
+			j.stream.mu.Lock()
+			ringLen, pendLen := len(j.stream.ring), len(j.stream.pending)
+			j.stream.mu.Unlock()
+			if ringLen > ring {
+				t.Fatalf("ring grew to %d records past its %d cap", ringLen, ring)
+			}
+			if total := st.Result.Completed + st.Result.DeadEnded; ringLen+pendLen != total {
+				t.Fatalf("ring %d + overflow %d != %d finished walks", ringLen, pendLen, total)
+			}
+			if !tc.attachBefore {
+				if stalled, err = j.stream.attach(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// The reader wakes up: everything is still there, in order.
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			next := uint64(0)
+			for {
+				batch, end, err := stalled.next(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if end != nil {
+					break
+				}
+				for _, r := range batch {
+					if r.Seq != next {
+						t.Fatalf("gap after stall: got seq %d, want %d", r.Seq, next)
+					}
+					next++
+				}
+			}
+			stalled.detach()
+			if next != uint64(st.Result.Completed+st.Result.DeadEnded) {
+				t.Fatalf("reader drained %d records, want %d", next, st.Result.Completed+st.Result.DeadEnded)
+			}
+		})
 	}
 }
 

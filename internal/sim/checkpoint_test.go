@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestCheckpointHalts proves the hook stops the drain at an event boundary
 // and leaves the remaining schedule intact for a resumed Run.
@@ -109,5 +112,87 @@ func TestCheckpointRunUntil(t *testing.T) {
 	e.RunUntil(100)
 	if e.Halted() || n != 5 || e.Now() != 100 {
 		t.Fatalf("after clear: halted=%v n=%d now=%v", e.Halted(), n, e.Now())
+	}
+}
+
+// TestCheckpointFiresAtMultiples pins the hook's cadence: it runs exactly
+// when Processed() reaches a multiple of its interval, counted from event
+// zero rather than from the install — across a halted Run, a RunUntil
+// drain begun before the install, and an imported state with the hook
+// installed after the import or before it.
+func TestCheckpointFiresAtMultiples(t *testing.T) {
+	const n, every = 23, 4
+	h := handle(func(Event) {})
+	fill := func(e *Engine) *Engine {
+		for i := 0; i < n; i++ {
+			e.Schedule(Time(i*10), Event{Target: h})
+		}
+		return e
+	}
+	// install logs Processed() at every call and halts once, at haltAt.
+	install := func(e *Engine, log *[]uint64, haltAt uint64) {
+		e.SetCheckpoint(every, func() bool {
+			*log = append(*log, e.Processed())
+			return e.Processed() != haltAt
+		})
+	}
+	// cut returns a fresh engine with h registered and the state of one
+	// that has run the schedule's first seven events.
+	cut := func() (*Engine, EngineState) {
+		src := fill(New())
+		src.RunUntil(65)
+		e := New()
+		e.Register(h)
+		return e, src.ExportState()
+	}
+	for _, tc := range []struct {
+		name string
+		from uint64 // events processed when the hook took effect
+		run  func(t *testing.T, log *[]uint64)
+	}{
+		{"halted Run", 0, func(t *testing.T, log *[]uint64) {
+			e := fill(New())
+			install(e, log, 12)
+			e.Run()
+			if !e.Halted() || e.Processed() != 12 {
+				t.Fatalf("halted=%v at %d processed, want a halt at 12", e.Halted(), e.Processed())
+			}
+			e.Run()
+		}},
+		{"RunUntil", 5, func(t *testing.T, log *[]uint64) {
+			e := fill(New())
+			e.RunUntil(45) // five events, no hook yet
+			install(e, log, 0)
+			e.RunUntil(150)
+			e.RunUntil(1000)
+		}},
+		{"hook after ImportState", 7, func(t *testing.T, log *[]uint64) {
+			e, st := cut()
+			if err := e.ImportState(st); err != nil {
+				t.Fatal(err)
+			}
+			install(e, log, 0)
+			e.Run()
+		}},
+		{"hook before ImportState", 7, func(t *testing.T, log *[]uint64) {
+			e, st := cut()
+			install(e, log, 0)
+			if err := e.ImportState(st); err != nil {
+				t.Fatal(err)
+			}
+			e.Run()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []uint64
+			tc.run(t, &got)
+			var want []uint64
+			for k := tc.from/every + 1; k*every <= n; k++ {
+				want = append(want, k*every)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("hook ran at %v processed events, want %v", got, want)
+			}
+		})
 	}
 }

@@ -205,26 +205,21 @@ type Engine struct {
 	// its index here (Register).
 	handlers []Handler
 
-	// Cooperative checkpoint hook (SetCheckpoint): checkFn is consulted
-	// every checkEvery processed events, strictly between events; returning
-	// false halts the drain loop. The hook never touches the clock or the
-	// heap, so an uncanceled run's timeline is bit-identical with or without
-	// a hook installed.
+	// The between-events observer (SetCheckpoint): checkFn runs when
+	// processed reaches checkDue, strictly between events, and checkDue
+	// then advances by checkEvery; returning false halts the drain loop.
+	// checkDue is always a multiple of checkEvery, or 0 with no hook, a
+	// count processed never equals after a Step. The hook never touches
+	// the clock or the schedule, so an uncanceled run's timeline is
+	// bit-identical with or without one installed.
 	checkEvery uint64
+	checkDue   uint64
 	checkFn    func() bool
 	halted     bool
 
-	// Emission hook (SetEmitter): like the checkpoint hook, a pure observer
-	// consulted every emitEvery processed events strictly between events,
-	// but it can never halt the drain. Used to flush batched observations
-	// (e.g. completed-walk records) out of the hot loop on a cadence
-	// independent of the checkpoint interval.
-	emitEvery uint64
-	emitFn    func()
-
 	// Applier hook (SetApplier): consulted before every event executes,
 	// with that event's timestamp, strictly between events. Unlike the
-	// observer hooks it may mutate model state outside the engine (graph
+	// observer it may mutate model state outside the engine (graph
 	// indexes, filters) — that is its purpose — but it must never touch the
 	// engine itself. Used to apply timestamped graph mutations exactly
 	// before the first event at or after each mutation's time.
@@ -421,49 +416,41 @@ func (e *Engine) ScheduleAfter(d Time, ev Event) {
 	e.Schedule(e.now+d, ev)
 }
 
-// SetCheckpoint installs a cooperative stop hook: fn is invoked every
-// `every` processed events during Run/RunUntil, always at an event boundary
-// (never mid-event). Returning false halts the drain loop; the engine's
-// clock, heap, and pending events are left exactly as they were, so a
-// halted run can be resumed by calling Run again or abandoned with a
-// consistent partial state. Passing fn == nil clears the hook.
+// SetCheckpoint installs the between-events observer: during Run/RunUntil,
+// fn is invoked each time the count of processed events reaches a multiple
+// of every, always at an event boundary (never mid-event). Returning false
+// halts the drain loop; the engine's clock, heap, and pending events are
+// left exactly as they were, so a halted run can be resumed by calling Run
+// again or abandoned with a consistent partial state. The multiples are
+// absolute — they count the events before the install, and those an
+// imported state brings — and a halted Run's successor goes on to the next
+// one. Events run by Step alone consult no hook, so install it after
+// stepping by hand. Passing fn == nil clears the hook.
 //
 // The hook must not schedule events or otherwise mutate the engine; it is a
-// pure observer used for cancellation and progress snapshots. Because it
-// only ever runs between events, installing a hook cannot perturb the
-// simulated timeline of a run that is not halted.
+// pure observer used for cancellation, progress reports, snapshots and
+// export. Because it only ever runs between events, installing a hook
+// cannot perturb the simulated timeline of a run that is not halted.
 func (e *Engine) SetCheckpoint(every uint64, fn func() bool) {
 	if fn != nil && every == 0 {
 		panic("sim: checkpoint interval must be positive")
 	}
 	e.checkEvery = every
 	e.checkFn = fn
+	e.armCheckpoint()
 }
 
 // ClearCheckpoint removes any installed checkpoint hook.
-func (e *Engine) ClearCheckpoint() { e.checkFn = nil; e.checkEvery = 0 }
+func (e *Engine) ClearCheckpoint() { e.SetCheckpoint(0, nil) }
 
-// SetEmitter installs a cooperative emission hook: fn is invoked every
-// `every` processed events during Run/RunUntil, always at an event boundary
-// (never mid-event), immediately before the checkpoint hook when both are
-// due. Unlike the checkpoint hook it has no return value and can never halt
-// the drain. Passing fn == nil clears the hook.
-//
-// Like the checkpoint hook, the emitter must not schedule events or
-// otherwise mutate the engine; it is a pure observer, so installing one
-// cannot perturb the simulated timeline. It exists so periodic export work
-// (draining completed-walk buffers to a consumer) gets its own cadence
-// instead of piggybacking on the checkpoint interval.
-func (e *Engine) SetEmitter(every uint64, fn func()) {
-	if fn != nil && every == 0 {
-		panic("sim: emitter interval must be positive")
+// armCheckpoint sets the due count to the first multiple of checkEvery
+// above the events processed so far, or to 0 without a hook.
+func (e *Engine) armCheckpoint() {
+	e.checkDue = 0
+	if e.checkFn != nil {
+		e.checkDue = (e.processed/e.checkEvery + 1) * e.checkEvery
 	}
-	e.emitEvery = every
-	e.emitFn = fn
 }
-
-// ClearEmitter removes any installed emission hook.
-func (e *Engine) ClearEmitter() { e.emitFn = nil; e.emitEvery = 0 }
 
 // SetApplier installs a pre-event hook: during Run/RunUntil, fn is invoked
 // immediately before each event executes, with that event's timestamp —
@@ -481,24 +468,16 @@ func (e *Engine) SetApplier(fn func(next Time)) { e.applyFn = fn }
 // ClearApplier removes any installed applier hook.
 func (e *Engine) ClearApplier() { e.applyFn = nil }
 
-// emit consults the emission hook if one is due.
-func (e *Engine) emit() {
-	if e.emitFn != nil && e.processed%e.emitEvery == 0 {
-		e.emitFn()
-	}
-}
-
 // Halted reports whether the last Run/RunUntil was stopped by the
 // checkpoint hook rather than by draining the schedule or reaching the
 // deadline.
 func (e *Engine) Halted() bool { return e.halted }
 
-// checkpoint consults the hook if one is due; it reports true when the
-// drain loop must halt.
+// checkpoint runs the hook at a due boundary and advances the due count;
+// it reports true when the drain loop must halt. The drain loops call it
+// only when processed has reached checkDue.
 func (e *Engine) checkpoint() bool {
-	if e.checkFn == nil || e.processed%e.checkEvery != 0 {
-		return false
-	}
+	e.checkDue += e.checkEvery
 	if e.checkFn() {
 		return false
 	}
@@ -532,8 +511,7 @@ func (e *Engine) Run() Time {
 		if !e.Step() {
 			break
 		}
-		e.emit()
-		if e.checkpoint() {
+		if e.processed == e.checkDue && e.checkpoint() {
 			break
 		}
 	}
@@ -555,8 +533,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			e.applyFn(next)
 		}
 		e.Step()
-		e.emit()
-		if e.checkpoint() {
+		if e.processed == e.checkDue && e.checkpoint() {
 			return e.now
 		}
 	}

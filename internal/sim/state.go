@@ -93,7 +93,8 @@ func (e *Engine) ExportState() EngineState {
 // ImportState restores a captured state into a fresh engine (zero clock, no
 // pending or processed events) whose handler table holds every handler the
 // events name. Saved sequence numbers order each timestamp's events as in
-// the original run, and new events follow them.
+// the original run, and new events follow them. A checkpoint hook installed
+// before the import falls due at the multiples above the restored count.
 func (e *Engine) ImportState(st EngineState) error {
 	if e.Pending() != 0 || e.processed != 0 || e.now != 0 {
 		return fmt.Errorf("sim: ImportState requires a fresh engine (pending=%d processed=%d now=%v)",
@@ -130,6 +131,7 @@ func (e *Engine) ImportState(st EngineState) error {
 	}
 	e.seq = st.Seq
 	e.processed = st.Processed
+	e.armCheckpoint()
 	return nil
 }
 
