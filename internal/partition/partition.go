@@ -112,14 +112,20 @@ type DenseMeta struct {
 	OutDegree     uint64
 }
 
-// DenseTable is the bloom filter + hash table combination of §III-D.
+// DenseTable is the bloom filter + hash table combination of §III-D. The
+// filter's answer for every vertex of the graph, false positives included,
+// is recorded once when the table is built, one bit per vertex, so the
+// guider's membership check reads a bit instead of hashing; the modelled
+// check is still the filter's.
 type DenseTable struct {
-	filter *bloom.Filter
-	meta   map[graph.VertexID]DenseMeta
+	filter  *bloom.Filter
+	answers []uint64 // bit v%64 of word v/64: the filter's answer for v
+	meta    map[graph.VertexID]DenseMeta
 }
 
-// Contains runs the bloom-filter membership check. False is authoritative.
-func (d *DenseTable) Contains(v graph.VertexID) bool { return d.filter.Contains(uint64(v)) }
+// Contains returns the bloom filter's membership answer for v, a vertex of
+// the graph. False is authoritative.
+func (d *DenseTable) Contains(v graph.VertexID) bool { return d.answers[v>>6]>>(v&63)&1 != 0 }
 
 // Lookup returns the metadata for v; ok is false on a bloom false positive
 // (the hash table misses, so the caller falls back to the normal mapping
@@ -261,7 +267,13 @@ func Partition(g *graph.Graph, cfg Config) (*Partitioned, error) {
 	for v := range denseMeta {
 		f.Add(uint64(v))
 	}
-	p.Dense = &DenseTable{filter: f, meta: denseMeta}
+	answers := make([]uint64, (n+63)/64)
+	for v := uint64(0); v < n; v++ {
+		if f.Contains(v) {
+			answers[v>>6] |= 1 << (v & 63)
+		}
+	}
+	p.Dense = &DenseTable{filter: f, answers: answers, meta: denseMeta}
 
 	// Ranges over all blocks.
 	for first := 0; first < len(p.Blocks); first += cfg.RangeSize {
