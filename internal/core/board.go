@@ -35,28 +35,29 @@ func (b *boardAccel) Guide(w int32) {
 		B: int32(d.searchSteps), C: packC(int32(d.blockID), int32(d.foreignPart))})
 }
 
-// route applies a classification.
-func (b *boardAccel) route(d routeDecision) {
+// route applies walk w's classification: its destination block in the
+// current partition, or the foreign partition it leaves for.
+func (b *boardAccel) route(w int32, blockID, foreignPart int) {
 	e := b.e
-	if d.foreignPart >= 0 {
-		e.demoteWalk(d.foreignPart, d.w)
+	if foreignPart >= 0 {
+		e.demoteWalk(foreignPart, w)
 		return
 	}
-	if d.blockID < 0 {
+	if blockID < 0 {
 		e.fail(errUnroutable)
 		return
 	}
 	// Board-level hot subgraph: update in place (§III-D).
-	if e.cfg.Opts.HotSubgraphs && b.hotReady && e.walk(d.w).denseBlock < 0 &&
-		b.hot.contains(d.blockID) && b.tryHotUpdate(d.w) {
+	if e.cfg.Opts.HotSubgraphs && b.hotReady && e.walk(w).denseBlock < 0 &&
+		b.hot.contains(blockID) && b.tryHotUpdate(w) {
 		return
 	}
 	// Degraded destination chip: try the channel-level failover copy first
 	// (degrade.go); a miss falls through — the chip still works, just slow.
-	if e.rerouteDegraded(d.blockID, d.w) {
+	if e.rerouteDegraded(blockID, w) {
 		return
 	}
-	e.insertPWB(d.blockID, d.w)
+	e.insertPWB(blockID, w)
 }
 
 // completed accumulates a finished walk in the board's completed-walk

@@ -192,16 +192,18 @@ func (e *boardEngine) HandleEvent(ev sim.Event) {
 
 	case evBoardGuided, evBoardPortDone:
 		if b := e.board; ev.Kind == evBoardGuided && ev.B > 0 {
-			// The search needs the mapping table: the same event, renamed,
-			// completes the port access.
+			// The search needs the mapping table: the same payload, renamed,
+			// completes the port access. It is built afresh, field by field,
+			// because renaming ev in place and passing it on would copy it
+			// through the stack.
 			port := b.ports[b.portRR]
 			b.portRR = (b.portRR + 1) % len(b.ports)
-			ev.Kind = evBoardPortDone
-			port.AcquireEvent(simTime(int(ev.B))*b.guiderCycle, ev)
+			port.AcquireEvent(simTime(int(ev.B))*b.guiderCycle,
+				sim.Event{Target: e, Kind: evBoardPortDone, A: ev.A, B: ev.B, C: ev.C})
 			return
 		}
 		block, foreign := splitC(ev.C)
-		e.board.route(routeDecision{w: ev.A, blockID: int(block), foreignPart: int(foreign)})
+		e.board.route(ev.A, int(block), int(foreign))
 
 	case evSlotRetry:
 		c := e.chips[ev.B]

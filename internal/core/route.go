@@ -10,9 +10,10 @@ import (
 // subgraph mapping table, the dense-vertices table, or the walk query
 // caches is here, so a new routing policy is a localized change.
 
-// routeDecision is a precomputed guider classification of walk w.
+// routeDecision is a precomputed guider classification of a walk. Its four
+// words stay in registers between classify and Guide; a fifth would send
+// the decision through the stack.
 type routeDecision struct {
-	w           int32
 	blockID     int // destination block in current partition, -1 if n/a
 	foreignPart int // >=0: walk leaves the current partition
 	ops         int // guider operations
@@ -25,7 +26,7 @@ type routeDecision struct {
 func (b *boardAccel) classify(w int32) routeDecision {
 	e := b.e
 	st := e.walk(w)
-	d := routeDecision{w: w, blockID: -1, foreignPart: -1, ops: 1}
+	d := routeDecision{blockID: -1, foreignPart: -1, ops: 1}
 
 	// Pre-walked dense walks already know their block.
 	if st.denseBlock >= 0 {

@@ -241,7 +241,7 @@ func TestRouteHotSubgraphAdmission(t *testing.T) {
 	e.activeCur = 10 // keep demotions from ending the (unstarted) partition
 
 	// Not hot: the walk buffers into the block's PWB entry.
-	b.route(routeDecision{w: e.addWalk(st), blockID: blk, foreignPart: -1})
+	b.route(e.addWalk(st), blk, -1)
 	if len(e.pwb[blk]) != 1 {
 		t.Fatalf("PWB entry holds %d walks, want 1", len(e.pwb[blk]))
 	}
@@ -250,7 +250,7 @@ func TestRouteHotSubgraphAdmission(t *testing.T) {
 	b.hot = newHotIndex(e.part, []int{blk})
 	b.hotReady = true
 	before := b.queueBytes
-	b.route(routeDecision{w: e.addWalk(st), blockID: blk, foreignPart: -1})
+	b.route(e.addWalk(st), blk, -1)
 	if len(e.pwb[blk]) != 1 {
 		t.Fatal("hot walk was buffered to the PWB")
 	}
@@ -260,7 +260,7 @@ func TestRouteHotSubgraphAdmission(t *testing.T) {
 
 	// Queue full: hot routing falls back to the PWB.
 	b.queueBytes = b.queueCap
-	b.route(routeDecision{w: e.addWalk(st), blockID: blk, foreignPart: -1})
+	b.route(e.addWalk(st), blk, -1)
 	if len(e.pwb[blk]) != 2 {
 		t.Fatal("over-cap hot walk not buffered to the PWB")
 	}
@@ -269,7 +269,7 @@ func TestRouteHotSubgraphAdmission(t *testing.T) {
 	// holds seeded walks, so compare against the pre-route length.
 	if e.part.NumPartitions >= 2 {
 		seeded := len(e.pendingMem[1])
-		b.route(routeDecision{w: e.addWalk(st), blockID: -1, foreignPart: 1})
+		b.route(e.addWalk(st), -1, 1)
 		if e.res.ForeignerWalks != 1 || len(e.pendingMem[1]) != seeded+1 {
 			t.Fatalf("foreigner not demoted: walks=%d pending=%d (seeded %d)",
 				e.res.ForeignerWalks, len(e.pendingMem[1]), seeded)

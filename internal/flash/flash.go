@@ -257,7 +257,11 @@ func (s *SSD) newOp(n int, done sim.Event) int32 {
 		s.ops = append(s.ops, flashOp{})
 		idx = int32(len(s.ops) - 1)
 	}
-	s.ops[idx] = flashOp{remaining: int32(n), free: -1, done: s.Eng.Store(done)}
+	// Fill the record in place; a flashOp value would pass through the
+	// stack on its way in.
+	op := &s.ops[idx]
+	op.remaining, op.free = int32(n), -1
+	s.Eng.Store(&op.done, done)
 	return idx
 }
 
@@ -270,11 +274,10 @@ func (s *SSD) opPart(idx int32) {
 	if op.remaining > 0 {
 		return
 	}
-	done := op.done
 	op.free = s.freeOp
 	s.freeOp = idx
-	if !done.None() {
-		s.Eng.Fire(done)
+	if !op.done.None() {
+		s.Eng.Fire(op.done)
 	}
 }
 

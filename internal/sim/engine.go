@@ -130,8 +130,11 @@ type Event struct {
 	Kind   uint16
 }
 
-// None reports whether the event is the zero "no completion" sentinel.
-func (ev Event) None() bool { return ev.Target == nil }
+// None reports whether the event is the zero "no completion" sentinel. It
+// takes a pointer so that testing a completion reads its target alone: an
+// Event has too many fields for the compiler to keep in registers, and a
+// value receiver would copy all 40 bytes through the stack.
+func (ev *Event) None() bool { return ev.Target == nil }
 
 // Timing-wheel geometry: a near wheel of one bucket per nanosecond of the
 // window that holds now, a far wheel of one bucket per window for the next
@@ -249,25 +252,27 @@ func (e *Engine) Schedule(t Time, ev Event) {
 		panic("sim: scheduling event with nil target")
 	}
 	e.seq++
-	e.insert(e.seq, slabEntry{at: t, c: ev.C, a: ev.A, b: ev.B, kind: ev.Kind, h: e.handlerIndex(ev.Target)})
+	h := e.handlerIndex(ev.Target)
+	ref, ent := e.newEntry()
+	ent.at, ent.c, ent.a, ent.b, ent.kind, ent.h = t, ev.C, ev.A, ev.B, ev.Kind, h
+	e.file(e.seq, ref, t)
 }
 
-// insert parks the event in the slab and files its reference in the near
-// wheel when its time is inside the current window, in the far wheel when
-// it is inside the horizon, or else in the overflow heap, which alone
-// keeps seq. Callers must pass strictly increasing seq values for each
-// timestamp (ImportState sorts for exactly this reason) and a time at or
-// after the window start. The offset is taken unsigned, so no timestamp
-// overflows it.
-func (e *Engine) insert(seq uint64, se slabEntry) {
-	ref := e.putEvent(se)
-	switch d := uint64(se.at) - uint64(e.win); {
+// file files the slab entry ref, an event at time at, in the near wheel
+// when at is inside the current window, in the far wheel when it is inside
+// the horizon, or else in the overflow heap, which alone keeps seq.
+// Callers must pass strictly increasing seq values for each timestamp
+// (ImportState sorts for exactly this reason) and a time at or after the
+// window start. The offset is taken unsigned, so no timestamp overflows
+// it.
+func (e *Engine) file(seq uint64, ref int32, at Time) {
+	switch d := uint64(at) - uint64(e.win); {
 	case d < nearSize:
-		e.nearAppend(ref, se.at)
+		e.nearAppend(ref, at)
 	case d < horizon:
-		e.farAppend(ref, se.at)
+		e.farAppend(ref, at)
 	default:
-		e.heapPush(node{at: se.at, seq: seq, ref: ref})
+		e.heapPush(node{at: at, seq: seq, ref: ref})
 	}
 }
 
@@ -308,24 +313,26 @@ func (e *Engine) entry(ref int32) *slabEntry {
 	return &e.chunks[ref>>chunkBits][ref&chunkMask]
 }
 
-// putEvent parks an event in a slab entry, reusing the most recently freed
-// one, and returns its reference. A new chunk is allocated only when every
-// entry of the last one is in use; chunks never move or shrink.
-func (e *Engine) putEvent(se slabEntry) int32 {
+// newEntry takes a slab entry for a new event, the most recently freed one
+// if any, and returns its reference and the entry with its link cleared.
+// The caller writes the event's fields in place: building a slabEntry
+// value and copying it in would pass it through the stack. A new chunk is
+// allocated only when every entry of the last one is in use; chunks never
+// move or shrink.
+func (e *Engine) newEntry() (int32, *slabEntry) {
 	ref := e.free - 1
 	if ref >= 0 {
 		ent := e.entry(ref)
 		e.free = ent.next
-		*ent = se
-		return ref
+		ent.next = 0
+		return ref, ent
 	}
 	ref = e.slabN
 	if int(ref>>chunkBits) == len(e.chunks) {
 		e.chunks = append(e.chunks, new([chunkSize]slabEntry))
 	}
 	e.slabN++
-	*e.entry(ref) = se
-	return ref
+	return ref, e.entry(ref)
 }
 
 // --- The handler table. ---
@@ -365,11 +372,13 @@ func (e *Engine) Handler(id int32) Handler { return e.handlers[id] }
 // handlerIndex finds h in the handler table, registering it on first use.
 // It compares the interface's two words — the type and the data pointer —
 // one at a time rather than with ==, which calls into the runtime for
-// every entry it passes. Equal words are the same handler. A non-pointer
-// handler boxed afresh by each conversion misses here, and Register finds
-// it by ==.
+// every entry it passes, and reads h's words where they lie rather than
+// copying them out as one 16-byte value, a load the two 8-byte stores
+// that spilled h cannot forward to. Equal words are the same handler. A
+// non-pointer handler boxed afresh by each conversion misses here, and
+// Register finds it by ==.
 func (e *Engine) handlerIndex(h Handler) uint16 {
-	w := *(*[2]unsafe.Pointer)(unsafe.Pointer(&h))
+	w := (*[2]unsafe.Pointer)(unsafe.Pointer(&h))
 	for i := range e.handlers {
 		if hw := (*[2]unsafe.Pointer)(unsafe.Pointer(&e.handlers[i])); hw[0] == w[0] && hw[1] == w[1] {
 			return uint16(i)
@@ -391,14 +400,19 @@ type Stored struct {
 }
 
 // None reports whether the stored event is the "no completion" sentinel.
-func (s Stored) None() bool { return s.Target < 0 }
+// Like Event.None it takes a pointer, so the test copies nothing.
+func (s *Stored) None() bool { return s.Target < 0 }
 
-// Store returns ev in plain form, registering its target on first use.
-func (e *Engine) Store(ev Event) Stored {
+// Store writes ev in plain form to dst, registering its target on first
+// use. It writes in place because a Stored returned by value would reach
+// its destination through the stack.
+func (e *Engine) Store(dst *Stored, ev Event) {
 	if ev.None() {
-		return Stored{Target: -1}
+		*dst = Stored{Target: -1}
+		return
 	}
-	return Stored{C: ev.C, A: ev.A, B: ev.B, Kind: ev.Kind, Target: int32(e.handlerIndex(ev.Target))}
+	dst.C, dst.A, dst.B, dst.Kind = ev.C, ev.A, ev.B, ev.Kind
+	dst.Target = int32(e.handlerIndex(ev.Target))
 }
 
 // Fire delivers a stored event to its handler now, inline, as the part of

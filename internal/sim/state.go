@@ -127,7 +127,9 @@ func (e *Engine) ImportState(st EngineState) error {
 		if sv.Target < 0 || int(sv.Target) >= len(e.handlers) {
 			return fmt.Errorf("sim: import event at %v names handler %d of %d", sv.At, sv.Target, len(e.handlers))
 		}
-		e.insert(sv.Seq, slabEntry{at: sv.At, c: sv.C, a: sv.A, b: sv.B, kind: sv.Kind, h: uint16(sv.Target)})
+		ref, ent := e.newEntry()
+		*ent = slabEntry{at: sv.At, c: sv.C, a: sv.A, b: sv.B, kind: sv.Kind, h: uint16(sv.Target)}
+		e.file(sv.Seq, ref, sv.At)
 	}
 	e.seq = st.Seq
 	e.processed = st.Processed

@@ -376,17 +376,19 @@ func TestHandlerTable(t *testing.T) {
 	if e.Handlers() != 3 || e.Register(r) != 0 || e.Register(value{7}) != 1 || e.Register(value{8}) != 2 {
 		t.Fatalf("table holds %d handlers, want the recorder, value{7} and value{8} in that order", e.Handlers())
 	}
-	if st := e.Store(Event{Target: value{8}, Kind: 4, A: 1, B: 2, C: 3}); st != (Stored{C: 3, A: 1, B: 2, Target: 2, Kind: 4}) {
+	var st Stored
+	if e.Store(&st, Event{Target: value{8}, Kind: 4, A: 1, B: 2, C: 3}); st != (Stored{C: 3, A: 1, B: 2, Target: 2, Kind: 4}) {
 		t.Fatalf("stored form %+v", st)
 	}
-	if !e.Store(Event{}).None() {
+	if e.Store(&st, Event{}); !st.None() {
 		t.Fatal("the zero event does not store as None")
 	}
 	e.Run()
 	if !slices.Equal(r.ids, []int32{0, 1, 2}) || e.Processed() != 9 {
 		t.Fatalf("recorder saw %v of %d events", r.ids, e.Processed())
 	}
-	e.Fire(e.Store(Event{Target: r, A: 9}))
+	e.Store(&st, Event{Target: r, A: 9})
+	e.Fire(st)
 	if r.ids[len(r.ids)-1] != 9 {
 		t.Fatal("Fire did not deliver the stored event")
 	}
