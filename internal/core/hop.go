@@ -76,13 +76,13 @@ func (e *boardEngine) chooseNextEdge(st *wstate, deg uint64) (idx uint64, extra,
 		idx, probes, rejects = e.spec.ChooseEdgeSecondOrderFiltered(
 			r, e.outEdges(st.w.Cur), prev,
 			func(cand graph.VertexID) bool {
-				return e.edgeFilter.Contains(partition.EdgeKey(prev, cand))
+				return e.drv.edgeFilter.Contains(partition.EdgeKey(prev, cand))
 			})
 		extra = 2*probes + rejects
-	case e.alias != nil:
+	case e.drv.alias != nil:
 		// Alias sampling: O(1) per hop regardless of degree, at 2x the
 		// per-edge metadata.
-		idx = e.alias.ChooseEdge(r, st.w.Cur)
+		idx = e.drv.alias.ChooseEdge(r, st.w.Cur)
 		extra = 1
 	default:
 		idx, extra = e.spec.ChooseEdge(r, deg, e.outCumWeights(st.w.Cur))

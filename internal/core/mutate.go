@@ -8,6 +8,7 @@ import (
 	"flashwalker/internal/graph"
 	"flashwalker/internal/partition"
 	"flashwalker/internal/sim"
+	"flashwalker/internal/walk"
 )
 
 // Dynamic-graph mutation support. A RunConfig.Mutations stream is applied
@@ -49,8 +50,9 @@ import (
 //   - the in-degrees that rank hot and failover blocks (inDegreeSums —
 //     the shared graph's counts plus the applied mutations' deltas).
 //
-// The boards build their edge filter and alias tables over the shared
-// graph and then take the At == 0 prefix as one more batch.
+// The run builds its edge filter and alias tables once, over the shared
+// graph, and then takes the At == 0 prefix as one more batch; every board
+// reads the same ones.
 //
 // TestMutationMetamorphic in this package closes the loop end to end:
 // running with an At == 0 stream is bit-identical to running over the
@@ -76,12 +78,10 @@ func ValidateMutations(g *graph.Graph, pc partition.Config, ms graph.MutationStr
 
 // applyBatch applies ms, consecutive entries of the stream, to the whole
 // run in three steps: the per-block stats one mutation at a time in stream
-// order, the overlay in one batch, then every board's private indexes. It
+// order, the overlay in one batch, then the run's derived indexes. It
 // reports how many of ms it applied: when a block overflows at ms[n],
 // ms[:n] are applied in full and the overflow is returned, exactly as if
-// the batch had been applied one mutation at a time. At construction
-// there are no boards yet; each takes the At == 0 prefix through
-// applyIndexes once it is built.
+// the batch had been applied one mutation at a time.
 func (e *Engine) applyBatch(ms []graph.Mutation) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
@@ -107,10 +107,8 @@ func (e *Engine) applyBatch(ms []graph.Mutation) (int, error) {
 	}
 	slices.Sort(e.mutSrcs)
 	e.mutSrcs = slices.Compact(e.mutSrcs)
-	for _, be := range e.boards {
-		if ierr := be.applyIndexes(ms, e.mutSrcs); ierr != nil {
-			return 0, ierr
-		}
+	if ierr := e.applyIndexes(ms, e.mutSrcs); ierr != nil {
+		return 0, ierr
 	}
 	if len(e.boards) > 0 {
 		// The board owning a mutated vertex's home partition gets the
@@ -122,11 +120,37 @@ func (e *Engine) applyBatch(ms []graph.Mutation) (int, error) {
 	return n, err
 }
 
-// applyIndexes patches this board's private derived indexes after the
-// overlay took a batch: the counting edge filter per mutation, and the
-// alias table of each distinct mutated source (srcs) once. Every board
-// applies every batch — each board owns its own filter and tables.
-func (e *boardEngine) applyIndexes(ms []graph.Mutation, srcs []graph.VertexID) error {
+// buildIndexes builds the run's derived indexes over the shared graph: the
+// edge filter of a second-order run and the alias tables of an
+// alias-sampled one.
+func (e *Engine) buildIndexes(rc RunConfig) error {
+	if rc.Spec.Kind == walk.SecondOrder {
+		if len(rc.Mutations) > 0 {
+			// Size for the edge count after the whole stream: identical
+			// geometry to the plain filter a run over the fully mutated
+			// graph would build, so probe answers — and trajectories —
+			// match the rebuild leg of the metamorphic tests.
+			final := int(int64(e.g.NumEdges())+rc.Mutations.NetEdges(0)) + 1
+			e.edgeFilterC = partition.EdgeFilterCounting(e.g, 0.01, final)
+			e.edgeFilter = e.edgeFilterC
+		} else {
+			e.edgeFilter = partition.EdgeFilter(e.g, 0.01)
+		}
+	}
+	if rc.UseAliasSampling {
+		ga, err := walk.NewGraphAlias(e.g)
+		if err != nil {
+			return err
+		}
+		e.alias = ga
+	}
+	return nil
+}
+
+// applyIndexes patches the run's derived indexes after the overlay took a
+// batch: the counting edge filter per mutation, and the alias table of
+// each distinct mutated source (srcs) once.
+func (e *Engine) applyIndexes(ms []graph.Mutation, srcs []graph.VertexID) error {
 	if e.edgeFilterC != nil {
 		for _, m := range ms {
 			key := partition.EdgeKey(m.Src, m.Dst)

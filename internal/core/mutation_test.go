@@ -711,7 +711,7 @@ func TestArrayMutationKillThenResume(t *testing.T) {
 	assertSameVisits(t, res.Visits, clean.Visits)
 }
 
-// TestMutationPrefixPatchesIndexes: each board builds its edge filter and
+// TestMutationPrefixPatchesIndexes: the run builds its edge filter and
 // alias tables over the shared graph and then takes the At == 0 prefix as
 // one batch, after which they equal indexes built afresh over the rebuilt
 // graph — the counting filter in its geometry too, sized for the final
@@ -732,18 +732,16 @@ func TestMutationPrefixPatchesIndexes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for b, be := range e.boards {
-			if weighted {
-				want, err := walk.NewGraphAlias(mg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(be.alias, want) {
-					t.Fatalf("board %d alias tables differ from fresh ones over the rebuilt graph", b)
-				}
-			} else if !reflect.DeepEqual(be.edgeFilterC, partition.EdgeFilterCounting(mg, 0.01, int(mg.NumEdges())+1)) {
-				t.Fatalf("board %d counting edge filter differs from a fresh one over the rebuilt graph", b)
+		if weighted {
+			want, err := walk.NewGraphAlias(mg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(e.alias, want) {
+				t.Fatal("alias tables differ from fresh ones over the rebuilt graph")
+			}
+		} else if !reflect.DeepEqual(e.edgeFilterC, partition.EdgeFilterCounting(mg, 0.01, int(mg.NumEdges())+1)) {
+			t.Fatal("counting edge filter differs from a fresh one over the rebuilt graph")
 		}
 	}
 }
@@ -993,10 +991,8 @@ func TestMutationBatchAtOneInstant(t *testing.T) {
 			}
 			if tc.spec.Kind == walk.SecondOrder {
 				fresh := partition.EdgeFilterCounting(want, 0.01, int(want.NumEdges())+1)
-				for b, be := range e.boards {
-					if !reflect.DeepEqual(be.edgeFilterC, fresh) {
-						t.Fatalf("board %d counting edge filter differs from a fresh one over the rebuilt graph", b)
-					}
+				if !reflect.DeepEqual(e.edgeFilterC, fresh) {
+					t.Fatal("counting edge filter differs from a fresh one over the rebuilt graph")
 				}
 			}
 

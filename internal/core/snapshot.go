@@ -327,7 +327,7 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 		NumWalks:         e.numStarted,
 		TrackVisits:      b0.res.Visits != nil,
 		Audit:            e.audit,
-		UseAliasSampling: b0.alias != nil,
+		UseAliasSampling: e.alias != nil,
 		GraphVertices:    e.g.NumVertices(),
 		GraphEdges:       e.g.NumEdges(),
 		Mutations:        e.muts,

@@ -11,8 +11,8 @@ import (
 // buildAccelerators wires the paper's three-tier accelerator hierarchy:
 // one chip-level accelerator per flash chip (e.chips), one channel-level
 // accelerator per channel (e.chans), and the board-level accelerator
-// (e.board). inDeg ranks the hot-subgraph candidates.
-func (e *boardEngine) buildAccelerators(inDeg []uint64) {
+// (e.board), with the run's hot subgraphs (none when hot is nil).
+func (e *boardEngine) buildAccelerators(hot *hotSelection) {
 	numChips := e.ssd.NumChips()
 	for i := 0; i < numChips; i++ {
 		c := &chipAccel{
@@ -70,29 +70,41 @@ func (e *boardEngine) buildAccelerators(inDeg []uint64) {
 		}
 	}
 	e.board = b
-	e.selectHotSubgraphs(inDeg)
+	if hot != nil {
+		b.SetHotBlocks(hot.board)
+		for ch, ca := range e.chans {
+			ca.SetHotBlocks(hot.chans[ch])
+		}
+	}
+}
+
+// hotSelection is a run's hot-subgraph choice: the board tier's blocks and
+// each channel's. Every board holds its tiers' hot sets apart, since a
+// degraded chip's failover changes its channel's, but starts from this one.
+type hotSelection struct {
+	board []int
+	chans [][]int
 }
 
 // selectHotSubgraphs picks the top in-degree non-dense blocks for the board
-// and for each channel (paper §III-C: channels keep the top-K among blocks
-// on their own chips). sums is Partitioned.InDegreeSums over the graph at
-// construction, computed once for all boards.
-func (e *boardEngine) selectHotSubgraphs(sums []uint64) {
-	if !e.cfg.Opts.HotSubgraphs {
-		return
-	}
+// tier and for each of the channels (paper §III-C: channels keep the
+// top-K among blocks on their own chips), ranked by the in-degrees over
+// the graph at construction.
+func (e *Engine) selectHotSubgraphs(channels int) *hotSelection {
+	sums := e.inDegreeSums()
 	all := make([]int, e.part.NumBlocks())
 	for i := range all {
 		all[i] = i
 	}
 	blocks := e.part.Blocks
 	used := make([]bool, len(blocks))
-	e.board.SetHotBlocks(pickHotBlocks(blocks, sums, all, e.cfg.BoardSubgraphBufBytes, used))
-	for ch, ca := range e.chans {
+	hot := &hotSelection{board: pickHotBlocks(blocks, sums, all, e.cfg.BoardSubgraphBufBytes, used)}
+	for ch := 0; ch < channels; ch++ {
 		clear(used)
-		ca.SetHotBlocks(pickHotBlocks(blocks, sums, e.place.BlocksOnChannel(ch),
+		hot.chans = append(hot.chans, pickHotBlocks(blocks, sums, e.place.BlocksOnChannel(ch),
 			e.cfg.ChannelSubgraphBufBytes, used))
 	}
+	return hot
 }
 
 // pickHotBlocks greedily selects the top in-degree non-dense candidates that
