@@ -25,7 +25,7 @@
 // process); an http:// or https:// URL targets an S3-style object
 // server speaking GET/PUT/POST/DELETE on keys plus GET /?prefix= for
 // listing (see internal/blob). -retain-jobs / -retain-age bound how
-// much terminal job state the store accumulates.
+// many terminal jobs the daemon keeps, in memory and in the store.
 //
 // Endpoints (see internal/service):
 //
@@ -73,9 +73,9 @@ func main() {
 	storeKind := flag.String("store", "fs",
 		"durable store backend: fs (files under -state-dir), mem, or an http(s):// object-store base URL")
 	retainJobs := flag.Int("retain-jobs", 0,
-		"terminal jobs to retain in the durable store (0: unlimited)")
+		"terminal jobs to retain, in memory and in the durable store (0: unlimited)")
 	retainAge := flag.Duration("retain-age", 0,
-		"max age of terminal job state in the durable store (0: unlimited)")
+		"max age of a terminal job, in memory and in the durable store (0: unlimited)")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0,
 		"request body size cap for POST endpoints (0: default 4 MiB)")
 	corpusCache := flag.Int("corpus-cache", 0,

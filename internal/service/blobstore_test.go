@@ -118,6 +118,32 @@ func TestRetentionPrunesTerminal(t *testing.T) {
 	}
 }
 
+// TestRetentionWithoutStore: the retention rules bound a memory-only
+// manager's tables too, so finished jobs and their stream records do not
+// pile up in a daemon that has nowhere to persist them.
+func TestRetentionWithoutStore(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1, RetainJobs: 1})
+	var jobs []*Job
+	for i := 0; i < 4; i++ {
+		j, err := m.Submit(JobSpec{Graph: "TT-S", NumWalks: 2_000, Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		waitTerminal(t, j)
+	}
+	m.Close() // the last finish's prune has run once the worker is gone
+	list := m.List()
+	if len(list) != 1 || list[0].ID != jobs[3].ID {
+		t.Fatalf("manager holds %d jobs %+v, want only %s", len(list), list, jobs[3].ID)
+	}
+	if got := m.metrics.jobsPruned.Load(); got != 3 {
+		t.Fatalf("jobsPruned = %d, want 3", got)
+	}
+}
+
 // faultStore fails every write while leaving reads intact — the double
 // behind the durability-degradation contract: writes may fail, jobs must
 // not.

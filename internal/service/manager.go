@@ -417,10 +417,11 @@ type Config struct {
 	// StateDir when both are set. Nil with an empty StateDir keeps the
 	// manager fully in-memory.
 	Store blob.Store
-	// RetainJobs keeps at most this many terminal jobs' durable state
-	// (journal + spool); older terminal jobs are pruned at startup and on
-	// finish, oldest-first. 0 retains everything. Non-terminal jobs are
-	// never pruned.
+	// RetainJobs keeps at most this many terminal jobs, in the manager's
+	// tables and, with a store, their durable state (journal + spool);
+	// older terminal jobs are pruned at startup and on finish,
+	// oldest-first. 0 retains everything. Non-terminal jobs are never
+	// pruned.
 	RetainJobs int
 	// RetainAge prunes terminal jobs that finished longer than this ago.
 	// 0 disables the age bound.

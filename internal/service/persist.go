@@ -259,13 +259,14 @@ func (m *Manager) recoverJobs() ([]*Job, error) {
 
 // pruneTerminal enforces the retention policy: keep the newest RetainJobs
 // terminal jobs (0 = unlimited) and drop terminal jobs whose finish time
-// is older than RetainAge (0 = no age bound). Pruning removes the job's
-// journal, spool, and any leftover snapshot containers from the store AND
-// the job from the manager's tables, oldest-first in submission order.
-// Non-terminal jobs are never touched. Runs at startup (after recovery)
-// and after every finish.
+// is older than RetainAge (0 = no age bound). Pruning removes the job from
+// the manager's tables, with its result and stream records, oldest-first
+// in submission order, and, when there is a store, its journal, spool,
+// and any leftover snapshot containers from the store. Non-terminal jobs
+// are never touched. Runs at startup (after recovery) and after every
+// finish.
 func (m *Manager) pruneTerminal() {
-	if m.store == nil || (m.retainJobs <= 0 && m.retainAge <= 0) {
+	if m.retainJobs <= 0 && m.retainAge <= 0 {
 		return
 	}
 	m.mu.Lock()
@@ -325,12 +326,14 @@ func (m *Manager) pruneTerminal() {
 
 	fail := func(err error) { m.persistError(nil, persistKindRetention, err) }
 	for id := range prune {
-		for _, key := range []string{jobKey(id), streamKey(id)} {
-			if err := m.store.Delete(key); err != nil {
-				fail(err)
+		if m.store != nil {
+			for _, key := range []string{jobKey(id), streamKey(id)} {
+				if err := m.store.Delete(key); err != nil {
+					fail(err)
+				}
 			}
+			m.deleteSnapshots(id, fail)
 		}
-		m.deleteSnapshots(id, fail)
 		m.metrics.jobsPruned.Add(1)
 	}
 }

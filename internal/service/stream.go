@@ -173,7 +173,10 @@ func (s *jobStream) publish(recs []WalkRecord) {
 	s.mu.Unlock()
 }
 
-// finish marks the stream closed with the job's terminal state.
+// finish marks the stream closed with the job's terminal state. A closed
+// stream takes no more records, so once the spool is flushed its write
+// buffer goes, and fill drops the pending slice once it is empty: a
+// retained job keeps its records, not the buffers' high-water capacity.
 func (s *jobStream) finish(state string, errMsg string) {
 	s.mu.Lock()
 	if !s.closed {
@@ -182,7 +185,9 @@ func (s *jobStream) finish(state string, errMsg string) {
 		s.errMsg = errMsg
 		if s.spool != nil {
 			s.spool.flush()
+			s.spool.buf = nil
 		}
+		s.fill()
 		s.wake()
 	}
 	s.mu.Unlock()
@@ -234,7 +239,7 @@ func (s *jobStream) fill() {
 		s.ring = append(s.ring, s.pending[:room]...)
 		s.pending = append(s.pending[:0], s.pending[room:]...)
 	}
-	if cap(s.pending) > 4*s.cap {
+	if cap(s.pending) > 4*s.cap || s.closed && len(s.pending) == 0 {
 		s.pending = nil
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"flashwalker/internal/blob"
 )
 
 func newTestManagerCfg(t *testing.T, cfg Config) *Manager {
@@ -602,5 +604,40 @@ func waitRunning(t *testing.T, m *Manager, id string) {
 			t.Fatalf("job %s stuck in %s", id, state)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFinishedStreamsReleaseBuffers: a finished stream whose records were
+// all read holds neither its spool write buffer nor its pending slice,
+// whatever their high-water capacity was, on every job retention keeps.
+func TestFinishedStreamsReleaseBuffers(t *testing.T) {
+	m := newTestManagerCfg(t, Config{Workers: 2, Store: blob.NewMem(), RetainJobs: 8})
+	for i := 0; i < 12; i++ {
+		j, err := m.Submit(JobSpec{Graph: "TT-S", NumWalks: 20_000, Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs, end := drainStream(t, j, 0); end.State != StateDone || len(recs) != 20_000 {
+			t.Fatalf("job %s streamed %d records and ended %+v", j.ID, len(recs), end)
+		}
+		waitTerminal(t, j)
+	}
+	m.Close()
+	list := m.List()
+	if len(list) != 8 {
+		t.Fatalf("retention kept %d jobs, want 8", len(list))
+	}
+	for _, st := range list {
+		j, err := m.Get(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := j.stream
+		s.mu.Lock()
+		spoolBuf, pending := cap(s.spool.buf), cap(s.pending)
+		s.mu.Unlock()
+		if spoolBuf != 0 || pending != 0 {
+			t.Errorf("finished job %s holds %d bytes of spool buffer and %d pending slots", j.ID, spoolBuf, pending)
+		}
 	}
 }
